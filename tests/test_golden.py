@@ -1,0 +1,122 @@
+"""Golden digests of the compiled decoders.
+
+The fixture ``golden.json`` pins, byte for byte, what the decoders build:
+the tree JSON and success-polynomial string of every Pauli and arbitrary
+tree, the exact adaptive-fusion terms, and the error-check extension of
+each tree.  A refactor of the decoders must leave every digest unchanged.
+
+Regenerate the fixture (only when the decoders' output is meant to
+change) with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+
+from graphcode_lt.codes import (
+    GraphCode,
+    branched_chain_code,
+    cube_code,
+    decorated_pentagon_code,
+    pentagon_code,
+    shor_22_code,
+    tree_code,
+)
+from graphcode_lt.errordecode import ErrorAnalysis
+from graphcode_lt.fusion import AdaptiveFusionAnalysis
+from graphcode_lt.graphs import Graph
+from graphcode_lt.losstree import (
+    build_arbitrary_tree,
+    build_pauli_tree,
+    success_polynomial,
+)
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "golden.json")
+
+
+def _random_code(seed: int, n_vertices: int) -> GraphCode:
+    rng = random.Random(seed)
+    while True:
+        edges = [(u, v) for u in range(n_vertices)
+                 for v in range(u + 1, n_vertices) if rng.random() < 0.5]
+        g = Graph.from_edges(n_vertices, edges)
+        if g.is_connected():
+            return GraphCode(g, 0)
+
+
+def _codes() -> dict:
+    codes = {
+        "pentagon": pentagon_code(),
+        "decorated-pentagon": decorated_pentagon_code(),
+        "branched-chain": branched_chain_code(),
+        "shor22": shor_22_code(),
+        "cube": cube_code(),
+        "tree:3,2": tree_code([3, 2]),
+        "tree:2,2,1": tree_code([2, 2, 1]),
+    }
+    for seed, size in ((1, 5), (2, 6), (3, 6), (4, 7), (5, 8)):
+        codes[f"random:{seed},{size}"] = _random_code(seed, size)
+    return codes
+
+
+# (code, randomize_failures) pairs left out to keep this test to seconds;
+# the benchmark's output check covers their fusion and fbqc results
+FUSION_SKIP = {("tree:2,2,1", False), ("tree:2,2,1", True),
+               ("tree:3,2", True)}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _terms_text(analysis: AdaptiveFusionAnalysis) -> str:
+    return repr({klass: sorted((k, str(v)) for k, v in terms.items())
+                 for klass, terms in sorted(analysis._terms.items())})
+
+
+def _entries_text(analysis: ErrorAnalysis) -> str:
+    rows = []
+    for entry in analysis.entries:
+        row = [sorted(entry.monomial.terms.items())]
+        if entry.leaf is not None:
+            row.append(entry.leaf.pattern.chars())
+            row.append([t.to_string() for t in entry.checks.targets])
+            row.append([c.to_string() for c in entry.checks.checks])
+        rows.append(row)
+    return repr(rows)
+
+
+def golden_digests() -> dict:
+    out = {}
+    for name, code in _codes().items():
+        trees = {b: build_pauli_tree(code, b) for b in "XYZ"}
+        trees["arbitrary"] = build_arbitrary_tree(code)
+        for kind, tree in trees.items():
+            out[f"{name}|{kind}|tree"] = _sha(tree.to_json())
+            out[f"{name}|{kind}|poly"] = _sha(
+                success_polynomial(tree).to_string())
+            out[f"{name}|{kind}|errors"] = _sha(
+                _entries_text(ErrorAnalysis(code, tree)))
+        for randomize in (False, True):
+            if (name, randomize) not in FUSION_SKIP:
+                out[f"{name}|fusion-{randomize}"] = _sha(
+                    _terms_text(AdaptiveFusionAnalysis(code, randomize)))
+    return out
+
+
+def test_decoders_match_golden_digests():
+    with open(FIXTURE) as fh:
+        want = json.load(fh)
+    got = golden_digests()
+    assert sorted(got) == sorted(want)
+    changed = [key for key in want if got[key] != want[key]]
+    assert not changed, changed
+
+
+if __name__ == "__main__":
+    with open(FIXTURE, "w") as fh:
+        json.dump(golden_digests(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
