@@ -54,7 +54,6 @@ from .losstree import (
     decode,
     load_or_build,
     monte_carlo_decode,
-    optimal_success,
     success_polynomial,
     total_polynomial,
 )

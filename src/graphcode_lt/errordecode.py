@@ -2,10 +2,11 @@
 
 Once the loss decoder secures its target, the unspent qubits are used for
 stabilizer checks (chosen greedily, re-chosen whenever a check qubit is
-lost).  Each decoded leaf gets an exact syndrome table over all
-outcome-flip strings; summing leaves, with decoder failure counted as a
-fault, gives the combined fault probability.  Iterating the per-basis
-logical flip map yields concatenation error thresholds.
+lost), attempted by the loss decoders' shared recursion, ``losstree.grow``.
+Each decoded leaf gets an exact syndrome table over all outcome-flip
+strings; summing leaves, with decoder failure counted as a fault, gives
+the combined fault probability.  Iterating the per-basis logical flip map
+yields concatenation error thresholds.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import weakref
 import numpy as np
 
 from .codes import GraphCode
-from .losstree import DecisionTree, Leaf, build_pauli_tree
+from .losstree import DecisionTree, Leaf, MeasureNode, build_pauli_tree, grow
 from .opsets import ResourceLimitError, stabilizer_group
 from .pauli import (
     Basis,
     MeasurementPattern,
     PauliOperator,
     PauliSpan,
-    commutes_qubitwise,
+    fits,
     iter_bits,
 )
 from .polynomials import LossPolynomial
@@ -110,8 +111,8 @@ def _greedy_checks(pattern: MeasurementPattern, targets, group) -> tuple:
     target_support = 0
     for t in targets:
         target_support |= t.support
-    cands = [s for s in group
-             if s.weight and commutes_qubitwise(s, pattern, completed=False)]
+    allowed = pattern.allowed(True)
+    cands = [s for s in group if s.weight and fits(s.masks, allowed)]
     cands.sort(key=lambda s: (-(s.support & target_support).bit_count(),
                               s.weight, s.x, s.z))
     chosen: list[PauliOperator] = []
@@ -143,8 +144,9 @@ def exhaustive_checks(leaf: Leaf, surviving_stabilizers, em: "ErrorModel",
     Exponential; guarded by ``cap`` on visited subsets.
     """
     targets = _masked_targets(leaf)
+    allowed = leaf.pattern.allowed(True)
     group = [s for s in surviving_stabilizers
-             if s.weight and commutes_qubitwise(s, leaf.pattern, completed=False)]
+             if s.weight and fits(s.masks, allowed)]
     group.sort(key=lambda s: (s.weight, s.x, s.z))
     best_err = ml_logical_error(leaf, CheckSet(targets, ()), em)
     best = CheckSet(targets, ())
@@ -245,7 +247,7 @@ def ml_logical_error(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
 class _ExtendedLeaf:
     __slots__ = ("monomial", "leaf", "checks", "_cache")
 
-    def __init__(self, monomial: LossPolynomial, leaf: Leaf | None,
+    def __init__(self, monomial: LossPolynomial | None, leaf: Leaf | None,
                  checks: CheckSet | None):
         self.monomial = monomial
         self.leaf = leaf
@@ -278,8 +280,7 @@ class ErrorAnalysis:
         group = tuple(stabilizer_group(code))
         entries: list[_ExtendedLeaf] = []
 
-        def extend(pattern: MeasurementPattern, monomial: LossPolynomial,
-                   leaf: Leaf):
+        def step(pattern: MeasurementPattern, leaf: Leaf):
             targets = _masked_targets(leaf)
             chosen = _greedy_checks(pattern, targets, group)
             pending = 0
@@ -287,25 +288,23 @@ class ErrorAnalysis:
                 pending |= c.support & pattern.unmeasured
             if not pending:
                 done = Leaf("success", pattern, leaf.targets, leaf.output)
-                entries.append(_ExtendedLeaf(monomial, done,
-                                             CheckSet(targets, chosen)))
-                return
+                return _ExtendedLeaf(None, done, CheckSet(targets, chosen))
             q = next(iter_bits(pending))
             letter = next(c.letter_at(q) for c in chosen if c.letter_at(q) != "I")
-            extend(pattern.measure(q, Basis(letter)),
-                   monomial.attempt(letter, lost=False), leaf)
-            extend(pattern.lose(q), monomial.attempt(letter, lost=True), leaf)
+            return q, Basis(letter), leaf, leaf
 
         def walk(node, monomial: LossPolynomial):
-            if isinstance(node, Leaf):
-                if node.success:
-                    extend(node.pattern, monomial, node)
-                else:
-                    entries.append(_ExtendedLeaf(monomial, None, None))
-                return
-            kind = node.basis.kind
-            walk(node.on_detect, monomial.attempt(kind, lost=False))
-            walk(node.on_loss, monomial.attempt(kind, lost=True))
+            if isinstance(node, MeasureNode):
+                kind = node.basis.kind
+                walk(node.on_detect, monomial.attempt(kind, lost=False))
+                walk(node.on_loss, monomial.attempt(kind, lost=True))
+            elif isinstance(node, _ExtendedLeaf):
+                node.monomial = monomial
+                entries.append(node)
+            elif node.success:
+                walk(grow(node.pattern, node, step), monomial)
+            else:
+                entries.append(_ExtendedLeaf(monomial, None, None))
 
         walk(tree.root, LossPolynomial.one())
         self.entries = entries

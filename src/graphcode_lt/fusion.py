@@ -12,7 +12,10 @@ classifying each by GF(2) generation of the logical parities.  The
 adaptive engine attempts fusions on candidate output qubits one at a
 time; after the first success each code runs a teleportation decoder
 toward the fused qubit, and when every attempt fails the codes fall back
-on single-qubit measurements to salvage one parity.  Both report exact
+on single-qubit measurements to salvage one parity.  Each code's decoder
+is grown by the loss decoders' shared recursion (``losstree.grow``) and
+then folded with its twin; the fusion attempts themselves have three
+outcomes and keep their own walk.  Both engines report exact
 (success, fail, loss) probabilities.
 """
 
@@ -23,15 +26,22 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .codes import GraphCode
-from .losstree import _strategies
+from .losstree import (
+    Target,
+    _strategies,
+    attempt,
+    busiest_output,
+    grow,
+    leaves,
+    narrow,
+)
 from .opsets import EXHAUSTIVE_LIMIT, ResourceLimitError, stabilizer_group
 from .pauli import (
     BASIS_FUSION,
-    Basis,
     MeasurementPattern,
     PauliOperator,
     PauliSpan,
-    iter_bits,
+    fits,
 )
 
 __all__ = [
@@ -280,19 +290,16 @@ def transversal_fusion(code: GraphCode, fm: FusionModel, *,
 
 
 def _allowed_masks(pattern: MeasurementPattern, interfaces: tuple,
-                   prospective: bool) -> tuple[int, int, int]:
-    """Per-letter masks of qubits where that letter is recoverable.
+                   prospective: bool) -> tuple[int, int, int, int]:
+    """Per-letter (X, Y, Z, A) masks of qubits where that letter is
+    recoverable.
 
-    Measured qubits admit their own letter; unmeasured ones are wildcards
-    in prospective mode.  A fused interface admits any letter after a
-    successful gate and only the surviving parity's letter after a failed
-    one (the partner code must match there, which the caller checks by
-    intersecting letter vectors).
+    These are the pattern's own masks, plus the fused interfaces: one
+    admits any Pauli letter after a successful gate and only the surviving
+    parity's letter after a failed one (the partner code must match there,
+    which the caller checks by intersecting letter vectors).
     """
-    free = pattern.unmeasured if prospective else 0
-    ax = pattern.mx | free
-    ay = pattern.my | free
-    az = pattern.mz | free
+    ax, ay, az, aa = pattern.allowed(prospective)
     for q, kind in interfaces:
         bit = 1 << q
         if kind == "s":
@@ -303,15 +310,7 @@ def _allowed_masks(pattern: MeasurementPattern, interfaces: tuple,
             ax |= bit
         else:
             az |= bit
-    return ax, ay, az
-
-
-def _compat(op: PauliOperator, masks: tuple[int, int, int]) -> bool:
-    ax, ay, az = masks
-    xs = op.x & ~op.z
-    ys = op.x & op.z
-    zs = op.z & ~op.x
-    return xs & ~ax == 0 and ys & ~ay == 0 and zs & ~az == 0
+    return ax, ay, az, aa
 
 
 class AdaptiveFusionAnalysis:
@@ -334,8 +333,8 @@ class AdaptiveFusionAnalysis:
         self.randomize = randomize_failures
         self._strategies = _strategies(code, limit)
         group = stabilizer_group(code)
-        self._xops = tuple(code.logical_x * s for s in group)
-        self._zops = tuple(code.logical_z * s for s in group)
+        self._xops = tuple(Target(code.logical_x * s) for s in group)
+        self._zops = tuple(Target(code.logical_z * s) for s in group)
         self._terms = {"success": {}, "fail": {}, "loss": {}}
         self._side_memo: dict = {}
         self._walk(MeasurementPattern(code.n), (), 0, 0, 0, Fraction(1))
@@ -343,78 +342,55 @@ class AdaptiveFusionAnalysis:
     # -- per-side decoding ---------------------------------------------------
 
     def _vectors(self, coset, masks, interfaces) -> frozenset:
-        found = set()
-        for op in coset:
-            if _compat(op, masks):
-                found.add(tuple(op.letter_at(q) for q, _ in interfaces))
-        return frozenset(found)
+        return frozenset(tuple(t.first.letter_at(q) for q, _ in interfaces)
+                         for t in narrow(coset, masks))
 
     def _side(self, pattern: MeasurementPattern, interfaces: tuple,
               output: int | None) -> dict:
         """Leaf groups of one code's decoder: {(lambda_x, lambda_z):
-        {(detected, lost): count}} over single-qubit attempt outcomes."""
+        {(detected, lost): count}} over single-qubit attempt outcomes.
+
+        The decoder completes a strategy toward ``output`` while one
+        survives, then falls back to any X or Z logical.  Members may
+        route through failed interfaces: the partner code shares the
+        surviving parity there, and the final letter-vector intersection
+        decides whether the routes actually match.  Members are ranked as
+        if the output qubit were removed.
+        """
         key = (pattern, interfaces, output)
         if key in self._side_memo:
             return self._side_memo[key]
-        if output is None:
-            pairs = ()
-        else:
-            # members may route through failed interfaces: the partner code
-            # shares the surviving parity there, and the final letter-vector
-            # intersection decides whether the routes actually match
-            masks0 = _allowed_masks(pattern, interfaces, True)
-            pairs = tuple(
-                st for st in self._strategies
-                if st.output == output
-                and _compat(st.first_masked, masks0)
-                and _compat(st.second_masked, masks0))
-        groups: dict = {}
+        pairs = [st for st in self._strategies if st.output == output]
+        keep = -1 if output is None else ~(1 << output)
 
-        def record(pat: MeasurementPattern, d: int, e: int):
+        def step(pat: MeasurementPattern, state):
+            alive, salvage = state
+            allowed = _allowed_masks(pat, interfaces, True)
+            done = _allowed_masks(pat, interfaces, False)
+            alive = narrow(alive, allowed)
+            if alive:
+                if any(fits(st.need, done) for st in alive):
+                    return pat
+                members = [op for st in alive for op in st.ops]
+                q, b = attempt(members, pat, keep)
+                return q, b, (alive, salvage), (alive, salvage)
+            salvage = narrow(salvage, allowed)
+            if any(fits(t.need, done) for t in salvage):
+                return pat
+            move = attempt([t.first for t in salvage], pat)
+            return pat if move is None else move + (((), salvage), ((), salvage))
+
+        groups: dict = {}
+        tree = grow(pattern, (pairs, self._xops + self._zops), step)
+        for pat in leaves(tree):
             masks = _allowed_masks(pat, interfaces, False)
             sig = (self._vectors(self._xops, masks, interfaces),
                    self._vectors(self._zops, masks, interfaces))
+            attempted = pattern.unmeasured & ~pat.unmeasured
+            lost = (attempted & pat.lost).bit_count()
+            de = (attempted.bit_count() - lost, lost)
             poly = groups.setdefault(sig, {})
-            poly[(d, e)] = poly.get((d, e), 0) + 1
-
-        def attempt(ops, pat: MeasurementPattern) -> tuple[int, Basis]:
-            op = min(ops, key=lambda o: (o.weight, o.x, o.z))
-            q = next(iter_bits(op.support & pat.unmeasured))
-            return q, Basis(op.letter_at(q))
-
-        def rec(pat: MeasurementPattern, d: int, e: int):
-            masks_p = _allowed_masks(pat, interfaces, True)
-            masks_c = _allowed_masks(pat, interfaces, False)
-            alive = [st for st in pairs
-                     if _compat(st.first_masked, masks_p)
-                     and _compat(st.second_masked, masks_p)]
-            for st in alive:
-                if (_compat(st.first_masked, masks_c)
-                        and _compat(st.second_masked, masks_c)):
-                    record(pat, d, e)
-                    return
-            if alive:
-                members = [op for st in alive for op in
-                           (st.first_masked, st.second_masked)
-                           if op.support & pat.unmeasured]
-                q, b = attempt(members, pat)
-                rec(pat.measure(q, b), d + 1, e)
-                rec(pat.lose(q), d, e + 1)
-                return
-            targets = [op for op in self._xops + self._zops
-                       if _compat(op, masks_p)]
-            if any(_compat(op, masks_c) for op in targets):
-                record(pat, d, e)
-                return
-            live = [op for op in targets if op.support & pat.unmeasured]
-            if not live:
-                record(pat, d, e)
-                return
-            q, b = attempt(live, pat)
-            rec(pat.measure(q, b), d + 1, e)
-            rec(pat.lose(q), d, e + 1)
-
-        rec(pattern, 0, 0)
+            poly[de] = poly.get(de, 0) + 1
         self._side_memo[key] = groups
         return groups
 
@@ -436,18 +412,14 @@ class AdaptiveFusionAnalysis:
 
     def _walk(self, pattern: MeasurementPattern, interfaces: tuple,
               a: int, b: int, c: int, mult: Fraction):
-        masks_p = _allowed_masks(pattern, interfaces, True)
-        counts: dict[int, int] = {}
-        for st in self._strategies:
-            if ((pattern.unmeasured >> st.output) & 1
-                    and _compat(st.first_masked, masks_p)
-                    and _compat(st.second_masked, masks_p)):
-                counts[st.output] = counts.get(st.output, 0) + 1
-        if not counts:
+        # a candidate output must still be unmeasured, so only unmeasured
+        # qubits admit the A letter here
+        allowed = _allowed_masks(pattern, interfaces, True)[:3] + (pattern.unmeasured,)
+        candidates = narrow(self._strategies, allowed)
+        if not candidates:
             self._fold(self._side(pattern, interfaces, None), (a, b, c), mult)
             return
-        best = max(counts.values())
-        q = min(o for o, k in counts.items() if k == best)
+        q = busiest_output(candidates)
         fused = pattern.measure(q, BASIS_FUSION)
         side = self._side(fused, interfaces + ((q, "s"),), q)
         self._fold(side, (a + 1, b, c), mult)

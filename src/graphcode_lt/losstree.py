@@ -7,6 +7,12 @@ logical operator; the arbitrary decoder first locks in an output qubit
 completing an anticommuting operator pair.  Trees are built once, then
 evaluated exactly (success polynomial), sampled (Monte Carlo), or walked
 per loss mask by the error decoder.
+
+Every adaptive decoder in the package is one recursion, ``grow``, driven
+by a per-decoder ``step``: both trees here, the per-side decoder of
+adaptive fusion and the error decoder's check extension.  Both kinds of
+target share one type, ``Target``, whose joint letter mask is matched
+against a pattern by ``pauli.fits``.
 """
 
 from __future__ import annotations
@@ -19,26 +25,21 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import GraphCode
-from .opsets import (
-    EXHAUSTIVE_LIMIT,
-    OperatorSet,
-    enumerate_nontrivial,
-    filter_compatible,
-)
+from .opsets import EXHAUSTIVE_LIMIT, enumerate_nontrivial
 from .pauli import (
     BASIS_A,
     Basis,
     MeasurementPattern,
     PauliOperator,
-    commutes_qubitwise,
+    fits,
     iter_bits,
 )
 from .polynomials import LossPolynomial, break_even  # re-export break_even
 
 __all__ = [
-    "DecisionTree", "Leaf", "MeasureNode", "build_pauli_tree",
-    "build_arbitrary_tree", "success_polynomial", "total_polynomial",
-    "monte_carlo_decode", "decode", "optimal_success", "break_even",
+    "DecisionTree", "Leaf", "MeasureNode", "Target", "grow",
+    "build_pauli_tree", "build_arbitrary_tree", "success_polynomial",
+    "total_polynomial", "monte_carlo_decode", "decode", "break_even",
     "load_or_build",
 ]
 
@@ -112,31 +113,14 @@ class DecisionTree:
         self.root = root
 
     def leaves(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                yield node
-            else:
-                stack.append(node.on_detect)
-                stack.append(node.on_loss)
+        return leaves(self.root)
 
     def stats(self) -> dict:
-        n_nodes = n_success = n_failure = 0
-        for leaf in self.leaves():
-            if leaf.success:
-                n_success += 1
-            else:
-                n_failure += 1
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            n_nodes += 1
-            if isinstance(node, MeasureNode):
-                stack.append(node.on_detect)
-                stack.append(node.on_loss)
-        return {"nodes": n_nodes, "success_leaves": n_success,
-                "failure_leaves": n_failure}
+        outcomes = [leaf.success for leaf in self.leaves()]
+        n_success = sum(outcomes)
+        # every measure node has two children
+        return {"nodes": 2 * len(outcomes) - 1, "success_leaves": n_success,
+                "failure_leaves": len(outcomes) - n_success}
 
     # -- serialization ------------------------------------------------------
 
@@ -174,16 +158,120 @@ class DecisionTree:
         return cls(code, data["kind"], dec(data["root"]))
 
 
-# -- Pauli decoder -------------------------------------------------------------
+# -- the shared recursion -------------------------------------------------------
 
 
-def _next_meas(survivors, pattern: MeasurementPattern) -> tuple[int, Basis]:
-    """Deterministic attempt choice: the minimum-weight surviving operator
-    (sets are pre-sorted), then its lowest-index unmeasured support qubit."""
-    op = survivors[0]
-    live = op.support & pattern.unmeasured
-    q = next(iter_bits(live))
+class Target:
+    """What a decoder must read out: one logical operator (Pauli mode), or
+    an anticommuting pair teleported onto an output qubit (arbitrary mode).
+
+    ``need`` is the joint per-letter (X, Y, Z, A) mask of every letter the
+    target needs; the output qubit counts as an A letter, since it must be
+    measured in the rotated basis.
+    """
+
+    __slots__ = ("first", "second", "output", "need")
+
+    def __init__(self, first: PauliOperator, second: PauliOperator | None = None,
+                 output: int | None = None):
+        self.first = first
+        self.second = second
+        self.output = output
+        na = 0 if output is None else 1 << output
+        nx = ny = nz = 0
+        for op in self.ops:
+            x, y, z, _ = op.masks
+            nx, ny, nz = nx | x, ny | y, nz | z
+        self.need = (nx & ~na, ny & ~na, nz & ~na, na)
+
+    @property
+    def ops(self) -> tuple:
+        return (self.first,) if self.second is None else (self.first, self.second)
+
+
+def narrow(targets, allowed) -> list:
+    """The targets every letter of which the ``allowed`` masks admit."""
+    return [t for t in targets if fits(t.need, allowed)]
+
+
+def attempt(ops, pattern: MeasurementPattern, keep: int = -1):
+    """The attempt rule: the lowest (weight, x, z) operator with unmeasured
+    support, then its lowest unmeasured qubit, in that operator's letter.
+
+    Operators are ranked on the qubits in ``keep`` only.  Returns None when
+    no operator has unmeasured support.
+    """
+    free = pattern.unmeasured
+    live = [op for op in ops if op.support & free]
+    if not live:
+        return None
+    op = min(live, key=lambda o: ((o.support & keep).bit_count(),
+                                  o.x & keep, o.z & keep))
+    q = next(iter_bits(op.support & free))
     return q, Basis(op.letter_at(q))
+
+
+def grow(pattern: MeasurementPattern, state, step):
+    """Build an adaptive measure/lose tree from ``pattern``.
+
+    ``step(pattern, state)`` returns either a terminal node or a tuple
+    ``(qubit, basis, detect_state, lost_state)``: attempt ``qubit`` in
+    ``basis`` and continue from the detected and lost patterns with those
+    states.  A state typically holds the targets still alive; each child
+    narrows its parent's, since measuring only removes wildcards and a
+    dead target stays dead.
+    """
+    move = step(pattern, state)
+    if not isinstance(move, tuple):
+        return move
+    q, basis, detect_state, lost_state = move
+    return MeasureNode(q, basis, grow(pattern.measure(q, basis), detect_state, step),
+                       grow(pattern.lose(q), lost_state, step))
+
+
+def leaves(node):
+    """The terminal nodes of a measure/lose tree."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, MeasureNode):
+            stack.append(node.on_detect)
+            stack.append(node.on_loss)
+        else:
+            yield node
+
+
+# -- the two loss decoders -----------------------------------------------------
+
+
+def busiest_output(targets) -> int:
+    """The output qubit shared by the most targets; ties go to the lowest."""
+    counts: dict[int, int] = {}
+    for t in targets:
+        counts[t.output] = counts.get(t.output, 0) + 1
+    best = max(counts.values())
+    return min(o for o, c in counts.items() if c == best)
+
+
+def _tree_step(pattern: MeasurementPattern, state):
+    """One node of either loss decoder.  ``state`` is (alive targets, the
+    output qubit being completed); Pauli targets have no output, so their
+    decoder never picks one."""
+    alive, current = state
+    alive = narrow(alive, pattern.allowed(True))
+    if not alive:
+        return Leaf("failure", pattern)
+    done = pattern.allowed(False)
+    for t in alive:
+        if fits(t.need, done):
+            return Leaf("success", pattern, targets=t.ops, output=t.output)
+    members = [op for t in alive if t.output == current for op in t.ops]
+    if not members:
+        # pick (or re-pick) the output and try the rotated measurement
+        o = busiest_output(alive)
+        return o, BASIS_A, (alive, o), (alive, None)
+    q, b = attempt(members, pattern)
+    return q, b, (alive, current), (alive, current)
 
 
 @lru_cache(maxsize=64)
@@ -193,54 +281,15 @@ def build_pauli_tree(code: GraphCode, basis: str = "Z",
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
     ops = enumerate_nontrivial(code, "Logical" + basis, limit)
-
-    def rec(pattern: MeasurementPattern):
-        survivors = [op for op in ops
-                     if commutes_qubitwise(op, pattern, completed=False)]
-        if not survivors:
-            return Leaf("failure", pattern)
-        for op in survivors:
-            if commutes_qubitwise(op, pattern, completed=True):
-                return Leaf("success", pattern, targets=(op,))
-        q, b = _next_meas(survivors, pattern)
-        return MeasureNode(q, b, rec(pattern.measure(q, b)), rec(pattern.lose(q)))
-
-    return DecisionTree(code, f"pauli-{basis}", rec(MeasurementPattern(code.n)))
-
-
-# -- arbitrary-basis decoder -----------------------------------------------------
-
-
-class _Strategy:
-    """An anticommuting operator pair sharing a single output qubit."""
-
-    __slots__ = ("output", "first", "second", "first_masked", "second_masked")
-
-    def __init__(self, output: int, first: PauliOperator, second: PauliOperator):
-        self.output = output
-        self.first = first
-        self.second = second
-        bit = 1 << output
-        self.first_masked = PauliOperator(first.n, first.x & ~bit, first.z & ~bit)
-        self.second_masked = PauliOperator(second.n, second.x & ~bit, second.z & ~bit)
-
-    def alive(self, pattern: MeasurementPattern) -> bool:
-        """Still completable: output not lost to a wrong basis, and both
-        members measurable on the remaining qubits."""
-        status = pattern.status(self.output)
-        if status not in ("unmeasured", BASIS_A):
-            return False
-        return (commutes_qubitwise(self.first_masked, pattern, completed=False)
-                and commutes_qubitwise(self.second_masked, pattern, completed=False))
-
-    def complete(self, pattern: MeasurementPattern) -> bool:
-        return (pattern.status(self.output) == BASIS_A
-                and commutes_qubitwise(self.first_masked, pattern, completed=True)
-                and commutes_qubitwise(self.second_masked, pattern, completed=True))
+    root = grow(MeasurementPattern(code.n), ([Target(op) for op in ops], None),
+                _tree_step)
+    return DecisionTree(code, f"pauli-{basis}", root)
 
 
 @lru_cache(maxsize=64)
-def _strategies(code: GraphCode, limit: int) -> tuple[_Strategy, ...]:
+def _strategies(code: GraphCode, limit: int) -> tuple[Target, ...]:
+    """Anticommuting operator pairs that differ on exactly one shared qubit,
+    the output onto which the pair teleports the logical."""
     ops = enumerate_nontrivial(code, "AllLogical", limit).operators
     out = []
     for i, a in enumerate(ops):
@@ -251,7 +300,7 @@ def _strategies(code: GraphCode, limit: int) -> tuple[_Strategy, ...]:
             both = (a.x | a.z) & (b.x | b.z)
             differ = both & ((a.x ^ b.x) | (a.z ^ b.z))
             if differ.bit_count() == 1:
-                out.append(_Strategy(next(iter_bits(differ)), a, b))
+                out.append(Target(a, b, next(iter_bits(differ))))
     return tuple(out)
 
 
@@ -259,44 +308,9 @@ def _strategies(code: GraphCode, limit: int) -> tuple[_Strategy, ...]:
 def build_arbitrary_tree(code: GraphCode,
                          limit: int = EXHAUSTIVE_LIMIT) -> DecisionTree:
     """Compile the arbitrary-basis decoder (teleport onto an output qubit)."""
-    all_strategies = _strategies(code, limit)
-
-    def next_out(alive) -> int:
-        counts: dict[int, int] = {}
-        for s in alive:
-            counts[s.output] = counts.get(s.output, 0) + 1
-        best = max(counts.values())
-        return min(o for o, c in counts.items() if c == best)
-
-    def rec(pattern: MeasurementPattern, current: int | None):
-        alive = [s for s in all_strategies if s.alive(pattern)]
-        if not alive:
-            return Leaf("failure", pattern)
-        for s in alive:
-            if s.complete(pattern):
-                return Leaf("success", pattern, targets=(s.first, s.second),
-                            output=s.output)
-        if current is not None:
-            at_out = [s for s in alive if s.output == current]
-        else:
-            at_out = []
-        if not at_out:
-            # pick (or re-pick) the output and try the rotated measurement
-            o = next_out(alive)
-            return MeasureNode(
-                o, BASIS_A,
-                rec(pattern.measure(o, BASIS_A), o),
-                rec(pattern.lose(o), None),
-            )
-        members = sorted({op for s in at_out for op in (s.first, s.second)
-                          if op.support & pattern.unmeasured},
-                         key=lambda op: (op.weight, op.x, op.z))
-        q, b = _next_meas(members, pattern)
-        return MeasureNode(q, b,
-                           rec(pattern.measure(q, b), current),
-                           rec(pattern.lose(q), current))
-
-    return DecisionTree(code, "arbitrary", rec(MeasurementPattern(code.n), None))
+    root = grow(MeasurementPattern(code.n), (_strategies(code, limit), None),
+                _tree_step)
+    return DecisionTree(code, "arbitrary", root)
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -383,84 +397,6 @@ def monte_carlo_decode(code: GraphCode, tree: DecisionTree, eta: float,
     est = successes / trials
     stderr = float(np.sqrt(max(est * (1.0 - est), 1e-12) / trials))
     return MCResult(est, stderr, trials)
-
-
-# -- exact-optimal benchmark -------------------------------------------------------
-
-
-def optimal_success(code: GraphCode, eta: float, kind: str = "arbitrary",
-                    limit: int = 6) -> float:
-    """Best achievable success probability over all adaptive strategies.
-
-    Full minimax over measurement choices with memoization on the pattern;
-    exponential in n, so guarded by ``limit``.  Used to check that the
-    deterministic heuristics give up nothing on the reference codes.
-    """
-    if code.n > limit:
-        raise ValueError(f"optimal search limited to n <= {limit}")
-    if kind == "arbitrary":
-        strategies = _strategies(code, EXHAUSTIVE_LIMIT)
-
-        def terminal(pattern):
-            alive = [s for s in strategies if s.alive(pattern)]
-            if not alive:
-                return 0.0
-            if any(s.complete(pattern) for s in alive):
-                return 1.0
-            return None
-
-        def actions(pattern):
-            acts = set()
-            for s in strategies:
-                if not s.alive(pattern):
-                    continue
-                if pattern.status(s.output) == "unmeasured":
-                    acts.add((s.output, "A"))
-                for op in (s.first_masked, s.second_masked):
-                    for q in iter_bits(op.support & pattern.unmeasured):
-                        acts.add((q, op.letter_at(q)))
-            return acts
-    else:
-        ops = enumerate_nontrivial(code, "Logical" + kind)
-
-        def terminal(pattern):
-            survivors = [op for op in ops
-                         if commutes_qubitwise(op, pattern, completed=False)]
-            if not survivors:
-                return 0.0
-            if any(commutes_qubitwise(op, pattern, completed=True)
-                   for op in survivors):
-                return 1.0
-            return None
-
-        def actions(pattern):
-            acts = set()
-            for op in ops:
-                if not commutes_qubitwise(op, pattern, completed=False):
-                    continue
-                for q in iter_bits(op.support & pattern.unmeasured):
-                    acts.add((q, op.letter_at(q)))
-            return acts
-
-    memo: dict[MeasurementPattern, float] = {}
-
-    def value(pattern) -> float:
-        term = terminal(pattern)
-        if term is not None:
-            return term
-        if pattern in memo:
-            return memo[pattern]
-        best = 0.0
-        for q, letter in actions(pattern):
-            basis = BASIS_A if letter == "A" else Basis(letter)
-            v = (eta * value(pattern.measure(q, basis))
-                 + (1.0 - eta) * value(pattern.lose(q)))
-            if v > best:
-                best = v
-        memo[pattern] = best
-        return best
-
-    return value(MeasurementPattern(code.n))
 
 
 # -- disk cache ---------------------------------------------------------------------

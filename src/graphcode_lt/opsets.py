@@ -13,12 +13,7 @@ import json
 from functools import lru_cache
 
 from .codes import GraphCode
-from .pauli import (
-    MeasurementPattern,
-    PauliOperator,
-    commutes_qubitwise,
-    iter_bits,
-)
+from .pauli import DimensionError, MeasurementPattern, PauliOperator, fits
 
 KINDS = ("Stabilizers", "LogicalX", "LogicalY", "LogicalZ", "AllLogical")
 
@@ -91,16 +86,12 @@ def is_nontrivial(op: PauliOperator, stabilizers) -> bool:
     """True unless some non-identity stabilizer matches ``op`` letter for
     letter on the stabilizer's whole support (then the stabilizer part can
     be split off, leaving a smaller-weight operator of disjoint support)."""
-    ox = op.x & ~op.z
-    oy = op.x & op.z
-    oz = op.z & ~op.x
-    for s in stabilizers:
-        if s.x == 0 and s.z == 0:
-            continue
-        sx = s.x & ~s.z
-        sy = s.x & s.z
-        sz = s.z & ~s.x
-        if sx & ~ox == 0 and sy & ~oy == 0 and sz & ~oz == 0:
+    return _nontrivial(op.masks, [s.masks for s in stabilizers if s.x | s.z])
+
+
+def _nontrivial(masks: tuple, stabilizer_masks: list) -> bool:
+    for s in stabilizer_masks:
+        if fits(s, masks):
             return False
     return True
 
@@ -132,8 +123,9 @@ def enumerate_nontrivial(code: GraphCode, kind: str,
             ops.extend(enumerate_nontrivial(code, sub, limit).operators)
         return OperatorSet(kind, ops, code)
     which = kind[-1]
-    group = stabilizer_group(code)
-    ops = [op for op in _logical_class(code, which) if is_nontrivial(op, group)]
+    stabilizer_masks = [s.masks for s in stabilizer_group(code) if s.x | s.z]
+    ops = [op for op in _logical_class(code, which)
+           if _nontrivial(op.masks, stabilizer_masks)]
     return OperatorSet(kind, ops, code)
 
 
@@ -144,7 +136,10 @@ def filter_compatible(opset: OperatorSet, m: MeasurementPattern,
     ``completed=False`` treats unmeasured qubits as wildcards (prospective
     mode, for strategies still being assembled).
     """
-    kept = [op for op in opset if commutes_qubitwise(op, m, completed)]
+    if m.n != opset.code.n:
+        raise DimensionError(f"lengths differ: {opset.code.n} vs {m.n}")
+    allowed = m.allowed(not completed)
+    kept = [op for op in opset if fits(op.masks, allowed)]
     return OperatorSet(opset.kind, kept, opset.code)
 
 

@@ -104,6 +104,12 @@ class PauliOperator:
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
 
+    @property
+    def masks(self) -> tuple[int, int, int, int]:
+        """Per-letter qubit masks (X, Y, Z, A); a Pauli operator has no
+        arbitrary-basis (A) letter."""
+        return (self.x & ~self.z, self.x & self.z, self.z & ~self.x, 0)
+
     def letter_at(self, qubit: int) -> str:
         return _BITS_LETTER[((self.x >> qubit) & 1, (self.z >> qubit) & 1)]
 
@@ -231,6 +237,15 @@ class MeasurementPattern:
         mask = (1 << self.n) - 1
         return mask & ~(self.mx | self.my | self.mz | self.mother | self.lost)
 
+    def allowed(self, prospective: bool) -> tuple[int, int, int, int]:
+        """Per-letter masks (X, Y, Z, A) of the qubits where that letter is
+        recoverable: a measured qubit admits the letter of its basis (an
+        arbitrary or fusion basis admits A), a lost one admits none, and
+        an unmeasured one admits every letter when ``prospective``."""
+        free = self.unmeasured if prospective else 0
+        return (self.mx | free, self.my | free, self.mz | free,
+                self.mother | free)
+
     def measure(self, qubit: int, basis: Basis) -> "MeasurementPattern":
         bit = 1 << qubit
         if not self.unmeasured & bit:
@@ -306,6 +321,16 @@ class MeasurementPattern:
         return f"MeasurementPattern({self.chars()!r})"
 
 
+def fits(need: tuple[int, int, int, int],
+         allowed: tuple[int, int, int, int]) -> bool:
+    """True when every letter in ``need`` sits on a qubit that ``allowed``
+    admits for that letter; both are per-letter (X, Y, Z, A) masks, as
+    from ``PauliOperator.masks`` and ``MeasurementPattern.allowed``."""
+    nx, ny, nz, na = need
+    ax, ay, az, aa = allowed
+    return not (nx & ~ax or ny & ~ay or nz & ~az or na & ~aa)
+
+
 def commutes_qubitwise(op: PauliOperator, m: MeasurementPattern,
                        completed: bool = True) -> bool:
     """Qubit-wise commutation of a Pauli operator with a pattern.
@@ -317,15 +342,7 @@ def commutes_qubitwise(op: PauliOperator, m: MeasurementPattern,
     """
     if op.n != m.n:
         raise DimensionError(f"lengths differ: {op.n} vs {m.n}")
-    xs = op.x & ~op.z
-    ys = op.x & op.z
-    zs = op.z & ~op.x
-    free = 0 if completed else m.unmeasured
-    return (
-        xs & ~(m.mx | free) == 0
-        and ys & ~(m.my | free) == 0
-        and zs & ~(m.mz | free) == 0
-    )
+    return fits(op.masks, m.allowed(not completed))
 
 
 def iter_bits(mask: int):

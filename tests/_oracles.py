@@ -295,3 +295,64 @@ def optimal_pauli_tree_value(code, basis: str, eta: float) -> float:
         return best
 
     return value(0)
+
+
+def optimal_success(code, eta: float, kind: str = "arbitrary",
+                    limit: int = 6) -> float:
+    """Best achievable success probability over all adaptive strategies.
+
+    Full minimax over measurement choices with memoization on the per-qubit
+    statuses; exponential in n, so guarded by ``limit``.  A target is a
+    {qubit: letter} map, checked letter by letter: an X, Y or Z logical
+    (``kind``), or for ``"arbitrary"`` an anticommuting pair whose one
+    disagreeing shared qubit is the output, read with the letter A.
+    Shows that the deterministic heuristics give up nothing on the
+    reference codes.
+    """
+    from functools import lru_cache
+
+    from graphcode_lt.opsets import enumerate_nontrivial
+
+    n = code.n
+    if n > limit:
+        raise ValueError(f"optimal search limited to n <= {limit}")
+
+    def letters(op) -> dict:
+        return {q: op.letter_at(q) for q in range(n) if op.letter_at(q) != "I"}
+
+    if kind == "arbitrary":
+        ops = enumerate_nontrivial(code, "AllLogical").operators
+        targets = []
+        for i, a in enumerate(ops):
+            for b in ops[i + 1:]:
+                if a.commutes(b):
+                    continue
+                la, lb = letters(a), letters(b)
+                differ = [q for q in la if q in lb and la[q] != lb[q]]
+                if len(differ) == 1:
+                    targets.append({**la, **lb, differ[0]: "A"})
+    else:
+        targets = [letters(op) for op in
+                   enumerate_nontrivial(code, "Logical" + kind).operators]
+
+    # per-qubit status: "." unmeasured, "_" lost, else the measured letter
+    @lru_cache(maxsize=None)
+    def value(status: str) -> float:
+        alive = [t for t in targets
+                 if all(status[q] in (letter, ".") for q, letter in t.items())]
+        if not alive:
+            return 0.0
+        if any(all(status[q] == letter for q, letter in t.items())
+               for t in alive):
+            return 1.0
+        best = 0.0
+        for q, letter in {(q, letter) for t in alive
+                          for q, letter in t.items() if status[q] == "."}:
+            measured = status[:q] + letter + status[q + 1:]
+            lost = status[:q] + "_" + status[q + 1:]
+            v = eta * value(measured) + (1.0 - eta) * value(lost)
+            if v > best:
+                best = v
+        return best
+
+    return value("." * n)

@@ -250,9 +250,9 @@ def test_adaptive_matches_attempt_ceiling_on_decorated_pentagon():
     # [DERIVED: an order-free upper bound for the strategy class; this
     # graph supports exactly two useful fusion attempts, so the adaptive
     # engine meets the bound and the transversal engine can exceed it]
-    from graphcode_lt.fusion import _allowed_masks, _compat
+    from graphcode_lt.fusion import _allowed_masks
     from graphcode_lt.losstree import _strategies
-    from graphcode_lt.pauli import BASIS_FUSION, MeasurementPattern
+    from graphcode_lt.pauli import BASIS_FUSION, MeasurementPattern, fits
 
     code = decorated_pentagon_code()
     sts = _strategies(code, 14)
@@ -266,9 +266,7 @@ def test_adaptive_matches_attempt_ceiling_on_decorated_pentagon():
             pat = pat.measure(o, BASIS_FUSION)
             ifs.append((o, "s" if b == "s" else "fz"))
         masks = _allowed_masks(pat, tuple(ifs), True)
-        if any(assign[s.output] == "s"
-               and _compat(s.first_masked, masks)
-               and _compat(s.second_masked, masks) for s in sts):
+        if any(assign[s.output] == "s" and fits(s.need, masks) for s in sts):
             hits += 1
     ceiling = hits / 2 ** len(outs)
     got = adaptive_fusion(code, FusionModel(0.5, 1.0)).p_success

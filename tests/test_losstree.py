@@ -24,7 +24,6 @@ from graphcode_lt.losstree import (
     decode,
     load_or_build,
     monte_carlo_decode,
-    optimal_success,
     success_polynomial,
     total_polynomial,
 )
@@ -32,6 +31,8 @@ from graphcode_lt.graphs import lc_orbit
 from graphcode_lt.opsets import filter_compatible, enumerate_nontrivial
 from graphcode_lt.pauli import commutes_qubitwise
 from graphcode_lt.polynomials import LossPolynomial, equivalent_univariate
+
+from _oracles import optimal_success
 
 
 def random_code(rng: random.Random, n_vertices: int) -> GraphCode:

@@ -23,6 +23,7 @@ from graphcode_lt.pauli import (
     PauliOperator,
     PauliSpan,
     commutes_qubitwise,
+    fits,
     iter_bits,
     symplectic_rank,
 )
@@ -147,9 +148,8 @@ def test_weight_subadditive(a, b):
 _STATUSES = ["unmeasured", "lost", BASIS_X, BASIS_Y, BASIS_Z, BASIS_A]
 
 
-def _qubitwise_reference(op, statuses, completed):
-    for q in range(op.n):
-        letter = op.letter_at(q)
+def _qubitwise_reference(letters, statuses, completed):
+    for q, letter in enumerate(letters):
         if letter == "I":
             continue
         st_q = statuses[q]
@@ -157,7 +157,7 @@ def _qubitwise_reference(op, statuses, completed):
             if completed:
                 return False
             continue
-        if st_q == "lost" or st_q == BASIS_A:
+        if st_q == "lost":
             return False
         if st_q.kind != letter:
             return False
@@ -165,15 +165,23 @@ def _qubitwise_reference(op, statuses, completed):
 
 
 def test_qubitwise_commutation_definition():
-    letter_ops = ["".join(t) for t in itertools.product("IXYZ", repeat=3)]
+    # letter A stands for an arbitrary-basis reading, which only fits()
+    # takes; Pauli letter strings also go through commutes_qubitwise
     for statuses in itertools.product(_STATUSES, repeat=3):
         pattern = MeasurementPattern.from_statuses(statuses)
-        for text in letter_ops:
-            op = PauliOperator.from_letters(text)
+        for letters in itertools.product("IXYZA", repeat=3):
+            need = tuple(sum(1 << q for q, ch in enumerate(letters) if ch == k)
+                         for k in "XYZA")
             for completed in (True, False):
-                want = _qubitwise_reference(op, statuses, completed)
+                want = _qubitwise_reference(letters, statuses, completed)
+                got = fits(need, pattern.allowed(prospective=not completed))
+                assert got == want, (letters, statuses, completed)
+                if "A" in letters:
+                    continue
+                op = PauliOperator.from_letters("".join(letters))
+                assert op.masks == need
                 got = commutes_qubitwise(op, pattern, completed)
-                assert got == want, (text, statuses, completed)
+                assert got == want, (letters, statuses, completed)
 
 
 def test_pattern_updates_are_functional():
