@@ -1,14 +1,19 @@
 """Candidate-code enumeration and exhaustive multi-objective search.
 
-Candidates are progenitor graphs with a marked input vertex, one
-representative per local-complementation class with the input held
-fixed.  Generation grows class representatives one vertex at a time:
-every connected graph contains a vertex whose removal leaves it
-connected, and local complementations at the remaining vertices commute
-with that removal, so attaching a new vertex to every nonempty subset
-of every (n-1)-vertex representative reaches every n-vertex class.
-Orbit membership is memoized across the run, so each distinct orbit is
-closed exactly once.
+Candidates are progenitor graphs with the input at vertex 0, one
+representative per local-complementation (LC) class under relabelings
+that fix the input.  One growth builds these rooted classes and the
+unrooted ones alike, one vertex at a time, with the first ``n_fixed``
+vertices pinned (the extension scheme Danielsen and Parker used to
+classify LC orbits).  It is complete: a spanning tree has two leaves, so
+every connected graph on two or more vertices has a vertex other than
+the input whose removal leaves it connected, and local complementations
+at the remaining vertices commute with that removal.  Attaching a new
+vertex to every nonempty subset of every (n-1)-vertex representative
+therefore reaches every n-vertex class.  An extension whose canonical
+key is a member of an orbit already closed at its level is skipped, so
+each distinct orbit is closed exactly once; its minimum member key is
+the representative.
 
 Objectives score a candidate through the decoder or fusion engines as a
 pure function of the code; ``optimize`` evaluates a candidate stream
@@ -24,10 +29,9 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
 
 from .codes import GraphCode, InvalidCodeError
-from .graphs import Graph, canonical_key, lc_orbit, orbit_key
+from .graphs import Graph, canonical_key, lc_orbit
 from .losstree import build_arbitrary_tree, build_pauli_tree, success_polynomial
 from .fusion import FusionModel, adaptive_fusion, transversal_fusion
 from .apps import FbqcSpec, fbqc_loss_threshold
@@ -37,7 +41,6 @@ __all__ = [
     "Objective",
     "ScoredCandidate",
     "SearchResult",
-    "dedupe_recheck",
     "enumerate_candidates",
     "optimize",
     "read_candidates",
@@ -128,65 +131,37 @@ def evaluate_objective(obj: Objective, code: GraphCode,
 # -- candidate enumeration ---------------------------------------------------------
 
 
-def _extend(g: Graph, subset) -> Graph:
-    nbr = list(g.nbr) + [0]
-    for u in subset:
-        nbr[u] |= 1 << g.n
-        nbr[g.n] |= 1 << u
-    return Graph(g.n + 1, tuple(nbr))
-
-
-def unrooted_representatives(n: int) -> list[Graph]:
-    """One representative per LC class of connected graphs on n vertices."""
+def _representatives(n: int, n_fixed: int) -> list[Graph]:
+    """One representative per LC class of connected n-vertex graphs, where
+    relabelings must fix the first ``n_fixed`` vertices.  Each is its
+    orbit's minimum (n, nbr) key; the list is sorted by nbr."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     if n == 1:
         return [Graph(1, (0,))]
     reps = [Graph(2, (2, 1))]
     for level in range(3, n + 1):
-        member_of: dict[tuple, int] = {}
+        seen: set[tuple] = set()
         found: list[Graph] = []
         for g in reps:
-            for size in range(1, g.n + 1):
-                for subset in combinations(range(g.n), size):
-                    cand = _extend(g, subset)
-                    key = canonical_key(cand, n_fixed=0)
-                    if key in member_of:
-                        continue
-                    members, truncated = lc_orbit(cand, n_fixed=0)
-                    if truncated:
-                        raise ResourceLimitError(
-                            f"orbit closure exceeded cap at n={level}")
-                    idx = len(found)
-                    best = None
-                    for m in members:
-                        mkey = (m.n, m.nbr)
-                        member_of[mkey] = idx
-                        if best is None or mkey < best:
-                            best = mkey
-                    found.append(Graph(best[0], best[1]))
+            for mask in range(1, 1 << g.n):
+                cand = g.add_vertex(mask)
+                if canonical_key(cand, n_fixed=n_fixed) in seen:
+                    continue
+                members, truncated = lc_orbit(cand, n_fixed=n_fixed)
+                if truncated:
+                    raise ResourceLimitError(
+                        f"orbit closure exceeded cap at n={level}")
+                keys = [(m.n, m.nbr) for m in members]
+                seen.update(keys)
+                found.append(Graph(*min(keys)))
         reps = sorted(found, key=lambda h: h.nbr)
     return reps
 
 
-def _swap_root(g: Graph, r: int) -> Graph:
-    perm = list(range(g.n))
-    perm[0], perm[r] = perm[r], perm[0]
-    return g.relabeled(perm)
-
-
-def _rooted_representatives(n_total: int) -> list[Graph]:
-    reps: list[Graph] = []
-    seen: set[tuple] = set()
-    for g in unrooted_representatives(n_total):
-        for r in range(g.n):
-            rooted = _swap_root(g, r)
-            key = orbit_key(rooted, n_fixed=1)
-            if key in seen:
-                continue
-            seen.add(key)
-            reps.append(Graph(key[0], key[1]))
-    return sorted(reps, key=lambda h: h.nbr)
+def unrooted_representatives(n: int) -> list[Graph]:
+    """One representative per LC class of connected graphs on n vertices."""
+    return _representatives(n, 0)
 
 
 def read_candidates(path: str):
@@ -231,31 +206,10 @@ def enumerate_candidates(n_total: int | None = None, source: str = "generated"):
             raise ValueError("generated enumeration needs n_total")
         if n_total < 2:
             raise ValueError(f"n_total must be >= 2, got {n_total}")
-        for g in _rooted_representatives(n_total):
+        for g in _representatives(n_total, 1):
             yield GraphCode(g, 0)
     else:
         yield from read_candidates(source)
-
-
-def dedupe_recheck(codes, sample: int = 10, cap: int = 10 ** 5) -> bool:
-    """Verify no two sampled candidates share a rooted LC class.
-
-    Evenly samples the list and recomputes orbit keys; a truncated orbit
-    (too large to close under ``cap``) is skipped rather than misjudged.
-    """
-    codes = list(codes)
-    if len(codes) < 2:
-        return True
-    step = max(1, len(codes) // sample)
-    picked = codes[::step][:sample]
-    keys = []
-    for code in picked:
-        rooted = _swap_root(code.progenitor, code.input_vertex)
-        try:
-            keys.append(orbit_key(rooted, n_fixed=1, cap=cap))
-        except RuntimeError:
-            continue
-    return len(keys) == len(set(keys))
 
 
 # -- optimization ------------------------------------------------------------------
@@ -345,23 +299,33 @@ def _run_pass(tasks, workers: int):
             yield _eval_packed(task)
 
 
-def _load_checkpoint(path: str, objective: Objective) -> dict:
+def _load_checkpoint(path: str | None, objective: Objective) -> tuple[dict, int]:
+    """Scores recorded for ``objective`` in the checkpoint at ``path``, and
+    the length in bytes of the file's whole records.
+
+    Each record is one line, written with its newline last.  A final line
+    without a newline was cut short by a kill during the write: it is left
+    out, so its candidate is scored again.  A malformed line before it is
+    not a torn write and raises.
+    """
     cached: dict[tuple[str, int], ScoredCandidate] = {}
     if not path or not os.path.exists(path):
-        return cached
+        return cached, 0
     obj_dict = objective.as_dict()
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("objective") != obj_dict or "error" in rec:
-                continue
-            cached[(rec["graph6"], rec["input"])] = ScoredCandidate(
-                rec["graph6"], rec["input"], rec["score"],
-                rec.get("tie_break", 0.0), rec.get("polynomial"))
-    return cached
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    if lines and not lines[-1].endswith(b"\n"):
+        lines.pop()
+    for line in lines:
+        if not line.strip():
+            continue
+        rec = json.loads(line)
+        if rec.get("objective") != obj_dict or "error" in rec:
+            continue
+        cached[(rec["graph6"], rec["input"])] = ScoredCandidate(
+            rec["graph6"], rec["input"], rec["score"],
+            rec.get("tie_break", 0.0), rec.get("polynomial"))
+    return cached, sum(map(len, lines))
 
 
 def optimize(objective: Objective, candidates, *, workers: int = 1,
@@ -378,7 +342,7 @@ def optimize(objective: Objective, candidates, *, workers: int = 1,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     first_limit = EXHAUSTIVE_LIMIT if budget is None else budget
-    cached = _load_checkpoint(checkpoint, objective) if checkpoint else {}
+    cached, intact = _load_checkpoint(checkpoint, objective)
     obj_dict = objective.as_dict()
 
     pending = []
@@ -395,32 +359,28 @@ def optimize(objective: Objective, candidates, *, workers: int = 1,
         else:
             pending.append((g6, code.input_vertex, obj_dict, first_limit))
 
-    sink = open(checkpoint, "a", encoding="ascii") if checkpoint else None
+    sink = None
+    if checkpoint:
+        sink = open(checkpoint, "a", encoding="ascii")
+        sink.truncate(intact)  # new records must not follow a torn line
     failures = []
     try:
-        deferred = []
-        for g6, iv, score, second, poly, err in _run_pass(pending, workers):
-            if err is None:
-                cand = ScoredCandidate(g6, iv, score, second, poly)
-                scored.append(cand)
-                if sink:
-                    sink.write(json.dumps(cand.record(objective),
-                                          sort_keys=True) + "\n")
-                    sink.flush()
-            elif err[0] == "deferred" and first_limit < EXHAUSTIVE_LIMIT:
-                deferred.append((g6, iv, obj_dict, EXHAUSTIVE_LIMIT))
-            else:
-                failures.append((g6, iv, err[1]))
-        for g6, iv, score, second, poly, err in _run_pass(deferred, workers):
-            if err is None:
-                cand = ScoredCandidate(g6, iv, score, second, poly)
-                scored.append(cand)
-                if sink:
-                    sink.write(json.dumps(cand.record(objective),
-                                          sort_keys=True) + "\n")
-                    sink.flush()
-            else:
-                failures.append((g6, iv, err[1]))
+        tasks, limit = pending, first_limit
+        while tasks:
+            deferred = []
+            for g6, iv, score, second, poly, err in _run_pass(tasks, workers):
+                if err is None:
+                    cand = ScoredCandidate(g6, iv, score, second, poly)
+                    scored.append(cand)
+                    if sink:
+                        sink.write(json.dumps(cand.record(objective),
+                                              sort_keys=True) + "\n")
+                        sink.flush()
+                elif err[0] == "deferred" and limit < EXHAUSTIVE_LIMIT:
+                    deferred.append((g6, iv, obj_dict, EXHAUSTIVE_LIMIT))
+                else:
+                    failures.append((g6, iv, err[1]))
+            tasks, limit = deferred, EXHAUSTIVE_LIMIT
     finally:
         if sink:
             sink.close()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphcode_lt.graphs import Graph
+from graphcode_lt.graphs import Graph, orbit_key
 from graphcode_lt.pauli import PauliOperator
 
 PAULI_MATS = {
@@ -254,6 +254,50 @@ def equivalence_class_count(n: int, rooted: bool) -> int:
         for p in perms:
             union(i, index[_mask_perm(g, p)])
     return len({find(i) for i in range(len(graphs))})
+
+
+# -- rooted classes by orbit closure ---------------------------------------------
+# The two-pass definition of the candidate list: close one rooted orbit
+# for every root of every unrooted class, and keep each orbit's minimum
+# member once.
+
+
+def _root_at_zero(g: Graph, r: int) -> Graph:
+    perm = list(range(g.n))
+    perm[0], perm[r] = perm[r], perm[0]
+    return g.relabeled(perm)
+
+
+def rooted_representatives_reference(n: int) -> list[Graph]:
+    """Minimum orbit member of every rooted class on n vertices, sorted by
+    adjacency rows, found by trying each vertex of each unrooted class as
+    the root."""
+    from graphcode_lt.search import unrooted_representatives
+
+    keys = {orbit_key(_root_at_zero(g, r), n_fixed=1)
+            for g in unrooted_representatives(n) for r in range(n)}
+    return sorted((Graph(*key) for key in keys), key=lambda h: h.nbr)
+
+
+def dedupe_recheck(codes, sample: int = 10, cap: int = 10 ** 5) -> bool:
+    """Verify no two sampled candidates share a rooted LC class.
+
+    Evenly samples the list and recomputes orbit keys; a truncated orbit
+    (too large to close under ``cap``) is skipped rather than misjudged.
+    """
+    codes = list(codes)
+    if len(codes) < 2:
+        return True
+    step = max(1, len(codes) // sample)
+    picked = codes[::step][:sample]
+    keys = []
+    for code in picked:
+        rooted = _root_at_zero(code.progenitor, code.input_vertex)
+        try:
+            keys.append(orbit_key(rooted, n_fixed=1, cap=cap))
+        except RuntimeError:
+            continue
+    return len(keys) == len(set(keys))
 
 
 def optimal_pauli_tree_value(code, basis: str, eta: float) -> float:

@@ -19,7 +19,6 @@ from graphcode_lt.search import (
     Objective,
     ScoredCandidate,
     SearchResult,
-    dedupe_recheck,
     enumerate_candidates,
     evaluate_objective,
     optimize,
@@ -29,9 +28,11 @@ from graphcode_lt.search import (
 
 from _oracles import (
     clairvoyant_teleport_masks,
+    dedupe_recheck,
     equivalence_class_count,
     evaluate_masks,
     optimal_pauli_tree_value,
+    rooted_representatives_reference,
 )
 
 
@@ -43,13 +44,28 @@ def test_unrooted_class_counts_match_oracle():
     for n in (2, 3, 4, 5):
         assert len(unrooted_representatives(n)) == equivalence_class_count(
             n, rooted=False)
+    # [DERIVED: Danielsen-Parker LC orbit counts; n = 6 is past the oracle]
+    assert [len(unrooted_representatives(n)) for n in range(2, 7)] == \
+        [1, 1, 2, 4, 11]
 
 
 def test_rooted_class_counts_match_oracle():
     # [DERIVED: same oracle with the root pinned under permutations]
-    for n in (3, 5):
+    for n in (2, 3, 4, 5):
         assert len(list(enumerate_candidates(n))) == equivalence_class_count(
             n, rooted=True)
+
+
+def test_candidates_match_two_pass_reference():
+    # [DERIVED: one rooted orbit closed per root of every unrooted class]
+    # Search output breaks ties by graph6, so the representatives and
+    # their order matter, not just their number.
+    for n, count in zip(range(2, 7), (1, 1, 2, 6, 17)):
+        cands = list(enumerate_candidates(n))
+        assert len(cands) == count
+        assert all(c.input_vertex == 0 for c in cands)
+        assert [c.progenitor for c in cands] == \
+            rooted_representatives_reference(n)
 
 
 def test_three_vertex_candidates_collapse_to_one_class():
@@ -276,6 +292,21 @@ def test_checkpoint_resume(tmp_path):
     assert path.read_text().strip().splitlines() == lines_after_first
     assert [(c.graph6, c.score) for c in second.ranked] == \
         [(c.graph6, c.score) for c in first.ranked]
+    # A kill during a write leaves the last line torn; resuming rescores
+    # that candidate without fusing the new record onto the fragment.
+    text = path.read_text()
+    path.write_text(text[: len(text) - len(lines_after_first[-1]) // 2])
+    for _ in range(2):
+        resumed = optimize(obj, cands, checkpoint=str(path))
+        assert [(c.graph6, c.score) for c in resumed.ranked] == \
+            [(c.graph6, c.score) for c in first.ranked]
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(cands)
+        assert all(json.loads(line) for line in lines)
+    # A malformed line before the last one is not a torn write.
+    path.write_text("{torn\n" + path.read_text())
+    with pytest.raises(ValueError):
+        optimize(obj, cands, checkpoint=str(path))
 
 
 def test_checkpoint_ignores_other_objectives(tmp_path):
