@@ -1,9 +1,18 @@
 """Simple undirected graphs with local complementation and LC orbits.
 
 Adjacency is a tuple of neighbor bit masks, so graphs are hashable values
-and local complementation is a few xors.  Canonical labeling fixes a
-prefix of distinguished vertices (the code input) and minimizes the
-adjacency bit string over the remaining permutations by branch and bound.
+and local complementation is a few xors.  Graphs built here from rows
+that are symmetric by construction skip the public constructor's checks.
+
+Canonical labeling pins a prefix of distinguished vertices (the code
+input) and orders the rest to minimize the column string: position p
+contributes the bits linking it to positions 0..p-1.  The search keeps
+each unplaced vertex's column against the placed prefix, branches only
+on the vertices whose column is least, tries one vertex per twin class
+(vertices an automorphism fixing the prefix swaps) and cuts prefixes past
+the best string so far.  Each pruned branch can only tie or lose, so the
+result is the lexicographic minimum over every order.  Orbit closure
+skips local complementations whose canonical form is already known.
 """
 
 from __future__ import annotations
@@ -35,6 +44,15 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    @classmethod
+    def _trusted(cls, n: int, nbr: tuple[int, ...]) -> "Graph":
+        """A graph from rows this module built symmetric, loop-free and in
+        range, without the constructor's checks."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "nbr", nbr)
+        return g
 
     # -- constructors ----------------------------------------------------
 
@@ -104,21 +122,25 @@ class Graph:
 
     def relabeled(self, perm: list[int]) -> "Graph":
         """Apply ``perm`` where perm[old] = new position."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError("perm is not a permutation of the vertices")
         nbr = [0] * self.n
         for v in range(self.n):
             row = 0
             for u in iter_bits(self.nbr[v]):
                 row |= 1 << perm[u]
             nbr[perm[v]] = row
-        return Graph(self.n, tuple(nbr))
+        return Graph._trusted(self.n, tuple(nbr))
 
     def add_vertex(self, neighborhood: int) -> "Graph":
         """New graph with vertex n attached to the given neighbor mask."""
+        if neighborhood < 0 or neighborhood >> self.n:
+            raise ValueError("neighborhood has vertices out of range")
         bit = 1 << self.n
         nbr = [row | (bit if (neighborhood >> v) & 1 else 0)
                for v, row in enumerate(self.nbr)]
         nbr.append(neighborhood)
-        return Graph(self.n + 1, tuple(nbr))
+        return Graph._trusted(self.n + 1, tuple(nbr))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.nbr == other.nbr
@@ -162,79 +184,103 @@ def local_complement(g: Graph, v: int) -> Graph:
     nbr = list(g.nbr)
     for u in iter_bits(nv):
         nbr[u] ^= nv & ~(1 << u)
-    return Graph(g.n, tuple(nbr))
+    return Graph._trusted(g.n, tuple(nbr))
 
 
 # -- canonical labeling ----------------------------------------------------
 
-def _canonical_perm(g: Graph, n_fixed: int) -> list[int]:
-    """Minimize the adjacency bit string over permutations of vertices
-    >= n_fixed; the first ``n_fixed`` vertices stay in place.
+def _earlier_twins(nbr: tuple[int, ...], n_fixed: int) -> list[int]:
+    """Per vertex, the mask of lower unpinned vertices that are its twins.
 
-    The bit string is read column by column: placing a vertex at position
-    p contributes the p bits linking it to positions 0..p-1, compared as
-    an integer with bit i for position i.  Branch and bound on that
-    lexicographic order.
+    Unpinned u and v are twins when N(u) - {v} = N(v) - {u}: swapping
+    them is an automorphism that moves no other vertex.
     """
-    n = g.n
-    # place[pos] = original vertex
-    place = list(range(n_fixed))
-    used = (1 << n_fixed) - 1
+    twins = [0] * len(nbr)
+    for v in range(n_fixed, len(nbr)):
+        for u in range(n_fixed, v):
+            if not (nbr[u] ^ nbr[v]) & ~((1 << u) | (1 << v)):
+                twins[v] |= 1 << u
+    return twins
+
+
+def _canonical_columns(g: Graph, n_fixed: int) -> list[int]:
+    """The least column string of ``g`` over orders of vertices >= n_fixed.
+
+    The first ``n_fixed`` vertices keep their positions.  Placing a vertex
+    at position p >= n_fixed contributes its column: the integer with bit
+    i set when it is adjacent to the vertex at position i < p.  Column
+    strings compare lexicographically, so the result is the minimum over
+    all (n - n_fixed)! orders, found by a depth-first search that does
+    not visit them all:
+
+    - Each unplaced vertex carries its column against the placed prefix,
+      and placing a vertex at p sets bit p in its unplaced neighbours.
+    - A node branches only on the unplaced vertices whose column is the
+      least: any other choice loses at position p whatever follows.
+    - Twins (``_earlier_twins``) share a column while both are unplaced.
+      Swapping them is an automorphism fixing every placed vertex, so
+      their subtrees give the same strings and only the lowest unplaced
+      vertex of each twin class is tried.
+    - A prefix past the best string found so far is cut off.
+
+    Every pruned subtree holds only strings at or above one that is kept,
+    so the minimum is exactly that of the full enumeration.
+    """
+    n, nbr = g.n, g.nbr
+    adjacent = [list(iter_bits(row)) for row in nbr]
+    earlier_twins = _earlier_twins(nbr, n_fixed)
     cols: list[int] = []
+    best: list[int] | None = None
 
-    # seed: identity placement gives an initial bound
-    seed_cols = []
-    for v in range(n_fixed, n):
-        bits = 0
-        for i in range(v):
-            if g.has_edge(v, i):
-                bits |= 1 << i
-        seed_cols.append(bits)
-    best_cols = seed_cols
-    best_perm = list(range(n))
-
-    def col_bits(cand: int) -> int:
-        row = g.nbr[cand]
-        bits = 0
-        for i, orig in enumerate(place):
-            if (row >> orig) & 1:
-                bits |= 1 << i
-        return bits
-
-    def rec(pos: int):
-        nonlocal best_cols, best_perm, used
-        if pos == n:
-            if cols < best_cols:
-                best_cols = list(cols)
-                best_perm = list(place)
+    def rec(pos: int, free: list[int], mask: int, col: list[int],
+            tied: bool):
+        # ``free`` lists the unplaced vertices, ``mask`` holds them as
+        # bits; ``tied``: the placed columns equal the best's prefix
+        nonlocal best
+        if not free:
+            if not tied:
+                best = list(cols)
             return
-        cands = sorted((col_bits(c), c) for c in range(n) if not (used >> c) & 1)
-        for bits, cand in cands:
-            cols.append(bits)
-            # reaching this node means cols[:-1] <= best prefix, so a
-            # larger column here can only mean the prefixes were equal:
-            # every remaining (sorted) candidate is worse too
-            if cols > best_cols[: len(cols)]:
-                cols.pop()
-                break
-            place.append(cand)
-            used |= 1 << cand
-            rec(pos + 1)
-            place.pop()
-            used &= ~(1 << cand)
-            cols.pop()
+        low = min([col[v] for v in free])
+        if tied:
+            ref = best[pos - n_fixed]
+            if low > ref:
+                return
+            tied = low == ref
+        cols.append(low)
+        bit = 1 << pos
+        for v in free:
+            if col[v] != low or earlier_twins[v] & mask:
+                continue
+            child = col[:]
+            for u in adjacent[v]:
+                child[u] |= bit
+            rec(pos + 1, [u for u in free if u != v], mask ^ (1 << v),
+                child, tied)
+            # the first child always reaches a leaf that ties or beats
+            # the best, so this prefix is now the best string's prefix
+            tied = True
+        cols.pop()
 
-    rec(n_fixed)
-    # best_perm maps position -> original; invert to old -> new
-    inv = [0] * n
-    for pos, orig in enumerate(best_perm):
-        inv[orig] = pos
-    return inv
+    prefix = (1 << n_fixed) - 1
+    rec(n_fixed, list(range(n_fixed, n)), ((1 << n) - 1) ^ prefix,
+        [row & prefix for row in nbr], False)
+    return best
 
 
 def canonical_form(g: Graph, n_fixed: int = 0) -> Graph:
-    """The canonically relabeled graph (first ``n_fixed`` vertices pinned)."""
-    return g.relabeled(_canonical_perm(g, n_fixed))
+    """The canonically relabeled graph (first ``n_fixed`` vertices pinned).
+
+    Its adjacency is read off the least column string: position p is
+    joined to the positions set in its column.
+    """
+    prefix = (1 << n_fixed) - 1
+    nbr = [row & prefix for row in g.nbr[:n_fixed]] + [0] * (g.n - n_fixed)
+    for pos, column in enumerate(_canonical_columns(g, n_fixed), n_fixed):
+        nbr[pos] |= column
+        for i in iter_bits(column):
+            nbr[i] |= 1 << pos
+    return Graph._trusted(g.n, tuple(nbr))
 
 
 def canonical_key(g: Graph, n_fixed: int = 0) -> tuple:
@@ -250,6 +296,12 @@ def lc_orbit(g: Graph, cap: int = 10 ** 6, n_fixed: int = 1) -> tuple[set[Graph]
     ``n_fixed`` vertices held fixed (vertex 0 is the code input by
     convention).  Returns (members, truncated_flag); enumeration stops
     once ``cap`` members are collected.
+
+    Moves whose result is already known are skipped: complementing at a
+    vertex of degree at most one is the identity, and an unpinned vertex
+    with a lower twin (``_earlier_twins``) is mapped onto that twin by an
+    automorphism fixing the pinned prefix, so both complementations have
+    the same canonical form.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -260,8 +312,9 @@ def lc_orbit(g: Graph, cap: int = 10 ** 6, n_fixed: int = 1) -> tuple[set[Graph]
     while frontier and not truncated:
         nxt = []
         for h in frontier:
-            for v in range(h.n):
-                if h.nbr[v] == 0:
+            twins = _earlier_twins(h.nbr, n_fixed)
+            for v, row in enumerate(h.nbr):
+                if not row & (row - 1) or twins[v]:
                     continue
                 cf = canonical_form(local_complement(h, v), n_fixed)
                 if cf not in seen:

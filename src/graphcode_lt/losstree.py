@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from functools import lru_cache
 
 import numpy as np
@@ -419,7 +420,16 @@ def load_or_build(code: GraphCode, kind: str) -> DecisionTree:
     tree = (build_arbitrary_tree(code) if kind == "arbitrary"
             else build_pauli_tree(code, kind))
     if key:
+        # Write a temp file beside the entry and rename it into place, so
+        # a concurrent reader sees either no entry or the whole tree.
         os.makedirs(cache_dir, exist_ok=True)
-        with open(key, "w") as fh:
-            fh.write(tree.to_json())
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".tree_",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(tree.to_json())
+            os.replace(tmp, key)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return tree

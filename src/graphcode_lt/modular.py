@@ -194,7 +194,14 @@ def unit_F(code: GraphCode, basis: str) -> LossPolynomial:
 
 
 def _apply(code: GraphCode, basis: str, r: TransmissionVector) -> float:
-    return unit_F(code, basis).evaluate_heterogeneous(r.as_dict())
+    """Success probability of a logical ``basis`` measurement on one unit.
+
+    The float sum of the polynomial's terms can leave [0, 1] only by
+    round-off (1.0000000000000002 on a depth-3 concatenated cube at eta
+    0.92), so it is clamped back into range.
+    """
+    total = unit_F(code, basis).evaluate_heterogeneous(r.as_dict())
+    return min(1.0, max(0.0, total))
 
 
 def _cascade_step(code: GraphCode, r: TransmissionVector,

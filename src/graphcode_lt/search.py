@@ -27,6 +27,7 @@ permutation of the candidate stream yields the same result order.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -36,6 +37,8 @@ from .losstree import build_arbitrary_tree, build_pauli_tree, success_polynomial
 from .fusion import FusionModel, adaptive_fusion, transversal_fusion
 from .apps import FbqcSpec, fbqc_loss_threshold
 from .opsets import EXHAUSTIVE_LIMIT, ResourceLimitError
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "Objective",
@@ -305,8 +308,8 @@ def _load_checkpoint(path: str | None, objective: Objective) -> tuple[dict, int]
 
     Each record is one line, written with its newline last.  A final line
     without a newline was cut short by a kill during the write: it is left
-    out, so its candidate is scored again.  A malformed line before it is
-    not a torn write and raises.
+    out with a warning, so its candidate is scored again.  A malformed line
+    before it is not a torn write and raises.
     """
     cached: dict[tuple[str, int], ScoredCandidate] = {}
     if not path or not os.path.exists(path):
@@ -315,7 +318,9 @@ def _load_checkpoint(path: str | None, objective: Objective) -> tuple[dict, int]
     with open(path, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
     if lines and not lines[-1].endswith(b"\n"):
-        lines.pop()
+        torn = lines.pop()
+        log.warning("checkpoint %s: dropping a torn final line of %d bytes "
+                    "at byte offset %d", path, len(torn), sum(map(len, lines)))
     for line in lines:
         if not line.strip():
             continue

@@ -256,6 +256,33 @@ def equivalence_class_count(n: int, rooted: bool) -> int:
     return len({find(i) for i in range(len(graphs))})
 
 
+# -- canonical labelling by exhaustion ---------------------------------------------
+# The definition the package's pruned search must reproduce: try every
+# order of the unpinned vertices and keep the least column string.
+
+
+def lexmin_canonical_form(g: Graph, n_fixed: int = 0) -> Graph:
+    """Relabeling of ``g`` with the least column string, the first
+    ``n_fixed`` vertices pinned.
+
+    The column of position p is the integer with bit i set when the
+    vertices at positions i < p and p are adjacent; columns of positions
+    n_fixed..n-1 compare lexicographically.
+    """
+    from itertools import permutations
+
+    best = None
+    for order in permutations(range(n_fixed, g.n)):
+        place = list(range(n_fixed)) + list(order)
+        cols = [sum(1 << i for i in range(p) if g.has_edge(place[i], place[p]))
+                for p in range(n_fixed, g.n)]
+        if best is None or cols < best[0]:
+            best = (cols, place)
+    position = {v: p for p, v in enumerate(best[1])}
+    return Graph.from_edges(g.n, [(position[u], position[v])
+                                  for u, v in g.edges()])
+
+
 # -- rooted classes by orbit closure ---------------------------------------------
 # The two-pass definition of the candidate list: close one rooted orbit
 # for every root of every unrooted class, and keep each orbit's minimum

@@ -1,8 +1,9 @@
 """Graphs, local complementation, and canonical labeling.
 
-The canonical labeler is validated by invariance under random relabelings,
-and the LC machinery by reproducing the known count of LC equivalence
-classes of small connected graphs.
+The canonical labeler is validated against an exhaustive lexicographic
+minimum and by invariance under random relabelings, orbit closure against
+a closure that skips no move, and the LC machinery by reproducing the
+known count of LC equivalence classes of small connected graphs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from graphcode_lt.graphs import (
     path_graph,
     star_graph,
 )
+
+from _oracles import lexmin_canonical_form
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -162,7 +165,65 @@ def test_canonical_form_is_isomorphic_relabeling():
         assert canonical_form(cf, 1) == cf
 
 
+def _k33() -> Graph:
+    return Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+def _symmetric_graphs() -> list[Graph]:
+    # twin classes everywhere: stars, cliques, K3,3, a perfect matching,
+    # and cycles, whose symmetries swap no twins
+    return [star_graph(7), complete_graph(6), _k33(),
+            Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)]),
+            cycle_graph(6), cycle_graph(7), Graph.from_edges(4, [])]
+
+
+def test_canonical_form_is_lexicographic_minimum():
+    # [DERIVED: the least column string over every order of the free vertices]
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        for n_fixed in range(min(2, n) + 1):
+            assert canonical_form(g, n_fixed) == lexmin_canonical_form(g, n_fixed)
+
+
+def test_canonical_form_is_lexicographic_minimum_with_twins():
+    rng = random.Random(32)
+    for g in _symmetric_graphs():
+        perm = rng.sample(range(g.n), g.n)
+        for h in (g, g.relabeled(perm)):
+            for n_fixed in range(3):
+                assert canonical_form(h, n_fixed) == \
+                    lexmin_canonical_form(h, n_fixed)
+
+
 # -- LC orbits ----------------------------------------------------------------
+
+
+def _naive_orbit(g: Graph, n_fixed: int) -> set[Graph]:
+    """Closure under complementation at every vertex, no move skipped."""
+    seen = {canonical_form(g, n_fixed)}
+    frontier = list(seen)
+    while frontier:
+        h = frontier.pop()
+        for v in range(h.n):
+            cf = canonical_form(local_complement(h, v), n_fixed)
+            if cf not in seen:
+                seen.add(cf)
+                frontier.append(cf)
+    return seen
+
+
+def test_orbit_matches_naive_closure():
+    rng = random.Random(33)
+    graphs = _symmetric_graphs() + [
+        random_graph(rng, rng.randint(2, 7)) for _ in range(12)]
+    for g in graphs:
+        for n_fixed in range(3):
+            members, truncated = lc_orbit(g, n_fixed=n_fixed)
+            assert not truncated
+            assert members == _naive_orbit(g, n_fixed)
+
 
 
 def _all_connected_graphs(n: int):

@@ -308,6 +308,9 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     first = load_or_build(code, "arbitrary")
     cached = list(tmp_path.glob("tree_*.json"))
     assert len(cached) == 1
+    # the entry is written beside the cache and renamed into place whole
+    assert DecisionTree.from_json(cached[0].read_text()).stats() == first.stats()
+    assert list(tmp_path.iterdir()) == cached
     second = load_or_build(code, "arbitrary")
     assert (success_polynomial(second).eta_coefficients()
             == success_polynomial(first).eta_coefficients())

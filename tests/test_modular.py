@@ -11,6 +11,7 @@ the choice; both sides of that line are pinned here.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -53,6 +54,7 @@ from graphcode_lt.modular import (
     top_transmission,
     unit_F,
 )
+from graphcode_lt.polynomials import BASES
 
 
 def logical(layers, mode, eta) -> dict:
@@ -384,6 +386,30 @@ def test_cascade_z_route_dominates_concat_z():
             conc = top_transmission(LayerStack([unit, unit], "concatenated", eta))
             assert casc.z >= conc.z - 1e-12
             assert casc.z >= eta - 1e-12
+
+
+def test_concat_depth_three_matches_exact_fraction_evaluation():
+    # [DERIVED: the fold applied to exact rationals; in floats the cube's X
+    # transmission rounds to 1.0000000000000002 at this eta]
+    cube = cube_code()
+    eta = Fraction("0.92")
+
+    def exact(basis, r):
+        total = Fraction(0)
+        for (a, b), mult in unit_F(cube, basis).terms.items():
+            term = Fraction(mult)
+            for i, m in enumerate(BASES):
+                term *= r[m] ** a[i] * (1 - r[m]) ** b[i]
+            total += term
+        return total
+
+    r = dict.fromkeys(BASES, eta)
+    for _ in range(3):
+        r = {m: exact(m, r) for m in BASES}
+    got = logical([cube] * 3, "concatenated", float(eta))
+    for m in BASES:
+        assert 0.0 <= got[m] <= 1.0
+        assert got[m] == pytest.approx(float(r[m]), abs=1e-12)
 
 
 # -- thresholds ---------------------------------------------------------------------------

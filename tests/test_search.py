@@ -9,6 +9,7 @@ maximum cannot be dominated.
 """
 
 import json
+import logging
 import random
 
 import pytest
@@ -54,6 +55,13 @@ def test_rooted_class_counts_match_oracle():
     for n in (2, 3, 4, 5):
         assert len(list(enumerate_candidates(n))) == equivalence_class_count(
             n, rooted=True)
+
+
+def test_seven_vertex_class_counts():
+    # [DERIVED: Danielsen-Parker LC orbit counts; the rooted count is the
+    # 63 classes the search benchmark scores]
+    assert len(unrooted_representatives(7)) == 26
+    assert len(list(enumerate_candidates(7))) == 63
 
 
 def test_candidates_match_two_pass_reference():
@@ -281,7 +289,7 @@ def test_duplicate_candidates_scored_once():
     assert len(result.ranked) == 1
 
 
-def test_checkpoint_resume(tmp_path):
+def test_checkpoint_resume(tmp_path, caplog):
     cands = list(enumerate_candidates(5))
     obj = Objective("arbitrary", eta=0.9)
     path = tmp_path / "scores.jsonl"
@@ -295,9 +303,21 @@ def test_checkpoint_resume(tmp_path):
     # A kill during a write leaves the last line torn; resuming rescores
     # that candidate without fusing the new record onto the fragment.
     text = path.read_text()
+    whole = len(text.encode()) - len(lines_after_first[-1].encode()) - 1
     path.write_text(text[: len(text) - len(lines_after_first[-1]) // 2])
-    for _ in range(2):
-        resumed = optimize(obj, cands, checkpoint=str(path))
+    for attempt in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="graphcode_lt.search"):
+            resumed = optimize(obj, cands, checkpoint=str(path))
+        # only the first resume finds the torn line, and says where it was
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        if attempt == 0:
+            assert len(warnings) == 1
+            assert str(path) in warnings[0]
+            assert f"byte offset {whole}" in warnings[0]
+        else:
+            assert warnings == []
         assert [(c.graph6, c.score) for c in resumed.ranked] == \
             [(c.graph6, c.score) for c in first.ranked]
         lines = path.read_text().splitlines()
