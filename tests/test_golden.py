@@ -2,8 +2,10 @@
 
 The fixture ``golden.json`` pins, byte for byte, what the decoders build:
 the tree JSON and success-polynomial string of every Pauli and arbitrary
-tree, the exact adaptive-fusion terms, and the error-check extension of
-each tree.  A refactor of the decoders must leave every digest unchanged.
+tree, the exact adaptive-fusion terms, the error-check extension of each
+tree, and the transversal-fusion outcome counts (randomized, all-Z and
+compiled failure bases, with the compiled bases themselves).  A refactor
+of the decoders must leave every digest unchanged.
 
 Regenerate the fixture (only when the decoders' output is meant to
 change) with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -26,7 +28,13 @@ from graphcode_lt.codes import (
     tree_code,
 )
 from graphcode_lt.errordecode import ErrorAnalysis
-from graphcode_lt.fusion import AdaptiveFusionAnalysis
+from graphcode_lt.fusion import (
+    TRANSVERSAL_LIMIT,
+    AdaptiveFusionAnalysis,
+    FusionModel,
+    _transversal_counts,
+    compile_failure_bases,
+)
 from graphcode_lt.graphs import Graph
 from graphcode_lt.losstree import (
     build_arbitrary_tree,
@@ -62,12 +70,6 @@ def _codes() -> dict:
     return codes
 
 
-# (code, randomize_failures) pairs left out to keep this test to seconds;
-# the benchmark's output check covers their fusion and fbqc results
-FUSION_SKIP = {("tree:2,2,1", False), ("tree:2,2,1", True),
-               ("tree:3,2", True)}
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -101,9 +103,15 @@ def golden_digests() -> dict:
             out[f"{name}|{kind}|errors"] = _sha(
                 _entries_text(ErrorAnalysis(code, tree)))
         for randomize in (False, True):
-            if (name, randomize) not in FUSION_SKIP:
-                out[f"{name}|fusion-{randomize}"] = _sha(
-                    _terms_text(AdaptiveFusionAnalysis(code, randomize)))
+            out[f"{name}|fusion-{randomize}"] = _sha(
+                _terms_text(AdaptiveFusionAnalysis(code, randomize)))
+        compiled = compile_failure_bases(code, FusionModel(0.5, 0.9))
+        out[f"{name}|failure-bases"] = "".join(compiled)
+        for label, bases in (("randomized", None), ("all-Z", ("Z",) * code.n),
+                             ("compiled", compiled)):
+            counts = _transversal_counts(code, bases, TRANSVERSAL_LIMIT)
+            out[f"{name}|transversal-{label}"] = _sha(
+                repr(sorted(counts.items())))
     return out
 
 
