@@ -1,5 +1,8 @@
 """Loss-tolerant graph codes: decoding, fusion, and architecture analysis."""
 
+# bound before the submodules import, since the tree disk cache keys on it
+__version__ = "0.1.0"
+
 from .pauli import (
     BASIS_A,
     BASIS_FUSION,
@@ -102,5 +105,3 @@ from .search import (
     optimize,
     unrooted_representatives,
 )
-
-__version__ = "0.1.0"

@@ -7,9 +7,19 @@ partners in the same graph code makes the logical parities X̄X̄' and
 Z̄Z̄' recoverable from incomplete outcome sets.
 
 Two engines analyse this exactly.  The transversal engine fuses every
-code qubit with its twin and enumerates all outcome combinations,
-classifying each by GF(2) generation of the logical parities.  The
-adaptive engine attempts fusions on candidate output qubits one at a
+code qubit with its twin.  An outcome assignment is one pair of qubit
+masks (ox, oz): the qubits whose XX parity was obtained and those whose
+ZZ parity was.  It recovers X̄X̄' iff some representative X̄·s, with s in
+the code's stabilizer group S, has its x-support inside ox and its
+z-support inside oz; likewise Z̄Z̄'.  Proof: the known parities are the
+span of S⊗I, I⊗S and the obtained pair parities.  Every product of pair
+parities is symmetric, p⊗p with p's x-support in ox and z-support in oz,
+so X̄X̄' = (s⊗s')(p⊗p) up to phase forces X̄ = s·p = s'·p, hence s = s'
+and p = X̄·s; conversely such a p gives X̄X̄' = (s⊗s)(p⊗p).  One table per
+code answers this for every (ox, oz), and each choice of failure bases
+only changes which assignments are tallied.
+
+The adaptive engine attempts fusions on candidate output qubits one at a
 time; after the first success each code runs a teleportation decoder
 toward the fused qubit, and when every attempt fails the codes fall back
 on single-qubit measurements to salvage one parity.  Each code's decoder
@@ -25,6 +35,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .codes import GraphCode
 from .losstree import (
     Target,
@@ -36,13 +48,7 @@ from .losstree import (
     narrow,
 )
 from .opsets import EXHAUSTIVE_LIMIT, ResourceLimitError, stabilizer_group
-from .pauli import (
-    BASIS_FUSION,
-    MeasurementPattern,
-    PauliOperator,
-    PauliSpan,
-    fits,
-)
+from .pauli import BASIS_FUSION, MeasurementPattern, fits, iter_bits
 
 __all__ = [
     "FusionModel", "LogicalFusionResult", "boosted_baseline", "best_boosted",
@@ -142,35 +148,6 @@ def best_boosted(eta: float, max_m: int = 8) -> float:
     return max(boosted_baseline(m, eta) for m in range(1, max_m + 1))
 
 
-# -- two-code operator helpers ----------------------------------------------------
-
-
-def _embed(op: PauliOperator, side: int, n: int) -> PauliOperator:
-    shift = side * n
-    return PauliOperator(2 * n, op.x << shift, op.z << shift)
-
-
-def _pair(letter: str, qubit: int, n: int) -> PauliOperator:
-    bits = (1 << qubit) | (1 << (n + qubit))
-    if letter == "X":
-        return PauliOperator(2 * n, bits, 0)
-    if letter == "Z":
-        return PauliOperator(2 * n, 0, bits)
-    raise ValueError(f"fusion parities are XX or ZZ, got letter {letter!r}")
-
-
-def _base_span(code: GraphCode) -> tuple[PauliSpan, PauliOperator, PauliOperator]:
-    """Span of both codes' stabilizers, plus the two logical parities."""
-    n = code.n
-    gens = []
-    for side in (0, 1):
-        gens += [_embed(g, side, n) for g in code.stabilizer_generators]
-    span = PauliSpan(2 * n, gens)
-    xx = _embed(code.logical_x, 0, n) * _embed(code.logical_x, 1, n)
-    zz = _embed(code.logical_z, 0, n) * _embed(code.logical_z, 1, n)
-    return span, xx, zz
-
-
 def _classify(xx_in: bool, zz_in: bool) -> str:
     if xx_in and zz_in:
         return "success"
@@ -182,6 +159,56 @@ def _classify(xx_in: bool, zz_in: bool) -> str:
 # -- transversal engine ------------------------------------------------------------
 
 
+# the outcome digits open to a qubit, by failure basis (None: both); a
+# digit has bit 0 set when the XX parity was obtained and bit 1 for ZZ, so
+# 0 is a loss, 1 and 2 failures in X and Z, 3 a success
+_DIGITS = {None: (0, 1, 2, 3), "X": (0, 1, 3), "Z": (0, 2, 3)}
+# qubits enumerated together per numpy pass; the rest are looped over
+_LOW_QUBITS = 8
+
+
+def _spread(mask: int) -> int:
+    """Qubit q of ``mask`` moved to bit 2q."""
+    return sum(1 << 2 * q for q in iter_bits(mask))
+
+
+@lru_cache(maxsize=4)
+def _recovery_table(code: GraphCode) -> np.ndarray:
+    """The logical parities each transversal outcome recovers.
+
+    Entry ``sum(d_q << 2q)``, for per-qubit outcome digits d_q (bit 0:
+    XX obtained on q, bit 1: ZZ obtained), has bit 0 set when X̄X̄' is
+    recovered and bit 1 when Z̄Z̄' is.  Every representative X̄·s and Z̄·s
+    marks its own entry (x-support on bit 0 digits, z-support on bit 1),
+    and 2n in-place passes then OR each entry into all its supersets.
+    The table takes 4^n bytes: 16.7 MB at the default limit n = 12 and
+    67-268 MB at n = 13-14.
+    """
+    n = code.n
+    table = np.zeros(1 << 2 * n, dtype=np.uint8)
+    group = stabilizer_group(code)
+    for flag, logical in ((1, code.logical_x), (2, code.logical_z)):
+        for s in group:
+            rep = logical * s
+            table[_spread(rep.x) | _spread(rep.z) << 1] |= flag
+    for b in range(2 * n):
+        view = table.reshape(-1, 2, 1 << b)
+        view[:, 1] |= view[:, 0]
+    return table
+
+
+def _assignments(options, qubits, weight):
+    """(table offset, tally key) of every outcome combination on
+    ``qubits``, each qubit taking one digit of ``options[q]``."""
+    index = np.zeros(1, dtype=np.int64)
+    key = np.zeros(1, dtype=np.int64)
+    for q in qubits:
+        digits = np.array(options[q], dtype=np.int64)
+        index = (index[:, None] | (digits << 2 * q)[None, :]).ravel()
+        key = (key[:, None] + weight[digits][None, :]).ravel()
+    return index, key
+
+
 @lru_cache(maxsize=256)
 def _transversal_counts(code: GraphCode, failure_bases: tuple | None,
                         limit: int) -> dict:
@@ -190,38 +217,43 @@ def _transversal_counts(code: GraphCode, failure_bases: tuple | None,
     Keys are (n_success, n_fail_x, n_fail_z, class); the per-assignment
     probability depends only on those counts, so one enumeration serves
     every fusion model.  ``failure_bases=None`` enumerates both failure
-    bases per qubit (the per-shot randomized mode).
+    bases per qubit (the per-shot randomized mode), 4^n assignments;
+    fixed bases give 3^n.
+
+    Each assignment is exactly one (ox, oz) pair, as the module docstring
+    defines it: success sets both of a qubit's bits, failure its basis
+    bit, loss neither.  So the class of every assignment is one lookup in
+    the code's recovery table (``_recovery_table``, built once per code
+    and shared by every basis tuple), and the counts are a numpy tally
+    of (n_success, n_fail_x, n_fail_z, table entry).
     """
     n = code.n
     if n > limit:
         raise ResourceLimitError(
             f"transversal enumeration needs 3^{n} assignments; "
             f"limit is n <= {limit}")
-    span0, xx, zz = _base_span(code)
+    if failure_bases is not None and not set(failure_bases) <= {"X", "Z"}:
+        raise ValueError(f"fusion parities are XX or ZZ, got {failure_bases}")
+    options = [_DIGITS[b] for b in failure_bases or (None,) * n]
+    side = n + 1
+    # tally index ((n_success * side + n_fail_x) * side + n_fail_z) * 4 +
+    # table entry; the weights are each digit's share of it
+    weight = np.array([0, 4 * side, 4, 4 * side * side])
+    low = range(min(n, _LOW_QUBITS))
+    low_index, low_key = _assignments(options, low, weight)
+    high_index, high_key = _assignments(options, range(len(low), n), weight)
+    table = _recovery_table(code)
+    tally = np.zeros(4 * side ** 3, dtype=np.int64)
+    for offset, base in zip(high_index.tolist(), high_key.tolist()):
+        keys = low_key + base + table[low_index | offset]
+        tally += np.bincount(keys, minlength=tally.size)
+    found = np.flatnonzero(tally)
+    fields = np.unravel_index(found, (side, side, side, 4))
     counts: dict = {}
-
-    def rec(i: int, span: PauliSpan, ns: int, nfx: int, nfz: int):
-        if i == n:
-            key = (ns, nfx, nfz, _classify(span.contains(xx), span.contains(zz)))
-            counts[key] = counts.get(key, 0) + 1
-            return
-        rec(i + 1, span, ns, nfx, nfz)  # loss: nothing obtained
-        sp = span.copy()
-        sp.add(_pair("X", i, n))
-        sp.add(_pair("Z", i, n))
-        rec(i + 1, sp, ns + 1, nfx, nfz)
-        if failure_bases is None:
-            for letter, dx, dz in (("X", 1, 0), ("Z", 0, 1)):
-                sp = span.copy()
-                sp.add(_pair(letter, i, n))
-                rec(i + 1, sp, ns, nfx + dx, nfz + dz)
-        else:
-            letter = failure_bases[i]
-            sp = span.copy()
-            sp.add(_pair(letter, i, n))
-            rec(i + 1, sp, ns, nfx + (letter == "X"), nfz + (letter == "Z"))
-
-    rec(0, span0, 0, 0, 0)
+    for ns, nfx, nfz, entry, mult in zip(*(f.tolist() for f in fields),
+                                         tally[found].tolist()):
+        key = (ns, nfx, nfz, _classify(bool(entry & 1), bool(entry & 2)))
+        counts[key] = counts.get(key, 0) + mult
     return counts
 
 
@@ -290,27 +322,26 @@ def transversal_fusion(code: GraphCode, fm: FusionModel, *,
 
 
 def _allowed_masks(pattern: MeasurementPattern, interfaces: tuple,
-                   prospective: bool) -> tuple[int, int, int, int]:
-    """Per-letter (X, Y, Z, A) masks of qubits where that letter is
-    recoverable.
+                   prospective: bool) -> int:
+    """Packed letter mask (``MeasurementPattern.allowed``) of the letters
+    recoverable per qubit.
 
-    These are the pattern's own masks, plus the fused interfaces: one
+    These are the pattern's own letters, plus the fused interfaces: one
     admits any Pauli letter after a successful gate and only the surviving
     parity's letter after a failed one (the partner code must match there,
     which the caller checks by intersecting letter vectors).
     """
-    ax, ay, az, aa = pattern.allowed(prospective)
+    n = pattern.n
+    allowed = pattern.allowed(prospective)
     for q, kind in interfaces:
         bit = 1 << q
         if kind == "s":
-            ax |= bit
-            ay |= bit
-            az |= bit
+            allowed |= bit | bit << n | bit << 2 * n
         elif kind == "fx":
-            ax |= bit
+            allowed |= bit
         else:
-            az |= bit
-    return ax, ay, az, aa
+            allowed |= bit << 2 * n
+    return allowed
 
 
 class AdaptiveFusionAnalysis:
@@ -337,7 +368,8 @@ class AdaptiveFusionAnalysis:
         self._zops = tuple(Target(code.logical_z * s) for s in group)
         self._terms = {"success": {}, "fail": {}, "loss": {}}
         self._side_memo: dict = {}
-        self._walk(MeasurementPattern(code.n), (), 0, 0, 0, Fraction(1))
+        self._walk(MeasurementPattern(code.n), (), self._strategies,
+                   0, 0, 0, Fraction(1))
 
     # -- per-side decoding ---------------------------------------------------
 
@@ -346,7 +378,7 @@ class AdaptiveFusionAnalysis:
                          for t in narrow(coset, masks))
 
     def _side(self, pattern: MeasurementPattern, interfaces: tuple,
-              output: int | None) -> dict:
+              output: int | None, pairs: list) -> dict:
         """Leaf groups of one code's decoder: {(lambda_x, lambda_z):
         {(detected, lost): count}} over single-qubit attempt outcomes.
 
@@ -356,11 +388,13 @@ class AdaptiveFusionAnalysis:
         surviving parity there, and the final letter-vector intersection
         decides whether the routes actually match.  Members are ranked as
         if the output qubit were removed.
+
+        ``pairs`` must hold every strategy toward ``output`` that fits the
+        decoder's starting masks (extra ones are narrowed away).
         """
         key = (pattern, interfaces, output)
         if key in self._side_memo:
             return self._side_memo[key]
-        pairs = [st for st in self._strategies if st.output == output]
         keep = -1 if output is None else ~(1 << output)
 
         def step(pat: MeasurementPattern, state):
@@ -380,12 +414,16 @@ class AdaptiveFusionAnalysis:
             move = attempt([t.first for t in salvage], pat)
             return pat if move is None else move + (((), salvage), ((), salvage))
 
+        # the masks only shrink below the root, so every leaf's logicals
+        # are among those that fit there
+        start = _allowed_masks(pattern, interfaces, True)
+        xops, zops = narrow(self._xops, start), narrow(self._zops, start)
         groups: dict = {}
-        tree = grow(pattern, (pairs, self._xops + self._zops), step)
+        tree = grow(pattern, (pairs, xops + zops), step)
         for pat in leaves(tree):
             masks = _allowed_masks(pat, interfaces, False)
-            sig = (self._vectors(self._xops, masks, interfaces),
-                   self._vectors(self._zops, masks, interfaces))
+            sig = (self._vectors(xops, masks, interfaces),
+                   self._vectors(zops, masks, interfaces))
             attempted = pattern.unmeasured & ~pat.unmeasured
             lost = (attempted & pat.lost).bit_count()
             de = (attempted.bit_count() - lost, lost)
@@ -411,24 +449,33 @@ class AdaptiveFusionAnalysis:
                         terms[key] = terms.get(key, 0) + mult * c1 * c2
 
     def _walk(self, pattern: MeasurementPattern, interfaces: tuple,
-              a: int, b: int, c: int, mult: Fraction):
+              candidates, a: int, b: int, c: int, mult: Fraction):
+        """Attempt fusions while strategies survive.  ``candidates`` are
+        the parent node's survivors: along a walk the allowed letters only
+        shrink (a fused qubit leaves the A letters and keeps at most its
+        parity's letter; a lost one keeps none), so narrowing them gives
+        the same list, in the same order, as narrowing every strategy."""
         # a candidate output must still be unmeasured, so only unmeasured
         # qubits admit the A letter here
-        allowed = _allowed_masks(pattern, interfaces, True)[:3] + (pattern.unmeasured,)
-        candidates = narrow(self._strategies, allowed)
+        allowed = (_allowed_masks(pattern, interfaces, True)
+                   & ~(pattern.mother << 3 * pattern.n))
+        candidates = narrow(candidates, allowed)
         if not candidates:
-            self._fold(self._side(pattern, interfaces, None), (a, b, c), mult)
+            self._fold(self._side(pattern, interfaces, None, []), (a, b, c),
+                       mult)
             return
         q = busiest_output(candidates)
         fused = pattern.measure(q, BASIS_FUSION)
-        side = self._side(fused, interfaces + ((q, "s"),), q)
+        # a strategy toward q that fits the side decoder's masks fits the
+        # walk's too, since q is its only A letter
+        side = self._side(fused, interfaces + ((q, "s"),), q,
+                          [st for st in candidates if st.output == q])
         self._fold(side, (a + 1, b, c), mult)
-        if self.randomize:
-            self._walk(fused, interfaces + ((q, "fx"),), a, b + 1, c, mult / 2)
-            self._walk(fused, interfaces + ((q, "fz"),), a, b + 1, c, mult / 2)
-        else:
-            self._walk(fused, interfaces + ((q, "fz"),), a, b + 1, c, mult)
-        self._walk(pattern.lose(q), interfaces, a, b, c + 1, mult)
+        kinds = ("fx", "fz") if self.randomize else ("fz",)
+        for kind in kinds:
+            self._walk(fused, interfaces + ((q, kind),), candidates,
+                       a, b + 1, c, mult / len(kinds))
+        self._walk(pattern.lose(q), interfaces, candidates, a, b, c + 1, mult)
 
     def result(self, fm: FusionModel) -> LogicalFusionResult:
         values = {}

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import __version__
 from .codes import GraphCode
 from .opsets import EXHAUSTIVE_LIMIT, enumerate_nontrivial
 from .pauli import (
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 CACHE_ENV = "GRAPHCODE_LT_CACHE"
+# Version of the trees the decoders build; bump it with any change to
+# what they build, so the disk cache never serves a tree from older code.
+TREE_FORMAT = 1
 
 
 class Leaf:
@@ -166,9 +170,9 @@ class Target:
     """What a decoder must read out: one logical operator (Pauli mode), or
     an anticommuting pair teleported onto an output qubit (arbitrary mode).
 
-    ``need`` is the joint per-letter (X, Y, Z, A) mask of every letter the
-    target needs; the output qubit counts as an A letter, since it must be
-    measured in the rotated basis.
+    ``need`` is the joint packed letter mask (``PauliOperator.masks``) of
+    every letter the target needs; the output qubit counts as an A letter
+    only, since it must be measured in the rotated basis.
     """
 
     __slots__ = ("first", "second", "output", "need")
@@ -178,21 +182,25 @@ class Target:
         self.first = first
         self.second = second
         self.output = output
-        na = 0 if output is None else 1 << output
-        nx = ny = nz = 0
+        need = 0
         for op in self.ops:
-            x, y, z, _ = op.masks
-            nx, ny, nz = nx | x, ny | y, nz | z
-        self.need = (nx & ~na, ny & ~na, nz & ~na, na)
+            need |= op.masks
+        if output is not None:
+            n = first.n
+            bit = 1 << output
+            need = need & ~(bit | bit << n | bit << 2 * n) | bit << 3 * n
+        self.need = need
 
     @property
     def ops(self) -> tuple:
         return (self.first,) if self.second is None else (self.first, self.second)
 
 
-def narrow(targets, allowed) -> list:
-    """The targets every letter of which the ``allowed`` masks admit."""
-    return [t for t in targets if fits(t.need, allowed)]
+def narrow(targets, allowed: int) -> list:
+    """The targets every letter of which the packed ``allowed`` mask
+    admits, in their given order (``fits``, with ``~allowed`` taken once)."""
+    deny = ~allowed
+    return [t for t in targets if not t.need & deny]
 
 
 def attempt(ops, pattern: MeasurementPattern, keep: int = -1):
@@ -406,13 +414,16 @@ def monte_carlo_decode(code: GraphCode, tree: DecisionTree, eta: float,
 def load_or_build(code: GraphCode, kind: str) -> DecisionTree:
     """Build a tree, or reuse a cached copy when GRAPHCODE_LT_CACHE is set.
 
-    ``kind`` is "arbitrary" or one of "X", "Y", "Z" (Pauli mode).
+    ``kind`` is "arbitrary" or one of "X", "Y", "Z" (Pauli mode).  Entries
+    are keyed on the package version and ``TREE_FORMAT`` as well as the
+    code and kind, so an entry written by other code is never read.
     """
     cache_dir = os.environ.get(CACHE_ENV)
     key = None
     if cache_dir:
-        digest = hashlib.sha256(
-            (code.to_json() + "|" + kind).encode()).hexdigest()[:24]
+        digest = hashlib.sha256("|".join(
+            (__version__, str(TREE_FORMAT), code.to_json(), kind)
+        ).encode()).hexdigest()[:24]
         key = os.path.join(cache_dir, f"tree_{digest}.json")
         if os.path.exists(key):
             with open(key) as fh:

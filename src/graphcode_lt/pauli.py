@@ -105,10 +105,13 @@ class PauliOperator:
         return (self.x | self.z).bit_count()
 
     @property
-    def masks(self) -> tuple[int, int, int, int]:
-        """Per-letter qubit masks (X, Y, Z, A); a Pauli operator has no
-        arbitrary-basis (A) letter."""
-        return (self.x & ~self.z, self.x & self.z, self.z & ~self.x, 0)
+    def masks(self) -> int:
+        """Packed letter mask: letter k of (X, Y, Z, A) on qubit q is bit
+        q + k*n.  A Pauli operator has no arbitrary-basis (A) letter, so
+        the top n bits are clear."""
+        n = self.n
+        return (self.x & ~self.z | (self.x & self.z) << n
+                | (self.z & ~self.x) << 2 * n)
 
     def letter_at(self, qubit: int) -> str:
         return _BITS_LETTER[((self.x >> qubit) & 1, (self.z >> qubit) & 1)]
@@ -237,14 +240,16 @@ class MeasurementPattern:
         mask = (1 << self.n) - 1
         return mask & ~(self.mx | self.my | self.mz | self.mother | self.lost)
 
-    def allowed(self, prospective: bool) -> tuple[int, int, int, int]:
-        """Per-letter masks (X, Y, Z, A) of the qubits where that letter is
-        recoverable: a measured qubit admits the letter of its basis (an
+    def allowed(self, prospective: bool) -> int:
+        """Packed mask of the letters recoverable per qubit, laid out as
+        ``PauliOperator.masks`` (letter k of (X, Y, Z, A) on qubit q is bit
+        q + k*n): a measured qubit admits the letter of its basis (an
         arbitrary or fusion basis admits A), a lost one admits none, and
         an unmeasured one admits every letter when ``prospective``."""
+        n = self.n
         free = self.unmeasured if prospective else 0
-        return (self.mx | free, self.my | free, self.mz | free,
-                self.mother | free)
+        return (self.mx | free | (self.my | free) << n
+                | (self.mz | free) << 2 * n | (self.mother | free) << 3 * n)
 
     def measure(self, qubit: int, basis: Basis) -> "MeasurementPattern":
         bit = 1 << qubit
@@ -321,14 +326,13 @@ class MeasurementPattern:
         return f"MeasurementPattern({self.chars()!r})"
 
 
-def fits(need: tuple[int, int, int, int],
-         allowed: tuple[int, int, int, int]) -> bool:
+def fits(need: int, allowed: int) -> bool:
     """True when every letter in ``need`` sits on a qubit that ``allowed``
-    admits for that letter; both are per-letter (X, Y, Z, A) masks, as
-    from ``PauliOperator.masks`` and ``MeasurementPattern.allowed``."""
-    nx, ny, nz, na = need
-    ax, ay, az, aa = allowed
-    return not (nx & ~ax or ny & ~ay or nz & ~az or na & ~aa)
+    admits for that letter.  Both are packed letter masks of one length n,
+    as from ``PauliOperator.masks`` and ``MeasurementPattern.allowed``:
+    letter k of (X, Y, Z, A) on qubit q is bit q + k*n, so one AND tests
+    every letter at once."""
+    return not need & ~allowed
 
 
 def commutes_qubitwise(op: PauliOperator, m: MeasurementPattern,

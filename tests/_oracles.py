@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from graphcode_lt.graphs import Graph, orbit_key
-from graphcode_lt.pauli import PauliOperator
+from graphcode_lt.pauli import PauliOperator, PauliSpan
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -427,3 +427,69 @@ def optimal_success(code, eta: float, kind: str = "arbitrary",
         return best
 
     return value("." * n)
+
+
+# -- transversal fusion by GF(2) span ------------------------------------------
+
+
+def _embed(op: PauliOperator, side: int, n: int) -> PauliOperator:
+    """``op`` on one side (0 or 1) of a 2n-qubit fused pair of codes."""
+    shift = side * n
+    return PauliOperator(2 * n, op.x << shift, op.z << shift)
+
+
+def _pair(letter: str, qubit: int, n: int) -> PauliOperator:
+    """The XX or ZZ parity of ``qubit`` and its twin."""
+    bits = (1 << qubit) | (1 << (n + qubit))
+    if letter == "X":
+        return PauliOperator(2 * n, bits, 0)
+    if letter == "Z":
+        return PauliOperator(2 * n, 0, bits)
+    raise ValueError(f"fusion parities are XX or ZZ, got letter {letter!r}")
+
+
+def _base_span(code) -> tuple:
+    """Span of both codes' stabilizers, plus the two logical parities."""
+    n = code.n
+    gens = []
+    for side in (0, 1):
+        gens += [_embed(g, side, n) for g in code.stabilizer_generators]
+    span = PauliSpan(2 * n, gens)
+    xx = _embed(code.logical_x, 0, n) * _embed(code.logical_x, 1, n)
+    zz = _embed(code.logical_z, 0, n) * _embed(code.logical_z, 1, n)
+    return span, xx, zz
+
+
+def transversal_counts_reference(code, failure_bases) -> dict:
+    """``fusion._transversal_counts`` by brute force: every outcome
+    assignment adds its pair parities to the span of both codes'
+    stabilizers, and each logical parity is tested for membership.
+
+    Keys are (n_success, n_fail_x, n_fail_z, class); ``failure_bases=None``
+    tries both failure bases on every qubit.
+    """
+    n = code.n
+    span0, xx, zz = _base_span(code)
+    counts: dict = {}
+
+    def rec(i: int, span: PauliSpan, ns: int, nfx: int, nfz: int):
+        if i == n:
+            xx_in, zz_in = span.contains(xx), span.contains(zz)
+            klass = ("success" if xx_in and zz_in
+                     else "fail" if xx_in or zz_in else "loss")
+            key = (ns, nfx, nfz, klass)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        rec(i + 1, span, ns, nfx, nfz)  # loss: nothing obtained
+        sp = span.copy()
+        sp.add(_pair("X", i, n))
+        sp.add(_pair("Z", i, n))
+        rec(i + 1, sp, ns + 1, nfx, nfz)
+        letters = "XZ" if failure_bases is None else failure_bases[i]
+        for letter in letters:
+            sp = span.copy()
+            sp.add(_pair(letter, i, n))
+            rec(i + 1, sp, ns, nfx + (letter == "X"), nfz + (letter == "Z"))
+
+    rec(0, span0, 0, 0, 0)
+    return counts

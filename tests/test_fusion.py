@@ -1,11 +1,13 @@
 """Fusion engine tests: outcome model, transversal and adaptive analyses.
 
 The closure oracle below rebuilds subgroup membership by breadth-first
-products over (x, z) masks, sharing nothing with the echelon-based span
-the engines use.  The star and two-qubit closed forms were derived by
-hand from the outcome combinatorics.
+products over (x, z) masks, sharing nothing with the transversal engine's
+recovery table; the span recursion in ``_oracles`` recounts every
+assignment.  The star and two-qubit closed forms were derived by hand
+from the outcome combinatorics.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -24,11 +26,16 @@ from graphcode_lt.fusion import (
     boosted_baseline,
     compile_failure_bases,
     transversal_fusion,
-    _base_span,
+    _allowed_masks,
     _classify,
-    _pair,
+    _recovery_table,
+    _transversal_counts,
 )
+from graphcode_lt.losstree import _strategies, narrow
 from graphcode_lt.opsets import ResourceLimitError
+from graphcode_lt.pauli import BASIS_FUSION, MeasurementPattern, fits
+
+from _oracles import _embed, _pair, transversal_counts_reference
 
 
 def result_sum(r) -> float:
@@ -149,36 +156,43 @@ def closure(ops, n2: int) -> set:
 
 
 def test_generation_matches_subgroup_closure():
-    # GF(2) span test against brute-force subgroup closure, all 3^n
-    # transversal outcome assignments of small codes
+    # the recovery table against brute-force subgroup closure, all 4^n
+    # transversal outcome assignments of small codes; entry sum(d_q << 2q)
+    # with digit bit 0 for an obtained XX parity and bit 1 for ZZ
+    digits = {"s": 3, "fx": 1, "fz": 2, "l": 0}
     for code in (star_code(2), branched_chain_code()):
         n = code.n
-        span0, xx, zz = _base_span(code)
-        gens = [op for side in (0, 1) for op in (
-            [_shift(g, side, n) for g in code.stabilizer_generators])]
-        for assign in product(("s", "fx", "fz", "l"), repeat=n):
-            span = span0.copy()
+        table = _recovery_table(code)
+        xx = _embed(code.logical_x, 0, n) * _embed(code.logical_x, 1, n)
+        zz = _embed(code.logical_z, 0, n) * _embed(code.logical_z, 1, n)
+        gens = [_embed(g, side, n) for side in (0, 1)
+                for g in code.stabilizer_generators]
+        for assign in product(digits, repeat=n):
             obtained = list(gens)
             for i, a in enumerate(assign):
-                if a == "s":
-                    pairs = [_pair("X", i, n), _pair("Z", i, n)]
-                elif a == "fx":
-                    pairs = [_pair("X", i, n)]
-                elif a == "fz":
-                    pairs = [_pair("Z", i, n)]
-                else:
-                    pairs = []
-                obtained += pairs
-                for p in pairs:
-                    span.add(p)
+                if a in ("s", "fx"):
+                    obtained.append(_pair("X", i, n))
+                if a in ("s", "fz"):
+                    obtained.append(_pair("Z", i, n))
             members = closure(obtained, 2 * n)
-            assert span.contains(xx) == ((xx.x, xx.z) in members)
-            assert span.contains(zz) == ((zz.x, zz.z) in members)
+            entry = int(table[sum(digits[a] << 2 * i
+                                  for i, a in enumerate(assign))])
+            assert bool(entry & 1) == ((xx.x, xx.z) in members), assign
+            assert bool(entry & 2) == ((zz.x, zz.z) in members), assign
 
 
-def _shift(op, side, n):
-    from graphcode_lt.fusion import _embed
-    return _embed(op, side, n)
+def test_transversal_counts_match_span_reference():
+    rng = random.Random(5)
+    codes = (star_code(2), pentagon_code(), branched_chain_code(),
+             decorated_pentagon_code(), cube_code())
+    for code in codes:
+        n = code.n
+        bases = [None, ("X",) * n, ("Z",) * n]
+        bases += [tuple(rng.choice("XZ") for _ in range(n)) for _ in range(3)]
+        for fb in bases:
+            got = _transversal_counts(code, fb, 12)
+            assert got == transversal_counts_reference(code, fb), (code, fb)
+            assert sum(got.values()) == (4 if fb is None else 3) ** n
 
 
 def test_classify_rule():
@@ -250,10 +264,6 @@ def test_adaptive_matches_attempt_ceiling_on_decorated_pentagon():
     # [DERIVED: an order-free upper bound for the strategy class; this
     # graph supports exactly two useful fusion attempts, so the adaptive
     # engine meets the bound and the transversal engine can exceed it]
-    from graphcode_lt.fusion import _allowed_masks
-    from graphcode_lt.losstree import _strategies
-    from graphcode_lt.pauli import BASIS_FUSION, MeasurementPattern, fits
-
     code = decorated_pentagon_code()
     sts = _strategies(code, 14)
     outs = sorted({s.output for s in sts})
@@ -284,3 +294,40 @@ def test_adaptive_beats_transversal_on_pentagon_grid():
         ra = adaptive_fusion(code, fm)
         rt = transversal_fusion(code, fm)
         assert ra.p_success >= rt.p_success - 1e-12
+
+
+def _walk_allowed(pattern, interfaces) -> int:
+    """The adaptive walk's masks: the interfaces' letters, and A letters
+    on unmeasured qubits only."""
+    n = pattern.n
+    letters = _allowed_masks(pattern, interfaces, True) & ((1 << 3 * n) - 1)
+    return letters | pattern.unmeasured << 3 * n
+
+
+def test_walk_narrowing_matches_full_refilter():
+    # along random fuse (s, fx, fz) and lose paths, narrowing the parent's
+    # candidates gives what narrowing every strategy gives, and a fused
+    # qubit's side decoder starts from the same strategies either way
+    rng = random.Random(11)
+    for code in (decorated_pentagon_code(), cube_code()):
+        sts = _strategies(code, 14)
+        for _ in range(30):
+            pattern, interfaces, cands = MeasurementPattern(code.n), (), sts
+            while True:
+                allowed = _walk_allowed(pattern, interfaces)
+                cands = narrow(cands, allowed)
+                assert cands == narrow(sts, allowed)
+                if not cands:
+                    break
+                q = rng.choice(sorted({st.output for st in cands}))
+                move = rng.choice(("s", "fx", "fz", "lose"))
+                if move == "lose":
+                    pattern = pattern.lose(q)
+                    continue
+                pattern = pattern.measure(q, BASIS_FUSION)
+                interfaces += ((q, move),)
+                if move == "s":
+                    side = _allowed_masks(pattern, interfaces, True)
+                    toward = [st for st in sts if st.output == q]
+                    assert narrow([st for st in cands if st.output == q],
+                                  side) == narrow(toward, side)

@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from graphcode_lt.codes import GraphCode, pentagon_code, star_code
+from graphcode_lt import losstree
+from graphcode_lt.codes import GraphCode, cube_code, pentagon_code, star_code
 from graphcode_lt.graphs import Graph, path_graph, star_graph
 from graphcode_lt.losstree import (
     DecisionTree,
@@ -20,16 +21,18 @@ from graphcode_lt.losstree import (
     MeasureNode,
     build_arbitrary_tree,
     build_pauli_tree,
+    _strategies,
     break_even,
     decode,
     load_or_build,
     monte_carlo_decode,
+    narrow,
     success_polynomial,
     total_polynomial,
 )
 from graphcode_lt.graphs import lc_orbit
 from graphcode_lt.opsets import filter_compatible, enumerate_nontrivial
-from graphcode_lt.pauli import commutes_qubitwise
+from graphcode_lt.pauli import commutes_qubitwise, fits
 from graphcode_lt.polynomials import LossPolynomial, equivalent_univariate
 
 from _oracles import optimal_success
@@ -179,6 +182,19 @@ def test_paths_never_repeat_qubits_and_leaves_certify():
                     assert commutes_qubitwise(masked, leaf.pattern, completed=True)
 
 
+def test_narrow_keeps_fitting_targets_in_order():
+    rng = random.Random(3)
+    code = cube_code()
+    targets = list(_strategies(code, 14))
+    targets += [losstree.Target(op)
+                for op in enumerate_nontrivial(code, "LogicalZ").operators]
+    for _ in range(200):
+        # each letter of each qubit admitted with probability 3/4
+        allowed = rng.getrandbits(4 * code.n) | rng.getrandbits(4 * code.n)
+        assert narrow(targets, allowed) == [
+            t for t in targets if fits(t.need, allowed)]
+
+
 def test_decode_walk():
     code = pentagon_code()
     tree = build_pauli_tree(code, "Z")
@@ -314,3 +330,23 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     second = load_or_build(code, "arbitrary")
     assert (success_polynomial(second).eta_coefficients()
             == success_polynomial(first).eta_coefficients())
+
+
+def test_disk_cache_ignores_entries_of_other_versions(tmp_path, monkeypatch):
+    monkeypatch.setenv("GRAPHCODE_LT_CACHE", str(tmp_path))
+    code = pentagon_code()
+    want = success_polynomial(build_arbitrary_tree(code)).to_string()
+    # what a stale entry holds here: another code's tree
+    stale = build_pauli_tree(star_code(2), "Z").to_json()
+    for name, value in (("__version__", "0.0.0"), ("TREE_FORMAT", 0)):
+        with monkeypatch.context() as m:
+            m.setattr(losstree, name, value)
+            load_or_build(code, "arbitrary")
+        entries = set(tmp_path.glob("tree_*.json"))
+        for path in entries:
+            path.write_text(stale)
+        got = load_or_build(code, "arbitrary")
+        assert got.code == code
+        assert success_polynomial(got).to_string() == want
+        (fresh,) = set(tmp_path.glob("tree_*.json")) - entries
+        fresh.unlink()

@@ -170,8 +170,9 @@ def test_qubitwise_commutation_definition():
     for statuses in itertools.product(_STATUSES, repeat=3):
         pattern = MeasurementPattern.from_statuses(statuses)
         for letters in itertools.product("IXYZA", repeat=3):
-            need = tuple(sum(1 << q for q, ch in enumerate(letters) if ch == k)
-                         for k in "XYZA")
+            # letter k of (X, Y, Z, A) on qubit q packs to bit q + 3k
+            need = sum(1 << (q + 3 * "XYZA".index(ch))
+                       for q, ch in enumerate(letters) if ch != "I")
             for completed in (True, False):
                 want = _qubitwise_reference(letters, statuses, completed)
                 got = fits(need, pattern.allowed(prospective=not completed))
