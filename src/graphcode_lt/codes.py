@@ -14,7 +14,9 @@ live on the code graph, the induced subgraph on the code qubits.
 
 from __future__ import annotations
 
+import functools
 import json
+from collections import OrderedDict, namedtuple
 
 from .graphs import Graph, graph_state_generators, local_complement, star_graph
 from .pauli import PauliOperator, symplectic_rank
@@ -138,6 +140,58 @@ class GraphCode:
     def __repr__(self) -> str:
         return (f"GraphCode(n={self.n}, input={self.input_vertex}, "
                 f"edges={self.progenitor.edges()})")
+
+
+# -- derived data per code ---------------------------------------------------
+
+# How many codes keep their derived data (operator sets, trees, fusion
+# analyses): a search scores one code after another, and each 12-qubit
+# code's data runs to tens of MB, so a code touched less recently than the
+# last CODES_KEPT is dropped whole.
+CODES_KEPT = 8
+
+# code -> {(function, args, kwargs items): value}, least recently used first
+_MEMO: "OrderedDict[GraphCode, dict]" = OrderedDict()
+
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+
+def per_code(fn):
+    """Memoise ``fn(code, *args, **kwargs)`` in ``code``'s memo entry.
+
+    Calls are keyed by the function, its further positional arguments and
+    its keyword items, so ``f(code, 1)`` and ``f(code, x=1)`` are built
+    once each.  Every call makes ``code`` the most recently used; beyond
+    ``CODES_KEPT`` codes, the least recently used one is forgotten.
+    Exceptions are not stored.  ``cache_info()`` reports the decorated
+    function's own hits and misses (builds).
+    """
+    counts = [0, 0]
+
+    @functools.wraps(fn)
+    def memoised(code, *args, **kwargs):
+        entries = _MEMO.get(code)
+        if entries is None:
+            entries = _MEMO[code] = {}
+            if len(_MEMO) > CODES_KEPT:
+                _MEMO.popitem(last=False)
+        else:
+            _MEMO.move_to_end(code)
+        key = (fn, args, tuple(kwargs.items()))
+        if key in entries:
+            counts[0] += 1
+            return entries[key]
+        counts[1] += 1
+        value = entries[key] = fn(code, *args, **kwargs)
+        return value
+
+    memoised.cache_info = lambda: CacheInfo(*counts)
+    return memoised
+
+
+def forget(code: GraphCode) -> None:
+    """Drop everything memoised for ``code``."""
+    _MEMO.pop(code, None)
 
 
 # -- named examples ---------------------------------------------------------

@@ -11,12 +11,17 @@ yields concatenation error thresholds.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
-from .codes import GraphCode
-from .losstree import DecisionTree, Leaf, MeasureNode, build_pauli_tree, grow
+from .codes import GraphCode, per_code
+from .losstree import (
+    DecisionTree,
+    Leaf,
+    MeasureNode,
+    build_arbitrary_tree,
+    build_pauli_tree,
+    grow,
+)
 from .opsets import ResourceLimitError, stabilizer_group
 from .pauli import (
     Basis,
@@ -65,9 +70,6 @@ class ErrorModel:
 
     def rate(self, kind: str) -> float:
         return self.rates[kind]
-
-    def _key(self) -> tuple:
-        return (self.rates["X"], self.rates["Y"], self.rates["Z"], self.rates["A"])
 
     def __repr__(self) -> str:
         return f"ErrorModel(rates={self.rates})"
@@ -133,48 +135,6 @@ def choose_checks(leaf: Leaf, surviving_stabilizers) -> CheckSet:
     targets = _masked_targets(leaf)
     return CheckSet(targets, _greedy_checks(leaf.pattern, targets,
                                             tuple(surviving_stabilizers)))
-
-
-def exhaustive_checks(leaf: Leaf, surviving_stabilizers, em: "ErrorModel",
-                      cap: int = 200_000) -> tuple[CheckSet, float]:
-    """Best check set by brute force over commuting subsets (gap audit).
-
-    Walks every independent qubit-wise-commuting subset of the surviving
-    stabilizers and keeps the one minimizing the leaf's logical error.
-    Exponential; guarded by ``cap`` on visited subsets.
-    """
-    targets = _masked_targets(leaf)
-    allowed = leaf.pattern.allowed(True)
-    group = [s for s in surviving_stabilizers
-             if s.weight and fits(s.masks, allowed)]
-    group.sort(key=lambda s: (s.weight, s.x, s.z))
-    best_err = ml_logical_error(leaf, CheckSet(targets, ()), em)
-    best = CheckSet(targets, ())
-    visited = 0
-
-    def rec(start: int, chosen: list, span: PauliSpan):
-        nonlocal best, best_err, visited
-        for i in range(start, len(group)):
-            cand = group[i]
-            if not all(qubitwise_commuting(cand, c) for c in chosen):
-                continue
-            if span.contains(cand):
-                continue
-            visited += 1
-            if visited > cap:
-                raise ResourceLimitError("exhaustive check search exceeded cap")
-            sub = span.copy()
-            sub.add(cand)
-            chosen.append(cand)
-            err = ml_logical_error(leaf, CheckSet(targets, tuple(chosen)), em)
-            if err < best_err - 1e-15:
-                best_err = err
-                best = CheckSet(targets, tuple(chosen))
-            rec(i + 1, chosen, sub)
-            chosen.pop()
-
-    rec(0, [], PauliSpan(leaf.pattern.n))
-    return best, best_err
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
@@ -245,22 +205,18 @@ def ml_logical_error(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
 
 
 class _ExtendedLeaf:
-    __slots__ = ("monomial", "leaf", "checks", "_cache")
+    __slots__ = ("monomial", "leaf", "checks")
 
     def __init__(self, monomial: LossPolynomial | None, leaf: Leaf | None,
                  checks: CheckSet | None):
         self.monomial = monomial
         self.leaf = leaf
         self.checks = checks
-        self._cache: dict = {}
 
     def error(self, em: ErrorModel) -> float:
         if self.leaf is None:
             return 1.0  # failure to measure the logical counts as a fault
-        key = em._key()
-        if key not in self._cache:
-            self._cache[key] = ml_logical_error(self.leaf, self.checks, em)
-        return self._cache[key]
+        return ml_logical_error(self.leaf, self.checks, em)
 
 
 class ErrorAnalysis:
@@ -318,18 +274,21 @@ class ErrorAnalysis:
         return total
 
 
-_ANALYSES: "weakref.WeakKeyDictionary[DecisionTree, ErrorAnalysis]" = (
-    weakref.WeakKeyDictionary())
+@per_code
+def _error_analysis(code: GraphCode, kind: str) -> ErrorAnalysis:
+    tree = (build_arbitrary_tree(code) if kind == "arbitrary"
+            else build_pauli_tree(code, kind))
+    return ErrorAnalysis(code, tree)
 
 
-def fault_probability(code: GraphCode, tree: DecisionTree, eta: float,
+def fault_probability(code: GraphCode, kind: str, eta: float,
                       em: ErrorModel) -> float:
-    """P(logical fault): decoder failure, or a wrongly decoded outcome."""
-    analysis = _ANALYSES.get(tree)
-    if analysis is None:
-        analysis = ErrorAnalysis(code, tree)
-        _ANALYSES[tree] = analysis
-    return analysis.fault_probability(eta, em)
+    """P(logical fault): decoder failure, or a wrongly decoded outcome.
+
+    ``kind`` names the loss tree, as in ``load_or_build``: "arbitrary" or
+    one of "X", "Y", "Z".
+    """
+    return _error_analysis(code, kind).fault_probability(eta, em)
 
 
 def physical_fault(eta: float, em: ErrorModel, kind: str = "X") -> float:
@@ -352,8 +311,7 @@ def logical_flip_rates(code: GraphCode,
     em = ErrorModel.from_rates(*rates)
     out = []
     for basis in "XYZ":
-        tree = build_pauli_tree(code, basis)
-        out.append(fault_probability(code, tree, 1.0, em))
+        out.append(fault_probability(code, basis, 1.0, em))
     return tuple(out)
 
 

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .codes import GraphCode
+from .codes import GraphCode, per_code
 from .losstree import (
     Target,
     _strategies,
@@ -172,7 +171,7 @@ def _spread(mask: int) -> int:
     return sum(1 << 2 * q for q in iter_bits(mask))
 
 
-@lru_cache(maxsize=4)
+@per_code
 def _recovery_table(code: GraphCode) -> np.ndarray:
     """The logical parities each transversal outcome recovers.
 
@@ -209,7 +208,7 @@ def _assignments(options, qubits, weight):
     return index, key
 
 
-@lru_cache(maxsize=256)
+@per_code
 def _transversal_counts(code: GraphCode, failure_bases: tuple | None,
                         limit: int) -> dict:
     """Integer multiplicities of outcome assignments by class.
@@ -275,7 +274,7 @@ def _transversal_result(code: GraphCode, fm: FusionModel,
                                math.fsum(sums["loss"]))
 
 
-@lru_cache(maxsize=256)
+@per_code
 def compile_failure_bases(code: GraphCode, fm: FusionModel,
                           limit: int = TRANSVERSAL_LIMIT) -> tuple[str, ...]:
     """Per-qubit failure basis maximizing transversal fusion success.
@@ -344,6 +343,12 @@ def _allowed_masks(pattern: MeasurementPattern, interfaces: tuple,
     return allowed
 
 
+def _vectors(coset, masks: int, interfaces: tuple) -> frozenset:
+    """The interface letter vectors of the coset members ``masks`` admits."""
+    return frozenset(tuple(t.first.letter_at(q) for q, _ in interfaces)
+                     for t in narrow(coset, masks))
+
+
 class AdaptiveFusionAnalysis:
     """Compiled adaptive logical-fusion process for one code.
 
@@ -352,130 +357,134 @@ class AdaptiveFusionAnalysis:
     independently completes a strategy toward it.  Exhausted attempts
     fall back to single-operator salvage.  Terminal states carry exact
     probability monomials in (s, f, l, eta), so one compilation serves
-    every fusion model.
+    every fusion model.  Only those terms are kept: the strategies, the
+    logical cosets and the per-side decoders are freed once compiled.
     """
 
-    __slots__ = ("code", "randomize", "_strategies", "_xops", "_zops",
-                 "_terms", "_side_memo")
+    __slots__ = ("code", "randomize", "_terms")
 
     def __init__(self, code: GraphCode, randomize_failures: bool = False,
                  limit: int = EXHAUSTIVE_LIMIT):
         self.code = code
         self.randomize = randomize_failures
-        self._strategies = _strategies(code, limit)
         group = stabilizer_group(code)
-        self._xops = tuple(Target(code.logical_x * s) for s in group)
-        self._zops = tuple(Target(code.logical_z * s) for s in group)
-        self._terms = {"success": {}, "fail": {}, "loss": {}}
-        self._side_memo: dict = {}
-        self._walk(MeasurementPattern(code.n), (), self._strategies,
-                   0, 0, 0, Fraction(1))
+        all_xops = tuple(Target(code.logical_x * s) for s in group)
+        all_zops = tuple(Target(code.logical_z * s) for s in group)
+        terms = {"success": {}, "fail": {}, "loss": {}}
+        side_memo: dict = {}
 
-    # -- per-side decoding ---------------------------------------------------
+        def side(pattern: MeasurementPattern, interfaces: tuple,
+                 output: int | None, pairs: list) -> dict:
+            """Leaf groups of one code's decoder: {(lambda_x, lambda_z):
+            {(detected, lost): count}} over single-qubit attempt outcomes.
 
-    def _vectors(self, coset, masks, interfaces) -> frozenset:
-        return frozenset(tuple(t.first.letter_at(q) for q, _ in interfaces)
-                         for t in narrow(coset, masks))
+            The decoder completes a strategy toward ``output`` while one
+            survives, then falls back to any X or Z logical.  Members may
+            route through failed interfaces: the partner code shares the
+            surviving parity there, and the final letter-vector
+            intersection decides whether the routes actually match.
+            Members are ranked as if the output qubit were removed.
 
-    def _side(self, pattern: MeasurementPattern, interfaces: tuple,
-              output: int | None, pairs: list) -> dict:
-        """Leaf groups of one code's decoder: {(lambda_x, lambda_z):
-        {(detected, lost): count}} over single-qubit attempt outcomes.
+            ``pairs`` must hold every strategy toward ``output`` that fits
+            the decoder's starting masks (extra ones are narrowed away).
+            """
+            key = (pattern, interfaces, output)
+            if key in side_memo:
+                return side_memo[key]
+            keep = -1 if output is None else ~(1 << output)
 
-        The decoder completes a strategy toward ``output`` while one
-        survives, then falls back to any X or Z logical.  Members may
-        route through failed interfaces: the partner code shares the
-        surviving parity there, and the final letter-vector intersection
-        decides whether the routes actually match.  Members are ranked as
-        if the output qubit were removed.
-
-        ``pairs`` must hold every strategy toward ``output`` that fits the
-        decoder's starting masks (extra ones are narrowed away).
-        """
-        key = (pattern, interfaces, output)
-        if key in self._side_memo:
-            return self._side_memo[key]
-        keep = -1 if output is None else ~(1 << output)
-
-        def step(pat: MeasurementPattern, state):
-            alive, salvage = state
-            allowed = _allowed_masks(pat, interfaces, True)
-            done = _allowed_masks(pat, interfaces, False)
-            alive = narrow(alive, allowed)
-            if alive:
-                if any(fits(st.need, done) for st in alive):
+            def step(pat: MeasurementPattern, state):
+                alive, salvage = state
+                allowed = _allowed_masks(pat, interfaces, True)
+                done = _allowed_masks(pat, interfaces, False)
+                alive = narrow(alive, allowed)
+                if alive:
+                    if any(fits(st.need, done) for st in alive):
+                        return pat
+                    members = [op for st in alive for op in st.ops]
+                    q, b = attempt(members, pat, keep)
+                    return q, b, (alive, salvage), (alive, salvage)
+                salvage = narrow(salvage, allowed)
+                if any(fits(t.need, done) for t in salvage):
                     return pat
-                members = [op for st in alive for op in st.ops]
-                q, b = attempt(members, pat, keep)
-                return q, b, (alive, salvage), (alive, salvage)
-            salvage = narrow(salvage, allowed)
-            if any(fits(t.need, done) for t in salvage):
-                return pat
-            move = attempt([t.first for t in salvage], pat)
-            return pat if move is None else move + (((), salvage), ((), salvage))
+                move = attempt([t.first for t in salvage], pat)
+                return (pat if move is None
+                        else move + (((), salvage), ((), salvage)))
 
-        # the masks only shrink below the root, so every leaf's logicals
-        # are among those that fit there
-        start = _allowed_masks(pattern, interfaces, True)
-        xops, zops = narrow(self._xops, start), narrow(self._zops, start)
-        groups: dict = {}
-        tree = grow(pattern, (pairs, xops + zops), step)
-        for pat in leaves(tree):
-            masks = _allowed_masks(pat, interfaces, False)
-            sig = (self._vectors(xops, masks, interfaces),
-                   self._vectors(zops, masks, interfaces))
-            attempted = pattern.unmeasured & ~pat.unmeasured
-            lost = (attempted & pat.lost).bit_count()
-            de = (attempted.bit_count() - lost, lost)
-            poly = groups.setdefault(sig, {})
-            poly[de] = poly.get(de, 0) + 1
-        self._side_memo[key] = groups
-        return groups
+            # the masks only shrink below the root, so every leaf's logicals
+            # are among those that fit there
+            start = _allowed_masks(pattern, interfaces, True)
+            xops, zops = narrow(all_xops, start), narrow(all_zops, start)
+            groups: dict = {}
+            tree = grow(pattern, (pairs, xops + zops), step)
+            for pat in leaves(tree):
+                masks = _allowed_masks(pat, interfaces, False)
+                sig = (_vectors(xops, masks, interfaces),
+                       _vectors(zops, masks, interfaces))
+                attempted = pattern.unmeasured & ~pat.unmeasured
+                lost = (attempted & pat.lost).bit_count()
+                de = (attempted.bit_count() - lost, lost)
+                poly = groups.setdefault(sig, {})
+                poly[de] = poly.get(de, 0) + 1
+            side_memo[key] = groups
+            return groups
 
-    # -- joint process --------------------------------------------------------
+        def fold(groups: dict, fusions: tuple[int, int, int], mult: Fraction):
+            """Two independent copies of one side, classified by
+            intersecting interface letter vectors: a parity is recovered
+            when both sides realize a common vector.  Counts are summed as
+            integers per class and (detected, lost) pair, then weighted by
+            ``mult`` once per term."""
+            tallies = {klass: {} for klass in terms}
+            for (lx1, lz1), poly1 in groups.items():
+                for (lx2, lz2), poly2 in groups.items():
+                    tally = tallies[_classify(bool(lx1 & lx2),
+                                              bool(lz1 & lz2))]
+                    for (d1, e1), c1 in poly1.items():
+                        for (d2, e2), c2 in poly2.items():
+                            de = (d1 + d2, e1 + e2)
+                            tally[de] = tally.get(de, 0) + c1 * c2
+            for klass, tally in tallies.items():
+                out = terms[klass]
+                for de, count in tally.items():
+                    key = fusions + de
+                    out[key] = out.get(key, 0) + mult * count
 
-    def _fold(self, side: dict, fusions: tuple[int, int, int], mult: Fraction):
-        """Two independent copies of one side, classified by intersecting
-        interface letter vectors: a parity is recovered when both sides
-        realize a common vector."""
-        a, b, c = fusions
-        for (lx1, lz1), poly1 in side.items():
-            for (lx2, lz2), poly2 in side.items():
-                klass = _classify(bool(lx1 & lx2), bool(lz1 & lz2))
-                terms = self._terms[klass]
-                for (d1, e1), c1 in poly1.items():
-                    for (d2, e2), c2 in poly2.items():
-                        key = (a, b, c, d1 + d2, e1 + e2)
-                        terms[key] = terms.get(key, 0) + mult * c1 * c2
+        def walk(pattern: MeasurementPattern, interfaces: tuple, candidates,
+                 a: int, b: int, c: int, mult: Fraction):
+            """Attempt fusions while strategies survive.  ``candidates``
+            are the parent node's survivors: along a walk the allowed
+            letters only shrink (a fused qubit leaves the A letters and
+            keeps at most its parity's letter; a lost one keeps none), so
+            narrowing them gives the same list, in the same order, as
+            narrowing every strategy."""
+            # a candidate output must still be unmeasured, so only
+            # unmeasured qubits admit the A letter here
+            allowed = (_allowed_masks(pattern, interfaces, True)
+                       & ~(pattern.mother << 3 * pattern.n))
+            candidates = narrow(candidates, allowed)
+            if not candidates:
+                fold(side(pattern, interfaces, None, []), (a, b, c), mult)
+                return
+            q = busiest_output(candidates)
+            fused = pattern.measure(q, BASIS_FUSION)
+            # a strategy toward q that fits the side decoder's masks fits
+            # the walk's too, since q is its only A letter
+            fold(side(fused, interfaces + ((q, "s"),), q,
+                      [st for st in candidates if st.output == q]),
+                 (a + 1, b, c), mult)
+            kinds = ("fx", "fz") if randomize_failures else ("fz",)
+            for kind in kinds:
+                walk(fused, interfaces + ((q, kind),), candidates,
+                     a, b + 1, c, mult / len(kinds))
+            walk(pattern.lose(q), interfaces, candidates, a, b, c + 1, mult)
 
-    def _walk(self, pattern: MeasurementPattern, interfaces: tuple,
-              candidates, a: int, b: int, c: int, mult: Fraction):
-        """Attempt fusions while strategies survive.  ``candidates`` are
-        the parent node's survivors: along a walk the allowed letters only
-        shrink (a fused qubit leaves the A letters and keeps at most its
-        parity's letter; a lost one keeps none), so narrowing them gives
-        the same list, in the same order, as narrowing every strategy."""
-        # a candidate output must still be unmeasured, so only unmeasured
-        # qubits admit the A letter here
-        allowed = (_allowed_masks(pattern, interfaces, True)
-                   & ~(pattern.mother << 3 * pattern.n))
-        candidates = narrow(candidates, allowed)
-        if not candidates:
-            self._fold(self._side(pattern, interfaces, None, []), (a, b, c),
-                       mult)
-            return
-        q = busiest_output(candidates)
-        fused = pattern.measure(q, BASIS_FUSION)
-        # a strategy toward q that fits the side decoder's masks fits the
-        # walk's too, since q is its only A letter
-        side = self._side(fused, interfaces + ((q, "s"),), q,
-                          [st for st in candidates if st.output == q])
-        self._fold(side, (a + 1, b, c), mult)
-        kinds = ("fx", "fz") if self.randomize else ("fz",)
-        for kind in kinds:
-            self._walk(fused, interfaces + ((q, kind),), candidates,
-                       a, b + 1, c, mult / len(kinds))
-        self._walk(pattern.lose(q), interfaces, candidates, a, b, c + 1, mult)
+        walk(MeasurementPattern(code.n), (), _strategies(code, limit),
+             0, 0, 0, Fraction(1))
+        # walk refers to itself, so the compile state it reaches would
+        # otherwise wait for the cycle collector
+        del walk
+        self._terms = terms
 
     def result(self, fm: FusionModel) -> LogicalFusionResult:
         values = {}
@@ -489,7 +498,7 @@ class AdaptiveFusionAnalysis:
                                    values["loss"])
 
 
-@lru_cache(maxsize=64)
+@per_code
 def _adaptive_analysis(code: GraphCode, randomize: bool,
                        limit: int) -> AdaptiveFusionAnalysis:
     return AdaptiveFusionAnalysis(code, randomize, limit)

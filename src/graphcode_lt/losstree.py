@@ -21,12 +21,11 @@ import hashlib
 import json
 import os
 import tempfile
-from functools import lru_cache
 
 import numpy as np
 
 from . import __version__
-from .codes import GraphCode
+from .codes import GraphCode, per_code
 from .opsets import EXHAUSTIVE_LIMIT, enumerate_nontrivial
 from .pauli import (
     BASIS_A,
@@ -110,7 +109,7 @@ class MeasureNode:
 class DecisionTree:
     """Immutable compiled decoder for one code and one measurement task."""
 
-    __slots__ = ("code", "kind", "root", "__weakref__")
+    __slots__ = ("code", "kind", "root")
 
     def __init__(self, code: GraphCode, kind: str, root):
         self.code = code
@@ -283,7 +282,7 @@ def _tree_step(pattern: MeasurementPattern, state):
     return q, b, (alive, current), (alive, current)
 
 
-@lru_cache(maxsize=64)
+@per_code
 def build_pauli_tree(code: GraphCode, basis: str = "Z",
                      limit: int = EXHAUSTIVE_LIMIT) -> DecisionTree:
     """Compile the Pauli-basis loss decoder for one logical basis."""
@@ -295,7 +294,7 @@ def build_pauli_tree(code: GraphCode, basis: str = "Z",
     return DecisionTree(code, f"pauli-{basis}", root)
 
 
-@lru_cache(maxsize=64)
+@per_code
 def _strategies(code: GraphCode, limit: int) -> tuple[Target, ...]:
     """Anticommuting operator pairs that differ on exactly one shared qubit,
     the output onto which the pair teleports the logical."""
@@ -313,7 +312,7 @@ def _strategies(code: GraphCode, limit: int) -> tuple[Target, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
+@per_code
 def build_arbitrary_tree(code: GraphCode,
                          limit: int = EXHAUSTIVE_LIMIT) -> DecisionTree:
     """Compile the arbitrary-basis decoder (teleport onto an output qubit)."""

@@ -24,10 +24,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from functools import lru_cache
 from itertools import product
 
-from .codes import GraphCode
+from .codes import GraphCode, per_code
 from .errordecode import logical_flip_rates
 from .graphs import Graph
 from .losstree import load_or_build, success_polynomial
@@ -178,7 +177,7 @@ class LayerStack:
 # -- unit recursion functions ------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
+@per_code
 def unit_F(code: GraphCode, basis: str) -> LossPolynomial:
     """Logical measurement success of one unit as a multivariate polynomial.
 

@@ -10,9 +10,8 @@ keeps the operators whose letters are all individually recoverable.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 
-from .codes import GraphCode
+from .codes import GraphCode, per_code
 from .pauli import DimensionError, MeasurementPattern, PauliOperator, fits
 
 KINDS = ("Stabilizers", "LogicalX", "LogicalY", "LogicalZ", "AllLogical")
@@ -73,7 +72,7 @@ class OperatorSet:
         })
 
 
-@lru_cache(maxsize=256)
+@per_code
 def stabilizer_group(code: GraphCode) -> tuple[PauliOperator, ...]:
     """All 2^(n-1) stabilizer elements, exact phases included."""
     members = [PauliOperator.identity(code.n)]
@@ -101,7 +100,7 @@ def _logical_class(code: GraphCode, which: str) -> list[PauliOperator]:
     return [rep * s for s in stabilizer_group(code)]
 
 
-@lru_cache(maxsize=1024)
+@per_code
 def enumerate_nontrivial(code: GraphCode, kind: str,
                          limit: int = EXHAUSTIVE_LIMIT) -> OperatorSet:
     """Exhaustive operator set of the given kind.

@@ -170,9 +170,6 @@ class LossPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_multiplicity(self) -> int:
-        return sum(self.terms.values())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LossPolynomial) and self.terms == other.terms
 

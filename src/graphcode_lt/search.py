@@ -31,7 +31,8 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-from .codes import GraphCode, InvalidCodeError
+from . import __version__
+from .codes import GraphCode, InvalidCodeError, forget
 from .graphs import Graph, canonical_key, lc_orbit
 from .losstree import build_arbitrary_tree, build_pauli_tree, success_polynomial
 from .fusion import FusionModel, adaptive_fusion, transversal_fusion
@@ -291,6 +292,9 @@ def _eval_packed(args):
         return g6, input_vertex, 0.0, 0.0, None, ("deferred", str(exc))
     except Exception as exc:
         return g6, input_vertex, 0.0, 0.0, None, ("failed", repr(exc))
+    finally:
+        # a search scores each code once, so its derived data is dead
+        forget(code)
 
 
 def _run_pass(tasks, workers: int):
@@ -309,7 +313,8 @@ def _load_checkpoint(path: str | None, objective: Objective) -> tuple[dict, int]
     Each record is one line, written with its newline last.  A final line
     without a newline was cut short by a kill during the write: it is left
     out with a warning, so its candidate is scored again.  A malformed line
-    before it is not a torn write and raises.
+    before it is not a torn write and raises.  A record written by another
+    version of the package is ignored, so its candidate is scored again.
     """
     cached: dict[tuple[str, int], ScoredCandidate] = {}
     if not path or not os.path.exists(path):
@@ -325,7 +330,8 @@ def _load_checkpoint(path: str | None, objective: Objective) -> tuple[dict, int]
         if not line.strip():
             continue
         rec = json.loads(line)
-        if rec.get("objective") != obj_dict or "error" in rec:
+        if (rec.get("objective") != obj_dict or "error" in rec
+                or rec.get("version") != __version__):
             continue
         cached[(rec["graph6"], rec["input"])] = ScoredCandidate(
             rec["graph6"], rec["input"], rec["score"],
@@ -378,8 +384,9 @@ def optimize(objective: Objective, candidates, *, workers: int = 1,
                     cand = ScoredCandidate(g6, iv, score, second, poly)
                     scored.append(cand)
                     if sink:
-                        sink.write(json.dumps(cand.record(objective),
-                                              sort_keys=True) + "\n")
+                        record = dict(cand.record(objective),
+                                      version=__version__)
+                        sink.write(json.dumps(record, sort_keys=True) + "\n")
                         sink.flush()
                 elif err[0] == "deferred" and limit < EXHAUSTIVE_LIMIT:
                     deferred.append((g6, iv, obj_dict, EXHAUSTIVE_LIMIT))

@@ -9,8 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from graphcode_lt.errordecode import (
+    CheckSet,
+    _masked_targets,
+    ml_logical_error,
+    qubitwise_commuting,
+)
 from graphcode_lt.graphs import Graph, orbit_key
-from graphcode_lt.pauli import PauliOperator, PauliSpan
+from graphcode_lt.losstree import Leaf
+from graphcode_lt.opsets import ResourceLimitError
+from graphcode_lt.pauli import PauliOperator, PauliSpan, fits
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -493,3 +501,45 @@ def transversal_counts_reference(code, failure_bases) -> dict:
 
     rec(0, span0, 0, 0, 0)
     return counts
+
+
+def exhaustive_checks(leaf: Leaf, surviving_stabilizers, em,
+                      cap: int = 200_000) -> tuple[CheckSet, float]:
+    """Best check set by brute force over commuting subsets (gap audit).
+
+    Walks every independent qubit-wise-commuting subset of the surviving
+    stabilizers and keeps the one minimizing the leaf's logical error.
+    Exponential; guarded by ``cap`` on visited subsets.
+    """
+    targets = _masked_targets(leaf)
+    allowed = leaf.pattern.allowed(True)
+    group = [s for s in surviving_stabilizers
+             if s.weight and fits(s.masks, allowed)]
+    group.sort(key=lambda s: (s.weight, s.x, s.z))
+    best_err = ml_logical_error(leaf, CheckSet(targets, ()), em)
+    best = CheckSet(targets, ())
+    visited = 0
+
+    def rec(start: int, chosen: list, span: PauliSpan):
+        nonlocal best, best_err, visited
+        for i in range(start, len(group)):
+            cand = group[i]
+            if not all(qubitwise_commuting(cand, c) for c in chosen):
+                continue
+            if span.contains(cand):
+                continue
+            visited += 1
+            if visited > cap:
+                raise ResourceLimitError("exhaustive check search exceeded cap")
+            sub = span.copy()
+            sub.add(cand)
+            chosen.append(cand)
+            err = ml_logical_error(leaf, CheckSet(targets, tuple(chosen)), em)
+            if err < best_err - 1e-15:
+                best_err = err
+                best = CheckSet(targets, tuple(chosen))
+            rec(i + 1, chosen, sub)
+            chosen.pop()
+
+    rec(0, [], PauliSpan(leaf.pattern.n))
+    return best, best_err

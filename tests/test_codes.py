@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from _oracles import PLUS, dense, graph_state_vector, project_qubit
+from graphcode_lt import codes
 from graphcode_lt.codes import (
+    CODES_KEPT,
     GraphCode,
     InvalidCodeError,
     branched_chain_code,
@@ -23,7 +25,9 @@ from graphcode_lt.codes import (
     tree_code,
 )
 from graphcode_lt.graphs import Graph, local_complement
+from graphcode_lt.opsets import stabilizer_group
 from graphcode_lt.pauli import symplectic_rank
+from graphcode_lt.search import Objective, enumerate_candidates, optimize
 
 
 def random_connected_progenitor(rng: random.Random, n_vertices: int) -> Graph:
@@ -157,3 +161,30 @@ def test_random_progenitors_all_valid():
         code = GraphCode(g, inp)
         assert code.n == nv - 1
         assert len(code.stabilizer_generators) == code.n - 1
+
+
+# -- per-code memo ------------------------------------------------------------
+
+
+def test_memo_returns_the_built_object():
+    code = tree_code([2, 3])
+    codes.forget(code)
+    misses = stabilizer_group.cache_info().misses
+    first = stabilizer_group(code)
+    assert stabilizer_group(code) is first
+    assert stabilizer_group(tree_code([2, 3])) is first
+    assert stabilizer_group.cache_info().misses == misses + 1
+
+
+def test_memo_keeps_the_most_recent_codes():
+    touched = [star_code(k) for k in range(2, 12)]
+    for code in touched:
+        stabilizer_group(code)
+    assert CODES_KEPT == 8
+    assert list(codes._MEMO) == touched[-CODES_KEPT:]
+
+
+def test_search_forgets_each_scored_code():
+    cands = list(enumerate_candidates(6))
+    optimize(Objective("arbitrary", eta=0.9), cands)
+    assert not any(code in codes._MEMO for code in cands)

@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+from _oracles import exhaustive_checks
 from graphcode_lt.codes import (
     GraphCode,
     branched_chain_code,
@@ -25,7 +26,6 @@ from graphcode_lt.errordecode import (
     ErrorModel,
     choose_checks,
     error_threshold,
-    exhaustive_checks,
     fault_probability,
     logical_flip_rates,
     ml_logical_error,
@@ -289,26 +289,26 @@ def test_ml_enumeration_limit():
 def test_fault_zero_without_noise():
     # [TRIVIAL] eta=1, lambda=0
     em = ErrorModel(0.0)
-    for code, tree in [
-        (pentagon_code(), build_pauli_tree(pentagon_code(), "Z")),
-        (cube_code(), build_pauli_tree(cube_code(), "X")),
-        (decorated_pentagon_code(), build_arbitrary_tree(decorated_pentagon_code())),
+    for code, kind in [
+        (pentagon_code(), "Z"),
+        (cube_code(), "X"),
+        (decorated_pentagon_code(), "arbitrary"),
     ]:
-        assert fault_probability(code, tree, 1.0, em) == pytest.approx(0.0, abs=1e-14)
+        assert fault_probability(code, kind, 1.0, em) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_fault_lambda_zero_reduces_to_loss_only():
     # [TRIVIAL: reduction] with no errors the only fault is decoder failure
     em = ErrorModel(0.0)
     cases = [
-        (cube_code(), build_pauli_tree(cube_code(), "Z")),
-        (pentagon_code(), build_pauli_tree(pentagon_code(), "Y")),
-        (pentagon_code(), build_arbitrary_tree(pentagon_code())),
+        (cube_code(), "Z", build_pauli_tree(cube_code(), "Z")),
+        (pentagon_code(), "Y", build_pauli_tree(pentagon_code(), "Y")),
+        (pentagon_code(), "arbitrary", build_arbitrary_tree(pentagon_code())),
     ]
-    for code, tree in cases:
+    for code, kind, tree in cases:
         poly = success_polynomial(tree)
         for eta in (0.5, 0.7, 0.85, 0.95):
-            assert fault_probability(code, tree, eta, em) == pytest.approx(
+            assert fault_probability(code, kind, eta, em) == pytest.approx(
                 1.0 - poly.evaluate(eta), abs=1e-12)
 
 
@@ -328,9 +328,8 @@ def test_extension_conserves_probability():
 def test_cube_fault_ratio_break_even():
     # [PAPER: errors beat the bare qubit up to lambda = 3.2%]
     cube = cube_code()
-    tree = build_pauli_tree(cube, "Z")
     em = ErrorModel(0.032)
-    ratio = (fault_probability(cube, tree, 1.0, em)
+    ratio = (fault_probability(cube, "Z", 1.0, em)
              / physical_fault(1.0, em, "Z"))
     assert ratio == pytest.approx(1.0, abs=0.02)
 
@@ -393,10 +392,9 @@ def test_decorated_pentagon_break_even_saturates_bound():
 def test_decorated_pentagon_error_ratio_approaches_one():
     # [PAPER: logical-to-physical error ratio tends to 1 at low rates]
     code = decorated_pentagon_code()
-    tree = build_arbitrary_tree(code)
     ratios = []
     for lam in (1e-3, 1e-4):
-        fault = fault_probability(code, tree, 1.0, ErrorModel(lam))
+        fault = fault_probability(code, "arbitrary", 1.0, ErrorModel(lam))
         ratios.append(fault / (3.0 * lam))
     assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
     assert ratios[1] == pytest.approx(1.0, abs=0.005)

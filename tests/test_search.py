@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+import graphcode_lt
 from graphcode_lt.codes import GraphCode, pentagon_code, star_code
 from graphcode_lt.graphs import Graph, local_complement, orbit_key
 from graphcode_lt.search import (
@@ -327,6 +328,25 @@ def test_checkpoint_resume(tmp_path, caplog):
     path.write_text("{torn\n" + path.read_text())
     with pytest.raises(ValueError):
         optimize(obj, cands, checkpoint=str(path))
+
+
+def test_checkpoint_rescores_records_of_other_versions(tmp_path):
+    cands = list(enumerate_candidates(4))
+    obj = Objective("arbitrary", eta=0.9)
+    path = tmp_path / "scores.jsonl"
+    first = optimize(obj, cands, checkpoint=str(path))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert {rec["version"] for rec in records} == {graphcode_lt.__version__}
+    # the same records from another version, with scores no run produced
+    stale = [dict(rec, version="0.0.0", score=-1.0) for rec in records]
+    path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n"
+                            for rec in stale))
+    resumed = optimize(obj, cands, checkpoint=str(path))
+    assert [(c.graph6, c.score) for c in resumed.ranked] == \
+        [(c.graph6, c.score) for c in first.ranked]
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2 * len(records)
+    assert [json.loads(line) for line in lines[len(records):]] == records
 
 
 def test_checkpoint_ignores_other_objectives(tmp_path):
