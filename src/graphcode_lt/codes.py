@@ -35,7 +35,7 @@ class GraphCode:
 
     __slots__ = ("progenitor", "input_vertex", "b0", "n", "code_vertices",
                  "code_graph", "branch_mask", "logical_x", "logical_y",
-                 "logical_z", "stabilizer_generators")
+                 "logical_z", "stabilizer_generators", "_hash")
 
     def __init__(self, progenitor: Graph, input_vertex: int = 0,
                  b0: int | None = None):
@@ -76,6 +76,9 @@ class GraphCode:
         object.__setattr__(self, "logical_z", logical_z)
         object.__setattr__(self, "logical_y", logical_x * logical_z)
         object.__setattr__(self, "stabilizer_generators", tuple(gens))
+        # every memoised call hashes the code, so hash it once
+        object.__setattr__(self, "_hash",
+                           hash((progenitor, input_vertex, b0)))
         self._check_invariants()
 
     def __setattr__(self, name, value):
@@ -135,7 +138,7 @@ class GraphCode:
         )
 
     def __hash__(self) -> int:
-        return hash((self.progenitor, self.input_vertex, self.b0))
+        return self._hash
 
     def __repr__(self) -> str:
         return (f"GraphCode(n={self.n}, input={self.input_vertex}, "

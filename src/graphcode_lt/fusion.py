@@ -147,6 +147,10 @@ def best_boosted(eta: float, max_m: int = 8) -> float:
     return max(boosted_baseline(m, eta) for m in range(1, max_m + 1))
 
 
+# the outcome classes of a logical fusion, in LogicalFusionResult's order
+_CLASSES = ("success", "fail", "loss")
+
+
 def _classify(xx_in: bool, zz_in: bool) -> str:
     if xx_in and zz_in:
         return "success"
@@ -359,9 +363,21 @@ class AdaptiveFusionAnalysis:
     probability monomials in (s, f, l, eta), so one compilation serves
     every fusion model.  Only those terms are kept: the strategies, the
     logical cosets and the per-side decoders are freed once compiled.
+
+    The terms are also kept in column form, so ``result`` evaluates them
+    as numpy gathers instead of a Python loop: one float64 coefficient
+    per term and the term's exponents of (s, f, l, eta, 1 - eta) as a
+    5 x T index into one table of powers.  The table is built per call
+    with Python's ``x ** k`` (C ``pow``), as the term-by-term product
+    did; numpy's float ``power`` is not the same function and differs in
+    the last bit on some inputs (``0.8783044878038287 ** 15``).  Each
+    term is multiplied in the same left-to-right order and each class
+    summed with ``math.fsum``, so every result is bit for bit that of
+    the term-by-term product.
     """
 
-    __slots__ = ("code", "randomize", "_terms")
+    __slots__ = ("code", "randomize", "_terms", "_coef", "_index", "_width",
+                 "_ends")
 
     def __init__(self, code: GraphCode, randomize_failures: bool = False,
                  limit: int = EXHAUSTIVE_LIMIT):
@@ -370,7 +386,7 @@ class AdaptiveFusionAnalysis:
         group = stabilizer_group(code)
         all_xops = tuple(Target(code.logical_x * s) for s in group)
         all_zops = tuple(Target(code.logical_z * s) for s in group)
-        terms = {"success": {}, "fail": {}, "loss": {}}
+        terms = {klass: {} for klass in _CLASSES}
         side_memo: dict = {}
 
         def side(pattern: MeasurementPattern, interfaces: tuple,
@@ -401,7 +417,9 @@ class AdaptiveFusionAnalysis:
                 if alive:
                     if any(fits(st.need, done) for st in alive):
                         return pat
-                    members = [op for st in alive for op in st.ops]
+                    # strategies share operators: rank each one once
+                    members = list(dict.fromkeys(
+                        op for st in alive for op in st.ops))
                     q, b = attempt(members, pat, keep)
                     return q, b, (alive, salvage), (alive, salvage)
                 salvage = narrow(salvage, allowed)
@@ -485,17 +503,28 @@ class AdaptiveFusionAnalysis:
         # otherwise wait for the cycle collector
         del walk
         self._terms = terms
+        # the column form result() evaluates: success, fail and loss terms
+        # one after another, the classes ending at _ends; float(mult) is
+        # exact, since every mult is an integer count over a power of two
+        self._coef = np.array([float(m) for klass in _CLASSES
+                               for m in terms[klass].values()])
+        keys = [k for klass in _CLASSES for k in terms[klass]]
+        # row i indexes the powers of base i within one flat table
+        self._width = max(map(max, keys), default=0) + 1
+        self._index = np.array([[self._width * i + k[i] for k in keys]
+                                for i in range(5)], dtype=np.intp)
+        self._ends = (len(terms["success"]),
+                      len(terms["success"]) + len(terms["fail"]))
 
     def result(self, fm: FusionModel) -> LogicalFusionResult:
-        values = {}
         eta = fm.eta
-        for klass, terms in self._terms.items():
-            parts = [float(mult) * fm.s ** a * fm.f ** b * fm.l ** c
-                     * eta ** d * (1.0 - eta) ** e
-                     for (a, b, c, d, e), mult in terms.items()]
-            values[klass] = math.fsum(parts)
-        return LogicalFusionResult(values["success"], values["fail"],
-                                   values["loss"])
+        powers = np.array([x ** k for x in (fm.s, fm.f, fm.l, eta, 1.0 - eta)
+                           for k in range(self._width)])
+        s, f, l, d, e = powers[self._index]
+        parts = (self._coef * s * f * l * d * e).tolist()
+        i, j = self._ends
+        return LogicalFusionResult(math.fsum(parts[:i]), math.fsum(parts[i:j]),
+                                   math.fsum(parts[j:]))
 
 
 @per_code

@@ -297,13 +297,15 @@ def build_pauli_tree(code: GraphCode, basis: str = "Z",
 @per_code
 def _strategies(code: GraphCode, limit: int) -> tuple[Target, ...]:
     """Anticommuting operator pairs that differ on exactly one shared qubit,
-    the output onto which the pair teleports the logical."""
+    the output onto which the pair teleports the logical.
+
+    Such a pair always anticommutes: equal letters commute, and two
+    different non-identity letters anticommute on the one qubit, so no
+    commutation test is needed."""
     ops = enumerate_nontrivial(code, "AllLogical", limit).operators
     out = []
     for i, a in enumerate(ops):
         for b in ops[i + 1:]:
-            if a.commutes(b):
-                continue
             # qubits where both act, with different letters
             both = (a.x | a.z) & (b.x | b.z)
             differ = both & ((a.x ^ b.x) | (a.z ^ b.z))

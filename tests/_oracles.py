@@ -7,6 +7,8 @@ independent computation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from graphcode_lt.errordecode import (
@@ -17,8 +19,8 @@ from graphcode_lt.errordecode import (
 )
 from graphcode_lt.graphs import Graph, orbit_key
 from graphcode_lt.losstree import Leaf
-from graphcode_lt.opsets import ResourceLimitError
-from graphcode_lt.pauli import PauliOperator, PauliSpan, fits
+from graphcode_lt.opsets import ResourceLimitError, enumerate_nontrivial
+from graphcode_lt.pauli import PauliOperator, PauliSpan, fits, iter_bits
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -435,6 +437,43 @@ def optimal_success(code, eta: float, kind: str = "arbitrary",
         return best
 
     return value("." * n)
+
+
+# -- strategy pairs with the commutation test ---------------------------------
+
+
+def strategies_reference(code, limit: int) -> list[tuple]:
+    """``losstree._strategies`` as (first, second, output) triples, found
+    by testing every pair of logical operators for anticommutation before
+    asking that they differ on exactly one shared qubit."""
+    ops = enumerate_nontrivial(code, "AllLogical", limit).operators
+    out = []
+    for i, a in enumerate(ops):
+        for b in ops[i + 1:]:
+            if a.commutes(b):
+                continue
+            both = a.support & b.support
+            differ = both & ((a.x ^ b.x) | (a.z ^ b.z))
+            if differ.bit_count() == 1:
+                out.append((a, b, next(iter_bits(differ))))
+    return out
+
+
+# -- adaptive fusion term by term -----------------------------------------------
+
+
+def adaptive_result_reference(analysis, fm) -> tuple[float, float, float]:
+    """(success, fail, loss) of ``AdaptiveFusionAnalysis.result``, each
+    term's monomial multiplied out in Python floats and each class summed
+    with ``math.fsum``."""
+    values = {}
+    s, f, l, eta = fm.s, fm.f, fm.l, fm.eta
+    for klass, terms in analysis._terms.items():
+        parts = [float(mult) * s ** a * f ** b * l ** c
+                 * eta ** d * (1.0 - eta) ** e
+                 for (a, b, c, d, e), mult in terms.items()]
+        values[klass] = math.fsum(parts)
+    return values["success"], values["fail"], values["loss"]
 
 
 # -- transversal fusion by GF(2) span ------------------------------------------

@@ -176,6 +176,17 @@ def test_memo_returns_the_built_object():
     assert stabilizer_group.cache_info().misses == misses + 1
 
 
+def test_equal_codes_hash_alike_and_share_one_memo_entry():
+    code = tree_code([3, 1])
+    twin = GraphCode.from_json(code.to_json())
+    assert twin is not code and twin == code
+    assert hash(twin) == hash(code)
+    codes.forget(code)
+    first = stabilizer_group(code)
+    assert stabilizer_group(twin) is first
+    assert list(codes._MEMO).count(code) == 1
+
+
 def test_memo_keeps_the_most_recent_codes():
     touched = [star_code(k) for k in range(2, 12)]
     for code in touched:

@@ -20,6 +20,7 @@ from graphcode_lt.codes import (
     star_code,
 )
 from graphcode_lt.fusion import (
+    AdaptiveFusionAnalysis,
     FusionModel,
     adaptive_fusion,
     best_boosted,
@@ -35,7 +36,13 @@ from graphcode_lt.losstree import _strategies, narrow
 from graphcode_lt.opsets import ResourceLimitError
 from graphcode_lt.pauli import BASIS_FUSION, MeasurementPattern, fits
 
-from _oracles import _embed, _pair, transversal_counts_reference
+from _oracles import (
+    _embed,
+    _pair,
+    adaptive_result_reference,
+    transversal_counts_reference,
+)
+from test_golden import _codes as golden_codes
 
 
 def result_sum(r) -> float:
@@ -294,6 +301,23 @@ def test_adaptive_beats_transversal_on_pentagon_grid():
         ra = adaptive_fusion(code, fm)
         rt = transversal_fusion(code, fm)
         assert ra.p_success >= rt.p_success - 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(golden_codes()))
+def test_result_matches_term_loop_bit_for_bit(name):
+    # the column form must reproduce every float of the term-by-term
+    # product, over a dense eta grid and at the 0.0 ** 0 corners
+    code = golden_codes()[name]
+    models = [FusionModel(p_fail, i / 1000) for p_fail in (1.0, 0.5, 0.25, 2 ** -8)
+              for i in range(1001)]
+    models += [FusionModel(0.0, 0.0), FusionModel(0.0, 1.0)]
+    for randomize in (False, True):
+        analysis = AdaptiveFusionAnalysis(code, randomize)
+        for fm in models:
+            got = analysis.result(fm)
+            want = adaptive_result_reference(analysis, fm)
+            assert (got.p_success, got.p_fail_logical,
+                    got.p_loss_logical) == want, (randomize, fm)
 
 
 def _walk_allowed(pattern, interfaces) -> int:

@@ -13,7 +13,16 @@ import random
 import pytest
 
 from graphcode_lt import losstree
-from graphcode_lt.codes import GraphCode, cube_code, pentagon_code, star_code
+from graphcode_lt.codes import (
+    GraphCode,
+    branched_chain_code,
+    cube_code,
+    decorated_pentagon_code,
+    pentagon_code,
+    shor_22_code,
+    star_code,
+    tree_code,
+)
 from graphcode_lt.graphs import Graph, path_graph, star_graph
 from graphcode_lt.losstree import (
     DecisionTree,
@@ -35,7 +44,7 @@ from graphcode_lt.opsets import filter_compatible, enumerate_nontrivial
 from graphcode_lt.pauli import commutes_qubitwise, fits
 from graphcode_lt.polynomials import LossPolynomial, equivalent_univariate
 
-from _oracles import optimal_success
+from _oracles import optimal_success, strategies_reference
 
 
 def random_code(rng: random.Random, n_vertices: int) -> GraphCode:
@@ -180,6 +189,21 @@ def test_paths_never_repeat_qubits_and_leaves_certify():
                 for op in leaf.targets:
                     masked = type(op)(op.n, op.x & bit, op.z & bit)
                     assert commutes_qubitwise(masked, leaf.pattern, completed=True)
+
+
+def test_strategies_match_commutation_reference():
+    # differing on exactly one shared qubit implies anticommuting, so
+    # dropping the commutation test keeps every pair, in order
+    library = [pentagon_code(), star_code(3), branched_chain_code(),
+               shor_22_code(), decorated_pentagon_code(), cube_code(),
+               tree_code([3, 2]), tree_code([2, 2, 1])]
+    randoms = [random_code(random.Random(seed), size)
+               for seed, size in enumerate((6, 7, 7, 8, 8))]
+    for code in library + randoms:
+        got = _strategies(code, 14)
+        assert [(t.first, t.second, t.output)
+                for t in got] == strategies_reference(code, 14)
+        assert not any(t.first.commutes(t.second) for t in got)
 
 
 def test_narrow_keeps_fitting_targets_in_order():
