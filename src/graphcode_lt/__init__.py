@@ -22,7 +22,6 @@ from .graphs import (
     graph_state_generators,
     lc_orbit,
     local_complement,
-    orbit_key,
 )
 from .codes import (
     GraphCode,
@@ -41,7 +40,6 @@ from .opsets import (
     OperatorSet,
     ResourceLimitError,
     enumerate_nontrivial,
-    spc_satisfied,
     stabilizer_group,
 )
 from .polynomials import (
@@ -73,7 +71,6 @@ from .fusion import (
     FusionModel,
     LogicalFusionResult,
     adaptive_fusion,
-    best_boosted,
     boosted_baseline,
     transversal_fusion,
 )
@@ -82,8 +79,6 @@ from .modular import (
     StackResult,
     TransmissionVector,
     build_cascade_code,
-    cascade_transmission,
-    concat_transmission,
     fixed_point_threshold,
     logical_transmission,
     optimize_stack,
@@ -92,7 +87,6 @@ from .modular import (
 from .apps import (
     FbqcSpec,
     RepeaterSpec,
-    end_to_end,
     fbqc_loss_threshold,
     rgs_link_probability,
 )

@@ -12,9 +12,6 @@ per-photon loss at which both parity erasures stay below that budget.
 
 from __future__ import annotations
 
-import csv
-import io
-
 from .codes import GraphCode
 from .fusion import FusionModel, LogicalFusionResult, adaptive_fusion, transversal_fusion
 
@@ -22,11 +19,8 @@ __all__ = [
     "ERASURE_BUDGET",
     "FbqcSpec",
     "RepeaterSpec",
-    "end_to_end",
     "fbqc_loss_threshold",
-    "link_table_csv",
     "rgs_link_probability",
-    "threshold_table_csv",
 ]
 
 # Highest measurement-erasure tolerance among the hexagonal-resource
@@ -48,15 +42,12 @@ class RepeaterSpec:
     stations is exactly one logical fusion of ``code`` with itself.
     """
 
-    __slots__ = ("code", "p_fail", "stations", "adaptive")
+    __slots__ = ("code", "p_fail", "adaptive")
 
     def __init__(self, code: GraphCode, p_fail: float = 0.5,
-                 stations: int = 1, adaptive: bool = True):
-        if stations < 1:
-            raise ValueError(f"stations must be >= 1, got {stations}")
+                 adaptive: bool = True):
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "p_fail", _validated_p_fail(p_fail))
-        object.__setattr__(self, "stations", stations)
         object.__setattr__(self, "adaptive", bool(adaptive))
 
     def __setattr__(self, name, value):
@@ -64,7 +55,7 @@ class RepeaterSpec:
 
     def __repr__(self) -> str:
         return (f"RepeaterSpec(n={self.code.n}, p_fail={self.p_fail}, "
-                f"stations={self.stations}, adaptive={self.adaptive})")
+                f"adaptive={self.adaptive})")
 
 
 class FbqcSpec:
@@ -104,35 +95,21 @@ def rgs_link_probability(spec: RepeaterSpec, eta: float) -> float:
     return result.p_success
 
 
-def end_to_end(spec: RepeaterSpec, eta: float,
-               stations: int | None = None) -> float:
-    """Probability that every link of the chain succeeds.
-
-    Links are independent: each station holds a fresh repeater graph,
-    so the chain succeeds with the per-link probability to the power of
-    the station count.
-    """
-    count = spec.stations if stations is None else stations
-    if count < 1:
-        raise ValueError(f"stations must be >= 1, got {count}")
-    return rgs_link_probability(spec, eta) ** count
-
-
 def fbqc_loss_threshold(spec: FbqcSpec, tol: float = 1e-4) -> float:
     """Largest per-photon loss with both parity erasures inside budget.
 
     Failed fusions have their erased parity randomized (achievable with
     local Cliffords), so a logical failure still feeds one syndrome
-    graph half the time; losses erase both.  The criterion
-    max(erasure_xx, erasure_zz) < budget is monotone in loss, and the
-    returned threshold is located by bisection to ``tol``.  A code
+    graph half the time; losses erase both.  Both parities are erased
+    alike, so the criterion erasure_xx < budget is monotone in loss, and
+    the returned threshold is located by bisection to ``tol``.  A code
     outside budget even at zero loss returns 0.
     """
 
     def inside(ell: float) -> bool:
         fm = FusionModel(spec.p_fail, 1.0 - ell)
         result = _fuse(spec.code, fm, spec.adaptive, randomize=True)
-        return max(result.erasure_xx, result.erasure_zz) < spec.erasure_budget
+        return result.erasure_xx < spec.erasure_budget
 
     lo, hi = 0.0, 1.0
     if not inside(lo):
@@ -144,27 +121,3 @@ def fbqc_loss_threshold(spec: FbqcSpec, tol: float = 1e-4) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def link_table_csv(spec: RepeaterSpec, losses) -> str:
-    """Per-link success against physical loss (ell, p_link rows)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["ell", "p_link"])
-    for ell in losses:
-        writer.writerow([f"{ell:.12g}",
-                         f"{rgs_link_probability(spec, 1.0 - ell):.12g}"])
-    return buf.getvalue()
-
-
-def threshold_table_csv(code: GraphCode, p_fails, adaptive: bool = True,
-                        tol: float = 1e-4) -> str:
-    """Loss threshold against gate failure rate (p_fail, threshold rows)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["p_fail", "loss_threshold"])
-    for p_fail in p_fails:
-        spec = FbqcSpec(code, p_fail, adaptive)
-        writer.writerow([f"{p_fail:.12g}",
-                         f"{fbqc_loss_threshold(spec, tol):.12g}"])
-    return buf.getvalue()

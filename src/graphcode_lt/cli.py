@@ -260,8 +260,9 @@ def cmd_fusion(args, config) -> int:
     rows = []
     for eta in _eta_list(args):
         r = engine(code, FusionModel(args.pfail, eta))
+        # both parities are erased alike, so erasure_zz repeats erasure_xx
         rows.append([eta, r.p_success, r.p_fail_logical, r.p_loss_logical,
-                     r.erasure_xx, r.erasure_zz])
+                     r.erasure_xx, r.erasure_xx])
     emit_rows(["eta", "p_success", "p_fail_logical", "p_loss_logical",
                "erasure_xx", "erasure_zz"], rows, config, args.out,
               args.format or "csv")
@@ -287,7 +288,7 @@ def cmd_rgs(args, config) -> int:
     stations = args.depth
     if stations < 1:
         raise CliError(EXIT_VALIDATION, f"--depth must be >= 1, got {stations}")
-    spec = RepeaterSpec(code, p_fail=args.pfail, stations=stations,
+    spec = RepeaterSpec(code, p_fail=args.pfail,
                         adaptive=args.mode != "transversal")
     rows = []
     for eta in _eta_list(args):
@@ -372,10 +373,15 @@ def cmd_mc_check(args, config) -> int:
 # -- wiring ------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, graph_required=True):
-    p.add_argument("--graph", required=graph_required,
+def _add_graph(p: argparse.ArgumentParser):
+    p.add_argument("--graph", required=True,
                    help="library name, star<N>, tree:<b,..>, or graph6")
     p.add_argument("--input-vertex", type=int, default=0)
+
+
+def _add_common(p: argparse.ArgumentParser):
+    """The code and the output options of a subcommand that emits rows."""
+    _add_graph(p)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
 
@@ -391,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("tree", help="compiled decision tree as JSON")
-    _add_common(p)
+    _add_graph(p)
+    p.add_argument("--out", default=None)
     p.add_argument("--basis", choices=("X", "Y", "Z", "A", "arbitrary"),
                    default="arbitrary")
     p.set_defaults(func=cmd_tree)
@@ -450,11 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="adaptive")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("mc-check", help="Monte Carlo versus exact polynomial")
-    _add_common(p)
+    _add_graph(p)
     p.add_argument("--basis", choices=("X", "Y", "Z", "A", "arbitrary"),
                    default="arbitrary")
     p.add_argument("--eta", type=float, default=None)

@@ -18,7 +18,7 @@ import functools
 import json
 from collections import OrderedDict, namedtuple
 
-from .graphs import Graph, graph_state_generators, local_complement, star_graph
+from .graphs import Graph, graph_state_generators, star_graph
 from .pauli import PauliOperator, symplectic_rank
 
 
@@ -123,11 +123,6 @@ class GraphCode:
         data = json.loads(text)
         graph = Graph.from_edges(data["n_vertices"], data["edges"])
         return cls(graph, data["input"], data.get("b0"))
-
-    def lc_variant(self, vertex: int) -> "GraphCode":
-        """The code from the locally complemented progenitor (same input)."""
-        return GraphCode(local_complement(self.progenitor, vertex),
-                         self.input_vertex)
 
     def __eq__(self, other) -> bool:
         return (

@@ -50,7 +50,7 @@ from .opsets import EXHAUSTIVE_LIMIT, ResourceLimitError, stabilizer_group
 from .pauli import BASIS_FUSION, MeasurementPattern, fits, iter_bits
 
 __all__ = [
-    "FusionModel", "LogicalFusionResult", "boosted_baseline", "best_boosted",
+    "FusionModel", "LogicalFusionResult", "boosted_baseline",
     "transversal_fusion", "adaptive_fusion", "compile_failure_bases",
     "AdaptiveFusionAnalysis",
 ]
@@ -108,23 +108,22 @@ class FusionModel:
 class LogicalFusionResult:
     """Exact outcome probabilities of one logical fusion.
 
-    ``erasure_xx`` and ``erasure_zz`` assume the 50/50 failure-basis
-    randomization used in fusion networks, under which a logical failure
-    erases either parity with equal probability: erasure = p_loss +
-    p_fail / 2.
+    ``erasure_xx`` assumes the 50/50 failure-basis randomization used in
+    fusion networks, under which a logical failure erases either parity
+    with equal probability: erasure = p_loss + p_fail / 2.  The ZZ parity
+    is erased with the same probability, so it has no field of its own.
     """
 
     __slots__ = ("p_success", "p_fail_logical", "p_loss_logical",
-                 "erasure_xx", "erasure_zz")
+                 "erasure_xx")
 
     def __init__(self, p_success: float, p_fail_logical: float,
                  p_loss_logical: float):
-        erasure = p_loss_logical + 0.5 * p_fail_logical
         object.__setattr__(self, "p_success", p_success)
         object.__setattr__(self, "p_fail_logical", p_fail_logical)
         object.__setattr__(self, "p_loss_logical", p_loss_logical)
-        object.__setattr__(self, "erasure_xx", erasure)
-        object.__setattr__(self, "erasure_zz", erasure)
+        object.__setattr__(self, "erasure_xx",
+                           p_loss_logical + 0.5 * p_fail_logical)
 
     def __setattr__(self, name, value):
         raise AttributeError("LogicalFusionResult is immutable")
@@ -140,11 +139,6 @@ def boosted_baseline(m: int, eta: float) -> float:
     if m < 1:
         raise ValueError(f"boost level must be >= 1, got {m}")
     return (1.0 - 2.0 ** -m) * eta ** (2 ** m)
-
-
-def best_boosted(eta: float, max_m: int = 8) -> float:
-    """Envelope of the boosted baseline over boost levels 1..max_m."""
-    return max(boosted_baseline(m, eta) for m in range(1, max_m + 1))
 
 
 # the outcome classes of a logical fusion, in LogicalFusionResult's order

@@ -327,11 +327,3 @@ def lc_orbit(g: Graph, cap: int = 10 ** 6, n_fixed: int = 1) -> tuple[set[Graph]
                 break
         frontier = nxt
     return seen, truncated
-
-
-def orbit_key(g: Graph, n_fixed: int = 1, cap: int = 10 ** 6) -> tuple:
-    """Canonical key of the whole LC orbit: minimum member key."""
-    members, truncated = lc_orbit(g, cap=cap, n_fixed=n_fixed)
-    if truncated:
-        raise RuntimeError("orbit truncated; key would not be canonical")
-    return min((m.n, m.nbr) for m in members)

@@ -71,24 +71,6 @@ class Leaf:
     def success(self) -> bool:
         return self.outcome == "success"
 
-    def correction(self, sign_first: int, sign_second: int) -> str:
-        """Pauli frame fix-up on the output qubit given the measured signs
-        of the two teleported operators (each +1 or -1).
-
-        A negative sign on one operator is repaired by the letter of the
-        *other* operator at the output, which anticommutes with the first's
-        letter there and commutes with its own.
-        """
-        if not self.success or self.output is None:
-            raise ValueError("corrections only apply to arbitrary-mode success leaves")
-        first, second = self.targets
-        u = PauliOperator.identity(1)
-        if sign_first < 0:
-            u = u * PauliOperator.from_letters(second.letter_at(self.output))
-        if sign_second < 0:
-            u = u * PauliOperator.from_letters(first.letter_at(self.output))
-        return u.letters()
-
     def __repr__(self) -> str:
         return f"Leaf({self.outcome}, {self.pattern!r})"
 

@@ -21,8 +21,6 @@ a concatenation every demand is served entirely by the block.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from itertools import product
 
@@ -37,13 +35,9 @@ __all__ = [
     "StackResult",
     "TransmissionVector",
     "build_cascade_code",
-    "cascade_choices",
-    "cascade_transmission",
-    "concat_transmission",
     "fixed_point_threshold",
     "logical_transmission",
     "optimize_stack",
-    "scaling_csv",
     "stack_flip_rates",
     "top_transmission",
     "unit_F",
@@ -203,69 +197,36 @@ def _apply(code: GraphCode, basis: str, r: TransmissionVector) -> float:
     return min(1.0, max(0.0, total))
 
 
-def _cascade_step(code: GraphCode, r: TransmissionVector,
-                  eta: float) -> tuple[TransmissionVector, str]:
-    """Transmissions of a physical qubit with one cascade block below.
+def _step(code: GraphCode, r: TransmissionVector, mode: str,
+          eta: float) -> TransmissionVector:
+    """Transmissions of a code qubit whose block of ``code`` sees ``r``.
 
-    Non-Z demands pair the direct measurement with the block's logical X
-    or logical Y; the stronger option is fixed in advance and reported.
-    Z demands accept either the direct or the block's indirect route.
+    In a concatenation the qubit is virtual and every demand is served by
+    the block's logical measurement.  In a cascade the qubit is physical
+    (transmission ``eta``): non-Z demands pair the direct measurement with
+    the block's logical X or logical Y, the stronger option fixed in
+    advance, and Z demands accept either the direct or the block's
+    indirect route.
     """
-    fx = _apply(code, "X", r)
-    fy = _apply(code, "Y", r)
+    if mode == "concatenated":
+        return TransmissionVector(*(_apply(code, b, r) for b in "XYZA"))
+    best = max(_apply(code, "X", r), _apply(code, "Y", r))
     fz = _apply(code, "Z", r)
-    best, choice = (fx, "X") if fx >= fy else (fy, "Y")
     return TransmissionVector(eta * best, eta * best,
-                              eta + (1.0 - eta) * fz, eta * best), choice
-
-
-def cascade_transmission(stack: LayerStack) -> TransmissionVector:
-    """Effective transmissions of the outermost unit's code qubits.
-
-    Folds the layers below the outermost unit bottom-up, starting from
-    bare physical qubits.  Apply ``unit_F`` of ``stack.layers[0]`` to
-    the result for the cascade's logical measurement probabilities.
-    """
-    if stack.mode != "cascaded":
-        raise ValueError(f"stack mode is {stack.mode!r}, not cascaded")
-    r = TransmissionVector.uniform(stack.eta)
-    for code in reversed(stack.layers[1:]):
-        r, _ = _cascade_step(code, r, stack.eta)
-    return r
-
-
-def cascade_choices(stack: LayerStack) -> tuple[str, ...]:
-    """Pre-selected block delivery (X or Y) per folded layer, deepest first."""
-    if stack.mode != "cascaded":
-        raise ValueError(f"stack mode is {stack.mode!r}, not cascaded")
-    r = TransmissionVector.uniform(stack.eta)
-    choices = []
-    for code in reversed(stack.layers[1:]):
-        r, choice = _cascade_step(code, r, stack.eta)
-        choices.append(choice)
-    return tuple(choices)
-
-
-def concat_transmission(stack: LayerStack) -> TransmissionVector:
-    """Effective transmissions of the outermost unit's (virtual) code qubits.
-
-    Every demand on a replaced qubit is served by its block's logical
-    measurement, so each fold step is a plain application of the four
-    unit polynomials; only the deepest layer contributes physical qubits.
-    """
-    if stack.mode != "concatenated":
-        raise ValueError(f"stack mode is {stack.mode!r}, not concatenated")
-    r = TransmissionVector.uniform(stack.eta)
-    for code in reversed(stack.layers[1:]):
-        r = TransmissionVector(*(_apply(code, b, r) for b in "XYZA"))
-    return r
+                              eta + (1.0 - eta) * fz, eta * best)
 
 
 def top_transmission(stack: LayerStack) -> TransmissionVector:
-    """Mode-appropriate vector feeding the outermost unit."""
-    if stack.mode == "cascaded":
-        return cascade_transmission(stack)
-    return concat_transmission(stack)
+    """Effective transmissions of the outermost unit's code qubits.
+
+    Folds the layers below the outermost unit bottom-up, starting from
+    bare physical qubits.  Apply ``unit_F`` of ``stack.layers[0]`` to the
+    result for the stack's logical measurement probabilities.
+    """
+    r = TransmissionVector.uniform(stack.eta)
+    for code in reversed(stack.layers[1:]):
+        r = _step(code, r, stack.mode, stack.eta)
+    return r
 
 
 def logical_transmission(stack: LayerStack) -> TransmissionVector:
@@ -378,12 +339,7 @@ def optimize_stack(library, max_depth: int, eta: float, basis: str = "A",
         tail = layers[1:]
         r = vectors.get(tail)
         if r is None:
-            sub = below(tail)
-            if mode == "cascaded":
-                r, _ = _cascade_step(tail[0], sub, eta)
-            else:
-                r = TransmissionVector(*(_apply(tail[0], b, sub)
-                                         for b in "XYZA"))
+            r = _step(tail[0], below(tail), mode, eta)
             vectors[tail] = r
         return r
 
@@ -397,17 +353,6 @@ def optimize_stack(library, max_depth: int, eta: float, basis: str = "A",
                                        stack.qubit_count))
     results.sort(key=lambda res: (res.logical_loss, res.qubit_count))
     return results
-
-
-def scaling_csv(results) -> str:
-    """Resource-scaling table (n_qubits, logical_loss, stack_id, eta)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n_qubits", "logical_loss", "stack_id", "eta"])
-    for res in results:
-        writer.writerow([res.qubit_count, f"{res.logical_loss:.12g}",
-                         res.stack.stack_id, res.stack.eta])
-    return buf.getvalue()
 
 
 # -- explicit cascade graphs -------------------------------------------------------

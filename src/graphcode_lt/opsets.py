@@ -1,10 +1,9 @@
-"""Stabilizer and logical operator sets, and the filters that drive decoding.
+"""Stabilizer and logical operator sets, the operators decoding works from.
 
 For a code on n qubits the stabilizer group has 2^(n-1) elements and each
 logical class is a coset of it.  Decoding works with the non-trivial coset
 members: those that cannot be written as a smaller-weight operator times a
-stabilizer of disjoint support.  Filtering against a measurement pattern
-keeps the operators whose letters are all individually recoverable.
+stabilizer of disjoint support.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .codes import GraphCode, per_code
-from .pauli import DimensionError, MeasurementPattern, PauliOperator, fits
+from .pauli import PauliOperator, fits
 
 KINDS = ("Stabilizers", "LogicalX", "LogicalY", "LogicalZ", "AllLogical")
 
@@ -81,13 +80,6 @@ def stabilizer_group(code: GraphCode) -> tuple[PauliOperator, ...]:
     return tuple(members)
 
 
-def is_nontrivial(op: PauliOperator, stabilizers) -> bool:
-    """True unless some non-identity stabilizer matches ``op`` letter for
-    letter on the stabilizer's whole support (then the stabilizer part can
-    be split off, leaving a smaller-weight operator of disjoint support)."""
-    return _nontrivial(op.masks, [s.masks for s in stabilizers if s.x | s.z])
-
-
 def _nontrivial(masks: tuple, stabilizer_masks: list) -> bool:
     for s in stabilizer_masks:
         if fits(s, masks):
@@ -126,33 +118,3 @@ def enumerate_nontrivial(code: GraphCode, kind: str,
     ops = [op for op in _logical_class(code, which)
            if _nontrivial(op.masks, stabilizer_masks)]
     return OperatorSet(kind, ops, code)
-
-
-def filter_compatible(opset: OperatorSet, m: MeasurementPattern,
-                      completed: bool = True) -> OperatorSet:
-    """Members measurable letter by letter under the pattern.
-
-    ``completed=False`` treats unmeasured qubits as wildcards (prospective
-    mode, for strategies still being assembled).
-    """
-    if m.n != opset.code.n:
-        raise DimensionError(f"lengths differ: {opset.code.n} vs {m.n}")
-    allowed = m.allowed(not completed)
-    kept = [op for op in opset if fits(op.masks, allowed)]
-    return OperatorSet(opset.kind, kept, opset.code)
-
-
-def spc_satisfied(opset: OperatorSet, m: MeasurementPattern
-                  ) -> tuple[PauliOperator, PauliOperator] | None:
-    """First anticommuting pair surviving the pattern in prospective mode.
-
-    This is the pathfinding condition for teleporting the logical qubit
-    onto a detected output: two compatible logical operators that
-    anticommute.  Returns None when no such pair exists.
-    """
-    survivors = filter_compatible(opset, m, completed=False).operators
-    for i, a in enumerate(survivors):
-        for b in survivors[i + 1:]:
-            if not a.commutes(b):
-                return (a, b)
-    return None

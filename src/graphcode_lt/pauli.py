@@ -169,10 +169,6 @@ class Basis:
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")
 
-    @property
-    def is_pauli(self) -> bool:
-        return self.kind in ("X", "Y", "Z")
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Basis) and self.kind == other.kind and self.angle == other.angle
 

@@ -104,12 +104,14 @@ class LossPolynomial:
         return total
 
     def evaluate_heterogeneous(self, etas: dict) -> float:
-        """Evaluation with per-basis transmissions, e.g. {"X": .9, "Z": 1.}."""
+        """Evaluation with per-basis transmissions, one for each of BASES,
+        e.g. {"X": .9, "Y": .9, "Z": 1., "A": .8}; a missing basis raises
+        KeyError."""
         total = 0.0
         for (a, b), mult in self.terms.items():
             val = float(mult)
             for i, m in enumerate(BASES):
-                em = etas.get(m, etas.get("default", 1.0))
+                em = etas[m]
                 if a[i]:
                     val *= em ** a[i]
                 if b[i]:
@@ -165,10 +167,6 @@ class LossPolynomial:
         return " ".join(parts)
 
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LossPolynomial) and self.terms == other.terms

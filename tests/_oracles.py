@@ -17,7 +17,7 @@ from graphcode_lt.errordecode import (
     ml_logical_error,
     qubitwise_commuting,
 )
-from graphcode_lt.graphs import Graph, orbit_key
+from graphcode_lt.graphs import Graph, lc_orbit
 from graphcode_lt.losstree import Leaf
 from graphcode_lt.opsets import ResourceLimitError, enumerate_nontrivial
 from graphcode_lt.pauli import PauliOperator, PauliSpan, fits, iter_bits
@@ -297,6 +297,14 @@ def lexmin_canonical_form(g: Graph, n_fixed: int = 0) -> Graph:
 # The two-pass definition of the candidate list: close one rooted orbit
 # for every root of every unrooted class, and keep each orbit's minimum
 # member once.
+
+
+def orbit_key(g: Graph, n_fixed: int = 1, cap: int = 10 ** 6) -> tuple:
+    """Canonical key of the whole LC orbit: minimum member key."""
+    members, truncated = lc_orbit(g, cap=cap, n_fixed=n_fixed)
+    if truncated:
+        raise RuntimeError("orbit truncated; key would not be canonical")
+    return min((m.n, m.nbr) for m in members)
 
 
 def _root_at_zero(g: Graph, r: int) -> Graph:

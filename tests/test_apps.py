@@ -9,8 +9,11 @@ their parity for free, earlier lost gates need both leaves indirectly
 single-leaf X measurements on both sides ((1 - (1-eta)^2)^2).
 """
 
+import json
+
 import pytest
 
+from graphcode_lt.cli import EXIT_OK, EXIT_VALIDATION, main
 from graphcode_lt.codes import (
     branched_chain_code,
     cube_code,
@@ -25,11 +28,8 @@ from graphcode_lt.apps import (
     ERASURE_BUDGET,
     FbqcSpec,
     RepeaterSpec,
-    end_to_end,
     fbqc_loss_threshold,
-    link_table_csv,
     rgs_link_probability,
-    threshold_table_csv,
 )
 
 
@@ -54,12 +54,10 @@ def test_repeater_spec_validation():
         RepeaterSpec(code, p_fail=0.0)
     with pytest.raises(ValueError):
         RepeaterSpec(code, p_fail=1.5)
-    with pytest.raises(ValueError):
-        RepeaterSpec(code, stations=0)
-    spec = RepeaterSpec(code, p_fail=0.25, stations=4, adaptive=False)
+    spec = RepeaterSpec(code, p_fail=0.25, adaptive=False)
     with pytest.raises(AttributeError):
-        spec.stations = 2
-    assert "stations=4" in repr(spec)
+        spec.adaptive = True
+    assert "p_fail=0.25" in repr(spec)
 
 
 def test_fbqc_spec_validation():
@@ -112,16 +110,21 @@ def test_link_matches_raw_fusion():
     assert rgs_link_probability(spec_t, 0.92) == transversal_fusion(code, fm).p_success
 
 
-def test_end_to_end_composition():
-    spec = RepeaterSpec(tree_code([2, 1]), p_fail=0.5, stations=3)
+def test_end_to_end_composition(capsys):
+    spec = RepeaterSpec(tree_code([2, 1]), p_fail=0.5)
     p1 = rgs_link_probability(spec, 0.95)
     # [DERIVED: frozen from exact enumeration]
     assert p1 == pytest.approx(0.62482810703125, abs=1e-12)
-    assert end_to_end(spec, 0.95) == pytest.approx(p1 ** 3, abs=1e-15)
-    assert end_to_end(spec, 0.95, stations=5) == pytest.approx(p1 ** 5, abs=1e-15)
-    assert end_to_end(spec, 0.95, stations=1) == pytest.approx(p1, abs=1e-15)
-    with pytest.raises(ValueError):
-        end_to_end(spec, 0.95, stations=0)
+    # stations link independently, so a chain of them succeeds with p1 ** depth
+    for depth in (1, 3, 5):
+        assert main(["rgs", "--graph", "tree:2,1", "--pfail", "0.5",
+                     "--eta", "0.95", "--depth", str(depth),
+                     "--format", "json"]) == EXIT_OK
+        (row,) = json.loads(capsys.readouterr().out)["result"]
+        assert row["p_link"] == p1
+        assert row["p_end_to_end"] == pytest.approx(p1 ** depth, abs=1e-15)
+    assert main(["rgs", "--graph", "tree:2,1", "--eta", "0.95",
+                 "--depth", "0"]) == EXIT_VALIDATION
 
 
 def test_adaptive_never_below_transversal_link():
@@ -188,7 +191,6 @@ def test_erasure_identity_under_randomization():
     # [TRIVIAL: 50/50 randomization splits failures between the parities]
     r = adaptive_fusion(pentagon_code(), FusionModel(0.5, 0.93),
                         randomize_failures=True)
-    assert r.erasure_xx == pytest.approx(r.erasure_zz, abs=1e-15)
     assert r.erasure_xx == pytest.approx(
         r.p_loss_logical + 0.5 * r.p_fail_logical, abs=1e-15)
 
@@ -205,26 +207,3 @@ def test_star_code_has_no_threshold():
     # A bare star cannot protect both parities at once.
     spec = FbqcSpec(star_code(4), p_fail=0.5, adaptive=True)
     assert fbqc_loss_threshold(spec) == 0.0
-
-
-# -- csv tables -------------------------------------------------------------------
-
-
-def test_link_table_csv():
-    spec = RepeaterSpec(tree_code([2, 1]), p_fail=0.5)
-    text = link_table_csv(spec, [0.0, 0.05])
-    lines = text.strip().splitlines()
-    assert lines[0] == "ell,p_link"
-    assert len(lines) == 3
-    ell, p = lines[2].split(",")
-    assert float(ell) == 0.05
-    assert float(p) == pytest.approx(rgs_link_probability(spec, 0.95), abs=1e-9)
-
-
-def test_threshold_table_csv():
-    text = threshold_table_csv(shor_22_code(), [0.5, 0.25], adaptive=False)
-    lines = text.strip().splitlines()
-    assert lines[0] == "p_fail,loss_threshold"
-    assert len(lines) == 3
-    assert float(lines[1].split(",")[1]) == 0.0
-    assert float(lines[2].split(",")[1]) == pytest.approx(0.0271, abs=2e-4)

@@ -1,8 +1,15 @@
-"""Command-line tests: subcommand behavior, exit codes, artifact headers."""
+"""Command-line tests: subcommand behavior, exit codes, artifact headers,
+and the names the benchmark's layer tracer wraps."""
 
+import importlib
+import importlib.util
 import json
+import os
+import pkgutil
 
 import pytest
+
+import graphcode_lt
 
 from graphcode_lt.cli import (
     EXIT_CHECK,
@@ -100,6 +107,19 @@ def test_exit_code_validation_error():
                  "--eta", "0.9"]) == EXIT_VALIDATION
     assert main(["mc-check", "--graph", "pentagon", "--trials", "0"]) == \
         EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc-check", "--graph", "pentagon", "--out", "x.txt"],
+    ["mc-check", "--graph", "pentagon", "--format", "json"],
+    ["tree", "--graph", "pentagon", "--format", "csv"],
+    ["search", "arbitrary", "--graph", "n:4", "--format", "json"],
+])
+def test_flags_a_command_would_ignore_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_PARSE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_exit_code_resource_error():
@@ -293,3 +313,33 @@ def test_version_flag_exits_cleanly():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+# -- public surface -----------------------------------------------------------------
+
+
+def _load_layertrace():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "layertrace.py")
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_and_exports_are_bound():
+    layertrace = _load_layertrace()
+    for table in (layertrace.SPANS, layertrace.COUNTED):
+        for name, targets in table.items():
+            for mod_name, attr in targets:
+                module = importlib.import_module(f"graphcode_lt.{mod_name}")
+                if "." in attr:
+                    cls_name, meth = attr.split(".")
+                    # the tracer patches the method on the class itself
+                    assert meth in vars(getattr(module, cls_name)), (name, attr)
+                else:
+                    assert callable(getattr(module, attr, None)), (name, attr)
+    for info in pkgutil.iter_modules(graphcode_lt.__path__):
+        module = importlib.import_module(f"graphcode_lt.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)

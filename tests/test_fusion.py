@@ -23,7 +23,6 @@ from graphcode_lt.fusion import (
     AdaptiveFusionAnalysis,
     FusionModel,
     adaptive_fusion,
-    best_boosted,
     boosted_baseline,
     compile_failure_bases,
     transversal_fusion,
@@ -88,14 +87,12 @@ def test_boosted_baseline_values():
     assert boosted_baseline(3, 1.0) == pytest.approx(0.875)
     # [DERIVED: direct evaluation]
     assert boosted_baseline(2, 0.99) == pytest.approx(0.75 * 0.99 ** 4, abs=1e-15)
-    assert best_boosted(1.0) == pytest.approx(1.0 - 2.0 ** -8)
 
 
 def test_erasure_is_half_failure_plus_loss():
     r = transversal_fusion(star_code(2), FusionModel(0.5, 0.9))
     want = r.p_loss_logical + 0.5 * r.p_fail_logical
     assert r.erasure_xx == pytest.approx(want, abs=1e-15)
-    assert r.erasure_zz == r.erasure_xx
 
 
 # -- transversal engine ------------------------------------------------------------

@@ -23,12 +23,11 @@ from graphcode_lt.graphs import (
     graph_state_generators,
     lc_orbit,
     local_complement,
-    orbit_key,
     path_graph,
     star_graph,
 )
 
-from _oracles import lexmin_canonical_form
+from _oracles import lexmin_canonical_form, orbit_key
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

@@ -16,7 +16,7 @@ import pytest
 
 import graphcode_lt
 from graphcode_lt.codes import GraphCode, pentagon_code, star_code
-from graphcode_lt.graphs import Graph, local_complement, orbit_key
+from graphcode_lt.graphs import Graph, local_complement
 from graphcode_lt.search import (
     Objective,
     ScoredCandidate,
@@ -34,6 +34,7 @@ from _oracles import (
     equivalence_class_count,
     evaluate_masks,
     optimal_pauli_tree_value,
+    orbit_key,
     rooted_representatives_reference,
 )
 
