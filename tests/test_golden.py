@@ -37,10 +37,12 @@ from graphcode_lt.fusion import (
 )
 from graphcode_lt.graphs import Graph
 from graphcode_lt.losstree import (
+    _strategies,
     build_arbitrary_tree,
     build_pauli_tree,
     success_polynomial,
 )
+from graphcode_lt.opsets import EXHAUSTIVE_LIMIT
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden.json")
 
@@ -72,6 +74,11 @@ def _codes() -> dict:
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _strategies_text(code: GraphCode) -> str:
+    return repr([(t.first.to_string(), t.second.to_string(), t.output)
+                 for t in _strategies(code, EXHAUSTIVE_LIMIT)])
 
 
 def _terms_text(analysis: AdaptiveFusionAnalysis) -> str:
@@ -112,6 +119,14 @@ def golden_digests() -> dict:
             counts = _transversal_counts(code, bases, TRANSVERSAL_LIMIT)
             out[f"{name}|transversal-{label}"] = _sha(
                 repr(sorted(counts.items())))
+    # one 14-qubit code, past the transversal limit: its strategy pairs,
+    # arbitrary tree and the ML-check extension of that tree
+    code = tree_code([2, 3, 1])
+    tree = build_arbitrary_tree(code)
+    out["tree:2,3,1|strategies"] = _sha(_strategies_text(code))
+    out["tree:2,3,1|arbitrary|tree"] = _sha(tree.to_json())
+    out["tree:2,3,1|arbitrary|errors"] = _sha(
+        _entries_text(ErrorAnalysis(code, tree)))
     return out
 
 
