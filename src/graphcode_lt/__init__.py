@@ -42,11 +42,7 @@ from .opsets import (
     enumerate_nontrivial,
     stabilizer_group,
 )
-from .polynomials import (
-    LossPolynomial,
-    break_even,
-    equivalent_univariate,
-)
+from .polynomials import LossPolynomial, break_even
 from .losstree import (
     DecisionTree,
     MCResult,

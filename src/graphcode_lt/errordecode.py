@@ -3,6 +3,8 @@
 Once the loss decoder secures its target, the unspent qubits are used for
 stabilizer checks (chosen greedily, re-chosen whenever a check qubit is
 lost), attempted by the loss decoders' shared recursion, ``losstree.grow``.
+Each choice filters and ranks the code's stabilizers with a few numpy
+array operations over their packed letter masks.
 Each decoded leaf gets an exact syndrome table over all outcome-flip
 strings; summing leaves, with decoder failure counted as a fault, gives
 the combined fault probability.  Iterating the per-basis logical flip map
@@ -22,13 +24,12 @@ from .losstree import (
     build_pauli_tree,
     grow,
 )
-from .opsets import ResourceLimitError, stabilizer_group
+from .opsets import ResourceLimitError, stabilizer_pool
 from .pauli import (
     Basis,
     MeasurementPattern,
     PauliOperator,
     PauliSpan,
-    fits,
     iter_bits,
 )
 from .polynomials import LossPolynomial
@@ -102,39 +103,41 @@ def _masked_targets(leaf: Leaf) -> tuple[PauliOperator, ...]:
     return tuple(PauliOperator(t.n, t.x & keep, t.z & keep) for t in leaf.targets)
 
 
-def _greedy_checks(pattern: MeasurementPattern, targets, group) -> tuple:
-    """Independent qubit-wise-commuting checks, greedily ranked by overlap
-    with the target supports; deterministic.
+def _greedy_checks(code: GraphCode, pattern: MeasurementPattern,
+                   targets) -> tuple:
+    """Independent qubit-wise-commuting stabilizer checks, greedily ranked
+    by overlap with the target supports; deterministic.
 
-    Checks whose parity is a product of already chosen ones are skipped:
-    their outcome bit is the XOR of the others' and adds no syndrome
-    information.
+    The masks of ``opsets.stabilizer_pool`` (the non-identity stabilizers
+    in (weight, x, z) order) are ANDed with the letters ``pattern`` denies
+    in one array operation, which keeps the measurable checks in pool
+    order.  A stable argsort on minus the target overlap (counted one
+    target qubit at a time) then ranks them by (-overlap, weight, x, z),
+    the order of sorting the measurable stabilizers on that key.  Checks
+    whose parity is a product of already chosen ones are skipped: their
+    outcome bit is the XOR of the others' and adds no syndrome information.
     """
+    ops, masks, supports = stabilizer_pool(code)
     target_support = 0
     for t in targets:
         target_support |= t.support
-    allowed = pattern.allowed(True)
-    cands = [s for s in group if s.weight and fits(s.masks, allowed)]
-    cands.sort(key=lambda s: (-(s.support & target_support).bit_count(),
-                              s.weight, s.x, s.z))
+    # Pauli masks use the low 3n bits; the top n of ``allowed`` are A
+    deny = ~pattern.allowed(True) & ((1 << 3 * pattern.n) - 1)
+    keep = np.flatnonzero((masks & np.uint64(deny)) == 0)
+    kept = supports[keep]
+    overlap = np.zeros(len(keep), dtype=np.int64)
+    for q in iter_bits(target_support):
+        overlap += (kept >> q) & 1
     chosen: list[PauliOperator] = []
     span = PauliSpan(pattern.n)
-    for cand in cands:
+    for i in keep[np.argsort(-overlap, kind="stable")].tolist():
+        cand = ops[i]
         if not all(qubitwise_commuting(cand, c) for c in chosen):
             continue
         if not span.add(cand):
             continue
         chosen.append(cand)
     return tuple(chosen)
-
-
-def choose_checks(leaf: Leaf, surviving_stabilizers) -> CheckSet:
-    """Check set for a success leaf, from the surviving stabilizer group."""
-    if not leaf.success:
-        raise ValueError("checks apply to success leaves only")
-    targets = _masked_targets(leaf)
-    return CheckSet(targets, _greedy_checks(leaf.pattern, targets,
-                                            tuple(surviving_stabilizers)))
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
@@ -233,12 +236,11 @@ class ErrorAnalysis:
     def __init__(self, code: GraphCode, tree: DecisionTree):
         self.code = code
         self.tree = tree
-        group = tuple(stabilizer_group(code))
         entries: list[_ExtendedLeaf] = []
 
         def step(pattern: MeasurementPattern, leaf: Leaf):
             targets = _masked_targets(leaf)
-            chosen = _greedy_checks(pattern, targets, group)
+            chosen = _greedy_checks(code, pattern, targets)
             pending = 0
             for c in chosen:
                 pending |= c.support & pattern.unmeasured

@@ -283,16 +283,22 @@ def _strategies(code: GraphCode, limit: int) -> tuple[Target, ...]:
 
     Such a pair always anticommutes: equal letters commute, and two
     different non-identity letters anticommute on the one qubit, so no
-    commutation test is needed."""
+    commutation test is needed.  For operator i, one numpy pass over the
+    (x, z) arrays of operators i+1, i+2, ... forms d = (x_i & z_j) ^
+    (z_i & x_j), whose bit q is set exactly where the two letters on q
+    are different and both non-identity (they anticommute there).  It
+    keeps the j with one bit in d (``d != 0 and d & (d - 1) == 0``) in
+    increasing order, so pairs come out in the (i, j) order of the double
+    loop over the operator set.
+    """
     ops = enumerate_nontrivial(code, "AllLogical", limit).operators
+    x, z = np.array([(op.x, op.z) for op in ops], dtype=np.int64).reshape(-1, 2).T
     out = []
     for i, a in enumerate(ops):
-        for b in ops[i + 1:]:
-            # qubits where both act, with different letters
-            both = (a.x | a.z) & (b.x | b.z)
-            differ = both & ((a.x ^ b.x) | (a.z ^ b.z))
-            if differ.bit_count() == 1:
-                out.append(Target(a, b, next(iter_bits(differ))))
+        d = (x[i] & z[i + 1:]) ^ (z[i] & x[i + 1:])
+        hit = np.flatnonzero((d != 0) & (d & (d - 1) == 0))
+        for j, bit in zip(hit.tolist(), d[hit].tolist()):
+            out.append(Target(a, ops[i + 1 + j], bit.bit_length() - 1))
     return tuple(out)
 
 

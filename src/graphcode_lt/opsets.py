@@ -3,19 +3,24 @@
 For a code on n qubits the stabilizer group has 2^(n-1) elements and each
 logical class is a coset of it.  Decoding works with the non-trivial coset
 members: those that cannot be written as a smaller-weight operator times a
-stabilizer of disjoint support.
+stabilizer of disjoint support, tested for a whole chunk of a class at a
+time against every stabilizer's packed letter mask.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .codes import GraphCode, per_code
-from .pauli import PauliOperator, fits
+from .pauli import PauliOperator
 
 KINDS = ("Stabilizers", "LogicalX", "LogicalY", "LogicalZ", "AllLogical")
 
 EXHAUSTIVE_LIMIT = 14
+# bytes of one chunk's temporary in the non-triviality test
+CHUNK_BYTES = 1 << 20
 
 
 class ResourceLimitError(RuntimeError):
@@ -80,16 +85,34 @@ def stabilizer_group(code: GraphCode) -> tuple[PauliOperator, ...]:
     return tuple(members)
 
 
-def _nontrivial(masks: tuple, stabilizer_masks: list) -> bool:
-    for s in stabilizer_masks:
-        if fits(s, masks):
-            return False
-    return True
+@per_code
+def stabilizer_pool(code: GraphCode) -> tuple:
+    """The non-identity stabilizers sorted by (weight, x, z), with their
+    packed letter masks (``PauliOperator.masks``) as a uint64 array and
+    their supports as an int64 array, both in that order."""
+    ops = sorted((s for s in stabilizer_group(code) if s.x | s.z),
+                 key=lambda s: (s.weight, s.x, s.z))
+    return (tuple(ops), np.array([s.masks for s in ops], dtype=np.uint64),
+            np.array([s.support for s in ops], dtype=np.int64))
 
 
-def _logical_class(code: GraphCode, which: str) -> list[PauliOperator]:
-    rep = code.logical(which)
-    return [rep * s for s in stabilizer_group(code)]
+def _nontrivial(ops: list, stabilizer_masks: np.ndarray) -> list:
+    """The members of ``ops`` no non-identity stabilizer fits inside, in
+    their given order.
+
+    A stabilizer fits inside ``op`` when every one of its letters is one
+    of ``op``'s (``pauli.fits`` on packed masks); then ``op`` is a
+    smaller-weight operator times that stabilizer, of disjoint support.
+    The test runs on chunks of ``ops`` against every stabilizer at once,
+    each chunk's AND-and-compare temporary held to ``CHUNK_BYTES``; the
+    survivors keep their order because the chunks are joined in order and
+    ``flatnonzero`` returns indices in increasing order.
+    """
+    deny = ~np.array([op.masks for op in ops], dtype=np.uint64)[:, None]
+    rows = max(1, CHUNK_BYTES // (8 * max(1, len(stabilizer_masks))))
+    trivial = [((stabilizer_masks & deny[lo:lo + rows]) == 0).any(axis=1)
+               for lo in range(0, len(ops), rows)]
+    return [ops[i] for i in np.flatnonzero(~np.concatenate(trivial)).tolist()]
 
 
 @per_code
@@ -113,8 +136,7 @@ def enumerate_nontrivial(code: GraphCode, kind: str,
         for sub in ("LogicalX", "LogicalY", "LogicalZ"):
             ops.extend(enumerate_nontrivial(code, sub, limit).operators)
         return OperatorSet(kind, ops, code)
-    which = kind[-1]
-    stabilizer_masks = [s.masks for s in stabilizer_group(code) if s.x | s.z]
-    ops = [op for op in _logical_class(code, which)
-           if _nontrivial(op.masks, stabilizer_masks)]
-    return OperatorSet(kind, ops, code)
+    rep = code.logical(kind[-1])
+    members = [rep * s for s in stabilizer_group(code)]
+    return OperatorSet(kind, _nontrivial(members, stabilizer_pool(code)[1]),
+                       code)

@@ -21,7 +21,7 @@ _ZERO4 = (0, 0, 0, 0)
 class LossPolynomial:
     """Sum of mult * prod_M eta_M^a_M (1-eta_M)^b_M with integer mults."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_sums")
 
     def __init__(self, terms: dict | None = None):
         clean = {}
@@ -30,6 +30,7 @@ class LossPolynomial:
                 if mult:
                     clean[key] = clean.get(key, 0) + mult
         object.__setattr__(self, "terms", dict(clean))
+        object.__setattr__(self, "_sums", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LossPolynomial is immutable")
@@ -96,11 +97,19 @@ class LossPolynomial:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, eta: float) -> float:
-        """Homogeneous evaluation: every basis sees the same transmission."""
+        """Homogeneous evaluation: every basis sees the same transmission.
+
+        Reads one (mult, sum(a), sum(b)) row per term, built on the first
+        call; the terms are summed in their order with the same float
+        operations as a loop over ``terms``, so the value is that loop's
+        bit for bit."""
+        if self._sums is None:
+            object.__setattr__(self, "_sums", tuple(
+                (mult, sum(a), sum(b)) for (a, b), mult in self.terms.items()))
         total = 0.0
         loss = 1.0 - eta
-        for (a, b), mult in self.terms.items():
-            total += mult * eta ** sum(a) * loss ** sum(b)
+        for mult, a, b in self._sums:
+            total += mult * eta ** a * loss ** b
         return total
 
     def evaluate_heterogeneous(self, etas: dict) -> float:
@@ -176,11 +185,6 @@ class LossPolynomial:
 
     def __repr__(self) -> str:
         return f"LossPolynomial({self.to_string()})"
-
-
-def equivalent_univariate(p: LossPolynomial, q: LossPolynomial) -> bool:
-    """Equality of the homogeneous expansions (per-basis detail ignored)."""
-    return p.eta_coefficients() == q.eta_coefficients()
 
 
 def break_even(poly: LossPolynomial, tol: float = 1e-6) -> float | None:

@@ -467,6 +467,54 @@ def strategies_reference(code, limit: int) -> list[tuple]:
     return out
 
 
+# -- operator filter, check choice and evaluation, one item at a time ------------
+
+
+def nontrivial_reference(ops, stabilizers) -> list:
+    """``opsets._nontrivial`` one operator and one stabilizer at a time:
+    the members of ``ops``, in order, inside which no non-identity
+    stabilizer fits."""
+    masks = [s.masks for s in stabilizers if s.x | s.z]
+    out = []
+    for op in ops:
+        letters = op.masks
+        if not any(fits(m, letters) for m in masks):
+            out.append(op)
+    return out
+
+
+def greedy_checks_reference(pattern, targets, group) -> tuple:
+    """``errordecode._greedy_checks`` over a stabilizer group: keep the
+    non-identity members measurable under ``pattern``, sort them by
+    (-target overlap, weight, x, z), then choose greedily."""
+    target_support = 0
+    for t in targets:
+        target_support |= t.support
+    allowed = pattern.allowed(True)
+    cands = [s for s in group if s.weight and fits(s.masks, allowed)]
+    cands.sort(key=lambda s: (-(s.support & target_support).bit_count(),
+                              s.weight, s.x, s.z))
+    chosen: list[PauliOperator] = []
+    span = PauliSpan(pattern.n)
+    for cand in cands:
+        if not all(qubitwise_commuting(cand, c) for c in chosen):
+            continue
+        if not span.add(cand):
+            continue
+        chosen.append(cand)
+    return tuple(chosen)
+
+
+def evaluate_reference(poly, eta: float) -> float:
+    """``LossPolynomial.evaluate`` as a loop over the terms, summing each
+    term's exponents on every call."""
+    total = 0.0
+    loss = 1.0 - eta
+    for (a, b), mult in poly.terms.items():
+        total += mult * eta ** sum(a) * loss ** sum(b)
+    return total
+
+
 # -- adaptive fusion term by term -----------------------------------------------
 
 

@@ -12,7 +12,6 @@ import pytest
 import graphcode_lt
 
 from graphcode_lt.cli import (
-    EXIT_CHECK,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,

@@ -5,15 +5,14 @@ itertools and dict tables, sharing no code path with the numpy syndrome
 tables it verifies.
 """
 
-import math
+import random
 from collections import defaultdict
 from itertools import product
 
 import pytest
 
-from _oracles import exhaustive_checks
+from _oracles import exhaustive_checks, greedy_checks_reference
 from graphcode_lt.codes import (
-    GraphCode,
     branched_chain_code,
     cube_code,
     decorated_pentagon_code,
@@ -24,7 +23,8 @@ from graphcode_lt.errordecode import (
     CheckSet,
     ErrorAnalysis,
     ErrorModel,
-    choose_checks,
+    _greedy_checks,
+    _masked_targets,
     error_threshold,
     fault_probability,
     logical_flip_rates,
@@ -32,7 +32,6 @@ from graphcode_lt.errordecode import (
     physical_fault,
     qubitwise_commuting,
 )
-from graphcode_lt.graphs import Graph
 from graphcode_lt.losstree import (
     Leaf,
     _strategies,
@@ -42,7 +41,8 @@ from graphcode_lt.losstree import (
 )
 from graphcode_lt.opsets import ResourceLimitError, stabilizer_group
 from graphcode_lt.pauli import MeasurementPattern, PauliOperator, PauliSpan, iter_bits
-from graphcode_lt.polynomials import LossPolynomial, break_even, equivalent_univariate
+from graphcode_lt.polynomials import LossPolynomial, break_even
+from test_golden import _codes as golden_codes
 
 
 def no_loss_leaf(tree) -> Leaf:
@@ -51,6 +51,12 @@ def no_loss_leaf(tree) -> Leaf:
         node = node.on_detect
     assert node.success
     return node
+
+
+def checks_for(code, leaf: Leaf) -> CheckSet:
+    """The check set ``ErrorAnalysis`` measures at a success leaf."""
+    targets = _masked_targets(leaf)
+    return CheckSet(targets, _greedy_checks(code, leaf.pattern, targets))
 
 
 def reference_ml(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
@@ -126,7 +132,7 @@ def test_cube_no_loss_checks_three_independent_weight_four():
     cube = cube_code()
     leaf = no_loss_leaf(build_pauli_tree(cube, "Z"))
     group = stabilizer_group(cube)
-    cs = choose_checks(leaf, group)
+    cs = checks_for(cube, leaf)
     assert len(cs.checks) == 3
     assert all(c.weight == 4 for c in cs.checks)
     span = PauliSpan(cube.n, cs.checks)
@@ -144,7 +150,7 @@ def test_single_qubit_code_empty_checks():
     # [TRIVIAL] a one-qubit code has no non-identity stabilizers
     code = star_code(1)
     leaf = no_loss_leaf(build_pauli_tree(code, "Z"))
-    cs = choose_checks(leaf, stabilizer_group(code))
+    cs = checks_for(code, leaf)
     assert cs.checks == ()
 
 
@@ -157,15 +163,36 @@ def test_pentagon_greedy_matches_exhaustive_audit():
     em = ErrorModel(0.02)
     for tree in (build_pauli_tree(pent, "Z"), build_arbitrary_tree(pent)):
         leaf = no_loss_leaf(tree)
-        cs = choose_checks(leaf, group)
+        cs = checks_for(pent, leaf)
         _, best_err = exhaustive_checks(leaf, group, em)
         assert ml_logical_error(leaf, cs, em) == pytest.approx(best_err, abs=1e-12)
 
 
-def test_choose_checks_rejects_failure_leaf():
-    leaf = Leaf("failure", MeasurementPattern(2))
-    with pytest.raises(ValueError):
-        choose_checks(leaf, ())
+def test_greedy_checks_match_group_scan():
+    # the array kernel against the scan over the whole group: every
+    # success leaf of the golden codes' trees, then random prospective
+    # patterns with random logical targets
+    codes = list(golden_codes().values())
+    for code in codes:
+        group = stabilizer_group(code)
+        trees = [build_pauli_tree(code, b) for b in "XYZ"]
+        trees.append(build_arbitrary_tree(code))
+        for tree in trees:
+            for leaf in tree.leaves():
+                if leaf.success:
+                    targets = _masked_targets(leaf)
+                    assert _greedy_checks(code, leaf.pattern, targets) == \
+                        greedy_checks_reference(leaf.pattern, targets, group)
+    rng = random.Random(11)
+    for _ in range(200):
+        code = rng.choice(codes)
+        group = stabilizer_group(code)
+        pattern = MeasurementPattern.from_chars("".join(
+            rng.choice("..XYZA_") for _ in range(code.n)))
+        targets = tuple(code.logical(rng.choice("XYZ")) * rng.choice(group)
+                        for _ in range(rng.randint(1, 2)))
+        assert _greedy_checks(code, pattern, targets) == \
+            greedy_checks_reference(pattern, targets, group)
 
 
 def test_exhaustive_checks_cap():
@@ -198,7 +225,7 @@ def test_pentagon_no_loss_weight_two_parity():
     # so the closed-form parity value survives end to end
     pent = pentagon_code()
     leaf = no_loss_leaf(build_pauli_tree(pent, "Z"))
-    cs = choose_checks(leaf, stabilizer_group(pent))
+    cs = checks_for(pent, leaf)
     em = ErrorModel(0.02)
     r = 0.04
     assert ml_logical_error(leaf, cs, em) == pytest.approx(
@@ -208,7 +235,7 @@ def test_pentagon_no_loss_weight_two_parity():
 def test_ml_bounds_and_monotone_in_lambda():
     cube = cube_code()
     leaf = no_loss_leaf(build_pauli_tree(cube, "Z"))
-    cs = choose_checks(leaf, stabilizer_group(cube))
+    cs = checks_for(cube, leaf)
     # monotone only while each flip rate 2*lambda stays below 1/2
     grid = [i / 80 for i in range(21)]
     values = [ml_logical_error(leaf, cs, ErrorModel(lam)) for lam in grid]
@@ -222,14 +249,13 @@ def test_ml_matches_bruteforce_reference():
              star_code(4)]
     em = ErrorModel(0.03)
     for code in codes:
-        group = stabilizer_group(code)
         trees = [build_pauli_tree(code, b) for b in "XYZ"]
         trees.append(build_arbitrary_tree(code))
         for tree in trees:
             for leaf in tree.leaves():
                 if not leaf.success:
                     continue
-                cs = choose_checks(leaf, group)
+                cs = checks_for(code, leaf)
                 got = ml_logical_error(leaf, cs, em)
                 want = reference_ml(leaf, cs, em)
                 assert got == pytest.approx(want, abs=1e-12)
@@ -253,13 +279,12 @@ def test_arbitrary_error_never_below_output_rate():
     # set can push the leaf error under 3*lambda
     for code in (pentagon_code(), decorated_pentagon_code()):
         tree = build_arbitrary_tree(code)
-        group = stabilizer_group(code)
         for lam in (0.01, 0.05, 0.1):
             em = ErrorModel(lam)
             for leaf in tree.leaves():
                 if not leaf.success:
                     continue
-                cs = choose_checks(leaf, group)
+                cs = checks_for(code, leaf)
                 assert ml_logical_error(leaf, cs, em) >= 3 * lam - 1e-12
 
 
@@ -268,7 +293,7 @@ def test_cube_ml_quadratic_at_low_lambda():
     # residual is the two-flip coefficient C(7,2)*(2*lambda)^2 = 84*lambda^2
     cube = cube_code()
     leaf = no_loss_leaf(build_pauli_tree(cube, "Z"))
-    cs = choose_checks(leaf, stabilizer_group(cube))
+    cs = checks_for(cube, leaf)
     for lam in (1e-3, 1e-4):
         err = ml_logical_error(leaf, cs, ErrorModel(lam))
         assert 75.0 < err / lam**2 < 90.0
@@ -322,7 +347,7 @@ def test_extension_conserves_probability():
         total = LossPolynomial.zero()
         for entry in analysis.entries:
             total = total + entry.monomial
-        assert equivalent_univariate(total, LossPolynomial.one())
+        assert total.eta_coefficients() == {0: 1}
 
 
 def test_cube_fault_ratio_break_even():

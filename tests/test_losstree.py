@@ -27,7 +27,6 @@ from graphcode_lt.graphs import Graph, path_graph, star_graph
 from graphcode_lt.losstree import (
     DecisionTree,
     Leaf,
-    MeasureNode,
     build_arbitrary_tree,
     build_pauli_tree,
     _strategies,
@@ -42,9 +41,10 @@ from graphcode_lt.losstree import (
 from graphcode_lt.graphs import lc_orbit
 from graphcode_lt.opsets import enumerate_nontrivial
 from graphcode_lt.pauli import commutes_qubitwise, fits
-from graphcode_lt.polynomials import LossPolynomial, equivalent_univariate
+from graphcode_lt.polynomials import LossPolynomial
 
-from _oracles import optimal_success, strategies_reference
+from _oracles import evaluate_reference, optimal_success, strategies_reference
+from test_golden import _codes as golden_codes
 
 
 def random_code(rng: random.Random, n_vertices: int) -> GraphCode:
@@ -108,9 +108,8 @@ def test_probability_conservation():
         code = random_code(rng, rng.randint(3, 8))
         trees.append(build_pauli_tree(code, rng.choice("XYZ")))
         trees.append(build_arbitrary_tree(code))
-    one = LossPolynomial.one()
     for tree in trees:
-        assert equivalent_univariate(total_polynomial(tree), one), tree.kind
+        assert total_polynomial(tree).eta_coefficients() == {0: 1}, tree.kind
 
 
 def test_monotone_in_eta():
@@ -120,6 +119,20 @@ def test_monotone_in_eta():
         poly = success_polynomial(build_arbitrary_tree(code))
         values = [poly.evaluate(k / 40) for k in range(41)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_evaluate_matches_term_loop_bit_for_bit():
+    # the cached per-term exponent sums change no float: every golden
+    # success polynomial, on a grid evaluated twice (first call builds)
+    grid = [k / 200 for k in range(201)]
+    for code in golden_codes().values():
+        trees = [build_pauli_tree(code, b) for b in "XYZ"]
+        trees.append(build_arbitrary_tree(code))
+        for tree in trees:
+            poly = success_polynomial(tree)
+            want = [evaluate_reference(poly, eta) for eta in grid]
+            assert [poly.evaluate(eta) for eta in grid] == want
+            assert [poly.evaluate(eta) for eta in grid] == want
 
 
 # -- break-even --------------------------------------------------------------------

@@ -14,12 +14,14 @@ import random
 import numpy as np
 import pytest
 
-from _oracles import dense, graph_state_vector
-from graphcode_lt.codes import GraphCode, pentagon_code, star_code
-from graphcode_lt.graphs import Graph, path_graph, star_graph
+from _oracles import dense, graph_state_vector, nontrivial_reference
+from graphcode_lt.codes import GraphCode, pentagon_code, star_code, tree_code
+from graphcode_lt.graphs import Graph, path_graph
 from graphcode_lt.opsets import (
+    CHUNK_BYTES,
     OperatorSet,
     ResourceLimitError,
+    _nontrivial,
     enumerate_nontrivial,
     stabilizer_group,
 )
@@ -103,6 +105,19 @@ def test_nontrivial_filter_matches_reference():
                     if _nontrivial_reference(op, group)}
             got = enumerate_nontrivial(code, "Logical" + which)
             assert set(got.operators) == want
+    # a logical class longer than one chunk, against the mask test run one
+    # operator and one stabilizer at a time; order is kept
+    code = tree_code([2, 2, 1])
+    group = stabilizer_group(code)
+    stabilizer_masks = np.array([s.masks for s in group if s.x | s.z],
+                                dtype=np.uint64)
+    for which in "XYZ":
+        members = [code.logical(which) * s for s in group]
+        assert len(members) > CHUNK_BYTES // (8 * len(stabilizer_masks))
+        want = nontrivial_reference(members, group)
+        assert _nontrivial(members, stabilizer_masks) == want
+        assert enumerate_nontrivial(code, "Logical" + which) == OperatorSet(
+            "Logical" + which, want, code)
 
 
 def test_star_logical_z_is_single_x_ops():

@@ -19,8 +19,6 @@ from graphcode_lt.codes import GraphCode, pentagon_code, star_code
 from graphcode_lt.graphs import Graph, local_complement
 from graphcode_lt.search import (
     Objective,
-    ScoredCandidate,
-    SearchResult,
     enumerate_candidates,
     evaluate_objective,
     optimize,
