@@ -67,7 +67,6 @@ from .fusion import (
     FusionModel,
     LogicalFusionResult,
     adaptive_fusion,
-    boosted_baseline,
     transversal_fusion,
 )
 from .modular import (

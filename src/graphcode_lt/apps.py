@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .codes import GraphCode
 from .fusion import FusionModel, LogicalFusionResult, adaptive_fusion, transversal_fusion
+from .polynomials import bisect
 
 __all__ = [
     "ERASURE_BUDGET",
@@ -111,13 +112,7 @@ def fbqc_loss_threshold(spec: FbqcSpec, tol: float = 1e-4) -> float:
         result = _fuse(spec.code, fm, spec.adaptive, randomize=True)
         return result.erasure_xx < spec.erasure_budget
 
-    lo, hi = 0.0, 1.0
-    if not inside(lo):
+    if not inside(0.0):
         return 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(inside, 0.0, 1.0, tol)
     return 0.5 * (lo + hi)

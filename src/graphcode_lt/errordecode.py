@@ -5,10 +5,13 @@ stabilizer checks (chosen greedily, re-chosen whenever a check qubit is
 lost), attempted by the loss decoders' shared recursion, ``losstree.grow``.
 Each choice filters and ranks the code's stabilizers with a few numpy
 array operations over their packed letter masks.
-Each decoded leaf gets an exact syndrome table over all outcome-flip
-strings; summing leaves, with decoder failure counted as a fault, gives
-the combined fault probability.  Iterating the per-basis logical flip map
-yields concatenation error thresholds.
+The loss tree and each leaf's check extension are read with the same
+walk as the success polynomial, ``losstree.paths``, which gives every
+extended leaf its probability monomial.  Each decoded leaf gets an exact
+syndrome table over all outcome-flip strings; summing leaves, with
+decoder failure counted as a fault, gives the combined fault
+probability.  Iterating the per-basis logical flip map yields
+concatenation error thresholds, bisected with ``polynomials.bisect``.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from .codes import GraphCode, per_code
 from .losstree import (
     DecisionTree,
     Leaf,
-    MeasureNode,
     build_arbitrary_tree,
     build_pauli_tree,
     grow,
+    paths,
 )
 from .opsets import ResourceLimitError, stabilizer_pool
 from .pauli import (
@@ -32,7 +35,7 @@ from .pauli import (
     PauliSpan,
     iter_bits,
 )
-from .polynomials import LossPolynomial
+from .polynomials import LossPolynomial, bisect
 
 ML_ENUMERATION_LIMIT = 20
 
@@ -251,20 +254,13 @@ class ErrorAnalysis:
             letter = next(c.letter_at(q) for c in chosen if c.letter_at(q) != "I")
             return q, Basis(letter), leaf, leaf
 
-        def walk(node, monomial: LossPolynomial):
-            if isinstance(node, MeasureNode):
-                kind = node.basis.kind
-                walk(node.on_detect, monomial.attempt(kind, lost=False))
-                walk(node.on_loss, monomial.attempt(kind, lost=True))
-            elif isinstance(node, _ExtendedLeaf):
-                node.monomial = monomial
-                entries.append(node)
-            elif node.success:
-                walk(grow(node.pattern, node, step), monomial)
-            else:
-                entries.append(_ExtendedLeaf(monomial, None, None))
-
-        walk(tree.root, LossPolynomial.one())
+        for leaf, key in paths(tree.root):
+            if not leaf.success:
+                entries.append(_ExtendedLeaf(LossPolynomial({key: 1}), None, None))
+                continue
+            for entry, ext_key in paths(grow(leaf.pattern, leaf, step), key):
+                entry.monomial = LossPolynomial({ext_key: 1})
+                entries.append(entry)
         self.entries = entries
 
     def fault_probability(self, eta: float, em: ErrorModel) -> float:
@@ -336,13 +332,6 @@ def error_threshold(code: GraphCode, iters: int = 24, tol: float = 1e-4,
                 return False
         return max(r) < 2 * lam
 
-    lo, high = 0.0, hi
-    if converges(high):
-        return high
-    while high - lo > tol:
-        mid = 0.5 * (lo + high)
-        if converges(mid):
-            lo = mid
-        else:
-            high = mid
-    return lo
+    if converges(hi):
+        return hi
+    return bisect(converges, 0.0, hi, tol)[0]

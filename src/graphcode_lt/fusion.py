@@ -50,7 +50,7 @@ from .opsets import EXHAUSTIVE_LIMIT, ResourceLimitError, stabilizer_group
 from .pauli import BASIS_FUSION, MeasurementPattern, fits, iter_bits
 
 __all__ = [
-    "FusionModel", "LogicalFusionResult", "boosted_baseline",
+    "FusionModel", "LogicalFusionResult",
     "transversal_fusion", "adaptive_fusion", "compile_failure_bases",
     "AdaptiveFusionAnalysis",
 ]
@@ -132,13 +132,6 @@ class LogicalFusionResult:
         return (f"LogicalFusionResult(success={self.p_success:.6f}, "
                 f"fail={self.p_fail_logical:.6f}, "
                 f"loss={self.p_loss_logical:.6f})")
-
-
-def boosted_baseline(m: int, eta: float) -> float:
-    """Success probability of a bare boosted fusion: (1 - 2^-m) eta^(2^m)."""
-    if m < 1:
-        raise ValueError(f"boost level must be >= 1, got {m}")
-    return (1.0 - 2.0 ** -m) * eta ** (2 ** m)
 
 
 # the outcome classes of a logical fusion, in LogicalFusionResult's order

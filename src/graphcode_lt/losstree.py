@@ -5,14 +5,19 @@ versus loss.  The Pauli decoder hunts for any fully measured non-trivial
 logical operator; the arbitrary decoder first locks in an output qubit
 (measured in the rotated basis) and then teleports the logical onto it by
 completing an anticommuting operator pair.  Trees are built once, then
-evaluated exactly (success polynomial), sampled (Monte Carlo), or walked
-per loss mask by the error decoder.
+evaluated exactly (success polynomial), sampled (Monte Carlo), decoded
+per loss mask, or extended with checks by the error decoder.
 
 Every adaptive decoder in the package is one recursion, ``grow``, driven
 by a per-decoder ``step``: both trees here, the per-side decoder of
 adaptive fusion and the error decoder's check extension.  Both kinds of
 target share one type, ``Target``, whose joint letter mask is matched
-against a pattern by ``pauli.fits``.
+against a pattern by ``pauli.fits``.  One walk, ``paths``, reads a built
+tree back: it yields each terminal node with the detected and lost
+attempt counts on its path, which are the exponents of its monomial in
+the success polynomial and in the error decoder's per-leaf sums.  The
+fusion side decoder needs only each leaf's attempt totals, which it reads
+off the leaf's pattern (``leaves``).
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from .pauli import (
     fits,
     iter_bits,
 )
-from .polynomials import LossPolynomial, break_even  # re-export break_even
+from .polynomials import BASES, LossPolynomial, break_even  # re-export break_even
 
 __all__ = [
-    "DecisionTree", "Leaf", "MeasureNode", "Target", "grow",
+    "DecisionTree", "Leaf", "MeasureNode", "Target", "grow", "paths",
     "build_pauli_tree", "build_arbitrary_tree", "success_polynomial",
     "total_polynomial", "monte_carlo_decode", "decode", "break_even",
     "load_or_build",
@@ -231,6 +236,30 @@ def leaves(node):
             yield node
 
 
+# the exponent slot of each attempted basis; a fusion attempt counts as A
+_SLOT = {kind: i for i, kind in enumerate(BASES)}
+_SLOT["fusion"] = _SLOT["A"]
+
+
+def paths(node, key=((0, 0, 0, 0), (0, 0, 0, 0))):
+    """Each terminal node of a measure/lose tree with its attempt key.
+
+    The key is ``((aX, aY, aZ, aA), (bX, bY, bZ, bA))``: ``key`` plus the
+    detected (a) and lost (b) attempts per basis on the path from
+    ``node``, so the node is reached with probability
+    prod_M eta_M^a_M (1-eta_M)^b_M.  Detected branches come first.
+    """
+    stack = [(node, key)]
+    while stack:
+        node, (a, b) = stack.pop()
+        if not isinstance(node, MeasureNode):
+            yield node, (a, b)
+            continue
+        i = _SLOT[node.basis.kind]
+        stack.append((node.on_loss, (a, b[:i] + (b[i] + 1,) + b[i + 1:])))
+        stack.append((node.on_detect, (a[:i] + (a[i] + 1,) + a[i + 1:], b)))
+
+
 # -- the two loss decoders -----------------------------------------------------
 
 
@@ -314,36 +343,22 @@ def build_arbitrary_tree(code: GraphCode,
 # -- evaluation ------------------------------------------------------------------
 
 
-def _tree_polynomial(tree: DecisionTree, leaf_value) -> LossPolynomial:
-    memo: dict[int, LossPolynomial] = {}
-
-    def rec(node) -> LossPolynomial:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Leaf):
-            poly = leaf_value(node)
-        else:
-            kind = node.basis.kind
-            poly = (rec(node.on_detect).attempt(kind, lost=False)
-                    + rec(node.on_loss).attempt(kind, lost=True))
-        memo[key] = poly
-        return poly
-
-    return rec(tree.root)
+def _count_paths(tree: DecisionTree, counted) -> LossPolynomial:
+    terms: dict = {}
+    for leaf, key in paths(tree.root):
+        if counted(leaf):
+            terms[key] = terms.get(key, 0) + 1
+    return LossPolynomial(terms)
 
 
 def success_polynomial(tree: DecisionTree) -> LossPolynomial:
     """Exact success probability, per-basis attempt exponents preserved."""
-    return _tree_polynomial(
-        tree,
-        lambda leaf: LossPolynomial.one() if leaf.success else LossPolynomial.zero(),
-    )
+    return _count_paths(tree, lambda leaf: leaf.success)
 
 
 def total_polynomial(tree: DecisionTree) -> LossPolynomial:
     """Sum over all leaves; must equal 1 identically (conservation check)."""
-    return _tree_polynomial(tree, lambda leaf: LossPolynomial.one())
+    return _count_paths(tree, lambda leaf: True)
 
 
 def decode(tree: DecisionTree, detected_mask: int) -> Leaf:

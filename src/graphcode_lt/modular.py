@@ -28,7 +28,7 @@ from .codes import GraphCode, per_code
 from .errordecode import logical_flip_rates
 from .graphs import Graph
 from .losstree import load_or_build, success_polynomial
-from .polynomials import LossPolynomial
+from .polynomials import LossPolynomial, bisect
 
 __all__ = [
     "LayerStack",
@@ -269,13 +269,7 @@ def fixed_point_threshold(code: GraphCode, bases=("X", "Y", "Z"),
     # A map that moves neither probe has no unstable crossing to bracket.
     if abs(settle(0.25) - 0.25) < 1e-6 and abs(settle(0.75) - 0.75) < 1e-6:
         return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if settle(mid) > 0.5:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect(lambda eta: settle(eta) <= 0.5, 0.0, 1.0, tol)
     return 1.0 - 0.5 * (lo + hi)
 
 

@@ -153,31 +153,28 @@ class PauliOperator:
 class Basis:
     """A single-qubit measurement basis.
 
-    ``kind`` is one of ``"X" | "Y" | "Z" | "A" | "fusion"``.  Arbitrary
-    bases A(theta) = X cos(theta) + Y sin(theta) keep their angle for
-    bookkeeping; the angle never enters loss analysis.
+    ``kind`` is one of ``"X" | "Y" | "Z" | "A" | "fusion"``.  An
+    arbitrary basis A(theta) = X cos(theta) + Y sin(theta) is recorded
+    without its angle, which never enters loss analysis.
     """
 
-    __slots__ = ("kind", "angle")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str, angle: float | None = None):
+    def __init__(self, kind: str):
         if kind not in ("X", "Y", "Z", "A", "fusion"):
             raise ValueError(f"unknown basis kind: {kind}")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "angle", angle)
 
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Basis) and self.kind == other.kind and self.angle == other.angle
+        return isinstance(other, Basis) and self.kind == other.kind
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.angle))
+        return hash(self.kind)
 
     def __repr__(self) -> str:
-        if self.kind == "A" and self.angle is not None:
-            return f"Basis('A', {self.angle})"
         return f"Basis({self.kind!r})"
 
 

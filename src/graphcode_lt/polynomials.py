@@ -3,9 +3,12 @@
 A term counts detected and lost measurement attempts per basis, so the
 same object evaluates both the homogeneous eta_bar(eta) curve and the
 heterogeneous form needed when different bases see different effective
-transmissions.  Expansion to plain power-series coefficients is exact
-(integer arithmetic), which is what makes break-even points and leading
-subthreshold coefficients trustworthy.
+transmissions.  The terms are read off a decoder tree path by path
+(``losstree.paths``); a polynomial is only summed, evaluated and
+expanded, never multiplied.  Expansion to plain power-series
+coefficients is exact (integer arithmetic), which is what makes
+break-even points and leading subthreshold coefficients trustworthy.
+The thresholds built on these curves share one bisection, ``bisect``.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from math import comb
 
 BASES = ("X", "Y", "Z", "A")
 
-# term key: ((aX, aY, aZ, aA), (bX, bY, bZ, bA)) -> integer multiplicity
-_ZERO4 = (0, 0, 0, 0)
-
 
 class LossPolynomial:
-    """Sum of mult * prod_M eta_M^a_M (1-eta_M)^b_M with integer mults."""
+    """Sum of mult * prod_M eta_M^a_M (1-eta_M)^b_M with integer mults.
+
+    ``terms`` maps ((aX, aY, aZ, aA), (bX, bY, bZ, bA)) to the integer
+    multiplicity of that monomial.
+    """
 
     __slots__ = ("terms", "_sums")
 
@@ -35,63 +39,16 @@ class LossPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("LossPolynomial is immutable")
 
-    # -- constructors -----------------------------------------------------
+    # -- sums ----------------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LossPolynomial":
         return cls({})
 
-    @classmethod
-    def one(cls) -> "LossPolynomial":
-        return cls({(_ZERO4, _ZERO4): 1})
-
-    @classmethod
-    def monomial(cls, detected: dict | None = None, lost: dict | None = None,
-                 mult: int = 1) -> "LossPolynomial":
-        """Single term from per-basis exponent dicts like {"X": 2, "A": 1}."""
-        a = tuple((detected or {}).get(m, 0) for m in BASES)
-        b = tuple((lost or {}).get(m, 0) for m in BASES)
-        return cls({(a, b): mult})
-
-    # -- ring operations ---------------------------------------------------
-
     def __add__(self, other: "LossPolynomial") -> "LossPolynomial":
         terms = dict(self.terms)
         for key, mult in other.terms.items():
             terms[key] = terms.get(key, 0) + mult
-        return LossPolynomial(terms)
-
-    def __sub__(self, other: "LossPolynomial") -> "LossPolynomial":
-        terms = dict(self.terms)
-        for key, mult in other.terms.items():
-            terms[key] = terms.get(key, 0) - mult
-        return LossPolynomial(terms)
-
-    def __mul__(self, other) -> "LossPolynomial":
-        if isinstance(other, int):
-            return LossPolynomial({k: m * other for k, m in self.terms.items()})
-        terms: dict = {}
-        for (a1, b1), m1 in self.terms.items():
-            for (a2, b2), m2 in other.terms.items():
-                key = (tuple(x + y for x, y in zip(a1, a2)),
-                       tuple(x + y for x, y in zip(b1, b2)))
-                terms[key] = terms.get(key, 0) + m1 * m2
-        return LossPolynomial(terms)
-
-    __rmul__ = __mul__
-
-    def attempt(self, basis_kind: str, lost: bool) -> "LossPolynomial":
-        """Multiply by eta_M (detection) or 1-eta_M (loss) for one attempt."""
-        if basis_kind == "fusion":
-            basis_kind = "A"
-        idx = BASES.index(basis_kind)
-        terms = {}
-        for (a, b), mult in self.terms.items():
-            if lost:
-                b = b[:idx] + (b[idx] + 1,) + b[idx + 1:]
-            else:
-                a = a[:idx] + (a[idx] + 1,) + a[idx + 1:]
-            terms[(a, b)] = terms.get((a, b), 0) + mult
         return LossPolynomial(terms)
 
     # -- evaluation ----------------------------------------------------------
@@ -140,19 +97,6 @@ class LossPolynomial:
                 k = ta + j
                 coeffs[k] = coeffs.get(k, 0) + mult * comb(tb, j) * (-1) ** j
         return {k: c for k, c in sorted(coeffs.items()) if c}
-
-    def loss_coefficients(self) -> dict[int, int]:
-        """Exact coefficients of ell^k for the complement 1 - poly(1 - ell).
-
-        This is the induced loss curve when the polynomial is a success
-        probability in eta = 1 - ell.
-        """
-        out: dict[int, int] = {0: 1}
-        for k, c in self.eta_coefficients().items():
-            # eta^k = (1-ell)^k
-            for j in range(k + 1):
-                out[j] = out.get(j, 0) - c * comb(k, j) * (-1) ** j
-        return {k: c for k, c in sorted(out.items()) if c}
 
     def to_string(self, var: str = "eta") -> str:
         """Canonical text form of the homogeneous expansion, e.g.
@@ -222,3 +166,19 @@ def break_even(poly: LossPolynomial, tol: float = 1e-6) -> float | None:
                     hi = mid
             return 0.5 * (lo + hi)
     return None
+
+
+def bisect(inside, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] until it is at most ``tol`` wide.
+
+    ``inside`` is a predicate that holds up to a threshold and fails past
+    it: a midpoint where it holds becomes ``lo``, any other ``hi``.
+    Returns the final (lo, hi).
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

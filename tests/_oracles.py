@@ -505,6 +505,25 @@ def greedy_checks_reference(pattern, targets, group) -> tuple:
     return tuple(chosen)
 
 
+def tree_polynomial_reference(node, counted) -> dict:
+    """Terms of the polynomial summing every leaf below ``node`` that
+    ``counted`` accepts, built bottom-up: a measure node raises each term
+    of its detected child by eta_M and of its lost child by 1 - eta_M,
+    and merges the two dicts, the detected child's terms first."""
+    if isinstance(node, Leaf):
+        return {((0, 0, 0, 0), (0, 0, 0, 0)): 1} if counted(node) else {}
+    i = "XYZA".index(node.basis.kind)
+    out: dict = {}
+    for child, lost in ((node.on_detect, False), (node.on_loss, True)):
+        for (a, b), mult in tree_polynomial_reference(child, counted).items():
+            if lost:
+                b = b[:i] + (b[i] + 1,) + b[i + 1:]
+            else:
+                a = a[:i] + (a[i] + 1,) + a[i + 1:]
+            out[(a, b)] = out.get((a, b), 0) + mult
+    return out
+
+
 def evaluate_reference(poly, eta: float) -> float:
     """``LossPolynomial.evaluate`` as a loop over the terms, summing each
     term's exponents on every call."""

@@ -23,7 +23,6 @@ from graphcode_lt.fusion import (
     AdaptiveFusionAnalysis,
     FusionModel,
     adaptive_fusion,
-    boosted_baseline,
     compile_failure_bases,
     transversal_fusion,
     _allowed_masks,
@@ -77,16 +76,19 @@ def test_boosted_levels_match_model():
     for m in (1, 2, 3):
         fm = FusionModel.boosted(m, 0.97)
         assert fm.p_fail == 2.0 ** -m
-        assert fm.s == pytest.approx(boosted_baseline(m, 0.97), abs=1e-15)
+        # a bare boosted fusion succeeds with (1 - 2^-m) eta^(2^m)
+        want = (1.0 - 2.0 ** -m) * 0.97 ** (2 ** m)
+        assert fm.s == pytest.approx(want, abs=1e-15)
 
 
 def test_boosted_baseline_values():
     # [PAPER: standard fusions succeed half the time]
-    assert boosted_baseline(1, 1.0) == pytest.approx(0.5)
+    assert FusionModel.boosted(1, 1.0).s == pytest.approx(0.5)
     # [TRIVIAL] 1 - 1/8
-    assert boosted_baseline(3, 1.0) == pytest.approx(0.875)
+    assert FusionModel.boosted(3, 1.0).s == pytest.approx(0.875)
     # [DERIVED: direct evaluation]
-    assert boosted_baseline(2, 0.99) == pytest.approx(0.75 * 0.99 ** 4, abs=1e-15)
+    assert FusionModel.boosted(2, 0.99).s == pytest.approx(0.75 * 0.99 ** 4,
+                                                           abs=1e-15)
 
 
 def test_erasure_is_half_failure_plus_loss():

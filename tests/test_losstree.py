@@ -43,7 +43,12 @@ from graphcode_lt.opsets import enumerate_nontrivial
 from graphcode_lt.pauli import commutes_qubitwise, fits
 from graphcode_lt.polynomials import LossPolynomial
 
-from _oracles import evaluate_reference, optimal_success, strategies_reference
+from _oracles import (
+    evaluate_reference,
+    optimal_success,
+    strategies_reference,
+    tree_polynomial_reference,
+)
 from test_golden import _codes as golden_codes
 
 
@@ -76,8 +81,10 @@ def test_star_polynomials():
     for n in (2, 3, 4, 5):
         code = star_code(n)
         z = success_polynomial(build_pauli_tree(code, "Z"))
-        # logical Z needs any one qubit: ell_bar = ell^n
-        assert z.loss_coefficients() == {n: 1}
+        # logical Z needs any one qubit: ell_bar = ell^n, so
+        # eta_bar = 1 - (1 - eta)^n
+        assert z.eta_coefficients() == {k: (-1) ** (k + 1) * math.comb(n, k)
+                                        for k in range(1, n + 1)}
         for basis in "XY":
             p = success_polynomial(build_pauli_tree(code, basis))
             # logical X (and Y) need every qubit: eta_bar = eta^n
@@ -92,10 +99,12 @@ def test_small_code_arbitrary_polynomials():
 
 
 def test_subthreshold_leading_coefficients():
+    # at eta = 1 - ell, 1 - (2 eta^2 - eta^4) = 4 ell^2 - 4 ell^3 + ell^4
     pauli = success_polynomial(build_pauli_tree(pentagon_code(), "Z"))
-    assert pauli.loss_coefficients() == {2: 4, 3: -4, 4: 1}
+    assert pauli.eta_coefficients() == {2: 2, 4: -1}
+    # and 1 - (4 eta^3 - 3 eta^4) = 6 ell^2 - 8 ell^3 + 3 ell^4
     arb = success_polynomial(build_arbitrary_tree(pentagon_code()))
-    assert arb.loss_coefficients() == {2: 6, 3: -8, 4: 3}
+    assert arb.eta_coefficients() == {3: 4, 4: -3}
 
 
 def test_probability_conservation():
@@ -133,6 +142,22 @@ def test_evaluate_matches_term_loop_bit_for_bit():
             want = [evaluate_reference(poly, eta) for eta in grid]
             assert [poly.evaluate(eta) for eta in grid] == want
             assert [poly.evaluate(eta) for eta in grid] == want
+
+
+def test_polynomial_terms_keep_reference_order():
+    # ``evaluate`` sums terms in dict order, so the order fixes its last
+    # bits: the terms must come in the bottom-up, detected-first order
+    for code in golden_codes().values():
+        trees = [build_pauli_tree(code, b) for b in "XYZ"]
+        trees.append(build_arbitrary_tree(code))
+        for tree in trees:
+            success = tree_polynomial_reference(tree.root,
+                                                lambda leaf: leaf.success)
+            assert list(success_polynomial(tree).terms.items()) == list(
+                success.items())
+            total = tree_polynomial_reference(tree.root, lambda leaf: True)
+            assert list(total_polynomial(tree).terms.items()) == list(
+                total.items())
 
 
 # -- break-even --------------------------------------------------------------------
