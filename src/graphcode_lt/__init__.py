@@ -37,7 +37,6 @@ from .codes import (
 )
 from .opsets import (
     EXHAUSTIVE_LIMIT,
-    OperatorSet,
     ResourceLimitError,
     enumerate_nontrivial,
     stabilizer_group,
@@ -79,12 +78,7 @@ from .modular import (
     optimize_stack,
     stack_flip_rates,
 )
-from .apps import (
-    FbqcSpec,
-    RepeaterSpec,
-    fbqc_loss_threshold,
-    rgs_link_probability,
-)
+from .apps import fbqc_loss_threshold, rgs_link_probability
 from .search import (
     Objective,
     ScoredCandidate,

@@ -44,7 +44,7 @@ from .losstree import (
 from .errordecode import logical_flip_rates
 from .modular import LayerStack, logical_transmission
 from .fusion import FusionModel, adaptive_fusion, transversal_fusion
-from .apps import FbqcSpec, RepeaterSpec, fbqc_loss_threshold, rgs_link_probability
+from .apps import fbqc_loss_threshold, rgs_link_probability
 from .search import Objective, enumerate_candidates, optimize
 from .opsets import ResourceLimitError
 
@@ -151,14 +151,18 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _stamp(config: dict) -> dict:
+    """The tool, version and config that identify an artifact."""
+    return {"tool": TOOL, "version": __version__,
+            "config_hash": config_hash(config), "config": config}
+
+
 def _write(out: str | None, text: str, config: dict):
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
-        sidecar = {"tool": TOOL, "version": __version__,
-                   "config_hash": config_hash(config), "config": config}
         with open(out + ".config.json", "w", encoding="ascii") as fh:
-            fh.write(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+            fh.write(json.dumps(_stamp(config), sort_keys=True, indent=1) + "\n")
     else:
         sys.stdout.write(text)
 
@@ -173,9 +177,8 @@ def emit_rows(header: list[str], rows: list[list], config: dict,
             buf.write(",".join(_cell(v) for v in row) + "\n")
         _write(out, buf.getvalue(), config)
     else:
-        payload = {"tool": TOOL, "version": __version__,
-                   "config_hash": config_hash(config), "config": config,
-                   "result": [dict(zip(header, row)) for row in rows]}
+        payload = dict(_stamp(config),
+                       result=[dict(zip(header, row)) for row in rows])
         _write(out, json.dumps(payload, sort_keys=True, indent=1) + "\n", config)
 
 
@@ -210,9 +213,7 @@ def cmd_tree(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
     kind = "arbitrary" if args.basis in ("A", "arbitrary") else args.basis
     tree = load_or_build(code, kind)
-    payload = {"tool": TOOL, "version": __version__,
-               "config_hash": config_hash(config), "config": config,
-               "result": json.loads(tree.to_json())}
+    payload = dict(_stamp(config), result=json.loads(tree.to_json()))
     _write(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n",
            config)
     return EXIT_OK
@@ -288,11 +289,10 @@ def cmd_rgs(args, config) -> int:
     stations = args.depth
     if stations < 1:
         raise CliError(EXIT_VALIDATION, f"--depth must be >= 1, got {stations}")
-    spec = RepeaterSpec(code, p_fail=args.pfail,
-                        adaptive=args.mode != "transversal")
     rows = []
     for eta in _eta_list(args):
-        p_link = rgs_link_probability(spec, eta)
+        p_link = rgs_link_probability(code, eta, args.pfail,
+                                      args.mode != "transversal")
         rows.append([1.0 - eta, p_link, p_link ** stations])
     emit_rows(["ell", "p_link", "p_end_to_end"], rows, config, args.out,
               args.format or "csv")
@@ -301,13 +301,8 @@ def cmd_rgs(args, config) -> int:
 
 def cmd_fbqc(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
-    p_fails = parse_grid(str(args.pfail), "--pfail")
-    rows = []
-    for pf in p_fails:
-        if not 0.0 < pf <= 1.0:
-            raise CliError(EXIT_VALIDATION, f"p_fail must lie in (0, 1], got {pf}")
-        spec = FbqcSpec(code, pf, adaptive=args.mode != "transversal")
-        rows.append([pf, fbqc_loss_threshold(spec)])
+    rows = [[pf, fbqc_loss_threshold(code, pf, args.mode != "transversal")]
+            for pf in parse_grid(str(args.pfail), "--pfail")]
     emit_rows(["p_fail", "loss_threshold"], rows, config, args.out,
               args.format or "csv")
     return EXIT_OK
@@ -345,9 +340,7 @@ def cmd_search(args, config) -> int:
                           checkpoint=checkpoint)
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc))
-    header = json.dumps({"tool": TOOL, "version": __version__,
-                         "config_hash": config_hash(config), "config": config},
-                        sort_keys=True)
+    header = json.dumps(_stamp(config), sort_keys=True)
     _write(args.out, header + "\n" + result.to_jsonl(), config)
     return EXIT_OK
 

@@ -33,6 +33,7 @@ from .pauli import (
     MeasurementPattern,
     PauliOperator,
     PauliSpan,
+    fits,
     iter_bits,
 )
 from .polynomials import LossPolynomial, bisect
@@ -92,12 +93,6 @@ class CheckSet:
         return f"CheckSet({len(self.targets)} targets, {len(self.checks)} checks)"
 
 
-def qubitwise_commuting(a: PauliOperator, b: PauliOperator) -> bool:
-    """Letters agree wherever both operators act (jointly measurable)."""
-    both = (a.x | a.z) & (b.x | b.z)
-    return both & ((a.x ^ b.x) | (a.z ^ b.z)) == 0
-
-
 def _masked_targets(leaf: Leaf) -> tuple[PauliOperator, ...]:
     """Leaf targets with the arbitrary-basis output qubit stripped off."""
     if leaf.output is None:
@@ -116,30 +111,37 @@ def _greedy_checks(code: GraphCode, pattern: MeasurementPattern,
     in one array operation, which keeps the measurable checks in pool
     order.  A stable argsort on minus the target overlap (counted one
     target qubit at a time) then ranks them by (-overlap, weight, x, z),
-    the order of sorting the measurable stabilizers on that key.  Checks
-    whose parity is a product of already chosen ones are skipped: their
-    outcome bit is the XOR of the others' and adds no syndrome information.
+    the order of sorting the measurable stabilizers on that key.  A
+    candidate is measurable alongside the chosen checks when it ``fits``
+    the packed mask ``allowed``: the chosen checks' letters on the qubits
+    they cover, every letter elsewhere.  Checks whose parity is a product
+    of already chosen ones are skipped: their outcome bit is the XOR of
+    the others' and adds no syndrome information.
     """
     ops, masks, supports = stabilizer_pool(code)
     target_support = 0
     for t in targets:
         target_support |= t.support
-    # Pauli masks use the low 3n bits; the top n of ``allowed`` are A
-    deny = ~pattern.allowed(True) & ((1 << 3 * pattern.n) - 1)
+    # Pauli masks use the low 3n bits; the top n of ``pattern.allowed`` are A
+    n = pattern.n
+    pauli = (1 << 3 * n) - 1
+    deny = ~pattern.allowed(True) & pauli
     keep = np.flatnonzero((masks & np.uint64(deny)) == 0)
     kept = supports[keep]
     overlap = np.zeros(len(keep), dtype=np.int64)
     for q in iter_bits(target_support):
         overlap += (kept >> q) & 1
     chosen: list[PauliOperator] = []
-    span = PauliSpan(pattern.n)
+    allowed = pauli
+    span = PauliSpan(n)
     for i in keep[np.argsort(-overlap, kind="stable")].tolist():
         cand = ops[i]
-        if not all(qubitwise_commuting(cand, c) for c in chosen):
-            continue
-        if not span.add(cand):
+        if not fits(cand.masks, allowed) or not span.add(cand):
             continue
         chosen.append(cand)
+        # on the candidate's support, keep only its own letters
+        cover = cand.support
+        allowed &= cand.masks | ~(cover | cover << n | cover << 2 * n)
     return tuple(chosen)
 
 

@@ -320,7 +320,7 @@ def _strategies(code: GraphCode, limit: int) -> tuple[Target, ...]:
     increasing order, so pairs come out in the (i, j) order of the double
     loop over the operator set.
     """
-    ops = enumerate_nontrivial(code, "AllLogical", limit).operators
+    ops = enumerate_nontrivial(code, "AllLogical", limit)
     x, z = np.array([(op.x, op.z) for op in ops], dtype=np.int64).reshape(-1, 2).T
     out = []
     for i, a in enumerate(ops):

@@ -71,12 +71,6 @@ class TransmissionVector:
         """Mapping keyed by basis letter, as the polynomials expect."""
         return {"X": self.x, "Y": self.y, "Z": self.z, "A": self.a}
 
-    def component(self, basis: str) -> float:
-        try:
-            return getattr(self, basis.lower())
-        except AttributeError:
-            raise ValueError(f"unknown basis {basis!r}") from None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TransmissionVector):
             return NotImplemented
@@ -134,12 +128,6 @@ class LayerStack:
             block *= s
             total += block
         return total if self.mode == "cascaded" else block
-
-    @property
-    def stack_id(self) -> str:
-        parts = "+".join(f"{c.progenitor.to_graph6()}@{c.input_vertex}"
-                         for c in self.layers)
-        return f"{self.mode}:{parts}"
 
     def to_json(self) -> str:
         return json.dumps({

@@ -1,22 +1,21 @@
-"""Stabilizer and logical operator sets, the operators decoding works from.
+"""Stabilizer groups and logical operators, the operators decoding works from.
 
 For a code on n qubits the stabilizer group has 2^(n-1) elements and each
 logical class is a coset of it.  Decoding works with the non-trivial coset
 members: those that cannot be written as a smaller-weight operator times a
 stabilizer of disjoint support, tested for a whole chunk of a class at a
-time against every stabilizer's packed letter mask.
+time against every stabilizer's packed letter mask.  Both come back as
+plain tuples of ``PauliOperator``s.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
 from .codes import GraphCode, per_code
 from .pauli import PauliOperator
 
-KINDS = ("Stabilizers", "LogicalX", "LogicalY", "LogicalZ", "AllLogical")
+KINDS = ("LogicalX", "LogicalY", "LogicalZ", "AllLogical")
 
 EXHAUSTIVE_LIMIT = 14
 # bytes of one chunk's temporary in the non-triviality test
@@ -25,55 +24,6 @@ CHUNK_BYTES = 1 << 20
 
 class ResourceLimitError(RuntimeError):
     """Raised when an exact enumeration would exceed its configured limit."""
-
-
-class OperatorSet:
-    """An immutable, deterministically ordered set of Pauli operators.
-
-    Operators are sorted by (weight, x bits, z bits) so downstream
-    heuristics that take "the first" member are reproducible.
-    """
-
-    __slots__ = ("kind", "operators", "code")
-
-    def __init__(self, kind: str, operators, code: GraphCode):
-        if kind not in KINDS:
-            raise ValueError(f"unknown kind: {kind}")
-        ops = tuple(sorted(set(operators), key=lambda o: (o.weight, o.x, o.z)))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "code", code)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorSet is immutable")
-
-    def __iter__(self):
-        return iter(self.operators)
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-    def __contains__(self, op) -> bool:
-        return op in self.operators
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OperatorSet)
-            and self.kind == other.kind
-            and self.operators == other.operators
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.operators))
-
-    def __repr__(self) -> str:
-        return f"OperatorSet({self.kind}, {len(self.operators)} ops)"
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind,
-            "operators": [op.to_string() for op in self.operators],
-        })
 
 
 @per_code
@@ -117,11 +67,12 @@ def _nontrivial(ops: list, stabilizer_masks: np.ndarray) -> list:
 
 @per_code
 def enumerate_nontrivial(code: GraphCode, kind: str,
-                         limit: int = EXHAUSTIVE_LIMIT) -> OperatorSet:
-    """Exhaustive operator set of the given kind.
+                         limit: int = EXHAUSTIVE_LIMIT) -> tuple[PauliOperator, ...]:
+    """The non-trivial members of a logical class, sorted by (weight, x,
+    z) so that heuristics taking "the first" member are reproducible.
 
-    Stabilizers come back whole (the group); logical kinds are reduced to
-    their non-trivial members.  AllLogical is the union over X, Y, Z.
+    ``kind`` is LogicalX, LogicalY or LogicalZ; AllLogical is the union of
+    the three.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind: {kind}")
@@ -129,14 +80,11 @@ def enumerate_nontrivial(code: GraphCode, kind: str,
         raise ResourceLimitError(
             f"exhaustive enumeration needs 2^{code.n - 1} products; "
             f"limit is n <= {limit}")
-    if kind == "Stabilizers":
-        return OperatorSet(kind, stabilizer_group(code), code)
     if kind == "AllLogical":
-        ops = []
-        for sub in ("LogicalX", "LogicalY", "LogicalZ"):
-            ops.extend(enumerate_nontrivial(code, sub, limit).operators)
-        return OperatorSet(kind, ops, code)
-    rep = code.logical(kind[-1])
-    members = [rep * s for s in stabilizer_group(code)]
-    return OperatorSet(kind, _nontrivial(members, stabilizer_pool(code)[1]),
-                       code)
+        ops = [op for sub in ("LogicalX", "LogicalY", "LogicalZ")
+               for op in enumerate_nontrivial(code, sub, limit)]
+    else:
+        rep = code.logical(kind[-1])
+        ops = _nontrivial([rep * s for s in stabilizer_group(code)],
+                          stabilizer_pool(code)[1])
+    return tuple(sorted(set(ops), key=lambda o: (o.weight, o.x, o.z)))

@@ -4,10 +4,11 @@ A term counts detected and lost measurement attempts per basis, so the
 same object evaluates both the homogeneous eta_bar(eta) curve and the
 heterogeneous form needed when different bases see different effective
 transmissions.  The terms are read off a decoder tree path by path
-(``losstree.paths``); a polynomial is only summed, evaluated and
-expanded, never multiplied.  Expansion to plain power-series
-coefficients is exact (integer arithmetic), which is what makes
-break-even points and leading subthreshold coefficients trustworthy.
+(``losstree.paths``) and counted into one dict; a polynomial is then
+only evaluated and expanded, never added to or multiplied by another.
+Expansion to plain power-series coefficients is exact (integer
+arithmetic), which is what makes break-even points and leading
+subthreshold coefficients trustworthy.
 The thresholds built on these curves share one bisection, ``bisect``.
 """
 
@@ -38,18 +39,6 @@ class LossPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("LossPolynomial is immutable")
-
-    # -- sums ----------------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LossPolynomial":
-        return cls({})
-
-    def __add__(self, other: "LossPolynomial") -> "LossPolynomial":
-        terms = dict(self.terms)
-        for key, mult in other.terms.items():
-            terms[key] = terms.get(key, 0) + mult
-        return LossPolynomial(terms)
 
     # -- evaluation ----------------------------------------------------------
 

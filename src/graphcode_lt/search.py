@@ -15,11 +15,12 @@ key is a member of an orbit already closed at its level is skipped, so
 each distinct orbit is closed exactly once; its minimum member key is
 the representative.
 
-Objectives score a candidate through the decoder or fusion engines as a
-pure function of the code; ``optimize`` evaluates a candidate stream
-against one objective with optional process parallelism, per-candidate
-resource budgets (oversized candidates are deferred to a wider second
-pass), and an append-only JSON-lines checkpoint that makes long sweeps
+Objectives score a candidate through the decoder, fusion and
+fusion-network engines as a pure function of the code, each engine at
+its own default size limit; ``optimize`` evaluates a candidate stream
+against one objective with optional process parallelism, a qubit budget
+(oversized candidates are deferred to a wider second pass), and an
+append-only JSON-lines checkpoint that makes long sweeps
 resumable.  Rankings are sorted by score with a total tie-break, so any
 permutation of the candidate stream yields the same result order.
 """
@@ -35,8 +36,7 @@ from . import __version__
 from .codes import GraphCode, InvalidCodeError, forget
 from .graphs import Graph, canonical_key, lc_orbit
 from .losstree import build_arbitrary_tree, build_pauli_tree, success_polynomial
-from .fusion import FusionModel, adaptive_fusion, transversal_fusion
-from .apps import FbqcSpec, fbqc_loss_threshold
+from .apps import fbqc_loss_threshold, rgs_link_probability
 from .opsets import EXHAUSTIVE_LIMIT, ResourceLimitError
 
 log = logging.getLogger(__name__)
@@ -103,32 +103,37 @@ class Objective:
                 f"p_fail={self.p_fail}, adaptive={self.adaptive})")
 
 
-def _score_kind(kind: str, code: GraphCode, obj: Objective,
-                limit: int) -> tuple[float, str | None]:
+def _score_kind(kind: str, code: GraphCode,
+                obj: Objective) -> tuple[float, str | None]:
     if kind == "pauli_all_bases":
-        polys = {b: success_polynomial(build_pauli_tree(code, b, limit=limit))
-                 for b in "XYZ"}
+        polys = {b: success_polynomial(build_pauli_tree(code, b)) for b in "XYZ"}
         worst = min("XYZ", key=lambda b: polys[b].evaluate(obj.eta))
         return polys[worst].evaluate(obj.eta), polys[worst].to_string()
     if kind == "arbitrary":
-        poly = success_polynomial(build_arbitrary_tree(code, limit=limit))
+        poly = success_polynomial(build_arbitrary_tree(code))
         return poly.evaluate(obj.eta), poly.to_string()
-    fm = FusionModel(obj.p_fail, obj.eta)
     if kind == "fusion_success":
-        if obj.adaptive:
-            return adaptive_fusion(code, fm, limit=limit).p_success, None
-        return transversal_fusion(code, fm, limit=limit).p_success, None
-    spec = FbqcSpec(code, obj.p_fail, obj.adaptive)
-    return fbqc_loss_threshold(spec), None
+        return rgs_link_probability(code, obj.eta, obj.p_fail, obj.adaptive), None
+    return fbqc_loss_threshold(code, obj.p_fail, obj.adaptive), None
 
 
 def evaluate_objective(obj: Objective, code: GraphCode,
                        limit: int = EXHAUSTIVE_LIMIT) -> tuple[float, float, str | None]:
-    """(score, tie-break score, canonical polynomial or None) for one code."""
-    score, poly = _score_kind(obj.kind, code, obj, limit)
+    """(score, tie-break score, canonical polynomial or None) for one code.
+
+    A code on more than ``limit`` qubits raises ``ResourceLimitError``
+    before any engine runs; the engines themselves run at their own
+    default limits, so a transversal fusion score still refuses codes
+    above ``fusion.TRANSVERSAL_LIMIT``.
+    """
+    if code.n > limit:
+        raise ResourceLimitError(
+            f"exhaustive enumeration needs 2^{code.n - 1} products; "
+            f"limit is n <= {limit}")
+    score, poly = _score_kind(obj.kind, code, obj)
     second = 0.0
     if obj.tie_break is not None:
-        second, _ = _score_kind(obj.tie_break, code, obj, limit)
+        second, _ = _score_kind(obj.tie_break, code, obj)
     return score, second, poly
 
 
@@ -344,9 +349,10 @@ def optimize(objective: Objective, candidates, *, workers: int = 1,
              checkpoint: str | None = None) -> SearchResult:
     """Score every candidate against one objective and rank the results.
 
-    ``budget`` caps the qubit count a single evaluation may enumerate
-    exhaustively; candidates over budget are deferred to a second pass
-    at the full engine limit and only then logged as failures.  With a
+    ``budget`` caps the qubit count of a code scored in the first pass;
+    candidates over budget are deferred to a second pass at
+    ``EXHAUSTIVE_LIMIT``, and a candidate refused there, by that limit or
+    by an engine's own, is logged as a failure.  With a
     ``checkpoint`` path, finished scores are appended as JSON lines and
     reloaded on rerun, so an interrupted sweep resumes where it stopped.
     """

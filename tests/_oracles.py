@@ -15,7 +15,6 @@ from graphcode_lt.errordecode import (
     CheckSet,
     _masked_targets,
     ml_logical_error,
-    qubitwise_commuting,
 )
 from graphcode_lt.graphs import Graph, lc_orbit
 from graphcode_lt.losstree import Leaf
@@ -28,6 +27,12 @@ PAULI_MATS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 PAULI_MATS["Y"] = 1j * PAULI_MATS["X"] @ PAULI_MATS["Z"]
+
+
+def qubitwise_commuting(a: PauliOperator, b: PauliOperator) -> bool:
+    """Letters agree wherever both operators act (jointly measurable)."""
+    both = (a.x | a.z) & (b.x | b.z)
+    return both & ((a.x ^ b.x) | (a.z ^ b.z)) == 0
 
 
 def dense(op: PauliOperator) -> np.ndarray:
@@ -357,7 +362,7 @@ def optimal_pauli_tree_value(code, basis: str, eta: float) -> float:
 
     letter_code = {(1, 0): 2, (1, 1): 3, (0, 1): 4}
     members = []
-    for op in enumerate_nontrivial(code, "Logical" + basis, 14).operators:
+    for op in enumerate_nontrivial(code, "Logical" + basis, 14):
         need = []
         for q in range(code.n):
             xb, zb = (op.x >> q) & 1, (op.z >> q) & 1
@@ -410,7 +415,7 @@ def optimal_success(code, eta: float, kind: str = "arbitrary",
         return {q: op.letter_at(q) for q in range(n) if op.letter_at(q) != "I"}
 
     if kind == "arbitrary":
-        ops = enumerate_nontrivial(code, "AllLogical").operators
+        ops = enumerate_nontrivial(code, "AllLogical")
         targets = []
         for i, a in enumerate(ops):
             for b in ops[i + 1:]:
@@ -422,7 +427,7 @@ def optimal_success(code, eta: float, kind: str = "arbitrary",
                     targets.append({**la, **lb, differ[0]: "A"})
     else:
         targets = [letters(op) for op in
-                   enumerate_nontrivial(code, "Logical" + kind).operators]
+                   enumerate_nontrivial(code, "Logical" + kind)]
 
     # per-qubit status: "." unmeasured, "_" lost, else the measured letter
     @lru_cache(maxsize=None)
@@ -454,7 +459,7 @@ def strategies_reference(code, limit: int) -> list[tuple]:
     """``losstree._strategies`` as (first, second, output) triples, found
     by testing every pair of logical operators for anticommutation before
     asking that they differ on exactly one shared qubit."""
-    ops = enumerate_nontrivial(code, "AllLogical", limit).operators
+    ops = enumerate_nontrivial(code, "AllLogical", limit)
     out = []
     for i, a in enumerate(ops):
         for b in ops[i + 1:]:

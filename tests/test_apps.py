@@ -24,10 +24,9 @@ from graphcode_lt.codes import (
     tree_code,
 )
 from graphcode_lt.fusion import FusionModel, adaptive_fusion, transversal_fusion
+from graphcode_lt import apps
 from graphcode_lt.apps import (
     ERASURE_BUDGET,
-    FbqcSpec,
-    RepeaterSpec,
     fbqc_loss_threshold,
     rgs_link_probability,
 )
@@ -45,33 +44,24 @@ def swap_chain_form(b: int, p_fail: float, eta: float) -> float:
         for k in range(1, b + 1))
 
 
-# -- spec objects -----------------------------------------------------------------
+# -- design points ----------------------------------------------------------------
 
 
 def test_repeater_spec_validation():
+    # a repeater design point is a code, a gate quality and a strategy
     code = pentagon_code()
-    with pytest.raises(ValueError):
-        RepeaterSpec(code, p_fail=0.0)
-    with pytest.raises(ValueError):
-        RepeaterSpec(code, p_fail=1.5)
-    spec = RepeaterSpec(code, p_fail=0.25, adaptive=False)
-    with pytest.raises(AttributeError):
-        spec.adaptive = True
-    assert "p_fail=0.25" in repr(spec)
+    for p_fail in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"p_fail must lie in \(0, 1\]"):
+            rgs_link_probability(code, 0.9, p_fail=p_fail)
+    assert rgs_link_probability(code, 0.9, p_fail=1.0, adaptive=False) >= 0.0
 
 
 def test_fbqc_spec_validation():
     code = pentagon_code()
-    with pytest.raises(ValueError):
-        FbqcSpec(code, p_fail=-0.1)
-    with pytest.raises(ValueError):
-        FbqcSpec(code, erasure_budget=0.0)
-    with pytest.raises(ValueError):
-        FbqcSpec(code, erasure_budget=1.0)
-    spec = FbqcSpec(code, p_fail=0.25)
-    with pytest.raises(AttributeError):
-        spec.adaptive = False
-    assert spec.erasure_budget == ERASURE_BUDGET == 0.12
+    for p_fail in (-0.1, 0.0, 1.5):
+        with pytest.raises(ValueError, match=r"p_fail must lie in \(0, 1\]"):
+            fbqc_loss_threshold(code, p_fail=p_fail)
+    assert ERASURE_BUDGET == 0.12
 
 
 # -- repeater links ---------------------------------------------------------------
@@ -81,8 +71,8 @@ def test_fbqc_spec_validation():
 @pytest.mark.parametrize("p_fail,eta", [(0.5, 0.9), (0.5, 0.97), (0.25, 0.95)])
 def test_swap_chain_closed_form(branches, p_fail, eta):
     # [DERIVED: independent closed form for depth-two trees]
-    spec = RepeaterSpec(tree_code([branches, 1]), p_fail=p_fail)
-    assert rgs_link_probability(spec, eta) == pytest.approx(
+    code = tree_code([branches, 1])
+    assert rgs_link_probability(code, eta, p_fail) == pytest.approx(
         swap_chain_form(branches, p_fail, eta), abs=1e-12)
 
 
@@ -90,29 +80,27 @@ def test_link_probability_lossless_pentagon():
     # [DERIVED: exact enumeration] At eta=1 only gate failure remains and
     # both strategies recover from single failures: 1 - p_fail^2.
     for adaptive in (True, False):
-        spec = RepeaterSpec(pentagon_code(), p_fail=0.5, adaptive=adaptive)
-        assert rgs_link_probability(spec, 1.0) == pytest.approx(0.75, abs=1e-12)
+        p = rgs_link_probability(pentagon_code(), 1.0, 0.5, adaptive)
+        assert p == pytest.approx(0.75, abs=1e-12)
 
 
 def test_link_probability_vanishes_without_photons():
-    spec = RepeaterSpec(tree_code([2, 1]), p_fail=0.5)
     # [TRIVIAL] no photon arrives at eta=0
-    assert rgs_link_probability(spec, 0.0) == 0.0
+    assert rgs_link_probability(tree_code([2, 1]), 0.0, 0.5) == 0.0
 
 
 def test_link_matches_raw_fusion():
-    # [TRIVIAL: the spec is a thin wrapper over one logical fusion]
+    # [TRIVIAL: a link is one logical fusion of the code with itself]
     code = decorated_pentagon_code()
     fm = FusionModel(0.25, 0.92)
-    spec = RepeaterSpec(code, p_fail=0.25, adaptive=True)
-    assert rgs_link_probability(spec, 0.92) == adaptive_fusion(code, fm).p_success
-    spec_t = RepeaterSpec(code, p_fail=0.25, adaptive=False)
-    assert rgs_link_probability(spec_t, 0.92) == transversal_fusion(code, fm).p_success
+    assert rgs_link_probability(code, 0.92, 0.25, adaptive=True) == \
+        adaptive_fusion(code, fm).p_success
+    assert rgs_link_probability(code, 0.92, 0.25, adaptive=False) == \
+        transversal_fusion(code, fm).p_success
 
 
 def test_end_to_end_composition(capsys):
-    spec = RepeaterSpec(tree_code([2, 1]), p_fail=0.5)
-    p1 = rgs_link_probability(spec, 0.95)
+    p1 = rgs_link_probability(tree_code([2, 1]), 0.95, 0.5)
     # [DERIVED: frozen from exact enumeration]
     assert p1 == pytest.approx(0.62482810703125, abs=1e-12)
     # stations link independently, so a chain of them succeeds with p1 ** depth
@@ -130,8 +118,8 @@ def test_end_to_end_composition(capsys):
 def test_adaptive_never_below_transversal_link():
     code = pentagon_code()
     for eta in (0.85, 0.92, 0.99):
-        a = rgs_link_probability(RepeaterSpec(code, 0.5, adaptive=True), eta)
-        t = rgs_link_probability(RepeaterSpec(code, 0.5, adaptive=False), eta)
+        a = rgs_link_probability(code, eta, 0.5, adaptive=True)
+        t = rgs_link_probability(code, eta, 0.5, adaptive=False)
         assert a >= t - 1e-12
 
 
@@ -140,22 +128,20 @@ def test_adaptive_never_below_transversal_link():
 
 def test_shor_transversal_threshold():
     # [PAPER: 2.7% +- 0.3% for the four-qubit pair code at 75% boosted fusion]
-    spec = FbqcSpec(shor_22_code(), p_fail=0.25, adaptive=False)
-    thr = fbqc_loss_threshold(spec)
+    thr = fbqc_loss_threshold(shor_22_code(), p_fail=0.25, adaptive=False)
     assert thr == pytest.approx(0.027130126953125, abs=2e-4)
     assert abs(thr - 0.027) < 0.003
 
 
 def test_shor_transversal_dead_at_half():
     # [DERIVED: unboosted failure alone exceeds the erasure budget]
-    spec = FbqcSpec(shor_22_code(), p_fail=0.5, adaptive=False)
-    assert fbqc_loss_threshold(spec) == 0.0
+    assert fbqc_loss_threshold(shor_22_code(), 0.5, adaptive=False) == 0.0
 
 
 def test_shor_adaptive_beats_transversal():
     # [DERIVED: frozen from bisection over exact enumerations]
-    a = fbqc_loss_threshold(FbqcSpec(shor_22_code(), 0.25, adaptive=True))
-    t = fbqc_loss_threshold(FbqcSpec(shor_22_code(), 0.25, adaptive=False))
+    a = fbqc_loss_threshold(shor_22_code(), 0.25, adaptive=True)
+    t = fbqc_loss_threshold(shor_22_code(), 0.25, adaptive=False)
     assert a == pytest.approx(0.050201416015625, abs=2e-4)
     assert a > t
 
@@ -163,7 +149,7 @@ def test_shor_adaptive_beats_transversal():
 def test_threshold_unimodal_in_boosting():
     # Boosting trades arrival probability against failure rate, so the
     # threshold rises from zero and falls again along the boosted ladder.
-    thrs = [fbqc_loss_threshold(FbqcSpec(shor_22_code(), pf, adaptive=False))
+    thrs = [fbqc_loss_threshold(shor_22_code(), pf, adaptive=False)
             for pf in (0.5, 0.25, 0.125, 0.0625)]
     # [DERIVED: frozen curve, peak at one boosting level]
     assert thrs[0] == 0.0
@@ -183,8 +169,8 @@ def test_threshold_unimodal_in_boosting():
 ])
 def test_library_adaptive_thresholds(make, frozen):
     # [DERIVED: frozen from bisection over exact enumerations]
-    spec = FbqcSpec(make(), p_fail=0.5, adaptive=True)
-    assert fbqc_loss_threshold(spec) == pytest.approx(frozen, abs=2e-4)
+    thr = fbqc_loss_threshold(make(), p_fail=0.5, adaptive=True)
+    assert thr == pytest.approx(frozen, abs=2e-4)
 
 
 def test_erasure_identity_under_randomization():
@@ -195,15 +181,16 @@ def test_erasure_identity_under_randomization():
         r.p_loss_logical + 0.5 * r.p_fail_logical, abs=1e-15)
 
 
-def test_threshold_monotone_in_budget():
+def test_threshold_monotone_in_budget(monkeypatch):
     code = pentagon_code()
-    loose = fbqc_loss_threshold(FbqcSpec(code, 0.5, erasure_budget=0.2))
-    tight = fbqc_loss_threshold(FbqcSpec(code, 0.5, erasure_budget=0.08))
-    base = fbqc_loss_threshold(FbqcSpec(code, 0.5))
+    base = fbqc_loss_threshold(code, 0.5)
+    monkeypatch.setattr(apps, "ERASURE_BUDGET", 0.2)
+    loose = fbqc_loss_threshold(code, 0.5)
+    monkeypatch.setattr(apps, "ERASURE_BUDGET", 0.08)
+    tight = fbqc_loss_threshold(code, 0.5)
     assert loose > base > tight
 
 
 def test_star_code_has_no_threshold():
     # A bare star cannot protect both parities at once.
-    spec = FbqcSpec(star_code(4), p_fail=0.5, adaptive=True)
-    assert fbqc_loss_threshold(spec) == 0.0
+    assert fbqc_loss_threshold(star_code(4), p_fail=0.5, adaptive=True) == 0.0

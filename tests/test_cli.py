@@ -121,6 +121,15 @@ def test_flags_a_command_would_ignore_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fbqc", "--graph", "pentagon", "--pfail", "0"],
+    ["rgs", "--graph", "pentagon", "--pfail", "1.5", "--eta", "0.9"],
+])
+def test_pfail_outside_unit_interval_is_validation_error(argv, capsys):
+    assert main(argv) == EXIT_VALIDATION
+    assert "p_fail must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_exit_code_resource_error():
     assert main(["analyze", "--graph", "star16"]) == EXIT_RESOURCE
 

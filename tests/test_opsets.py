@@ -8,7 +8,6 @@ exhaustive scans over basis assignments.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 
 import numpy as np
@@ -19,7 +18,6 @@ from graphcode_lt.codes import GraphCode, pentagon_code, star_code, tree_code
 from graphcode_lt.graphs import Graph, path_graph
 from graphcode_lt.opsets import (
     CHUNK_BYTES,
-    OperatorSet,
     ResourceLimitError,
     _nontrivial,
     enumerate_nontrivial,
@@ -104,7 +102,7 @@ def test_nontrivial_filter_matches_reference():
             want = {op for op in (rep * s for s in group)
                     if _nontrivial_reference(op, group)}
             got = enumerate_nontrivial(code, "Logical" + which)
-            assert set(got.operators) == want
+            assert set(got) == want
     # a logical class longer than one chunk, against the mask test run one
     # operator and one stabilizer at a time; order is kept
     code = tree_code([2, 2, 1])
@@ -116,8 +114,8 @@ def test_nontrivial_filter_matches_reference():
         assert len(members) > CHUNK_BYTES // (8 * len(stabilizer_masks))
         want = nontrivial_reference(members, group)
         assert _nontrivial(members, stabilizer_masks) == want
-        assert enumerate_nontrivial(code, "Logical" + which) == OperatorSet(
-            "Logical" + which, want, code)
+        assert enumerate_nontrivial(code, "Logical" + which) == tuple(
+            sorted(want, key=lambda o: (o.weight, o.x, o.z)))
 
 
 def test_star_logical_z_is_single_x_ops():
@@ -151,12 +149,6 @@ def test_pentagon_all_logical_cardinality():
         assert len(enumerate_nontrivial(code, "Logical" + which)) == 8
 
 
-def test_stabilizers_kind_returns_whole_group():
-    code = pentagon_code()
-    opset = enumerate_nontrivial(code, "Stabilizers")
-    assert set(opset.operators) == set(stabilizer_group(code))
-
-
 def test_exhaustive_limit_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_nontrivial(star_code(15), "LogicalZ")
@@ -167,14 +159,15 @@ def test_exhaustive_limit_guard():
     assert len(ops) == 5
 
 
-def test_operator_set_deterministic_order_and_json():
+def test_enumeration_deterministic_order():
     code = pentagon_code()
-    opset = enumerate_nontrivial(code, "AllLogical")
-    keys = [(op.weight, op.x, op.z) for op in opset]
+    ops = enumerate_nontrivial(code, "AllLogical")
+    assert isinstance(ops, tuple)
+    keys = [(op.weight, op.x, op.z) for op in ops]
     assert keys == sorted(keys)
-    data = json.loads(opset.to_json())
-    assert data["kind"] == "AllLogical"
-    assert len(data["operators"]) == len(opset)
+    assert len(set(keys)) == len(keys)
+    with pytest.raises(ValueError):
+        enumerate_nontrivial(code, "Stabilizers")
 
 
 # -- filtering ---------------------------------------------------------------------
@@ -193,7 +186,7 @@ def test_filter_star_logical_z_modes():
 def test_filter_all_lost_keeps_identity_only():
     code = pentagon_code()
     m = MeasurementPattern.from_statuses(["lost"] * 4)
-    stab = filter_compatible(enumerate_nontrivial(code, "Stabilizers"), m)
+    stab = filter_compatible(stabilizer_group(code), m)
     assert [op.weight for op in stab] == [0]
     logical = filter_compatible(enumerate_nontrivial(code, "AllLogical"), m)
     assert len(logical) == 0
@@ -202,7 +195,7 @@ def test_filter_all_lost_keeps_identity_only():
 def test_filter_group_closure_exhaustive():
     """Surviving stabilizers form a group for every basis/lost assignment."""
     for code in [pentagon_code(), star_code(4)]:
-        full = enumerate_nontrivial(code, "Stabilizers")
+        full = stabilizer_group(code)
         for assignment in itertools.product("XYZ_", repeat=code.n):
             m = MeasurementPattern.from_chars("".join(assignment))
             kept = filter_compatible(full, m)

@@ -15,8 +15,10 @@ import random
 import pytest
 
 import graphcode_lt
-from graphcode_lt.codes import GraphCode, pentagon_code, star_code
+from graphcode_lt import fusion
+from graphcode_lt.codes import GraphCode, pentagon_code, star_code, tree_code
 from graphcode_lt.graphs import Graph, local_complement
+from graphcode_lt.opsets import ResourceLimitError
 from graphcode_lt.search import (
     Objective,
     enumerate_candidates,
@@ -269,6 +271,32 @@ def test_over_budget_candidates_deferred_to_second_pass():
     result = optimize(Objective("pauli_all_bases", eta=0.9), cands, budget=4)
     assert len(result.ranked) == 2
     assert not result.failures
+
+
+def test_budget_defers_every_objective():
+    # the qubit budget binds whichever engine scores the code, the
+    # fusion-network threshold included
+    code = tree_code([2, 1])
+    for kind in ("pauli_all_bases", "arbitrary", "fusion_success",
+                 "fbqc_threshold"):
+        with pytest.raises(ResourceLimitError, match="limit is n <= 3"):
+            evaluate_objective(Objective(kind), code, limit=3)
+    result = optimize(Objective("fbqc_threshold"), [code], budget=3)
+    assert len(result.ranked) == 1 and not result.failures
+
+
+def test_transversal_score_keeps_engine_limit(monkeypatch):
+    # 14 qubits pass the search's limit but not the transversal engine's
+    # own (fusion.TRANSVERSAL_LIMIT = 12); the recovery table would take
+    # 268 MB, so building it fails the test at once
+    def refuse(code):
+        raise AssertionError("recovery table built past the engine limit")
+
+    monkeypatch.setattr(fusion, "_recovery_table", refuse)
+    code = tree_code([2, 2, 2])
+    assert code.n == 14
+    with pytest.raises(ResourceLimitError, match="limit is n <= 12"):
+        evaluate_objective(Objective("fusion_success", adaptive=False), code)
 
 
 def test_infeasible_candidates_logged_not_dropped():
