@@ -37,17 +37,9 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import GraphCode, per_code
-from .losstree import (
-    Target,
-    _strategies,
-    attempt,
-    busiest_output,
-    grow,
-    leaves,
-    narrow,
-)
-from .opsets import EXHAUSTIVE_LIMIT, ResourceLimitError, stabilizer_group
-from .pauli import BASIS_FUSION, MeasurementPattern, fits, iter_bits
+from .losstree import TargetSet, _rank, _strategies, _xz, grow, leaves
+from .opsets import ResourceLimitError, stabilizer_group
+from .pauli import BASIS_FUSION, MeasurementPattern, iter_bits
 
 __all__ = [
     "FusionModel", "LogicalFusionResult",
@@ -65,6 +57,11 @@ class FusionModel:
     photons per side, so the arrival factor is eta^(1/p_fail).  The
     derived outcome probabilities are s (success), f (failure, one
     parity survives) and l (loss, no outcome); they sum to one.
+
+    ``p_fail`` = 0 is admitted as the limit of a deterministic gate:
+    eta^(1/p_fail) tends to 0 for eta < 1 and is 1 at eta = 1.  The
+    network figures of merit (``apps``, and ``search`` objectives) need
+    a finite photon count per gate and refuse it.
     """
 
     __slots__ = ("p_fail", "eta", "s", "f", "l")
@@ -201,7 +198,7 @@ def _assignments(options, qubits, weight):
 
 @per_code
 def _transversal_counts(code: GraphCode, failure_bases: tuple | None,
-                        limit: int) -> dict:
+                        limit: int = TRANSVERSAL_LIMIT) -> dict:
     """Integer multiplicities of outcome assignments by class.
 
     Keys are (n_success, n_fail_x, n_fail_z, class); the per-assignment
@@ -215,7 +212,8 @@ def _transversal_counts(code: GraphCode, failure_bases: tuple | None,
     bit, loss neither.  So the class of every assignment is one lookup in
     the code's recovery table (``_recovery_table``, built once per code
     and shared by every basis tuple), and the counts are a numpy tally
-    of (n_success, n_fail_x, n_fail_z, table entry).
+    of (n_success, n_fail_x, n_fail_z, table entry).  No caller in the
+    package passes a ``limit`` other than ``TRANSVERSAL_LIMIT``.
     """
     n = code.n
     if n > limit:
@@ -248,9 +246,8 @@ def _transversal_counts(code: GraphCode, failure_bases: tuple | None,
 
 
 def _transversal_result(code: GraphCode, fm: FusionModel,
-                        failure_bases: tuple | None,
-                        limit: int) -> LogicalFusionResult:
-    counts = _transversal_counts(code, failure_bases, limit)
+                        failure_bases: tuple | None) -> LogicalFusionResult:
+    counts = _transversal_counts(code, failure_bases)
     n = code.n
     split = failure_bases is None
     sums = {"success": [], "fail": [], "loss": []}
@@ -266,8 +263,7 @@ def _transversal_result(code: GraphCode, fm: FusionModel,
 
 
 @per_code
-def compile_failure_bases(code: GraphCode, fm: FusionModel,
-                          limit: int = TRANSVERSAL_LIMIT) -> tuple[str, ...]:
+def compile_failure_bases(code: GraphCode, fm: FusionModel) -> tuple[str, ...]:
     """Per-qubit failure basis maximizing transversal fusion success.
 
     Coordinate ascent over {X, Z} per qubit, each candidate evaluated by
@@ -277,10 +273,10 @@ def compile_failure_bases(code: GraphCode, fm: FusionModel,
     for _ in range(code.n + 1):
         changed = False
         for i in range(code.n):
-            best = _transversal_result(code, fm, tuple(bases), limit).p_success
+            best = _transversal_result(code, fm, tuple(bases)).p_success
             flipped = bases.copy()
             flipped[i] = "X" if bases[i] == "Z" else "Z"
-            trial = _transversal_result(code, fm, tuple(flipped), limit).p_success
+            trial = _transversal_result(code, fm, tuple(flipped)).p_success
             if trial > best + 1e-15:
                 bases = flipped
                 changed = True
@@ -291,8 +287,7 @@ def compile_failure_bases(code: GraphCode, fm: FusionModel,
 
 def transversal_fusion(code: GraphCode, fm: FusionModel, *,
                        failure_bases: tuple | None = None,
-                       randomize_failures: bool = False,
-                       limit: int = TRANSVERSAL_LIMIT) -> LogicalFusionResult:
+                       randomize_failures: bool = False) -> LogicalFusionResult:
     """Logical fusion via physical fusions on every code qubit pair.
 
     With ``randomize_failures`` each failed gate keeps XX or ZZ with
@@ -300,44 +295,43 @@ def transversal_fusion(code: GraphCode, fm: FusionModel, *,
     per-qubit choice, compiled by maximum likelihood when omitted.
     """
     if randomize_failures:
-        return _transversal_result(code, fm, None, limit)
+        return _transversal_result(code, fm, None)
     if failure_bases is None:
-        failure_bases = compile_failure_bases(code, fm, limit)
+        failure_bases = compile_failure_bases(code, fm)
     if len(failure_bases) != code.n:
         raise ValueError("need one failure basis per code qubit")
-    return _transversal_result(code, fm, tuple(failure_bases), limit)
+    return _transversal_result(code, fm, tuple(failure_bases))
 
 
 # -- adaptive engine ---------------------------------------------------------------
 
 
-def _allowed_masks(pattern: MeasurementPattern, interfaces: tuple,
-                   prospective: bool) -> int:
+# the letters (0: X, 1: Y, 2: Z) a fused interface admits, by gate outcome
+_INTERFACE_LETTERS = {"s": (0, 1, 2), "fx": (0,), "fz": (2,)}
+
+
+def _interface_letters(interfaces: tuple, n: int) -> int:
     """Packed letter mask (``MeasurementPattern.allowed``) of the letters
-    recoverable per qubit.
-
-    These are the pattern's own letters, plus the fused interfaces: one
-    admits any Pauli letter after a successful gate and only the surviving
-    parity's letter after a failed one (the partner code must match there,
-    which the caller checks by intersecting letter vectors).
+    the fused interfaces make recoverable, to be joined to the pattern's
+    own: any Pauli letter after a successful gate, and only the surviving
+    parity's letter after a failed one (the partner code must match
+    there, which the caller checks by intersecting letter vectors).
     """
-    n = pattern.n
-    allowed = pattern.allowed(prospective)
+    letters = 0
     for q, kind in interfaces:
-        bit = 1 << q
-        if kind == "s":
-            allowed |= bit | bit << n | bit << 2 * n
-        elif kind == "fx":
-            allowed |= bit
-        else:
-            allowed |= bit << 2 * n
-    return allowed
+        for letter in _INTERFACE_LETTERS[kind]:
+            letters |= 1 << q + letter * n
+    return letters
 
 
-def _vectors(coset, masks: int, interfaces: tuple) -> frozenset:
-    """The interface letter vectors of the coset members ``masks`` admits."""
-    return frozenset(tuple(t.first.letter_at(q) for q, _ in interfaces)
-                     for t in narrow(coset, masks))
+def _cosets(code: GraphCode) -> tuple[TargetSet, np.ndarray]:
+    """The X and Z logical cosets as one set of single-operator targets,
+    sorted by (weight, x, z) across both, and a mask of its X members."""
+    group = stabilizer_group(code)
+    x, z = _xz([logical * s for logical in (code.logical_x, code.logical_z)
+                for s in group])
+    order = np.argsort(_rank(x, z, code.n))
+    return TargetSet(code.n, x[order], z[order]), order < len(group)
 
 
 class AdaptiveFusionAnalysis:
@@ -348,8 +342,17 @@ class AdaptiveFusionAnalysis:
     independently completes a strategy toward it.  Exhausted attempts
     fall back to single-operator salvage.  Terminal states carry exact
     probability monomials in (s, f, l, eta), so one compilation serves
-    every fusion model.  Only those terms are kept: the strategies, the
-    logical cosets and the per-side decoders are freed once compiled.
+    every fusion model.  Only those terms are kept: the logical cosets
+    and the per-side decoders are freed once compiled.
+
+    The walk and the side decoders keep their live strategies and coset
+    members as index arrays into two per-code ``TargetSet``s, the
+    strategies (``losstree._strategies``) and the X and Z logical cosets
+    (``_cosets``), and narrow, count and rank them with its numpy
+    kernels.  A leaf's interface letter vectors are packed ints, each
+    member's x | z << n bits on the interface qubits, gathered from one
+    array per side decoder; one vector is one int, so the sets intersect
+    exactly as the letter vectors do.
 
     The terms are also kept in column form, so ``result`` evaluates them
     as numpy gathers instead of a Python loop: one float64 coefficient
@@ -366,18 +369,20 @@ class AdaptiveFusionAnalysis:
     __slots__ = ("code", "randomize", "_terms", "_coef", "_index", "_width",
                  "_ends")
 
-    def __init__(self, code: GraphCode, randomize_failures: bool = False,
-                 limit: int = EXHAUSTIVE_LIMIT):
+    def __init__(self, code: GraphCode, randomize_failures: bool = False):
         self.code = code
         self.randomize = randomize_failures
-        group = stabilizer_group(code)
-        all_xops = tuple(Target(code.logical_x * s) for s in group)
-        all_zops = tuple(Target(code.logical_z * s) for s in group)
+        n = code.n
+        strategies = _strategies(code)
+        cosets, is_x = _cosets(code)
+        every = np.arange(len(cosets))
+        # the strategy operators ranked as if each output qubit were removed
+        ranks = [_rank(strategies.x, strategies.z, n, ~(1 << q)) for q in range(n)]
         terms = {klass: {} for klass in _CLASSES}
         side_memo: dict = {}
 
         def side(pattern: MeasurementPattern, interfaces: tuple,
-                 output: int | None, pairs: list) -> dict:
+                 output: int | None, pairs: np.ndarray) -> dict:
             """Leaf groups of one code's decoder: {(lambda_x, lambda_z):
             {(detected, lost): count}} over single-qubit attempt outcomes.
 
@@ -388,44 +393,49 @@ class AdaptiveFusionAnalysis:
             intersection decides whether the routes actually match.
             Members are ranked as if the output qubit were removed.
 
-            ``pairs`` must hold every strategy toward ``output`` that fits
-            the decoder's starting masks (extra ones are narrowed away).
+            ``pairs`` (strategy indices) must hold every strategy toward
+            ``output`` that fits the decoder's starting masks (extra ones
+            are narrowed away).
             """
             key = (pattern, interfaces, output)
             if key in side_memo:
                 return side_memo[key]
-            keep = -1 if output is None else ~(1 << output)
+            rank = None if output is None else ranks[output]
+            letters = _interface_letters(interfaces, n)
 
             def step(pat: MeasurementPattern, state):
                 alive, salvage = state
-                allowed = _allowed_masks(pat, interfaces, True)
-                done = _allowed_masks(pat, interfaces, False)
-                alive = narrow(alive, allowed)
-                if alive:
-                    if any(fits(st.need, done) for st in alive):
+                allowed = pat.allowed(True) | letters
+                done = pat.allowed(False) | letters
+                alive = strategies.narrow(alive, allowed)
+                if alive.size:
+                    if strategies.narrow(alive, done).size:
                         return pat
-                    # strategies share operators: rank each one once
-                    members = list(dict.fromkeys(
-                        op for st in alive for op in st.ops))
-                    q, b = attempt(members, pat, keep)
+                    # each strategy's operators, in order; attempt ranks
+                    # a repeated operator as its first occurrence
+                    q, b = strategies.attempt(strategies.pair[alive].ravel(),
+                                              pat, rank)
                     return q, b, (alive, salvage), (alive, salvage)
-                salvage = narrow(salvage, allowed)
-                if any(fits(t.need, done) for t in salvage):
+                salvage = cosets.narrow(salvage, allowed)
+                if cosets.narrow(salvage, done).size:
                     return pat
-                move = attempt([t.first for t in salvage], pat)
+                move = cosets.attempt(salvage, pat)
                 return (pat if move is None
-                        else move + (((), salvage), ((), salvage)))
+                        else move + ((alive, salvage), (alive, salvage)))
 
             # the masks only shrink below the root, so every leaf's logicals
-            # are among those that fit there
-            start = _allowed_masks(pattern, interfaces, True)
-            xops, zops = narrow(all_xops, start), narrow(all_zops, start)
+            # are among those that fit there; each keeps its letters on the
+            # interface qubits packed as one int, x | z << n
+            start = cosets.narrow(every, pattern.allowed(True) | letters)
+            parts = (start[is_x[start]], start[~is_x[start]])
+            face = sum(1 << q for q, _ in interfaces)
+            vec = cosets.x & face | (cosets.z & face) << n
             groups: dict = {}
-            tree = grow(pattern, (pairs, xops + zops), step)
+            tree = grow(pattern, (pairs, start), step)
             for pat in leaves(tree):
-                masks = _allowed_masks(pat, interfaces, False)
-                sig = (_vectors(xops, masks, interfaces),
-                       _vectors(zops, masks, interfaces))
+                masks = pat.allowed(False) | letters
+                sig = tuple(frozenset(vec[cosets.narrow(part, masks)].tolist())
+                            for part in parts)
                 attempted = pattern.unmeasured & ~pat.unmeasured
                 lost = (attempted & pat.lost).bit_count()
                 de = (attempted.bit_count() - lost, lost)
@@ -465,18 +475,18 @@ class AdaptiveFusionAnalysis:
             narrowing every strategy."""
             # a candidate output must still be unmeasured, so only
             # unmeasured qubits admit the A letter here
-            allowed = (_allowed_masks(pattern, interfaces, True)
-                       & ~(pattern.mother << 3 * pattern.n))
-            candidates = narrow(candidates, allowed)
-            if not candidates:
-                fold(side(pattern, interfaces, None, []), (a, b, c), mult)
+            allowed = ((pattern.allowed(True) | _interface_letters(interfaces, n))
+                       & ~(pattern.mother << 3 * n))
+            candidates = strategies.narrow(candidates, allowed)
+            if not candidates.size:
+                fold(side(pattern, interfaces, None, candidates), (a, b, c), mult)
                 return
-            q = busiest_output(candidates)
+            q = strategies.busiest_output(candidates)
             fused = pattern.measure(q, BASIS_FUSION)
             # a strategy toward q that fits the side decoder's masks fits
             # the walk's too, since q is its only A letter
             fold(side(fused, interfaces + ((q, "s"),), q,
-                      [st for st in candidates if st.output == q]),
+                      candidates[strategies.output[candidates] == q]),
                  (a + 1, b, c), mult)
             kinds = ("fx", "fz") if randomize_failures else ("fz",)
             for kind in kinds:
@@ -484,7 +494,7 @@ class AdaptiveFusionAnalysis:
                      a, b + 1, c, mult / len(kinds))
             walk(pattern.lose(q), interfaces, candidates, a, b, c + 1, mult)
 
-        walk(MeasurementPattern(code.n), (), _strategies(code, limit),
+        walk(MeasurementPattern(n), (), np.arange(len(strategies)),
              0, 0, 0, Fraction(1))
         # walk refers to itself, so the compile state it reaches would
         # otherwise wait for the cycle collector
@@ -515,14 +525,13 @@ class AdaptiveFusionAnalysis:
 
 
 @per_code
-def _adaptive_analysis(code: GraphCode, randomize: bool,
-                       limit: int) -> AdaptiveFusionAnalysis:
-    return AdaptiveFusionAnalysis(code, randomize, limit)
+def _adaptive_analysis(code: GraphCode,
+                       randomize: bool) -> AdaptiveFusionAnalysis:
+    return AdaptiveFusionAnalysis(code, randomize)
 
 
 def adaptive_fusion(code: GraphCode, fm: FusionModel, *,
-                    randomize_failures: bool = False,
-                    limit: int = EXHAUSTIVE_LIMIT) -> LogicalFusionResult:
+                    randomize_failures: bool = False) -> LogicalFusionResult:
     """Logical fusion via sequential output-qubit fusions plus per-code
     single-qubit decoding."""
-    return _adaptive_analysis(code, randomize_failures, limit).result(fm)
+    return _adaptive_analysis(code, randomize_failures).result(fm)

@@ -36,7 +36,7 @@ from . import __version__
 from .codes import GraphCode, InvalidCodeError, forget
 from .graphs import Graph, canonical_key, lc_orbit
 from .losstree import build_arbitrary_tree, build_pauli_tree, success_polynomial
-from .apps import fbqc_loss_threshold, rgs_link_probability
+from .apps import _validated_p_fail, fbqc_loss_threshold, rgs_link_probability
 from .opsets import EXHAUSTIVE_LIMIT, ResourceLimitError
 
 log = logging.getLogger(__name__)
@@ -75,11 +75,9 @@ class Objective:
             raise ValueError(f"unknown tie-break kind {tie_break!r}")
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {eta}")
-        if not 0.0 < p_fail <= 1.0:
-            raise ValueError(f"p_fail must lie in (0, 1], got {p_fail}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "p_fail", p_fail)
+        object.__setattr__(self, "p_fail", _validated_p_fail(p_fail))
         object.__setattr__(self, "adaptive", bool(adaptive))
         object.__setattr__(self, "tie_break", tie_break)
 

@@ -393,7 +393,7 @@ def clairvoyant_break_even(code) -> float:
     qubit's fate in advance succeeds iff some strategy's full qubit set
     is delivered.  Independent of the decision-tree recursion."""
     masks = sorted({s.first.support | s.second.support | (1 << s.output)
-                    for s in _strategies(code, 14)})
+                    for s in _strategies(code)})
     n = code.n
     terms: dict = {}
     for detected in range(1 << n):

@@ -10,6 +10,7 @@ from the outcome combinatorics.
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from graphcode_lt.codes import (
@@ -25,12 +26,12 @@ from graphcode_lt.fusion import (
     adaptive_fusion,
     compile_failure_bases,
     transversal_fusion,
-    _allowed_masks,
+    _interface_letters,
     _classify,
     _recovery_table,
     _transversal_counts,
 )
-from graphcode_lt.losstree import _strategies, narrow
+from graphcode_lt.losstree import SMALL, _strategies
 from graphcode_lt.opsets import ResourceLimitError
 from graphcode_lt.pauli import BASIS_FUSION, MeasurementPattern, fits
 
@@ -59,6 +60,10 @@ def test_fusion_model_outcomes_sum_to_one():
 
 
 def test_fusion_model_zero_failure():
+    """p_fail = 0 is the deterministic-gate limit: eta^(1/p_fail) goes to
+    0 below eta = 1 and is 1 at it.  The model keeps it in its domain
+    (test_adaptive_perfect_gates relies on it), while the network figures
+    of merit, which need a finite photon count per gate, refuse it."""
     assert FusionModel(0.0, 1.0).s == 1.0
     assert FusionModel(0.0, 0.9).l == 1.0
 
@@ -139,8 +144,11 @@ def test_transversal_randomized_conservation():
 
 
 def test_transversal_limit_and_bases_validation():
-    with pytest.raises(ResourceLimitError):
-        transversal_fusion(pentagon_code(), FusionModel(0.5, 0.9), limit=3)
+    # 13 qubits: past TRANSVERSAL_LIMIT, refused before any table is built
+    for randomize in (False, True):
+        with pytest.raises(ResourceLimitError, match="limit is n <= 12"):
+            transversal_fusion(star_code(13), FusionModel(0.5, 0.9),
+                               randomize_failures=randomize)
     with pytest.raises(ValueError):
         transversal_fusion(pentagon_code(), FusionModel(0.5, 0.9),
                            failure_bases=("Z", "Z"))
@@ -271,8 +279,8 @@ def test_adaptive_matches_attempt_ceiling_on_decorated_pentagon():
     # graph supports exactly two useful fusion attempts, so the adaptive
     # engine meets the bound and the transversal engine can exceed it]
     code = decorated_pentagon_code()
-    sts = _strategies(code, 14)
-    outs = sorted({s.output for s in sts})
+    sts = _strategies(code)
+    outs = sorted(set(sts.output.tolist()))
     hits = 0
     for bits in product("sf", repeat=len(outs)):
         assign = dict(zip(outs, bits))
@@ -281,8 +289,9 @@ def test_adaptive_matches_attempt_ceiling_on_decorated_pentagon():
         for o, b in assign.items():
             pat = pat.measure(o, BASIS_FUSION)
             ifs.append((o, "s" if b == "s" else "fz"))
-        masks = _allowed_masks(pat, tuple(ifs), True)
-        if any(assign[s.output] == "s" and fits(s.need, masks) for s in sts):
+        masks = pat.allowed(True) | _interface_letters(tuple(ifs), code.n)
+        if any(assign[o] == "s" and fits(need, masks)
+               for o, need in zip(sts.output.tolist(), sts.needs)):
             hits += 1
     ceiling = hits / 2 ** len(outs)
     got = adaptive_fusion(code, FusionModel(0.5, 1.0)).p_success
@@ -323,26 +332,35 @@ def _walk_allowed(pattern, interfaces) -> int:
     """The adaptive walk's masks: the interfaces' letters, and A letters
     on unmeasured qubits only."""
     n = pattern.n
-    letters = _allowed_masks(pattern, interfaces, True) & ((1 << 3 * n) - 1)
+    letters = pattern.allowed(True) | _interface_letters(interfaces, n)
+    letters &= (1 << 3 * n) - 1
     return letters | pattern.unmeasured << 3 * n
 
 
 def test_walk_narrowing_matches_full_refilter():
     # along random fuse (s, fx, fz) and lose paths, narrowing the parent's
-    # candidates gives what narrowing every strategy gives, and a fused
-    # qubit's side decoder starts from the same strategies either way
+    # candidates gives what testing every strategy with pauli.fits gives,
+    # and a fused qubit's side decoder starts from the same strategies
+    # either way; the paths cross the size cut from above to below
     rng = random.Random(11)
+    sizes = set()
     for code in (decorated_pentagon_code(), cube_code()):
-        sts = _strategies(code, 14)
+        sts = _strategies(code)
+        every = np.arange(len(sts))
+
+        def refilter(allowed):
+            return [t for t in range(len(sts)) if fits(sts.needs[t], allowed)]
+
         for _ in range(30):
-            pattern, interfaces, cands = MeasurementPattern(code.n), (), sts
+            pattern, interfaces, cands = MeasurementPattern(code.n), (), every
             while True:
                 allowed = _walk_allowed(pattern, interfaces)
-                cands = narrow(cands, allowed)
-                assert cands == narrow(sts, allowed)
-                if not cands:
+                sizes.add(len(cands))
+                cands = sts.narrow(cands, allowed)
+                assert cands.tolist() == refilter(allowed)
+                if not cands.size:
                     break
-                q = rng.choice(sorted({st.output for st in cands}))
+                q = rng.choice(sorted(set(sts.output[cands].tolist())))
                 move = rng.choice(("s", "fx", "fz", "lose"))
                 if move == "lose":
                     pattern = pattern.lose(q)
@@ -350,7 +368,10 @@ def test_walk_narrowing_matches_full_refilter():
                 pattern = pattern.measure(q, BASIS_FUSION)
                 interfaces += ((q, move),)
                 if move == "s":
-                    side = _allowed_masks(pattern, interfaces, True)
-                    toward = [st for st in sts if st.output == q]
-                    assert narrow([st for st in cands if st.output == q],
-                                  side) == narrow(toward, side)
+                    side = (pattern.allowed(True)
+                            | _interface_letters(interfaces, code.n))
+                    toward = every[sts.output == q]
+                    assert (sts.narrow(cands[sts.output[cands] == q],
+                                       side).tolist()
+                            == sts.narrow(toward, side).tolist())
+    assert min(sizes) < SMALL <= max(sizes)

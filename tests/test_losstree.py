@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from graphcode_lt import losstree
@@ -25,8 +26,10 @@ from graphcode_lt.codes import (
 )
 from graphcode_lt.graphs import Graph, path_graph, star_graph
 from graphcode_lt.losstree import (
+    SMALL,
     DecisionTree,
     Leaf,
+    TargetSet,
     build_arbitrary_tree,
     build_pauli_tree,
     _strategies,
@@ -34,13 +37,18 @@ from graphcode_lt.losstree import (
     decode,
     load_or_build,
     monte_carlo_decode,
-    narrow,
     success_polynomial,
     total_polynomial,
 )
 from graphcode_lt.graphs import lc_orbit
 from graphcode_lt.opsets import enumerate_nontrivial
-from graphcode_lt.pauli import commutes_qubitwise, fits
+from graphcode_lt.pauli import (
+    Basis,
+    MeasurementPattern,
+    PauliOperator,
+    commutes_qubitwise,
+    fits,
+)
 from graphcode_lt.polynomials import LossPolynomial
 
 from _oracles import (
@@ -220,6 +228,20 @@ def test_paths_never_repeat_qubits_and_leaves_certify():
                     assert commutes_qubitwise(masked, leaf.pattern, completed=True)
 
 
+def triples(ts) -> list[tuple]:
+    """(first, second, output) of every target, rebuilt from the index
+    arrays and the operator tuple."""
+    return [(ts.ops[i], ts.ops[j], o) for i, j, o in
+            zip(*ts.pair.T.tolist(), ts.output.tolist())]
+
+
+def need_reference(first, second, output) -> int:
+    """A target's joint letter mask, from the operators' own masks."""
+    need = first.masks | second.masks
+    n, bit = first.n, 1 << output
+    return need & ~(bit | bit << n | bit << 2 * n) | bit << 3 * n
+
+
 def test_strategies_match_commutation_reference():
     # differing on exactly one shared qubit implies anticommuting, so
     # dropping the commutation test keeps every pair, in order
@@ -229,23 +251,92 @@ def test_strategies_match_commutation_reference():
     randoms = [random_code(random.Random(seed), size)
                for seed, size in enumerate((6, 7, 7, 8, 8))]
     for code in library + randoms:
-        got = _strategies(code, 14)
-        assert [(t.first, t.second, t.output)
-                for t in got] == strategies_reference(code, 14)
-        assert not any(t.first.commutes(t.second) for t in got)
+        got = _strategies(code)
+        want = strategies_reference(code, 14)
+        assert len(got) == len(want)
+        assert triples(got) == want
+        assert [tuple(t) for t in got] == want
+        assert got.ops == enumerate_nontrivial(code, "AllLogical")
+        assert got.needs == [need_reference(*t) for t in want]
+        assert not any(a.commutes(b) for a, b, _ in want)
+
+
+def random_allowed(rng: random.Random, n: int) -> int:
+    # each letter of each qubit admitted with probability 3/4
+    return rng.getrandbits(4 * n) | rng.getrandbits(4 * n)
+
+
+def check_narrow(ts, idx, allowed) -> int:
+    """Check ``narrow`` against ``fits`` one target at a time; returns
+    how many targets it dropped."""
+    got = ts.narrow(np.array(idx, dtype=np.intp), allowed)
+    assert got.dtype == np.intp
+    assert got.tolist() == [t for t in idx if fits(ts.needs[t], allowed)]
+    return len(idx) - len(got)
 
 
 def test_narrow_keeps_fitting_targets_in_order():
+    # both sides of the size cut, on pairs and on single operators
     rng = random.Random(3)
     code = cube_code()
-    targets = list(_strategies(code, 14))
-    targets += [losstree.Target(op)
-                for op in enumerate_nontrivial(code, "LogicalZ")]
-    for _ in range(200):
-        # each letter of each qubit admitted with probability 3/4
-        allowed = rng.getrandbits(4 * code.n) | rng.getrandbits(4 * code.n)
-        assert narrow(targets, allowed) == [
-            t for t in targets if fits(t.need, allowed)]
+    ops = enumerate_nontrivial(code, "LogicalZ")
+    singles = TargetSet(code.n, *losstree._xz(ops), ops=ops)
+    assert singles.needs == [op.masks for op in ops]
+    for ts in (_strategies(code), singles):
+        assert len(ts) > SMALL
+        for size in (0, 1, SMALL - 1, SMALL, len(ts)):
+            for _ in range(40):
+                idx = rng.sample(range(len(ts)), size)
+                check_narrow(ts, idx, random_allowed(rng, code.n))
+
+
+def test_narrow_on_fourteen_qubits_denies_top_letters():
+    # tree[2,3,1] has 14 qubits, so its A letters reach bit 55; deny only
+    # A letters of the highest qubits, where a clipped or signed mask
+    # would go wrong
+    code = tree_code([2, 3, 1])
+    ts = _strategies(code)
+    n = code.n
+    assert n == 14 and int(ts.need.max()) >> 4 * n == 0
+    assert int(ts.need.max()).bit_length() > 3 * n
+    rng = random.Random(5)
+    full = (1 << 4 * n) - 1
+    every = list(range(len(ts)))
+    for top in (1, 2, 4):
+        allowed = full & ~(((1 << top) - 1) << 4 * n - top)
+        assert check_narrow(ts, every, allowed) > 0
+        check_narrow(ts, rng.sample(every, SMALL - 1), allowed)
+    check_narrow(ts, every, random_allowed(rng, n))
+
+
+def test_busiest_output_ties_go_to_lowest():
+    ts = _strategies(cube_code())
+    out = ts.output
+    for a, b in ((0, 1), (1, 0), (2, 5)):
+        ia, ib = np.flatnonzero(out == a)[:2], np.flatnonzero(out == b)[:2]
+        # two targets each: a tie, whichever order they come in
+        assert ts.busiest_output(np.concatenate((ib, ia))) == min(a, b)
+        assert ts.busiest_output(np.concatenate((ia, ib[:1]))) == a
+
+
+def test_attempt_with_keep_takes_first_of_equal_ranks():
+    # two operators that differ only on qubit 0 rank equal once qubit 0 is
+    # removed: the first one listed is attempted, as min() picks it
+    # (sorted by (weight, x, z), as a TargetSet's operators are)
+    ops = tuple(PauliOperator.from_letters(t) for t in ("ZZI", "XZI", "IXX"))
+    assert list(ops) == sorted(ops, key=lambda o: (o.weight, o.x, o.z))
+    ts = TargetSet(3, *losstree._xz(ops), ops=ops)
+    pattern = MeasurementPattern(3)
+    rank = losstree._rank(ts.x, ts.z, 3, ~1)
+    assert rank[0] == rank[1] < rank[2]
+    assert ts.attempt(np.array([0, 1, 2]), pattern, rank) == (0, Basis("Z"))
+    assert ts.attempt(np.array([1, 0, 2]), pattern, rank) == (0, Basis("X"))
+    assert ts.attempt(np.array([2, 1, 0, 1]), pattern, rank) == (0, Basis("X"))
+    # without a rank the index is the rank; measured support is skipped
+    assert ts.attempt(np.array([2, 1, 0]), pattern) == (0, Basis("Z"))
+    first = pattern.measure(0, Basis("X"))
+    assert ts.attempt(np.array([2, 1, 0]), first) == (1, Basis("Z"))
+    assert ts.attempt(np.array([0]), first.measure(1, Basis("Z"))) is None
 
 
 def test_decode_walk():
