@@ -197,8 +197,7 @@ def _assignments(options, qubits, weight):
 
 
 @per_code
-def _transversal_counts(code: GraphCode, failure_bases: tuple | None,
-                        limit: int = TRANSVERSAL_LIMIT) -> dict:
+def _transversal_counts(code: GraphCode, failure_bases: tuple | None) -> dict:
     """Integer multiplicities of outcome assignments by class.
 
     Keys are (n_success, n_fail_x, n_fail_z, class); the per-assignment
@@ -212,14 +211,14 @@ def _transversal_counts(code: GraphCode, failure_bases: tuple | None,
     bit, loss neither.  So the class of every assignment is one lookup in
     the code's recovery table (``_recovery_table``, built once per code
     and shared by every basis tuple), and the counts are a numpy tally
-    of (n_success, n_fail_x, n_fail_z, table entry).  No caller in the
-    package passes a ``limit`` other than ``TRANSVERSAL_LIMIT``.
+    of (n_success, n_fail_x, n_fail_z, table entry).  Codes past
+    ``TRANSVERSAL_LIMIT`` qubits are refused.
     """
     n = code.n
-    if n > limit:
+    if n > TRANSVERSAL_LIMIT:
         raise ResourceLimitError(
             f"transversal enumeration needs 3^{n} assignments; "
-            f"limit is n <= {limit}")
+            f"limit is n <= {TRANSVERSAL_LIMIT}")
     if failure_bases is not None and not set(failure_bases) <= {"X", "Z"}:
         raise ValueError(f"fusion parities are XX or ZZ, got {failure_bases}")
     options = [_DIGITS[b] for b in failure_bases or (None,) * n]

@@ -11,8 +11,16 @@ each unplaced vertex's column against the placed prefix, branches only
 on the vertices whose column is least, tries one vertex per twin class
 (vertices an automorphism fixing the prefix swaps) and cuts prefixes past
 the best string so far.  Each pruned branch can only tie or lose, so the
-result is the lexicographic minimum over every order.  Orbit closure
-skips local complementations whose canonical form is already known.
+result is the lexicographic minimum over every order.  The search also
+reports where it placed each vertex.
+
+Orbit closure skips local complementations whose canonical form is
+already known.  Complementation at v leaves N(v) unchanged, so it is an
+involution, and it commutes with relabeling.  If LC_v(h) canonicalises
+to cf by placing v at position p, then LC_p(cf) is that relabeling of h.
+The relabeling fixes the pinned prefix, so it has h's canonical form: the
+move at p on cf walks back to a member already found.  Skipping it
+changes neither the members nor the order they are found in.
 """
 
 from __future__ import annotations
@@ -203,15 +211,16 @@ def _earlier_twins(nbr: tuple[int, ...], n_fixed: int) -> list[int]:
     return twins
 
 
-def _canonical_columns(g: Graph, n_fixed: int) -> list[int]:
-    """The least column string of ``g`` over orders of vertices >= n_fixed.
+def _canonical(g: Graph, n_fixed: int) -> tuple[Graph, list[int]]:
+    """The canonical form of ``g`` and the placement that gives it.
 
     The first ``n_fixed`` vertices keep their positions.  Placing a vertex
     at position p >= n_fixed contributes its column: the integer with bit
-    i set when it is adjacent to the vertex at position i < p.  Column
-    strings compare lexicographically, so the result is the minimum over
-    all (n - n_fixed)! orders, found by a depth-first search that does
-    not visit them all:
+    i set when it is adjacent to the vertex at position i < p.  The
+    canonical form has the least column string over all (n - n_fixed)!
+    orders, and ``position[v]`` is v's index in it, so
+    ``g.relabeled(position)`` is the form.  A depth-first search finds it
+    without visiting every order:
 
     - Each unplaced vertex carries its column against the placed prefix,
       and placing a vertex at p sets bit p in its unplaced neighbours.
@@ -227,36 +236,48 @@ def _canonical_columns(g: Graph, n_fixed: int) -> list[int]:
     so the minimum is exactly that of the full enumeration.
     """
     n, nbr = g.n, g.nbr
-    adjacent = [list(iter_bits(row)) for row in nbr]
+    if n - n_fixed < 2:
+        return g, list(range(n))
+    adjacent = [[u for u in range(n) if row >> u & 1] for row in nbr]
     earlier_twins = _earlier_twins(nbr, n_fixed)
     cols: list[int] = []
-    best: list[int] | None = None
+    order: list[int] = []
+    best_cols: list[int] = []
+    best_order: list[int] = []
 
     def rec(pos: int, free: list[int], mask: int, col: list[int],
             tied: bool):
-        # ``free`` lists the unplaced vertices, ``mask`` holds them as
-        # bits; ``tied``: the placed columns equal the best's prefix
-        nonlocal best
-        if not free:
-            if not tied:
-                best = list(cols)
-            return
+        # ``free`` lists the two or more unplaced vertices, ``mask`` holds
+        # them as bits; ``tied``: the placed columns equal the best's prefix
+        nonlocal best_cols, best_order
         low = min([col[v] for v in free])
         if tied:
-            ref = best[pos - n_fixed]
+            ref = best_cols[pos - n_fixed]
             if low > ref:
                 return
             tied = low == ref
         cols.append(low)
         bit = 1 << pos
+        last = len(free) == 2
         for v in free:
             if col[v] != low or earlier_twins[v] & mask:
                 continue
-            child = col[:]
-            for u in adjacent[v]:
-                child[u] |= bit
-            rec(pos + 1, [u for u in free if u != v], mask ^ (1 << v),
-                child, tied)
+            rest = free.copy()
+            rest.remove(v)
+            if last:
+                # the one vertex left goes at pos + 1: a leaf
+                u = rest[0]
+                tail = col[u] | (bit if nbr[v] >> u & 1 else 0)
+                if not tied or tail < best_cols[-1]:
+                    best_cols = cols + [tail]
+                    best_order = order + [v, u]
+            else:
+                child = col[:]
+                for u in adjacent[v]:
+                    child[u] |= bit
+                order.append(v)
+                rec(pos + 1, rest, mask ^ (1 << v), child, tied)
+                order.pop()
             # the first child always reaches a leaf that ties or beats
             # the best, so this prefix is now the best string's prefix
             tied = True
@@ -265,27 +286,27 @@ def _canonical_columns(g: Graph, n_fixed: int) -> list[int]:
     prefix = (1 << n_fixed) - 1
     rec(n_fixed, list(range(n_fixed, n)), ((1 << n) - 1) ^ prefix,
         [row & prefix for row in nbr], False)
-    return best
+    position = list(range(n))
+    for p, v in enumerate(best_order, n_fixed):
+        position[v] = p
+    rows = [0] * n
+    for v, adj in enumerate(adjacent):
+        row = 0
+        for u in adj:
+            row |= 1 << position[u]
+        rows[position[v]] = row
+    return Graph._trusted(n, tuple(rows)), position
 
 
 def canonical_form(g: Graph, n_fixed: int = 0) -> Graph:
-    """The canonically relabeled graph (first ``n_fixed`` vertices pinned).
-
-    Its adjacency is read off the least column string: position p is
-    joined to the positions set in its column.
-    """
-    prefix = (1 << n_fixed) - 1
-    nbr = [row & prefix for row in g.nbr[:n_fixed]] + [0] * (g.n - n_fixed)
-    for pos, column in enumerate(_canonical_columns(g, n_fixed), n_fixed):
-        nbr[pos] |= column
-        for i in iter_bits(column):
-            nbr[i] |= 1 << pos
-    return Graph._trusted(g.n, tuple(nbr))
+    """The canonically relabeled graph (first ``n_fixed`` vertices pinned):
+    the relabeling with the least column string (``_canonical``)."""
+    return _canonical(g, n_fixed)[0]
 
 
 def canonical_key(g: Graph, n_fixed: int = 0) -> tuple:
     """Hashable canonical invariant under permutations preserving the pinned prefix."""
-    cf = canonical_form(g, n_fixed)
+    cf = _canonical(g, n_fixed)[0]
     return (cf.n, cf.nbr)
 
 
@@ -294,36 +315,42 @@ def lc_orbit(g: Graph, cap: int = 10 ** 6, n_fixed: int = 1) -> tuple[set[Graph]
 
     Members are deduplicated by canonical labeling with the first
     ``n_fixed`` vertices held fixed (vertex 0 is the code input by
-    convention).  Returns (members, truncated_flag); enumeration stops
-    once ``cap`` members are collected.
+    convention).  The closure is breadth first: each member, in the order
+    found, tries its moves in vertex order.  Returns (members,
+    truncated_flag); enumeration stops once ``cap`` members are collected.
 
-    Moves whose result is already known are skipped: complementing at a
-    vertex of degree at most one is the identity, and an unpinned vertex
-    with a lower twin (``_earlier_twins``) is mapped onto that twin by an
-    automorphism fixing the pinned prefix, so both complementations have
-    the same canonical form.
+    Moves whose result is already known are skipped, so each skipped
+    result is in the closure already and the members and the order they
+    are found in are those of a closure that tries every move:
+
+    - complementing at a vertex of degree at most one is the identity;
+    - an unpinned vertex with a lower twin (``_earlier_twins``) is mapped
+      onto that twin by an automorphism fixing the pinned prefix, so both
+      complementations have the same canonical form;
+    - complementation at v is an involution that leaves N(v) as it is.
+      When LC_v(h) canonicalises to cf by the placement ``position``
+      (``_canonical``), LC at position[v] takes cf back to the
+      relabeling of h by ``position``, which fixes the pinned prefix, so
+      to h's canonical form.  ``back`` maps each member to the mask of
+      its moves found to lead back to a known member.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    start = canonical_form(g, n_fixed)
-    seen = {start}
-    frontier = [start]
-    truncated = False
-    while frontier and not truncated:
-        nxt = []
-        for h in frontier:
-            twins = _earlier_twins(h.nbr, n_fixed)
-            for v, row in enumerate(h.nbr):
-                if not row & (row - 1) or twins[v]:
-                    continue
-                cf = canonical_form(local_complement(h, v), n_fixed)
-                if cf not in seen:
-                    seen.add(cf)
-                    nxt.append(cf)
-                    if len(seen) >= cap:
-                        truncated = True
-                        break
-            if truncated:
-                break
-        frontier = nxt
-    return seen, truncated
+    start = _canonical(g, n_fixed)[0]
+    order = [start]
+    back = {start: 0}
+    for h in order:
+        skip = back[h]
+        twins = _earlier_twins(h.nbr, n_fixed)
+        for v, row in enumerate(h.nbr):
+            if not row & (row - 1) or twins[v] or skip >> v & 1:
+                continue
+            cf, position = _canonical(local_complement(h, v), n_fixed)
+            if cf in back:
+                back[cf] |= 1 << position[v]
+                continue
+            back[cf] = 1 << position[v]
+            order.append(cf)
+            if len(order) >= cap:
+                return set(order), True
+    return set(order), False

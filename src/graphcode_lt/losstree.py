@@ -365,7 +365,7 @@ def build_pauli_tree(code: GraphCode, basis: str = "Z") -> DecisionTree:
 
 
 @per_code
-def _strategies(code: GraphCode, limit: int = EXHAUSTIVE_LIMIT) -> TargetSet:
+def _strategies(code: GraphCode) -> TargetSet:
     """Anticommuting operator pairs that differ on exactly one shared qubit,
     the output onto which the pair teleports the logical.
 
@@ -379,10 +379,8 @@ def _strategies(code: GraphCode, limit: int = EXHAUSTIVE_LIMIT) -> TargetSet:
     increasing order, so pairs come out in the (i, j) order of the double
     loop over the operator set.  They are returned as index arrays into
     the sorted ``AllLogical`` operators, with no object per pair.
-    ``limit`` only reaches ``enumerate_nontrivial``; no caller in the
-    package sets it.
     """
-    ops = enumerate_nontrivial(code, "AllLogical", limit)
+    ops = enumerate_nontrivial(code, "AllLogical", EXHAUSTIVE_LIMIT)
     x, z = _xz(ops)
     seconds, bits = [], []
     for i in range(len(ops)):

@@ -18,8 +18,7 @@ the representative.
 Objectives score a candidate through the decoder, fusion and
 fusion-network engines as a pure function of the code, each engine at
 its own default size limit; ``optimize`` evaluates a candidate stream
-against one objective with optional process parallelism, a qubit budget
-(oversized candidates are deferred to a wider second pass), and an
+against one objective with optional process parallelism and an
 append-only JSON-lines checkpoint that makes long sweeps
 resumable.  Rankings are sorted by score with a total tie-break, so any
 permutation of the candidate stream yields the same result order.
@@ -115,19 +114,18 @@ def _score_kind(kind: str, code: GraphCode,
     return fbqc_loss_threshold(code, obj.p_fail, obj.adaptive), None
 
 
-def evaluate_objective(obj: Objective, code: GraphCode,
-                       limit: int = EXHAUSTIVE_LIMIT) -> tuple[float, float, str | None]:
+def evaluate_objective(obj: Objective, code: GraphCode) -> tuple[float, float, str | None]:
     """(score, tie-break score, canonical polynomial or None) for one code.
 
-    A code on more than ``limit`` qubits raises ``ResourceLimitError``
-    before any engine runs; the engines themselves run at their own
-    default limits, so a transversal fusion score still refuses codes
-    above ``fusion.TRANSVERSAL_LIMIT``.
+    A code on more than ``EXHAUSTIVE_LIMIT`` qubits raises
+    ``ResourceLimitError`` before any engine runs; the engines themselves
+    run at their own default limits, so a transversal fusion score still
+    refuses codes above ``fusion.TRANSVERSAL_LIMIT``.
     """
-    if code.n > limit:
+    if code.n > EXHAUSTIVE_LIMIT:
         raise ResourceLimitError(
             f"exhaustive enumeration needs 2^{code.n - 1} products; "
-            f"limit is n <= {limit}")
+            f"limit is n <= {EXHAUSTIVE_LIMIT}")
     score, poly = _score_kind(obj.kind, code, obj)
     second = 0.0
     if obj.tie_break is not None:
@@ -285,16 +283,16 @@ def _rank_key(c: ScoredCandidate):
 
 
 def _eval_packed(args):
-    g6, input_vertex, obj_dict, limit = args
+    g6, input_vertex, obj_dict = args
     obj = Objective(**obj_dict)
     code = GraphCode(Graph.from_graph6(g6), input_vertex)
     try:
-        score, second, poly = evaluate_objective(obj, code, limit)
+        score, second, poly = evaluate_objective(obj, code)
         return g6, input_vertex, score, second, poly, None
     except ResourceLimitError as exc:
-        return g6, input_vertex, 0.0, 0.0, None, ("deferred", str(exc))
+        return g6, input_vertex, 0.0, 0.0, None, str(exc)
     except Exception as exc:
-        return g6, input_vertex, 0.0, 0.0, None, ("failed", repr(exc))
+        return g6, input_vertex, 0.0, 0.0, None, repr(exc)
     finally:
         # a search scores each code once, so its derived data is dead
         forget(code)
@@ -343,20 +341,16 @@ def _load_checkpoint(path: str | None, objective: Objective) -> tuple[dict, int]
 
 
 def optimize(objective: Objective, candidates, *, workers: int = 1,
-             budget: int | None = None,
              checkpoint: str | None = None) -> SearchResult:
     """Score every candidate against one objective and rank the results.
 
-    ``budget`` caps the qubit count of a code scored in the first pass;
-    candidates over budget are deferred to a second pass at
-    ``EXHAUSTIVE_LIMIT``, and a candidate refused there, by that limit or
-    by an engine's own, is logged as a failure.  With a
+    A candidate that fails to score, one refused by ``EXHAUSTIVE_LIMIT``
+    or by an engine's own limit included, is logged as a failure.  With a
     ``checkpoint`` path, finished scores are appended as JSON lines and
     reloaded on rerun, so an interrupted sweep resumes where it stopped.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    first_limit = EXHAUSTIVE_LIMIT if budget is None else budget
     cached, intact = _load_checkpoint(checkpoint, objective)
     obj_dict = objective.as_dict()
 
@@ -372,7 +366,7 @@ def optimize(objective: Objective, candidates, *, workers: int = 1,
         if ident in cached:
             scored.append(cached[ident])
         else:
-            pending.append((g6, code.input_vertex, obj_dict, first_limit))
+            pending.append((g6, code.input_vertex, obj_dict))
 
     sink = None
     if checkpoint:
@@ -380,23 +374,16 @@ def optimize(objective: Objective, candidates, *, workers: int = 1,
         sink.truncate(intact)  # new records must not follow a torn line
     failures = []
     try:
-        tasks, limit = pending, first_limit
-        while tasks:
-            deferred = []
-            for g6, iv, score, second, poly, err in _run_pass(tasks, workers):
-                if err is None:
-                    cand = ScoredCandidate(g6, iv, score, second, poly)
-                    scored.append(cand)
-                    if sink:
-                        record = dict(cand.record(objective),
-                                      version=__version__)
-                        sink.write(json.dumps(record, sort_keys=True) + "\n")
-                        sink.flush()
-                elif err[0] == "deferred" and limit < EXHAUSTIVE_LIMIT:
-                    deferred.append((g6, iv, obj_dict, EXHAUSTIVE_LIMIT))
-                else:
-                    failures.append((g6, iv, err[1]))
-            tasks, limit = deferred, EXHAUSTIVE_LIMIT
+        for g6, iv, score, second, poly, err in _run_pass(pending, workers):
+            if err is not None:
+                failures.append((g6, iv, err))
+                continue
+            cand = ScoredCandidate(g6, iv, score, second, poly)
+            scored.append(cand)
+            if sink:
+                record = dict(cand.record(objective), version=__version__)
+                sink.write(json.dumps(record, sort_keys=True) + "\n")
+                sink.flush()
     finally:
         if sink:
             sink.close()

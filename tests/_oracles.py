@@ -16,7 +16,7 @@ from graphcode_lt.errordecode import (
     _masked_targets,
     ml_logical_error,
 )
-from graphcode_lt.graphs import Graph, lc_orbit
+from graphcode_lt.graphs import Graph, canonical_form, local_complement
 from graphcode_lt.losstree import Leaf
 from graphcode_lt.opsets import ResourceLimitError, enumerate_nontrivial
 from graphcode_lt.pauli import PauliOperator, PauliSpan, fits, iter_bits
@@ -298,6 +298,31 @@ def lexmin_canonical_form(g: Graph, n_fixed: int = 0) -> Graph:
                                   for u, v in g.edges()])
 
 
+# -- LC orbits with no move skipped ---------------------------------------------
+# Closures that try complementation at every vertex of every member, so
+# they share nothing with the package's move skipping in ``lc_orbit``.
+
+
+def breadth_first_orbit(g: Graph, n_fixed: int) -> list[Graph]:
+    """Canonical forms of the LC orbit of ``g`` in the order ``lc_orbit``
+    finds them: breadth first, each member expanding at every vertex in
+    increasing order."""
+    order = [canonical_form(g, n_fixed)]
+    seen = set(order)
+    for h in order:
+        for v in range(h.n):
+            cf = canonical_form(local_complement(h, v), n_fixed)
+            if cf not in seen:
+                seen.add(cf)
+                order.append(cf)
+    return order
+
+
+def _naive_orbit(g: Graph, n_fixed: int) -> set[Graph]:
+    """Closure under complementation at every vertex, no move skipped."""
+    return set(breadth_first_orbit(g, n_fixed))
+
+
 # -- rooted classes by orbit closure ---------------------------------------------
 # The two-pass definition of the candidate list: close one rooted orbit
 # for every root of every unrooted class, and keep each orbit's minimum
@@ -305,10 +330,11 @@ def lexmin_canonical_form(g: Graph, n_fixed: int = 0) -> Graph:
 
 
 def orbit_key(g: Graph, n_fixed: int = 1, cap: int = 10 ** 6) -> tuple:
-    """Canonical key of the whole LC orbit: minimum member key."""
-    members, truncated = lc_orbit(g, cap=cap, n_fixed=n_fixed)
-    if truncated:
-        raise RuntimeError("orbit truncated; key would not be canonical")
+    """Canonical key of the whole LC orbit: minimum member key.  An orbit
+    of ``cap`` or more members raises ``RuntimeError``."""
+    members = _naive_orbit(g, n_fixed)
+    if len(members) >= cap:
+        raise RuntimeError(f"orbit has {len(members)} members, cap is {cap}")
     return min((m.n, m.nbr) for m in members)
 
 

@@ -204,7 +204,7 @@ def test_transversal_counts_match_span_reference():
         bases = [None, ("X",) * n, ("Z",) * n]
         bases += [tuple(rng.choice("XZ") for _ in range(n)) for _ in range(3)]
         for fb in bases:
-            got = _transversal_counts(code, fb, 12)
+            got = _transversal_counts(code, fb)
             assert got == transversal_counts_reference(code, fb), (code, fb)
             assert sum(got.values()) == (4 if fb is None else 3) ** n
 

@@ -29,7 +29,6 @@ from graphcode_lt.codes import (
 )
 from graphcode_lt.errordecode import ErrorAnalysis
 from graphcode_lt.fusion import (
-    TRANSVERSAL_LIMIT,
     AdaptiveFusionAnalysis,
     FusionModel,
     _transversal_counts,
@@ -42,7 +41,6 @@ from graphcode_lt.losstree import (
     build_pauli_tree,
     success_polynomial,
 )
-from graphcode_lt.opsets import EXHAUSTIVE_LIMIT
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden.json")
 
@@ -78,7 +76,7 @@ def _sha(text: str) -> str:
 
 def _strategies_text(code: GraphCode) -> str:
     return repr([(t.first.to_string(), t.second.to_string(), t.output)
-                 for t in _strategies(code, EXHAUSTIVE_LIMIT)])
+                 for t in _strategies(code)])
 
 
 def _terms_text(analysis: AdaptiveFusionAnalysis) -> str:
@@ -116,7 +114,7 @@ def golden_digests() -> dict:
         out[f"{name}|failure-bases"] = "".join(compiled)
         for label, bases in (("randomized", None), ("all-Z", ("Z",) * code.n),
                              ("compiled", compiled)):
-            counts = _transversal_counts(code, bases, TRANSVERSAL_LIMIT)
+            counts = _transversal_counts(code, bases)
             out[f"{name}|transversal-{label}"] = _sha(
                 repr(sorted(counts.items())))
     # one 14-qubit code, past the transversal limit: its strategy pairs,

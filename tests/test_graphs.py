@@ -16,6 +16,7 @@ import pytest
 
 from graphcode_lt.graphs import (
     Graph,
+    _canonical,
     canonical_form,
     canonical_key,
     complete_graph,
@@ -27,7 +28,12 @@ from graphcode_lt.graphs import (
     star_graph,
 )
 
-from _oracles import lexmin_canonical_form, orbit_key
+from _oracles import (
+    _naive_orbit,
+    breadth_first_orbit,
+    lexmin_canonical_form,
+    orbit_key,
+)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -196,21 +202,18 @@ def test_canonical_form_is_lexicographic_minimum_with_twins():
                     lexmin_canonical_form(h, n_fixed)
 
 
+def test_canonical_placement_relabels_to_form():
+    rng = random.Random(34)
+    graphs = _symmetric_graphs() + [
+        random_graph(rng, rng.randint(1, 8)) for _ in range(30)]
+    for g in graphs:
+        for n_fixed in range(3):
+            cf, position = _canonical(g, n_fixed)
+            assert position[:n_fixed] == list(range(min(n_fixed, g.n)))
+            assert g.relabeled(position) == cf == canonical_form(g, n_fixed)
+
+
 # -- LC orbits ----------------------------------------------------------------
-
-
-def _naive_orbit(g: Graph, n_fixed: int) -> set[Graph]:
-    """Closure under complementation at every vertex, no move skipped."""
-    seen = {canonical_form(g, n_fixed)}
-    frontier = list(seen)
-    while frontier:
-        h = frontier.pop()
-        for v in range(h.n):
-            cf = canonical_form(local_complement(h, v), n_fixed)
-            if cf not in seen:
-                seen.add(cf)
-                frontier.append(cf)
-    return seen
 
 
 def test_orbit_matches_naive_closure():
@@ -222,6 +225,27 @@ def test_orbit_matches_naive_closure():
             members, truncated = lc_orbit(g, n_fixed=n_fixed)
             assert not truncated
             assert members == _naive_orbit(g, n_fixed)
+
+
+def test_orbit_cap_keeps_breadth_first_order():
+    # every skipped move leads to a member already found, so lc_orbit
+    # finds members in the order of a closure that tries every move, and
+    # truncation at any cap keeps a prefix of it.  The start member is
+    # not checked against the cap, so the least truncated orbit has two.
+    # Each cap closes the orbit again, so orbits past 20 members take 20
+    # evenly spaced caps, not all of them.
+    rng = random.Random(35)
+    graphs = _symmetric_graphs() + [
+        random_graph(rng, rng.randint(3, 7)) for _ in range(6)]
+    for g in graphs:
+        for n_fixed in range(3):
+            order = breadth_first_orbit(g, n_fixed)
+            step = -(-len(order) // 20)
+            caps = set(range(1, len(order) + 2, step)) | {len(order) + 1}
+            for cap in sorted(caps):
+                members, truncated = lc_orbit(g, cap=cap, n_fixed=n_fixed)
+                assert members == set(order[:max(cap, 2)])
+                assert truncated == (max(cap, 2) <= len(order))
 
 
 

@@ -8,6 +8,7 @@ upper-bound any committed decoder, so a winner matching the lattice
 maximum cannot be dominated.
 """
 
+import hashlib
 import json
 import logging
 import random
@@ -15,11 +16,12 @@ import random
 import pytest
 
 import graphcode_lt
-from graphcode_lt import fusion
+from graphcode_lt import fusion, search
 from graphcode_lt.codes import GraphCode, pentagon_code, star_code, tree_code
 from graphcode_lt.graphs import Graph, local_complement
 from graphcode_lt.opsets import ResourceLimitError
 from graphcode_lt.search import (
+    OBJECTIVE_KINDS,
     Objective,
     enumerate_candidates,
     evaluate_objective,
@@ -63,7 +65,13 @@ def test_seven_vertex_class_counts():
     # [DERIVED: Danielsen-Parker LC orbit counts; the rooted count is the
     # 63 classes the search benchmark scores]
     assert len(unrooted_representatives(7)) == 26
-    assert len(list(enumerate_candidates(7))) == 63
+    cands = list(enumerate_candidates(7))
+    assert len(cands) == 63
+    # the representatives and their order, pinned as a digest: search
+    # output breaks ties by graph6
+    text = "\n".join(c.progenitor.to_graph6() for c in cands)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3b7465d767a6ed4e6729821e63477767b0ee21e462ae16f9bfc88ecc47ab84ca"
 
 
 def test_candidates_match_two_pass_reference():
@@ -266,23 +274,23 @@ def test_tie_break_orders_equal_primaries():
         [(c.graph6, c.tie_break) for c in res.ranked]
 
 
-def test_over_budget_candidates_deferred_to_second_pass():
-    cands = [pentagon_code(), star_code(6)]
-    result = optimize(Objective("pauli_all_bases", eta=0.9), cands, budget=4)
-    assert len(result.ranked) == 2
-    assert not result.failures
+def test_oversized_code_refused_by_every_objective(monkeypatch):
+    # past EXHAUSTIVE_LIMIT every objective refuses the code before any
+    # engine runs, the fusion-network threshold included, and optimize
+    # logs the refusal as a failure
+    def refuse(*args):
+        raise AssertionError("an engine ran past the search's limit")
 
-
-def test_budget_defers_every_objective():
-    # the qubit budget binds whichever engine scores the code, the
-    # fusion-network threshold included
-    code = tree_code([2, 1])
-    for kind in ("pauli_all_bases", "arbitrary", "fusion_success",
-                 "fbqc_threshold"):
-        with pytest.raises(ResourceLimitError, match="limit is n <= 3"):
-            evaluate_objective(Objective(kind), code, limit=3)
-    result = optimize(Objective("fbqc_threshold"), [code], budget=3)
-    assert len(result.ranked) == 1 and not result.failures
+    monkeypatch.setattr(search, "_score_kind", refuse)
+    code = star_code(16)
+    for kind in OBJECTIVE_KINDS:
+        with pytest.raises(ResourceLimitError, match="limit is n <= 14"):
+            evaluate_objective(Objective(kind), code)
+        result = optimize(Objective(kind), [code])
+        assert not result.ranked
+        assert [f[:2] for f in result.failures] == \
+            [(code.progenitor.to_graph6(), code.input_vertex)]
+        assert "limit is n <= 14" in result.failures[0][2]
 
 
 def test_transversal_score_keeps_engine_limit(monkeypatch):
