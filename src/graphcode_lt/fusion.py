@@ -25,8 +25,10 @@ toward the fused qubit, and when every attempt fails the codes fall back
 on single-qubit measurements to salvage one parity.  Each code's decoder
 is grown by the loss decoders' shared recursion (``losstree.grow``) and
 then folded with its twin; the fusion attempts themselves have three
-outcomes and keep their own walk.  Both engines report exact
-(success, fail, loss) probabilities.
+outcomes and keep their own walk.  The walk and the fold tally plain
+integer path counts; a term's exact weight, 2^-b for b randomized gate
+failures, is applied once when the terms are assembled.  Both engines
+report exact (success, fail, loss) probabilities.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import GraphCode, per_code
-from .losstree import TargetSet, _rank, _strategies, _xz, grow, leaves
+from .losstree import Leaf, TargetSet, _rank, _strategies, _xz, grow, leaves
 from .opsets import ResourceLimitError, stabilizer_group
 from .pauli import BASIS_FUSION, MeasurementPattern, iter_bits
 
@@ -347,11 +349,21 @@ class AdaptiveFusionAnalysis:
     The walk and the side decoders keep their live strategies and coset
     members as index arrays into two per-code ``TargetSet``s, the
     strategies (``losstree._strategies``) and the X and Z logical cosets
-    (``_cosets``), and narrow, count and rank them with its numpy
-    kernels.  A leaf's interface letter vectors are packed ints, each
-    member's x | z << n bits on the interface qubits, gathered from one
-    array per side decoder; one vector is one int, so the sets intersect
-    exactly as the letter vectors do.
+    (``_cosets``), and narrow, count and rank them with its kernels.
+    Each side decoder's leaf carries the coset members that fit its final
+    masks, as the decoder's last step narrowed them; the masks only shrink
+    below the root, so no member dropped on the way could fit there.  A
+    leaf's interface letter vectors are packed ints, each member's
+    x | z << n bits on the interface qubits; one vector is one int, so the
+    sets intersect exactly as the letter vectors do.
+
+    The walk and the fold count paths as integers per outcome class and
+    term (fusion successes, failures and losses, then single-qubit
+    detections and losses).  Under ``randomize_failures`` each failed
+    gate keeps either parity with probability 1/2, so a term with b
+    failures weighs exactly 2^-b, applied once per term as
+    ``Fraction(count, 2**b)``; with a fixed failure basis every weight
+    is 1.
 
     The terms are also kept in column form, so ``result`` evaluates them
     as numpy gathers instead of a Python loop: one float64 coefficient
@@ -375,10 +387,12 @@ class AdaptiveFusionAnalysis:
         strategies = _strategies(code)
         cosets, is_x = _cosets(code)
         every = np.arange(len(cosets))
+        xs, zs, is_x = cosets.x.tolist(), cosets.z.tolist(), is_x.tolist()
         # the strategy operators ranked as if each output qubit were removed
         ranks = [_rank(strategies.x, strategies.z, n, ~(1 << q)) for q in range(n)]
-        terms = {klass: {} for klass in _CLASSES}
-        side_memo: dict = {}
+        # integer path counts per class; each term's weight is applied once,
+        # when the walk is done
+        counts = {klass: {} for klass in _CLASSES}
 
         def side(pattern: MeasurementPattern, interfaces: tuple,
                  output: int | None, pairs: np.ndarray) -> dict:
@@ -396,76 +410,65 @@ class AdaptiveFusionAnalysis:
             ``output`` that fits the decoder's starting masks (extra ones
             are narrowed away).
             """
-            key = (pattern, interfaces, output)
-            if key in side_memo:
-                return side_memo[key]
             rank = None if output is None else ranks[output]
             letters = _interface_letters(interfaces, n)
 
             def step(pat: MeasurementPattern, state):
+                """A move, or a ``Leaf`` whose targets are the coset
+                members that fit the leaf's final masks.  The masks only
+                shrink below the root, so a member dropped on the path
+                fails them too, and narrowing ``salvage`` finds them all."""
                 alive, salvage = state
                 allowed = pat.allowed(True) | letters
                 done = pat.allowed(False) | letters
                 alive = strategies.narrow(alive, allowed)
                 if alive.size:
                     if strategies.narrow(alive, done).size:
-                        return pat
+                        return Leaf("success", pat, cosets.narrow(salvage, done))
                     # each strategy's operators, in order; attempt ranks
                     # a repeated operator as its first occurrence
                     q, b = strategies.attempt(strategies.pair[alive].ravel(),
                                               pat, rank)
                     return q, b, (alive, salvage), (alive, salvage)
                 salvage = cosets.narrow(salvage, allowed)
-                if cosets.narrow(salvage, done).size:
-                    return pat
-                move = cosets.attempt(salvage, pat)
-                return (pat if move is None
-                        else move + ((alive, salvage), (alive, salvage)))
+                members = cosets.narrow(salvage, done)
+                move = None if members.size else cosets.attempt(salvage, pat)
+                if move is None:
+                    return Leaf("success" if members.size else "failure", pat,
+                                members)
+                return move + ((alive, salvage), (alive, salvage))
 
-            # the masks only shrink below the root, so every leaf's logicals
-            # are among those that fit there; each keeps its letters on the
-            # interface qubits packed as one int, x | z << n
-            start = cosets.narrow(every, pattern.allowed(True) | letters)
-            parts = (start[is_x[start]], start[~is_x[start]])
+            # each member keeps its letters on the interface qubits packed
+            # as one int, x | z << n
             face = sum(1 << q for q, _ in interfaces)
-            vec = cosets.x & face | (cosets.z & face) << n
             groups: dict = {}
-            tree = grow(pattern, (pairs, start), step)
-            for pat in leaves(tree):
-                masks = pat.allowed(False) | letters
-                sig = tuple(frozenset(vec[cosets.narrow(part, masks)].tolist())
-                            for part in parts)
-                attempted = pattern.unmeasured & ~pat.unmeasured
-                lost = (attempted & pat.lost).bit_count()
+            start = cosets.narrow(every, pattern.allowed(True) | letters)
+            for leaf in leaves(grow(pattern, (pairs, start), step)):
+                lx, lz = set(), set()
+                for t in leaf.targets.tolist():
+                    (lx if is_x[t] else lz).add(xs[t] & face | (zs[t] & face) << n)
+                attempted = pattern.unmeasured & ~leaf.pattern.unmeasured
+                lost = (attempted & leaf.pattern.lost).bit_count()
                 de = (attempted.bit_count() - lost, lost)
-                poly = groups.setdefault(sig, {})
+                poly = groups.setdefault((frozenset(lx), frozenset(lz)), {})
                 poly[de] = poly.get(de, 0) + 1
-            side_memo[key] = groups
             return groups
 
-        def fold(groups: dict, fusions: tuple[int, int, int], mult: Fraction):
+        def fold(groups: dict, fusions: tuple[int, int, int]):
             """Two independent copies of one side, classified by
             intersecting interface letter vectors: a parity is recovered
-            when both sides realize a common vector.  Counts are summed as
-            integers per class and (detected, lost) pair, then weighted by
-            ``mult`` once per term."""
-            tallies = {klass: {} for klass in terms}
+            when both sides realize a common vector.  Path counts are
+            summed as integers per class and term."""
             for (lx1, lz1), poly1 in groups.items():
                 for (lx2, lz2), poly2 in groups.items():
-                    tally = tallies[_classify(bool(lx1 & lx2),
-                                              bool(lz1 & lz2))]
+                    tally = counts[_classify(bool(lx1 & lx2), bool(lz1 & lz2))]
                     for (d1, e1), c1 in poly1.items():
                         for (d2, e2), c2 in poly2.items():
-                            de = (d1 + d2, e1 + e2)
-                            tally[de] = tally.get(de, 0) + c1 * c2
-            for klass, tally in tallies.items():
-                out = terms[klass]
-                for de, count in tally.items():
-                    key = fusions + de
-                    out[key] = out.get(key, 0) + mult * count
+                            key = fusions + (d1 + d2, e1 + e2)
+                            tally[key] = tally.get(key, 0) + c1 * c2
 
         def walk(pattern: MeasurementPattern, interfaces: tuple, candidates,
-                 a: int, b: int, c: int, mult: Fraction):
+                 a: int, b: int, c: int):
             """Attempt fusions while strategies survive.  ``candidates``
             are the parent node's survivors: along a walk the allowed
             letters only shrink (a fused qubit leaves the A letters and
@@ -478,7 +481,7 @@ class AdaptiveFusionAnalysis:
                        & ~(pattern.mother << 3 * n))
             candidates = strategies.narrow(candidates, allowed)
             if not candidates.size:
-                fold(side(pattern, interfaces, None, candidates), (a, b, c), mult)
+                fold(side(pattern, interfaces, None, candidates), (a, b, c))
                 return
             q = strategies.busiest_output(candidates)
             fused = pattern.measure(q, BASIS_FUSION)
@@ -486,18 +489,21 @@ class AdaptiveFusionAnalysis:
             # the walk's too, since q is its only A letter
             fold(side(fused, interfaces + ((q, "s"),), q,
                       candidates[strategies.output[candidates] == q]),
-                 (a + 1, b, c), mult)
-            kinds = ("fx", "fz") if randomize_failures else ("fz",)
-            for kind in kinds:
-                walk(fused, interfaces + ((q, kind),), candidates,
-                     a, b + 1, c, mult / len(kinds))
-            walk(pattern.lose(q), interfaces, candidates, a, b, c + 1, mult)
+                 (a + 1, b, c))
+            for kind in ("fx", "fz") if randomize_failures else ("fz",):
+                walk(fused, interfaces + ((q, kind),), candidates, a, b + 1, c)
+            walk(pattern.lose(q), interfaces, candidates, a, b, c + 1)
 
-        walk(MeasurementPattern(n), (), np.arange(len(strategies)),
-             0, 0, 0, Fraction(1))
+        walk(MeasurementPattern(n), (), np.arange(len(strategies)), 0, 0, 0)
         # walk refers to itself, so the compile state it reaches would
         # otherwise wait for the cycle collector
         del walk
+        # a randomized failure keeps either parity with probability 1/2, so
+        # a term with b failures weighs 2^-b; a fixed basis weighs 1
+        half = 1 if randomize_failures else 0
+        terms = {klass: {key: Fraction(count, 1 << half * key[1])
+                         for key, count in tally.items()}
+                 for klass, tally in counts.items()}
         self._terms = terms
         # the column form result() evaluates: success, fail and loss terms
         # one after another, the classes ending at _ends; float(mult) is

@@ -317,7 +317,9 @@ def lc_orbit(g: Graph, cap: int = 10 ** 6, n_fixed: int = 1) -> tuple[set[Graph]
     ``n_fixed`` vertices held fixed (vertex 0 is the code input by
     convention).  The closure is breadth first: each member, in the order
     found, tries its moves in vertex order.  Returns (members,
-    truncated_flag); enumeration stops once ``cap`` members are collected.
+    truncated_flag); enumeration stops once ``cap`` members are collected,
+    the start member included, so ``cap`` = k keeps the first min(k, |orbit|)
+    members in that order and flags truncation exactly when k <= |orbit|.
 
     Moves whose result is already known are skipped, so each skipped
     result is in the closure already and the members and the order they
@@ -337,6 +339,8 @@ def lc_orbit(g: Graph, cap: int = 10 ** 6, n_fixed: int = 1) -> tuple[set[Graph]
     if cap <= 0:
         raise ValueError("cap must be positive")
     start = _canonical(g, n_fixed)[0]
+    if cap == 1:
+        return {start}, True
     order = [start]
     back = {start: 0}
     for h in order:

@@ -8,13 +8,18 @@ transmissions.  The terms are read off a decoder tree path by path
 only evaluated and expanded, never added to or multiplied by another.
 Expansion to plain power-series coefficients is exact (integer
 arithmetic), which is what makes break-even points and leading
-subthreshold coefficients trustworthy.
-The thresholds built on these curves share one bisection, ``bisect``.
+subthreshold coefficients trustworthy.  ``break_even`` works on that
+integer polynomial alone: it isolates the largest crossing of the loss
+curve with the diagonal by a Sturm sequence and refines it by exact sign
+bisection, so only roots where the curve changes side count, and no
+float evaluation can hide or invent one.  The thresholds built on
+float-evaluated curves share one bisection, ``bisect``.
 """
 
 from __future__ import annotations
 
-from math import comb
+from itertools import accumulate
+from math import comb, gcd
 
 BASES = ("X", "Y", "Z", "A")
 
@@ -120,41 +125,124 @@ class LossPolynomial:
         return f"LossPolynomial({self.to_string()})"
 
 
-def break_even(poly: LossPolynomial, tol: float = 1e-6) -> float | None:
-    """Largest interior fixed point of the induced loss map.
+def _primitive(p: list[int]) -> list[int]:
+    """``p`` (highest degree first) without leading zeros, divided by the
+    gcd of its coefficients: a positive scalar, so every sign is kept."""
+    while p and not p[0]:
+        p = p[1:]
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of ``a`` divided by ``b``,
+    primitive: each step scales ``a`` by |lead(b)| before it subtracts."""
+    lead, scale = b[0], abs(b[0])
+    while len(a) >= len(b):
+        f = a[0] if lead > 0 else -a[0]
+        a = [scale * x - f * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+    return _primitive(a)
+
+
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """``a / b`` for a primitive ``b`` that divides ``a``: by Gauss's lemma
+    the quotient has integer coefficients, so each step divides exactly."""
+    q = []
+    while len(a) >= len(b):
+        q.append(a[0] // b[0])
+        a = [x - q[-1] * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+    return q
+
+
+def _derivative(p: list[int]) -> list[int]:
+    d = len(p) - 1
+    return [c * (d - i) for i, c in enumerate(p[:-1])]
+
+
+def _odd_part(p: list[int]) -> list[int]:
+    """The square-free polynomial whose roots are the roots of odd
+    multiplicity of ``p``: p / gcd(p, p') has every root of ``p`` once, and
+    the roots of the gcd of odd multiplicity are those of ``p`` of even."""
+    if len(p) < 2:
+        return [1]
+    common, other = p, _derivative(p)
+    while other:  # Euclid: common becomes gcd(p, p')
+        common, other = other, _remainder(common, other)
+    common = _primitive(common)
+    return _quotient(_quotient(p, common), _odd_part(common))
+
+
+def _sign_at(p: list[int], k: int, m: int) -> int:
+    """Sign of p(k / 2^m), read off the integer 2^(m deg p) p(k / 2^m)."""
+    v = 0
+    for j, c in enumerate(p):
+        v = v * k + (c << m * j)
+    return (v > 0) - (v < 0)
+
+
+def break_even(poly: LossPolynomial, tol: float = 1e-15) -> float | None:
+    """Largest interior fixed point of the induced loss map, exactly.
 
     The loss curve is ell_bar(ell) = 1 - poly(1 - ell); the break-even
-    point is the largest ell* in (0, 1) with ell_bar(ell*) = ell*, located
-    by a downward grid scan for a sign change and bisection to ``tol``.
-    Returns None when the curve never crosses the diagonal inside (0, 1).
+    point is the largest ell* in (0, 1) where ell_bar crosses the
+    diagonal, a root of odd multiplicity of the integer polynomial
+    g(ell) = 1 - poly(1 - ell) - ell.  A tangent point, a root of even
+    multiplicity, is not a crossing: g keeps its sign there.  The roots
+    at 0 and 1 are divided out and the crossings kept as one square-free
+    polynomial (``_odd_part``); a Sturm sequence of it isolates the
+    largest one in a dyadic bracket (k / 2^m, (k + 1) / 2^m], and
+    bisection on its exact sign at dyadic points narrows the bracket to
+    ``tol``, all in integer arithmetic.  Returns the bracket's midpoint,
+    or None when the curve does not cross the diagonal inside (0, 1).
     """
-
-    def g(ell: float) -> float:
-        return (1.0 - poly.evaluate(1.0 - ell)) - ell
-
-    steps = 2000
-    grid = [i / steps for i in range(steps - 1, 0, -1)]
-    values = [g(ell) for ell in grid]
-    if max(abs(v) for v in values) < 1e-14:
+    eta = poly.eta_coefficients()
+    # g's coefficients, lowest degree first: 1 - ell, less each c_k eta^k
+    # written as c_k (1 - ell)^k
+    low = [1, -1] + [0] * max(eta, default=0)
+    for k, c in eta.items():
+        for j in range(k + 1):
+            low[j] -= c * comb(k, j) * (-1) ** j
+    gap = _primitive(low[::-1])
+    if not gap:
         return None  # the curve IS the diagonal; no isolated crossing
-    for (ell, val), (prev_ell, prev_val) in zip(
-            list(zip(grid, values))[1:], zip(grid, values)):
-        if val == 0.0:
-            return ell
-        if prev_val * val < 0:
-            lo, hi = ell, prev_ell
-            flo = val
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fmid = g(mid)
-                if fmid == 0.0:
-                    return mid
-                if (fmid < 0) == (flo < 0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-    return None
+    while not gap[-1]:
+        gap.pop()  # a root at ell = 0
+    while not sum(gap):
+        gap = list(accumulate(gap[:-1]))  # a root at ell = 1: divide by ell - 1
+    odd = _odd_part(gap)
+    if len(odd) < 2:
+        return None
+    sturm = [odd, _derivative(odd)]
+    while len(sturm[-1]) > 1:
+        sturm.append([-c for c in _remainder(sturm[-2], sturm[-1])])
+
+    def changes(k: int, m: int) -> int:
+        signs = [s for p in sturm if (s := _sign_at(p, k, m))]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    # the number of roots in (a, b] is changes(a) - changes(b); keep the
+    # upper half of the bracket while it holds one
+    k, m, below, above = 0, 0, changes(0, 0), changes(1, 0)
+    if below == above:
+        return None
+    while below - above > 1:
+        k, m = 2 * k, m + 1
+        mid = changes(k + 1, m)
+        if mid > above:
+            k, below = k + 1, mid
+        else:
+            above = mid
+    top = _sign_at(odd, k + 1, m)
+    if not top:
+        return (k + 1) / 2 ** m
+    while 2.0 ** -m > tol:
+        k, m = 2 * k, m + 1
+        s = _sign_at(odd, k + 1, m)
+        if not s:
+            return (k + 1) / 2 ** m
+        if s != top:
+            k += 1
+    return (2 * k + 1) / 2 ** (m + 1)
 
 
 def bisect(inside, lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -565,6 +565,28 @@ def evaluate_reference(poly, eta: float) -> float:
     return total
 
 
+def monte_carlo_successes_reference(code, tree, eta: float, trials: int,
+                                    seed: int) -> int:
+    """The success count of ``monte_carlo_decode``, from the same samples
+    counted leaf by leaf: a leaf is a cylinder set over its attempted
+    qubits, so a sampled mask reaches it iff every attempted qubit's fate
+    matches the leaf's pattern."""
+    rng = np.random.default_rng(seed)
+    masks = np.zeros(trials, dtype=np.uint64)
+    for q in range(code.n):
+        bit = np.uint64(1 << q)
+        masks |= np.where(rng.random(trials) < eta, bit, np.uint64(0))
+    successes = 0
+    for leaf in tree.leaves():
+        if not leaf.success:
+            continue
+        p = leaf.pattern
+        attempted = np.uint64(((1 << p.n) - 1) & ~p.unmeasured)
+        detected = np.uint64(p.mx | p.my | p.mz | p.mother)
+        successes += int(np.count_nonzero((masks & attempted) == detected))
+    return successes
+
+
 # -- adaptive fusion term by term -----------------------------------------------
 
 

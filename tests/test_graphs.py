@@ -230,10 +230,9 @@ def test_orbit_matches_naive_closure():
 def test_orbit_cap_keeps_breadth_first_order():
     # every skipped move leads to a member already found, so lc_orbit
     # finds members in the order of a closure that tries every move, and
-    # truncation at any cap keeps a prefix of it.  The start member is
-    # not checked against the cap, so the least truncated orbit has two.
-    # Each cap closes the orbit again, so orbits past 20 members take 20
-    # evenly spaced caps, not all of them.
+    # truncation at any cap keeps a prefix of it, the start member
+    # counted.  Each cap closes the orbit again, so orbits past 20
+    # members take 20 evenly spaced caps, not all of them.
     rng = random.Random(35)
     graphs = _symmetric_graphs() + [
         random_graph(rng, rng.randint(3, 7)) for _ in range(6)]
@@ -244,8 +243,8 @@ def test_orbit_cap_keeps_breadth_first_order():
             caps = set(range(1, len(order) + 2, step)) | {len(order) + 1}
             for cap in sorted(caps):
                 members, truncated = lc_orbit(g, cap=cap, n_fixed=n_fixed)
-                assert members == set(order[:max(cap, 2)])
-                assert truncated == (max(cap, 2) <= len(order))
+                assert members == set(order[:cap])
+                assert truncated == (cap <= len(order))
 
 
 

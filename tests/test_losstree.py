@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from graphcode_lt.losstree import (
     build_arbitrary_tree,
     build_pauli_tree,
     _strategies,
-    break_even,
     decode,
     load_or_build,
     monte_carlo_decode,
@@ -49,10 +49,11 @@ from graphcode_lt.pauli import (
     commutes_qubitwise,
     fits,
 )
-from graphcode_lt.polynomials import LossPolynomial
+from graphcode_lt.polynomials import LossPolynomial, break_even
 
 from _oracles import (
     evaluate_reference,
+    monte_carlo_successes_reference,
     optimal_success,
     strategies_reference,
     tree_polynomial_reference,
@@ -182,6 +183,83 @@ def test_break_even_none_for_fragile_code():
     # eta_bar = eta^n stays below the diagonal: no interior crossing
     poly = success_polynomial(build_pauli_tree(star_code(4), "X"))
     assert break_even(poly) is None
+
+
+def test_break_even_closed_forms():
+    # roots isolated and refined exactly match their closed forms to 1e-9
+    cases = [
+        (build_pauli_tree(pentagon_code(), "Z"), (3 - math.sqrt(5)) / 2),
+        (build_arbitrary_tree(pentagon_code()), (5 - math.sqrt(13)) / 6),
+        (build_pauli_tree(branched_chain_code(), "X"), (math.sqrt(5) - 1) / 2),
+    ]
+    for tree, root in cases:
+        assert break_even(success_polynomial(tree)) == pytest.approx(root, abs=1e-9)
+
+
+def _loss_curve(*factors) -> LossPolynomial:
+    """The success polynomial whose loss map has g(ell) = ell_bar(ell) - ell
+    equal to the product of ``factors`` (integer coefficients in ell,
+    lowest degree first): P(eta) = 1 - ell - g(ell) at ell = 1 - eta, each
+    power ell^j written as the term (1 - eta)^j."""
+    g = [1]
+    for f in factors:
+        prod = [0] * (len(g) + len(f) - 1)
+        for i, a in enumerate(g):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        g = prod
+    powers = {0: 1, 1: -1}
+    for j, c in enumerate(g):
+        powers[j] = powers.get(j, 0) - c
+    return LossPolynomial({((0, 0, 0, 0), (j, 0, 0, 0)): c
+                           for j, c in powers.items()})
+
+
+def test_break_even_finds_crossings_a_grid_misses():
+    ends = ([0, 1], [1, -1])  # the roots at ell = 0 and 1
+    # two crossings inside the 1/2000 cell (0.7, 0.7005)
+    poly = _loss_curve(*ends, [-70010, 100000], [-70030, 100000])
+    assert break_even(poly) == pytest.approx(0.7003, abs=1e-12)
+    # one crossing in (0.9995, 1), above a lower one at 1/2
+    poly = _loss_curve(*ends, [-1, 2], [-9998, 10000])
+    assert break_even(poly) == pytest.approx(0.9998, abs=1e-12)
+
+
+def test_break_even_ignores_tangent_points():
+    # g = ell (1 - ell) (2 ell - 1)^2 touches zero at 1/2 without changing
+    # sign, so the curve meets the diagonal there but never crosses it
+    poly = _loss_curve([0, 1], [1, -1], [-1, 2], [-1, 2])
+    assert poly.evaluate(0.5) == 0.5
+    assert break_even(poly) is None
+    # a crossing of odd multiplicity three still counts
+    poly = _loss_curve([0, 1], [1, -1], [-1, 2], [-1, 2], [-1, 2])
+    assert break_even(poly) == 0.5
+
+
+def test_break_even_is_largest_odd_multiplicity_root():
+    # g = ell (1 - ell) times factors with known rational roots, each of
+    # multiplicity 1-3, some outside (0, 1), at times a quadratic with no
+    # real root and a sign flip
+    rng = random.Random(21)
+    for _ in range(60):
+        factors, mults = [[0, 1], [1, -1]], {}
+        for _ in range(rng.randint(1, 4)):
+            den = rng.randint(1, 40)
+            num = rng.randint(-10, 50)
+            mult = rng.randint(1, 3)
+            factors += [[-num, den]] * mult
+            root = Fraction(num, den)
+            mults[root] = mults.get(root, 0) + mult
+        crossings = [r for r, m in mults.items() if 0 < r < 1 and m % 2]
+        if rng.random() < 0.3:
+            factors.append([1, 0, 1])
+        if rng.random() < 0.5:
+            factors.append([-1])
+        got = break_even(_loss_curve(*factors))
+        if crossings:
+            assert got == pytest.approx(float(max(crossings)), abs=1e-12)
+        else:
+            assert got is None
 
 
 # -- tree structure invariants --------------------------------------------------------
@@ -339,6 +417,45 @@ def test_attempt_with_keep_takes_first_of_equal_ranks():
     assert ts.attempt(np.array([0]), first.measure(1, Basis("Z"))) is None
 
 
+def attempt_reference(ts, members, pattern, keep):
+    """The attempt rule on ``ts.ops``: the least (weight, x, z) key on the
+    qubits in ``keep`` among members with unmeasured support, the first
+    listed of equal keys, then its lowest unmeasured qubit."""
+    free = pattern.unmeasured
+    live = [i for i in members if (ts.ops[i].x | ts.ops[i].z) & free]
+    if not live:
+        return None
+
+    def key(i):
+        x, z = ts.ops[i].x & keep, ts.ops[i].z & keep
+        return (x | z).bit_count(), x, z
+    op = ts.ops[min(live, key=key)]
+    low = (op.x | op.z) & free
+    q = (low & -low).bit_length() - 1
+    return q, Basis(op.letter_at(q))
+
+
+def test_attempt_matches_reference_on_both_sides_of_the_cut():
+    rng = random.Random(11)
+    code = cube_code()
+    ts = _strategies(code)
+    n = code.n
+    for size in (0, 1, SMALL - 1, SMALL, 3 * SMALL):
+        for _ in range(60):
+            # a strategy list's operators, repeats included
+            members = [int(i) for t in rng.choices(range(len(ts)), k=size // 2)
+                       for i in ts.pair[t]] + rng.sample(range(len(ts.ops)), size % 2)
+            pattern = MeasurementPattern(n)
+            for q in rng.sample(range(n), rng.randint(0, n)):
+                pattern = (pattern.lose(q) if rng.random() < 0.3
+                           else pattern.measure(q, Basis(rng.choice("XYZ"))))
+            q = rng.randrange(n)
+            for rank, keep in ((None, -1),
+                               (losstree._rank(ts.x, ts.z, n, ~(1 << q)), ~(1 << q))):
+                got = ts.attempt(np.array(members, dtype=np.intp), pattern, rank)
+                assert got == attempt_reference(ts, members, pattern, keep)
+
+
 def test_decode_walk():
     code = pentagon_code()
     tree = build_pauli_tree(code, "Z")
@@ -437,6 +554,20 @@ def test_monte_carlo_extremes_and_determinism():
     assert a == b
     with pytest.raises(ValueError):
         monte_carlo_decode(code, tree, 0.5, 0)
+
+
+def test_monte_carlo_counts_match_cylinder_sets():
+    # tallying the samples per loss configuration counts exactly the
+    # trials that reach a success leaf
+    trials = 20000
+    cases = [(pentagon_code(), "arbitrary"), (cube_code(), "X"),
+             (tree_code([3, 2]), "Z")]
+    for code, kind in cases:
+        tree = load_or_build(code, kind)
+        for seed in (0, 1, 2):
+            want = monte_carlo_successes_reference(code, tree, 0.7, trials, seed)
+            got = monte_carlo_decode(code, tree, 0.7, trials, seed)
+            assert got.estimate == want / trials
 
 
 # -- serialization and cache -----------------------------------------------------------------

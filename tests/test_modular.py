@@ -32,7 +32,6 @@ from graphcode_lt.codes import (
 )
 from graphcode_lt.graphs import canonical_key
 from graphcode_lt.losstree import (
-    break_even,
     build_arbitrary_tree,
     build_pauli_tree,
     success_polynomial,
@@ -50,7 +49,7 @@ from graphcode_lt.modular import (
     top_transmission,
     unit_F,
 )
-from graphcode_lt.polynomials import BASES
+from graphcode_lt.polynomials import BASES, break_even
 
 
 def logical(layers, mode, eta) -> dict:
