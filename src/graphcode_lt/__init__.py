@@ -4,12 +4,6 @@
 __version__ = "0.1.0"
 
 from .pauli import (
-    BASIS_A,
-    BASIS_FUSION,
-    BASIS_X,
-    BASIS_Y,
-    BASIS_Z,
-    Basis,
     MeasurementPattern,
     PauliOperator,
     PauliSpan,

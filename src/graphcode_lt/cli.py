@@ -36,6 +36,7 @@ from .codes import (
 from .graphs import Graph
 from .polynomials import break_even
 from .losstree import (
+    CACHE_ENV,
     load_or_build,
     monte_carlo_decode,
     success_polynomial,
@@ -91,7 +92,7 @@ def resolve_code(graph: str, input_vertex: int) -> GraphCode:
             raise CliError(EXIT_PARSE, f"bad tree branching in {graph!r}")
     try:
         g = Graph.from_graph6(graph)
-    except Exception as exc:
+    except ValueError as exc:
         raise CliError(EXIT_PARSE, f"malformed graph6 {graph!r}: {exc}")
     try:
         return GraphCode(g, input_vertex)
@@ -330,7 +331,7 @@ def cmd_search(args, config) -> int:
                           p_fail=args.pfail,
                           adaptive=args.mode != "transversal")
     checkpoint = None
-    cache_dir = os.environ.get("GRAPHCODE_LT_CACHE")
+    cache_dir = os.environ.get(CACHE_ENV)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         checkpoint = os.path.join(

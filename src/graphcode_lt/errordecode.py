@@ -29,7 +29,6 @@ from .losstree import (
 )
 from .opsets import ResourceLimitError, stabilizer_pool
 from .pauli import (
-    Basis,
     MeasurementPattern,
     PauliOperator,
     PauliSpan,
@@ -254,7 +253,7 @@ class ErrorAnalysis:
                 return _ExtendedLeaf(None, done, CheckSet(targets, chosen))
             q = next(iter_bits(pending))
             letter = next(c.letter_at(q) for c in chosen if c.letter_at(q) != "I")
-            return q, Basis(letter), leaf, leaf
+            return q, letter, leaf, leaf
 
         for leaf, key in paths(tree.root):
             if not leaf.success:

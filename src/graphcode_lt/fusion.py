@@ -41,7 +41,7 @@ import numpy as np
 from .codes import GraphCode, per_code
 from .losstree import Leaf, TargetSet, _rank, _strategies, _xz, grow, leaves
 from .opsets import ResourceLimitError, stabilizer_group
-from .pauli import BASIS_FUSION, MeasurementPattern, iter_bits
+from .pauli import MeasurementPattern, iter_bits
 
 __all__ = [
     "FusionModel", "LogicalFusionResult",
@@ -484,7 +484,7 @@ class AdaptiveFusionAnalysis:
                 fold(side(pattern, interfaces, None, candidates), (a, b, c))
                 return
             q = strategies.busiest_output(candidates)
-            fused = pattern.measure(q, BASIS_FUSION)
+            fused = pattern.measure(q, "A")
             # a strategy toward q that fits the side decoder's masks fits
             # the walk's too, since q is its only A letter
             fold(side(fused, interfaces + ((q, "s"),), q,

@@ -25,9 +25,16 @@ changes neither the members nor the order they are found in.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .pauli import PauliOperator, iter_bits
+
+
+def _graph6_size(n: int) -> list[int]:
+    """The 6-bit values that open a graph6 string: n itself below 63,
+    else 63 and n in three values, or 63, 63 and n in six from 258048."""
+    if n < 63:
+        return [n]
+    width = 3 if n < 258048 else 6
+    return [63] * (width // 3) + [n >> 6 * k & 63 for k in reversed(range(width))]
 
 
 class Graph:
@@ -76,15 +83,35 @@ class Graph:
 
     @classmethod
     def from_graph6(cls, text: str) -> "Graph":
-        g = nx.from_graph6_bytes(text.strip().encode())
-        n = g.number_of_nodes()
-        return cls.from_edges(n, g.edges())
+        """Read graph6 text, optionally after a ``>>graph6<<`` header.
+        Text that is not graph6 raises ValueError."""
+        data = [ord(c) - 63 for c in text.strip().removeprefix(">>graph6<<")]
+        if not all(0 <= d < 64 for d in data):
+            raise ValueError("characters must lie in '?'..'~'")
+        skip = 2 if data[:2] == [63, 63] else 1 if data[:1] == [63] else 0
+        width = (1, 3, 6)[skip]
+        if len(data) < skip + width:
+            raise ValueError("text ends inside the vertex count")
+        n = 0
+        for d in data[skip:skip + width]:
+            n = n << 6 | d
+        body = data[skip + width:]
+        if len(body) != (n * (n - 1) // 2 + 5) // 6:
+            raise ValueError(f"{len(body)} edge characters do not fit {n} vertices")
+        bits = "".join(f"{d:06b}" for d in body)
+        pairs = ((i, j) for j in range(1, n) for i in range(j))
+        return cls.from_edges(n, (p for p, b in zip(pairs, bits) if b == "1"))
 
     def to_graph6(self) -> str:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from(self.edges())
-        return nx.to_graph6_bytes(g, header=False).decode().strip()
+        """graph6 text: the vertex count, then the upper triangle six
+        bits per character, column by column, so the first character's
+        top bit is edge (0, 1)."""
+        # column j holds bits i = 0..j-1, low vertex first
+        bits = "".join(f"{self.nbr[j] & (1 << j) - 1:0{j}b}"[::-1]
+                       for j in range(1, self.n))
+        bits += "0" * (-len(bits) % 6)
+        body = [int(bits[k:k + 6], 2) for k in range(0, len(bits), 6)]
+        return "".join(chr(63 + d) for d in _graph6_size(self.n) + body)
 
     # -- inspection ------------------------------------------------------
 

@@ -37,12 +37,7 @@ import numpy as np
 from . import __version__
 from .codes import GraphCode, per_code
 from .opsets import EXHAUSTIVE_LIMIT, enumerate_nontrivial
-from .pauli import (
-    BASIS_A,
-    Basis,
-    MeasurementPattern,
-    PauliOperator,
-)
+from .pauli import MeasurementPattern, PauliOperator
 from .polynomials import BASES, LossPolynomial
 
 __all__ = [
@@ -84,16 +79,18 @@ class Leaf:
 
 
 class MeasureNode:
+    """Attempt ``qubit`` in ``basis``, a letter of ``BASES``."""
+
     __slots__ = ("qubit", "basis", "on_detect", "on_loss")
 
-    def __init__(self, qubit: int, basis: Basis, on_detect, on_loss):
+    def __init__(self, qubit: int, basis: str, on_detect, on_loss):
         self.qubit = qubit
         self.basis = basis
         self.on_detect = on_detect
         self.on_loss = on_loss
 
     def __repr__(self) -> str:
-        return f"MeasureNode(q={self.qubit}, basis={self.basis.kind})"
+        return f"MeasureNode(q={self.qubit}, basis={self.basis})"
 
 
 class DecisionTree:
@@ -129,7 +126,7 @@ class DecisionTree:
                 }
             return {
                 "qubit": node.qubit,
-                "basis": node.basis.kind,
+                "basis": node.basis,
                 "detected": enc(node.on_detect),
                 "lost": enc(node.on_loss),
             }
@@ -146,7 +143,9 @@ class DecisionTree:
                 return Leaf(obj["leaf"], MeasurementPattern.from_chars(obj["pattern"]),
                             tuple(PauliOperator.from_string(t) for t in obj["targets"]),
                             obj["output"])
-            return MeasureNode(obj["qubit"], Basis(obj["basis"]),
+            if obj["basis"] not in BASES:
+                raise ValueError(f"unknown basis: {obj['basis']!r}")
+            return MeasureNode(obj["qubit"], obj["basis"],
                                dec(obj["detected"]), dec(obj["lost"]))
 
         return cls(code, data["kind"], dec(data["root"]))
@@ -272,7 +271,7 @@ class TargetSet:
             i = int(live.min() if rank is None else live[rank[live].argmin()])
         low = self.supports[i] & free
         q = (low & -low).bit_length() - 1
-        return q, Basis("IXZY"[int(self.x[i]) >> q & 1 | (int(self.z[i]) >> q & 1) << 1])
+        return q, "IXZY"[int(self.x[i]) >> q & 1 | (int(self.z[i]) >> q & 1) << 1]
 
 
 def grow(pattern: MeasurementPattern, state, step):
@@ -305,9 +304,8 @@ def leaves(node):
             yield node
 
 
-# the exponent slot of each attempted basis; a fusion attempt counts as A
+# the exponent slot of each attempted basis
 _SLOT = {kind: i for i, kind in enumerate(BASES)}
-_SLOT["fusion"] = _SLOT["A"]
 
 
 def paths(node, key=((0, 0, 0, 0), (0, 0, 0, 0))):
@@ -324,7 +322,7 @@ def paths(node, key=((0, 0, 0, 0), (0, 0, 0, 0))):
         if not isinstance(node, MeasureNode):
             yield node, (a, b)
             continue
-        i = _SLOT[node.basis.kind]
+        i = _SLOT[node.basis]
         stack.append((node.on_loss, (a, b[:i] + (b[i] + 1,) + b[i + 1:])))
         stack.append((node.on_detect, (a[:i] + (a[i] + 1,) + a[i + 1:], b)))
 
@@ -349,7 +347,7 @@ def _tree_step(pattern: MeasurementPattern, state):
     if not mine.size:
         # pick (or re-pick) the output and try the rotated measurement
         o = ts.busiest_output(alive)
-        return o, BASIS_A, (ts, alive, o), (ts, alive, -1)
+        return o, "A", (ts, alive, o), (ts, alive, -1)
     q, b = ts.attempt(ts.pair[mine].ravel(), pattern)
     return q, b, (ts, alive, current), (ts, alive, current)
 

@@ -150,47 +150,15 @@ class PauliOperator:
         return f"PauliOperator({self.to_string()!r})"
 
 
-class Basis:
-    """A single-qubit measurement basis.
-
-    ``kind`` is one of ``"X" | "Y" | "Z" | "A" | "fusion"``.  An
-    arbitrary basis A(theta) = X cos(theta) + Y sin(theta) is recorded
-    without its angle, which never enters loss analysis.
-    """
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str):
-        if kind not in ("X", "Y", "Z", "A", "fusion"):
-            raise ValueError(f"unknown basis kind: {kind}")
-        object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Basis is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Basis) and self.kind == other.kind
-
-    def __hash__(self) -> int:
-        return hash(self.kind)
-
-    def __repr__(self) -> str:
-        return f"Basis({self.kind!r})"
-
-
-BASIS_X = Basis("X")
-BASIS_Y = Basis("Y")
-BASIS_Z = Basis("Z")
-BASIS_A = Basis("A")
-BASIS_FUSION = Basis("fusion")
-
-
 class MeasurementPattern:
     """Per-qubit status: unmeasured, measured in some basis, or lost.
 
-    Losses follow the convention that a Pauli letter commutes qubit-wise
-    with a lost qubit only if it is the identity there.  Qubits measured
-    in an arbitrary or fusion basis likewise admit no Pauli letter.
+    A basis is one letter: ``"X"``, ``"Y"``, ``"Z"`` or ``"A"``, an
+    arbitrary basis A(theta) = X cos(theta) + Y sin(theta) recorded
+    without its angle, which never enters loss analysis.  A fusion is
+    recorded as A.  Losses follow the convention that a Pauli letter
+    commutes qubit-wise with a lost qubit only if it is the identity
+    there.  Qubits measured in basis A likewise admit no Pauli letter.
     """
 
     __slots__ = ("n", "mx", "my", "mz", "mother", "lost")
@@ -207,27 +175,6 @@ class MeasurementPattern:
     def __setattr__(self, name, value):
         raise AttributeError("MeasurementPattern is immutable")
 
-    @classmethod
-    def from_statuses(cls, statuses) -> "MeasurementPattern":
-        """Build from a sequence of 'unmeasured' | 'lost' | Basis | letter."""
-        mx = my = mz = mother = lost = 0
-        for i, st in enumerate(statuses):
-            if st == "unmeasured":
-                continue
-            if st == "lost":
-                lost |= 1 << i
-                continue
-            kind = st.kind if isinstance(st, Basis) else st
-            if kind == "X":
-                mx |= 1 << i
-            elif kind == "Y":
-                my |= 1 << i
-            elif kind == "Z":
-                mz |= 1 << i
-            else:
-                mother |= 1 << i
-        return cls(len(statuses), mx, my, mz, mother, lost)
-
     @property
     def unmeasured(self) -> int:
         mask = (1 << self.n) - 1
@@ -236,27 +183,29 @@ class MeasurementPattern:
     def allowed(self, prospective: bool) -> int:
         """Packed mask of the letters recoverable per qubit, laid out as
         ``PauliOperator.masks`` (letter k of (X, Y, Z, A) on qubit q is bit
-        q + k*n): a measured qubit admits the letter of its basis (an
-        arbitrary or fusion basis admits A), a lost one admits none, and
-        an unmeasured one admits every letter when ``prospective``."""
+        q + k*n): a measured qubit admits the letter of its basis, a lost
+        one admits none, and an unmeasured one admits every letter when
+        ``prospective``."""
         n = self.n
         free = self.unmeasured if prospective else 0
         return (self.mx | free | (self.my | free) << n
                 | (self.mz | free) << 2 * n | (self.mother | free) << 3 * n)
 
-    def measure(self, qubit: int, basis: Basis) -> "MeasurementPattern":
+    def measure(self, qubit: int, basis: str) -> "MeasurementPattern":
         bit = 1 << qubit
         if not self.unmeasured & bit:
             raise ValueError(f"qubit {qubit} is not unmeasured")
         mx, my, mz, mother = self.mx, self.my, self.mz, self.mother
-        if basis.kind == "X":
+        if basis == "X":
             mx |= bit
-        elif basis.kind == "Y":
+        elif basis == "Y":
             my |= bit
-        elif basis.kind == "Z":
+        elif basis == "Z":
             mz |= bit
-        else:
+        elif basis == "A":
             mother |= bit
+        else:
+            raise ValueError(f"unknown basis: {basis!r}")
         return MeasurementPattern(self.n, mx, my, mz, mother, self.lost)
 
     def lose(self, qubit: int) -> "MeasurementPattern":
@@ -266,16 +215,17 @@ class MeasurementPattern:
         return MeasurementPattern(self.n, self.mx, self.my, self.mz,
                                   self.mother, self.lost | bit)
 
-    def status(self, qubit: int):
+    def status(self, qubit: int) -> str:
+        """The basis letter a qubit was measured in, "lost" or "unmeasured"."""
         bit = 1 << qubit
         if self.mx & bit:
-            return BASIS_X
+            return "X"
         if self.my & bit:
-            return BASIS_Y
+            return "Y"
         if self.mz & bit:
-            return BASIS_Z
+            return "Z"
         if self.mother & bit:
-            return BASIS_A
+            return "A"
         if self.lost & bit:
             return "lost"
         return "unmeasured"
@@ -291,29 +241,20 @@ class MeasurementPattern:
         return hash((self.n, self.mx, self.my, self.mz, self.mother, self.lost))
 
     def chars(self) -> str:
-        """One status letter per qubit: basis kind, '.' unmeasured, '_' lost."""
-        out = []
-        for i in range(self.n):
-            st = self.status(i)
-            if st == "unmeasured":
-                out.append(".")
-            elif st == "lost":
-                out.append("_")
-            else:
-                out.append("F" if st.kind == "fusion" else st.kind)
-        return "".join(out)
+        """One status letter per qubit: basis letter, '.' unmeasured, '_' lost."""
+        marks = {"unmeasured": ".", "lost": "_"}
+        return "".join(marks.get(st, st) for st in map(self.status, range(self.n)))
 
     @classmethod
     def from_chars(cls, chars: str) -> "MeasurementPattern":
-        statuses: list = []
-        for ch in chars:
-            if ch == ".":
-                statuses.append("unmeasured")
-            elif ch == "_":
-                statuses.append("lost")
-            else:
-                statuses.append(Basis(ch if ch != "F" else "fusion"))
-        return cls.from_statuses(statuses)
+        """The pattern ``chars`` writes; any other letter raises ValueError."""
+        masks = dict.fromkeys("XYZA_.", 0)
+        for i, ch in enumerate(chars):
+            if ch not in masks:
+                raise ValueError(f"unknown status letter: {ch!r}")
+            masks[ch] |= 1 << i
+        return cls(len(chars), masks["X"], masks["Y"], masks["Z"], masks["A"],
+                   masks["_"])
 
     def __repr__(self) -> str:
         return f"MeasurementPattern({self.chars()!r})"

@@ -183,7 +183,7 @@ def read_candidates(path: str):
                     f"got {line!r}")
             try:
                 g = Graph.from_graph6(parts[0])
-            except Exception as exc:
+            except ValueError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: malformed graph6 {parts[0]!r}: {exc}")
             try:

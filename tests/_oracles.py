@@ -543,7 +543,7 @@ def tree_polynomial_reference(node, counted) -> dict:
     and merges the two dicts, the detected child's terms first."""
     if isinstance(node, Leaf):
         return {((0, 0, 0, 0), (0, 0, 0, 0)): 1} if counted(node) else {}
-    i = "XYZA".index(node.basis.kind)
+    i = "XYZA".index(node.basis)
     out: dict = {}
     for child, lost in ((node.on_detect, False), (node.on_loss, True)):
         for (a, b), mult in tree_polynomial_reference(child, counted).items():

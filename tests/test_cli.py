@@ -94,8 +94,10 @@ def test_output_writes_config_sidecar(tmp_path):
 # -- exit codes ---------------------------------------------------------------------
 
 
-def test_exit_code_parse_error():
+def test_exit_code_parse_error(capsys):
     assert main(["analyze", "--graph", ",,%%%"]) == EXIT_PARSE
+    assert main(["analyze", "--graph", "~"]) == EXIT_PARSE
+    assert "malformed graph6" in capsys.readouterr().err
 
 
 def test_exit_code_validation_error():

@@ -33,7 +33,7 @@ from graphcode_lt.fusion import (
 )
 from graphcode_lt.losstree import SMALL, _strategies
 from graphcode_lt.opsets import ResourceLimitError
-from graphcode_lt.pauli import BASIS_FUSION, MeasurementPattern, fits
+from graphcode_lt.pauli import MeasurementPattern, fits
 
 from _oracles import (
     _embed,
@@ -287,7 +287,7 @@ def test_adaptive_matches_attempt_ceiling_on_decorated_pentagon():
         pat = MeasurementPattern(code.n)
         ifs = []
         for o, b in assign.items():
-            pat = pat.measure(o, BASIS_FUSION)
+            pat = pat.measure(o, "A")
             ifs.append((o, "s" if b == "s" else "fz"))
         masks = pat.allowed(True) | _interface_letters(tuple(ifs), code.n)
         if any(assign[o] == "s" and fits(need, masks)
@@ -365,7 +365,7 @@ def test_walk_narrowing_matches_full_refilter():
                 if move == "lose":
                     pattern = pattern.lose(q)
                     continue
-                pattern = pattern.measure(q, BASIS_FUSION)
+                pattern = pattern.measure(q, "A")
                 interfaces += ((q, move),)
                 if move == "s":
                     side = (pattern.allowed(True)

@@ -9,14 +9,22 @@ known count of LC equivalence classes of small connected graphs.
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
+from networkx.readwrite.graph6 import n_to_data
 
+import graphcode_lt
+from graphcode_lt.cli import main
 from graphcode_lt.graphs import (
     Graph,
     _canonical,
+    _graph6_size,
     canonical_form,
     canonical_key,
     complete_graph,
@@ -70,14 +78,72 @@ def test_connectivity():
 
 def test_graph6_round_trip_against_networkx():
     rng = random.Random(3)
-    for _ in range(30):
-        n = rng.randint(1, 9)
-        g = random_graph(rng, n)
-        text = g.to_graph6()
-        back = Graph.from_graph6(text)
-        assert back == g
-        nxg = nx.from_graph6_bytes(text.encode())
-        assert sorted(nxg.edges()) == g.edges()
+    for n in [*range(21), 62, 63, 64, 70]:
+        for p in (0.0, 0.3, 0.7, 1.0):
+            g = random_graph(rng, n, p)
+            ref = nx.Graph()
+            ref.add_nodes_from(range(n))
+            ref.add_edges_from(g.edges())
+            text = g.to_graph6()
+            assert text == nx.to_graph6_bytes(ref, header=False).decode().strip()
+            assert Graph.from_graph6(text) == g
+            assert Graph.from_graph6(">>graph6<<" + text + "\n") == g
+            # the reader against networkx's, also on the longer vertex-count
+            # forms, which graph6 allows for any n: '~' and n in three
+            # characters, or '~~' and n in six
+            forms = [text]
+            if n < 63:
+                forms += ["~??" + text, "~~?????" + text]
+            for form in forms:
+                nxg = nx.from_graph6_bytes(form.encode())
+                back = Graph.from_graph6(form)
+                assert back.n == nxg.number_of_nodes() == n
+                assert back.edges() == sorted(tuple(sorted(e)) for e in nxg.edges())
+    for n in (0, 62, 63, 258047, 258048, 2**36 - 1):
+        assert _graph6_size(n) == n_to_data(n)
+
+
+@pytest.mark.parametrize("text", [
+    "",                     # no vertex count
+    "~",                    # a long vertex count cut short
+    "~~??",
+    ">>graph6<<",
+    "DU",                   # 5 vertices need two edge characters
+    "DUWW",
+    "~??~" + "?" * 325,     # 63 vertices need 326
+    "D\x10W",              # characters outside '?'..'~'
+    "D\x7fW",
+    "DUé",
+])
+def test_graph6_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        Graph.from_graph6(text)
+
+
+def test_package_runs_without_networkx(tmp_path, monkeypatch, capsys):
+    """The package imports and runs with networkx unimportable, printing
+    what it prints in this process."""
+    monkeypatch.delenv("GRAPHCODE_LT_CACHE", raising=False)
+    cand = tmp_path / "cands.txt"
+    cand.write_text("DUW 0\nD?{ 0\n")
+    jobs = [["search", "pauli_all_bases", "--graph", "n:5"],
+            ["analyze", "--graph", "DUW"],
+            ["search", "pauli_all_bases", "--graph", str(cand)]]
+    want = ""
+    for argv in jobs:
+        assert main(argv) == 0
+        want += capsys.readouterr().out
+    script = ("import json, sys\n"
+              "sys.modules['networkx'] = None\n"
+              "from graphcode_lt.cli import main\n"
+              "sys.exit(any([main(argv) for argv in json.loads(sys.argv[1])]))\n")
+    src = os.path.dirname(os.path.dirname(graphcode_lt.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "GRAPHCODE_LT_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(jobs)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == want
 
 
 def test_induced_and_relabeled():

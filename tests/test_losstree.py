@@ -7,6 +7,7 @@ as the statistical oracle.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -43,7 +44,6 @@ from graphcode_lt.losstree import (
 from graphcode_lt.graphs import lc_orbit
 from graphcode_lt.opsets import enumerate_nontrivial
 from graphcode_lt.pauli import (
-    Basis,
     MeasurementPattern,
     PauliOperator,
     commutes_qubitwise,
@@ -407,14 +407,14 @@ def test_attempt_with_keep_takes_first_of_equal_ranks():
     pattern = MeasurementPattern(3)
     rank = losstree._rank(ts.x, ts.z, 3, ~1)
     assert rank[0] == rank[1] < rank[2]
-    assert ts.attempt(np.array([0, 1, 2]), pattern, rank) == (0, Basis("Z"))
-    assert ts.attempt(np.array([1, 0, 2]), pattern, rank) == (0, Basis("X"))
-    assert ts.attempt(np.array([2, 1, 0, 1]), pattern, rank) == (0, Basis("X"))
+    assert ts.attempt(np.array([0, 1, 2]), pattern, rank) == (0, "Z")
+    assert ts.attempt(np.array([1, 0, 2]), pattern, rank) == (0, "X")
+    assert ts.attempt(np.array([2, 1, 0, 1]), pattern, rank) == (0, "X")
     # without a rank the index is the rank; measured support is skipped
-    assert ts.attempt(np.array([2, 1, 0]), pattern) == (0, Basis("Z"))
-    first = pattern.measure(0, Basis("X"))
-    assert ts.attempt(np.array([2, 1, 0]), first) == (1, Basis("Z"))
-    assert ts.attempt(np.array([0]), first.measure(1, Basis("Z"))) is None
+    assert ts.attempt(np.array([2, 1, 0]), pattern) == (0, "Z")
+    first = pattern.measure(0, "X")
+    assert ts.attempt(np.array([2, 1, 0]), first) == (1, "Z")
+    assert ts.attempt(np.array([0]), first.measure(1, "Z")) is None
 
 
 def attempt_reference(ts, members, pattern, keep):
@@ -432,7 +432,7 @@ def attempt_reference(ts, members, pattern, keep):
     op = ts.ops[min(live, key=key)]
     low = (op.x | op.z) & free
     q = (low & -low).bit_length() - 1
-    return q, Basis(op.letter_at(q))
+    return q, op.letter_at(q)
 
 
 def test_attempt_matches_reference_on_both_sides_of_the_cut():
@@ -448,7 +448,7 @@ def test_attempt_matches_reference_on_both_sides_of_the_cut():
             pattern = MeasurementPattern(n)
             for q in rng.sample(range(n), rng.randint(0, n)):
                 pattern = (pattern.lose(q) if rng.random() < 0.3
-                           else pattern.measure(q, Basis(rng.choice("XYZ"))))
+                           else pattern.measure(q, rng.choice("XYZ")))
             q = rng.randrange(n)
             for rank, keep in ((None, -1),
                                (losstree._rank(ts.x, ts.z, n, ~(1 << q)), ~(1 << q))):
@@ -582,6 +582,13 @@ def test_tree_json_round_trip():
         assert (success_polynomial(back).eta_coefficients()
                 == success_polynomial(tree).eta_coefficients())
         assert back.stats() == tree.stats()
+        assert back.to_json() == tree.to_json()
+    # an entry read back from the disk cache names one of the four bases
+    data = json.loads(build_arbitrary_tree(code).to_json())
+    for basis in ("fusion", "F", "I"):
+        data["root"]["basis"] = basis
+        with pytest.raises(ValueError):
+            DecisionTree.from_json(json.dumps(data))
 
 
 def test_disk_cache_round_trip(tmp_path, monkeypatch):

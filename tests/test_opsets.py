@@ -24,7 +24,6 @@ from graphcode_lt.opsets import (
     stabilizer_group,
 )
 from graphcode_lt.pauli import (
-    BASIS_X,
     MeasurementPattern,
     PauliOperator,
     commutes_qubitwise,
@@ -176,7 +175,7 @@ def test_enumeration_deterministic_order():
 def test_filter_star_logical_z_modes():
     code = star_code(3)
     ops = enumerate_nontrivial(code, "LogicalZ")
-    m = MeasurementPattern.from_statuses(["lost", BASIS_X, "unmeasured"])
+    m = MeasurementPattern.from_chars("_X.")
     prospective = filter_compatible(ops, m, completed=False)
     assert sorted(op.to_string() for op in prospective) == ["+IIX", "+IXI"]
     completed = filter_compatible(ops, m, completed=True)
@@ -185,7 +184,7 @@ def test_filter_star_logical_z_modes():
 
 def test_filter_all_lost_keeps_identity_only():
     code = pentagon_code()
-    m = MeasurementPattern.from_statuses(["lost"] * 4)
+    m = MeasurementPattern.from_chars("____")
     stab = filter_compatible(stabilizer_group(code), m)
     assert [op.weight for op in stab] == [0]
     logical = filter_compatible(enumerate_nontrivial(code, "AllLogical"), m)

@@ -14,10 +14,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphcode_lt.pauli import (
-    BASIS_A,
-    BASIS_X,
-    BASIS_Y,
-    BASIS_Z,
     DimensionError,
     MeasurementPattern,
     PauliOperator,
@@ -145,7 +141,7 @@ def test_weight_subadditive(a, b):
 
 # -- qubit-wise commutation ------------------------------------------------
 
-_STATUSES = ["unmeasured", "lost", BASIS_X, BASIS_Y, BASIS_Z, BASIS_A]
+_STATUSES = ".XYZA_"
 
 
 def _qubitwise_reference(letters, statuses, completed):
@@ -153,13 +149,13 @@ def _qubitwise_reference(letters, statuses, completed):
         if letter == "I":
             continue
         st_q = statuses[q]
-        if st_q == "unmeasured":
+        if st_q == ".":
             if completed:
                 return False
             continue
-        if st_q == "lost":
+        if st_q == "_":
             return False
-        if st_q.kind != letter:
+        if st_q != letter:
             return False
     return True
 
@@ -168,7 +164,7 @@ def test_qubitwise_commutation_definition():
     # letter A stands for an arbitrary-basis reading, which only fits()
     # takes; Pauli letter strings also go through commutes_qubitwise
     for statuses in itertools.product(_STATUSES, repeat=3):
-        pattern = MeasurementPattern.from_statuses(statuses)
+        pattern = MeasurementPattern.from_chars("".join(statuses))
         for letters in itertools.product("IXYZA", repeat=3):
             # letter k of (X, Y, Z, A) on qubit q packs to bit q + 3k
             need = sum(1 << (q + 3 * "XYZA".index(ch))
@@ -187,22 +183,30 @@ def test_qubitwise_commutation_definition():
 
 def test_pattern_updates_are_functional():
     m = MeasurementPattern(3)
-    m2 = m.measure(1, BASIS_X)
+    m2 = m.measure(1, "X")
     assert m.unmeasured == 0b111
     assert m2.unmeasured == 0b101
     m3 = m2.lose(0)
     assert m3.lost == 0b001
     with pytest.raises(ValueError):
-        m3.measure(0, BASIS_Z)
+        m3.measure(0, "Z")
+    # a basis is one of the letters X, Y, Z and A
+    for basis in ("fusion", "F", "I", "x"):
+        with pytest.raises(ValueError):
+            m3.measure(2, basis)
     m4 = m3.lose(2)
     with pytest.raises(ValueError):
         m4.lose(2)
 
 
 def test_pattern_statuses_round_trip():
-    statuses = [BASIS_X, "lost", BASIS_A, "unmeasured", BASIS_Z]
-    m = MeasurementPattern.from_statuses(statuses)
+    statuses = ["X", "lost", "A", "unmeasured", "Z"]
+    m = MeasurementPattern.from_chars("X_A.Z")
     assert [m.status(i) for i in range(5)] == statuses
+    assert m.chars() == "X_A.Z"
+    for chars in ("XF", "X?", "I"):
+        with pytest.raises(ValueError):
+            MeasurementPattern.from_chars(chars)
 
 
 # -- span and rank ----------------------------------------------------------
