@@ -66,7 +66,6 @@ from .modular import (
     LayerStack,
     StackResult,
     TransmissionVector,
-    build_cascade_code,
     fixed_point_threshold,
     logical_transmission,
     optimize_stack,

@@ -53,7 +53,7 @@ def rgs_link_probability(code: GraphCode, eta: float, p_fail: float = 0.5,
 
 
 def fbqc_loss_threshold(code: GraphCode, p_fail: float = 0.5,
-                        adaptive: bool = True, tol: float = 1e-4) -> float:
+                        adaptive: bool = True) -> float:
     """Largest per-photon loss with both parity erasures inside
     ``ERASURE_BUDGET``.
 
@@ -61,7 +61,7 @@ def fbqc_loss_threshold(code: GraphCode, p_fail: float = 0.5,
     local Cliffords), so a logical failure still feeds one syndrome
     graph half the time; losses erase both.  Both parities are erased
     alike, so the criterion erasure_xx < budget is monotone in loss, and
-    the returned threshold is located by bisection to ``tol``.  A code
+    the returned threshold is located by bisection to 1e-4.  A code
     outside budget even at zero loss returns 0.
     """
     _validated_p_fail(p_fail)
@@ -73,5 +73,5 @@ def fbqc_loss_threshold(code: GraphCode, p_fail: float = 0.5,
 
     if not inside(0.0):
         return 0.0
-    lo, hi = bisect(inside, 0.0, 1.0, tol)
+    lo, hi = bisect(inside, 0.0, 1.0, 1e-4)
     return 0.5 * (lo + hi)

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -79,9 +80,10 @@ def resolve_code(graph: str, input_vertex: int) -> GraphCode:
     """A library name, star<N>, tree:<b1,b2,..>, or a graph6 string."""
     if graph in _LIBRARY:
         return _LIBRARY[graph]()
-    if graph.startswith("star"):
+    star = re.fullmatch(r"star(\d+)", graph)
+    if star:
         try:
-            return star_code(int(graph[4:]))
+            return star_code(int(star[1]))
         except ValueError:
             raise CliError(EXIT_PARSE, f"bad star size in {graph!r}")
     if graph.startswith("tree:"):

@@ -314,17 +314,18 @@ def logical_flip_rates(code: GraphCode,
     return tuple(out)
 
 
-def error_threshold(code: GraphCode, iters: int = 24, tol: float = 1e-4,
-                    hi: float = 1.0 / 3.0) -> float:
+def error_threshold(code: GraphCode) -> float:
     """Largest depolarizing rate whose per-basis flip map iterates to zero.
 
-    Bisection on lambda; each probe starts from the physical flip vector
-    (2*lambda,)*3 and applies ``logical_flip_rates`` ``iters`` times.
+    Bisection on lambda over [0, 1/3] to 1e-4; each probe starts from the
+    physical flip vector (2*lambda,)*3 and applies ``logical_flip_rates``
+    24 times.  Returns 1/3 when even that rate converges.
     """
+    hi = 1.0 / 3.0
 
     def converges(lam: float) -> bool:
         r = (2 * lam,) * 3
-        for _ in range(iters):
+        for _ in range(24):
             r = logical_flip_rates(code, r)
             m = max(r)
             if m < 1e-9:
@@ -335,4 +336,4 @@ def error_threshold(code: GraphCode, iters: int = 24, tol: float = 1e-4,
 
     if converges(hi):
         return hi
-    return bisect(converges, 0.0, hi, tol)[0]
+    return bisect(converges, 0.0, hi, 1e-4)[0]

@@ -26,15 +26,13 @@ from itertools import product
 
 from .codes import GraphCode, per_code
 from .errordecode import logical_flip_rates
-from .graphs import Graph
 from .losstree import load_or_build, success_polynomial
-from .polynomials import LossPolynomial, bisect
+from .polynomials import LossPolynomial, _rise_point
 
 __all__ = [
     "LayerStack",
     "StackResult",
     "TransmissionVector",
-    "build_cascade_code",
     "fixed_point_threshold",
     "logical_transmission",
     "optimize_stack",
@@ -232,33 +230,29 @@ def logical_transmission(stack: LayerStack) -> TransmissionVector:
 # -- thresholds --------------------------------------------------------------------
 
 
-def fixed_point_threshold(code: GraphCode, bases=("X", "Y", "Z"),
-                          iters: int = 200, tol: float = 1e-9) -> float | None:
-    """Loss threshold of self-concatenation, or None when there is none.
+def fixed_point_threshold(code: GraphCode,
+                          bases=("X", "Y", "Z")) -> float | None:
+    """Loss threshold of self-concatenation, exactly, or None when there
+    is none.
 
-    Iterates the scalar map eta -> min over ``bases`` of F(eta, ..., eta)
-    and bisects on the starting point separating flow to 1 from flow to
-    0.  The scalar map is the exact depth recursion when the unit's F
-    coincides on every basis the target pattern uses; otherwise the min
-    tracks the pattern-limiting component.  Returns the loss fraction
-    1 - eta* at the unstable crossing.
+    Self-concatenation iterates the scalar map eta -> m(eta), the min
+    over ``bases`` of F(eta, ..., eta).  The scalar map is the exact depth
+    recursion when the unit's F coincides on every basis the target
+    pattern uses; otherwise the min tracks the pattern-limiting
+    component.  eta* is the least v with m(w) > w on all of (v, 1), from
+    which the iteration climbs to 1; where m only touches the identity it
+    is not above it.  Returns the loss fraction 1 - eta*: 1.0 when
+    m(w) > w on all of (0, 1), 0.0 when some basis map lies at or below
+    the identity arbitrarily close to 1 (an identity basis map among
+    moving ones included), and None when every basis map is the
+    identity.
     """
-    polys = [unit_F(code, b) for b in bases]
-
-    def settle(eta: float) -> float:
-        v = eta
-        for _ in range(iters):
-            r = {"X": v, "Y": v, "Z": v, "A": v}
-            v = min(p.evaluate_heterogeneous(r) for p in polys)
-            if v <= 1e-12 or v >= 1.0 - 1e-12:
-                break
-        return v
-
-    # A map that moves neither probe has no unstable crossing to bracket.
-    if abs(settle(0.25) - 0.25) < 1e-6 and abs(settle(0.75) - 0.75) < 1e-6:
+    if not bases:
+        raise ValueError("fixed_point_threshold needs at least one basis")
+    points = [_rise_point(unit_F(code, b)) for b in bases]
+    if all(v is None for v in points):
         return None
-    lo, hi = bisect(lambda eta: settle(eta) <= 0.5, 0.0, 1.0, tol)
-    return 1.0 - 0.5 * (lo + hi)
+    return 1.0 - max(1.0 if v is None else v for v in points)
 
 
 def stack_flip_rates(stack: LayerStack, lam: float) -> tuple:
@@ -335,36 +329,3 @@ def optimize_stack(library, max_depth: int, eta: float, basis: str = "A",
                                        stack.qubit_count))
     results.sort(key=lambda res: (res.logical_loss, res.qubit_count))
     return results
-
-
-# -- explicit cascade graphs -------------------------------------------------------
-
-
-def build_cascade_code(layers) -> GraphCode:
-    """The cascade as one explicit progenitor graph.
-
-    Each code qubit of layer k becomes the input vertex of a fresh copy
-    of the layer k+1 unit.  The composite keeps the outermost input as
-    its own, so decoding it directly must reproduce the layer recursion.
-    """
-    layers = list(layers)
-    if not layers:
-        raise ValueError("a cascade needs at least one layer")
-    top = layers[0]
-    edges = list(top.progenitor.edges())
-    count = top.progenitor.n
-    frontier = [v for v in range(count) if v != top.input_vertex]
-    for unit in layers[1:]:
-        nxt = []
-        for host in frontier:
-            ids = {}
-            for v in range(unit.progenitor.n):
-                if v == unit.input_vertex:
-                    ids[v] = host
-                else:
-                    ids[v] = count
-                    nxt.append(count)
-                    count += 1
-            edges.extend((ids[u], ids[v]) for u, v in unit.progenitor.edges())
-        frontier = nxt
-    return GraphCode(Graph.from_edges(count, edges), top.input_vertex)

@@ -12,8 +12,12 @@ subthreshold coefficients trustworthy.  ``break_even`` works on that
 integer polynomial alone: it isolates the largest crossing of the loss
 curve with the diagonal by a Sturm sequence and refines it by exact sign
 bisection, so only roots where the curve changes side count, and no
-float evaluation can hide or invent one.  The thresholds built on
-float-evaluated curves share one bisection, ``bisect``.
+float evaluation can hide or invent one.  The self-concatenation
+threshold (``modular.fixed_point_threshold``) is a root of such a
+polynomial too and shares that root finder, ``_largest_root``.  The two
+thresholds that are not roots of one integer polynomial, the FBQC loss
+threshold (``apps``) and the error threshold (``errordecode``), share
+one float bisection, ``bisect``.
 """
 
 from __future__ import annotations
@@ -159,16 +163,22 @@ def _derivative(p: list[int]) -> list[int]:
     return [c * (d - i) for i, c in enumerate(p[:-1])]
 
 
+def _common(p: list[int]) -> list[int]:
+    """gcd(p, p'), primitive: it has each root of ``p`` of multiplicity r
+    with multiplicity r - 1, so p / gcd(p, p') has every root once."""
+    common, other = p, _derivative(p)
+    while other:  # Euclid
+        common, other = other, _remainder(common, other)
+    return _primitive(common)
+
+
 def _odd_part(p: list[int]) -> list[int]:
     """The square-free polynomial whose roots are the roots of odd
-    multiplicity of ``p``: p / gcd(p, p') has every root of ``p`` once, and
-    the roots of the gcd of odd multiplicity are those of ``p`` of even."""
+    multiplicity of ``p``: the roots of gcd(p, p') of odd multiplicity
+    are those of ``p`` of even."""
     if len(p) < 2:
         return [1]
-    common, other = p, _derivative(p)
-    while other:  # Euclid: common becomes gcd(p, p')
-        common, other = other, _remainder(common, other)
-    common = _primitive(common)
+    common = _common(p)
     return _quotient(_quotient(p, common), _odd_part(common))
 
 
@@ -180,44 +190,36 @@ def _sign_at(p: list[int], k: int, m: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def break_even(poly: LossPolynomial, tol: float = 1e-15) -> float | None:
-    """Largest interior fixed point of the induced loss map, exactly.
+def _strip_ends(p: list[int]) -> tuple[list[int], int]:
+    """``p`` (nonzero, highest degree first) with its roots at 0 and 1
+    divided out, and the multiplicity of its root at 1."""
+    while not p[-1]:
+        p = p[:-1]
+    ones = 0
+    while not sum(p):
+        p, ones = list(accumulate(p[:-1])), ones + 1  # divide by x - 1
+    return p, ones
 
-    The loss curve is ell_bar(ell) = 1 - poly(1 - ell); the break-even
-    point is the largest ell* in (0, 1) where ell_bar crosses the
-    diagonal, a root of odd multiplicity of the integer polynomial
-    g(ell) = 1 - poly(1 - ell) - ell.  A tangent point, a root of even
-    multiplicity, is not a crossing: g keeps its sign there.  The roots
-    at 0 and 1 are divided out and the crossings kept as one square-free
-    polynomial (``_odd_part``); a Sturm sequence of it isolates the
-    largest one in a dyadic bracket (k / 2^m, (k + 1) / 2^m], and
-    bisection on its exact sign at dyadic points narrows the bracket to
-    ``tol``, all in integer arithmetic.  Returns the bracket's midpoint,
-    or None when the curve does not cross the diagonal inside (0, 1).
+
+def _largest_root(p: list[int]) -> float | None:
+    """Largest root in (0, 1] of a square-free integer polynomial ``p``
+    (highest degree first), or None when it has none there.
+
+    A Sturm sequence of ``p`` isolates that root in a dyadic bracket
+    (k / 2^m, (k + 1) / 2^m], and bisection on the exact sign of ``p`` at
+    dyadic points narrows the bracket to 1e-15, all in integer
+    arithmetic; a square-free ``p`` changes sign at each of its roots.
+    Returns the bracket's midpoint, or the root itself when a dyadic
+    point hits it.
     """
-    eta = poly.eta_coefficients()
-    # g's coefficients, lowest degree first: 1 - ell, less each c_k eta^k
-    # written as c_k (1 - ell)^k
-    low = [1, -1] + [0] * max(eta, default=0)
-    for k, c in eta.items():
-        for j in range(k + 1):
-            low[j] -= c * comb(k, j) * (-1) ** j
-    gap = _primitive(low[::-1])
-    if not gap:
-        return None  # the curve IS the diagonal; no isolated crossing
-    while not gap[-1]:
-        gap.pop()  # a root at ell = 0
-    while not sum(gap):
-        gap = list(accumulate(gap[:-1]))  # a root at ell = 1: divide by ell - 1
-    odd = _odd_part(gap)
-    if len(odd) < 2:
+    if len(p) < 2:
         return None
-    sturm = [odd, _derivative(odd)]
+    sturm = [p, _derivative(p)]
     while len(sturm[-1]) > 1:
         sturm.append([-c for c in _remainder(sturm[-2], sturm[-1])])
 
     def changes(k: int, m: int) -> int:
-        signs = [s for p in sturm if (s := _sign_at(p, k, m))]
+        signs = [s for q in sturm if (s := _sign_at(q, k, m))]
         return sum(x != y for x, y in zip(signs, signs[1:]))
 
     # the number of roots in (a, b] is changes(a) - changes(b); keep the
@@ -232,17 +234,69 @@ def break_even(poly: LossPolynomial, tol: float = 1e-15) -> float | None:
             k, below = k + 1, mid
         else:
             above = mid
-    top = _sign_at(odd, k + 1, m)
+    top = _sign_at(p, k + 1, m)
     if not top:
         return (k + 1) / 2 ** m
-    while 2.0 ** -m > tol:
+    while 2.0 ** -m > 1e-15:
         k, m = 2 * k, m + 1
-        s = _sign_at(odd, k + 1, m)
+        s = _sign_at(p, k + 1, m)
         if not s:
             return (k + 1) / 2 ** m
         if s != top:
             k += 1
     return (2 * k + 1) / 2 ** (m + 1)
+
+
+def break_even(poly: LossPolynomial) -> float | None:
+    """Largest interior fixed point of the induced loss map, exactly.
+
+    The loss curve is ell_bar(ell) = 1 - poly(1 - ell); the break-even
+    point is the largest ell* in (0, 1) where ell_bar crosses the
+    diagonal, a root of odd multiplicity of the integer polynomial
+    g(ell) = 1 - poly(1 - ell) - ell.  A tangent point, a root of even
+    multiplicity, is not a crossing: g keeps its sign there.  The roots
+    at 0 and 1 are divided out and the crossings kept as one square-free
+    polynomial (``_odd_part``), whose largest root in (0, 1) is isolated
+    and refined to 1e-15 in integer arithmetic (``_largest_root``).
+    Returns None when the curve does not cross the diagonal inside
+    (0, 1).
+    """
+    eta = poly.eta_coefficients()
+    # g's coefficients, lowest degree first: 1 - ell, less each c_k eta^k
+    # written as c_k (1 - ell)^k
+    low = [1, -1] + [0] * max(eta, default=0)
+    for k, c in eta.items():
+        for j in range(k + 1):
+            low[j] -= c * comb(k, j) * (-1) ** j
+    gap = _primitive(low[::-1])
+    if not gap:
+        return None  # the curve IS the diagonal; no isolated crossing
+    return _largest_root(_odd_part(_strip_ends(gap)[0]))
+
+
+def _rise_point(poly: LossPolynomial) -> float | None:
+    """Least v in [0, 1] with poly(w) > w on all of (v, 1), exactly, for
+    the homogeneous map w -> poly(w); None when the map is the identity.
+
+    From any start above v the iterated map climbs to 1.  The gap
+    g(w) = poly(w) - w is an integer polynomial (w - 1)^r q(w) with
+    q(1) != 0, so just below 1 it has the sign of (-1)^r q(1), the
+    lowest-order nonzero coefficient of g(1 - ell); where that is
+    negative, v = 1.  Otherwise v is the largest root of g in (0, 1), of
+    any multiplicity: where g only touches zero the map is not above the
+    identity, so the search runs on g's square-free part.  v = 0 when
+    g > 0 on all of (0, 1).
+    """
+    eta = poly.eta_coefficients()
+    eta[1] = eta.get(1, 0) - 1
+    gap = _primitive([eta.get(k, 0) for k in range(max(eta), -1, -1)])
+    if not gap:
+        return None
+    gap, ones = _strip_ends(gap)
+    if (-1) ** ones * sum(gap) < 0:
+        return 1.0
+    root = _largest_root(_quotient(gap, _common(gap)))
+    return 0.0 if root is None else root
 
 
 def bisect(inside, lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from graphcode_lt.codes import GraphCode
 from graphcode_lt.errordecode import (
     CheckSet,
     _masked_targets,
@@ -182,6 +183,39 @@ def teleport_bound_masks(code) -> np.ndarray:
                     if la != lb and u is not None and v is not None:
                         ok |= u & v
     return ok
+
+
+# -- explicit cascade graphs ---------------------------------------------------
+
+
+def build_cascade_code(layers) -> GraphCode:
+    """The cascade as one explicit progenitor graph.
+
+    Each code qubit of layer k becomes the input vertex of a fresh copy
+    of the layer k+1 unit.  The composite keeps the outermost input as
+    its own, so decoding it directly must reproduce the layer recursion.
+    """
+    layers = list(layers)
+    if not layers:
+        raise ValueError("a cascade needs at least one layer")
+    top = layers[0]
+    edges = list(top.progenitor.edges())
+    count = top.progenitor.n
+    frontier = [v for v in range(count) if v != top.input_vertex]
+    for unit in layers[1:]:
+        nxt = []
+        for host in frontier:
+            ids = {}
+            for v in range(unit.progenitor.n):
+                if v == unit.input_vertex:
+                    ids[v] = host
+                else:
+                    ids[v] = count
+                    nxt.append(count)
+                    count += 1
+            edges.extend((ids[u], ids[v]) for u, v in unit.progenitor.edges())
+        frontier = nxt
+    return GraphCode(Graph.from_edges(count, edges), top.input_vertex)
 
 
 # -- local-equivalence class counting ----------------------------------------------

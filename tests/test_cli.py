@@ -21,7 +21,8 @@ from graphcode_lt.cli import (
     resolve_code,
     CliError,
 )
-from graphcode_lt.codes import pentagon_code
+from graphcode_lt.codes import pentagon_code, star_code
+from graphcode_lt.graphs import Graph
 from graphcode_lt.losstree import DecisionTree
 
 
@@ -44,6 +45,18 @@ def test_resolve_rejects_bad_input():
     with pytest.raises(CliError) as err:
         resolve_code("starX", 0)
     assert err.value.exit_code == EXIT_PARSE
+
+
+def test_resolve_graph6_that_starts_with_star():
+    # [TRIVIAL] "s" is the graph6 size byte of a 52-vertex graph: one whose
+    # first adjacency bits spell "tar" is a graph, not a star size
+    edges = [(0, 1), (0, 2), (0, 3), (2, 3), (0, 4), (0, 5), (2, 5), (3, 5),
+             (1, 6), (2, 6)] + [(v - 1, v) for v in range(6, 52)]
+    g = Graph.from_edges(52, edges)
+    text = g.to_graph6()
+    assert text.startswith("star")
+    assert resolve_code(text, 0).progenitor == g
+    assert resolve_code("star4", 0) == star_code(4)
 
 
 def test_parse_grid_forms():

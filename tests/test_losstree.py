@@ -49,7 +49,7 @@ from graphcode_lt.pauli import (
     commutes_qubitwise,
     fits,
 )
-from graphcode_lt.polynomials import LossPolynomial, break_even
+from graphcode_lt.polynomials import LossPolynomial, _rise_point, break_even
 
 from _oracles import (
     evaluate_reference,
@@ -260,6 +260,33 @@ def test_break_even_is_largest_odd_multiplicity_root():
             assert got == pytest.approx(float(max(crossings)), abs=1e-12)
         else:
             assert got is None
+
+
+def test_rise_point_is_last_root_of_any_multiplicity():
+    # with ell = 1 - v the map's gap is P(v) - v = -g(ell): the map climbs
+    # from above the least root of g in (0, 1) when g < 0 just above 0,
+    # and a root where g only touches zero still counts as not above
+    poly = _loss_curve([0, 1], [1, -1], [-1, 2], [-1, 2], [-1])
+    assert _rise_point(poly) == 0.5
+    assert _rise_point(_loss_curve([0, 1], [1, -1], [-1, 2], [-1, 2])) == 1.0
+    assert _rise_point(_loss_curve([0])) is None
+    rng = random.Random(22)
+    for _ in range(60):
+        factors, roots = [[0, 1], [1, -1]], set()
+        for _ in range(rng.randint(1, 4)):
+            den, num = rng.randint(1, 40), rng.randint(-10, 50)
+            factors += [[-num, den]] * rng.randint(1, 3)
+            roots.add(Fraction(num, den))
+        if rng.random() < 0.3:
+            factors.append([1, 0, 1])
+        if rng.random() < 0.5:
+            factors.append([-1])
+        poly = _loss_curve(*factors)
+        inside = [r for r in roots if 0 < r < 1]
+        # g's lowest-order nonzero coefficient: the product of the factors'
+        lowest = math.prod(next(c for c in f if c) for f in factors)
+        want = 1.0 if lowest > 0 else 1 - float(min(inside, default=1))
+        assert _rise_point(poly) == pytest.approx(want, abs=1e-12)
 
 
 # -- tree structure invariants --------------------------------------------------------

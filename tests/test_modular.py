@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import (
+    build_cascade_code,
     clairvoyant_pauli_masks,
     clairvoyant_teleport_masks,
     evaluate_masks,
@@ -26,6 +27,7 @@ from graphcode_lt.codes import (
     cube_code,
     decorated_pentagon_code,
     pentagon_code,
+    shor_22_code,
     star_code,
     tree_code,
     tree_progenitor,
@@ -41,7 +43,6 @@ from graphcode_lt.modular import (
     LayerStack,
     StackResult,
     TransmissionVector,
-    build_cascade_code,
     fixed_point_threshold,
     logical_transmission,
     optimize_stack,
@@ -50,6 +51,7 @@ from graphcode_lt.modular import (
     unit_F,
 )
 from graphcode_lt.polynomials import BASES, break_even
+from graphcode_lt.search import enumerate_candidates
 
 
 def logical(layers, mode, eta) -> dict:
@@ -434,6 +436,43 @@ def test_arbitrary_basis_threshold_matches_break_even():
     even = break_even(success_polynomial(build_arbitrary_tree(dpent)))
     assert got == pytest.approx(even, abs=1e-5)
     assert got == pytest.approx(0.318923057523, abs=1e-9)
+
+
+def test_fixed_point_threshold_exact_values():
+    # [DERIVED: the pentagon's X, Y and Z unit maps are all 2v^2 - v^4, and
+    # P(v) - v = -v (v - 1)(v^2 + v - 1) rises above zero past
+    # (sqrt(5) - 1) / 2]
+    got = fixed_point_threshold(pentagon_code())
+    assert got == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-12)
+    # [DERIVED: the Y map, 3v^3 - 2v^4 on the branched chain and Shor code
+    # and 5v^4 - 6v^5 + 2v^6 on tree[2,2], lies below the identity just
+    # under 1, so no transmission short of 1 climbs]
+    for code in (branched_chain_code(), shor_22_code(), tree_code([2, 2])):
+        assert fixed_point_threshold(code) == 0.0
+    with pytest.raises(ValueError):
+        fixed_point_threshold(pentagon_code(), bases=())
+
+
+def test_fixed_point_threshold_is_the_last_rise():
+    # [DERIVED: eta* = 1 - threshold is the last point where the scalar map
+    # m(v) = min over X, Y, Z of P_b(v) is not above the identity; on the
+    # 1/4096 grid, in exact Fractions, m is above v at the first point past
+    # eta* and not at the last point before it]
+    library = [pentagon_code(), decorated_pentagon_code(), cube_code(),
+               branched_chain_code(), shor_22_code(), star_code(4),
+               tree_code([2, 2])]
+    for code in [*library, *enumerate_candidates(7)]:
+        maps = [unit_F(code, b).eta_coefficients() for b in "XYZ"]
+
+        def above(k: int) -> bool:
+            v = Fraction(k, 4096)
+            return min(sum(c * v ** e for e, c in p.items()) for p in maps) > v
+
+        grid = 4096 * Fraction(1 - fixed_point_threshold(code))
+        if grid < 4096:
+            assert above(math.floor(grid) + 1), code
+        if grid > 0:
+            assert not above(math.ceil(grid) - 1), code
 
 
 def test_stack_flip_rates_bracket_the_cube_error_threshold():
