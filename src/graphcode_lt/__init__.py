@@ -53,7 +53,6 @@ from .errordecode import (
     error_threshold,
     fault_probability,
     logical_flip_rates,
-    physical_fault,
 )
 from .fusion import (
     AdaptiveFusionAnalysis,

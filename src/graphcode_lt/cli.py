@@ -9,7 +9,18 @@ byte-identical output.
 Exit codes: 0 success, 1 check failure (mc-check disagreement), 2 parse
 errors (malformed graph6 or candidate files), 3 validation errors (bad
 values or missing parameters), 4 resource limits (sizes the exact
-engines refuse).
+engines refuse).  A star or tree --graph past 14 code qubits exits 4
+before the code is built.
+
+GRAPHCODE_LT_CACHE names a directory for work worth keeping across runs:
+compiled decision trees, keyed on the package version and the tree
+format as well as the code and basis, and the checkpoints of search
+runs, from which an interrupted search resumes.  Unset, nothing is
+written.
+
+search --threads is an upper bound on its worker processes: the pool is
+capped at the number of pending candidates and of CPUs, and a cap of one
+scores in-process.
 """
 
 from __future__ import annotations
@@ -47,8 +58,8 @@ from .errordecode import logical_flip_rates
 from .modular import LayerStack, logical_transmission
 from .fusion import FusionModel, adaptive_fusion, transversal_fusion
 from .apps import fbqc_loss_threshold, rgs_link_probability
-from .search import Objective, enumerate_candidates, optimize
-from .opsets import ResourceLimitError
+from .search import Objective, enumerate_candidates, optimize, read_candidates
+from .opsets import ResourceLimitError, check_exhaustive
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -77,18 +88,32 @@ _LIBRARY = {
 
 
 def resolve_code(graph: str, input_vertex: int) -> GraphCode:
-    """A library name, star<N>, tree:<b1,b2,..>, or a graph6 string."""
+    """A library name, star<N>, tree:<b1,b2,..>, or a graph6 string.
+
+    Every command served here refuses codes past ``EXHAUSTIVE_LIMIT``
+    qubits.  A star or tree name that short could ask for millions, so its
+    qubit count is checked before the code is built (the invariant check
+    of building one is quadratic in its size); a graph6 string already
+    grows with the square of its size.
+    """
     if graph in _LIBRARY:
         return _LIBRARY[graph]()
     star = re.fullmatch(r"star(\d+)", graph)
     if star:
         try:
-            return star_code(int(star[1]))
+            n = int(star[1])
+            check_exhaustive(n)
+            return star_code(n)
         except ValueError:
             raise CliError(EXIT_PARSE, f"bad star size in {graph!r}")
     if graph.startswith("tree:"):
         try:
             branching = [int(b) for b in graph[5:].split(",")]
+            qubits, level = 0, 1
+            for b in branching:
+                level *= max(b, 0)
+                qubits += level
+            check_exhaustive(qubits)
             return tree_code(branching)
         except ValueError:
             raise CliError(EXIT_PARSE, f"bad tree branching in {graph!r}")
@@ -328,7 +353,7 @@ def cmd_search(args, config) -> int:
     else:
         if not os.path.exists(source):
             raise CliError(EXIT_VALIDATION, f"no candidate file {source!r}")
-        candidates = enumerate_candidates(source=source)
+        candidates = read_candidates(source)
     objective = Objective(args.kind, eta=args.eta if args.eta is not None else 0.70,
                           p_fail=args.pfail,
                           adaptive=args.mode != "transversal")

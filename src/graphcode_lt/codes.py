@@ -33,9 +33,9 @@ class GraphCode:
     to 0..n-1 in ascending original order.
     """
 
-    __slots__ = ("progenitor", "input_vertex", "b0", "n", "code_vertices",
-                 "code_graph", "branch_mask", "logical_x", "logical_y",
-                 "logical_z", "stabilizer_generators", "_hash")
+    __slots__ = ("progenitor", "input_vertex", "b0", "n", "code_graph",
+                 "branch_mask", "logical_x", "logical_y", "logical_z",
+                 "stabilizer_generators", "_hash")
 
     def __init__(self, progenitor: Graph, input_vertex: int = 0,
                  b0: int | None = None):
@@ -69,7 +69,6 @@ class GraphCode:
         object.__setattr__(self, "input_vertex", input_vertex)
         object.__setattr__(self, "b0", b0)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "code_vertices", code_vertices)
         object.__setattr__(self, "code_graph", code_graph)
         object.__setattr__(self, "branch_mask", branch_mask)
         object.__setattr__(self, "logical_x", logical_x)

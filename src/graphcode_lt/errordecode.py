@@ -50,12 +50,11 @@ class ErrorModel:
     per-basis rates can also be set directly.
     """
 
-    __slots__ = ("lam", "rates")
+    __slots__ = ("rates",)
 
     def __init__(self, lam: float):
         if not 0.0 <= 3.0 * lam <= 1.0:
             raise ValueError("lambda must satisfy 0 <= 3*lambda <= 1")
-        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "rates",
                            {"X": 2 * lam, "Y": 2 * lam, "Z": 2 * lam, "A": 3 * lam})
 
@@ -63,13 +62,12 @@ class ErrorModel:
         raise AttributeError("ErrorModel is immutable")
 
     @classmethod
-    def from_rates(cls, rx: float, ry: float, rz: float,
-                   ra: float | None = None) -> "ErrorModel":
+    def from_rates(cls, rx: float, ry: float, rz: float) -> "ErrorModel":
+        """Per-basis Pauli flip rates; the arbitrary-basis rate is half
+        their sum, capped at one."""
         em = cls.__new__(cls)
-        object.__setattr__(em, "lam", None)
-        if ra is None:
-            ra = min(1.0, 0.5 * (rx + ry + rz))
-        object.__setattr__(em, "rates", {"X": rx, "Y": ry, "Z": rz, "A": ra})
+        object.__setattr__(em, "rates", {"X": rx, "Y": ry, "Z": rz,
+                                         "A": min(1.0, 0.5 * (rx + ry + rz))})
         return em
 
     def rate(self, kind: str) -> float:
@@ -288,11 +286,6 @@ def fault_probability(code: GraphCode, kind: str, eta: float,
     one of "X", "Y", "Z".
     """
     return _error_analysis(code, kind).fault_probability(eta, em)
-
-
-def physical_fault(eta: float, em: ErrorModel, kind: str = "X") -> float:
-    """Bare-qubit reference: lost, or its single measurement flipped."""
-    return 1.0 - eta * (1.0 - em.rate(kind))
 
 
 # -- concatenation error threshold ------------------------------------------------

@@ -86,13 +86,6 @@ class FusionModel:
     def __setattr__(self, name, value):
         raise AttributeError("FusionModel is immutable")
 
-    @classmethod
-    def boosted(cls, m: int, eta: float) -> "FusionModel":
-        """Boost level m: 2^m - 2 ancillary photons, p_fail = 2^-m."""
-        if m < 1:
-            raise ValueError(f"boost level must be >= 1, got {m}")
-        return cls(2.0 ** -m, eta)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FusionModel)
                 and (self.p_fail, self.eta) == (other.p_fail, other.eta))
@@ -287,21 +280,16 @@ def compile_failure_bases(code: GraphCode, fm: FusionModel) -> tuple[str, ...]:
 
 
 def transversal_fusion(code: GraphCode, fm: FusionModel, *,
-                       failure_bases: tuple | None = None,
                        randomize_failures: bool = False) -> LogicalFusionResult:
     """Logical fusion via physical fusions on every code qubit pair.
 
     With ``randomize_failures`` each failed gate keeps XX or ZZ with
-    probability 1/2 per shot; otherwise the failure basis is the given
-    per-qubit choice, compiled by maximum likelihood when omitted.
+    probability 1/2 per shot; otherwise each qubit's failure basis is
+    compiled by maximum likelihood (``compile_failure_bases``).
     """
     if randomize_failures:
         return _transversal_result(code, fm, None)
-    if failure_bases is None:
-        failure_bases = compile_failure_bases(code, fm)
-    if len(failure_bases) != code.n:
-        raise ValueError("need one failure basis per code qubit")
-    return _transversal_result(code, fm, tuple(failure_bases))
+    return _transversal_result(code, fm, compile_failure_bases(code, fm))
 
 
 # -- adaptive engine ---------------------------------------------------------------

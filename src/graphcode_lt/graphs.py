@@ -126,9 +126,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.nbr[u] >> v) & 1)
 
-    def degree(self, v: int) -> int:
-        return self.nbr[v].bit_count()
-
     def neighbors(self, v: int) -> list[int]:
         return list(iter_bits(self.nbr[v]))
 
@@ -189,21 +186,9 @@ class Graph:
 
 # -- standard builders ----------------------------------------------------
 
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def star_graph(n: int) -> Graph:
     """Star on n vertices with center 0."""
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def graph_state_generators(g: Graph) -> list[PauliOperator]:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .codes import GraphCode, per_code
-from .opsets import EXHAUSTIVE_LIMIT, enumerate_nontrivial
+from .opsets import enumerate_nontrivial
 from .pauli import MeasurementPattern, PauliOperator
 from .polynomials import BASES, LossPolynomial
 
@@ -369,9 +369,7 @@ def build_pauli_tree(code: GraphCode, basis: str = "Z") -> DecisionTree:
     """Compile the Pauli-basis loss decoder for one logical basis."""
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
-    # per_code memoises by the arguments as given, and AllLogical passes
-    # the limit on to each class: pass it too, to share those entries
-    ops = enumerate_nontrivial(code, "Logical" + basis, EXHAUSTIVE_LIMIT)
+    ops = enumerate_nontrivial(code, "Logical" + basis)
     return _tree(code, f"pauli-{basis}", TargetSet(code.n, *_xz(ops), ops=ops))
 
 
@@ -391,7 +389,7 @@ def _strategies(code: GraphCode) -> TargetSet:
     loop over the operator set.  They are returned as index arrays into
     the sorted ``AllLogical`` operators, with no object per pair.
     """
-    ops = enumerate_nontrivial(code, "AllLogical", EXHAUSTIVE_LIMIT)
+    ops = enumerate_nontrivial(code, "AllLogical")
     x, z = _xz(ops)
     seconds, bits = [], []
     for i in range(len(ops)):

@@ -21,7 +21,6 @@ a concatenation every demand is served entirely by the block.
 
 from __future__ import annotations
 
-import json
 from itertools import product
 
 from .codes import GraphCode, per_code
@@ -112,10 +111,6 @@ class LayerStack:
         raise AttributeError("LayerStack is immutable")
 
     @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    @property
     def qubit_count(self) -> int:
         """Physical qubits: every layer of a cascade, only the deepest
         layer of a concatenation."""
@@ -126,28 +121,6 @@ class LayerStack:
             block *= s
             total += block
         return total if self.mode == "cascaded" else block
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "mode": self.mode,
-            "eta": self.eta,
-            "layers": [json.loads(c.to_json()) for c in self.layers],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "LayerStack":
-        data = json.loads(text)
-        layers = [GraphCode.from_json(json.dumps(d)) for d in data["layers"]]
-        return cls(layers, data["mode"], data["eta"])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LayerStack):
-            return NotImplemented
-        return (self.layers, self.mode, self.eta) == (other.layers,
-                                                      other.mode, other.eta)
-
-    def __hash__(self) -> int:
-        return hash((self.layers, self.mode, self.eta))
 
     def __repr__(self) -> str:
         sizes = "x".join(str(c.n) for c in self.layers)

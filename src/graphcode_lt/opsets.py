@@ -26,6 +26,15 @@ class ResourceLimitError(RuntimeError):
     """Raised when an exact enumeration would exceed its configured limit."""
 
 
+def check_exhaustive(n: int) -> None:
+    """Refuse an n-qubit code past ``EXHAUSTIVE_LIMIT``, before anything
+    of size 2^(n-1) is built."""
+    if n > EXHAUSTIVE_LIMIT:
+        raise ResourceLimitError(
+            f"exhaustive enumeration needs 2^{n - 1} products; "
+            f"limit is n <= {EXHAUSTIVE_LIMIT}")
+
+
 @per_code
 def stabilizer_group(code: GraphCode) -> tuple[PauliOperator, ...]:
     """All 2^(n-1) stabilizer elements, exact phases included."""
@@ -66,8 +75,7 @@ def _nontrivial(ops: list, stabilizer_masks: np.ndarray) -> list:
 
 
 @per_code
-def enumerate_nontrivial(code: GraphCode, kind: str,
-                         limit: int = EXHAUSTIVE_LIMIT) -> tuple[PauliOperator, ...]:
+def enumerate_nontrivial(code: GraphCode, kind: str) -> tuple[PauliOperator, ...]:
     """The non-trivial members of a logical class, sorted by (weight, x,
     z) so that heuristics taking "the first" member are reproducible.
 
@@ -76,13 +84,10 @@ def enumerate_nontrivial(code: GraphCode, kind: str,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind: {kind}")
-    if code.n > limit:
-        raise ResourceLimitError(
-            f"exhaustive enumeration needs 2^{code.n - 1} products; "
-            f"limit is n <= {limit}")
+    check_exhaustive(code.n)
     if kind == "AllLogical":
         ops = [op for sub in ("LogicalX", "LogicalY", "LogicalZ")
-               for op in enumerate_nontrivial(code, sub, limit)]
+               for op in enumerate_nontrivial(code, sub)]
     else:
         rep = code.logical(kind[-1])
         ops = _nontrivial([rep * s for s in stabilizer_group(code)],

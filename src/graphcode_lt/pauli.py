@@ -46,13 +46,6 @@ class PauliOperator:
         return cls(n)
 
     @classmethod
-    def single(cls, n: int, qubit: int, letter: str) -> "PauliOperator":
-        """The operator with ``letter`` on ``qubit`` and identity elsewhere."""
-        xb, zb = _LETTER_BITS[letter]
-        phase = 1 if letter == "Y" else 0
-        return cls(n, xb << qubit, zb << qubit, phase)
-
-    @classmethod
     def from_letters(cls, letters: str, sign: str = "+") -> "PauliOperator":
         """Build from a letter string such as ``"XIZY"`` (qubit 0 first)."""
         x = z = phase = 0
@@ -127,10 +120,6 @@ class PauliOperator:
 
     def to_string(self) -> str:
         return self.sign + self.letters()
-
-    def key(self) -> tuple[int, int]:
-        """Phaseless (x, z) pair; the GF(2) symplectic content."""
-        return (self.x, self.z)
 
     # -- dunder ----------------------------------------------------------
 

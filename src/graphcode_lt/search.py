@@ -20,8 +20,11 @@ fusion-network engines as a pure function of the code, each engine at
 its own default size limit; ``optimize`` evaluates a candidate stream
 against one objective with optional process parallelism and an
 append-only JSON-lines checkpoint that makes long sweeps
-resumable.  Rankings are sorted by score with a total tie-break, so any
-permutation of the candidate stream yields the same result order.
+resumable.  Its ``workers`` (the CLI's ``--threads``) is an upper bound:
+the pool is capped at the number of pending candidates and of CPUs, and
+a cap of one scores in-process.  Rankings are sorted by score with a
+total tie-break, so any permutation of the candidate stream yields the
+same result order.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .codes import GraphCode, InvalidCodeError, forget
 from .graphs import Graph, canonical_key, lc_orbit
 from .losstree import build_arbitrary_tree, build_pauli_tree, success_polynomial
 from .apps import _validated_p_fail, fbqc_loss_threshold, rgs_link_probability
-from .opsets import EXHAUSTIVE_LIMIT, ResourceLimitError
+from .opsets import ResourceLimitError, check_exhaustive
 
 log = logging.getLogger(__name__)
 
@@ -122,10 +125,7 @@ def evaluate_objective(obj: Objective, code: GraphCode) -> tuple[float, float, s
     run at their own default limits, so a transversal fusion score still
     refuses codes above ``fusion.TRANSVERSAL_LIMIT``.
     """
-    if code.n > EXHAUSTIVE_LIMIT:
-        raise ResourceLimitError(
-            f"exhaustive enumeration needs 2^{code.n - 1} products; "
-            f"limit is n <= {EXHAUSTIVE_LIMIT}")
+    check_exhaustive(code.n)
     score, poly = _score_kind(obj.kind, code, obj)
     second = 0.0
     if obj.tie_break is not None:
@@ -198,23 +198,17 @@ def read_candidates(path: str):
                 raise ValueError(f"{path}:{lineno}: {exc}")
 
 
-def enumerate_candidates(n_total: int | None = None, source: str = "generated"):
-    """Deterministic stream of candidate codes, no two LC-equivalent.
-
-    ``source`` is either the literal "generated" (exhaustive class
-    representatives on ``n_total`` progenitor vertices, input fixed at
-    vertex 0) or a path to a candidate file for externally supplied
-    representatives at sizes the generator cannot reach.
-    """
-    if source == "generated":
-        if n_total is None:
-            raise ValueError("generated enumeration needs n_total")
-        if n_total < 2:
-            raise ValueError(f"n_total must be >= 2, got {n_total}")
-        for g in _representatives(n_total, 1):
-            yield GraphCode(g, 0)
-    else:
-        yield from read_candidates(source)
+def enumerate_candidates(n_total: int):
+    """Deterministic stream of candidate codes, no two LC-equivalent: one
+    representative per rooted class on ``n_total`` progenitor vertices,
+    input fixed at vertex 0.  ``read_candidates`` supplies codes at sizes
+    this cannot reach."""
+    if n_total is None:
+        raise ValueError("generated enumeration needs n_total")
+    if n_total < 2:
+        raise ValueError(f"n_total must be >= 2, got {n_total}")
+    for g in _representatives(n_total, 1):
+        yield GraphCode(g, 0)
 
 
 # -- optimization ------------------------------------------------------------------
@@ -259,11 +253,6 @@ class SearchResult:
     def __setattr__(self, name, value):
         raise AttributeError("SearchResult is immutable")
 
-    def best(self) -> ScoredCandidate:
-        if not self.ranked:
-            raise ValueError("no candidate was scored")
-        return self.ranked[0]
-
     def to_jsonl(self) -> str:
         lines = [json.dumps(c.record(self.objective), sort_keys=True)
                  for c in self.ranked]
@@ -299,7 +288,10 @@ def _eval_packed(args):
 
 
 def _run_pass(tasks, workers: int):
-    if workers > 1 and len(tasks) > 1:
+    # a fork-started pool starts all its processes at the first submit, so
+    # ask for no more than there are tasks and CPUs to run them
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_eval_packed, tasks, chunksize=1)
     else:

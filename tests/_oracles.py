@@ -30,6 +30,21 @@ PAULI_MATS = {
 PAULI_MATS["Y"] = 1j * PAULI_MATS["X"] @ PAULI_MATS["Z"]
 
 
+# -- graph fixtures -----------------------------------------------------------
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
 def qubitwise_commuting(a: PauliOperator, b: PauliOperator) -> bool:
     """Letters agree wherever both operators act (jointly measurable)."""
     both = (a.x | a.z) & (b.x | b.z)
@@ -422,7 +437,7 @@ def optimal_pauli_tree_value(code, basis: str, eta: float) -> float:
 
     letter_code = {(1, 0): 2, (1, 1): 3, (0, 1): 4}
     members = []
-    for op in enumerate_nontrivial(code, "Logical" + basis, 14):
+    for op in enumerate_nontrivial(code, "Logical" + basis):
         need = []
         for q in range(code.n):
             xb, zb = (op.x >> q) & 1, (op.z >> q) & 1
@@ -515,11 +530,11 @@ def optimal_success(code, eta: float, kind: str = "arbitrary",
 # -- strategy pairs with the commutation test ---------------------------------
 
 
-def strategies_reference(code, limit: int) -> list[tuple]:
+def strategies_reference(code) -> list[tuple]:
     """``losstree._strategies`` as (first, second, output) triples, found
     by testing every pair of logical operators for anticommutation before
     asking that they differ on exactly one shared qubit."""
-    ops = enumerate_nontrivial(code, "AllLogical", limit)
+    ops = enumerate_nontrivial(code, "AllLogical")
     out = []
     for i, a in enumerate(ops):
         for b in ops[i + 1:]:

@@ -1,11 +1,15 @@
 """Command-line tests: subcommand behavior, exit codes, artifact headers,
 and the names the benchmark's layer tracer wraps."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import json
 import os
 import pkgutil
+import time
+import types
 
 import pytest
 
@@ -24,6 +28,8 @@ from graphcode_lt.cli import (
 from graphcode_lt.codes import pentagon_code, star_code
 from graphcode_lt.graphs import Graph
 from graphcode_lt.losstree import DecisionTree
+from graphcode_lt.modular import LayerStack, unit_F
+from graphcode_lt.opsets import ResourceLimitError
 
 
 # -- argument handling --------------------------------------------------------------
@@ -147,6 +153,19 @@ def test_pfail_outside_unit_interval_is_validation_error(argv, capsys):
 
 def test_exit_code_resource_error():
     assert main(["analyze", "--graph", "star16"]) == EXIT_RESOURCE
+
+
+def test_oversized_graph_refused_before_it_is_built():
+    # the qubit count is read off the name: star<N> has N code qubits and
+    # tree:<b1,b2,..> has b1 + b1 b2 + ..., so neither code is built
+    for graph in ("star20000", "tree:100,100"):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="limit is n <= 14"):
+            resolve_code(graph, 0)
+        assert time.perf_counter() - start < 1.0
+    # 14 qubits is the limit itself
+    assert resolve_code("star14", 0).n == 14
+    assert resolve_code("tree:2,2,2", 0).n == 14
 
 
 # -- tree ---------------------------------------------------------------------------
@@ -366,3 +385,34 @@ def test_traced_names_and_exports_are_bound():
         module = importlib.import_module(f"graphcode_lt.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (info.name, name)
+    # every name the benchmark scripts import from the package is bound,
+    # and every attribute they read off a package module
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    for path in sorted(glob.glob(os.path.join(bench, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module or "").startswith("graphcode_lt"):
+                source = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(source, alias.name, None)
+                    assert value is not None, (path, node.module, alias.name)
+                    if isinstance(value, types.ModuleType):
+                        modules[alias.asname or alias.name] = value
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("graphcode_lt.") and alias.asname:
+                        modules[alias.asname] = importlib.import_module(
+                            alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                assert hasattr(modules[node.value.id], node.attr), (
+                    path, node.value.id, node.attr)
+    # what record.py reads off a stack and a unit polynomial
+    assert LayerStack([pentagon_code()] * 3, "concatenated",
+                      0.9).qubit_count == 64
+    assert isinstance(unit_F(pentagon_code(), "A").terms, dict)

@@ -80,7 +80,7 @@ def test_tree_code():
     assert code.progenitor.n == 7
     assert code.n == 6
     # root has two children (vertices 1, 2), each with two leaves
-    assert code.progenitor.degree(0) == 2
+    assert code.progenitor.nbr[0].bit_count() == 2
     assert code.logical_x.weight == 2
 
 

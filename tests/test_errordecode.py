@@ -29,7 +29,6 @@ from graphcode_lt.errordecode import (
     fault_probability,
     logical_flip_rates,
     ml_logical_error,
-    physical_fault,
 )
 from graphcode_lt.losstree import (
     Leaf,
@@ -107,12 +106,15 @@ def test_error_model_validation():
 def test_error_model_immutable():
     em = ErrorModel(0.0)
     with pytest.raises(AttributeError):
-        em.lam = 0.1
+        em.rates = {}
 
 
 def test_error_model_from_rates():
-    em = ErrorModel.from_rates(0.1, 0.2, 0.3, 0.05)
-    assert em.rate("Y") == 0.2 and em.rate("A") == 0.05
+    em = ErrorModel.from_rates(0.1, 0.2, 0.3)
+    assert em.rate("Y") == 0.2
+    # the arbitrary-basis rate is half the Pauli rates' sum, capped at one
+    assert em.rate("A") == pytest.approx(0.3, abs=1e-15)
+    assert ErrorModel.from_rates(0.9, 0.9, 0.9).rate("A") == 1.0
 
 
 def test_qubitwise_commuting():
@@ -354,15 +356,10 @@ def test_cube_fault_ratio_break_even():
     # [PAPER: errors beat the bare qubit up to lambda = 3.2%]
     cube = cube_code()
     em = ErrorModel(0.032)
+    # the bare qubit faults when lost or flipped: 1 - eta (1 - rate)
     ratio = (fault_probability(cube, "Z", 1.0, em)
-             / physical_fault(1.0, em, "Z"))
+             / (1.0 - 1.0 * (1.0 - em.rate("Z"))))
     assert ratio == pytest.approx(1.0, abs=0.02)
-
-
-def test_physical_fault_formula():
-    em = ErrorModel(0.01)
-    assert physical_fault(0.9, em, "X") == pytest.approx(1.0 - 0.9 * 0.98)
-    assert physical_fault(1.0, em, "A") == pytest.approx(0.03)
 
 
 # -- concatenation error threshold ---------------------------------------------

@@ -73,13 +73,11 @@ def test_fusion_model_validation():
         FusionModel(-0.1, 0.9)
     with pytest.raises(ValueError):
         FusionModel(0.5, 1.1)
-    with pytest.raises(ValueError):
-        FusionModel.boosted(0, 0.9)
 
 
 def test_boosted_levels_match_model():
     for m in (1, 2, 3):
-        fm = FusionModel.boosted(m, 0.97)
+        fm = FusionModel(2.0 ** -m, 0.97)
         assert fm.p_fail == 2.0 ** -m
         # a bare boosted fusion succeeds with (1 - 2^-m) eta^(2^m)
         want = (1.0 - 2.0 ** -m) * 0.97 ** (2 ** m)
@@ -88,11 +86,11 @@ def test_boosted_levels_match_model():
 
 def test_boosted_baseline_values():
     # [PAPER: standard fusions succeed half the time]
-    assert FusionModel.boosted(1, 1.0).s == pytest.approx(0.5)
+    assert FusionModel(2.0 ** -1, 1.0).s == pytest.approx(0.5)
     # [TRIVIAL] 1 - 1/8
-    assert FusionModel.boosted(3, 1.0).s == pytest.approx(0.875)
+    assert FusionModel(2.0 ** -3, 1.0).s == pytest.approx(0.875)
     # [DERIVED: direct evaluation]
-    assert FusionModel.boosted(2, 0.99).s == pytest.approx(0.75 * 0.99 ** 4,
+    assert FusionModel(2.0 ** -2, 0.99).s == pytest.approx(0.75 * 0.99 ** 4,
                                                            abs=1e-15)
 
 
@@ -149,9 +147,8 @@ def test_transversal_limit_and_bases_validation():
         with pytest.raises(ResourceLimitError, match="limit is n <= 12"):
             transversal_fusion(star_code(13), FusionModel(0.5, 0.9),
                                randomize_failures=randomize)
-    with pytest.raises(ValueError):
-        transversal_fusion(pentagon_code(), FusionModel(0.5, 0.9),
-                           failure_bases=("Z", "Z"))
+    with pytest.raises(ValueError, match="XX or ZZ"):
+        _transversal_counts(pentagon_code(), ("X", "Y", "Z", "Z"))
 
 
 def closure(ops, n2: int) -> set:

@@ -13,9 +13,10 @@ import random
 import numpy as np
 import pytest
 
-from _oracles import dense, graph_state_vector, nontrivial_reference
-from graphcode_lt.codes import GraphCode, pentagon_code, star_code, tree_code
-from graphcode_lt.graphs import Graph, path_graph
+from _oracles import dense, graph_state_vector, nontrivial_reference, path_graph
+from graphcode_lt import opsets
+from graphcode_lt.codes import GraphCode, forget, pentagon_code, star_code, tree_code
+from graphcode_lt.graphs import Graph
 from graphcode_lt.opsets import (
     CHUNK_BYTES,
     ResourceLimitError,
@@ -52,7 +53,7 @@ def test_group_size_and_closure():
         group = stabilizer_group(code)
         assert len(group) == 1 << (code.n - 1)
         assert PauliOperator.identity(code.n) in group
-        keys = {s.key() for s in group}
+        keys = {(s.x, s.z) for s in group}
         assert len(keys) == len(group)
         rng = random.Random(2)
         for _ in range(50):
@@ -121,7 +122,7 @@ def test_star_logical_z_is_single_x_ops():
     for n in (3, 4, 5):
         ops = enumerate_nontrivial(star_code(n), "LogicalZ")
         assert sorted(op.to_string() for op in ops) == sorted(
-            PauliOperator.single(n, i, "X").to_string() for i in range(n))
+            PauliOperator(n, 1 << i).to_string() for i in range(n))
 
 
 def test_two_vertex_path_logical_x():
@@ -140,21 +141,25 @@ def test_pentagon_all_logical_cardinality():
         for s in group:
             op = code.logical(which) * s
             if _nontrivial_reference(op, group):
-                expect.add(op.key())
+                expect.add((op.x, op.z))
     got = enumerate_nontrivial(code, "AllLogical")
-    assert {op.key() for op in got} == expect
+    assert {(op.x, op.z) for op in got} == expect
     assert len(got) == 24
     for which in "XYZ":
         assert len(enumerate_nontrivial(code, "Logical" + which)) == 8
 
 
-def test_exhaustive_limit_guard():
+def test_exhaustive_limit_guard(monkeypatch):
     with pytest.raises(ResourceLimitError):
         enumerate_nontrivial(star_code(15), "LogicalZ")
+    code = star_code(5)
+    forget(code)  # a memoised result would answer before the guard
+    monkeypatch.setattr(opsets, "EXHAUSTIVE_LIMIT", 4)
     with pytest.raises(ResourceLimitError):
-        enumerate_nontrivial(star_code(5), "LogicalZ", limit=4)
-    # an explicit higher limit allows the run
-    ops = enumerate_nontrivial(star_code(5), "LogicalZ", limit=5)
+        enumerate_nontrivial(code, "LogicalZ")
+    # a limit of five allows the run
+    monkeypatch.setattr(opsets, "EXHAUSTIVE_LIMIT", 5)
+    ops = enumerate_nontrivial(code, "LogicalZ")
     assert len(ops) == 5
 
 
@@ -202,7 +207,7 @@ def test_filter_group_closure_exhaustive():
             for a in kept:
                 for b in kept:
                     prod = a * b
-                    assert any(prod.key() == c.key() for c in kept)
+                    assert any((prod.x, prod.z) == (c.x, c.z) for c in kept)
 
 
 def test_filter_monotone_under_loss():

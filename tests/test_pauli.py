@@ -82,7 +82,7 @@ def test_string_round_trip():
 
 
 def test_single_letter_constructor():
-    op = PauliOperator.single(4, 2, "Y")
+    op = PauliOperator(4, 1 << 2, 1 << 2, 1)  # Y = i X Z on qubit 2
     assert op.to_string() == "+IIYI"
     assert op.weight == 1
     assert op.support == 4
@@ -219,7 +219,7 @@ def _brute_span(ops):
         acc = PauliOperator.identity(n)
         for i in iter_bits(bits):
             acc = acc * ops[i]
-        members.add(acc.key())
+        members.add((acc.x, acc.z))
     return members
 
 
@@ -237,7 +237,7 @@ def test_span_membership_matches_brute_force():
         for x in range(1 << n):
             for z in range(1 << n):
                 op = PauliOperator(n, x, z)
-                assert span.contains(op) == (op.key() in want)
+                assert span.contains(op) == ((op.x, op.z) in want)
 
 
 def test_symplectic_rank_examples():

@@ -128,7 +128,7 @@ def test_file_candidates_round_trip(tmp_path):
     lines = ["# comment", ""]
     lines += [f"{c.progenitor.to_graph6()} {c.input_vertex}" for c in cands]
     path.write_text("\n".join(lines) + "\n")
-    loaded = list(enumerate_candidates(source=str(path)))
+    loaded = list(read_candidates(str(path)))
     assert [(c.progenitor.nbr, c.input_vertex) for c in loaded] == \
         [(c.progenitor.nbr, c.input_vertex) for c in cands]
 
@@ -196,7 +196,7 @@ def test_pentagon_unique_best_four_qubit_class():
     pent_key = orbit_key(pentagon_code().progenitor, n_fixed=1)
     for kind in ("pauli_all_bases", "arbitrary"):
         result = optimize(Objective(kind, eta=0.99), cands)
-        best = result.best()
+        best = result.ranked[0]
         runner = result.ranked[1]
         assert best.score > runner.score + 1e-6
         winner = Graph.from_graph6(best.graph6)
@@ -213,7 +213,7 @@ def test_pauli_winner_not_dominated_by_optimal_trees():
         return min(optimal_pauli_tree_value(code, b, eta) for b in "XYZ")
 
     result = optimize(Objective("pauli_all_bases", eta=eta), cands)
-    winner = GraphCode(Graph.from_graph6(result.best().graph6), 0)
+    winner = GraphCode(Graph.from_graph6(result.ranked[0].graph6), 0)
     best_exact = max(exact_opt(c) for c in cands)
     assert exact_opt(winner) == pytest.approx(best_exact, abs=1e-12)
 
@@ -243,7 +243,7 @@ def test_arbitrary_winner_not_dominated_by_clairvoyant_rank():
 
     result = optimize(Objective("arbitrary", eta=eta), cands)
     best_bound = max(exact_teleport(c) for c in cands)
-    assert result.best().score == pytest.approx(best_bound, abs=1e-12)
+    assert result.ranked[0].score == pytest.approx(best_bound, abs=1e-12)
 
 
 def test_ranking_invariant_under_permutation():
@@ -412,9 +412,40 @@ def test_parallel_workers_agree_with_serial():
         [(c.graph6, c.score) for c in parallel.ranked]
 
 
+def test_process_pool_capped_at_tasks_and_cpus(monkeypatch):
+    """A fork-started pool starts every worker it is allowed at the first
+    submit, so ``workers`` is only an upper bound: the pool asked for is
+    no larger than the pending candidates or the CPUs, and one worker
+    scores in-process."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    cands = list(enumerate_candidates(5))[:3]
+    obj = Objective("pauli_all_bases", eta=0.9)
+    want = [(c.graph6, c.score) for c in optimize(obj, cands).ranked]
+    for cpus, pool in ((8, [3]), (2, [2]), (1, []), (None, [])):
+        asked.clear()
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        result = optimize(obj, cands, workers=10_000)
+        assert asked == pool
+        assert [(c.graph6, c.score) for c in result.ranked] == want
+
+
 def test_optimize_validation():
     with pytest.raises(ValueError):
         optimize(Objective("arbitrary"), [], workers=0)
     result = optimize(Objective("arbitrary"), [])
-    with pytest.raises(ValueError):
-        result.best()
+    assert result.ranked == () and result.failures == ()
