@@ -92,8 +92,8 @@ def resolve_code(graph: str, input_vertex: int) -> GraphCode:
 
     Every command served here refuses codes past ``EXHAUSTIVE_LIMIT``
     qubits.  A star or tree name that short could ask for millions, so its
-    qubit count is checked before the code is built (the invariant check
-    of building one is quadratic in its size); a graph6 string already
+    qubit count is checked before the code is built (building one takes
+    time and memory in proportion to its size); a graph6 string already
     grows with the square of its size.
     """
     if graph in _LIBRARY:
@@ -346,9 +346,6 @@ def cmd_search(args, config) -> int:
             n_total = int(source[2:])
         except ValueError:
             raise CliError(EXIT_PARSE, f"bad candidate size {source!r}")
-        if n_total < 2:
-            raise CliError(EXIT_VALIDATION,
-                           f"candidate size must be >= 2, got {n_total}")
         candidates = enumerate_candidates(n_total)
     else:
         if not os.path.exists(source):
@@ -408,7 +405,9 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog=TOOL, description=__doc__)
+    top = argparse.ArgumentParser(
+        prog=TOOL, description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--version", action="version",
                      version=f"{TOOL} {__version__}")
     sub = top.add_subparsers(dest="command", required=True)

@@ -10,6 +10,12 @@ qubits; the input's neighborhood B fixes the logical operators
 and the stabilizer group is generated by K_{b0} K_b for the other b in B
 together with K_{b'} for every code qubit outside B.  All K operators here
 live on the code graph, the induced subgraph on the code qubits.
+
+The construction guarantees a valid code, so it is not re-checked:
+  - only K_{b0} has an X on b0, so logical X = Z_B anticommutes with K_{b0};
+  - each K_{b0} K_b has X on two qubits of B and each K_{b'} on none, so
+    all commute with Z_B, and graph-state generators commute pairwise;
+  - their X parts {b0, b} and {b'} are distinct, so the n - 1 are independent.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import json
 from collections import OrderedDict, namedtuple
 
 from .graphs import Graph, graph_state_generators, star_graph
-from .pauli import PauliOperator, symplectic_rank
+from .pauli import PauliOperator
 
 
 class InvalidCodeError(ValueError):
@@ -33,9 +39,8 @@ class GraphCode:
     to 0..n-1 in ascending original order.
     """
 
-    __slots__ = ("progenitor", "input_vertex", "b0", "n", "code_graph",
-                 "branch_mask", "logical_x", "logical_y", "logical_z",
-                 "stabilizer_generators", "_hash")
+    __slots__ = ("progenitor", "input_vertex", "b0", "n", "logical_x",
+                 "logical_y", "logical_z", "stabilizer_generators", "_hash")
 
     def __init__(self, progenitor: Graph, input_vertex: int = 0,
                  b0: int | None = None):
@@ -69,8 +74,6 @@ class GraphCode:
         object.__setattr__(self, "input_vertex", input_vertex)
         object.__setattr__(self, "b0", b0)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "code_graph", code_graph)
-        object.__setattr__(self, "branch_mask", branch_mask)
         object.__setattr__(self, "logical_x", logical_x)
         object.__setattr__(self, "logical_z", logical_z)
         object.__setattr__(self, "logical_y", logical_x * logical_z)
@@ -78,23 +81,9 @@ class GraphCode:
         # every memoised call hashes the code, so hash it once
         object.__setattr__(self, "_hash",
                            hash((progenitor, input_vertex, b0)))
-        self._check_invariants()
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphCode is immutable")
-
-    def _check_invariants(self):
-        if self.logical_x.commutes(self.logical_z):
-            raise InvalidCodeError("logical X and Z do not anticommute")
-        gens = self.stabilizer_generators
-        for i, g in enumerate(gens):
-            if not g.commutes(self.logical_x) or not g.commutes(self.logical_z):
-                raise InvalidCodeError("stabilizer fails to commute with a logical")
-            for h in gens[i + 1:]:
-                if not g.commutes(h):
-                    raise InvalidCodeError("stabilizer generators do not commute")
-        if symplectic_rank(gens) != self.n - 1:
-            raise InvalidCodeError("stabilizer generators are dependent")
 
     # -- logical accessors ------------------------------------------------
 
@@ -147,26 +136,25 @@ class GraphCode:
 # last CODES_KEPT is dropped whole.
 CODES_KEPT = 8
 
-# code -> {(function, args, kwargs items): value}, least recently used first
+# code -> {(function, args): value}, least recently used first
 _MEMO: "OrderedDict[GraphCode, dict]" = OrderedDict()
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
 def per_code(fn):
-    """Memoise ``fn(code, *args, **kwargs)`` in ``code``'s memo entry.
+    """Memoise ``fn(code, *args)`` in ``code``'s memo entry.
 
-    Calls are keyed by the function, its further positional arguments and
-    its keyword items, so ``f(code, 1)`` and ``f(code, x=1)`` are built
-    once each.  Every call makes ``code`` the most recently used; beyond
-    ``CODES_KEPT`` codes, the least recently used one is forgotten.
-    Exceptions are not stored.  ``cache_info()`` reports the decorated
-    function's own hits and misses (builds).
+    Calls are keyed by the function and its further positional arguments.
+    Every call makes ``code`` the most recently used; beyond ``CODES_KEPT``
+    codes, the least recently used one is forgotten.  Exceptions are not
+    stored.  ``cache_info()`` reports the decorated function's own hits
+    and misses (builds).
     """
     counts = [0, 0]
 
     @functools.wraps(fn)
-    def memoised(code, *args, **kwargs):
+    def memoised(code, *args):
         entries = _MEMO.get(code)
         if entries is None:
             entries = _MEMO[code] = {}
@@ -174,12 +162,12 @@ def per_code(fn):
                 _MEMO.popitem(last=False)
         else:
             _MEMO.move_to_end(code)
-        key = (fn, args, tuple(kwargs.items()))
+        key = (fn, args)
         if key in entries:
             counts[0] += 1
             return entries[key]
         counts[1] += 1
-        value = entries[key] = fn(code, *args, **kwargs)
+        value = entries[key] = fn(code, *args)
         return value
 
     memoised.cache_info = lambda: CacheInfo(*counts)

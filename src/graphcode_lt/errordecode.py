@@ -6,12 +6,13 @@ lost), attempted by the loss decoders' shared recursion, ``losstree.grow``.
 Each choice filters and ranks the code's stabilizers with a few numpy
 array operations over their packed letter masks.
 The loss tree and each leaf's check extension are read with the same
-walk as the success polynomial, ``losstree.paths``, which gives every
-extended leaf its probability monomial.  Each decoded leaf gets an exact
-syndrome table over all outcome-flip strings; summing leaves, with
-decoder failure counted as a fault, gives the combined fault
-probability.  Iterating the per-basis logical flip map yields
-concatenation error thresholds, bisected with ``polynomials.bisect``.
+walk as the success polynomial, ``losstree.paths``, whose attempt key
+gives every extended leaf its probability, eta^sum(a) (1-eta)^sum(b).
+Each decoded leaf gets an exact syndrome table over all outcome-flip
+strings; summing leaves, with decoder failure counted as a fault, gives
+the combined fault probability.  Iterating the per-basis logical flip
+map yields concatenation error thresholds, bisected with
+``polynomials.bisect``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .pauli import (
     fits,
     iter_bits,
 )
-from .polynomials import LossPolynomial, bisect
+from .polynomials import bisect
 
 ML_ENUMERATION_LIMIT = 20
 
@@ -209,21 +210,6 @@ def ml_logical_error(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
 # -- fault probability over a whole tree -----------------------------------------
 
 
-class _ExtendedLeaf:
-    __slots__ = ("monomial", "leaf", "checks")
-
-    def __init__(self, monomial: LossPolynomial | None, leaf: Leaf | None,
-                 checks: CheckSet | None):
-        self.monomial = monomial
-        self.leaf = leaf
-        self.checks = checks
-
-    def error(self, em: ErrorModel) -> float:
-        if self.leaf is None:
-            return 1.0  # failure to measure the logical counts as a fault
-        return ml_logical_error(self.leaf, self.checks, em)
-
-
 class ErrorAnalysis:
     """A loss tree extended with adaptive check measurements.
 
@@ -231,43 +217,49 @@ class ErrorAnalysis:
     qubit; a lost check qubit triggers a fresh greedy choice on the
     updated pattern.  Extension happens once; evaluation at any
     (eta, error model) is a sum over extended leaves.
+
+    ``entries`` holds one ``(key, leaf, checks, pattern)`` per extended
+    leaf: the attempt key of its path (``losstree.paths``) through the
+    loss tree and the extension, the loss-tree success leaf, the
+    ``CheckSet`` measured there and the final pattern.  A decoder
+    failure is ``(key, None, None, None)``.
     """
 
-    __slots__ = ("code", "tree", "entries")
+    __slots__ = ("entries",)
 
     def __init__(self, code: GraphCode, tree: DecisionTree):
-        self.code = code
-        self.tree = tree
-        entries: list[_ExtendedLeaf] = []
+        entries = []
 
-        def step(pattern: MeasurementPattern, leaf: Leaf):
-            targets = _masked_targets(leaf)
+        def step(pattern: MeasurementPattern, targets: tuple):
             chosen = _greedy_checks(code, pattern, targets)
             pending = 0
             for c in chosen:
                 pending |= c.support & pattern.unmeasured
             if not pending:
-                done = Leaf("success", pattern, leaf.targets, leaf.output)
-                return _ExtendedLeaf(None, done, CheckSet(targets, chosen))
+                return Leaf("success", pattern, chosen)
             q = next(iter_bits(pending))
             letter = next(c.letter_at(q) for c in chosen if c.letter_at(q) != "I")
-            return q, letter, leaf, leaf
+            return q, letter, targets, targets
 
         for leaf, key in paths(tree.root):
             if not leaf.success:
-                entries.append(_ExtendedLeaf(LossPolynomial({key: 1}), None, None))
+                entries.append((key, None, None, None))
                 continue
-            for entry, ext_key in paths(grow(leaf.pattern, leaf, step), key):
-                entry.monomial = LossPolynomial({ext_key: 1})
-                entries.append(entry)
+            targets = _masked_targets(leaf)
+            for end, ext_key in paths(grow(leaf.pattern, targets, step), key):
+                entries.append((ext_key, leaf, CheckSet(targets, end.targets),
+                                end.pattern))
         self.entries = entries
 
     def fault_probability(self, eta: float, em: ErrorModel) -> float:
         total = 0.0
-        for entry in self.entries:
-            p = entry.monomial.evaluate(eta)
+        loss = 1.0 - eta
+        for (a, b), leaf, checks, _ in self.entries:
+            p = eta ** sum(a) * loss ** sum(b)
             if p:
-                total += p * entry.error(em)
+                # failure to measure the logical counts as a fault
+                total += p * (1.0 if leaf is None
+                              else ml_logical_error(leaf, checks, em))
         return total
 
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import GraphCode, per_code
-from .losstree import Leaf, TargetSet, _rank, _strategies, _xz, grow, leaves
+from .losstree import Leaf, TargetSet, _rank, _strategies, _xz, grow, paths
 from .opsets import ResourceLimitError, stabilizer_group
 from .pauli import MeasurementPattern, iter_bits
 
@@ -340,7 +340,9 @@ class AdaptiveFusionAnalysis:
     (``_cosets``), and narrow, count and rank them with its kernels.
     Each side decoder's leaf carries the coset members that fit its final
     masks, as the decoder's last step narrowed them; the masks only shrink
-    below the root, so no member dropped on the way could fit there.  A
+    below the root, so no member dropped on the way could fit there.  The
+    side decoder's tree is read back with ``losstree.paths``, whose key
+    gives each leaf's detected and lost attempt counts.  A
     leaf's interface letter vectors are packed ints, each member's
     x | z << n bits on the interface qubits; one vector is one int, so the
     sets intersect exactly as the letter vectors do.
@@ -365,12 +367,9 @@ class AdaptiveFusionAnalysis:
     the term-by-term product.
     """
 
-    __slots__ = ("code", "randomize", "_terms", "_coef", "_index", "_width",
-                 "_ends")
+    __slots__ = ("_terms", "_coef", "_index", "_width", "_ends")
 
     def __init__(self, code: GraphCode, randomize_failures: bool = False):
-        self.code = code
-        self.randomize = randomize_failures
         n = code.n
         strategies = _strategies(code)
         cosets, is_x = _cosets(code)
@@ -431,13 +430,11 @@ class AdaptiveFusionAnalysis:
             face = sum(1 << q for q, _ in interfaces)
             groups: dict = {}
             start = cosets.narrow(every, pattern.allowed(True) | letters)
-            for leaf in leaves(grow(pattern, (pairs, start), step)):
+            for leaf, (a, b) in paths(grow(pattern, (pairs, start), step)):
                 lx, lz = set(), set()
                 for t in leaf.targets.tolist():
                     (lx if is_x[t] else lz).add(xs[t] & face | (zs[t] & face) << n)
-                attempted = pattern.unmeasured & ~leaf.pattern.unmeasured
-                lost = (attempted & leaf.pattern.lost).bit_count()
-                de = (attempted.bit_count() - lost, lost)
+                de = (sum(a), sum(b))
                 poly = groups.setdefault((frozenset(lx), frozenset(lz)), {})
                 poly[de] = poly.get(de, 0) + 1
             return groups

@@ -16,12 +16,11 @@ indices, output qubits and each target's joint packed letter mask, which
 ``pauli.fits`` would match against a pattern.  A decoder's state is an
 index array into it, and ``narrow``, ``busiest_output`` and ``attempt``
 are numpy passes over that array; a ``Target`` of ``PauliOperator``s is
-built only for a leaf.  One walk, ``paths``, reads a built
-tree back: it yields each terminal node with the detected and lost
-attempt counts on its path, which are the exponents of its monomial in
-the success polynomial and in the error decoder's per-leaf sums.  The
-fusion side decoder needs only each leaf's attempt totals and the coset
-members its step left there, which it reads off the leaves (``leaves``).
+built only for a leaf.  One walk, ``paths``, reads every built tree
+back: it yields each terminal node with the detected and lost attempt
+counts on its path, which are the exponents of its monomial in the
+success polynomial and in the error decoder's per-leaf sums, and the
+attempt totals of each fusion side decoder's leaf.
 """
 
 from __future__ import annotations
@@ -103,11 +102,8 @@ class DecisionTree:
         self.kind = kind
         self.root = root
 
-    def leaves(self):
-        return leaves(self.root)
-
     def stats(self) -> dict:
-        outcomes = [leaf.success for leaf in self.leaves()]
+        outcomes = [leaf.success for leaf, _ in paths(self.root)]
         n_success = sum(outcomes)
         # every measure node has two children
         return {"nodes": 2 * len(outcomes) - 1, "success_leaves": n_success,
@@ -292,18 +288,6 @@ def grow(pattern: MeasurementPattern, state, step):
                        grow(pattern.lose(q), lost_state, step))
 
 
-def leaves(node):
-    """The terminal nodes of a measure/lose tree."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, MeasureNode):
-            stack.append(node.on_detect)
-            stack.append(node.on_loss)
-        else:
-            yield node
-
-
 # the exponent slot of each attempted basis
 _SLOT = {kind: i for i, kind in enumerate(BASES)}
 
@@ -453,6 +437,12 @@ class MCResult:
         return f"MCResult({self.estimate:.6f} +/- {self.stderr:.6f}, trials={self.trials})"
 
 
+# Trials sampled per numpy pass of ``monte_carlo_decode``: the masks, one
+# qubit's uniform draws and their comparison take 17 bytes a trial, so a
+# pass peaks near 17 MB whatever the trial count.
+MC_CHUNK = 1 << 20
+
+
 def monte_carlo_decode(code: GraphCode, tree: DecisionTree, eta: float,
                        trials: int, seed: int = 0) -> MCResult:
     """Sample i.i.d. per-qubit loss and count decoder successes.
@@ -460,15 +450,21 @@ def monte_carlo_decode(code: GraphCode, tree: DecisionTree, eta: float,
     Each trial is one loss configuration (bit q set: qubit q detected), so
     the trials are tallied per configuration, at most 2^n of them (n <=
     ``EXHAUSTIVE_LIMIT``), and each configuration that occurs is decoded
-    once.
+    once.  Trials are drawn ``MC_CHUNK`` at a time, each chunk qubit by
+    qubit, so memory stays bounded; a run of at most ``MC_CHUNK`` trials
+    is a single chunk.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
-    masks = np.zeros(trials, dtype=np.int64)
-    for q in range(code.n):
-        masks |= np.where(rng.random(trials) < eta, 1 << q, 0)
-    successes = sum(count for mask, count in enumerate(np.bincount(masks).tolist())
+    tally = np.zeros(1 << code.n, dtype=np.int64)
+    for start in range(0, trials, MC_CHUNK):
+        size = min(MC_CHUNK, trials - start)
+        masks = np.zeros(size, dtype=np.int64)
+        for q in range(code.n):
+            masks |= np.where(rng.random(size) < eta, 1 << q, 0)
+        tally += np.bincount(masks, minlength=len(tally))
+    successes = sum(count for mask, count in enumerate(tally.tolist())
                     if count and decode(tree, mask).success)
     est = successes / trials
     stderr = float(np.sqrt(max(est * (1.0 - est), 1e-12) / trials))

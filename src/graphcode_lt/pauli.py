@@ -331,10 +331,3 @@ class PauliSpan:
         dup.rows = list(self.rows)
         return dup
 
-
-def symplectic_rank(ops) -> int:
-    """GF(2) rank of a collection of Pauli operators, phases ignored."""
-    ops = list(ops)
-    if not ops:
-        return 0
-    return PauliSpan(ops[0].n, ops).rank

@@ -38,12 +38,8 @@ class LossPolynomial:
     __slots__ = ("terms", "_sums")
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for key, mult in terms.items():
-                if mult:
-                    clean[key] = clean.get(key, 0) + mult
-        object.__setattr__(self, "terms", dict(clean))
+        object.__setattr__(self, "terms", {key: mult for key, mult
+                                           in (terms or {}).items() if mult})
         object.__setattr__(self, "_sums", None)
 
     def __setattr__(self, name, value):

@@ -202,13 +202,16 @@ def enumerate_candidates(n_total: int):
     """Deterministic stream of candidate codes, no two LC-equivalent: one
     representative per rooted class on ``n_total`` progenitor vertices,
     input fixed at vertex 0.  ``read_candidates`` supplies codes at sizes
-    this cannot reach."""
-    if n_total is None:
-        raise ValueError("generated enumeration needs n_total")
-    if n_total < 2:
-        raise ValueError(f"n_total must be >= 2, got {n_total}")
-    for g in _representatives(n_total, 1):
-        yield GraphCode(g, 0)
+    this cannot reach.  ``n_total`` is checked when called, and the
+    classes are enumerated as the stream is read."""
+    if n_total is None or n_total < 2:
+        raise ValueError(f"candidate size must be >= 2, got {n_total}")
+
+    def stream():
+        for g in _representatives(n_total, 1):
+            yield GraphCode(g, 0)
+
+    return stream()
 
 
 # -- optimization ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from graphcode_lt.errordecode import (
     ml_logical_error,
 )
 from graphcode_lt.graphs import Graph, canonical_form, local_complement
-from graphcode_lt.losstree import Leaf
+from graphcode_lt.losstree import Leaf, paths
 from graphcode_lt.opsets import ResourceLimitError, enumerate_nontrivial
 from graphcode_lt.pauli import PauliOperator, PauliSpan, fits, iter_bits
 
@@ -45,6 +45,14 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def symplectic_rank(ops) -> int:
+    """GF(2) rank of a collection of Pauli operators, phases ignored."""
+    ops = list(ops)
+    if not ops:
+        return 0
+    return PauliSpan(ops[0].n, ops).rank
+
+
 def qubitwise_commuting(a: PauliOperator, b: PauliOperator) -> bool:
     """Letters agree wherever both operators act (jointly measurable)."""
     both = (a.x | a.z) & (b.x | b.z)
@@ -62,6 +70,12 @@ def dense(op: PauliOperator) -> np.ndarray:
             m = m @ PAULI_MATS["Z"]
         out = np.kron(out, m)
     return (1j ** op.phase) * out
+
+
+def code_graph(code: GraphCode) -> Graph:
+    """The progenitor induced on the code qubits (all but the input)."""
+    g = code.progenitor
+    return g.induced([v for v in range(g.n) if v != code.input_vertex])
 
 
 def graph_state_vector(g: Graph) -> np.ndarray:
@@ -626,7 +640,7 @@ def monte_carlo_successes_reference(code, tree, eta: float, trials: int,
         bit = np.uint64(1 << q)
         masks |= np.where(rng.random(trials) < eta, bit, np.uint64(0))
     successes = 0
-    for leaf in tree.leaves():
+    for leaf, _ in paths(tree.root):
         if not leaf.success:
             continue
         p = leaf.pattern

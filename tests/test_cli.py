@@ -20,6 +20,7 @@ from graphcode_lt.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_VALIDATION,
+    build_parser,
     main,
     parse_grid,
     resolve_code,
@@ -33,6 +34,13 @@ from graphcode_lt.opsets import ResourceLimitError
 
 
 # -- argument handling --------------------------------------------------------------
+
+
+def test_help_keeps_the_docstring_paragraphs():
+    text = build_parser().format_help()
+    assert "\nExit codes:" in text
+    assert "\n\nGRAPHCODE_LT_CACHE" in text
+    assert "\n\nsearch --threads" in text
 
 
 def test_resolve_library_names():

@@ -12,7 +12,14 @@ import random
 import numpy as np
 import pytest
 
-from _oracles import PLUS, dense, graph_state_vector, project_qubit
+from _oracles import (
+    PLUS,
+    code_graph,
+    dense,
+    graph_state_vector,
+    project_qubit,
+    symplectic_rank,
+)
 from graphcode_lt import codes
 from graphcode_lt.codes import (
     CODES_KEPT,
@@ -20,13 +27,14 @@ from graphcode_lt.codes import (
     InvalidCodeError,
     branched_chain_code,
     cube_code,
+    decorated_pentagon_code,
     pentagon_code,
+    shor_22_code,
     star_code,
     tree_code,
 )
 from graphcode_lt.graphs import Graph, local_complement
 from graphcode_lt.opsets import stabilizer_group
-from graphcode_lt.pauli import symplectic_rank
 from graphcode_lt.search import Objective, enumerate_candidates, optimize
 
 
@@ -114,7 +122,7 @@ def test_generators_stabilize_code_graph_state():
     cases += [GraphCode(random_connected_progenitor(rng, rng.randint(3, 6)), 0)
               for _ in range(10)]
     for code in cases:
-        vec = graph_state_vector(code.code_graph)
+        vec = graph_state_vector(code_graph(code))
         _assert_stabilizes(code.stabilizer_generators, vec)
         # the code graph state is the +1 eigenstate of logical Z as well
         _assert_stabilizes([code.logical_z], vec)
@@ -153,6 +161,22 @@ def test_lc_variant_is_valid_code():
         assert symplectic_rank(variant.stabilizer_generators) == code.n - 1
 
 
+def _assert_valid_code(code: GraphCode) -> None:
+    """The invariants the construction guarantees (``codes`` docstring)
+    and the package does not check: anticommuting logicals, n - 1
+    independent generators that commute with each other and with both
+    logicals."""
+    lx, lz = code.logical_x, code.logical_z
+    gens = code.stabilizer_generators
+    assert not lx.commutes(lz), code
+    assert len(gens) == code.n - 1, code
+    for i, g in enumerate(gens):
+        assert g.commutes(lx) and g.commutes(lz), (code, g)
+        for h in gens[i + 1:]:
+            assert g.commutes(h), (code, g, h)
+    assert symplectic_rank(gens) == code.n - 1, code
+
+
 def test_random_progenitors_all_valid():
     rng = random.Random(41)
     for _ in range(40):
@@ -161,7 +185,15 @@ def test_random_progenitors_all_valid():
         inp = rng.randrange(nv)
         code = GraphCode(g, inp)
         assert code.n == nv - 1
-        assert len(code.stabilizer_generators) == code.n - 1
+        _assert_valid_code(code)
+    for code in (pentagon_code(), star_code(5), cube_code(),
+                 branched_chain_code(), decorated_pentagon_code(),
+                 shor_22_code(), tree_code([3, 2]), tree_code([2, 3, 1])):
+        _assert_valid_code(code)
+    # every rooted 7-vertex class, with each vertex as the input
+    for rooted in enumerate_candidates(7):
+        for inp in range(7):
+            _assert_valid_code(GraphCode(rooted.progenitor, inp))
 
 
 # -- per-code memo ------------------------------------------------------------

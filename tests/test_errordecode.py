@@ -35,6 +35,7 @@ from graphcode_lt.losstree import (
     _strategies,
     build_arbitrary_tree,
     build_pauli_tree,
+    paths,
     success_polynomial,
 )
 from graphcode_lt.opsets import ResourceLimitError, stabilizer_group
@@ -179,7 +180,7 @@ def test_greedy_checks_match_group_scan():
         trees = [build_pauli_tree(code, b) for b in "XYZ"]
         trees.append(build_arbitrary_tree(code))
         for tree in trees:
-            for leaf in tree.leaves():
+            for leaf, _ in paths(tree.root):
                 if leaf.success:
                     targets = _masked_targets(leaf)
                     assert _greedy_checks(code, leaf.pattern, targets) == \
@@ -253,7 +254,7 @@ def test_ml_matches_bruteforce_reference():
         trees = [build_pauli_tree(code, b) for b in "XYZ"]
         trees.append(build_arbitrary_tree(code))
         for tree in trees:
-            for leaf in tree.leaves():
+            for leaf, _ in paths(tree.root):
                 if not leaf.success:
                     continue
                 cs = checks_for(code, leaf)
@@ -267,11 +268,11 @@ def test_extended_leaves_match_bruteforce():
     for code in (pentagon_code(), decorated_pentagon_code()):
         tree = build_arbitrary_tree(code)
         analysis = ErrorAnalysis(code, tree)
-        for entry in analysis.entries:
-            if entry.leaf is None:
+        for _, leaf, checks, _ in analysis.entries:
+            if leaf is None:
                 continue
-            got = ml_logical_error(entry.leaf, entry.checks, em)
-            want = reference_ml(entry.leaf, entry.checks, em)
+            got = ml_logical_error(leaf, checks, em)
+            want = reference_ml(leaf, checks, em)
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -282,7 +283,7 @@ def test_arbitrary_error_never_below_output_rate():
         tree = build_arbitrary_tree(code)
         for lam in (0.01, 0.05, 0.1):
             em = ErrorModel(lam)
-            for leaf in tree.leaves():
+            for leaf, _ in paths(tree.root):
                 if not leaf.success:
                     continue
                 cs = checks_for(code, leaf)
@@ -346,9 +347,8 @@ def test_extension_conserves_probability():
     ]:
         analysis = ErrorAnalysis(code, tree)
         terms = defaultdict(int)
-        for entry in analysis.entries:
-            for key, mult in entry.monomial.terms.items():
-                terms[key] += mult
+        for key, _, _, _ in analysis.entries:
+            terms[key] += 1
         assert LossPolynomial(terms).eta_coefficients() == {0: 1}
 
 

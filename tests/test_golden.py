@@ -86,12 +86,13 @@ def _terms_text(analysis: AdaptiveFusionAnalysis) -> str:
 
 def _entries_text(analysis: ErrorAnalysis) -> str:
     rows = []
-    for entry in analysis.entries:
-        row = [sorted(entry.monomial.terms.items())]
-        if entry.leaf is not None:
-            row.append(entry.leaf.pattern.chars())
-            row.append([t.to_string() for t in entry.checks.targets])
-            row.append([c.to_string() for c in entry.checks.checks])
+    for key, leaf, checks, pattern in analysis.entries:
+        # each entry is one monomial of multiplicity 1
+        row = [[(key, 1)]]
+        if leaf is not None:
+            row.append(pattern.chars())
+            row.append([t.to_string() for t in checks.targets])
+            row.append([c.to_string() for c in checks.checks])
         rows.append(row)
     return repr(rows)
 

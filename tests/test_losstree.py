@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -582,6 +583,22 @@ def test_monte_carlo_extremes_and_determinism():
     assert a == b
     with pytest.raises(ValueError):
         monte_carlo_decode(code, tree, 0.5, 0)
+
+
+def test_monte_carlo_memory_is_bounded_by_the_chunk():
+    # 2^22 trials drawn at once peak near 70 MB (17 bytes a trial); in
+    # chunks of 2^20 the sampling peaks near a quarter of that
+    code = pentagon_code()
+    tree = build_pauli_tree(code, "Z")
+    tracemalloc.start()
+    try:
+        mc = monte_carlo_decode(code, tree, 0.8, trials=1 << 22, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert mc.trials == 1 << 22
+    assert abs(mc.estimate - (2 * 0.8 ** 2 - 0.8 ** 4)) <= 4 * mc.stderr
 
 
 def test_monte_carlo_counts_match_cylinder_sets():

@@ -13,7 +13,13 @@ import random
 import numpy as np
 import pytest
 
-from _oracles import dense, graph_state_vector, nontrivial_reference, path_graph
+from _oracles import (
+    code_graph,
+    dense,
+    graph_state_vector,
+    nontrivial_reference,
+    path_graph,
+)
 from graphcode_lt import opsets
 from graphcode_lt.codes import GraphCode, forget, pentagon_code, star_code, tree_code
 from graphcode_lt.graphs import Graph
@@ -63,7 +69,7 @@ def test_group_size_and_closure():
 
 def test_group_stabilizes_graph_state_with_phases():
     code = pentagon_code()
-    vec = graph_state_vector(code.code_graph)
+    vec = graph_state_vector(code_graph(code))
     for s in stabilizer_group(code):
         assert np.allclose(dense(s) @ vec, vec), s
 

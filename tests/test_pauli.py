@@ -21,10 +21,9 @@ from graphcode_lt.pauli import (
     commutes_qubitwise,
     fits,
     iter_bits,
-    symplectic_rank,
 )
 
-from _oracles import dense
+from _oracles import dense, symplectic_rank
 
 
 def all_ops(n: int, phases=(0,)):

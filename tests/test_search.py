@@ -111,6 +111,12 @@ def test_enumerate_validation():
         list(enumerate_candidates(None))
 
 
+def test_enumerate_checks_size_when_called():
+    # the bound is checked at the call, before the stream is read
+    with pytest.raises(ValueError, match=">= 2"):
+        enumerate_candidates(1)
+
+
 def test_dedupe_recheck():
     cands = list(enumerate_candidates(5))
     assert dedupe_recheck(cands)
