@@ -379,7 +379,7 @@ def cmd_mc_check(args, config) -> int:
     tree = load_or_build(code, kind)
     conserved = total_polynomial(tree).eta_coefficients() == {0: 1}
     exact = success_polynomial(tree).evaluate(eta)
-    mc = monte_carlo_decode(code, tree, eta, args.trials, seed=args.seed)
+    mc = monte_carlo_decode(tree, eta, args.trials, seed=args.seed)
     diff = abs(mc.estimate - exact)
     ok = conserved and diff <= 4.0 * mc.stderr + 1e-15
     print(f"{'PASS' if ok else 'FAIL'} exact={exact:.6f} "
@@ -496,8 +496,15 @@ def resolved_config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+# built by the first ``main`` call, not at import, and reused by the rest
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     config = resolved_config(args)
     try:
         return args.func(args, config)

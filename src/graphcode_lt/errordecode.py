@@ -2,20 +2,30 @@
 
 Once the loss decoder secures its target, the unspent qubits are used for
 stabilizer checks (chosen greedily, re-chosen whenever a check qubit is
-lost), attempted by the loss decoders' shared recursion, ``losstree.grow``.
+lost), attempted by the loss decoders' shared recursion, ``losstree.grow``,
+with one step, ``_check_step``.
 Each choice filters and ranks the code's stabilizers with a few numpy
 array operations over their packed letter masks.
 The loss tree and each leaf's check extension are read with the same
 walk as the success polynomial, ``losstree.paths``, whose attempt key
 gives every extended leaf its probability, eta^sum(a) (1-eta)^sum(b).
 Each decoded leaf gets an exact syndrome table over all outcome-flip
-strings; summing leaves, with decoder failure counted as a fault, gives
-the combined fault probability.  Iterating the per-basis logical flip
-map yields concatenation error thresholds, bisected with
-``polynomials.bisect``.
+strings (``SyndromeTable``: built from the checks, evaluated per error
+model); summing leaves, with decoder failure counted as a fault, gives
+the combined fault probability, ``fault_probability``, the engine for
+any transmission.
+
+At unit transmission every leaf but the loss-free one has probability
+zero, so ``logical_flip_rates`` decodes that leaf alone: it follows the
+detected branches of the Pauli loss decoder and of the check extension
+(``losstree.grow_detected``) and keeps the leaf's syndrome table per
+code and basis.  Iterating the per-basis logical flip map yields
+concatenation error thresholds, bisected with ``polynomials.bisect``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -26,7 +36,9 @@ from .losstree import (
     build_arbitrary_tree,
     build_pauli_tree,
     grow,
+    grow_detected,
     paths,
+    pauli_loss_free_leaf,
 )
 from .opsets import ResourceLimitError, stabilizer_pool
 from .pauli import (
@@ -153,6 +165,63 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return v & 1
 
 
+class SyndromeTable:
+    """What ``ml_logical_error`` reads of a leaf and its checks, none of
+    it rates: the letter each relevant qubit is measured in (lowest qubit
+    first), the (syndrome, target parity) bin of every outcome-flip
+    string on those qubits, the number of target parities and whether an
+    arbitrary-basis output qubit is folded in.  ``error(em)`` evaluates
+    it at one error model."""
+
+    __slots__ = ("letters", "bins", "n_t", "size", "output")
+
+    def __init__(self, leaf: Leaf, checks: CheckSet):
+        targets = checks.targets
+        ops = tuple(targets) + tuple(checks.checks)
+        relevant = 0
+        for op in ops:
+            relevant |= op.support
+        qubits = list(iter_bits(relevant))
+        if len(qubits) > ML_ENUMERATION_LIMIT:
+            raise ResourceLimitError(
+                f"{len(qubits)} qubits exceed the {ML_ENUMERATION_LIMIT}-qubit "
+                "flip-string enumeration limit")
+        pos = {q: i for i, q in enumerate(qubits)}
+        self.letters = [next(op.letter_at(q) for op in ops
+                             if op.letter_at(q) != "I") for q in qubits]
+
+        flips = np.arange(1 << len(qubits), dtype=np.uint32)
+
+        def local_mask(op: PauliOperator) -> np.uint32:
+            m = 0
+            for q in iter_bits(op.support):
+                m |= 1 << pos[q]
+            return np.uint32(m)
+
+        index = np.zeros(len(flips), dtype=np.uint32)
+        for op in checks.checks:
+            index = (index << np.uint32(1)) | _parity(flips & local_mask(op))
+        t_index = np.zeros(len(flips), dtype=np.uint32)
+        for op in targets:
+            t_index = (t_index << np.uint32(1)) | _parity(flips & local_mask(op))
+        self.n_t = 1 << len(targets)
+        self.bins = index * np.uint32(self.n_t) + t_index
+        self.size = (1 << len(checks.checks)) * self.n_t
+        self.output = leaf.output is not None
+
+    def error(self, em: ErrorModel) -> float:
+        probs = np.ones(1)
+        for letter in self.letters:
+            r = em.rate(letter)
+            probs = np.concatenate([probs * (1.0 - r), probs * r])
+        table = np.bincount(self.bins, weights=probs, minlength=self.size)
+        table = table.reshape(-1, self.n_t)
+        err = float(1.0 - table.max(axis=1).sum())
+        if self.output:
+            err = 1.0 - (1.0 - em.rate("A")) * (1.0 - err)
+        return min(1.0, max(0.0, err))
+
+
 def ml_logical_error(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
     """Exact residual logical error after syndrome-table decoding.
 
@@ -161,53 +230,29 @@ def ml_logical_error(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
     dictates), groups strings by check syndrome, and grants the decoder
     the most likely target parity per syndrome.  For arbitrary-basis
     leaves the two teleported signs are decoded jointly and the
-    unprotected output-qubit flip is folded in afterwards.
+    unprotected output-qubit flip is folded in afterwards.  Builds the
+    ``SyndromeTable`` and evaluates it once.
     """
-    targets = checks.targets
-    ops = tuple(targets) + tuple(checks.checks)
-    relevant = 0
-    for op in ops:
-        relevant |= op.support
-    qubits = list(iter_bits(relevant))
-    if len(qubits) > ML_ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"{len(qubits)} qubits exceed the {ML_ENUMERATION_LIMIT}-qubit "
-            "flip-string enumeration limit")
-    pos = {q: i for i, q in enumerate(qubits)}
-
-    probs = np.ones(1)
-    for q in qubits:
-        letter = next(op.letter_at(q) for op in ops if op.letter_at(q) != "I")
-        r = em.rate(letter)
-        probs = np.concatenate([probs * (1.0 - r), probs * r])
-
-    size = 1 << len(qubits)
-    flips = np.arange(size, dtype=np.uint32)
-
-    def local_mask(op: PauliOperator) -> np.uint32:
-        m = 0
-        for q in iter_bits(op.support):
-            m |= 1 << pos[q]
-        return np.uint32(m)
-
-    index = np.zeros(size, dtype=np.uint32)
-    for op in checks.checks:
-        index = (index << np.uint32(1)) | _parity(flips & local_mask(op))
-    t_index = np.zeros(size, dtype=np.uint32)
-    for op in targets:
-        t_index = (t_index << np.uint32(1)) | _parity(flips & local_mask(op))
-
-    n_t = 1 << len(targets)
-    table = np.bincount(index * np.uint32(n_t) + t_index, weights=probs,
-                        minlength=(1 << len(checks.checks)) * n_t)
-    table = table.reshape(-1, n_t)
-    err = float(1.0 - table.max(axis=1).sum())
-    if leaf.output is not None:
-        err = 1.0 - (1.0 - em.rate("A")) * (1.0 - err)
-    return min(1.0, max(0.0, err))
+    return SyndromeTable(leaf, checks).error(em)
 
 
 # -- fault probability over a whole tree -----------------------------------------
+
+
+def _check_step(code: GraphCode, pattern: MeasurementPattern, targets: tuple):
+    """One node of the check extension (a ``losstree.grow`` step): choose
+    checks greedily on ``pattern``; attempt the lowest unmeasured qubit of
+    their support in its check letter, or end with the checks as the
+    leaf's targets once all of them are measured."""
+    chosen = _greedy_checks(code, pattern, targets)
+    pending = 0
+    for c in chosen:
+        pending |= c.support & pattern.unmeasured
+    if not pending:
+        return Leaf("success", pattern, chosen)
+    q = next(iter_bits(pending))
+    letter = next(c.letter_at(q) for c in chosen if c.letter_at(q) != "I")
+    return q, letter, targets, targets
 
 
 class ErrorAnalysis:
@@ -229,18 +274,7 @@ class ErrorAnalysis:
 
     def __init__(self, code: GraphCode, tree: DecisionTree):
         entries = []
-
-        def step(pattern: MeasurementPattern, targets: tuple):
-            chosen = _greedy_checks(code, pattern, targets)
-            pending = 0
-            for c in chosen:
-                pending |= c.support & pattern.unmeasured
-            if not pending:
-                return Leaf("success", pattern, chosen)
-            q = next(iter_bits(pending))
-            letter = next(c.letter_at(q) for c in chosen if c.letter_at(q) != "I")
-            return q, letter, targets, targets
-
+        step = functools.partial(_check_step, code)
         for leaf, key in paths(tree.root):
             if not leaf.success:
                 entries.append((key, None, None, None))
@@ -283,6 +317,20 @@ def fault_probability(code: GraphCode, kind: str, eta: float,
 # -- concatenation error threshold ------------------------------------------------
 
 
+@per_code
+def _loss_free_table(code: GraphCode, basis: str) -> SyndromeTable | None:
+    """The syndrome table of the one extended leaf of ``ErrorAnalysis``
+    (Pauli tree of ``basis``) that no loss reaches, or None when the
+    decoder fails there."""
+    leaf = pauli_loss_free_leaf(code, basis)
+    if not leaf.success:
+        return None
+    targets = _masked_targets(leaf)
+    end = grow_detected(leaf.pattern, targets,
+                        functools.partial(_check_step, code))
+    return SyndromeTable(leaf, CheckSet(targets, end.targets))
+
+
 def logical_flip_rates(code: GraphCode,
                        rates: tuple[float, float, float]
                        ) -> tuple[float, float, float]:
@@ -291,11 +339,23 @@ def logical_flip_rates(code: GraphCode,
     Physical qubits measured in X/Y/Z flip with the given per-basis rates;
     the result is the flip rate of each decoded logical Pauli basis, the
     quantity a concatenation layer feeds into the one above it.
+
+    Each rate equals ``fault_probability(code, basis, 1.0, em)``, float
+    for float, without building the ``ErrorAnalysis``.  At eta = 1 every
+    extended leaf whose path loses a qubit has probability exactly 0.0,
+    which that sum skips, and the loss-free leaf has 1.0, so the sum is
+    0.0 + 1.0 * (that leaf's ML error, or 1.0 for a decoder failure).
+    Only that leaf is decoded: the loss tree and the check extension are
+    followed along their detected branches (``losstree.grow_detected``),
+    and its syndrome table is kept per code and basis, so a rate vector
+    costs one evaluation per basis.  ``fault_probability`` remains the
+    engine for eta < 1.
     """
     em = ErrorModel.from_rates(*rates)
     out = []
     for basis in "XYZ":
-        out.append(fault_probability(code, basis, 1.0, em))
+        table = _loss_free_table(code, basis)
+        out.append(1.0 if table is None else table.error(em))
     return tuple(out)
 
 

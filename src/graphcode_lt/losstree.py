@@ -6,7 +6,9 @@ logical operator; the arbitrary decoder first locks in an output qubit
 (measured in the rotated basis) and then teleports the logical onto it by
 completing an anticommuting operator pair.  Trees are built once, then
 evaluated exactly (success polynomial), sampled (Monte Carlo), decoded
-per loss mask, or extended with checks by the error decoder.
+per loss mask, or extended with checks by the error decoder.  Where only
+the loss-free leaf is read, ``grow_detected`` follows a decoder's
+detected branches without building the tree.
 
 Every adaptive decoder in the package is one recursion, ``grow``, driven
 by a per-decoder ``step``: both trees here, the per-side decoder of
@@ -41,7 +43,8 @@ from .polynomials import BASES, LossPolynomial
 
 __all__ = [
     "DecisionTree", "Leaf", "MeasureNode", "Target", "TargetSet", "grow",
-    "paths", "build_pauli_tree", "build_arbitrary_tree", "success_polynomial",
+    "grow_detected", "paths", "build_pauli_tree", "pauli_loss_free_leaf",
+    "build_arbitrary_tree", "success_polynomial",
     "total_polynomial", "monte_carlo_decode", "decode", "load_or_build",
 ]
 
@@ -288,6 +291,17 @@ def grow(pattern: MeasurementPattern, state, step):
                        grow(pattern.lose(q), lost_state, step))
 
 
+def grow_detected(pattern: MeasurementPattern, state, step):
+    """The terminal node ``grow(pattern, state, step)`` reaches when every
+    attempt is detected, found without growing any lost branch."""
+    move = step(pattern, state)
+    while isinstance(move, tuple):
+        q, basis, state, _ = move
+        pattern = pattern.measure(q, basis)
+        move = step(pattern, state)
+    return move
+
+
 # the exponent slot of each attempted basis
 _SLOT = {kind: i for i, kind in enumerate(BASES)}
 
@@ -343,6 +357,13 @@ def _tree(code: GraphCode, kind: str, ts: TargetSet) -> DecisionTree:
     return DecisionTree(code, kind, root)
 
 
+def _pauli_targets(code: GraphCode, basis: str) -> TargetSet:
+    if basis not in ("X", "Y", "Z"):
+        raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
+    ops = enumerate_nontrivial(code, "Logical" + basis)
+    return TargetSet(code.n, *_xz(ops), ops=ops)
+
+
 def _xz(ops) -> np.ndarray:
     """The x and z masks of ``ops`` as the two rows of an int64 array."""
     return np.array([(op.x, op.z) for op in ops], dtype=np.int64).reshape(-1, 2).T
@@ -351,10 +372,16 @@ def _xz(ops) -> np.ndarray:
 @per_code
 def build_pauli_tree(code: GraphCode, basis: str = "Z") -> DecisionTree:
     """Compile the Pauli-basis loss decoder for one logical basis."""
-    if basis not in ("X", "Y", "Z"):
-        raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
-    ops = enumerate_nontrivial(code, "Logical" + basis)
-    return _tree(code, f"pauli-{basis}", TargetSet(code.n, *_xz(ops), ops=ops))
+    return _tree(code, f"pauli-{basis}", _pauli_targets(code, basis))
+
+
+def pauli_loss_free_leaf(code: GraphCode, basis: str) -> Leaf:
+    """The leaf of ``build_pauli_tree(code, basis)`` that no loss reaches
+    (``decode`` with every qubit detected), found without building the
+    tree: one path of the decoder's recursion, not all of them."""
+    ts = _pauli_targets(code, basis)
+    return grow_detected(MeasurementPattern(code.n),
+                         (ts, np.arange(len(ts)), -1), _tree_step)
 
 
 @per_code
@@ -443,25 +470,26 @@ class MCResult:
 MC_CHUNK = 1 << 20
 
 
-def monte_carlo_decode(code: GraphCode, tree: DecisionTree, eta: float,
-                       trials: int, seed: int = 0) -> MCResult:
+def monte_carlo_decode(tree: DecisionTree, eta: float, trials: int,
+                       seed: int = 0) -> MCResult:
     """Sample i.i.d. per-qubit loss and count decoder successes.
 
-    Each trial is one loss configuration (bit q set: qubit q detected), so
-    the trials are tallied per configuration, at most 2^n of them (n <=
-    ``EXHAUSTIVE_LIMIT``), and each configuration that occurs is decoded
-    once.  Trials are drawn ``MC_CHUNK`` at a time, each chunk qubit by
+    Each trial is one loss configuration of the tree's code (bit q set:
+    qubit q detected), so the trials are tallied per configuration, at
+    most 2^n of them (n <= ``EXHAUSTIVE_LIMIT``), and each configuration
+    that occurs is decoded once.  Trials are drawn ``MC_CHUNK`` at a time, each chunk qubit by
     qubit, so memory stays bounded; a run of at most ``MC_CHUNK`` trials
     is a single chunk.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    n = tree.code.n
     rng = np.random.default_rng(seed)
-    tally = np.zeros(1 << code.n, dtype=np.int64)
+    tally = np.zeros(1 << n, dtype=np.int64)
     for start in range(0, trials, MC_CHUNK):
         size = min(MC_CHUNK, trials - start)
         masks = np.zeros(size, dtype=np.int64)
-        for q in range(code.n):
+        for q in range(n):
             masks |= np.where(rng.random(size) < eta, 1 << q, 0)
         tally += np.bincount(masks, minlength=len(tally))
     successes = sum(count for mask, count in enumerate(tally.tolist())

@@ -322,10 +322,6 @@ class PauliSpan:
             raise DimensionError(f"lengths differ: {op.n} vs {self.n}")
         return self._reduce(op.x | op.z << self.n) == 0
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def copy(self) -> "PauliSpan":
         dup = PauliSpan(self.n)
         dup.rows = list(self.rows)

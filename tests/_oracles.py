@@ -50,7 +50,7 @@ def symplectic_rank(ops) -> int:
     ops = list(ops)
     if not ops:
         return 0
-    return PauliSpan(ops[0].n, ops).rank
+    return len(PauliSpan(ops[0].n, ops).rows)
 
 
 def qubitwise_commuting(a: PauliOperator, b: PauliOperator) -> bool:
@@ -628,7 +628,7 @@ def evaluate_reference(poly, eta: float) -> float:
     return total
 
 
-def monte_carlo_successes_reference(code, tree, eta: float, trials: int,
+def monte_carlo_successes_reference(tree, eta: float, trials: int,
                                     seed: int) -> int:
     """The success count of ``monte_carlo_decode``, from the same samples
     counted leaf by leaf: a leaf is a cylinder set over its attempted
@@ -636,7 +636,7 @@ def monte_carlo_successes_reference(code, tree, eta: float, trials: int,
     matches the leaf's pattern."""
     rng = np.random.default_rng(seed)
     masks = np.zeros(trials, dtype=np.uint64)
-    for q in range(code.n):
+    for q in range(tree.code.n):
         bit = np.uint64(1 << q)
         masks |= np.where(rng.random(trials) < eta, bit, np.uint64(0))
     successes = 0

@@ -15,6 +15,7 @@ import pytest
 
 import graphcode_lt
 
+from graphcode_lt import cli
 from graphcode_lt.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -41,6 +42,25 @@ def test_help_keeps_the_docstring_paragraphs():
     assert "\nExit codes:" in text
     assert "\n\nGRAPHCODE_LT_CACHE" in text
     assert "\n\nsearch --threads" in text
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(["analyze", "--graph", "pentagon"]) == EXIT_OK
+    assert main(["sweep", "--graph", "pentagon", "--lambda-grid", "0.01"]) == EXIT_OK
+    assert len(built) == 1
+    capsys.readouterr()
+    # the reused parser prints the help of a fresh one
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert capsys.readouterr().out == build_parser().format_help()
 
 
 def test_resolve_library_names():

@@ -19,10 +19,12 @@ from graphcode_lt.codes import (
     pentagon_code,
     star_code,
 )
+from graphcode_lt.cli import main
 from graphcode_lt.errordecode import (
     CheckSet,
     ErrorAnalysis,
     ErrorModel,
+    _error_analysis,
     _greedy_checks,
     _masked_targets,
     error_threshold,
@@ -41,7 +43,9 @@ from graphcode_lt.losstree import (
 from graphcode_lt.opsets import ResourceLimitError, stabilizer_group
 from graphcode_lt.pauli import MeasurementPattern, PauliOperator, PauliSpan, iter_bits
 from graphcode_lt.polynomials import LossPolynomial, break_even
+from graphcode_lt.search import enumerate_candidates
 from test_golden import _codes as golden_codes
+from test_golden import _random_code
 
 
 def no_loss_leaf(tree) -> Leaf:
@@ -138,7 +142,7 @@ def test_cube_no_loss_checks_three_independent_weight_four():
     assert len(cs.checks) == 3
     assert all(c.weight == 4 for c in cs.checks)
     span = PauliSpan(cube.n, cs.checks)
-    assert span.rank == 3
+    assert len(span.rows) == 3
     for i, a in enumerate(cs.checks):
         for b in cs.checks[i + 1:]:
             assert qubitwise_commuting(a, b)
@@ -369,6 +373,37 @@ def test_cube_flip_rates_symmetric():
     rates = logical_flip_rates(cube_code(), (0.05, 0.05, 0.05))
     assert rates[0] == pytest.approx(rates[1], abs=1e-12)
     assert rates[0] == pytest.approx(rates[2], abs=1e-12)
+
+
+def _flip_rate_codes() -> list:
+    """The library codes, every rooted class on 6 progenitor vertices and
+    seeded random codes on 8 to 11 vertices."""
+    codes = list(golden_codes().values()) + [star_code(3)]
+    codes += list(enumerate_candidates(6))
+    codes += [_random_code(seed, size) for seed, size in
+              ((11, 8), (12, 9), (13, 10), (14, 11))]
+    return codes
+
+
+def test_flip_rates_equal_fault_probability_at_unit_transmission():
+    # decoding only the loss-free leaf is exact: the same floats as the
+    # sum over every extended leaf at eta = 1
+    vectors = [(0.0, 0.0, 0.0)]
+    vectors += [(2 * lam,) * 3 for lam in (0.001, 0.05, 1.0 / 3.0)]
+    vectors += [(0.01, 0.03, 0.2), (0.3, 0.0, 0.07)]
+    for code in _flip_rate_codes():
+        for r in vectors:
+            em = ErrorModel.from_rates(*r)
+            want = tuple(fault_probability(code, b, 1.0, em) for b in "XYZ")
+            assert logical_flip_rates(code, r) == want
+
+
+def test_lambda_sweep_builds_no_error_analysis(capsys):
+    before = _error_analysis.cache_info().misses
+    assert main(["sweep", "--graph", "tree:2,2,1",
+                 "--lambda-grid", "0.001,0.05", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert _error_analysis.cache_info().misses == before
 
 
 def test_cube_error_threshold():

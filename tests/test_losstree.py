@@ -39,6 +39,7 @@ from graphcode_lt.losstree import (
     decode,
     load_or_build,
     monte_carlo_decode,
+    pauli_loss_free_leaf,
     success_polynomial,
     total_polynomial,
 )
@@ -562,6 +563,16 @@ def test_pauli_average_lc_invariant():
         assert averaged(GraphCode(g, 0)) == base
 
 
+def test_loss_free_leaf_is_the_all_detected_leaf_of_the_tree():
+    codes = list(golden_codes().values()) + [star_code(3)]
+    for code in codes:
+        for basis in "XYZ":
+            want = decode(build_pauli_tree(code, basis), (1 << code.n) - 1)
+            got = pauli_loss_free_leaf(code, basis)
+            assert (got.outcome, got.pattern.chars(), got.targets, got.output) \
+                == (want.outcome, want.pattern.chars(), want.targets, want.output)
+
+
 # -- Monte Carlo --------------------------------------------------------------------------
 
 
@@ -569,20 +580,20 @@ def test_monte_carlo_agreement_four_sigma():
     code = pentagon_code()
     tree = build_pauli_tree(code, "Z")
     exact = 2 * 0.8 ** 2 - 0.8 ** 4
-    mc = monte_carlo_decode(code, tree, 0.8, trials=10 ** 6, seed=42)
+    mc = monte_carlo_decode(tree, 0.8, trials=10 ** 6, seed=42)
     assert abs(mc.estimate - exact) <= 4 * mc.stderr
 
 
 def test_monte_carlo_extremes_and_determinism():
     code = pentagon_code()
     tree = build_arbitrary_tree(code)
-    assert monte_carlo_decode(code, tree, 1.0, 1000, seed=3).estimate == 1.0
-    assert monte_carlo_decode(code, tree, 0.0, 1000, seed=3).estimate == 0.0
-    a = monte_carlo_decode(code, tree, 0.77, 20000, seed=9).estimate
-    b = monte_carlo_decode(code, tree, 0.77, 20000, seed=9).estimate
+    assert monte_carlo_decode(tree, 1.0, 1000, seed=3).estimate == 1.0
+    assert monte_carlo_decode(tree, 0.0, 1000, seed=3).estimate == 0.0
+    a = monte_carlo_decode(tree, 0.77, 20000, seed=9).estimate
+    b = monte_carlo_decode(tree, 0.77, 20000, seed=9).estimate
     assert a == b
     with pytest.raises(ValueError):
-        monte_carlo_decode(code, tree, 0.5, 0)
+        monte_carlo_decode(tree, 0.5, 0)
 
 
 def test_monte_carlo_memory_is_bounded_by_the_chunk():
@@ -592,7 +603,7 @@ def test_monte_carlo_memory_is_bounded_by_the_chunk():
     tree = build_pauli_tree(code, "Z")
     tracemalloc.start()
     try:
-        mc = monte_carlo_decode(code, tree, 0.8, trials=1 << 22, seed=5)
+        mc = monte_carlo_decode(tree, 0.8, trials=1 << 22, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -610,8 +621,8 @@ def test_monte_carlo_counts_match_cylinder_sets():
     for code, kind in cases:
         tree = load_or_build(code, kind)
         for seed in (0, 1, 2):
-            want = monte_carlo_successes_reference(code, tree, 0.7, trials, seed)
-            got = monte_carlo_decode(code, tree, 0.7, trials, seed)
+            want = monte_carlo_successes_reference(tree, 0.7, trials, seed)
+            got = monte_carlo_decode(tree, 0.7, trials, seed)
             assert got.estimate == want / trials
 
 

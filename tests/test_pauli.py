@@ -232,7 +232,7 @@ def test_span_membership_matches_brute_force():
         ]
         want = _brute_span(gens)
         span = PauliSpan(n, gens)
-        assert len(want) == 1 << span.rank
+        assert len(want) == 1 << len(span.rows)
         for x in range(1 << n):
             for z in range(1 << n):
                 op = PauliOperator(n, x, z)
