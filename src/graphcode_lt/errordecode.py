@@ -3,7 +3,7 @@
 Once the loss decoder secures its target, the unspent qubits are used for
 stabilizer checks (chosen greedily, re-chosen whenever a check qubit is
 lost), attempted by the loss decoders' shared recursion, ``losstree.grow``,
-with one step, ``_check_step``.
+stepped by ``_check_step``.
 Each choice filters and ranks the code's stabilizers with a few numpy
 array operations over their packed letter masks.
 The loss tree and each leaf's check extension are read with the same
