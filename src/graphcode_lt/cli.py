@@ -26,6 +26,7 @@ scores in-process.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -404,6 +405,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog=TOOL, description=__doc__,
@@ -496,15 +498,8 @@ def resolved_config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-# built by the first ``main`` call, not at import, and reused by the rest
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     config = resolved_config(args)
     try:
         return args.func(args, config)

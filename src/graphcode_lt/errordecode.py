@@ -16,10 +16,10 @@ the combined fault probability, ``fault_probability``, the engine for
 any transmission.
 
 At unit transmission every leaf but the loss-free one has probability
-zero, so ``logical_flip_rates`` decodes that leaf alone: it follows the
-detected branches of the Pauli loss decoder and of the check extension
-(``losstree.grow_detected``) and keeps the leaf's syndrome table per
-code and basis.  Iterating the per-basis logical flip map yields
+zero, so ``logical_flip_rates`` decodes that leaf alone: it reads the
+leaf from the Pauli tree with every qubit detected, follows the check
+extension's detected branches only (``losstree.grow_detected``) and
+keeps the leaf's syndrome table per code and basis.  Iterating the per-basis logical flip map yields
 concatenation error thresholds, bisected with ``polynomials.bisect``.
 """
 
@@ -35,10 +35,10 @@ from .losstree import (
     Leaf,
     build_arbitrary_tree,
     build_pauli_tree,
+    decode,
     grow,
     grow_detected,
     paths,
-    pauli_loss_free_leaf,
 )
 from .opsets import ResourceLimitError, stabilizer_pool
 from .pauli import (
@@ -322,7 +322,7 @@ def _loss_free_table(code: GraphCode, basis: str) -> SyndromeTable | None:
     """The syndrome table of the one extended leaf of ``ErrorAnalysis``
     (Pauli tree of ``basis``) that no loss reaches, or None when the
     decoder fails there."""
-    leaf = pauli_loss_free_leaf(code, basis)
+    leaf = decode(build_pauli_tree(code, basis), (1 << code.n) - 1)
     if not leaf.success:
         return None
     targets = _masked_targets(leaf)
@@ -345,10 +345,11 @@ def logical_flip_rates(code: GraphCode,
     extended leaf whose path loses a qubit has probability exactly 0.0,
     which that sum skips, and the loss-free leaf has 1.0, so the sum is
     0.0 + 1.0 * (that leaf's ML error, or 1.0 for a decoder failure).
-    Only that leaf is decoded: the loss tree and the check extension are
-    followed along their detected branches (``losstree.grow_detected``),
-    and its syndrome table is kept per code and basis, so a rate vector
-    costs one evaluation per basis.  ``fault_probability`` remains the
+    Only that leaf is decoded: it is read from the memoised Pauli tree
+    with every qubit detected, its check extension is followed along the
+    detected branches alone (``losstree.grow_detected``), and its
+    syndrome table is kept per code and basis, so a rate vector costs one
+    evaluation per basis.  ``fault_probability`` remains the
     engine for eta < 1.
     """
     em = ErrorModel.from_rates(*rates)

@@ -8,7 +8,7 @@ completing an anticommuting operator pair.  Trees are built once, then
 evaluated exactly (success polynomial), sampled (Monte Carlo), decoded
 per loss mask, or extended with checks by the error decoder.  Where only
 the loss-free leaf is read, ``grow_detected`` follows a decoder's
-detected branches without building the tree.
+detected branches without growing the lost ones.
 
 Every adaptive decoder in the package is one recursion, ``grow``, driven
 by a per-decoder ``step``: both trees here, the per-side decoder of
@@ -43,9 +43,9 @@ from .polynomials import BASES, LossPolynomial
 
 __all__ = [
     "DecisionTree", "Leaf", "MeasureNode", "Target", "TargetSet", "grow",
-    "grow_detected", "paths", "build_pauli_tree", "pauli_loss_free_leaf",
-    "build_arbitrary_tree", "success_polynomial",
-    "total_polynomial", "monte_carlo_decode", "decode", "load_or_build",
+    "grow_detected", "paths", "build_pauli_tree", "build_arbitrary_tree",
+    "success_polynomial", "total_polynomial", "monte_carlo_decode", "decode",
+    "load_or_build",
 ]
 
 CACHE_ENV = "GRAPHCODE_LT_CACHE"
@@ -357,13 +357,6 @@ def _tree(code: GraphCode, kind: str, ts: TargetSet) -> DecisionTree:
     return DecisionTree(code, kind, root)
 
 
-def _pauli_targets(code: GraphCode, basis: str) -> TargetSet:
-    if basis not in ("X", "Y", "Z"):
-        raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
-    ops = enumerate_nontrivial(code, "Logical" + basis)
-    return TargetSet(code.n, *_xz(ops), ops=ops)
-
-
 def _xz(ops) -> np.ndarray:
     """The x and z masks of ``ops`` as the two rows of an int64 array."""
     return np.array([(op.x, op.z) for op in ops], dtype=np.int64).reshape(-1, 2).T
@@ -372,16 +365,10 @@ def _xz(ops) -> np.ndarray:
 @per_code
 def build_pauli_tree(code: GraphCode, basis: str = "Z") -> DecisionTree:
     """Compile the Pauli-basis loss decoder for one logical basis."""
-    return _tree(code, f"pauli-{basis}", _pauli_targets(code, basis))
-
-
-def pauli_loss_free_leaf(code: GraphCode, basis: str) -> Leaf:
-    """The leaf of ``build_pauli_tree(code, basis)`` that no loss reaches
-    (``decode`` with every qubit detected), found without building the
-    tree: one path of the decoder's recursion, not all of them."""
-    ts = _pauli_targets(code, basis)
-    return grow_detected(MeasurementPattern(code.n),
-                         (ts, np.arange(len(ts)), -1), _tree_step)
+    if basis not in ("X", "Y", "Z"):
+        raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
+    ops = enumerate_nontrivial(code, "Logical" + basis)
+    return _tree(code, f"pauli-{basis}", TargetSet(code.n, *_xz(ops), ops=ops))
 
 
 @per_code
@@ -477,9 +464,9 @@ def monte_carlo_decode(tree: DecisionTree, eta: float, trials: int,
     Each trial is one loss configuration of the tree's code (bit q set:
     qubit q detected), so the trials are tallied per configuration, at
     most 2^n of them (n <= ``EXHAUSTIVE_LIMIT``), and each configuration
-    that occurs is decoded once.  Trials are drawn ``MC_CHUNK`` at a time, each chunk qubit by
-    qubit, so memory stays bounded; a run of at most ``MC_CHUNK`` trials
-    is a single chunk.
+    that occurs is decoded once.  Trials are drawn ``MC_CHUNK`` at a time,
+    each chunk qubit by qubit, so memory stays bounded; a run of at most
+    ``MC_CHUNK`` trials is a single chunk.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")

@@ -15,7 +15,6 @@ import pytest
 
 import graphcode_lt
 
-from graphcode_lt import cli
 from graphcode_lt.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -44,23 +43,16 @@ def test_help_keeps_the_docstring_paragraphs():
     assert "\n\nsearch --threads" in text
 
 
-def test_main_builds_one_parser(monkeypatch, capsys):
-    built = []
-
-    def counted():
-        built.append(build_parser())
-        return built[-1]
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counted)
+def test_main_builds_one_parser(capsys):
+    build_parser.cache_clear()
     assert main(["analyze", "--graph", "pentagon"]) == EXIT_OK
     assert main(["sweep", "--graph", "pentagon", "--lambda-grid", "0.01"]) == EXIT_OK
-    assert len(built) == 1
+    assert build_parser.cache_info().misses == 1
     capsys.readouterr()
     # the reused parser prints the help of a fresh one
     with pytest.raises(SystemExit):
         main(["--help"])
-    assert capsys.readouterr().out == build_parser().format_help()
+    assert capsys.readouterr().out == build_parser.__wrapped__().format_help()
 
 
 def test_resolve_library_names():

@@ -39,7 +39,6 @@ from graphcode_lt.losstree import (
     decode,
     load_or_build,
     monte_carlo_decode,
-    pauli_loss_free_leaf,
     success_polynomial,
     total_polynomial,
 )
@@ -561,16 +560,6 @@ def test_pauli_average_lc_invariant():
     members, _ = lc_orbit(code.progenitor, n_fixed=1)
     for g in members:
         assert averaged(GraphCode(g, 0)) == base
-
-
-def test_loss_free_leaf_is_the_all_detected_leaf_of_the_tree():
-    codes = list(golden_codes().values()) + [star_code(3)]
-    for code in codes:
-        for basis in "XYZ":
-            want = decode(build_pauli_tree(code, basis), (1 << code.n) - 1)
-            got = pauli_loss_free_leaf(code, basis)
-            assert (got.outcome, got.pattern.chars(), got.targets, got.output) \
-                == (want.outcome, want.pattern.chars(), want.targets, want.output)
 
 
 # -- Monte Carlo --------------------------------------------------------------------------
