@@ -405,6 +405,14 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), default=None)
 
 
+def _add_eta_grid(p: argparse.ArgumentParser, other: str, **kwargs):
+    """``--eta-grid`` and ``other``, of which the command reads only one:
+    giving both is a parse error, not a silently dropped flag."""
+    group = p.add_mutually_exclusive_group()
+    group.add_argument(other, default=None, **kwargs)
+    group.add_argument("--eta-grid", default=None)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -427,15 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="loss or error grids as CSV")
     _add_common(p)
-    p.add_argument("--eta-grid", default=None)
-    p.add_argument("--lambda-grid", default=None)
+    _add_eta_grid(p, "--lambda-grid")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fusion", help="logical fusion outcome probabilities")
     _add_common(p)
     p.add_argument("--pfail", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--eta-grid", default=None)
+    _add_eta_grid(p, "--eta", type=float)
     p.add_argument("--mode", choices=("adaptive", "transversal"),
                    default="adaptive")
     p.set_defaults(func=cmd_fusion)
@@ -445,15 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--mode", choices=("cascaded", "concatenated"),
                    default="concatenated")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--eta-grid", default=None)
+    _add_eta_grid(p, "--eta", type=float)
     p.set_defaults(func=cmd_concat)
 
     p = sub.add_parser("rgs", help="repeater link success probabilities")
     _add_common(p)
     p.add_argument("--pfail", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--eta-grid", default=None)
+    _add_eta_grid(p, "--eta", type=float)
     p.add_argument("--depth", type=int, default=1,
                    help="number of stations in the chain")
     p.add_argument("--mode", choices=("adaptive", "transversal"),

@@ -1,9 +1,10 @@
 """Maximum-likelihood error decoding layered on the loss decoder.
 
 Once the loss decoder secures its target, the unspent qubits are used for
-stabilizer checks (chosen greedily, re-chosen whenever a check qubit is
-lost), attempted by the loss decoders' shared recursion, ``losstree.grow``,
-stepped by ``_check_step``.
+stabilizer checks, attempted by the loss decoders' shared recursion,
+``losstree.grow``, stepped by ``_check_step``.  The checks are chosen
+greedily at the success leaf and kept while their qubits are detected;
+only a lost check qubit makes a fresh choice, on the updated pattern.
 Each choice filters and ranks the code's stabilizers with a few numpy
 array operations over their packed letter masks.
 The loss tree and each leaf's check extension are read with the same
@@ -17,10 +18,11 @@ any transmission.
 
 At unit transmission every leaf but the loss-free one has probability
 zero, so ``logical_flip_rates`` decodes that leaf alone: it reads the
-leaf from the Pauli tree with every qubit detected, follows the check
-extension's detected branches only (``losstree.grow_detected``) and
-keeps the leaf's syndrome table per code and basis.  Iterating the per-basis logical flip map yields
-concatenation error thresholds, bisected with ``polynomials.bisect``.
+leaf from the Pauli tree with every qubit detected, measures the first
+greedy choice of checks there (no loss re-chooses them on that path)
+and keeps the leaf's syndrome table per code and basis.  Iterating the
+per-basis logical flip map yields concatenation error thresholds,
+bisected with ``polynomials.bisect``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .losstree import (
     build_pauli_tree,
     decode,
     grow,
-    grow_detected,
     paths,
 )
 from .opsets import ResourceLimitError, stabilizer_pool
@@ -77,7 +78,10 @@ class ErrorModel:
     @classmethod
     def from_rates(cls, rx: float, ry: float, rz: float) -> "ErrorModel":
         """Per-basis Pauli flip rates; the arbitrary-basis rate is half
-        their sum, capped at one."""
+        their sum, capped at one.  Each must lie in [0, 1]; exactly one
+        is what a failed leaf feeds back."""
+        if not all(0.0 <= r <= 1.0 for r in (rx, ry, rz)):
+            raise ValueError("flip rates must lie in [0, 1]")
         em = cls.__new__(cls)
         object.__setattr__(em, "rates", {"X": rx, "Y": ry, "Z": rz,
                                          "A": min(1.0, 0.5 * (rx + ry + rz))})
@@ -239,12 +243,22 @@ def ml_logical_error(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
 # -- fault probability over a whole tree -----------------------------------------
 
 
-def _check_step(code: GraphCode, pattern: MeasurementPattern, targets: tuple):
-    """One node of the check extension (a ``losstree.grow`` step): choose
-    checks greedily on ``pattern``; attempt the lowest unmeasured qubit of
-    their support in its check letter, or end with the checks as the
-    leaf's targets once all of them are measured."""
-    chosen = _greedy_checks(code, pattern, targets)
+def _check_step(code: GraphCode, targets: tuple, pattern: MeasurementPattern,
+                chosen: tuple | None):
+    """One node of the check extension (a ``losstree.grow`` step):
+    attempt the lowest unmeasured qubit of the ``chosen`` checks' support
+    in its check letter, or end with the checks as the leaf's targets
+    once all of them are measured.
+
+    ``chosen`` is None at the root and after a lost check qubit, and the
+    checks are then chosen greedily on ``pattern``; a detected attempt
+    passes them on unchanged.  That is the choice ``_greedy_checks``
+    would make again: the chosen checks are qubit-wise compatible, so
+    measuring qubit q in their letter denies only letters none of them
+    has on q, and the ranked pool keeps every chosen check, in order.
+    """
+    if chosen is None:
+        chosen = _greedy_checks(code, pattern, targets)
     pending = 0
     for c in chosen:
         pending |= c.support & pattern.unmeasured
@@ -252,16 +266,18 @@ def _check_step(code: GraphCode, pattern: MeasurementPattern, targets: tuple):
         return Leaf("success", pattern, chosen)
     q = next(iter_bits(pending))
     letter = next(c.letter_at(q) for c in chosen if c.letter_at(q) != "I")
-    return q, letter, targets, targets
+    return q, letter, chosen, None
 
 
 class ErrorAnalysis:
     """A loss tree extended with adaptive check measurements.
 
     Past each success leaf the greedy check set is attempted qubit by
-    qubit; a lost check qubit triggers a fresh greedy choice on the
-    updated pattern.  Extension happens once; evaluation at any
-    (eta, error model) is a sum over extended leaves.
+    qubit.  It is kept while its qubits are detected, and a lost check
+    qubit triggers a fresh greedy choice on the updated pattern, so the
+    loss-free path of an extension measures the first choice.  Extension
+    happens once; evaluation at any (eta, error model) is a sum over
+    extended leaves.
 
     ``entries`` holds one ``(key, leaf, checks, pattern)`` per extended
     leaf: the attempt key of its path (``losstree.paths``) through the
@@ -274,13 +290,13 @@ class ErrorAnalysis:
 
     def __init__(self, code: GraphCode, tree: DecisionTree):
         entries = []
-        step = functools.partial(_check_step, code)
         for leaf, key in paths(tree.root):
             if not leaf.success:
                 entries.append((key, None, None, None))
                 continue
             targets = _masked_targets(leaf)
-            for end, ext_key in paths(grow(leaf.pattern, targets, step), key):
+            step = functools.partial(_check_step, code, targets)
+            for end, ext_key in paths(grow(leaf.pattern, None, step), key):
                 entries.append((ext_key, leaf, CheckSet(targets, end.targets),
                                 end.pattern))
         self.entries = entries
@@ -321,14 +337,14 @@ def fault_probability(code: GraphCode, kind: str, eta: float,
 def _loss_free_table(code: GraphCode, basis: str) -> SyndromeTable | None:
     """The syndrome table of the one extended leaf of ``ErrorAnalysis``
     (Pauli tree of ``basis``) that no loss reaches, or None when the
-    decoder fails there."""
+    decoder fails there.  Its checks are the first greedy choice at the
+    loss-free leaf, which the extension keeps while nothing is lost."""
     leaf = decode(build_pauli_tree(code, basis), (1 << code.n) - 1)
     if not leaf.success:
         return None
     targets = _masked_targets(leaf)
-    end = grow_detected(leaf.pattern, targets,
-                        functools.partial(_check_step, code))
-    return SyndromeTable(leaf, CheckSet(targets, end.targets))
+    return SyndromeTable(leaf, CheckSet(
+        targets, _greedy_checks(code, leaf.pattern, targets)))
 
 
 def logical_flip_rates(code: GraphCode,
@@ -346,11 +362,10 @@ def logical_flip_rates(code: GraphCode,
     which that sum skips, and the loss-free leaf has 1.0, so the sum is
     0.0 + 1.0 * (that leaf's ML error, or 1.0 for a decoder failure).
     Only that leaf is decoded: it is read from the memoised Pauli tree
-    with every qubit detected, its check extension is followed along the
-    detected branches alone (``losstree.grow_detected``), and its
-    syndrome table is kept per code and basis, so a rate vector costs one
-    evaluation per basis.  ``fault_probability`` remains the
-    engine for eta < 1.
+    with every qubit detected, its checks are the first greedy choice
+    there, and its syndrome table is kept per code and basis, so a rate
+    vector costs one evaluation per basis.  ``fault_probability``
+    remains the engine for eta < 1.
     """
     em = ErrorModel.from_rates(*rates)
     out = []

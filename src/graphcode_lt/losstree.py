@@ -6,13 +6,12 @@ logical operator; the arbitrary decoder first locks in an output qubit
 (measured in the rotated basis) and then teleports the logical onto it by
 completing an anticommuting operator pair.  Trees are built once, then
 evaluated exactly (success polynomial), sampled (Monte Carlo), decoded
-per loss mask, or extended with checks by the error decoder.  Where only
-the loss-free leaf is read, ``grow_detected`` follows a decoder's
-detected branches without growing the lost ones.
+per loss mask, or extended with checks by the error decoder.
 
 Every adaptive decoder in the package is one recursion, ``grow``, driven
 by a per-decoder ``step``: both trees here, the per-side decoder of
-adaptive fusion and the error decoder's check extension.  Both kinds of
+adaptive fusion and the error decoder's check extension, whose state is
+the checks it chose (re-chosen only after a loss).  Both kinds of loss
 target are held per code as one ``TargetSet`` of numpy arrays: operator
 indices, output qubits and each target's joint packed letter mask, which
 ``pauli.fits`` would match against a pattern.  A decoder's state is an
@@ -43,9 +42,8 @@ from .polynomials import BASES, LossPolynomial
 
 __all__ = [
     "DecisionTree", "Leaf", "MeasureNode", "Target", "TargetSet", "grow",
-    "grow_detected", "paths", "build_pauli_tree", "build_arbitrary_tree",
-    "success_polynomial", "total_polynomial", "monte_carlo_decode", "decode",
-    "load_or_build",
+    "paths", "build_pauli_tree", "build_arbitrary_tree", "success_polynomial",
+    "total_polynomial", "monte_carlo_decode", "decode", "load_or_build",
 ]
 
 CACHE_ENV = "GRAPHCODE_LT_CACHE"
@@ -289,17 +287,6 @@ def grow(pattern: MeasurementPattern, state, step):
     q, basis, detect_state, lost_state = move
     return MeasureNode(q, basis, grow(pattern.measure(q, basis), detect_state, step),
                        grow(pattern.lose(q), lost_state, step))
-
-
-def grow_detected(pattern: MeasurementPattern, state, step):
-    """The terminal node ``grow(pattern, state, step)`` reaches when every
-    attempt is detected, found without growing any lost branch."""
-    move = step(pattern, state)
-    while isinstance(move, tuple):
-        q, basis, state, _ = move
-        pattern = pattern.measure(q, basis)
-        move = step(pattern, state)
-    return move
 
 
 # the exponent slot of each attempted basis

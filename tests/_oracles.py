@@ -14,11 +14,12 @@ import numpy as np
 from graphcode_lt.codes import GraphCode
 from graphcode_lt.errordecode import (
     CheckSet,
+    _greedy_checks,
     _masked_targets,
     ml_logical_error,
 )
 from graphcode_lt.graphs import Graph, canonical_form, local_complement
-from graphcode_lt.losstree import Leaf, paths
+from graphcode_lt.losstree import Leaf, grow, paths
 from graphcode_lt.opsets import ResourceLimitError, enumerate_nontrivial
 from graphcode_lt.pauli import PauliOperator, PauliSpan, fits, iter_bits
 
@@ -597,6 +598,34 @@ def greedy_checks_reference(pattern, targets, group) -> tuple:
             continue
         chosen.append(cand)
     return tuple(chosen)
+
+
+def check_extension_reference(code, tree) -> list:
+    """``ErrorAnalysis.entries`` with the greedy checks chosen afresh at
+    every node of each check extension, detected or lost, where the
+    package re-chooses them only after a lost check qubit."""
+
+    def step(pattern, targets):
+        chosen = _greedy_checks(code, pattern, targets)
+        pending = 0
+        for c in chosen:
+            pending |= c.support & pattern.unmeasured
+        if not pending:
+            return Leaf("success", pattern, chosen)
+        q = next(iter_bits(pending))
+        letter = next(c.letter_at(q) for c in chosen if c.letter_at(q) != "I")
+        return q, letter, targets, targets
+
+    entries = []
+    for leaf, key in paths(tree.root):
+        if not leaf.success:
+            entries.append((key, None, None, None))
+            continue
+        targets = _masked_targets(leaf)
+        for end, ext_key in paths(grow(leaf.pattern, targets, step), key):
+            entries.append((ext_key, leaf, CheckSet(targets, end.targets),
+                            end.pattern))
+    return entries
 
 
 def tree_polynomial_reference(node, counted) -> dict:

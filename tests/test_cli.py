@@ -149,17 +149,32 @@ def test_exit_code_validation_error():
         EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("argv", [
-    ["mc-check", "--graph", "pentagon", "--out", "x.txt"],
-    ["mc-check", "--graph", "pentagon", "--format", "json"],
-    ["tree", "--graph", "pentagon", "--format", "csv"],
-    ["search", "arbitrary", "--graph", "n:4", "--format", "json"],
-])
-def test_flags_a_command_would_ignore_are_rejected(argv, capsys):
+_UNKNOWN = "unrecognized arguments"
+_EXCLUSIVE = "not allowed with argument"
+# a flag the command has no use for, or one of two of which it reads one
+_IGNORED_FLAGS = [
+    (["mc-check", "--graph", "pentagon", "--out", "x.txt"], _UNKNOWN),
+    (["mc-check", "--graph", "pentagon", "--format", "json"], _UNKNOWN),
+    (["tree", "--graph", "pentagon", "--format", "csv"], _UNKNOWN),
+    (["search", "arbitrary", "--graph", "n:4", "--format", "json"], _UNKNOWN),
+    (["sweep", "--graph", "pentagon", "--eta-grid", "0:1:0.5",
+      "--lambda-grid", "0.01"], _EXCLUSIVE),
+    (["fusion", "--graph", "pentagon", "--eta", "0.3", "--eta-grid", "0.9"],
+     _EXCLUSIVE),
+    (["concat", "--graph", "pentagon", "--eta-grid", "0.9", "--eta", "0.3"],
+     _EXCLUSIVE),
+    (["rgs", "--graph", "pentagon", "--eta", "0.3", "--eta-grid", "0.9"],
+     _EXCLUSIVE),
+]
+
+
+@pytest.mark.parametrize("argv, message", _IGNORED_FLAGS,
+                         ids=[f"argv{i}" for i in range(len(_IGNORED_FLAGS))])
+def test_flags_a_command_would_ignore_are_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == EXIT_PARSE
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

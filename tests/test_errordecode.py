@@ -11,13 +11,20 @@ from itertools import product
 
 import pytest
 
-from _oracles import exhaustive_checks, greedy_checks_reference, qubitwise_commuting
+from _oracles import (
+    check_extension_reference,
+    exhaustive_checks,
+    greedy_checks_reference,
+    qubitwise_commuting,
+)
+from graphcode_lt import errordecode
 from graphcode_lt.codes import (
     branched_chain_code,
     cube_code,
     decorated_pentagon_code,
     pentagon_code,
     star_code,
+    tree_code,
 )
 from graphcode_lt.cli import main
 from graphcode_lt.errordecode import (
@@ -37,6 +44,7 @@ from graphcode_lt.losstree import (
     _strategies,
     build_arbitrary_tree,
     build_pauli_tree,
+    grow,
     paths,
     success_polynomial,
 )
@@ -106,6 +114,11 @@ def test_error_model_validation():
     with pytest.raises(ValueError):
         ErrorModel(0.34)
     ErrorModel(1.0 / 3.0)
+    for rates in ((1.5, 0.0, 0.0), (0.0, -0.01, 0.0), (0.0, 0.0, float("nan"))):
+        with pytest.raises(ValueError):
+            ErrorModel.from_rates(*rates)
+    # a failed leaf feeds back a flip rate of exactly one
+    assert ErrorModel.from_rates(1.0, 0.0, 1.0).rate("X") == 1.0
 
 
 def test_error_model_immutable():
@@ -354,6 +367,52 @@ def test_extension_conserves_probability():
         for key, _, _, _ in analysis.entries:
             terms[key] += 1
         assert LossPolynomial(terms).eta_coefficients() == {0: 1}
+
+
+def _comparable(entries) -> list:
+    """Entries with each ``CheckSet`` as its (targets, checks) pair; the
+    loss-tree leaves are compared as objects of the one tree."""
+    return [(key, leaf, checks and (checks.targets, checks.checks), pattern)
+            for key, leaf, checks, pattern in entries]
+
+
+def test_extension_matches_choosing_checks_at_every_node():
+    # keeping the checks across detected attempts gives the entries, in
+    # order, of choosing them afresh at every node of the extension
+    cases = [(tree_code([2, 3, 1]), "arbitrary")]
+    cases += [(_random_code(seed, size), kind)
+              for seed, size in ((11, 8), (12, 9), (13, 10), (14, 11))
+              for kind in ("X", "Y", "Z", "arbitrary")]
+    for code, kind in cases:
+        tree = (build_arbitrary_tree(code) if kind == "arbitrary"
+                else build_pauli_tree(code, kind))
+        assert _comparable(ErrorAnalysis(code, tree).entries) == \
+            _comparable(check_extension_reference(code, tree))
+
+
+def test_checks_rechosen_only_after_a_loss(monkeypatch):
+    # one greedy choice at each extension root and one after each lost
+    # check attempt, none after a detected one
+    cube = cube_code()
+    tree = build_pauli_tree(cube, "Z")
+    calls, roots = [0], []
+
+    def counting(*args):
+        calls[0] += 1
+        return _greedy_checks(*args)
+
+    def recording(pattern, state, step):
+        roots.append(grow(pattern, state, step))
+        return roots[-1]
+
+    monkeypatch.setattr(errordecode, "_greedy_checks", counting)
+    monkeypatch.setattr(errordecode, "grow", recording)
+    ErrorAnalysis(cube, tree)
+    assert len(roots) == sum(leaf.success for leaf, _ in paths(tree.root))
+    # every attempt of an extension is one measure node with one lost branch
+    lost = sum(len(list(paths(root))) - 1 for root in roots)
+    assert lost > 0
+    assert calls[0] == len(roots) + lost
 
 
 def test_cube_fault_ratio_break_even():
