@@ -64,7 +64,6 @@ from .fusion import (
 from .modular import (
     LayerStack,
     StackResult,
-    TransmissionVector,
     fixed_point_threshold,
     logical_transmission,
     optimize_stack,

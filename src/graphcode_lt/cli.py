@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 check failure (mc-check disagreement), 2 parse
 errors (malformed graph6 or candidate files), 3 validation errors (bad
 values or missing parameters), 4 resource limits (sizes the exact
 engines refuse).  A star or tree --graph past 14 code qubits exits 4
-before the code is built.
+before the code is built, and so does a search over n:<k> whose
+candidates would have more than 14 code qubits (k > 15), before any
+class is enumerated.
 
 GRAPHCODE_LT_CACHE names a directory for work worth keeping across runs:
 compiled decision trees, keyed on the package version and the tree
@@ -173,9 +175,10 @@ def check_unit(value: float, name: str, lo: float = 0.0, hi: float = 1.0):
 
 
 def config_hash(config: dict) -> str:
-    # The hash identifies the computation; where the artifact lands
-    # must not change it, or reruns to a new path would never match.
-    hashed = {k: v for k, v in config.items() if k != "out"}
+    # The hash identifies the computation; where the artifact lands and
+    # how many workers compute it must not change it, or reruns to a new
+    # path or at another --threads would never match.
+    hashed = {k: v for k, v in config.items() if k not in ("out", "threads")}
     blob = json.dumps(hashed, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -307,7 +310,7 @@ def cmd_concat(args, config) -> int:
     for eta in _eta_list(args):
         stack = LayerStack([code] * args.depth, args.mode, eta)
         r = logical_transmission(stack)
-        rows.append([eta, r.x, r.y, r.z, r.a, stack.qubit_count])
+        rows.append([eta, r["X"], r["Y"], r["Z"], r["A"], stack.qubit_count])
     emit_rows(["eta", "x", "y", "z", "arbitrary", "qubits"], rows, config,
               args.out, args.format or "csv")
     return EXIT_OK

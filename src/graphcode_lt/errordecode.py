@@ -28,6 +28,7 @@ bisected with ``polynomials.bisect``.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 
 import numpy as np
 
@@ -94,17 +95,8 @@ class ErrorModel:
         return f"ErrorModel(rates={self.rates})"
 
 
-class CheckSet:
-    """Target operator(s) plus the stabilizer checks measured alongside."""
-
-    __slots__ = ("targets", "checks")
-
-    def __init__(self, targets: tuple, checks: tuple):
-        self.targets = tuple(targets)
-        self.checks = tuple(checks)
-
-    def __repr__(self) -> str:
-        return f"CheckSet({len(self.targets)} targets, {len(self.checks)} checks)"
+# Target operator(s) plus the stabilizer checks measured alongside.
+CheckSet = namedtuple("CheckSet", "targets checks")
 
 
 def _masked_targets(leaf: Leaf) -> tuple[PauliOperator, ...]:

@@ -34,7 +34,9 @@ report exact (success, fail, loss) probabilities.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +54,7 @@ __all__ = [
 TRANSVERSAL_LIMIT = 12
 
 
+@dataclass(frozen=True, slots=True)
 class FusionModel:
     """Outcome probabilities of one physical fusion gate.
 
@@ -64,11 +67,19 @@ class FusionModel:
     eta^(1/p_fail) tends to 0 for eta < 1 and is 1 at eta = 1.  The
     network figures of merit (``apps``, and ``search`` objectives) need
     a finite photon count per gate and refuse it.
+
+    Equality and hash read ``(p_fail, eta)`` only, so equal models are
+    one key of the memoised ``compile_failure_bases``.
     """
 
-    __slots__ = ("p_fail", "eta", "s", "f", "l")
+    p_fail: float
+    eta: float
+    s: float = field(init=False, repr=False, compare=False)
+    f: float = field(init=False, repr=False, compare=False)
+    l: float = field(init=False, repr=False, compare=False)
 
-    def __init__(self, p_fail: float, eta: float):
+    def __post_init__(self):
+        p_fail, eta = self.p_fail, self.eta
         if not 0.0 <= p_fail <= 1.0:
             raise ValueError(f"p_fail must lie in [0, 1], got {p_fail}")
         if not 0.0 <= eta <= 1.0:
@@ -77,53 +88,26 @@ class FusionModel:
             arrival = 1.0 if eta == 1.0 else 0.0
         else:
             arrival = eta ** (1.0 / p_fail)
-        object.__setattr__(self, "p_fail", p_fail)
-        object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "s", arrival * (1.0 - p_fail))
         object.__setattr__(self, "f", arrival * p_fail)
         object.__setattr__(self, "l", 1.0 - arrival)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FusionModel is immutable")
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FusionModel)
-                and (self.p_fail, self.eta) == (other.p_fail, other.eta))
+class LogicalFusionResult(NamedTuple):
+    """Exact outcome probabilities of one logical fusion."""
 
-    def __hash__(self) -> int:
-        return hash((self.p_fail, self.eta))
+    p_success: float
+    p_fail_logical: float
+    p_loss_logical: float
 
-    def __repr__(self) -> str:
-        return f"FusionModel(p_fail={self.p_fail}, eta={self.eta})"
-
-
-class LogicalFusionResult:
-    """Exact outcome probabilities of one logical fusion.
-
-    ``erasure_xx`` assumes the 50/50 failure-basis randomization used in
-    fusion networks, under which a logical failure erases either parity
-    with equal probability: erasure = p_loss + p_fail / 2.  The ZZ parity
-    is erased with the same probability, so it has no field of its own.
-    """
-
-    __slots__ = ("p_success", "p_fail_logical", "p_loss_logical",
-                 "erasure_xx")
-
-    def __init__(self, p_success: float, p_fail_logical: float,
-                 p_loss_logical: float):
-        object.__setattr__(self, "p_success", p_success)
-        object.__setattr__(self, "p_fail_logical", p_fail_logical)
-        object.__setattr__(self, "p_loss_logical", p_loss_logical)
-        object.__setattr__(self, "erasure_xx",
-                           p_loss_logical + 0.5 * p_fail_logical)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LogicalFusionResult is immutable")
-
-    def __repr__(self) -> str:
-        return (f"LogicalFusionResult(success={self.p_success:.6f}, "
-                f"fail={self.p_fail_logical:.6f}, "
-                f"loss={self.p_loss_logical:.6f})")
+    @property
+    def erasure_xx(self) -> float:
+        """Erasure of the XX parity under the 50/50 failure-basis
+        randomization used in fusion networks, under which a logical
+        failure erases either parity with equal probability: erasure =
+        p_loss + p_fail / 2.  The ZZ parity is erased with the same
+        probability, so it has no field of its own."""
+        return self.p_loss_logical + 0.5 * self.p_fail_logical
 
 
 # the outcome classes of a logical fusion, in LogicalFusionResult's order

@@ -426,16 +426,8 @@ def decode(tree: DecisionTree, detected_mask: int) -> Leaf:
     return node
 
 
-class MCResult:
-    __slots__ = ("estimate", "stderr", "trials")
-
-    def __init__(self, estimate: float, stderr: float, trials: int):
-        self.estimate = estimate
-        self.stderr = stderr
-        self.trials = trials
-
-    def __repr__(self) -> str:
-        return f"MCResult({self.estimate:.6f} +/- {self.stderr:.6f}, trials={self.trials})"
+# a Monte Carlo success estimate with its standard error and trial count
+MCResult = namedtuple("MCResult", "estimate stderr trials")
 
 
 # Trials sampled per numpy pass of ``monte_carlo_decode``: the masks, one

@@ -10,28 +10,30 @@ can then be measured directly or recovered through its subtree.  A
 concatenation replaces each code qubit by an encoded block; the
 replaced qubits are virtual and only the deepest layer is physical.
 
-The recursion works on four-component transmission vectors, one entry
-per measurement basis.  For a physical qubit with a cascade block
-underneath, a Z demand succeeds directly or through the block's
-indirect Z, while X, Y and arbitrary-basis demands need the direct
-measurement and the block's logical X (or Y) simultaneously; the two
-variants are incompatible, so the better one is chosen in advance.  In
-a concatenation every demand is served entirely by the block.
+The recursion works on per-basis transmissions, a dict keyed by
+``polynomials.BASES`` (X, Y, Z and A, the arbitrary basis): the argument
+``LossPolynomial.evaluate_heterogeneous`` takes.  For a physical qubit
+with a cascade block underneath, a Z demand succeeds directly or through
+the block's indirect Z, while X, Y and arbitrary-basis demands need the
+direct measurement and the block's logical X (or Y) simultaneously; the
+two variants are incompatible, so the better one is chosen in advance.
+In a concatenation every demand is served entirely by the block.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .codes import GraphCode, per_code
 from .errordecode import logical_flip_rates
 from .losstree import load_or_build, success_polynomial
-from .polynomials import LossPolynomial, _rise_point
+from .polynomials import BASES, LossPolynomial, _rise_point
 
 __all__ = [
     "LayerStack",
     "StackResult",
-    "TransmissionVector",
     "fixed_point_threshold",
     "logical_transmission",
     "optimize_stack",
@@ -43,45 +45,7 @@ __all__ = [
 MODES = ("cascaded", "concatenated")
 
 
-class TransmissionVector:
-    """Per-basis measurement success probabilities (X, Y, Z, arbitrary)."""
-
-    __slots__ = ("x", "y", "z", "a")
-
-    def __init__(self, x: float, y: float, z: float, a: float):
-        for name, value in zip(self.__slots__, (x, y, z, a)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"eta_{name}={value} outside [0, 1]")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TransmissionVector is immutable")
-
-    @classmethod
-    def uniform(cls, eta: float) -> "TransmissionVector":
-        return cls(eta, eta, eta, eta)
-
-    def as_dict(self) -> dict:
-        """Mapping keyed by basis letter, as the polynomials expect."""
-        return {"X": self.x, "Y": self.y, "Z": self.z, "A": self.a}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TransmissionVector):
-            return NotImplemented
-        return (self.x, self.y, self.z, self.a) == (other.x, other.y,
-                                                    other.z, other.a)
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y, self.z, self.a))
-
-    def __repr__(self) -> str:
-        return (f"TransmissionVector(x={self.x:.6g}, y={self.y:.6g}, "
-                f"z={self.z:.6g}, a={self.a:.6g})")
-
-
+@dataclass(frozen=True, slots=True, eq=False)
 class LayerStack:
     """An ordered choice of unit codes, outermost first, plus the noise.
 
@@ -91,24 +55,20 @@ class LayerStack:
     seen by whichever qubits are physical under the chosen mode.
     """
 
-    __slots__ = ("layers", "mode", "eta")
+    layers: tuple
+    mode: str
+    eta: float
 
-    def __init__(self, layers, mode: str, eta: float):
-        layers = tuple(layers)
-        if not layers:
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
+        if not self.layers:
             raise ValueError("a stack needs at least one layer")
-        if any(not isinstance(c, GraphCode) for c in layers):
+        if any(not isinstance(c, GraphCode) for c in self.layers):
             raise TypeError("layers must be GraphCode instances")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta={eta} outside [0, 1]")
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "eta", eta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LayerStack is immutable")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError(f"eta={self.eta} outside [0, 1]")
 
     @property
     def qubit_count(self) -> int:
@@ -139,26 +99,27 @@ def unit_F(code: GraphCode, basis: str) -> LossPolynomial:
     the probability of a logical ``basis`` measurement when the unit's
     code qubits succeed with per-basis probabilities of their own.
     """
-    if basis not in ("X", "Y", "Z", "A"):
+    if basis not in BASES:
         raise ValueError(f"basis must be X, Y, Z or A, got {basis!r}")
     tree = load_or_build(code, "arbitrary" if basis == "A" else basis)
     return success_polynomial(tree)
 
 
-def _apply(code: GraphCode, basis: str, r: TransmissionVector) -> float:
-    """Success probability of a logical ``basis`` measurement on one unit.
+def _apply(code: GraphCode, basis: str, r: dict) -> float:
+    """Success probability of a logical ``basis`` measurement on one unit
+    whose code qubits see the per-basis transmissions ``r``.
 
     The float sum of the polynomial's terms can leave [0, 1] only by
     round-off (1.0000000000000002 on a depth-3 concatenated cube at eta
     0.92), so it is clamped back into range.
     """
-    total = unit_F(code, basis).evaluate_heterogeneous(r.as_dict())
+    total = unit_F(code, basis).evaluate_heterogeneous(r)
     return min(1.0, max(0.0, total))
 
 
-def _step(code: GraphCode, r: TransmissionVector, mode: str,
-          eta: float) -> TransmissionVector:
-    """Transmissions of a code qubit whose block of ``code`` sees ``r``.
+def _step(code: GraphCode, r: dict, mode: str, eta: float) -> dict:
+    """Per-basis transmissions, keyed by ``BASES``, of a code qubit whose
+    block of ``code`` sees ``r``.
 
     In a concatenation the qubit is virtual and every demand is served by
     the block's logical measurement.  In a cascade the qubit is physical
@@ -168,36 +129,36 @@ def _step(code: GraphCode, r: TransmissionVector, mode: str,
     indirect route.
     """
     if mode == "concatenated":
-        return TransmissionVector(*(_apply(code, b, r) for b in "XYZA"))
-    best = max(_apply(code, "X", r), _apply(code, "Y", r))
+        return {b: _apply(code, b, r) for b in BASES}
+    best = eta * max(_apply(code, "X", r), _apply(code, "Y", r))
     fz = _apply(code, "Z", r)
-    return TransmissionVector(eta * best, eta * best,
-                              eta + (1.0 - eta) * fz, eta * best)
+    return {"X": best, "Y": best, "Z": eta + (1.0 - eta) * fz, "A": best}
 
 
-def top_transmission(stack: LayerStack) -> TransmissionVector:
-    """Effective transmissions of the outermost unit's code qubits.
+def top_transmission(stack: LayerStack) -> dict:
+    """Effective transmissions of the outermost unit's code qubits, keyed
+    by basis (``BASES``).
 
     Folds the layers below the outermost unit bottom-up, starting from
     bare physical qubits.  Apply ``unit_F`` of ``stack.layers[0]`` to the
     result for the stack's logical measurement probabilities.
     """
-    r = TransmissionVector.uniform(stack.eta)
+    r = dict.fromkeys(BASES, stack.eta)
     for code in reversed(stack.layers[1:]):
         r = _step(code, r, stack.mode, stack.eta)
     return r
 
 
-def logical_transmission(stack: LayerStack) -> TransmissionVector:
-    """Logical measurement success of the whole stack, per basis.
+def logical_transmission(stack: LayerStack) -> dict:
+    """Logical measurement success of the whole stack, keyed by basis
+    (``BASES``).
 
     The encoded qubit is the (virtual) input of the outermost unit, so
     the logical level applies that unit's polynomials with no direct
     measurement term in either mode.
     """
     r = top_transmission(stack)
-    return TransmissionVector(*(_apply(stack.layers[0], b, r)
-                                for b in "XYZA"))
+    return {b: _apply(stack.layers[0], b, r) for b in BASES}
 
 
 # -- thresholds --------------------------------------------------------------------
@@ -246,23 +207,12 @@ def stack_flip_rates(stack: LayerStack, lam: float) -> tuple:
 # -- stack search ------------------------------------------------------------------
 
 
-class StackResult:
+class StackResult(NamedTuple):
     """One ranked entry from a stack search."""
 
-    __slots__ = ("stack", "logical_loss", "qubit_count")
-
-    def __init__(self, stack: LayerStack, logical_loss: float,
-                 qubit_count: int):
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "logical_loss", logical_loss)
-        object.__setattr__(self, "qubit_count", qubit_count)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StackResult is immutable")
-
-    def __repr__(self) -> str:
-        return (f"StackResult({self.stack!r}, loss={self.logical_loss:.3e}, "
-                f"qubits={self.qubit_count})")
+    stack: LayerStack
+    logical_loss: float
+    qubit_count: int
 
 
 def optimize_stack(library, max_depth: int, eta: float, basis: str = "A",
@@ -281,10 +231,10 @@ def optimize_stack(library, max_depth: int, eta: float, basis: str = "A",
 
     vectors: dict = {}
 
-    def below(layers: tuple) -> TransmissionVector:
-        """Vector feeding layers[0], memoized over shared suffixes."""
+    def below(layers: tuple) -> dict:
+        """Transmissions feeding layers[0], memoized over shared suffixes."""
         if len(layers) == 1:
-            return TransmissionVector.uniform(eta)
+            return dict.fromkeys(BASES, eta)
         tail = layers[1:]
         r = vectors.get(tail)
         if r is None:
@@ -295,8 +245,7 @@ def optimize_stack(library, max_depth: int, eta: float, basis: str = "A",
     results = []
     for depth in range(1, max_depth + 1):
         for combo in product(library, repeat=depth):
-            value = unit_F(combo[0], basis).evaluate_heterogeneous(
-                below(combo).as_dict())
+            value = _apply(combo[0], basis, below(combo))
             stack = LayerStack(combo, mode, eta)
             results.append(StackResult(stack, 1.0 - value,
                                        stack.qubit_count))

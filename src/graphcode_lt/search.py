@@ -33,6 +33,8 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .codes import GraphCode, InvalidCodeError, forget
@@ -57,6 +59,7 @@ OBJECTIVE_KINDS = ("pauli_all_bases", "arbitrary", "fusion_success",
                    "fbqc_threshold")
 
 
+@dataclass(frozen=True, slots=True)
 class Objective:
     """A pure scoring function over candidate codes.
 
@@ -67,40 +70,24 @@ class Objective:
     score refines the ranking before the structural tie-break.
     """
 
-    __slots__ = ("kind", "eta", "p_fail", "adaptive", "tie_break")
+    kind: str
+    eta: float = 0.70
+    p_fail: float = 0.5
+    adaptive: bool = True
+    tie_break: str | None = None
 
-    def __init__(self, kind: str, eta: float = 0.70, p_fail: float = 0.5,
-                 adaptive: bool = True, tie_break: str | None = None):
-        if kind not in OBJECTIVE_KINDS:
-            raise ValueError(f"unknown objective kind {kind!r}")
-        if tie_break is not None and tie_break not in OBJECTIVE_KINDS:
-            raise ValueError(f"unknown tie-break kind {tie_break!r}")
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {eta}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "p_fail", _validated_p_fail(p_fail))
-        object.__setattr__(self, "adaptive", bool(adaptive))
-        object.__setattr__(self, "tie_break", tie_break)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Objective is immutable")
+    def __post_init__(self):
+        if self.kind not in OBJECTIVE_KINDS:
+            raise ValueError(f"unknown objective kind {self.kind!r}")
+        if self.tie_break is not None and self.tie_break not in OBJECTIVE_KINDS:
+            raise ValueError(f"unknown tie-break kind {self.tie_break!r}")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        _validated_p_fail(self.p_fail)
+        object.__setattr__(self, "adaptive", bool(self.adaptive))
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "eta": self.eta, "p_fail": self.p_fail,
-                "adaptive": self.adaptive, "tie_break": self.tie_break}
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Objective)
-                and self.as_dict() == other.as_dict())
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.eta, self.p_fail, self.adaptive,
-                     self.tie_break))
-
-    def __repr__(self) -> str:
-        return (f"Objective({self.kind!r}, eta={self.eta}, "
-                f"p_fail={self.p_fail}, adaptive={self.adaptive})")
+        return asdict(self)
 
 
 def _score_kind(kind: str, code: GraphCode,
@@ -203,9 +190,13 @@ def enumerate_candidates(n_total: int):
     representative per rooted class on ``n_total`` progenitor vertices,
     input fixed at vertex 0.  ``read_candidates`` supplies codes at sizes
     this cannot reach.  ``n_total`` is checked when called, and the
-    classes are enumerated as the stream is read."""
+    classes are enumerated as the stream is read.  Each candidate has
+    ``n_total - 1`` code qubits, so a size whose codes no objective may
+    score (past ``EXHAUSTIVE_LIMIT``) raises ``ResourceLimitError`` before
+    any class is enumerated."""
     if n_total is None or n_total < 2:
         raise ValueError(f"candidate size must be >= 2, got {n_total}")
+    check_exhaustive(n_total - 1)
 
     def stream():
         for g in _representatives(n_total, 1):
@@ -217,44 +208,27 @@ def enumerate_candidates(n_total: int):
 # -- optimization ------------------------------------------------------------------
 
 
-class ScoredCandidate:
+class ScoredCandidate(NamedTuple):
     """One evaluated candidate, ready for ranking and serialization."""
 
-    __slots__ = ("graph6", "input_vertex", "score", "tie_break", "polynomial")
-
-    def __init__(self, graph6: str, input_vertex: int, score: float,
-                 tie_break: float, polynomial: str | None):
-        object.__setattr__(self, "graph6", graph6)
-        object.__setattr__(self, "input_vertex", input_vertex)
-        object.__setattr__(self, "score", score)
-        object.__setattr__(self, "tie_break", tie_break)
-        object.__setattr__(self, "polynomial", polynomial)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScoredCandidate is immutable")
+    graph6: str
+    input_vertex: int
+    score: float
+    tie_break: float
+    polynomial: str | None
 
     def record(self, objective: Objective) -> dict:
         return {"graph6": self.graph6, "input": self.input_vertex,
                 "objective": objective.as_dict(), "score": self.score,
                 "tie_break": self.tie_break, "polynomial": self.polynomial}
 
-    def __repr__(self) -> str:
-        return (f"ScoredCandidate({self.graph6!r}, input={self.input_vertex}, "
-                f"score={self.score:.6g})")
 
-
-class SearchResult:
+class SearchResult(NamedTuple):
     """Ranked scores plus the per-candidate failures that were skipped."""
 
-    __slots__ = ("objective", "ranked", "failures")
-
-    def __init__(self, objective: Objective, ranked, failures):
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "ranked", tuple(ranked))
-        object.__setattr__(self, "failures", tuple(failures))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SearchResult is immutable")
+    objective: Objective
+    ranked: tuple
+    failures: tuple
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(c.record(self.objective), sort_keys=True)
@@ -264,10 +238,6 @@ class SearchResult:
                              sort_keys=True)
                   for g6, iv, msg in self.failures]
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def __repr__(self) -> str:
-        return (f"SearchResult({self.objective.kind!r}, "
-                f"ranked={len(self.ranked)}, failures={len(self.failures)})")
 
 
 def _rank_key(c: ScoredCandidate):
@@ -385,4 +355,4 @@ def optimize(objective: Objective, candidates, *, workers: int = 1,
 
     scored.sort(key=_rank_key)
     failures.sort()
-    return SearchResult(objective, scored, failures)
+    return SearchResult(objective, tuple(scored), tuple(failures))

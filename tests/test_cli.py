@@ -27,10 +27,13 @@ from graphcode_lt.cli import (
     CliError,
 )
 from graphcode_lt.codes import pentagon_code, star_code
+from graphcode_lt.errordecode import CheckSet
+from graphcode_lt.fusion import FusionModel, LogicalFusionResult
 from graphcode_lt.graphs import Graph
-from graphcode_lt.losstree import DecisionTree
-from graphcode_lt.modular import LayerStack, unit_F
+from graphcode_lt.losstree import DecisionTree, MCResult
+from graphcode_lt.modular import LayerStack, StackResult, unit_F
 from graphcode_lt.opsets import ResourceLimitError
+from graphcode_lt.search import Objective, ScoredCandidate, SearchResult
 
 
 # -- argument handling --------------------------------------------------------------
@@ -203,6 +206,15 @@ def test_oversized_graph_refused_before_it_is_built():
     assert resolve_code("tree:2,2,2", 0).n == 14
 
 
+def test_oversized_search_exits_before_enumerating(capsys):
+    # 16 progenitor vertices make 15-qubit candidates: refused at once, not
+    # after enumerating every 16-vertex class
+    start = time.perf_counter()
+    assert main(["search", "arbitrary", "--graph", "n:16"]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert "limit is n <= 14" in capsys.readouterr().err
+
+
 # -- tree ---------------------------------------------------------------------------
 
 
@@ -365,6 +377,12 @@ def test_search_checkpoint_under_cache_env(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(argv) == EXIT_OK
     assert ckpts[0].read_text() == first
+    # the ranking does not depend on the worker count, so neither does the
+    # checkpoint: another --threads finds it and scores nothing again
+    capsys.readouterr()
+    assert main(argv + ["--threads", "2"]) == EXIT_OK
+    assert list(cache.glob("search_*.ckpt")) == ckpts
+    assert ckpts[0].read_text() == first
 
 
 # -- mc-check -----------------------------------------------------------------------
@@ -393,6 +411,30 @@ def test_version_flag_exits_cleanly():
 
 
 # -- public surface -----------------------------------------------------------------
+
+
+def _records():
+    stack = LayerStack([pentagon_code()], "concatenated", 0.9)
+    objective = Objective("arbitrary")
+    return [
+        (MCResult(0.5, 0.01, 100), "estimate"),
+        (CheckSet((), ()), "checks"),
+        (stack, "eta"),
+        (StackResult(stack, 0.1, 4), "logical_loss"),
+        (FusionModel(0.5, 0.9), "s"),
+        (LogicalFusionResult(0.5, 0.3, 0.2), "p_success"),
+        (objective, "eta"),
+        (ScoredCandidate("A_", 0, 0.5, 0.0, None), "score"),
+        (SearchResult(objective, (), ()), "ranked"),
+    ]
+
+
+@pytest.mark.parametrize("record, field", _records(),
+                         ids=lambda v: v if isinstance(v, str)
+                         else type(v).__name__)
+def test_records_refuse_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
 
 
 def _load_layertrace():

@@ -75,6 +75,18 @@ def test_fusion_model_validation():
         FusionModel(0.5, 1.1)
 
 
+def test_equal_fusion_models_are_one_memo_key():
+    # equality and hash read (p_fail, eta) alone, so a second equal model
+    # finds the compiled failure bases of the first
+    code = pentagon_code()
+    first = compile_failure_bases(code, FusionModel(0.5, 0.9))
+    hits = compile_failure_bases.cache_info().hits
+    assert FusionModel(0.5, 0.9) == FusionModel(0.5, 0.9)
+    assert hash(FusionModel(0.5, 0.9)) == hash(FusionModel(0.5, 0.9))
+    assert compile_failure_bases(code, FusionModel(0.5, 0.9)) is first
+    assert compile_failure_bases.cache_info().hits == hits + 1
+
+
 def test_boosted_levels_match_model():
     for m in (1, 2, 3):
         fm = FusionModel(2.0 ** -m, 0.97)

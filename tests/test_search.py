@@ -112,9 +112,14 @@ def test_enumerate_validation():
 
 
 def test_enumerate_checks_size_when_called():
-    # the bound is checked at the call, before the stream is read
+    # the bounds are checked at the call, before the stream is read: n
+    # progenitor vertices make (n - 1)-qubit codes, which no objective
+    # scores past EXHAUSTIVE_LIMIT, so 15 vertices is the limit itself
     with pytest.raises(ValueError, match=">= 2"):
         enumerate_candidates(1)
+    with pytest.raises(ResourceLimitError, match="limit is n <= 14"):
+        enumerate_candidates(16)
+    enumerate_candidates(15)
 
 
 def test_dedupe_recheck():
