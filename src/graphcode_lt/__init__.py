@@ -1,6 +1,7 @@
 """Loss-tolerant graph codes: decoding, fusion, and architecture analysis."""
 
-# bound before the submodules import, since the tree disk cache keys on it
+# bound before the submodules import: search checkpoints key on it,
+# and CLI artifacts are stamped with it
 __version__ = "0.1.0"
 
 from .pauli import (

@@ -14,11 +14,10 @@ before the code is built, and so does a search over n:<k> whose
 candidates would have more than 14 code qubits (k > 15), before any
 class is enumerated.
 
-GRAPHCODE_LT_CACHE names a directory for work worth keeping across runs:
-compiled decision trees, keyed on the package version and the tree
-format as well as the code and basis, and the checkpoints of search
-runs, from which an interrupted search resumes.  Unset, nothing is
-written.
+GRAPHCODE_LT_CACHE names a directory for the checkpoints of search runs,
+from which an interrupted search resumes.  Unset, nothing is written.
+Decision trees are rebuilt in each run; tree_*.json files that older
+versions wrote there are never read and can be deleted.
 
 search --threads is an upper bound on its worker processes: the pool is
 capped at the number of pending candidates and of CPUs, and a cap of one
@@ -51,7 +50,6 @@ from .codes import (
 from .graphs import Graph
 from .polynomials import break_even
 from .losstree import (
-    CACHE_ENV,
     load_or_build,
     monte_carlo_decode,
     success_polynomial,
@@ -61,7 +59,13 @@ from .errordecode import logical_flip_rates
 from .modular import LayerStack, logical_transmission
 from .fusion import FusionModel, adaptive_fusion, transversal_fusion
 from .apps import fbqc_loss_threshold, rgs_link_probability
-from .search import Objective, enumerate_candidates, optimize, read_candidates
+from .search import (
+    OBJECTIVE_KINDS,
+    Objective,
+    enumerate_candidates,
+    optimize,
+    read_candidates,
+)
 from .opsets import ResourceLimitError, check_exhaustive
 
 EXIT_OK = 0
@@ -71,6 +75,7 @@ EXIT_VALIDATION = 3
 EXIT_RESOURCE = 4
 
 TOOL = "graphcode-lt"
+CACHE_ENV = "GRAPHCODE_LT_CACHE"
 
 
 class CliError(Exception):
@@ -88,6 +93,10 @@ _LIBRARY = {
     "branched-chain": branched_chain_code,
     "shor22": shor_22_code,
 }
+
+# --basis of tree and mc-check -> the tree kind of ``load_or_build``
+_TREE_KINDS = {"X": "X", "Y": "Y", "Z": "Z", "A": "arbitrary",
+               "arbitrary": "arbitrary"}
 
 
 def resolve_code(graph: str, input_vertex: int) -> GraphCode:
@@ -243,8 +252,7 @@ def cmd_analyze(args, config) -> int:
 
 def cmd_tree(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
-    kind = "arbitrary" if args.basis in ("A", "arbitrary") else args.basis
-    tree = load_or_build(code, kind)
+    tree = load_or_build(code, _TREE_KINDS[args.basis])
     payload = dict(_stamp(config), result=json.loads(tree.to_json()))
     _write(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n",
            config)
@@ -376,11 +384,10 @@ def cmd_search(args, config) -> int:
 
 def cmd_mc_check(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
-    kind = "arbitrary" if args.basis in ("A", "arbitrary") else args.basis
     eta = check_unit(args.eta if args.eta is not None else 0.9, "--eta")
     if args.trials < 1:
         raise CliError(EXIT_VALIDATION, f"--trials must be >= 1, got {args.trials}")
-    tree = load_or_build(code, kind)
+    tree = load_or_build(code, _TREE_KINDS[args.basis])
     conserved = total_polynomial(tree).eta_coefficients() == {0: 1}
     exact = success_polynomial(tree).evaluate(eta)
     mc = monte_carlo_decode(tree, eta, args.trials, seed=args.seed)
@@ -432,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="compiled decision tree as JSON")
     _add_graph(p)
     p.add_argument("--out", default=None)
-    p.add_argument("--basis", choices=("X", "Y", "Z", "A", "arbitrary"),
-                   default="arbitrary")
+    p.add_argument("--basis", choices=_TREE_KINDS, default="arbitrary")
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("sweep", help="loss or error grids as CSV")
@@ -476,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fbqc)
 
     p = sub.add_parser("search", help="rank candidate codes by an objective")
-    p.add_argument("kind", choices=("pauli_all_bases", "arbitrary",
-                                    "fusion_success", "fbqc_threshold"))
+    p.add_argument("kind", choices=OBJECTIVE_KINDS)
     p.add_argument("--graph", required=True,
                    help="n:<vertices> to generate, or a candidate file")
     p.add_argument("--eta", type=float, default=None)
@@ -490,8 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc-check", help="Monte Carlo versus exact polynomial")
     _add_graph(p)
-    p.add_argument("--basis", choices=("X", "Y", "Z", "A", "arbitrary"),
-                   default="arbitrary")
+    p.add_argument("--basis", choices=_TREE_KINDS, default="arbitrary")
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--trials", type=int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=0)

@@ -36,10 +36,10 @@ from .codes import GraphCode, per_code
 from .losstree import (
     DecisionTree,
     Leaf,
-    build_arbitrary_tree,
     build_pauli_tree,
     decode,
     grow,
+    load_or_build,
     paths,
 )
 from .opsets import ResourceLimitError, stabilizer_pool
@@ -307,9 +307,7 @@ class ErrorAnalysis:
 
 @per_code
 def _error_analysis(code: GraphCode, kind: str) -> ErrorAnalysis:
-    tree = (build_arbitrary_tree(code) if kind == "arbitrary"
-            else build_pauli_tree(code, kind))
-    return ErrorAnalysis(code, tree)
+    return ErrorAnalysis(code, load_or_build(code, kind))
 
 
 def fault_probability(code: GraphCode, kind: str, eta: float,

@@ -54,7 +54,7 @@ __all__ = [
 TRANSVERSAL_LIMIT = 12
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FusionModel:
     """Outcome probabilities of one physical fusion gate.
 

@@ -26,15 +26,11 @@ attempt totals of each fusion side decoder's leaf.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 from collections import namedtuple
 
 import numpy as np
 
-from . import __version__
 from .codes import GraphCode, per_code
 from .opsets import enumerate_nontrivial
 from .pauli import MeasurementPattern, PauliOperator
@@ -45,11 +41,6 @@ __all__ = [
     "paths", "build_pauli_tree", "build_arbitrary_tree", "success_polynomial",
     "total_polynomial", "monte_carlo_decode", "decode", "load_or_build",
 ]
-
-CACHE_ENV = "GRAPHCODE_LT_CACHE"
-# Version of the trees the decoders build; bump it with any change to
-# what they build, so the disk cache never serves a tree from older code.
-TREE_FORMAT = 1
 
 
 class Leaf:
@@ -394,6 +385,21 @@ def build_arbitrary_tree(code: GraphCode) -> DecisionTree:
     return _tree(code, "arbitrary", _strategies(code))
 
 
+@per_code
+def load_or_build(code: GraphCode, kind: str) -> DecisionTree:
+    """The loss tree of ``kind``: "arbitrary" or one of "X", "Y", "Z"
+    (Pauli mode).
+
+    A tree is a pure function of its code, so it is built once per
+    process and kept in the code's memo entry (``codes.per_code``); a
+    repeat call returns the same object without calling a builder.
+    Nothing is written to disk.
+    """
+    if kind == "arbitrary":
+        return build_arbitrary_tree(code)
+    return build_pauli_tree(code, kind)
+
+
 # -- evaluation ------------------------------------------------------------------
 
 
@@ -463,41 +469,3 @@ def monte_carlo_decode(tree: DecisionTree, eta: float, trials: int,
     est = successes / trials
     stderr = float(np.sqrt(max(est * (1.0 - est), 1e-12) / trials))
     return MCResult(est, stderr, trials)
-
-
-# -- disk cache ---------------------------------------------------------------------
-
-
-def load_or_build(code: GraphCode, kind: str) -> DecisionTree:
-    """Build a tree, or reuse a cached copy when GRAPHCODE_LT_CACHE is set.
-
-    ``kind`` is "arbitrary" or one of "X", "Y", "Z" (Pauli mode).  Entries
-    are keyed on the package version and ``TREE_FORMAT`` as well as the
-    code and kind, so an entry written by other code is never read.
-    """
-    cache_dir = os.environ.get(CACHE_ENV)
-    key = None
-    if cache_dir:
-        digest = hashlib.sha256("|".join(
-            (__version__, str(TREE_FORMAT), code.to_json(), kind)
-        ).encode()).hexdigest()[:24]
-        key = os.path.join(cache_dir, f"tree_{digest}.json")
-        if os.path.exists(key):
-            with open(key) as fh:
-                return DecisionTree.from_json(fh.read())
-    tree = (build_arbitrary_tree(code) if kind == "arbitrary"
-            else build_pauli_tree(code, kind))
-    if key:
-        # Write a temp file beside the entry and rename it into place, so
-        # a concurrent reader sees either no entry or the whole tree.
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".tree_",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(tree.to_json())
-            os.replace(tmp, key)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return tree

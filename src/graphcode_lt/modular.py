@@ -45,7 +45,7 @@ __all__ = [
 MODES = ("cascaded", "concatenated")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class LayerStack:
     """An ordered choice of unit codes, outermost first, plus the noise.
 

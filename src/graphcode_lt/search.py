@@ -59,7 +59,7 @@ OBJECTIVE_KINDS = ("pauli_all_bases", "arbitrary", "fusion_success",
                    "fbqc_threshold")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Objective:
     """A pure scoring function over candidate codes.
 

@@ -229,18 +229,31 @@ def test_tree_json_round_trips(tmp_path):
     assert tree.kind == "pauli-X"
 
 
-def test_tree_cache_env_reused(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("GRAPHCODE_LT_CACHE", str(cache))
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    main(["tree", "--graph", "pentagon", "--basis", "Z", "--out", str(out1)])
-    cached = list(cache.glob("tree_*.json"))
-    assert len(cached) == 1
-    main(["tree", "--graph", "pentagon", "--basis", "Z", "--out", str(out2)])
-    assert list(cache.glob("tree_*.json")) == cached
-    assert json.loads(out1.read_text())["result"] == \
-        json.loads(out2.read_text())["result"]
+def test_cache_env_receives_no_trees(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GRAPHCODE_LT_CACHE", str(tmp_path))
+    for argv in (["analyze", "--graph", "cube"],
+                 ["tree", "--graph", "cube", "--basis", "A"],
+                 ["sweep", "--graph", "cube", "--eta-grid", "0.5,0.9"],
+                 ["concat", "--graph", "cube", "--depth", "2", "--eta", "0.9"],
+                 ["mc-check", "--graph", "cube", "--trials", "1000"]):
+        assert main(argv) == EXIT_OK, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tree_basis_alias_keeps_its_config(tmp_path):
+    # A and arbitrary name one tree; the config, and so its hash, records
+    # the flag as given
+    outs = {}
+    for basis in ("A", "arbitrary"):
+        out = tmp_path / f"{basis}.json"
+        assert main(["tree", "--graph", "pentagon", "--basis", basis,
+                     "--out", str(out)]) == EXIT_OK
+        outs[basis] = json.loads(out.read_text())
+    assert outs["A"]["result"] == outs["arbitrary"]["result"]
+    assert outs["A"]["result"]["kind"] == "arbitrary"
+    assert outs["A"]["config"]["basis"] == "A"
+    assert [outs[b]["config_hash"] for b in ("A", "arbitrary")] == [
+        "ee57118cd380", "e36e18eea6be"]
 
 
 # -- sweeps and tables --------------------------------------------------------------
@@ -433,8 +446,10 @@ def _records():
                          ids=lambda v: v if isinstance(v, str)
                          else type(v).__name__)
 def test_records_refuse_assignment(record, field):
-    with pytest.raises(AttributeError):
-        setattr(record, field, getattr(record, field))
+    # a field, and a name that is none: both raise AttributeError
+    for name in (field, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, field))
 
 
 def _load_layertrace():

@@ -615,7 +615,7 @@ def test_monte_carlo_counts_match_cylinder_sets():
             assert got.estimate == want / trials
 
 
-# -- serialization and cache -----------------------------------------------------------------
+# -- serialization and memo --------------------------------------------------------------------
 
 
 def test_tree_json_round_trip():
@@ -628,7 +628,7 @@ def test_tree_json_round_trip():
                 == success_polynomial(tree).eta_coefficients())
         assert back.stats() == tree.stats()
         assert back.to_json() == tree.to_json()
-    # an entry read back from the disk cache names one of the four bases
+    # a tree read back from JSON names one of the four bases
     data = json.loads(build_arbitrary_tree(code).to_json())
     for basis in ("fusion", "F", "I"):
         data["root"]["basis"] = basis
@@ -636,35 +636,14 @@ def test_tree_json_round_trip():
             DecisionTree.from_json(json.dumps(data))
 
 
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
+def test_load_or_build_keeps_the_builder_tree_in_memory(tmp_path, monkeypatch):
+    # the cache directory holds search checkpoints only: a tree is the
+    # builder's, memoised per code, and a repeat call returns that object
     monkeypatch.setenv("GRAPHCODE_LT_CACHE", str(tmp_path))
     code = pentagon_code()
-    first = load_or_build(code, "arbitrary")
-    cached = list(tmp_path.glob("tree_*.json"))
-    assert len(cached) == 1
-    # the entry is written beside the cache and renamed into place whole
-    assert DecisionTree.from_json(cached[0].read_text()).stats() == first.stats()
-    assert list(tmp_path.iterdir()) == cached
-    second = load_or_build(code, "arbitrary")
-    assert (success_polynomial(second).eta_coefficients()
-            == success_polynomial(first).eta_coefficients())
-
-
-def test_disk_cache_ignores_entries_of_other_versions(tmp_path, monkeypatch):
-    monkeypatch.setenv("GRAPHCODE_LT_CACHE", str(tmp_path))
-    code = pentagon_code()
-    want = success_polynomial(build_arbitrary_tree(code)).to_string()
-    # what a stale entry holds here: another code's tree
-    stale = build_pauli_tree(star_code(2), "Z").to_json()
-    for name, value in (("__version__", "0.0.0"), ("TREE_FORMAT", 0)):
-        with monkeypatch.context() as m:
-            m.setattr(losstree, name, value)
-            load_or_build(code, "arbitrary")
-        entries = set(tmp_path.glob("tree_*.json"))
-        for path in entries:
-            path.write_text(stale)
-        got = load_or_build(code, "arbitrary")
-        assert got.code == code
-        assert success_polynomial(got).to_string() == want
-        (fresh,) = set(tmp_path.glob("tree_*.json")) - entries
-        fresh.unlink()
+    for kind in ("X", "Y", "Z", "arbitrary"):
+        tree = load_or_build(code, kind)
+        assert tree is (build_arbitrary_tree(code) if kind == "arbitrary"
+                        else build_pauli_tree(code, kind))
+        assert load_or_build(code, kind) is tree
+    assert list(tmp_path.iterdir()) == []
