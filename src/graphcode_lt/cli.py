@@ -12,7 +12,8 @@ values or missing parameters), 4 resource limits (sizes the exact
 engines refuse).  A star or tree --graph past 14 code qubits exits 4
 before the code is built, and so does a search over n:<k> whose
 candidates would have more than 14 code qubits (k > 15), before any
-class is enumerated.
+class is enumerated.  A start:stop:step grid (--eta-grid, --lambda-grid,
+--pfail) of more than 10^6 points exits 4 before any point is made.
 
 GRAPHCODE_LT_CACHE names a directory for the checkpoints of search runs,
 from which an interrupted search resumes.  Unset, nothing is written.
@@ -76,6 +77,11 @@ EXIT_RESOURCE = 4
 
 TOOL = "graphcode-lt"
 CACHE_ENV = "GRAPHCODE_LT_CACHE"
+
+# The most points a start:stop:step grid may have.  Points are made at
+# about 1 us each, so a tiny step would otherwise hang, then run out of
+# memory.
+GRID_LIMIT = 10 ** 6
 
 
 class CliError(Exception):
@@ -153,8 +159,13 @@ def parse_grid(text: str, name: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise CliError(EXIT_VALIDATION, f"{name} has non-numeric entries")
-        if step <= 0 or stop < start:
+        if not (step > 0 and stop >= start):
             raise CliError(EXIT_VALIDATION, f"{name} range is not increasing")
+        # the loop below makes floor((stop + 1e-12 - start) / step) + 1
+        # points; the negated test also refuses an infinite or NaN count
+        if not (stop + 1e-12 - start) / step < GRID_LIMIT:
+            raise ResourceLimitError(
+                f"{name} range {text!r} has more than {GRID_LIMIT} points")
         out = []
         k = 0
         while True:
@@ -259,14 +270,22 @@ def cmd_tree(args, config) -> int:
     return EXIT_OK
 
 
+def _eta_list(args) -> list[float]:
+    if args.eta_grid is not None:
+        return [check_unit(v, "--eta-grid entry")
+                for v in parse_grid(args.eta_grid, "--eta-grid")]
+    if args.eta is not None:
+        return [check_unit(args.eta, "--eta")]
+    raise CliError(EXIT_VALIDATION, "need --eta or --eta-grid")
+
+
 def cmd_sweep(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
     if args.eta_grid is None and args.lambda_grid is None:
         raise CliError(EXIT_VALIDATION,
                        "sweep needs --eta-grid (loss) or --lambda-grid (error)")
     if args.eta_grid is not None:
-        etas = [check_unit(v, "--eta-grid entry")
-                for v in parse_grid(args.eta_grid, "--eta-grid")]
+        etas = _eta_list(args)
         polys = {k: success_polynomial(load_or_build(code, k))
                  for k in ("X", "Y", "Z", "arbitrary")}
         rows = [[eta] + [1.0 - polys[k].evaluate(eta)
@@ -284,15 +303,6 @@ def cmd_sweep(args, config) -> int:
     emit_rows(["lambda", "flip_x", "flip_y", "flip_z"], rows, config,
               args.out, args.format or "csv")
     return EXIT_OK
-
-
-def _eta_list(args) -> list[float]:
-    if args.eta_grid is not None:
-        return [check_unit(v, "--eta-grid entry")
-                for v in parse_grid(args.eta_grid, "--eta-grid")]
-    if args.eta is not None:
-        return [check_unit(args.eta, "--eta")]
-    raise CliError(EXIT_VALIDATION, "need --eta or --eta-grid")
 
 
 def cmd_fusion(args, config) -> int:

@@ -106,12 +106,6 @@ class GraphCode:
             "b0": self.b0,
         })
 
-    @classmethod
-    def from_json(cls, text: str) -> "GraphCode":
-        data = json.loads(text)
-        graph = Graph.from_edges(data["n_vertices"], data["edges"])
-        return cls(graph, data["input"], data.get("b0"))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GraphCode)

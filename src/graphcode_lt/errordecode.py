@@ -49,6 +49,7 @@ from .pauli import (
     PauliSpan,
     fits,
     iter_bits,
+    spread,
 )
 from .polynomials import bisect
 
@@ -128,9 +129,10 @@ def _greedy_checks(code: GraphCode, pattern: MeasurementPattern,
     target_support = 0
     for t in targets:
         target_support |= t.support
-    # Pauli masks use the low 3n bits; the top n of ``pattern.allowed`` are A
+    # checks have Pauli letters only, so the A letters of ``pattern.allowed``
+    # play no part
     n = pattern.n
-    pauli = (1 << 3 * n) - 1
+    pauli = spread((1 << n) - 1, n, "XYZ")
     deny = ~pattern.allowed(True) & pauli
     keep = np.flatnonzero((masks & np.uint64(deny)) == 0)
     kept = supports[keep]
@@ -147,7 +149,7 @@ def _greedy_checks(code: GraphCode, pattern: MeasurementPattern,
         chosen.append(cand)
         # on the candidate's support, keep only its own letters
         cover = cand.support
-        allowed &= cand.masks | ~(cover | cover << n | cover << 2 * n)
+        allowed &= cand.masks | ~spread(cover, n, "XYZ")
     return tuple(chosen)
 
 

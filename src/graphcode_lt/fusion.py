@@ -43,7 +43,7 @@ import numpy as np
 from .codes import GraphCode, per_code
 from .losstree import Leaf, TargetSet, _rank, _strategies, _xz, grow, paths
 from .opsets import ResourceLimitError, stabilizer_group
-from .pauli import MeasurementPattern, iter_bits
+from .pauli import MeasurementPattern, iter_bits, spread
 
 __all__ = [
     "FusionModel", "LogicalFusionResult",
@@ -279,8 +279,8 @@ def transversal_fusion(code: GraphCode, fm: FusionModel, *,
 # -- adaptive engine ---------------------------------------------------------------
 
 
-# the letters (0: X, 1: Y, 2: Z) a fused interface admits, by gate outcome
-_INTERFACE_LETTERS = {"s": (0, 1, 2), "fx": (0,), "fz": (2,)}
+# the letters a fused interface admits, by gate outcome
+_INTERFACE_LETTERS = {"s": "XYZ", "fx": "X", "fz": "Z"}
 
 
 def _interface_letters(interfaces: tuple, n: int) -> int:
@@ -292,8 +292,7 @@ def _interface_letters(interfaces: tuple, n: int) -> int:
     """
     letters = 0
     for q, kind in interfaces:
-        for letter in _INTERFACE_LETTERS[kind]:
-            letters |= 1 << q + letter * n
+        letters |= spread(1 << q, n, _INTERFACE_LETTERS[kind])
     return letters
 
 
@@ -327,8 +326,8 @@ class AdaptiveFusionAnalysis:
     below the root, so no member dropped on the way could fit there.  The
     side decoder's tree is read back with ``losstree.paths``, whose key
     gives each leaf's detected and lost attempt counts.  A
-    leaf's interface letter vectors are packed ints, each member's
-    x | z << n bits on the interface qubits; one vector is one int, so the
+    leaf's interface letter vectors are packed ints, each member's packed
+    letter mask on the interface qubits; one vector is one int, so the
     sets intersect exactly as the letter vectors do.
 
     The walk and the fold count paths as integers per outcome class and
@@ -358,7 +357,7 @@ class AdaptiveFusionAnalysis:
         strategies = _strategies(code)
         cosets, is_x = _cosets(code)
         every = np.arange(len(cosets))
-        xs, zs, is_x = cosets.x.tolist(), cosets.z.tolist(), is_x.tolist()
+        needs, is_x = cosets.needs, is_x.tolist()
         # the strategy operators ranked as if each output qubit were removed
         ranks = [_rank(strategies.x, strategies.z, n, ~(1 << q)) for q in range(n)]
         # integer path counts per class; each term's weight is applied once,
@@ -409,15 +408,14 @@ class AdaptiveFusionAnalysis:
                                 members)
                 return move + ((alive, salvage), (alive, salvage))
 
-            # each member keeps its letters on the interface qubits packed
-            # as one int, x | z << n
-            face = sum(1 << q for q, _ in interfaces)
+            # each member keeps its packed letters on the interface qubits
+            face = spread(sum(1 << q for q, _ in interfaces), n, "XYZ")
             groups: dict = {}
             start = cosets.narrow(every, pattern.allowed(True) | letters)
             for leaf, (a, b) in paths(grow(pattern, (pairs, start), step)):
                 lx, lz = set(), set()
                 for t in leaf.targets.tolist():
-                    (lx if is_x[t] else lz).add(xs[t] & face | (zs[t] & face) << n)
+                    (lx if is_x[t] else lz).add(needs[t] & face)
                 de = (sum(a), sum(b))
                 poly = groups.setdefault((frozenset(lx), frozenset(lz)), {})
                 poly[de] = poly.get(de, 0) + 1
@@ -446,8 +444,9 @@ class AdaptiveFusionAnalysis:
             narrowing every strategy."""
             # a candidate output must still be unmeasured, so only
             # unmeasured qubits admit the A letter here
+            settled = ((1 << n) - 1) ^ pattern.unmeasured
             allowed = ((pattern.allowed(True) | _interface_letters(interfaces, n))
-                       & ~(pattern.mother << 3 * n))
+                       & ~spread(settled, n, "A"))
             candidates = strategies.narrow(candidates, allowed)
             if not candidates.size:
                 fold(side(pattern, interfaces, None, candidates), (a, b, c))

@@ -13,12 +13,12 @@ by a per-decoder ``step``: both trees here, the per-side decoder of
 adaptive fusion and the error decoder's check extension, whose state is
 the checks it chose (re-chosen only after a loss).  Both kinds of loss
 target are held per code as one ``TargetSet`` of numpy arrays: operator
-indices, output qubits and each target's joint packed letter mask, which
-``pauli.fits`` would match against a pattern.  A decoder's state is an
-index array into it, and ``narrow``, ``busiest_output`` and ``attempt``
-are numpy passes over that array; a ``Target`` of ``PauliOperator``s is
-built only for a leaf.  One walk, ``paths``, reads every built tree
-back: it yields each terminal node with the detected and lost attempt
+indices, output qubits and each target's joint packed letter mask (laid
+out by ``pauli.packed`` and ``pauli.spread``), which ``pauli.fits`` would
+match against a pattern.  A decoder's state is an index array into it,
+and ``narrow``, ``busiest_output`` and ``attempt`` are numpy passes over
+that array; a ``Target`` of ``PauliOperator``s is built only for a
+leaf.  One walk, ``paths``, reads every built tree back: it yields each terminal node with the detected and lost attempt
 counts on its path, which are the exponents of its monomial in the
 success polynomial and in the error decoder's per-leaf sums, and the
 attempt totals of each fusion side decoder's leaf.
@@ -33,8 +33,8 @@ import numpy as np
 
 from .codes import GraphCode, per_code
 from .opsets import enumerate_nontrivial
-from .pauli import MeasurementPattern, PauliOperator
-from .polynomials import BASES, LossPolynomial
+from .pauli import BASES, MeasurementPattern, packed, spread
+from .polynomials import LossPolynomial
 
 __all__ = [
     "DecisionTree", "Leaf", "MeasureNode", "Target", "TargetSet", "grow",
@@ -121,23 +121,6 @@ class DecisionTree:
         return json.dumps({"kind": self.kind, "code": json.loads(self.code.to_json()),
                            "root": enc(self.root)})
 
-    @classmethod
-    def from_json(cls, text: str) -> "DecisionTree":
-        data = json.loads(text)
-        code = GraphCode.from_json(json.dumps(data["code"]))
-
-        def dec(obj):
-            if "leaf" in obj:
-                return Leaf(obj["leaf"], MeasurementPattern.from_chars(obj["pattern"]),
-                            tuple(PauliOperator.from_string(t) for t in obj["targets"]),
-                            obj["output"])
-            if obj["basis"] not in BASES:
-                raise ValueError(f"unknown basis: {obj['basis']!r}")
-            return MeasureNode(obj["qubit"], obj["basis"],
-                               dec(obj["detected"]), dec(obj["lost"]))
-
-        return cls(code, data["kind"], dec(data["root"]))
-
 
 # -- the shared recursion -------------------------------------------------------
 
@@ -170,7 +153,7 @@ class TargetSet:
     ``ops`` as ``PauliOperator``s where leaves need them.  Target t reads
     operators ``pair[t] = (first, second)`` (the same index twice for a
     single operator) onto ``output[t]`` (-1: none).  ``need[t]`` is its joint
-    packed letter mask (``PauliOperator.masks``) as a uint64: 4n bits, so
+    packed letter mask (``pauli.packed``) as a uint64: 4n bits, so
     n <= 16.  The output qubit counts as an A letter only, since it must
     be measured in the rotated basis.
 
@@ -189,14 +172,12 @@ class TargetSet:
         single = np.arange(len(x))
         first, second, self.output = pairs or (single, single, np.full(len(x), -1))
         self.pair = np.stack((first, second), axis=1)
-        ux, uz = x.astype(np.uint64), z.astype(np.uint64)
-        y, zl, a = (np.uint64(k * n) for k in (1, 2, 3))
-        masks = ux & ~uz | (ux & uz) << y | (uz & ~ux) << zl
+        masks = packed(x.astype(np.uint64), z.astype(np.uint64), n)
         need = masks[first] | masks[second]
-        # the output qubit's A bit, or 0 for a target with no output
+        # the output qubit's bit, or 0 for a target with no output
         bit = ((self.output >= 0).astype(np.uint64)
                << self.output.clip(0).astype(np.uint64))
-        need = need & ~(bit | bit << y | bit << zl) | bit << a
+        need = need & ~spread(bit, n, "XYZ") | spread(bit, n, "A")
         self.need, self.needs = need, need.tolist()
 
     def __len__(self) -> int:
@@ -280,16 +261,12 @@ def grow(pattern: MeasurementPattern, state, step):
                        grow(pattern.lose(q), lost_state, step))
 
 
-# the exponent slot of each attempted basis
-_SLOT = {kind: i for i, kind in enumerate(BASES)}
-
-
 def paths(node, key=((0, 0, 0, 0), (0, 0, 0, 0))):
     """Each terminal node of a measure/lose tree with its attempt key.
 
     The key is ``((aX, aY, aZ, aA), (bX, bY, bZ, bA))``: ``key`` plus the
-    detected (a) and lost (b) attempts per basis on the path from
-    ``node``, so the node is reached with probability
+    detected (a) and lost (b) attempts per basis of ``pauli.BASES`` on
+    the path from ``node``, so the node is reached with probability
     prod_M eta_M^a_M (1-eta_M)^b_M.  Detected branches come first.
     """
     stack = [(node, key)]
@@ -298,7 +275,7 @@ def paths(node, key=((0, 0, 0, 0), (0, 0, 0, 0))):
         if not isinstance(node, MeasureNode):
             yield node, (a, b)
             continue
-        i = _SLOT[node.basis]
+        i = BASES.index(node.basis)
         stack.append((node.on_loss, (a, b[:i] + (b[i] + 1,) + b[i + 1:])))
         stack.append((node.on_detect, (a[:i] + (a[i] + 1,) + a[i + 1:], b)))
 

@@ -11,7 +11,7 @@ concatenation replaces each code qubit by an encoded block; the
 replaced qubits are virtual and only the deepest layer is physical.
 
 The recursion works on per-basis transmissions, a dict keyed by
-``polynomials.BASES`` (X, Y, Z and A, the arbitrary basis): the argument
+``pauli.BASES`` (X, Y, Z and A, the arbitrary basis): the argument
 ``LossPolynomial.evaluate_heterogeneous`` takes.  For a physical qubit
 with a cascade block underneath, a Z demand succeeds directly or through
 the block's indirect Z, while X, Y and arbitrary-basis demands need the
@@ -29,7 +29,8 @@ from typing import NamedTuple
 from .codes import GraphCode, per_code
 from .errordecode import logical_flip_rates
 from .losstree import load_or_build, success_polynomial
-from .polynomials import BASES, LossPolynomial, _rise_point
+from .pauli import BASES
+from .polynomials import LossPolynomial, _rise_point
 
 __all__ = [
     "LayerStack",

@@ -3,9 +3,21 @@
 Operators are stored as ``i^phase * X^x Z^z`` with ``x``/``z`` packed into
 Python ints (one bit per qubit), so commutation and multiplication are a
 handful of bitwise ops regardless of n.  Phases are tracked exactly mod 4.
+
+This module alone knows the packed letter layout.  A measurement basis is
+one letter of ``BASES``; a packed letter mask has one bit per letter and
+qubit, letter k of ``BASES`` on qubit q at bit q + k*n, so whether an
+operator's letters are recoverable from a pattern is one AND (``fits``).
+``packed`` turns x and z masks into such a mask and ``spread`` sets given
+letters on given qubits; both take Python ints or numpy uint64 arrays.
 """
 
 from __future__ import annotations
+
+# the measurement bases, in the order of their letters in a packed mask:
+# the three Pauli bases and A, an arbitrary (rotated) basis
+BASES = ("X", "Y", "Z", "A")
+_INDEX = {basis: k for k, basis in enumerate(BASES)}
 
 # single-qubit letters in (x, z) form
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -99,12 +111,9 @@ class PauliOperator:
 
     @property
     def masks(self) -> int:
-        """Packed letter mask: letter k of (X, Y, Z, A) on qubit q is bit
-        q + k*n.  A Pauli operator has no arbitrary-basis (A) letter, so
-        the top n bits are clear."""
-        n = self.n
-        return (self.x & ~self.z | (self.x & self.z) << n
-                | (self.z & ~self.x) << 2 * n)
+        """Packed letter mask (``packed``); a Pauli operator has no A
+        letter, so the top n bits are clear."""
+        return packed(self.x, self.z, self.n)
 
     def letter_at(self, qubit: int) -> str:
         return _BITS_LETTER[((self.x >> qubit) & 1, (self.z >> qubit) & 1)]
@@ -142,92 +151,72 @@ class PauliOperator:
 class MeasurementPattern:
     """Per-qubit status: unmeasured, measured in some basis, or lost.
 
-    A basis is one letter: ``"X"``, ``"Y"``, ``"Z"`` or ``"A"``, an
-    arbitrary basis A(theta) = X cos(theta) + Y sin(theta) recorded
-    without its angle, which never enters loss analysis.  A fusion is
-    recorded as A.  Losses follow the convention that a Pauli letter
-    commutes qubit-wise with a lost qubit only if it is the identity
-    there.  Qubits measured in basis A likewise admit no Pauli letter.
+    A basis is one letter of ``BASES``: ``"X"``, ``"Y"``, ``"Z"`` or
+    ``"A"``, an arbitrary basis A(theta) = X cos(theta) + Y sin(theta)
+    recorded without its angle, which never enters loss analysis.  A
+    fusion is recorded as A.  Losses follow the convention that a Pauli
+    letter commutes qubit-wise with a lost qubit only if it is the
+    identity there.  Qubits measured in basis A likewise admit no Pauli
+    letter.
+
+    Stored as two masks: ``letters``, the packed letter mask of each
+    measured qubit's basis, and ``unmeasured``, one bit per qubit.  A
+    qubit in neither is lost.
     """
 
-    __slots__ = ("n", "mx", "my", "mz", "mother", "lost")
+    __slots__ = ("n", "letters", "unmeasured")
 
-    def __init__(self, n: int, mx: int = 0, my: int = 0, mz: int = 0,
-                 mother: int = 0, lost: int = 0):
+    def __init__(self, n: int, letters: int = 0, unmeasured: int | None = None):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mx", mx)
-        object.__setattr__(self, "my", my)
-        object.__setattr__(self, "mz", mz)
-        object.__setattr__(self, "mother", mother)
-        object.__setattr__(self, "lost", lost)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "unmeasured",
+                           (1 << n) - 1 if unmeasured is None else unmeasured)
 
     def __setattr__(self, name, value):
         raise AttributeError("MeasurementPattern is immutable")
 
-    @property
-    def unmeasured(self) -> int:
-        mask = (1 << self.n) - 1
-        return mask & ~(self.mx | self.my | self.mz | self.mother | self.lost)
-
     def allowed(self, prospective: bool) -> int:
-        """Packed mask of the letters recoverable per qubit, laid out as
-        ``PauliOperator.masks`` (letter k of (X, Y, Z, A) on qubit q is bit
-        q + k*n): a measured qubit admits the letter of its basis, a lost
-        one admits none, and an unmeasured one admits every letter when
-        ``prospective``."""
-        n = self.n
-        free = self.unmeasured if prospective else 0
-        return (self.mx | free | (self.my | free) << n
-                | (self.mz | free) << 2 * n | (self.mother | free) << 3 * n)
+        """Packed mask of the letters recoverable per qubit: a measured
+        qubit admits the letter of its basis, a lost one admits none, and
+        an unmeasured one admits every letter when ``prospective``."""
+        if prospective:
+            return self.letters | spread(self.unmeasured, self.n, BASES)
+        return self.letters
+
+    def _unmeasured_bit(self, qubit: int) -> int:
+        bit = 1 << qubit
+        if not self.unmeasured & bit:
+            raise ValueError(f"qubit {qubit} is not unmeasured")
+        return bit
 
     def measure(self, qubit: int, basis: str) -> "MeasurementPattern":
-        bit = 1 << qubit
-        if not self.unmeasured & bit:
-            raise ValueError(f"qubit {qubit} is not unmeasured")
-        mx, my, mz, mother = self.mx, self.my, self.mz, self.mother
-        if basis == "X":
-            mx |= bit
-        elif basis == "Y":
-            my |= bit
-        elif basis == "Z":
-            mz |= bit
-        elif basis == "A":
-            mother |= bit
-        else:
+        if basis not in BASES:
             raise ValueError(f"unknown basis: {basis!r}")
-        return MeasurementPattern(self.n, mx, my, mz, mother, self.lost)
+        bit = self._unmeasured_bit(qubit)
+        return MeasurementPattern(self.n, self.letters | spread(bit, self.n, basis),
+                                  self.unmeasured ^ bit)
 
     def lose(self, qubit: int) -> "MeasurementPattern":
-        bit = 1 << qubit
-        if not self.unmeasured & bit:
-            raise ValueError(f"qubit {qubit} is not unmeasured")
-        return MeasurementPattern(self.n, self.mx, self.my, self.mz,
-                                  self.mother, self.lost | bit)
+        return MeasurementPattern(self.n, self.letters,
+                                  self.unmeasured ^ self._unmeasured_bit(qubit))
 
     def status(self, qubit: int) -> str:
         """The basis letter a qubit was measured in, "lost" or "unmeasured"."""
-        bit = 1 << qubit
-        if self.mx & bit:
-            return "X"
-        if self.my & bit:
-            return "Y"
-        if self.mz & bit:
-            return "Z"
-        if self.mother & bit:
-            return "A"
-        if self.lost & bit:
-            return "lost"
-        return "unmeasured"
+        if self.unmeasured >> qubit & 1:
+            return "unmeasured"
+        # the qubit's one letter, at bit qubit + k*n for basis k
+        hit = self.letters & spread(1 << qubit, self.n, BASES)
+        return BASES[(hit.bit_length() - 1) // self.n] if hit else "lost"
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MeasurementPattern)
-            and (self.n, self.mx, self.my, self.mz, self.mother, self.lost)
-            == (other.n, other.mx, other.my, other.mz, other.mother, other.lost)
+            and (self.n, self.letters, self.unmeasured)
+            == (other.n, other.letters, other.unmeasured)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.mx, self.my, self.mz, self.mother, self.lost))
+        return hash((self.n, self.letters, self.unmeasured))
 
     def chars(self) -> str:
         """One status letter per qubit: basis letter, '.' unmeasured, '_' lost."""
@@ -237,24 +226,44 @@ class MeasurementPattern:
     @classmethod
     def from_chars(cls, chars: str) -> "MeasurementPattern":
         """The pattern ``chars`` writes; any other letter raises ValueError."""
-        masks = dict.fromkeys("XYZA_.", 0)
-        for i, ch in enumerate(chars):
-            if ch not in masks:
+        n = len(chars)
+        letters = unmeasured = 0
+        for q, ch in enumerate(chars):
+            if ch == ".":
+                unmeasured |= 1 << q
+            elif ch in BASES:
+                letters |= spread(1 << q, n, ch)
+            elif ch != "_":
                 raise ValueError(f"unknown status letter: {ch!r}")
-            masks[ch] |= 1 << i
-        return cls(len(chars), masks["X"], masks["Y"], masks["Z"], masks["A"],
-                   masks["_"])
+        return cls(n, letters, unmeasured)
 
     def __repr__(self) -> str:
         return f"MeasurementPattern({self.chars()!r})"
 
 
+def packed(x, z, n: int):
+    """The packed letter mask of the Pauli letters that x and z masks
+    write: X where only x is set, Y where both are, Z where only z is.
+    ``x`` and ``z`` are both Python ints or both numpy uint64 arrays (one
+    mask per element, 3n <= 64)."""
+    return x & ~z | (x & z) << n | (z & ~x) << 2 * n
+
+
+def spread(qubits, n: int, letters):
+    """The packed letter mask with each of ``letters`` (letters of
+    ``BASES``) set on every qubit of the mask ``qubits``: a Python int,
+    or a numpy uint64 array of masks when 4n <= 64."""
+    mask = 0
+    for letter in letters:
+        mask |= qubits << _INDEX[letter] * n
+    return mask
+
+
 def fits(need: int, allowed: int) -> bool:
     """True when every letter in ``need`` sits on a qubit that ``allowed``
     admits for that letter.  Both are packed letter masks of one length n,
-    as from ``PauliOperator.masks`` and ``MeasurementPattern.allowed``:
-    letter k of (X, Y, Z, A) on qubit q is bit q + k*n, so one AND tests
-    every letter at once."""
+    as from ``PauliOperator.masks`` and ``MeasurementPattern.allowed``, so
+    one AND tests every letter at once."""
     return not need & ~allowed
 
 

@@ -25,14 +25,14 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb, gcd
 
-BASES = ("X", "Y", "Z", "A")
+from .pauli import BASES
 
 
 class LossPolynomial:
     """Sum of mult * prod_M eta_M^a_M (1-eta_M)^b_M with integer mults.
 
     ``terms`` maps ((aX, aY, aZ, aA), (bX, bY, bZ, bA)) to the integer
-    multiplicity of that monomial.
+    multiplicity of that monomial; the exponents follow ``pauli.BASES``.
     """
 
     __slots__ = ("terms", "_sums")
@@ -64,9 +64,9 @@ class LossPolynomial:
         return total
 
     def evaluate_heterogeneous(self, etas: dict) -> float:
-        """Evaluation with per-basis transmissions, one for each of BASES,
-        e.g. {"X": .9, "Y": .9, "Z": 1., "A": .8}; a missing basis raises
-        KeyError."""
+        """Evaluation with per-basis transmissions, one for each of
+        ``pauli.BASES``, e.g. {"X": .9, "Y": .9, "Z": 1., "A": .8}; a
+        missing basis raises KeyError."""
         total = 0.0
         for (a, b), mult in self.terms.items():
             val = float(mult)

@@ -674,7 +674,8 @@ def monte_carlo_successes_reference(tree, eta: float, trials: int,
             continue
         p = leaf.pattern
         attempted = np.uint64(((1 << p.n) - 1) & ~p.unmeasured)
-        detected = np.uint64(p.mx | p.my | p.mz | p.mother)
+        detected = np.uint64(sum(1 << q for q in range(p.n)
+                                 if p.status(q) not in ("lost", "unmeasured")))
         successes += int(np.count_nonzero((masks & attempted) == detected))
     return successes
 

@@ -20,6 +20,7 @@ from graphcode_lt.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_VALIDATION,
+    GRID_LIMIT,
     build_parser,
     main,
     parse_grid,
@@ -30,7 +31,7 @@ from graphcode_lt.codes import pentagon_code, star_code
 from graphcode_lt.errordecode import CheckSet
 from graphcode_lt.fusion import FusionModel, LogicalFusionResult
 from graphcode_lt.graphs import Graph
-from graphcode_lt.losstree import DecisionTree, MCResult
+from graphcode_lt.losstree import MCResult, load_or_build
 from graphcode_lt.modular import LayerStack, StackResult, unit_F
 from graphcode_lt.opsets import ResourceLimitError
 from graphcode_lt.search import Objective, ScoredCandidate, SearchResult
@@ -97,6 +98,26 @@ def test_parse_grid_forms():
         parse_grid("0.5:0.4:0.1", "g")
     with pytest.raises(CliError):
         parse_grid("a,b", "g")
+
+
+def test_oversized_grids_exit_before_a_point_is_made(capsys):
+    # about 10^12 points each: refused from start, stop and step alone
+    for argv in (["sweep", "--graph", "pentagon", "--eta-grid", "0:1:1e-12"],
+                 ["sweep", "--graph", "pentagon", "--lambda-grid", "0:0.3:1e-12"],
+                 ["fbqc", "--graph", "pentagon", "--pfail", "0.1:1:1e-12"]):
+        start = time.perf_counter()
+        assert main(argv) == EXIT_RESOURCE, argv
+        assert time.perf_counter() - start < 1.0
+        assert f"more than {GRID_LIMIT} points" in capsys.readouterr().err
+    # one point past the limit, and counts no loop could reach
+    for text in ("0:1:1e-6", "0:inf:1", "-inf:0:1"):
+        with pytest.raises(ResourceLimitError):
+            parse_grid(text, "g")
+    with pytest.raises(CliError):
+        parse_grid("0:1:nan", "g")
+    # a grid under the limit is made as before
+    assert parse_grid("0:1:0.001", "g") == [round(k * 0.001, 12)
+                                            for k in range(1001)]
 
 
 # -- analyze ------------------------------------------------------------------------
@@ -225,8 +246,9 @@ def test_tree_json_round_trips(tmp_path):
     assert rc == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["version"]
-    tree = DecisionTree.from_json(json.dumps(payload["result"]))
-    assert tree.kind == "pauli-X"
+    tree = load_or_build(pentagon_code(), "X")
+    assert payload["result"] == json.loads(tree.to_json())
+    assert payload["result"]["kind"] == "pauli-X"
 
 
 def test_cache_env_receives_no_trees(tmp_path, monkeypatch, capsys):

@@ -19,6 +19,7 @@ from graphcode_lt.codes import (
     decorated_pentagon_code,
     pentagon_code,
     star_code,
+    tree_code,
 )
 from graphcode_lt.fusion import (
     AdaptiveFusionAnalysis,
@@ -28,12 +29,13 @@ from graphcode_lt.fusion import (
     transversal_fusion,
     _interface_letters,
     _classify,
+    _cosets,
     _recovery_table,
     _transversal_counts,
 )
 from graphcode_lt.losstree import SMALL, _strategies
-from graphcode_lt.opsets import ResourceLimitError
-from graphcode_lt.pauli import MeasurementPattern, fits
+from graphcode_lt.opsets import ResourceLimitError, stabilizer_group
+from graphcode_lt.pauli import MeasurementPattern, PauliOperator, fits
 
 from _oracles import (
     _embed,
@@ -335,6 +337,31 @@ def test_result_matches_term_loop_bit_for_bit(name):
             want = adaptive_result_reference(analysis, fm)
             assert (got.p_success, got.p_fail_logical,
                     got.p_loss_logical) == want, (randomize, fm)
+
+
+def test_target_needs_match_operator_masks():
+    # on 7, 9 and 10 qubits, where a letter placed at q + 3k instead of
+    # q + k*n lands on another qubit's bit
+    for code in (cube_code(), tree_code([3, 2]), tree_code([2, 2, 1])):
+        n = code.n
+        strategies = _strategies(code)
+        want = []
+        for first, second, output in strategies:
+            # the output qubit is an A letter only
+            need = first.masks | second.masks
+            for k in range(3):
+                need &= ~(1 << output + k * n)
+            want.append(need | 1 << output + 3 * n)
+        assert strategies.needs == want
+        cosets, is_x = _cosets(code)
+        ops = [PauliOperator(n, x, z)
+               for x, z in zip(cosets.x.tolist(), cosets.z.tolist())]
+        assert cosets.needs == [op.masks for op in ops]
+        group = stabilizer_group(code)
+        for logical, x_member in ((code.logical_x, True), (code.logical_z, False)):
+            got = [need for need, m in zip(cosets.needs, is_x.tolist())
+                   if m == x_member]
+            assert sorted(got) == sorted((logical * s).masks for s in group)
 
 
 def _walk_allowed(pattern, interfaces) -> int:

@@ -34,6 +34,7 @@ from graphcode_lt.pauli import (
     MeasurementPattern,
     PauliOperator,
     commutes_qubitwise,
+    iter_bits,
 )
 
 
@@ -240,7 +241,7 @@ def test_filtered_logicals_identity_on_lost():
         chars = "".join(rng.choice("XYZ._") for _ in range(code.n))
         m = MeasurementPattern.from_chars(chars)
         for op in filter_compatible(ops, m, completed=False):
-            assert op.support & m.lost == 0
+            assert all(m.status(q) != "lost" for q in iter_bits(op.support))
 
 
 # -- SPC ---------------------------------------------------------------------------

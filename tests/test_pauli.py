@@ -8,6 +8,7 @@ never has to be trusted on its own.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from graphcode_lt.pauli import (
     commutes_qubitwise,
     fits,
     iter_bits,
+    packed,
+    spread,
 )
 
 from _oracles import dense, symplectic_rank
@@ -186,7 +189,7 @@ def test_pattern_updates_are_functional():
     assert m.unmeasured == 0b111
     assert m2.unmeasured == 0b101
     m3 = m2.lose(0)
-    assert m3.lost == 0b001
+    assert [m3.status(q) for q in range(3)] == ["lost", "X", "unmeasured"]
     with pytest.raises(ValueError):
         m3.measure(0, "Z")
     # a basis is one of the letters X, Y, Z and A
@@ -196,6 +199,69 @@ def test_pattern_updates_are_functional():
     m4 = m3.lose(2)
     with pytest.raises(ValueError):
         m4.lose(2)
+
+
+def _allowed_reference(statuses, prospective: bool, n: int) -> int:
+    """``allowed`` one letter at a time: letter k of XYZA on qubit q is
+    bit q + k*n."""
+    bits = 0
+    for q, status in enumerate(statuses):
+        for k, letter in enumerate("XYZA"):
+            if status == letter or prospective and status == "unmeasured":
+                bits |= 1 << q + k * n
+    return bits
+
+
+def test_pattern_walks_place_letters_at_other_lengths():
+    # at n = 3 a wrong q + 3k and the right q + k*n place the same bits
+    rng = random.Random(23)
+    for n in (5, 9, 14):
+        for _ in range(20):
+            pattern, statuses = MeasurementPattern(n), ["unmeasured"] * n
+            for q in rng.sample(range(n), rng.randint(0, n)):
+                for basis in ("XY", "a"):
+                    with pytest.raises(ValueError):
+                        pattern.measure(q, basis)
+                if rng.random() < 0.25:
+                    pattern, statuses[q] = pattern.lose(q), "lost"
+                else:
+                    basis = rng.choice("XYZA")
+                    pattern, statuses[q] = pattern.measure(q, basis), basis
+                assert [pattern.status(i) for i in range(n)] == statuses
+                for prospective in (True, False):
+                    assert (pattern.allowed(prospective)
+                            == _allowed_reference(statuses, prospective, n))
+                twin = MeasurementPattern.from_chars(pattern.chars())
+                assert twin == pattern and hash(twin) == hash(pattern)
+
+
+def _packed_reference(x: int, z: int, n: int) -> int:
+    """``packed`` one qubit at a time."""
+    bits = 0
+    for q in range(n):
+        letter = "IXZY"[x >> q & 1 | (z >> q & 1) << 1]
+        if letter != "I":
+            bits |= 1 << q + "XYZA".index(letter) * n
+    return bits
+
+
+def test_packed_and_spread_on_ints_and_uint64_arrays():
+    # n = 16 fills all 64 bits of a uint64 with the four letters
+    rng = random.Random(29)
+    for n in (5, 14, 16):
+        x = [rng.getrandbits(n) for _ in range(50)]
+        z = [rng.getrandbits(n) for _ in range(50)]
+        want = [_packed_reference(a, b, n) for a, b in zip(x, z)]
+        assert [packed(a, b, n) for a, b in zip(x, z)] == want
+        assert [PauliOperator(n, a, b).masks for a, b in zip(x, z)] == want
+        got = packed(np.array(x, np.uint64), np.array(z, np.uint64), n)
+        assert got.dtype == np.uint64 and got.tolist() == want
+        for letters in ("XYZA", "A", "XZ", "Y"):
+            want = [sum(1 << q + "XYZA".index(ch) * n
+                        for q in iter_bits(a) for ch in letters) for a in x]
+            assert [spread(a, n, letters) for a in x] == want
+            got = spread(np.array(x, np.uint64), n, letters)
+            assert got.dtype == np.uint64 and got.tolist() == want
 
 
 def test_pattern_statuses_round_trip():
