@@ -15,6 +15,15 @@ candidates would have more than 14 code qubits (k > 15), before any
 class is enumerated.  A start:stop:step grid (--eta-grid, --lambda-grid,
 --pfail) of more than 10^6 points exits 4 before any point is made.
 
+Rows stream: each is written as soon as it is made, so memory does not
+grow with the row count, and nothing reaches stdout before the first row
+exists: a run that fails on its first evaluation prints nothing, and one
+that fails later exits non-zero after the rows made so far.  An
+--out file and its sidecar are written under temporary names beside it
+and moved into place when complete, so a failed or killed run leaves no
+truncated artifact; an --out that cannot be written exits 3 before
+anything is computed.
+
 GRAPHCODE_LT_CACHE names a directory for the checkpoints of search runs,
 from which an interrupted search resumes.  Unset, nothing is written.
 Decision trees are rebuilt in each run; tree_*.json files that older
@@ -28,9 +37,9 @@ scores in-process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
-import io
 import json
 import os
 import re
@@ -209,29 +218,77 @@ def _stamp(config: dict) -> dict:
             "config_hash": config_hash(config), "config": config}
 
 
-def _write(out: str | None, text: str, config: dict):
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-        with open(out + ".config.json", "w", encoding="ascii") as fh:
-            fh.write(json.dumps(_stamp(config), sort_keys=True, indent=1) + "\n")
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _write(out: str | None, config: dict):
+    """The stream an artifact is written to: stdout, or a temporary file
+    beside ``out`` that, with its config sidecar, replaces ``out`` only
+    once the artifact is complete.  A failed run removes the temporary
+    file; an unwritable ``out`` is a validation error (exit 3) when the
+    stream is opened."""
+    if not out:
+        yield sys.stdout
+        return
+    sidecar = out + ".config.json"
+    tmp, side_tmp = (f"{path}.{os.getpid()}.tmp" for path in (out, sidecar))
+    try:
+        fh = open(tmp, "w", encoding="ascii")
+    except OSError as exc:
+        raise CliError(EXIT_VALIDATION,
+                       f"cannot write --out {out!r}: {exc.strerror}")
+    try:
+        with fh:
+            yield fh
+        with open(side_tmp, "w", encoding="ascii") as side:
+            side.write(json.dumps(_stamp(config), sort_keys=True, indent=1)
+                       + "\n")
+        os.replace(side_tmp, sidecar)
+        os.replace(tmp, out)
+    finally:
+        for path in (tmp, side_tmp):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
 
 
-def emit_rows(header: list[str], rows: list[list], config: dict,
-              out: str | None, fmt: str):
+# One JSON row at the depth and indent of ``json.dumps(payload,
+# sort_keys=True, indent=1)`` once its braces are re-indented; with no
+# indent set, the encoder is the C one.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
+
+
+def emit_rows(header: list[str], rows, config: dict, out: str | None,
+              fmt: str):
+    """Write ``rows``, an iterable that makes them, as CSV or JSON.
+
+    Each row is written as soon as it is made, so memory does not grow
+    with the row count, and nothing is written before the first row
+    exists.  The JSON text is that of ``json.dumps(payload,
+    sort_keys=True, indent=1)``: its head and tail come from the payload
+    with no rows.
+    """
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(f"# {TOOL} {__version__} config={config_hash(config)}\n")
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(_cell(v) for v in row) + "\n")
-        _write(out, buf.getvalue(), config)
+        head = (f"# {TOOL} {__version__} config={config_hash(config)}\n"
+                + ",".join(header) + "\n")
+        sep = close = tail = ""
+
+        def line(row):
+            return ",".join(_cell(v) for v in row) + "\n"
     else:
-        payload = dict(_stamp(config),
-                       result=[dict(zip(header, row)) for row in rows])
-        _write(out, json.dumps(payload, sort_keys=True, indent=1) + "\n", config)
+        empty = json.dumps(dict(_stamp(config), result=[]), sort_keys=True,
+                           indent=1)
+        head, _, tail = empty.rpartition('"result": []')
+        head += '"result": ['
+        tail = "]" + tail + "\n"
+        sep, close = ",", "\n "
+
+        def line(row):
+            text = _ROW_ENCODER.encode(dict(zip(header, row)))
+            return "\n  {\n   " + text[1:-1] + "\n  }"
+    with _write(out, config) as sink:
+        first = True
+        for row in rows:
+            sink.write((head if first else sep) + line(row))
+            first = False
+        sink.write((head if first else close) + tail)
 
 
 def _cell(v) -> str:
@@ -245,28 +302,29 @@ def _cell(v) -> str:
 
 def cmd_analyze(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
-    rows = []
-    for kind in ("X", "Y", "Z", "arbitrary"):
-        poly = success_polynomial(load_or_build(code, kind))
-        be = break_even(poly)
-        rows.append([kind, poly.to_string(),
-                     "" if be is None else be])
+
+    def rows():
+        for kind in ("X", "Y", "Z", "arbitrary"):
+            poly = success_polynomial(load_or_build(code, kind))
+            be = break_even(poly)
+            yield [kind, poly.to_string(), "" if be is None else be]
+
     if args.format is None and args.out is None:
-        for kind, text, be in rows:
+        for kind, text, be in rows():
             tail = "no break-even" if be == "" else f"break-even {be:.6f}"
             print(f"{kind}: {text}  ({tail})")
         return EXIT_OK
-    emit_rows(["basis", "polynomial", "break_even"], rows, config,
+    emit_rows(["basis", "polynomial", "break_even"], rows(), config,
               args.out, args.format or "csv")
     return EXIT_OK
 
 
 def cmd_tree(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
-    tree = load_or_build(code, _TREE_KINDS[args.basis])
-    payload = dict(_stamp(config), result=json.loads(tree.to_json()))
-    _write(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n",
-           config)
+    with _write(args.out, config) as sink:
+        tree = load_or_build(code, _TREE_KINDS[args.basis])
+        payload = dict(_stamp(config), result=json.loads(tree.to_json()))
+        sink.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return EXIT_OK
 
 
@@ -286,20 +344,19 @@ def cmd_sweep(args, config) -> int:
                        "sweep needs --eta-grid (loss) or --lambda-grid (error)")
     if args.eta_grid is not None:
         etas = _eta_list(args)
-        polys = {k: success_polynomial(load_or_build(code, k))
-                 for k in ("X", "Y", "Z", "arbitrary")}
-        rows = [[eta] + [1.0 - polys[k].evaluate(eta)
-                         for k in ("X", "Y", "Z", "arbitrary")]
-                for eta in etas]
+
+        def rows():
+            polys = [success_polynomial(load_or_build(code, k))
+                     for k in ("X", "Y", "Z", "arbitrary")]
+            for eta in etas:
+                yield [eta] + [1.0 - poly.evaluate(eta) for poly in polys]
+
         emit_rows(["eta", "loss_x", "loss_y", "loss_z", "loss_arbitrary"],
-                  rows, config, args.out, args.format or "csv")
+                  rows(), config, args.out, args.format or "csv")
         return EXIT_OK
     lams = [check_unit(v, "--lambda-grid entry", hi=1.0 / 3.0)
             for v in parse_grid(args.lambda_grid, "--lambda-grid")]
-    rows = []
-    for lam in lams:
-        fx, fy, fz = logical_flip_rates(code, (2 * lam,) * 3)
-        rows.append([lam, fx, fy, fz])
+    rows = ([lam, *logical_flip_rates(code, (2 * lam,) * 3)] for lam in lams)
     emit_rows(["lambda", "flip_x", "flip_y", "flip_z"], rows, config,
               args.out, args.format or "csv")
     return EXIT_OK
@@ -308,14 +365,17 @@ def cmd_sweep(args, config) -> int:
 def cmd_fusion(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
     engine = adaptive_fusion if args.mode != "transversal" else transversal_fusion
-    rows = []
-    for eta in _eta_list(args):
-        r = engine(code, FusionModel(args.pfail, eta))
-        # both parities are erased alike, so erasure_zz repeats erasure_xx
-        rows.append([eta, r.p_success, r.p_fail_logical, r.p_loss_logical,
-                     r.erasure_xx, r.erasure_xx])
+    etas = _eta_list(args)
+
+    def rows():
+        for eta in etas:
+            r = engine(code, FusionModel(args.pfail, eta))
+            # both parities are erased alike, so erasure_zz repeats erasure_xx
+            yield [eta, r.p_success, r.p_fail_logical, r.p_loss_logical,
+                   r.erasure_xx, r.erasure_xx]
+
     emit_rows(["eta", "p_success", "p_fail_logical", "p_loss_logical",
-               "erasure_xx", "erasure_zz"], rows, config, args.out,
+               "erasure_xx", "erasure_zz"], rows(), config, args.out,
               args.format or "csv")
     return EXIT_OK
 
@@ -324,12 +384,15 @@ def cmd_concat(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
     if args.depth < 1:
         raise CliError(EXIT_VALIDATION, f"--depth must be >= 1, got {args.depth}")
-    rows = []
-    for eta in _eta_list(args):
-        stack = LayerStack([code] * args.depth, args.mode, eta)
-        r = logical_transmission(stack)
-        rows.append([eta, r["X"], r["Y"], r["Z"], r["A"], stack.qubit_count])
-    emit_rows(["eta", "x", "y", "z", "arbitrary", "qubits"], rows, config,
+    etas = _eta_list(args)
+
+    def rows():
+        for eta in etas:
+            stack = LayerStack([code] * args.depth, args.mode, eta)
+            r = logical_transmission(stack)
+            yield [eta, r["X"], r["Y"], r["Z"], r["A"], stack.qubit_count]
+
+    emit_rows(["eta", "x", "y", "z", "arbitrary", "qubits"], rows(), config,
               args.out, args.format or "csv")
     return EXIT_OK
 
@@ -339,20 +402,23 @@ def cmd_rgs(args, config) -> int:
     stations = args.depth
     if stations < 1:
         raise CliError(EXIT_VALIDATION, f"--depth must be >= 1, got {stations}")
-    rows = []
-    for eta in _eta_list(args):
-        p_link = rgs_link_probability(code, eta, args.pfail,
-                                      args.mode != "transversal")
-        rows.append([1.0 - eta, p_link, p_link ** stations])
-    emit_rows(["ell", "p_link", "p_end_to_end"], rows, config, args.out,
+    etas = _eta_list(args)
+
+    def rows():
+        for eta in etas:
+            p_link = rgs_link_probability(code, eta, args.pfail,
+                                          args.mode != "transversal")
+            yield [1.0 - eta, p_link, p_link ** stations]
+
+    emit_rows(["ell", "p_link", "p_end_to_end"], rows(), config, args.out,
               args.format or "csv")
     return EXIT_OK
 
 
 def cmd_fbqc(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
-    rows = [[pf, fbqc_loss_threshold(code, pf, args.mode != "transversal")]
-            for pf in parse_grid(str(args.pfail), "--pfail")]
+    rows = ([pf, fbqc_loss_threshold(code, pf, args.mode != "transversal")]
+            for pf in parse_grid(str(args.pfail), "--pfail"))
     emit_rows(["p_fail", "loss_threshold"], rows, config, args.out,
               args.format or "csv")
     return EXIT_OK
@@ -382,13 +448,16 @@ def cmd_search(args, config) -> int:
         os.makedirs(cache_dir, exist_ok=True)
         checkpoint = os.path.join(
             cache_dir, f"search_{config_hash(config)}.ckpt")
-    try:
-        result = optimize(objective, candidates, workers=args.threads,
-                          checkpoint=checkpoint)
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, str(exc))
-    header = json.dumps(_stamp(config), sort_keys=True)
-    _write(args.out, header + "\n" + result.to_jsonl(), config)
+    # the candidates stream: none is made before the output is open
+    with _write(args.out, config) as sink:
+        try:
+            result = optimize(objective, candidates, workers=args.threads,
+                              checkpoint=checkpoint)
+        except ValueError as exc:
+            raise CliError(EXIT_PARSE, str(exc))
+        # ranking needs every score, so the records go out together
+        sink.write(json.dumps(_stamp(config), sort_keys=True) + "\n"
+                   + result.to_jsonl())
     return EXIT_OK
 
 

@@ -415,8 +415,8 @@ MCResult = namedtuple("MCResult", "estimate stderr trials")
 
 # Trials sampled per numpy pass of ``monte_carlo_decode``: the masks, one
 # qubit's uniform draws and their comparison take 17 bytes a trial, so a
-# pass peaks near 17 MB whatever the trial count.
-MC_CHUNK = 1 << 20
+# pass peaks near 1.1 MB whatever the trial count.
+MC_CHUNK = 1 << 16
 
 
 def monte_carlo_decode(tree: DecisionTree, eta: float, trials: int,
@@ -426,9 +426,10 @@ def monte_carlo_decode(tree: DecisionTree, eta: float, trials: int,
     Each trial is one loss configuration of the tree's code (bit q set:
     qubit q detected), so the trials are tallied per configuration, at
     most 2^n of them (n <= ``EXHAUSTIVE_LIMIT``), and each configuration
-    that occurs is decoded once.  Trials are drawn ``MC_CHUNK`` at a time,
-    each chunk qubit by qubit, so memory stays bounded; a run of at most
-    ``MC_CHUNK`` trials is a single chunk.
+    that occurs is decoded once.  Trials are drawn ``MC_CHUNK`` (65,536)
+    at a time, each chunk qubit by qubit, so sampling peaks near 1.1 MB
+    whatever the trial count; a run of at most ``MC_CHUNK`` trials is a
+    single chunk.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")

@@ -141,8 +141,12 @@ def zeta_or(ok: np.ndarray, n: int) -> np.ndarray:
 
 def evaluate_masks(ok: np.ndarray, n: int, eta: float) -> float:
     """Success probability when exactly the marked survivor masks win."""
-    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
-    counts = np.bincount(weights[ok].astype(np.int64), minlength=n + 1)
+    # popcounts of 0 .. 2^n - 1, built by doubling (numpy 1.24 has no
+    # bitwise_count)
+    weights = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        weights = np.concatenate([weights, weights + 1])
+    counts = np.bincount(weights[ok], minlength=n + 1)
     return float(sum(int(c) * eta ** k * (1 - eta) ** (n - k)
                      for k, c in enumerate(counts)))
 
@@ -177,7 +181,7 @@ def clairvoyant_teleport_masks(code) -> np.ndarray:
             za = np.int64(int(a) & int(low))
             sa = xa | za
             differ = (sa & sb) & ((xa ^ xb) | (za ^ zb))
-            good = np.bitwise_count(differ.astype(np.uint64)) == 1
+            good = (differ != 0) & (differ & (differ - 1) == 0)  # one bit
             if good.any():
                 ok[(sa | sb)[good]] = True
     return zeta_or(ok, n)

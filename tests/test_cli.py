@@ -9,12 +9,14 @@ import json
 import os
 import pkgutil
 import time
+import tracemalloc
 import types
 
 import pytest
 
 import graphcode_lt
 
+from graphcode_lt import cli
 from graphcode_lt.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -22,6 +24,8 @@ from graphcode_lt.cli import (
     EXIT_VALIDATION,
     GRID_LIMIT,
     build_parser,
+    config_hash,
+    emit_rows,
     main,
     parse_grid,
     resolve_code,
@@ -364,6 +368,110 @@ def test_json_format_envelope(tmp_path):
     assert payload["result"][0]["eta"] == 0.9
 
 
+# -- streamed emission ---------------------------------------------------------------
+
+_HEADER = ["name", "count", "value", "low", "high", "missing"]
+_ROWS = [
+    ["X", 3, 0.25, float("-inf"), float("inf"), None],
+    ["\u00e9ta \u2264 1", -7, float("nan"), 1e-300, 1.5e300, ""],
+    ["Z", 0, 0.1 + 0.2, -0.0, 2 ** 70, "a,b"],
+]
+_CONFIG = {"command": "test", "graph": "pentagon", "out": None}
+
+
+def _old_csv(header, rows, config):
+    """The CSV text as the whole table was written at once."""
+    head = f"# graphcode-lt {graphcode_lt.__version__} config={config_hash(config)}\n"
+    cells = [",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
+                      for v in row) for row in rows]
+    return head + "".join(line + "\n" for line in [",".join(header)] + cells)
+
+
+@pytest.mark.parametrize("rows", [_ROWS, _ROWS[:1], []],
+                         ids=["rows", "one-row", "empty"])
+def test_json_rows_match_the_indented_dump(rows, capsys, tmp_path):
+    payload = {"tool": "graphcode-lt", "version": graphcode_lt.__version__,
+               "config_hash": config_hash(_CONFIG), "config": _CONFIG,
+               "result": [dict(zip(_HEADER, row)) for row in rows]}
+    want = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    emit_rows(_HEADER, iter(rows), _CONFIG, None, "json")
+    assert capsys.readouterr().out == want
+    out = tmp_path / "rows.json"
+    emit_rows(_HEADER, iter(rows), _CONFIG, str(out), "json")
+    assert out.read_text(encoding="ascii") == want
+
+
+@pytest.mark.parametrize("rows", [_ROWS, []], ids=["rows", "empty"])
+def test_csv_rows_keep_their_layout(rows, capsys):
+    emit_rows(_HEADER, iter(rows), _CONFIG, None, "csv")
+    assert capsys.readouterr().out == _old_csv(_HEADER, rows, _CONFIG)
+
+
+def test_emitting_many_rows_takes_constant_memory(tmp_path):
+    # 10^5 six-column rows held as one text took about 1.7 KB a row
+    rows = ([i, i * 1e-5, 1 - i * 1e-5, i / 3, -i / 7, "r"]
+            for i in range(10 ** 5))
+    out = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        emit_rows(_HEADER, rows, _CONFIG, str(out), "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert len(json.loads(out.read_text())["result"]) == 10 ** 5
+
+
+def _raising_rows(good: int):
+    yield from _ROWS[:good]
+    raise ValueError("row failed")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nothing_reaches_stdout_when_the_first_row_raises(fmt, capsys):
+    with pytest.raises(ValueError):
+        emit_rows(_HEADER, _raising_rows(0), _CONFIG, None, fmt)
+    assert capsys.readouterr().out == ""
+    # FusionModel refuses p_fail = 2 when the first row is made
+    rc = main(["fusion", "--graph", "pentagon", "--pfail", "2",
+               "--eta-grid", "0.5,0.9", "--format", fmt])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("good", [0, 2])
+def test_a_failed_run_leaves_no_out_file(good, tmp_path):
+    out = tmp_path / "rows.json"
+    with pytest.raises(ValueError):
+        emit_rows(_HEADER, _raising_rows(good), _CONFIG, str(out), "json")
+    assert os.listdir(tmp_path) == []
+    rc = main(["fusion", "--graph", "pentagon", "--pfail", "2",
+               "--eta", "0.9", "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--graph", "pentagon", "--format", "json"],
+    ["tree", "--graph", "pentagon"],
+    ["search", "arbitrary", "--graph", "n:4"],
+], ids=["analyze", "tree", "search"])
+def test_unwritable_out_exits_3_before_any_engine_runs(argv, monkeypatch,
+                                                      capsys, tmp_path):
+    def engine(*args, **kwargs):
+        raise AssertionError("an engine ran before --out was opened")
+
+    for name in ("load_or_build", "optimize"):
+        monkeypatch.setattr(cli, name, engine)
+    out = tmp_path / "missing" / "x.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("graphcode-lt: error: cannot write --out")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 # -- search -------------------------------------------------------------------------
 
 
@@ -437,6 +545,17 @@ def test_mc_check_pauli_basis(capsys):
                "--eta", "0.75", "--trials", "50000", "--seed", "4"])
     assert rc == EXIT_OK
     assert capsys.readouterr().out.startswith("PASS")
+
+
+def test_mc_check_above_one_chunk_is_deterministic_per_seed(capsys):
+    # 70,000 trials span two 65,536-trial chunks
+    argv = ["mc-check", "--graph", "cube", "--basis", "X", "--eta", "0.8",
+            "--trials", "70000", "--seed", "3"]
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr().out
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert first.startswith("PASS")
 
 
 def test_version_flag_exits_cleanly():
