@@ -50,7 +50,7 @@ from .losstree import (
 )
 from .errordecode import (
     ErrorAnalysis,
-    ErrorModel,
+    depolarizing,
     error_threshold,
     fault_probability,
     logical_flip_rates,

@@ -65,7 +65,7 @@ from .losstree import (
     success_polynomial,
     total_polynomial,
 )
-from .errordecode import logical_flip_rates
+from .errordecode import depolarizing, logical_flip_rates
 from .modular import LayerStack, logical_transmission
 from .fusion import FusionModel, adaptive_fusion, transversal_fusion
 from .apps import fbqc_loss_threshold, rgs_link_probability
@@ -121,11 +121,15 @@ def resolve_code(graph: str, input_vertex: int) -> GraphCode:
     qubits.  A star or tree name that short could ask for millions, so its
     qubit count is checked before the code is built (building one takes
     time and memory in proportion to its size); a graph6 string already
-    grows with the square of its size.
+    grows with the square of its size.  A named code has its input at
+    vertex 0, so any other ``input_vertex`` is refused with it.
     """
+    star = re.fullmatch(r"star(\d+)", graph)
+    if input_vertex and (graph in _LIBRARY or star or graph.startswith("tree:")):
+        raise CliError(EXIT_VALIDATION, f"--input-vertex {input_vertex} needs "
+                       f"a graph6 --graph: {graph!r} has its input at vertex 0")
     if graph in _LIBRARY:
         return _LIBRARY[graph]()
-    star = re.fullmatch(r"star(\d+)", graph)
     if star:
         try:
             n = int(star[1])
@@ -154,8 +158,21 @@ def resolve_code(graph: str, input_vertex: int) -> GraphCode:
         raise CliError(EXIT_VALIDATION, str(exc))
 
 
-def parse_grid(text: str, name: str) -> list[float]:
-    """Comma-separated values, or start:stop:step inclusive of the stop."""
+class _Range:
+    """The points of a start:stop:step grid, each made as it is read: the
+    k-th is round(start + k * step, 12).  Iteration reads them by index
+    and ends at the ``IndexError`` of the index range."""
+
+    def __init__(self, start: float, step: float, count: int):
+        self.start, self.step, self.ks = start, step, range(count)
+
+    def __getitem__(self, i: int) -> float:
+        return round(self.start + self.ks[i] * self.step, 12)
+
+
+def parse_grid(text: str, name: str):
+    """Comma-separated values as a list, or start:stop:step inclusive of
+    the stop as a ``_Range``, whose points are not stored."""
     text = text.strip()
     if not text:
         raise CliError(EXIT_VALIDATION, f"{name} is empty")
@@ -170,20 +187,20 @@ def parse_grid(text: str, name: str) -> list[float]:
             raise CliError(EXIT_VALIDATION, f"{name} has non-numeric entries")
         if not (step > 0 and stop >= start):
             raise CliError(EXIT_VALIDATION, f"{name} range is not increasing")
-        # the loop below makes floor((stop + 1e-12 - start) / step) + 1
-        # points; the negated test also refuses an infinite or NaN count
-        if not (stop + 1e-12 - start) / step < GRID_LIMIT:
+        # about floor((stop + 1e-12 - start) / step) + 1 points; the
+        # negated test also refuses an infinite or NaN count
+        bound = stop + 1e-12
+        if not (bound - start) / step < GRID_LIMIT:
             raise ResourceLimitError(
                 f"{name} range {text!r} has more than {GRID_LIMIT} points")
-        out = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-12:
-                break
-            out.append(round(v, 12))
-            k += 1
-        return out
+        # start + k * step never decreases in k, so the points are those
+        # below the first k that passes the bound, found from the estimate
+        count = int((bound - start) / step)
+        while start + count * step <= bound:
+            count += 1
+        while start + (count - 1) * step > bound:
+            count -= 1
+        return _Range(start, step, count)
     try:
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
@@ -328,10 +345,20 @@ def cmd_tree(args, config) -> int:
     return EXIT_OK
 
 
-def _eta_list(args) -> list[float]:
+def _unit_grid(text: str, name: str, hi: float = 1.0):
+    """The points of grid ``text``, each checked to lie in [0, hi] before
+    any is used: a comma list entry by entry, a range at its two ends
+    (its points never decrease)."""
+    points = parse_grid(text, name)
+    ends = points if isinstance(points, list) else (points[0], points[-1])
+    for v in ends:
+        check_unit(v, f"{name} entry", hi=hi)
+    return points
+
+
+def _eta_list(args):
     if args.eta_grid is not None:
-        return [check_unit(v, "--eta-grid entry")
-                for v in parse_grid(args.eta_grid, "--eta-grid")]
+        return _unit_grid(args.eta_grid, "--eta-grid")
     if args.eta is not None:
         return [check_unit(args.eta, "--eta")]
     raise CliError(EXIT_VALIDATION, "need --eta or --eta-grid")
@@ -354,9 +381,8 @@ def cmd_sweep(args, config) -> int:
         emit_rows(["eta", "loss_x", "loss_y", "loss_z", "loss_arbitrary"],
                   rows(), config, args.out, args.format or "csv")
         return EXIT_OK
-    lams = [check_unit(v, "--lambda-grid entry", hi=1.0 / 3.0)
-            for v in parse_grid(args.lambda_grid, "--lambda-grid")]
-    rows = ([lam, *logical_flip_rates(code, (2 * lam,) * 3)] for lam in lams)
+    lams = _unit_grid(args.lambda_grid, "--lambda-grid", hi=1.0 / 3.0)
+    rows = ([lam, *logical_flip_rates(code, depolarizing(lam))] for lam in lams)
     emit_rows(["lambda", "flip_x", "flip_y", "flip_z"], rows, config,
               args.out, args.format or "csv")
     return EXIT_OK
@@ -428,17 +454,6 @@ def cmd_search(args, config) -> int:
     if args.threads < 1:
         raise CliError(EXIT_VALIDATION,
                        f"--threads must be >= 1, got {args.threads}")
-    source = args.graph
-    if source.startswith("n:"):
-        try:
-            n_total = int(source[2:])
-        except ValueError:
-            raise CliError(EXIT_PARSE, f"bad candidate size {source!r}")
-        candidates = enumerate_candidates(n_total)
-    else:
-        if not os.path.exists(source):
-            raise CliError(EXIT_VALIDATION, f"no candidate file {source!r}")
-        candidates = read_candidates(source)
     objective = Objective(args.kind, eta=args.eta if args.eta is not None else 0.70,
                           p_fail=args.pfail,
                           adaptive=args.mode != "transversal")
@@ -448,8 +463,22 @@ def cmd_search(args, config) -> int:
         os.makedirs(cache_dir, exist_ok=True)
         checkpoint = os.path.join(
             cache_dir, f"search_{config_hash(config)}.ckpt")
-    # the candidates stream: none is made before the output is open
+    source = args.graph
+    # the candidates stream: the file is opened and the first candidate
+    # made only once the output is open
     with _write(args.out, config) as sink:
+        if source.startswith("n:"):
+            try:
+                n_total = int(source[2:])
+            except ValueError:
+                raise CliError(EXIT_PARSE, f"bad candidate size {source!r}")
+            candidates = enumerate_candidates(n_total)
+        else:
+            try:
+                candidates = read_candidates(source)
+            except OSError as exc:
+                raise CliError(EXIT_VALIDATION, f"cannot read candidate "
+                               f"file {source!r}: {exc.strerror}")
         try:
             result = optimize(objective, candidates, workers=args.threads,
                               checkpoint=checkpoint)

@@ -42,17 +42,13 @@ class GraphCode:
     __slots__ = ("progenitor", "input_vertex", "b0", "n", "logical_x",
                  "logical_y", "logical_z", "stabilizer_generators", "_hash")
 
-    def __init__(self, progenitor: Graph, input_vertex: int = 0,
-                 b0: int | None = None):
+    def __init__(self, progenitor: Graph, input_vertex: int = 0):
         if not 0 <= input_vertex < progenitor.n:
             raise InvalidCodeError(f"input vertex {input_vertex} out of range")
         b_orig = progenitor.neighbors(input_vertex)
         if not b_orig:
             raise InvalidCodeError("input vertex has no neighbors")
-        if b0 is None:
-            b0 = b_orig[0]
-        elif b0 not in b_orig:
-            raise InvalidCodeError(f"b0={b0} is not a neighbor of the input")
+        b0 = b_orig[0]
 
         code_vertices = tuple(v for v in range(progenitor.n) if v != input_vertex)
         pos = {v: i for i, v in enumerate(code_vertices)}

@@ -16,6 +16,10 @@ model); summing leaves, with decoder failure counted as a fault, gives
 the combined fault probability, ``fault_probability``, the engine for
 any transmission.
 
+An error model is the triple (rX, rY, rZ) of the rates at which outcomes
+measured in X, Y and Z flip; an arbitrary-basis outcome flips at half
+their sum.  ``depolarizing(lam)`` gives the triple of depolarizing noise.
+
 At unit transmission every leaf but the loss-free one has probability
 zero, so ``logical_flip_rates`` decodes that leaf alone: it reads the
 leaf from the Pauli tree with every qubit detected, measures the first
@@ -56,44 +60,16 @@ from .polynomials import bisect
 ML_ENUMERATION_LIMIT = 20
 
 
-class ErrorModel:
-    """Per-qubit i.i.d. depolarizing noise, expressed as outcome-flip rates.
+def depolarizing(lam: float) -> tuple[float, float, float]:
+    """The (rX, rY, rZ) outcome-flip rates of i.i.d. depolarizing noise.
 
     A rate-lambda depolarizing channel flips a Pauli measurement outcome
-    with probability 2*lambda (two of the three errors anticommute with
-    the measured basis) and an arbitrary-basis outcome with probability
-    3*lambda.  Concatenation feeds logical flip rates back in, so the
-    per-basis rates can also be set directly.
+    with probability 2*lambda: two of its three errors anticommute with
+    the measured basis.
     """
-
-    __slots__ = ("rates",)
-
-    def __init__(self, lam: float):
-        if not 0.0 <= 3.0 * lam <= 1.0:
-            raise ValueError("lambda must satisfy 0 <= 3*lambda <= 1")
-        object.__setattr__(self, "rates",
-                           {"X": 2 * lam, "Y": 2 * lam, "Z": 2 * lam, "A": 3 * lam})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ErrorModel is immutable")
-
-    @classmethod
-    def from_rates(cls, rx: float, ry: float, rz: float) -> "ErrorModel":
-        """Per-basis Pauli flip rates; the arbitrary-basis rate is half
-        their sum, capped at one.  Each must lie in [0, 1]; exactly one
-        is what a failed leaf feeds back."""
-        if not all(0.0 <= r <= 1.0 for r in (rx, ry, rz)):
-            raise ValueError("flip rates must lie in [0, 1]")
-        em = cls.__new__(cls)
-        object.__setattr__(em, "rates", {"X": rx, "Y": ry, "Z": rz,
-                                         "A": min(1.0, 0.5 * (rx + ry + rz))})
-        return em
-
-    def rate(self, kind: str) -> float:
-        return self.rates[kind]
-
-    def __repr__(self) -> str:
-        return f"ErrorModel(rates={self.rates})"
+    if not 0.0 <= 3.0 * lam <= 1.0:
+        raise ValueError("lambda must satisfy 0 <= 3*lambda <= 1")
+    return (2 * lam,) * 3
 
 
 # Target operator(s) plus the stabilizer checks measured alongside.
@@ -168,7 +144,7 @@ class SyndromeTable:
     it rates: the letter each relevant qubit is measured in (lowest qubit
     first), the (syndrome, target parity) bin of every outcome-flip
     string on those qubits, the number of target parities and whether an
-    arbitrary-basis output qubit is folded in.  ``error(em)`` evaluates
+    arbitrary-basis output qubit is folded in.  ``error(rates)`` evaluates
     it at one error model."""
 
     __slots__ = ("letters", "bins", "n_t", "size", "output")
@@ -207,20 +183,29 @@ class SyndromeTable:
         self.size = (1 << len(checks.checks)) * self.n_t
         self.output = leaf.output is not None
 
-    def error(self, em: ErrorModel) -> float:
+    def error(self, rates: tuple[float, float, float]) -> float:
+        """The residual logical error at flip rates ``rates`` = (rX, rY,
+        rZ), each in [0, 1] (exactly one is what a failed leaf feeds
+        back); an arbitrary-basis outcome flips at half their sum, capped
+        at one."""
+        if not all(0.0 <= r <= 1.0 for r in rates):
+            raise ValueError("flip rates must lie in [0, 1]")
+        rate = dict(zip("XYZ", rates))
         probs = np.ones(1)
         for letter in self.letters:
-            r = em.rate(letter)
+            r = rate[letter]
             probs = np.concatenate([probs * (1.0 - r), probs * r])
         table = np.bincount(self.bins, weights=probs, minlength=self.size)
         table = table.reshape(-1, self.n_t)
         err = float(1.0 - table.max(axis=1).sum())
         if self.output:
-            err = 1.0 - (1.0 - em.rate("A")) * (1.0 - err)
+            rx, ry, rz = rates
+            err = 1.0 - (1.0 - min(1.0, 0.5 * (rx + ry + rz))) * (1.0 - err)
         return min(1.0, max(0.0, err))
 
 
-def ml_logical_error(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
+def ml_logical_error(leaf: Leaf, checks: CheckSet,
+                     rates: tuple[float, float, float]) -> float:
     """Exact residual logical error after syndrome-table decoding.
 
     Enumerates every outcome-flip string on the qubits in the target and
@@ -229,9 +214,9 @@ def ml_logical_error(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
     the most likely target parity per syndrome.  For arbitrary-basis
     leaves the two teleported signs are decoded jointly and the
     unprotected output-qubit flip is folded in afterwards.  Builds the
-    ``SyndromeTable`` and evaluates it once.
+    ``SyndromeTable`` and evaluates it once at ``rates`` = (rX, rY, rZ).
     """
-    return SyndromeTable(leaf, checks).error(em)
+    return SyndromeTable(leaf, checks).error(rates)
 
 
 # -- fault probability over a whole tree -----------------------------------------
@@ -270,7 +255,7 @@ class ErrorAnalysis:
     qubit.  It is kept while its qubits are detected, and a lost check
     qubit triggers a fresh greedy choice on the updated pattern, so the
     loss-free path of an extension measures the first choice.  Extension
-    happens once; evaluation at any (eta, error model) is a sum over
+    happens once; evaluation at any (eta, flip rates) is a sum over
     extended leaves.
 
     ``entries`` holds one ``(key, leaf, checks, pattern)`` per extended
@@ -295,7 +280,8 @@ class ErrorAnalysis:
                                 end.pattern))
         self.entries = entries
 
-    def fault_probability(self, eta: float, em: ErrorModel) -> float:
+    def fault_probability(self, eta: float,
+                          rates: tuple[float, float, float]) -> float:
         total = 0.0
         loss = 1.0 - eta
         for (a, b), leaf, checks, _ in self.entries:
@@ -303,7 +289,7 @@ class ErrorAnalysis:
             if p:
                 # failure to measure the logical counts as a fault
                 total += p * (1.0 if leaf is None
-                              else ml_logical_error(leaf, checks, em))
+                              else ml_logical_error(leaf, checks, rates))
         return total
 
 
@@ -313,13 +299,14 @@ def _error_analysis(code: GraphCode, kind: str) -> ErrorAnalysis:
 
 
 def fault_probability(code: GraphCode, kind: str, eta: float,
-                      em: ErrorModel) -> float:
+                      rates: tuple[float, float, float]) -> float:
     """P(logical fault): decoder failure, or a wrongly decoded outcome.
 
     ``kind`` names the loss tree, as in ``load_or_build``: "arbitrary" or
-    one of "X", "Y", "Z".
+    one of "X", "Y", "Z"; ``rates`` are the (rX, rY, rZ) outcome-flip
+    rates, ``depolarizing(lam)`` for depolarizing noise.
     """
-    return _error_analysis(code, kind).fault_probability(eta, em)
+    return _error_analysis(code, kind).fault_probability(eta, rates)
 
 
 # -- concatenation error threshold ------------------------------------------------
@@ -348,7 +335,7 @@ def logical_flip_rates(code: GraphCode,
     the result is the flip rate of each decoded logical Pauli basis, the
     quantity a concatenation layer feeds into the one above it.
 
-    Each rate equals ``fault_probability(code, basis, 1.0, em)``, float
+    Each rate equals ``fault_probability(code, basis, 1.0, rates)``, float
     for float, without building the ``ErrorAnalysis``.  At eta = 1 every
     extended leaf whose path loses a qubit has probability exactly 0.0,
     which that sum skips, and the loss-free leaf has 1.0, so the sum is
@@ -359,11 +346,10 @@ def logical_flip_rates(code: GraphCode,
     vector costs one evaluation per basis.  ``fault_probability``
     remains the engine for eta < 1.
     """
-    em = ErrorModel.from_rates(*rates)
     out = []
     for basis in "XYZ":
         table = _loss_free_table(code, basis)
-        out.append(1.0 if table is None else table.error(em))
+        out.append(1.0 if table is None else table.error(rates))
     return tuple(out)
 
 
@@ -371,13 +357,14 @@ def error_threshold(code: GraphCode) -> float:
     """Largest depolarizing rate whose per-basis flip map iterates to zero.
 
     Bisection on lambda over [0, 1/3] to 1e-4; each probe starts from the
-    physical flip vector (2*lambda,)*3 and applies ``logical_flip_rates``
-    24 times.  Returns 1/3 when even that rate converges.
+    physical flip vector ``depolarizing(lam)`` and applies
+    ``logical_flip_rates`` 24 times.  Returns 1/3 when even that rate
+    converges.
     """
     hi = 1.0 / 3.0
 
     def converges(lam: float) -> bool:
-        r = (2 * lam,) * 3
+        r = physical = depolarizing(lam)
         for _ in range(24):
             r = logical_flip_rates(code, r)
             m = max(r)
@@ -385,7 +372,7 @@ def error_threshold(code: GraphCode) -> float:
                 return True
             if m > 0.499999:
                 return False
-        return max(r) < 2 * lam
+        return max(r) < max(physical)
 
     if converges(hi):
         return hi

@@ -27,7 +27,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .codes import GraphCode, per_code
-from .errordecode import logical_flip_rates
+from .errordecode import depolarizing, logical_flip_rates
 from .losstree import load_or_build, success_polynomial
 from .pauli import BASES
 from .polynomials import LossPolynomial, _rise_point
@@ -195,11 +195,11 @@ def stack_flip_rates(stack: LayerStack, lam: float) -> tuple:
 
     Composition choice: each unit's decoder is analyzed at unit
     transmission with the per-basis flip rates produced by the layer
-    below, starting from the physical depolarizing flip rate 2*lambda.
+    below, starting from the physical rates ``depolarizing(lam)``.
     """
     if stack.mode != "concatenated":
         raise ValueError("flip-rate recursion is defined for concatenation")
-    rates = (2.0 * lam,) * 3
+    rates = depolarizing(lam)
     for code in reversed(stack.layers):
         rates = logical_flip_rates(code, rates)
     return rates

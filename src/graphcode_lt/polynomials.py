@@ -92,7 +92,7 @@ class LossPolynomial:
                 coeffs[k] = coeffs.get(k, 0) + mult * comb(tb, j) * (-1) ** j
         return {k: c for k, c in sorted(coeffs.items()) if c}
 
-    def to_string(self, var: str = "eta") -> str:
+    def to_string(self) -> str:
         """Canonical text form of the homogeneous expansion, e.g.
         ``2*eta^2 - eta^4``."""
         coeffs = self.eta_coefficients()
@@ -104,9 +104,9 @@ class LossPolynomial:
             if k == 0:
                 body = str(mag)
             elif k == 1:
-                body = f"{mag}*{var}" if mag != 1 else var
+                body = f"{mag}*eta" if mag != 1 else "eta"
             else:
-                body = f"{mag}*{var}^{k}" if mag != 1 else f"{var}^{k}"
+                body = f"{mag}*eta^{k}" if mag != 1 else f"eta^{k}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:

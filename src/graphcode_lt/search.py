@@ -157,8 +157,16 @@ def unrooted_representatives(n: int) -> list[Graph]:
 
 
 def read_candidates(path: str):
-    """Candidates from a file: one 'graph6 input-vertex' pair per line."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Candidates from a file: one 'graph6 input-vertex' pair per line.
+
+    The file is opened by the call, so one that cannot be opened raises
+    ``OSError`` there; its lines are parsed as the stream is read, and the
+    stream closes the file."""
+    return _parse_candidates(open(path, "r", encoding="ascii"), path)
+
+
+def _parse_candidates(fh, path: str):
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

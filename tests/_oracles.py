@@ -767,7 +767,7 @@ def transversal_counts_reference(code, failure_bases) -> dict:
     return counts
 
 
-def exhaustive_checks(leaf: Leaf, surviving_stabilizers, em,
+def exhaustive_checks(leaf: Leaf, surviving_stabilizers, rates,
                       cap: int = 200_000) -> tuple[CheckSet, float]:
     """Best check set by brute force over commuting subsets (gap audit).
 
@@ -780,7 +780,7 @@ def exhaustive_checks(leaf: Leaf, surviving_stabilizers, em,
     group = [s for s in surviving_stabilizers
              if s.weight and fits(s.masks, allowed)]
     group.sort(key=lambda s: (s.weight, s.x, s.z))
-    best_err = ml_logical_error(leaf, CheckSet(targets, ()), em)
+    best_err = ml_logical_error(leaf, CheckSet(targets, ()), rates)
     best = CheckSet(targets, ())
     visited = 0
 
@@ -798,7 +798,7 @@ def exhaustive_checks(leaf: Leaf, surviving_stabilizers, em,
             sub = span.copy()
             sub.add(cand)
             chosen.append(cand)
-            err = ml_logical_error(leaf, CheckSet(targets, tuple(chosen)), em)
+            err = ml_logical_error(leaf, CheckSet(targets, tuple(chosen)), rates)
             if err < best_err - 1e-15:
                 best_err = err
                 best = CheckSet(targets, tuple(chosen))
@@ -807,3 +807,18 @@ def exhaustive_checks(leaf: Leaf, surviving_stabilizers, em,
 
     rec(0, [], PauliSpan(leaf.pattern.n))
     return best, best_err
+
+
+def grid_points_reference(start: float, stop: float, step: float) -> list:
+    """The points of a start:stop:step grid as ``cli.parse_grid`` made them
+    by stepping a list: every round(start + k * step, 12) up to the first
+    that passes stop by more than 1e-12."""
+    out = []
+    k = 0
+    while True:
+        v = start + k * step
+        if v > stop + 1e-12:
+            break
+        out.append(round(v, 12))
+        k += 1
+    return out

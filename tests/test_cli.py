@@ -8,6 +8,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import random
 import time
 import tracemalloc
 import types
@@ -15,6 +16,7 @@ import types
 import pytest
 
 import graphcode_lt
+from _oracles import grid_points_reference
 
 from graphcode_lt import cli
 from graphcode_lt.cli import (
@@ -81,6 +83,29 @@ def test_resolve_rejects_bad_input():
     assert err.value.exit_code == EXIT_PARSE
 
 
+def test_named_codes_refuse_another_input_vertex(capsys):
+    # a named code has its input at vertex 0; the same progenitor as graph6
+    # with input 3 is another code, so input 3 must not be silently dropped
+    for graph in ("tree:2,1", "pentagon", "star4"):
+        assert main(["analyze", "--graph", graph,
+                     "--input-vertex", "3"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("graphcode-lt: error: --input-vertex 3")
+        assert captured.err.count("\n") == 1
+    assert main(["analyze", "--graph", "DqG", "--input-vertex", "3"]) == EXIT_OK
+    assert "X: eta + 2*eta^2 - 3*eta^3 + eta^4" in capsys.readouterr().out
+
+
+def test_named_codes_keep_input_zero(capsys):
+    argv = ["analyze", "--graph", "tree:2,1", "--format", "json"]
+    assert main(argv + ["--input-vertex", "0"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    # the hash of this config before --input-vertex was checked
+    assert payload["config_hash"] == "63f0680b3a45"
+    assert payload["result"][0]["polynomial"] == "4*eta^2 - 4*eta^3 + eta^4"
+
+
 def test_resolve_graph6_that_starts_with_star():
     # [TRIVIAL] "s" is the graph6 size byte of a 52-vertex graph: one whose
     # first adjacency bits spell "tar" is a graph, not a star size
@@ -95,7 +120,7 @@ def test_resolve_graph6_that_starts_with_star():
 
 def test_parse_grid_forms():
     assert parse_grid("0.1,0.2,0.5", "g") == [0.1, 0.2, 0.5]
-    assert parse_grid("0.5:0.7:0.1", "g") == [0.5, 0.6, 0.7]
+    assert list(parse_grid("0.5:0.7:0.1", "g")) == [0.5, 0.6, 0.7]
     with pytest.raises(CliError):
         parse_grid("", "g")
     with pytest.raises(CliError):
@@ -120,8 +145,52 @@ def test_oversized_grids_exit_before_a_point_is_made(capsys):
     with pytest.raises(CliError):
         parse_grid("0:1:nan", "g")
     # a grid under the limit is made as before
-    assert parse_grid("0:1:0.001", "g") == [round(k * 0.001, 12)
-                                            for k in range(1001)]
+    assert list(parse_grid("0:1:0.001", "g")) == [round(k * 0.001, 12)
+                                                  for k in range(1001)]
+
+
+def test_range_points_equal_the_stepped_list():
+    # decimal steps whose stop lands a rounding error either side of a
+    # point, and arbitrary floats
+    rng = random.Random(26)
+    grids = [(0.0, 1.0, 0.1), (0.1, 0.7, 0.1), (0.001, 0.1, 0.001),
+             (0.5, 0.5, 0.25), (-0.3, 0.3, 0.1)]
+    for _ in range(300):
+        start = rng.randint(0, 1000) / 1000
+        step = rng.randint(1, 50) / 10 ** rng.randint(1, 5)
+        grids.append((start, start + rng.randint(0, 2000) * step, step))
+    for _ in range(300):
+        start, step = rng.uniform(-1, 1), rng.uniform(1e-6, 0.1)
+        grids.append((start, start + rng.uniform(0, 3000) * step, step))
+    for start, stop, step in grids:
+        points = parse_grid(f"{start!r}:{stop!r}:{step!r}", "g")
+        want = grid_points_reference(start, stop, step)
+        assert list(points) == want, (start, stop, step)
+        assert (points[0], points[-1]) == (want[0], want[-1])
+
+
+def test_consuming_a_range_takes_constant_memory():
+    tracemalloc.start()
+    try:
+        count = 0
+        for _ in parse_grid("0:0.999:0.000001", "g"):
+            count += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 999_001
+    assert peak < 1 << 20
+
+
+def test_range_ends_are_checked_before_any_row(capsys):
+    # the bad point is the last, so a per-point check would emit rows first
+    for argv in (["sweep", "--graph", "pentagon", "--eta-grid", "0.5:1.1:0.1"],
+                 ["sweep", "--graph", "pentagon", "--lambda-grid", "0:0.4:0.1"],
+                 ["fusion", "--graph", "pentagon", "--eta-grid=-0.1:0.5:0.1"]):
+        assert main(argv) == EXIT_VALIDATION, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
 
 
 # -- analyze ------------------------------------------------------------------------
@@ -507,6 +576,17 @@ def test_search_bad_file_is_parse_error(tmp_path, capsys):
     assert main(["search", "arbitrary", "--graph", "n:1"]) == EXIT_VALIDATION
     assert main(["search", "arbitrary", "--graph", str(cand),
                  "--threads", "0"]) == EXIT_VALIDATION
+
+
+def test_unreadable_candidate_file_exits_3(tmp_path, capsys):
+    for source in (tmp_path, tmp_path / "missing.txt"):
+        assert main(["search", "arbitrary", "--graph", str(source)]) == \
+            EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "graphcode-lt: error: cannot read candidate file")
+        assert captured.err.count("\n") == 1
 
 
 def test_search_checkpoint_under_cache_env(tmp_path, monkeypatch, capsys):

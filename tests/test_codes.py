@@ -97,8 +97,6 @@ def test_validation_errors():
         GraphCode(Graph.from_edges(3, [(1, 2)]), 0)  # isolated input
     with pytest.raises(InvalidCodeError):
         GraphCode(Graph.from_edges(3, [(0, 1), (1, 2)]), 5)
-    with pytest.raises(InvalidCodeError):
-        GraphCode(Graph.from_edges(3, [(0, 1), (1, 2)]), 0, b0=2)
 
 
 # -- physical anchors ----------------------------------------------------------

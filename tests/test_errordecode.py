@@ -30,10 +30,10 @@ from graphcode_lt.cli import main
 from graphcode_lt.errordecode import (
     CheckSet,
     ErrorAnalysis,
-    ErrorModel,
     _error_analysis,
     _greedy_checks,
     _masked_targets,
+    depolarizing,
     error_threshold,
     fault_probability,
     logical_flip_rates,
@@ -70,7 +70,7 @@ def checks_for(code, leaf: Leaf) -> CheckSet:
     return CheckSet(targets, _greedy_checks(code, leaf.pattern, targets))
 
 
-def reference_ml(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
+def reference_ml(leaf: Leaf, checks: CheckSet, rates: tuple) -> float:
     """Independent route: itertools enumeration with dict syndrome tables."""
     ops = list(checks.targets) + list(checks.checks)
     qubits = sorted({q for op in ops for q in iter_bits(op.support)})
@@ -84,7 +84,7 @@ def reference_ml(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
     for flips in product((0, 1), repeat=len(qubits)):
         p = 1.0
         for f, q in zip(flips, qubits):
-            r = em.rate(letters[q])
+            r = rates["XYZ".index(letters[q])]
             p *= r if f else 1.0 - r
         syn = tuple(
             sum(f for f, q in zip(flips, qubits) if op.letter_at(q) != "I") % 2
@@ -95,44 +95,49 @@ def reference_ml(leaf: Leaf, checks: CheckSet, em: ErrorModel) -> float:
         table[syn][tgt] += p
     err = 1.0 - sum(max(cell.values()) for cell in table.values())
     if leaf.output is not None:
-        err = 1.0 - (1.0 - em.rate("A")) * (1.0 - err)
+        err = 1.0 - (1.0 - min(1.0, sum(rates) / 2)) * (1.0 - err)
     return err
 
 
 # -- error model ------------------------------------------------------------------
 
 
+def _output_leaf_error(rates: tuple) -> float:
+    """The ML error of an arbitrary-basis leaf with nothing to decode but
+    its output qubit: 1 - (1 - rA), rA the arbitrary-basis flip rate."""
+    leaf = Leaf("success", MeasurementPattern.from_chars("A"), output=0)
+    return ml_logical_error(leaf, CheckSet((), ()), rates)
+
+
 def test_error_model_rates():
-    em = ErrorModel(0.01)
-    assert em.rate("X") == em.rate("Y") == em.rate("Z") == pytest.approx(0.02)
-    assert em.rate("A") == pytest.approx(0.03)
+    assert depolarizing(0.01) == (0.02, 0.02, 0.02)
+    # the arbitrary-basis rate of depolarizing(lam) is 3*lam, float for
+    # float; 1 - (1 - x) loses no bit of x in [1/2, 1]
+    rng = random.Random(5)
+    lams = [0.0, 1e-3, 1.0 / 6.0, 1.0 / 3.0]
+    lams += [rng.uniform(0.0, 1.0 / 3.0) for _ in range(500)]
+    for lam in lams:
+        assert _output_leaf_error(depolarizing(lam)) == 1.0 - (1.0 - 3 * lam)
+    # per-basis rates set directly: the arbitrary-basis rate is half the
+    # Pauli rates' sum, capped at one
+    assert _output_leaf_error((0.1, 0.2, 0.3)) == pytest.approx(0.3, abs=1e-15)
+    assert _output_leaf_error((0.9, 0.9, 0.9)) == 1.0
 
 
 def test_error_model_validation():
     with pytest.raises(ValueError):
-        ErrorModel(-0.001)
+        depolarizing(-0.001)
     with pytest.raises(ValueError):
-        ErrorModel(0.34)
-    ErrorModel(1.0 / 3.0)
+        depolarizing(0.34)
+    depolarizing(1.0 / 3.0)
     for rates in ((1.5, 0.0, 0.0), (0.0, -0.01, 0.0), (0.0, 0.0, float("nan"))):
         with pytest.raises(ValueError):
-            ErrorModel.from_rates(*rates)
+            _output_leaf_error(rates)
     # a failed leaf feeds back a flip rate of exactly one
-    assert ErrorModel.from_rates(1.0, 0.0, 1.0).rate("X") == 1.0
-
-
-def test_error_model_immutable():
-    em = ErrorModel(0.0)
-    with pytest.raises(AttributeError):
-        em.rates = {}
-
-
-def test_error_model_from_rates():
-    em = ErrorModel.from_rates(0.1, 0.2, 0.3)
-    assert em.rate("Y") == 0.2
-    # the arbitrary-basis rate is half the Pauli rates' sum, capped at one
-    assert em.rate("A") == pytest.approx(0.3, abs=1e-15)
-    assert ErrorModel.from_rates(0.9, 0.9, 0.9).rate("A") == 1.0
+    pattern = MeasurementPattern.from_chars("XX")
+    target = PauliOperator.from_letters("XX")
+    leaf = Leaf("success", pattern, targets=(target,))
+    assert ml_logical_error(leaf, CheckSet((target,), ()), (1.0, 0.0, 1.0)) == 0.0
 
 
 def test_qubitwise_commuting():
@@ -159,10 +164,10 @@ def test_cube_no_loss_checks_three_independent_weight_four():
     for i, a in enumerate(cs.checks):
         for b in cs.checks[i + 1:]:
             assert qubitwise_commuting(a, b)
-    em = ErrorModel(0.01)
-    best, best_err = exhaustive_checks(leaf, group, em)
+    rates = depolarizing(0.01)
+    best, best_err = exhaustive_checks(leaf, group, rates)
     assert len(best.checks) == 3
-    assert ml_logical_error(leaf, cs, em) == pytest.approx(best_err, abs=1e-12)
+    assert ml_logical_error(leaf, cs, rates) == pytest.approx(best_err, abs=1e-12)
 
 
 def test_single_qubit_code_empty_checks():
@@ -179,12 +184,12 @@ def test_pentagon_greedy_matches_exhaustive_audit():
     # pick is harmless]
     pent = pentagon_code()
     group = stabilizer_group(pent)
-    em = ErrorModel(0.02)
+    rates = depolarizing(0.02)
     for tree in (build_pauli_tree(pent, "Z"), build_arbitrary_tree(pent)):
         leaf = no_loss_leaf(tree)
         cs = checks_for(pent, leaf)
-        _, best_err = exhaustive_checks(leaf, group, em)
-        assert ml_logical_error(leaf, cs, em) == pytest.approx(best_err, abs=1e-12)
+        _, best_err = exhaustive_checks(leaf, group, rates)
+        assert ml_logical_error(leaf, cs, rates) == pytest.approx(best_err, abs=1e-12)
 
 
 def test_greedy_checks_match_group_scan():
@@ -218,7 +223,7 @@ def test_exhaustive_checks_cap():
     cube = cube_code()
     leaf = no_loss_leaf(build_pauli_tree(cube, "Z"))
     with pytest.raises(ResourceLimitError):
-        exhaustive_checks(leaf, stabilizer_group(cube), ErrorModel(0.01), cap=2)
+        exhaustive_checks(leaf, stabilizer_group(cube), depolarizing(0.01), cap=2)
 
 
 # -- ML decoding -------------------------------------------------------------------
@@ -232,10 +237,10 @@ def test_parity_channel_closed_form():
         target = PauliOperator.from_letters("Z" * w)
         leaf = Leaf("success", pattern, targets=(target,))
         for lam in (0.0, 0.01, 0.05, 0.2):
-            em = ErrorModel(lam)
-            r = em.rate("Z")
+            rates = depolarizing(lam)
+            r = rates[2]
             expected = (1.0 - (1.0 - 2.0 * r) ** w) / 2.0
-            got = ml_logical_error(leaf, CheckSet((target,), ()), em)
+            got = ml_logical_error(leaf, CheckSet((target,), ()), rates)
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -245,9 +250,9 @@ def test_pentagon_no_loss_weight_two_parity():
     pent = pentagon_code()
     leaf = no_loss_leaf(build_pauli_tree(pent, "Z"))
     cs = checks_for(pent, leaf)
-    em = ErrorModel(0.02)
+    rates = depolarizing(0.02)
     r = 0.04
-    assert ml_logical_error(leaf, cs, em) == pytest.approx(
+    assert ml_logical_error(leaf, cs, rates) == pytest.approx(
         (1.0 - (1.0 - 2.0 * r) ** 2) / 2.0, abs=1e-12)
 
 
@@ -257,7 +262,7 @@ def test_ml_bounds_and_monotone_in_lambda():
     cs = checks_for(cube, leaf)
     # monotone only while each flip rate 2*lambda stays below 1/2
     grid = [i / 80 for i in range(21)]
-    values = [ml_logical_error(leaf, cs, ErrorModel(lam)) for lam in grid]
+    values = [ml_logical_error(leaf, cs, depolarizing(lam)) for lam in grid]
     assert all(0.0 <= v <= 1.0 for v in values)
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-12
@@ -266,7 +271,7 @@ def test_ml_bounds_and_monotone_in_lambda():
 def test_ml_matches_bruteforce_reference():
     codes = [pentagon_code(), branched_chain_code(), decorated_pentagon_code(),
              star_code(4)]
-    em = ErrorModel(0.03)
+    rates = depolarizing(0.03)
     for code in codes:
         trees = [build_pauli_tree(code, b) for b in "XYZ"]
         trees.append(build_arbitrary_tree(code))
@@ -275,21 +280,21 @@ def test_ml_matches_bruteforce_reference():
                 if not leaf.success:
                     continue
                 cs = checks_for(code, leaf)
-                got = ml_logical_error(leaf, cs, em)
-                want = reference_ml(leaf, cs, em)
+                got = ml_logical_error(leaf, cs, rates)
+                want = reference_ml(leaf, cs, rates)
                 assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_extended_leaves_match_bruteforce():
-    em = ErrorModel(0.04)
+    rates = depolarizing(0.04)
     for code in (pentagon_code(), decorated_pentagon_code()):
         tree = build_arbitrary_tree(code)
         analysis = ErrorAnalysis(code, tree)
         for _, leaf, checks, _ in analysis.entries:
             if leaf is None:
                 continue
-            got = ml_logical_error(leaf, checks, em)
-            want = reference_ml(leaf, checks, em)
+            got = ml_logical_error(leaf, checks, rates)
+            want = reference_ml(leaf, checks, rates)
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -299,12 +304,12 @@ def test_arbitrary_error_never_below_output_rate():
     for code in (pentagon_code(), decorated_pentagon_code()):
         tree = build_arbitrary_tree(code)
         for lam in (0.01, 0.05, 0.1):
-            em = ErrorModel(lam)
+            rates = depolarizing(lam)
             for leaf, _ in paths(tree.root):
                 if not leaf.success:
                     continue
                 cs = checks_for(code, leaf)
-                assert ml_logical_error(leaf, cs, em) >= 3 * lam - 1e-12
+                assert ml_logical_error(leaf, cs, rates) >= 3 * lam - 1e-12
 
 
 def test_cube_ml_quadratic_at_low_lambda():
@@ -314,7 +319,7 @@ def test_cube_ml_quadratic_at_low_lambda():
     leaf = no_loss_leaf(build_pauli_tree(cube, "Z"))
     cs = checks_for(cube, leaf)
     for lam in (1e-3, 1e-4):
-        err = ml_logical_error(leaf, cs, ErrorModel(lam))
+        err = ml_logical_error(leaf, cs, depolarizing(lam))
         assert 75.0 < err / lam**2 < 90.0
 
 
@@ -324,7 +329,7 @@ def test_ml_enumeration_limit():
     target = PauliOperator.from_letters("Z" * n)
     leaf = Leaf("success", pattern, targets=(target,))
     with pytest.raises(ResourceLimitError):
-        ml_logical_error(leaf, CheckSet((target,), ()), ErrorModel(0.01))
+        ml_logical_error(leaf, CheckSet((target,), ()), depolarizing(0.01))
 
 
 # -- fault probability -------------------------------------------------------------
@@ -332,18 +337,18 @@ def test_ml_enumeration_limit():
 
 def test_fault_zero_without_noise():
     # [TRIVIAL] eta=1, lambda=0
-    em = ErrorModel(0.0)
+    rates = depolarizing(0.0)
     for code, kind in [
         (pentagon_code(), "Z"),
         (cube_code(), "X"),
         (decorated_pentagon_code(), "arbitrary"),
     ]:
-        assert fault_probability(code, kind, 1.0, em) == pytest.approx(0.0, abs=1e-14)
+        assert fault_probability(code, kind, 1.0, rates) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_fault_lambda_zero_reduces_to_loss_only():
     # [TRIVIAL: reduction] with no errors the only fault is decoder failure
-    em = ErrorModel(0.0)
+    rates = depolarizing(0.0)
     cases = [
         (cube_code(), "Z", build_pauli_tree(cube_code(), "Z")),
         (pentagon_code(), "Y", build_pauli_tree(pentagon_code(), "Y")),
@@ -352,7 +357,7 @@ def test_fault_lambda_zero_reduces_to_loss_only():
     for code, kind, tree in cases:
         poly = success_polynomial(tree)
         for eta in (0.5, 0.7, 0.85, 0.95):
-            assert fault_probability(code, kind, eta, em) == pytest.approx(
+            assert fault_probability(code, kind, eta, rates) == pytest.approx(
                 1.0 - poly.evaluate(eta), abs=1e-12)
 
 
@@ -418,10 +423,10 @@ def test_checks_rechosen_only_after_a_loss(monkeypatch):
 def test_cube_fault_ratio_break_even():
     # [PAPER: errors beat the bare qubit up to lambda = 3.2%]
     cube = cube_code()
-    em = ErrorModel(0.032)
+    rates = depolarizing(0.032)
     # the bare qubit faults when lost or flipped: 1 - eta (1 - rate)
-    ratio = (fault_probability(cube, "Z", 1.0, em)
-             / (1.0 - 1.0 * (1.0 - em.rate("Z"))))
+    ratio = (fault_probability(cube, "Z", 1.0, rates)
+             / (1.0 - 1.0 * (1.0 - rates[2])))
     assert ratio == pytest.approx(1.0, abs=0.02)
 
 
@@ -452,8 +457,7 @@ def test_flip_rates_equal_fault_probability_at_unit_transmission():
     vectors += [(0.01, 0.03, 0.2), (0.3, 0.0, 0.07)]
     for code in _flip_rate_codes():
         for r in vectors:
-            em = ErrorModel.from_rates(*r)
-            want = tuple(fault_probability(code, b, 1.0, em) for b in "XYZ")
+            want = tuple(fault_probability(code, b, 1.0, r) for b in "XYZ")
             assert logical_flip_rates(code, r) == want
 
 
@@ -510,7 +514,7 @@ def test_decorated_pentagon_error_ratio_approaches_one():
     code = decorated_pentagon_code()
     ratios = []
     for lam in (1e-3, 1e-4):
-        fault = fault_probability(code, "arbitrary", 1.0, ErrorModel(lam))
+        fault = fault_probability(code, "arbitrary", 1.0, depolarizing(lam))
         ratios.append(fault / (3.0 * lam))
     assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
     assert ratios[1] == pytest.approx(1.0, abs=0.005)
