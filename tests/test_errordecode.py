@@ -118,10 +118,6 @@ def test_error_model_rates():
     lams += [rng.uniform(0.0, 1.0 / 3.0) for _ in range(500)]
     for lam in lams:
         assert _output_leaf_error(depolarizing(lam)) == 1.0 - (1.0 - 3 * lam)
-    # per-basis rates set directly: the arbitrary-basis rate is half the
-    # Pauli rates' sum, capped at one
-    assert _output_leaf_error((0.1, 0.2, 0.3)) == pytest.approx(0.3, abs=1e-15)
-    assert _output_leaf_error((0.9, 0.9, 0.9)) == 1.0
 
 
 def test_error_model_validation():
@@ -138,6 +134,19 @@ def test_error_model_validation():
     target = PauliOperator.from_letters("XX")
     leaf = Leaf("success", pattern, targets=(target,))
     assert ml_logical_error(leaf, CheckSet((target,), ()), (1.0, 0.0, 1.0)) == 0.0
+
+
+def test_error_model_from_rates():
+    # per-basis rates set directly: a Y measurement flips at rY (the
+    # decoder returns 1 - (1 - rY), one rounding away)
+    pattern = MeasurementPattern.from_chars("Y")
+    target = PauliOperator.from_letters("Y")
+    leaf = Leaf("success", pattern, targets=(target,))
+    err = ml_logical_error(leaf, CheckSet((target,), ()), (0.1, 0.2, 0.3))
+    assert err == pytest.approx(0.2, abs=1e-15)
+    # the arbitrary-basis rate is half the Pauli rates' sum, capped at one
+    assert _output_leaf_error((0.1, 0.2, 0.3)) == pytest.approx(0.3, abs=1e-15)
+    assert _output_leaf_error((0.9, 0.9, 0.9)) == 1.0
 
 
 def test_qubitwise_commuting():
