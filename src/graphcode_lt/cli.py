@@ -25,7 +25,8 @@ truncated artifact; an --out that cannot be written exits 3 before
 anything is computed.
 
 GRAPHCODE_LT_CACHE names a directory for the checkpoints of search runs,
-from which an interrupted search resumes.  Unset, nothing is written.
+from which an interrupted search resumes.  Unset, nothing is written;
+set to a path that cannot be made a directory, search exits 3.
 Decision trees are rebuilt in each run; tree_*.json files that older
 versions wrote there are never read and can be deleted.
 
@@ -41,6 +42,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -460,7 +462,11 @@ def cmd_search(args, config) -> int:
     checkpoint = None
     cache_dir = os.environ.get(CACHE_ENV)
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise CliError(EXIT_VALIDATION, f"{CACHE_ENV}={cache_dir!r} is not "
+                           f"a usable directory: {exc.strerror}")
         checkpoint = os.path.join(
             cache_dir, f"search_{config_hash(config)}.ckpt")
     source = args.graph
@@ -499,10 +505,12 @@ def cmd_mc_check(args, config) -> int:
     conserved = total_polynomial(tree).eta_coefficients() == {0: 1}
     exact = success_polynomial(tree).evaluate(eta)
     mc = monte_carlo_decode(tree, eta, args.trials, seed=args.seed)
-    diff = abs(mc.estimate - exact)
-    ok = conserved and diff <= 4.0 * mc.stderr + 1e-15
+    # the standard error the exact value predicts: a sample's own is 0
+    # when every trial agrees, however far it lies from the exact value
+    stderr = math.sqrt(max(exact * (1.0 - exact), 0.0) / args.trials)
+    ok = conserved and abs(mc.estimate - exact) <= 4.0 * stderr + 1e-15
     print(f"{'PASS' if ok else 'FAIL'} exact={exact:.6f} "
-          f"mc={mc.estimate:.6f} stderr={mc.stderr:.6f} "
+          f"mc={mc.estimate:.6f} stderr={stderr:.6f} "
           f"conservation={'ok' if conserved else 'VIOLATED'}")
     return EXIT_OK if ok else EXIT_CHECK
 

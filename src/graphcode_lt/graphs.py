@@ -1,8 +1,11 @@
 """Simple undirected graphs with local complementation and LC orbits.
 
-Adjacency is a tuple of neighbor bit masks, so graphs are hashable values
-and local complementation is a few xors.  Graphs built here from rows
-that are symmetric by construction skip the public constructor's checks.
+A graph is the namedtuple ``(n, nbr)``, ``nbr`` a tuple of neighbor bit
+masks, so graphs are hashable values, equal and hashed as that tuple, and
+local complementation is a few xors.  The public constructor ``Graph(n,
+nbr)`` checks the row count, the range of every row, loops and symmetry.
+Graphs built here from rows that are symmetric by construction skip those
+checks through ``Graph._trusted``.
 
 Canonical labeling pins a prefix of distinguished vertices (the code
 input) and orders the rest to minimize the column string: position p
@@ -25,6 +28,8 @@ changes neither the members nor the order they are found in.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .pauli import PauliOperator, iter_bits
 
 
@@ -37,12 +42,12 @@ def _graph6_size(n: int) -> list[int]:
     return [63] * (width // 3) + [n >> 6 * k & 63 for k in reversed(range(width))]
 
 
-class Graph:
+class Graph(namedtuple("Graph", "n nbr")):
     """Immutable undirected graph on vertices 0..n-1, no self loops."""
 
-    __slots__ = ("n", "nbr")
+    __slots__ = ()
 
-    def __init__(self, n: int, nbr: tuple[int, ...]):
+    def __new__(cls, n: int, nbr: tuple[int, ...]):
         if len(nbr) != n:
             raise ValueError("adjacency length does not match vertex count")
         for v, row in enumerate(nbr):
@@ -54,20 +59,14 @@ class Graph:
             for u in iter_bits(nbr[v]):
                 if not (nbr[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency at ({v}, {u})")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "nbr", tuple(nbr))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
+        return tuple.__new__(cls, (n, tuple(nbr)))
 
     @classmethod
     def _trusted(cls, n: int, nbr: tuple[int, ...]) -> "Graph":
-        """A graph from rows this module built symmetric, loop-free and in
-        range, without the constructor's checks."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "nbr", nbr)
-        return g
+        """A graph from a tuple of rows this module built symmetric,
+        loop-free and in range: the field tuple itself, made by
+        ``tuple.__new__`` without the checks of ``Graph(n, nbr)``."""
+        return tuple.__new__(cls, (n, nbr))
 
     # -- constructors ----------------------------------------------------
 
@@ -173,12 +172,6 @@ class Graph:
                for v, row in enumerate(self.nbr)]
         nbr.append(neighborhood)
         return Graph._trusted(self.n + 1, tuple(nbr))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.nbr == other.nbr
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.nbr))
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, edges={self.edges()})"
@@ -318,8 +311,7 @@ def canonical_form(g: Graph, n_fixed: int = 0) -> Graph:
 
 def canonical_key(g: Graph, n_fixed: int = 0) -> tuple:
     """Hashable canonical invariant under permutations preserving the pinned prefix."""
-    cf = _canonical(g, n_fixed)[0]
-    return (cf.n, cf.nbr)
+    return tuple(_canonical(g, n_fixed)[0])
 
 
 def lc_orbit(g: Graph, cap: int = 10 ** 6, n_fixed: int = 1) -> tuple[set[Graph], bool]:

@@ -43,7 +43,8 @@ __all__ = [
 ]
 
 
-class Leaf:
+class Leaf(namedtuple("Leaf", "outcome pattern targets output",
+                      defaults=((), None))):
     """Terminal decoder state.
 
     ``targets`` holds the fully measured operator (Pauli mode) or the
@@ -52,47 +53,21 @@ class Leaf:
     the indices of the logical coset members it measured.
     """
 
-    __slots__ = ("outcome", "pattern", "targets", "output")
-
-    def __init__(self, outcome: str, pattern: MeasurementPattern,
-                 targets: tuple = (), output: int | None = None):
-        self.outcome = outcome
-        self.pattern = pattern
-        self.targets = targets
-        self.output = output
+    __slots__ = ()
 
     @property
     def success(self) -> bool:
         return self.outcome == "success"
 
-    def __repr__(self) -> str:
-        return f"Leaf({self.outcome}, {self.pattern!r})"
+
+# attempt ``qubit`` in ``basis``, a letter of ``BASES``
+MeasureNode = namedtuple("MeasureNode", "qubit basis on_detect on_loss")
 
 
-class MeasureNode:
-    """Attempt ``qubit`` in ``basis``, a letter of ``BASES``."""
+class DecisionTree(namedtuple("DecisionTree", "code kind root")):
+    """Compiled decoder for one code and one measurement task."""
 
-    __slots__ = ("qubit", "basis", "on_detect", "on_loss")
-
-    def __init__(self, qubit: int, basis: str, on_detect, on_loss):
-        self.qubit = qubit
-        self.basis = basis
-        self.on_detect = on_detect
-        self.on_loss = on_loss
-
-    def __repr__(self) -> str:
-        return f"MeasureNode(q={self.qubit}, basis={self.basis})"
-
-
-class DecisionTree:
-    """Immutable compiled decoder for one code and one measurement task."""
-
-    __slots__ = ("code", "kind", "root")
-
-    def __init__(self, code: GraphCode, kind: str, root):
-        self.code = code
-        self.kind = kind
-        self.root = root
+    __slots__ = ()
 
     def stats(self) -> dict:
         outcomes = [leaf.success for leaf, _ in paths(self.root)]
@@ -246,15 +221,16 @@ class TargetSet:
 def grow(pattern: MeasurementPattern, state, step):
     """Build an adaptive measure/lose tree from ``pattern``.
 
-    ``step(pattern, state)`` returns either a terminal node or a tuple
-    ``(qubit, basis, detect_state, lost_state)``: attempt ``qubit`` in
-    ``basis`` and continue from the detected and lost patterns with those
-    states.  A state typically holds the targets still alive; each child
-    narrows its parent's, since measuring only removes wildcards and a
-    dead target stays dead.
+    ``step(pattern, state)`` returns either a ``Leaf``, which ends the
+    branch, or a tuple ``(qubit, basis, detect_state, lost_state)``:
+    attempt ``qubit`` in ``basis`` and continue from the detected and
+    lost patterns with those states.  A ``Leaf`` is a tuple too, so the
+    test is for the ``Leaf``.  A state typically holds the targets still
+    alive; each child narrows its parent's, since measuring only removes
+    wildcards and a dead target stays dead.
     """
     move = step(pattern, state)
-    if not isinstance(move, tuple):
+    if isinstance(move, Leaf):
         return move
     q, basis, detect_state, lost_state = move
     return MeasureNode(q, basis, grow(pattern.measure(q, basis), detect_state, step),

@@ -14,6 +14,8 @@ letters on given qubits; both take Python ints or numpy uint64 arrays.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 # the measurement bases, in the order of their letters in a packed mask:
 # the three Pauli bases and A, an arbitrary (rotated) basis
 BASES = ("X", "Y", "Z", "A")
@@ -31,7 +33,7 @@ class DimensionError(ValueError):
     """Raised when operators or patterns of different lengths are combined."""
 
 
-class PauliOperator:
+class PauliOperator(namedtuple("PauliOperator", "n x z phase")):
     """An n-qubit Pauli operator i^phase * X^x Z^z.
 
     Immutable.  ``x`` and ``z`` are bit masks; bit i of ``x`` (``z``) is the
@@ -39,17 +41,11 @@ class PauliOperator:
     letter Y, which in this normal form contributes i^1 (Y = i X Z).
     """
 
-    __slots__ = ("n", "x", "z", "phase")
+    __slots__ = ()
 
-    def __init__(self, n: int, x: int = 0, z: int = 0, phase: int = 0):
+    def __new__(cls, n: int, x: int = 0, z: int = 0, phase: int = 0):
         mask = (1 << n) - 1
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "x", x & mask)
-        object.__setattr__(self, "z", z & mask)
-        object.__setattr__(self, "phase", phase & 3)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliOperator is immutable")
+        return tuple.__new__(cls, (n, x & mask, z & mask, phase & 3))
 
     # -- constructors ---------------------------------------------------
 
@@ -130,25 +126,12 @@ class PauliOperator:
     def to_string(self) -> str:
         return self.sign + self.letters()
 
-    # -- dunder ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PauliOperator)
-            and self.n == other.n
-            and self.x == other.x
-            and self.z == other.z
-            and self.phase == other.phase
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.x, self.z, self.phase))
-
     def __repr__(self) -> str:
         return f"PauliOperator({self.to_string()!r})"
 
 
-class MeasurementPattern:
+class MeasurementPattern(namedtuple("MeasurementPattern",
+                                    "n letters unmeasured")):
     """Per-qubit status: unmeasured, measured in some basis, or lost.
 
     A basis is one letter of ``BASES``: ``"X"``, ``"Y"``, ``"Z"`` or
@@ -164,16 +147,11 @@ class MeasurementPattern:
     qubit in neither is lost.
     """
 
-    __slots__ = ("n", "letters", "unmeasured")
+    __slots__ = ()
 
-    def __init__(self, n: int, letters: int = 0, unmeasured: int | None = None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "unmeasured",
-                           (1 << n) - 1 if unmeasured is None else unmeasured)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MeasurementPattern is immutable")
+    def __new__(cls, n: int, letters: int = 0, unmeasured: int | None = None):
+        return tuple.__new__(cls, (n, letters,
+                                   (1 << n) - 1 if unmeasured is None else unmeasured))
 
     def allowed(self, prospective: bool) -> int:
         """Packed mask of the letters recoverable per qubit: a measured
@@ -207,16 +185,6 @@ class MeasurementPattern:
         # the qubit's one letter, at bit qubit + k*n for basis k
         hit = self.letters & spread(1 << qubit, self.n, BASES)
         return BASES[(hit.bit_length() - 1) // self.n] if hit else "lost"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MeasurementPattern)
-            and (self.n, self.letters, self.unmeasured)
-            == (other.n, other.letters, other.unmeasured)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.letters, self.unmeasured))
 
     def chars(self) -> str:
         """One status letter per qubit: basis letter, '.' unmeasured, '_' lost."""

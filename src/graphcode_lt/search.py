@@ -126,14 +126,16 @@ def evaluate_objective(obj: Objective, code: GraphCode) -> tuple[float, float, s
 def _representatives(n: int, n_fixed: int) -> list[Graph]:
     """One representative per LC class of connected n-vertex graphs, where
     relabelings must fix the first ``n_fixed`` vertices.  Each is its
-    orbit's minimum (n, nbr) key; the list is sorted by nbr."""
+    orbit's least member, graphs ordering as their (n, nbr) tuples; the
+    list is sorted by nbr.  A canonical key is its form's (n, nbr) tuple,
+    so it equals, and hashes as, that member of ``seen``."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     if n == 1:
         return [Graph(1, (0,))]
     reps = [Graph(2, (2, 1))]
     for level in range(3, n + 1):
-        seen: set[tuple] = set()
+        seen: set[Graph] = set()
         found: list[Graph] = []
         for g in reps:
             for mask in range(1, 1 << g.n):
@@ -144,9 +146,8 @@ def _representatives(n: int, n_fixed: int) -> list[Graph]:
                 if truncated:
                     raise ResourceLimitError(
                         f"orbit closure exceeded cap at n={level}")
-                keys = [(m.n, m.nbr) for m in members]
-                seen.update(keys)
-                found.append(Graph(*min(keys)))
+                seen.update(members)
+                found.append(min(members))
         reps = sorted(found, key=lambda h: h.nbr)
     return reps
 

@@ -20,6 +20,7 @@ from _oracles import grid_points_reference
 
 from graphcode_lt import cli
 from graphcode_lt.cli import (
+    EXIT_CHECK,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
@@ -37,9 +38,11 @@ from graphcode_lt.codes import pentagon_code, star_code
 from graphcode_lt.errordecode import CheckSet
 from graphcode_lt.fusion import FusionModel, LogicalFusionResult
 from graphcode_lt.graphs import Graph
-from graphcode_lt.losstree import MCResult, load_or_build
+from graphcode_lt.losstree import (
+    DecisionTree, Leaf, MCResult, MeasureNode, load_or_build)
 from graphcode_lt.modular import LayerStack, StackResult, unit_F
 from graphcode_lt.opsets import ResourceLimitError
+from graphcode_lt.pauli import MeasurementPattern, PauliOperator
 from graphcode_lt.search import Objective, ScoredCandidate, SearchResult
 
 
@@ -608,6 +611,18 @@ def test_search_checkpoint_under_cache_env(tmp_path, monkeypatch, capsys):
     assert ckpts[0].read_text() == first
 
 
+def test_cache_env_naming_a_file_exits_3(tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "not-a-directory"
+    taken.write_text("")
+    monkeypatch.setenv("GRAPHCODE_LT_CACHE", str(taken))
+    assert main(["search", "arbitrary", "--graph", "n:4"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("graphcode-lt: error: GRAPHCODE_LT_CACHE=")
+    assert captured.err.count("\n") == 1
+    assert taken.read_text() == ""
+
+
 # -- mc-check -----------------------------------------------------------------------
 
 
@@ -625,6 +640,25 @@ def test_mc_check_pauli_basis(capsys):
                "--eta", "0.75", "--trials", "50000", "--seed", "4"])
     assert rc == EXIT_OK
     assert capsys.readouterr().out.startswith("PASS")
+
+
+def test_mc_check_passes_when_every_trial_agrees(capsys):
+    # all ten trials succeed: the sample's own standard error is 0, the
+    # one the exact value 0.9639 predicts is 0.059
+    rc = main(["mc-check", "--graph", "pentagon", "--eta", "0.9",
+               "--trials", "10", "--basis", "X"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == (
+        "PASS exact=0.963900 mc=1.000000 stderr=0.058989 conservation=ok\n")
+
+
+def test_mc_check_fails_an_estimate_far_from_exact(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "monte_carlo_decode",
+                        lambda tree, eta, trials, seed: MCResult(0.5, 0.0, trials))
+    rc = main(["mc-check", "--graph", "pentagon", "--eta", "0.9",
+               "--trials", "10", "--basis", "X"])
+    assert rc == EXIT_CHECK
+    assert capsys.readouterr().out.startswith("FAIL exact=0.963900 mc=0.500000")
 
 
 def test_mc_check_above_one_chunk_is_deterministic_per_seed(capsys):
@@ -660,6 +694,12 @@ def _records():
         (objective, "eta"),
         (ScoredCandidate("A_", 0, 0.5, 0.0, None), "score"),
         (SearchResult(objective, (), ()), "ranked"),
+        (PauliOperator.from_string("XZ"), "x"),
+        (MeasurementPattern(2), "letters"),
+        (Graph(2, (2, 1)), "nbr"),
+        (Leaf("failure", MeasurementPattern(1)), "outcome"),
+        (MeasureNode(0, "X", None, None), "qubit"),
+        (DecisionTree(pentagon_code(), "pauli-X", None), "kind"),
     ]
 
 
@@ -671,6 +711,16 @@ def test_records_refuse_assignment(record, field):
     for name in (field, "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, field))
+
+
+def test_value_types_hash_as_their_field_tuples():
+    # set and dict orders of operators, patterns and graphs follow these
+    # hashes, so they are those of the field tuples
+    values = [PauliOperator.from_string("-iXYZ"), PauliOperator(3),
+              MeasurementPattern.from_chars("XA._"), MeasurementPattern(3),
+              Graph(3, (2, 5, 2)), Graph.from_edges(4, [(0, 3)])]
+    for v in values:
+        assert hash(v) == hash(tuple(v))
 
 
 def _load_layertrace():

@@ -78,6 +78,11 @@ def test_path_graph_generator_product():
     assert np.allclose(dense(prod), dense(k0) @ dense(k1))
 
 
+def test_constructor_masks_to_n_qubits_and_phase_mod_4():
+    assert PauliOperator(2, 0b111, 0b100, 7) == (2, 0b11, 0, 3)
+    assert PauliOperator(3, -1, -2, -1) == (3, 0b111, 0b110, 3)
+
+
 def test_string_round_trip():
     for text in ["+XIZY", "-YYZ", "+iXZ", "-iIII", "+I"]:
         assert PauliOperator.from_string(text).to_string() == text
