@@ -39,7 +39,6 @@ from .opsets import (
 from .polynomials import LossPolynomial, break_even
 from .losstree import (
     DecisionTree,
-    MCResult,
     build_arbitrary_tree,
     build_pauli_tree,
     decode,

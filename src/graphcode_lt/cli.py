@@ -13,7 +13,8 @@ engines refuse).  A star or tree --graph past 14 code qubits exits 4
 before the code is built, and so does a search over n:<k> whose
 candidates would have more than 14 code qubits (k > 15), before any
 class is enumerated.  A start:stop:step grid (--eta-grid, --lambda-grid,
---pfail) of more than 10^6 points exits 4 before any point is made.
+--pfail) of more than 10^6 points exits 4 before any point is made, and
+so does a concat --depth past 1000 layers.
 
 Rows stream: each is written as soon as it is made, so memory does not
 grow with the row count, and nothing reaches stdout before the first row
@@ -93,6 +94,11 @@ CACHE_ENV = "GRAPHCODE_LT_CACHE"
 # about 1 us each, so a tiny step would otherwise hang, then run out of
 # memory.
 GRID_LIMIT = 10 ** 6
+
+# The deepest concat stack.  Its qubit count is the unit's to the power
+# of the depth: at 14 qubits and this depth it has 1,147 digits, and far
+# deeper ones pass Python's 4,300-digit limit on printing an integer.
+DEPTH_LIMIT = 1000
 
 
 class CliError(Exception):
@@ -412,6 +418,9 @@ def cmd_concat(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
     if args.depth < 1:
         raise CliError(EXIT_VALIDATION, f"--depth must be >= 1, got {args.depth}")
+    if args.depth > DEPTH_LIMIT:
+        raise ResourceLimitError(
+            f"--depth {args.depth} is past the limit of {DEPTH_LIMIT} layers")
     etas = _eta_list(args)
 
     def rows():
@@ -508,9 +517,9 @@ def cmd_mc_check(args, config) -> int:
     # the standard error the exact value predicts: a sample's own is 0
     # when every trial agrees, however far it lies from the exact value
     stderr = math.sqrt(max(exact * (1.0 - exact), 0.0) / args.trials)
-    ok = conserved and abs(mc.estimate - exact) <= 4.0 * stderr + 1e-15
+    ok = conserved and abs(mc - exact) <= 4.0 * stderr + 1e-15
     print(f"{'PASS' if ok else 'FAIL'} exact={exact:.6f} "
-          f"mc={mc.estimate:.6f} stderr={stderr:.6f} "
+          f"mc={mc:.6f} stderr={stderr:.6f} "
           f"conservation={'ok' if conserved else 'VIOLATED'}")
     return EXIT_OK if ok else EXIT_CHECK
 

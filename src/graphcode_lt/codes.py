@@ -16,6 +16,12 @@ The construction guarantees a valid code, so it is not re-checked:
   - each K_{b0} K_b has X on two qubits of B and each K_{b'} on none, so
     all commute with Z_B, and graph-state generators commute pairwise;
   - their X parts {b0, b} and {b'} are distinct, so the n - 1 are independent.
+
+A ``GraphCode`` is a namedtuple of eight fields, six of them derived from
+``(progenitor, input_vertex)`` when it is made.  Equality and hash read
+those two alone, and a code pickles and copies as those two, so a code
+loaded in another process is derived again and reaches the same
+``per_code`` memo entry as its original.
 """
 
 from __future__ import annotations
@@ -32,17 +38,20 @@ class InvalidCodeError(ValueError):
     """Raised when a progenitor graph does not define a valid code."""
 
 
-class GraphCode:
+class GraphCode(namedtuple("GraphCode", "progenitor input_vertex b0 n "
+                           "logical_x logical_y logical_z "
+                           "stabilizer_generators")):
     """A graph code for one logical qubit, from a progenitor graph.
 
     Code qubits are the progenitor vertices other than the input, relabeled
-    to 0..n-1 in ascending original order.
+    to 0..n-1 in ascending original order.  ``GraphCode(progenitor,
+    input_vertex)`` derives the other six fields; equality, hash and
+    pickling read those two arguments alone.
     """
 
-    __slots__ = ("progenitor", "input_vertex", "b0", "n", "logical_x",
-                 "logical_y", "logical_z", "stabilizer_generators", "_hash")
+    __slots__ = ()
 
-    def __init__(self, progenitor: Graph, input_vertex: int = 0):
+    def __new__(cls, progenitor: Graph, input_vertex: int = 0):
         if not 0 <= input_vertex < progenitor.n:
             raise InvalidCodeError(f"input vertex {input_vertex} out of range")
         b_orig = progenitor.neighbors(input_vertex)
@@ -65,21 +74,12 @@ class GraphCode:
         logical_z = k[b0_idx]
         gens = [k[b0_idx] * k[pos[b]] for b in b_orig if b != b0]
         gens += [k[i] for i in range(n) if not (branch_mask >> i) & 1]
+        return tuple.__new__(cls, (progenitor, input_vertex, b0, n, logical_x,
+                                   logical_x * logical_z, logical_z,
+                                   tuple(gens)))
 
-        object.__setattr__(self, "progenitor", progenitor)
-        object.__setattr__(self, "input_vertex", input_vertex)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "logical_x", logical_x)
-        object.__setattr__(self, "logical_z", logical_z)
-        object.__setattr__(self, "logical_y", logical_x * logical_z)
-        object.__setattr__(self, "stabilizer_generators", tuple(gens))
-        # every memoised call hashes the code, so hash it once
-        object.__setattr__(self, "_hash",
-                           hash((progenitor, input_vertex, b0)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GraphCode is immutable")
+    def __getnewargs__(self):
+        return self[:2]
 
     # -- logical accessors ------------------------------------------------
 
@@ -103,15 +103,15 @@ class GraphCode:
         })
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GraphCode)
-            and self.progenitor == other.progenitor
-            and self.input_vertex == other.input_vertex
-            and self.b0 == other.b0
-        )
+        return (isinstance(other, GraphCode) and self[1] == other[1]
+                and self[0] == other[0])
+
+    # tuple.__ne__ would compare all eight fields
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self[:2])
 
     def __repr__(self) -> str:
         return (f"GraphCode(n={self.n}, input={self.input_vertex}, "

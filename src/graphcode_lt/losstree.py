@@ -385,10 +385,6 @@ def decode(tree: DecisionTree, detected_mask: int) -> Leaf:
     return node
 
 
-# a Monte Carlo success estimate with its standard error and trial count
-MCResult = namedtuple("MCResult", "estimate stderr trials")
-
-
 # Trials sampled per numpy pass of ``monte_carlo_decode``: the masks, one
 # qubit's uniform draws and their comparison take 17 bytes a trial, so a
 # pass peaks near 1.1 MB whatever the trial count.
@@ -396,8 +392,9 @@ MC_CHUNK = 1 << 16
 
 
 def monte_carlo_decode(tree: DecisionTree, eta: float, trials: int,
-                       seed: int = 0) -> MCResult:
-    """Sample i.i.d. per-qubit loss and count decoder successes.
+                       seed: int = 0) -> float:
+    """Sample i.i.d. per-qubit loss; the fraction of trials the decoder
+    succeeds on.
 
     Each trial is one loss configuration of the tree's code (bit q set:
     qubit q detected), so the trials are tallied per configuration, at
@@ -420,6 +417,4 @@ def monte_carlo_decode(tree: DecisionTree, eta: float, trials: int,
         tally += np.bincount(masks, minlength=len(tally))
     successes = sum(count for mask, count in enumerate(tally.tolist())
                     if count and decode(tree, mask).success)
-    est = successes / trials
-    stderr = float(np.sqrt(max(est * (1.0 - est), 1e-12) / trials))
-    return MCResult(est, stderr, trials)
+    return successes / trials

@@ -6,6 +6,8 @@ heterogeneous form needed when different bases see different effective
 transmissions.  The terms are read off a decoder tree path by path
 (``losstree.paths``) and counted into one dict; a polynomial is then
 only evaluated and expanded, never added to or multiplied by another.
+``LossPolynomial`` is a frozen dataclass of that dict and of the rows
+``evaluate`` reads, built with it; equality and hash read the dict.
 Expansion to plain power-series coefficients is exact (integer
 arithmetic), which is what makes break-even points and leading
 subthreshold coefficients trustworthy.  ``break_even`` works on that
@@ -22,44 +24,44 @@ one float bisection, ``bisect``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb, gcd
 
 from .pauli import BASES
 
 
+@dataclass(frozen=True)
 class LossPolynomial:
     """Sum of mult * prod_M eta_M^a_M (1-eta_M)^b_M with integer mults.
 
     ``terms`` maps ((aX, aY, aZ, aA), (bX, bY, bZ, bA)) to the integer
     multiplicity of that monomial; the exponents follow ``pauli.BASES``.
+    Terms of multiplicity zero are dropped.  ``rows`` holds one
+    (mult, sum(a), sum(b)) row per term, in the order of ``terms``, built
+    with the polynomial for ``evaluate``.  Equality and hash read
+    ``terms`` alone.
     """
 
-    __slots__ = ("terms", "_sums")
+    terms: dict = field(default_factory=dict)
+    rows: tuple = field(init=False, repr=False, compare=False)
 
-    def __init__(self, terms: dict | None = None):
-        object.__setattr__(self, "terms", {key: mult for key, mult
-                                           in (terms or {}).items() if mult})
-        object.__setattr__(self, "_sums", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LossPolynomial is immutable")
+    def __post_init__(self):
+        terms = {key: mult for key, mult in self.terms.items() if mult}
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "rows", tuple(
+            (mult, sum(a), sum(b)) for (a, b), mult in terms.items()))
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, eta: float) -> float:
         """Homogeneous evaluation: every basis sees the same transmission.
 
-        Reads one (mult, sum(a), sum(b)) row per term, built on the first
-        call; the terms are summed in their order with the same float
-        operations as a loop over ``terms``, so the value is that loop's
-        bit for bit."""
-        if self._sums is None:
-            object.__setattr__(self, "_sums", tuple(
-                (mult, sum(a), sum(b)) for (a, b), mult in self.terms.items()))
+        Sums ``rows`` in their order with the same float operations as a
+        loop over ``terms``, so the value is that loop's bit for bit."""
         total = 0.0
         loss = 1.0 - eta
-        for mult, a, b in self._sums:
+        for mult, a, b in self.rows:
             total += mult * eta ** a * loss ** b
         return total
 
@@ -114,9 +116,6 @@ class LossPolynomial:
         return " ".join(parts)
 
     # -- inspection ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LossPolynomial) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))

@@ -22,13 +22,16 @@ against one objective with optional process parallelism and an
 append-only JSON-lines checkpoint that makes long sweeps
 resumable.  Its ``workers`` (the CLI's ``--threads``) is an upper bound:
 the pool is capped at the number of pending candidates and of CPUs, and
-a cap of one scores in-process.  Rankings are sorted by score with a
-total tie-break, so any permutation of the candidate stream yields the
-same result order.
+a cap of one scores in-process.  Workers are sent the objective and the
+codes the candidate stream built (a code pickles as its progenitor and
+input vertex), and the parent writes each record's graph6.  Rankings are
+sorted by score with a total tie-break, so any permutation of the
+candidate stream yields the same result order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -253,32 +256,29 @@ def _rank_key(c: ScoredCandidate):
     return (-c.score, -c.tie_break, c.graph6, c.input_vertex)
 
 
-def _eval_packed(args):
-    g6, input_vertex, obj_dict = args
-    obj = Objective(**obj_dict)
-    code = GraphCode(Graph.from_graph6(g6), input_vertex)
+def _score(objective: Objective, code: GraphCode):
+    """(score, tie-break score, polynomial, error message or None)."""
     try:
-        score, second, poly = evaluate_objective(obj, code)
-        return g6, input_vertex, score, second, poly, None
+        return (*evaluate_objective(objective, code), None)
     except ResourceLimitError as exc:
-        return g6, input_vertex, 0.0, 0.0, None, str(exc)
+        return 0.0, 0.0, None, str(exc)
     except Exception as exc:
-        return g6, input_vertex, 0.0, 0.0, None, repr(exc)
+        return 0.0, 0.0, None, repr(exc)
     finally:
         # a search scores each code once, so its derived data is dead
         forget(code)
 
 
-def _run_pass(tasks, workers: int):
+def _run_pass(objective: Objective, codes: list, workers: int):
     # a fork-started pool starts all its processes at the first submit, so
-    # ask for no more than there are tasks and CPUs to run them
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    # ask for no more than there are codes and CPUs to score them
+    workers = min(workers, len(codes), os.cpu_count() or 1)
+    score = functools.partial(_score, objective)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_eval_packed, tasks, chunksize=1)
+            yield from pool.map(score, codes, chunksize=1)
     else:
-        for task in tasks:
-            yield _eval_packed(task)
+        yield from map(score, codes)
 
 
 def _load_checkpoint(path: str | None, objective: Objective) -> tuple[dict, int]:
@@ -326,9 +326,8 @@ def optimize(objective: Objective, candidates, *, workers: int = 1,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cached, intact = _load_checkpoint(checkpoint, objective)
-    obj_dict = objective.as_dict()
 
-    pending = []
+    pending = {}  # (graph6, input) -> code, in stream order
     scored = []
     seen: set[tuple[str, int]] = set()
     for code in candidates:
@@ -340,7 +339,7 @@ def optimize(objective: Objective, candidates, *, workers: int = 1,
         if ident in cached:
             scored.append(cached[ident])
         else:
-            pending.append((g6, code.input_vertex, obj_dict))
+            pending[ident] = code
 
     sink = None
     if checkpoint:
@@ -348,7 +347,8 @@ def optimize(objective: Objective, candidates, *, workers: int = 1,
         sink.truncate(intact)  # new records must not follow a torn line
     failures = []
     try:
-        for g6, iv, score, second, poly, err in _run_pass(pending, workers):
+        results = _run_pass(objective, list(pending.values()), workers)
+        for (g6, iv), (score, second, poly, err) in zip(pending, results):
             if err is not None:
                 failures.append((g6, iv, err))
                 continue

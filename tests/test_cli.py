@@ -2,11 +2,13 @@
 and the names the benchmark's layer tracer wraps."""
 
 import ast
+import copy
 import glob
 import importlib
 import importlib.util
 import json
 import os
+import pickle
 import pkgutil
 import random
 import time
@@ -25,6 +27,7 @@ from graphcode_lt.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_VALIDATION,
+    DEPTH_LIMIT,
     GRID_LIMIT,
     build_parser,
     config_hash,
@@ -34,15 +37,16 @@ from graphcode_lt.cli import (
     resolve_code,
     CliError,
 )
-from graphcode_lt.codes import pentagon_code, star_code
+from graphcode_lt.codes import GraphCode, pentagon_code, per_code, star_code
 from graphcode_lt.errordecode import CheckSet
 from graphcode_lt.fusion import FusionModel, LogicalFusionResult
 from graphcode_lt.graphs import Graph
 from graphcode_lt.losstree import (
-    DecisionTree, Leaf, MCResult, MeasureNode, load_or_build)
+    DecisionTree, Leaf, MeasureNode, load_or_build, success_polynomial)
 from graphcode_lt.modular import LayerStack, StackResult, unit_F
 from graphcode_lt.opsets import ResourceLimitError
 from graphcode_lt.pauli import MeasurementPattern, PauliOperator
+from graphcode_lt.polynomials import LossPolynomial
 from graphcode_lt.search import Objective, ScoredCandidate, SearchResult
 
 
@@ -408,6 +412,17 @@ def test_concat_reports_qubit_count(tmp_path):
     assert row[-1] == "49"
 
 
+def test_concat_depth_past_the_limit_exits_before_any_row(capsys):
+    argv = ["concat", "--graph", "pentagon", "--eta", "0.9", "--depth"]
+    assert main(argv + [str(DEPTH_LIMIT)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "," + str(4 ** DEPTH_LIMIT))
+    assert main(argv + [str(DEPTH_LIMIT + 1)]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--depth {DEPTH_LIMIT + 1} is past the limit" in captured.err
+
+
 def test_rgs_emits_link_and_chain_columns(tmp_path):
     out = tmp_path / "rgs.csv"
     rc = main(["rgs", "--graph", "tree:2,1", "--pfail", "0.5",
@@ -654,7 +669,7 @@ def test_mc_check_passes_when_every_trial_agrees(capsys):
 
 def test_mc_check_fails_an_estimate_far_from_exact(monkeypatch, capsys):
     monkeypatch.setattr(cli, "monte_carlo_decode",
-                        lambda tree, eta, trials, seed: MCResult(0.5, 0.0, trials))
+                        lambda tree, eta, trials, seed: 0.5)
     rc = main(["mc-check", "--graph", "pentagon", "--eta", "0.9",
                "--trials", "10", "--basis", "X"])
     assert rc == EXIT_CHECK
@@ -685,7 +700,6 @@ def _records():
     stack = LayerStack([pentagon_code()], "concatenated", 0.9)
     objective = Objective("arbitrary")
     return [
-        (MCResult(0.5, 0.01, 100), "estimate"),
         (CheckSet((), ()), "checks"),
         (stack, "eta"),
         (StackResult(stack, 0.1, 4), "logical_loss"),
@@ -700,6 +714,8 @@ def _records():
         (Leaf("failure", MeasurementPattern(1)), "outcome"),
         (MeasureNode(0, "X", None, None), "qubit"),
         (DecisionTree(pentagon_code(), "pauli-X", None), "kind"),
+        (pentagon_code(), "input_vertex"),
+        (LossPolynomial({((1, 0, 0, 0), (0, 0, 0, 0)): 2}), "terms"),
     ]
 
 
@@ -711,6 +727,51 @@ def test_records_refuse_assignment(record, field):
     for name in (field, "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, field))
+
+
+@pytest.mark.parametrize(
+    "value", [v for v, _ in _records()]
+    + [star_code(3), success_polynomial(load_or_build(pentagon_code(), "X")),
+       load_or_build(pentagon_code(), "arbitrary")],
+    ids=lambda v: type(v).__name__)
+def test_values_survive_pickle_and_deepcopy(value):
+    def fields(v):
+        # a LayerStack compares by identity, so it and the StackResult
+        # that holds it are compared field by field
+        if isinstance(v, LayerStack):
+            return v.layers, v.mode, v.eta
+        if isinstance(v, StackResult):
+            return (fields(v.stack), *v[1:])
+        return v
+
+    assert fields(pickle.loads(pickle.dumps(value))) == fields(value)
+    assert fields(copy.deepcopy(value)) == fields(value)
+
+
+def test_an_unpickled_code_reaches_the_memo_entry_of_its_original():
+    calls = []
+
+    @per_code
+    def qubits(code):
+        calls.append(code)
+        return code.n
+
+    code = pentagon_code()
+    assert qubits(code) == 4
+    loaded = pickle.loads(pickle.dumps(code))
+    assert loaded is not code
+    assert qubits(loaded) == 4 and calls == [code]
+    assert tuple(loaded) == tuple(code)
+
+
+def test_code_inequality_is_the_negation_of_equality():
+    # equality reads (progenitor, input_vertex); != must agree with it
+    # rather than compare the tuples
+    codes = [pentagon_code(), pentagon_code(), star_code(4),
+             GraphCode(pentagon_code().progenitor, 2)]
+    for a in codes:
+        for b in codes + [tuple(codes[0]), None]:
+            assert (a != b) is not (a == b)
 
 
 def test_value_types_hash_as_their_field_tuples():

@@ -567,17 +567,18 @@ def test_monte_carlo_agreement_four_sigma():
     code = pentagon_code()
     tree = build_pauli_tree(code, "Z")
     exact = 2 * 0.8 ** 2 - 0.8 ** 4
-    mc = monte_carlo_decode(tree, 0.8, trials=10 ** 6, seed=42)
-    assert abs(mc.estimate - exact) <= 4 * mc.stderr
+    trials = 10 ** 6
+    mc = monte_carlo_decode(tree, 0.8, trials, seed=42)
+    assert abs(mc - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
 
 def test_monte_carlo_extremes_and_determinism():
     code = pentagon_code()
     tree = build_arbitrary_tree(code)
-    assert monte_carlo_decode(tree, 1.0, 1000, seed=3).estimate == 1.0
-    assert monte_carlo_decode(tree, 0.0, 1000, seed=3).estimate == 0.0
-    a = monte_carlo_decode(tree, 0.77, 20000, seed=9).estimate
-    b = monte_carlo_decode(tree, 0.77, 20000, seed=9).estimate
+    assert monte_carlo_decode(tree, 1.0, 1000, seed=3) == 1.0
+    assert monte_carlo_decode(tree, 0.0, 1000, seed=3) == 0.0
+    a = monte_carlo_decode(tree, 0.77, 20000, seed=9)
+    b = monte_carlo_decode(tree, 0.77, 20000, seed=9)
     assert a == b
     with pytest.raises(ValueError):
         monte_carlo_decode(tree, 0.5, 0)
@@ -588,15 +589,16 @@ def test_monte_carlo_memory_is_bounded_by_the_chunk():
     # chunks of 2^16 the sampling peaks near 1.1 MB
     code = pentagon_code()
     tree = build_pauli_tree(code, "Z")
+    trials = 1 << 22
+    exact = 2 * 0.8 ** 2 - 0.8 ** 4
     tracemalloc.start()
     try:
-        mc = monte_carlo_decode(tree, 0.8, trials=1 << 22, seed=5)
+        mc = monte_carlo_decode(tree, 0.8, trials, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
-    assert mc.trials == 1 << 22
-    assert abs(mc.estimate - (2 * 0.8 ** 2 - 0.8 ** 4)) <= 4 * mc.stderr
+    assert abs(mc - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
 
 def test_monte_carlo_counts_match_cylinder_sets():
@@ -610,7 +612,7 @@ def test_monte_carlo_counts_match_cylinder_sets():
         for seed in (0, 1, 2):
             want = monte_carlo_successes_reference(tree, 0.7, trials, seed)
             got = monte_carlo_decode(tree, 0.7, trials, seed)
-            assert got.estimate == want / trials
+            assert got == want / trials
 
 
 # -- serialization and memo --------------------------------------------------------------------
