@@ -13,7 +13,7 @@ per-photon loss at which both parity erasures stay below that budget.
 from __future__ import annotations
 
 from .codes import GraphCode
-from .fusion import FusionModel, LogicalFusionResult, adaptive_fusion, transversal_fusion
+from .fusion import logical_fusion
 from .polynomials import bisect
 
 __all__ = [
@@ -33,23 +33,18 @@ def _validated_p_fail(p_fail: float) -> float:
     return p_fail
 
 
-def _fuse(code: GraphCode, fm: FusionModel, adaptive: bool,
-          randomize: bool) -> LogicalFusionResult:
-    if adaptive:
-        return adaptive_fusion(code, fm, randomize_failures=randomize)
-    return transversal_fusion(code, fm, randomize_failures=randomize)
-
-
-def rgs_link_probability(code: GraphCode, eta: float, p_fail: float = 0.5,
-                         adaptive: bool = True) -> float:
+def rgs_link_probability(code: GraphCode, eta, p_fail: float = 0.5,
+                         adaptive: bool = True):
     """Success probability of one entanglement swap between stations.
 
     The total repeater graph is two copies of the progenitor joined at
     their inputs, both X-measured, so the link between neighboring
     stations is exactly one logical fusion of ``code`` with itself.
+    ``eta`` is a float or a 1-D array of them, and the result a float or
+    an array to match (``fusion.logical_fusion``).
     """
-    fm = FusionModel(_validated_p_fail(p_fail), eta)
-    return _fuse(code, fm, adaptive, randomize=False).p_success
+    return logical_fusion(code, _validated_p_fail(p_fail), eta,
+                          adaptive=adaptive).p_success
 
 
 def fbqc_loss_threshold(code: GraphCode, p_fail: float = 0.5,
@@ -67,8 +62,8 @@ def fbqc_loss_threshold(code: GraphCode, p_fail: float = 0.5,
     _validated_p_fail(p_fail)
 
     def inside(ell: float) -> bool:
-        fm = FusionModel(p_fail, 1.0 - ell)
-        result = _fuse(code, fm, adaptive, randomize=True)
+        result = logical_fusion(code, p_fail, 1.0 - ell, adaptive=adaptive,
+                                randomize_failures=True)
         return result.erasure_xx < ERASURE_BUDGET
 
     if not inside(0.0):

@@ -16,10 +16,12 @@ class is enumerated.  A start:stop:step grid (--eta-grid, --lambda-grid,
 --pfail) of more than 10^6 points exits 4 before any point is made, and
 so does a concat --depth past 1000 layers.
 
-Rows stream: each is written as soon as it is made, so memory does not
-grow with the row count, and nothing reaches stdout before the first row
-exists: a run that fails on its first evaluation prints nothing, and one
-that fails later exits non-zero after the rows made so far.  An
+Rows stream: sweep, fusion, rgs and concat read their grid in blocks of
+up to 1024 points, evaluate each block at once, and write its rows
+before reading the next, so memory does not grow with the row count, and
+nothing reaches stdout before the first row exists: a run that fails on
+its first evaluation prints nothing, and one that fails later exits
+non-zero after the rows made so far.  An
 --out file and its sidecar are written under temporary names beside it
 and moved into place when complete, so a failed or killed run leaves no
 truncated artifact; an --out that cannot be written exits 3 before
@@ -42,11 +44,14 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import sys
+
+import numpy as np
 
 from . import __version__
 from .codes import (
@@ -70,7 +75,7 @@ from .losstree import (
 )
 from .errordecode import depolarizing, logical_flip_rates
 from .modular import LayerStack, logical_transmission
-from .fusion import FusionModel, adaptive_fusion, transversal_fusion
+from .fusion import logical_fusion
 from .apps import fbqc_loss_threshold, rgs_link_probability
 from .search import (
     OBJECTIVE_KINDS,
@@ -94,6 +99,11 @@ CACHE_ENV = "GRAPHCODE_LT_CACHE"
 # about 1 us each, so a tiny step would otherwise hang, then run out of
 # memory.
 GRID_LIMIT = 10 ** 6
+
+# The most grid points evaluated together: sweep, fusion, rgs and concat
+# read their grid in blocks of this many, each evaluated by one kernel
+# call per polynomial, while the rows still stream one by one.
+BLOCK = 1024
 
 # The deepest concat stack.  Its qubit count is the unit's to the power
 # of the depth: at 14 qubits and this depth it has 1,147 digits, and far
@@ -364,6 +374,13 @@ def _unit_grid(text: str, name: str, hi: float = 1.0):
     return points
 
 
+def _blocks(points):
+    """The points of a grid, read in lists of at most ``BLOCK``."""
+    points = iter(points)
+    while chunk := list(itertools.islice(points, BLOCK)):
+        yield chunk
+
+
 def _eta_list(args):
     if args.eta_grid is not None:
         return _unit_grid(args.eta_grid, "--eta-grid")
@@ -383,8 +400,10 @@ def cmd_sweep(args, config) -> int:
         def rows():
             polys = [success_polynomial(load_or_build(code, k))
                      for k in ("X", "Y", "Z", "arbitrary")]
-            for eta in etas:
-                yield [eta] + [1.0 - poly.evaluate(eta) for poly in polys]
+            for chunk in _blocks(etas):
+                losses = [(1.0 - poly.evaluate(np.array(chunk))).tolist()
+                          for poly in polys]
+                yield from map(list, zip(chunk, *losses))
 
         emit_rows(["eta", "loss_x", "loss_y", "loss_z", "loss_arbitrary"],
                   rows(), config, args.out, args.format or "csv")
@@ -398,15 +417,18 @@ def cmd_sweep(args, config) -> int:
 
 def cmd_fusion(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
-    engine = adaptive_fusion if args.mode != "transversal" else transversal_fusion
     etas = _eta_list(args)
 
     def rows():
-        for eta in etas:
-            r = engine(code, FusionModel(args.pfail, eta))
+        for chunk in _blocks(etas):
+            r = logical_fusion(code, args.pfail, np.array(chunk),
+                               adaptive=args.mode != "transversal")
+            erasure = r.erasure_xx.tolist()
             # both parities are erased alike, so erasure_zz repeats erasure_xx
-            yield [eta, r.p_success, r.p_fail_logical, r.p_loss_logical,
-                   r.erasure_xx, r.erasure_xx]
+            yield from map(list, zip(chunk, r.p_success.tolist(),
+                                     r.p_fail_logical.tolist(),
+                                     r.p_loss_logical.tolist(),
+                                     erasure, erasure))
 
     emit_rows(["eta", "p_success", "p_fail_logical", "p_loss_logical",
                "erasure_xx", "erasure_zz"], rows(), config, args.out,
@@ -424,10 +446,12 @@ def cmd_concat(args, config) -> int:
     etas = _eta_list(args)
 
     def rows():
-        for eta in etas:
-            stack = LayerStack([code] * args.depth, args.mode, eta)
+        for chunk in _blocks(etas):
+            stack = LayerStack([code] * args.depth, args.mode, np.array(chunk))
             r = logical_transmission(stack)
-            yield [eta, r["X"], r["Y"], r["Z"], r["A"], stack.qubit_count]
+            yield from ([eta, x, y, z, a, stack.qubit_count]
+                        for eta, x, y, z, a in zip(
+                            chunk, *(r[b].tolist() for b in "XYZA")))
 
     emit_rows(["eta", "x", "y", "z", "arbitrary", "qubits"], rows(), config,
               args.out, args.format or "csv")
@@ -442,10 +466,11 @@ def cmd_rgs(args, config) -> int:
     etas = _eta_list(args)
 
     def rows():
-        for eta in etas:
-            p_link = rgs_link_probability(code, eta, args.pfail,
-                                          args.mode != "transversal")
-            yield [1.0 - eta, p_link, p_link ** stations]
+        for chunk in _blocks(etas):
+            links = rgs_link_probability(code, np.array(chunk), args.pfail,
+                                         args.mode != "transversal")
+            yield from ([1.0 - eta, p_link, p_link ** stations]
+                        for eta, p_link in zip(chunk, links.tolist()))
 
     emit_rows(["ell", "p_link", "p_end_to_end"], rows(), config, args.out,
               args.format or "csv")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 
 from .graphs import Graph, graph_state_generators, star_graph
 from .pauli import PauliOperator
@@ -126,8 +126,10 @@ class GraphCode(namedtuple("GraphCode", "progenitor input_vertex b0 n "
 # last CODES_KEPT is dropped whole.
 CODES_KEPT = 8
 
-# code -> {(function, args): value}, least recently used first
-_MEMO: "OrderedDict[GraphCode, dict]" = OrderedDict()
+# code -> {(function, args): value}, least recently used first.  A plain
+# dict: an OrderedDict hashes the key again to read its last key or to
+# move one.
+_MEMO: "dict[GraphCode, dict]" = {}
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")
 
@@ -137,9 +139,10 @@ def per_code(fn):
 
     Calls are keyed by the function and its further positional arguments.
     Every call makes ``code`` the most recently used; beyond ``CODES_KEPT``
-    codes, the least recently used one is forgotten.  Exceptions are not
-    stored.  ``cache_info()`` reports the decorated function's own hits
-    and misses (builds).
+    codes, the least recently used one is forgotten.  A call on the most
+    recent code hashes it once, since that entry is not moved.
+    Exceptions are not stored.  ``cache_info()`` reports the
+    decorated function's own hits and misses (builds).
     """
     counts = [0, 0]
 
@@ -149,9 +152,11 @@ def per_code(fn):
         if entries is None:
             entries = _MEMO[code] = {}
             if len(_MEMO) > CODES_KEPT:
-                _MEMO.popitem(last=False)
+                del _MEMO[next(iter(_MEMO))]
         else:
-            _MEMO.move_to_end(code)
+            last = next(reversed(_MEMO))
+            if last is not code and last != code:
+                _MEMO[code] = _MEMO.pop(code)
         key = (fn, args)
         if key in entries:
             counts[0] += 1

@@ -28,14 +28,17 @@ then folded with its twin; the fusion attempts themselves have three
 outcomes and keep their own walk.  The walk and the fold tally plain
 integer path counts; a term's exact weight, 2^-b for b randomized gate
 failures, is applied once when the terms are assembled.  Both engines
-report exact (success, fail, loss) probabilities.
+report (success, fail, loss) probabilities, each a sum of monomials in
+the gate outcomes evaluated by ``polynomials.monomial_sums`` within
+1e-12 of its exact value, at one transmission or at a block of them
+(``logical_fusion``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -44,14 +47,31 @@ from .codes import GraphCode, per_code
 from .losstree import Leaf, TargetSet, _rank, _strategies, _xz, grow, paths
 from .opsets import ResourceLimitError, stabilizer_group
 from .pauli import MeasurementPattern, iter_bits, spread
+from .polynomials import block, columns, monomial_sums
 
 __all__ = [
-    "FusionModel", "LogicalFusionResult",
+    "FusionModel", "LogicalFusionResult", "logical_fusion",
     "transversal_fusion", "adaptive_fusion", "compile_failure_bases",
     "AdaptiveFusionAnalysis",
 ]
 
 TRANSVERSAL_LIMIT = 12
+
+
+def _gate_outcomes(p_fail: float, eta) -> tuple:
+    """Arrays (s, f, l) of one physical gate's success, failure and loss
+    probabilities at each transmission of ``eta`` (a float or a 1-D
+    array), as ``FusionModel`` defines them."""
+    etas = block(eta)
+    if not 0.0 <= p_fail <= 1.0:
+        raise ValueError(f"p_fail must lie in [0, 1], got {p_fail}")
+    if not ((etas >= 0.0) & (etas <= 1.0)).all():
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    if p_fail == 0.0:
+        arrival = (etas == 1.0).astype(float)
+    else:
+        arrival = etas ** (1.0 / p_fail)
+    return arrival * (1.0 - p_fail), arrival * p_fail, 1.0 - arrival
 
 
 @dataclass(frozen=True)
@@ -79,22 +99,13 @@ class FusionModel:
     l: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p_fail, eta = self.p_fail, self.eta
-        if not 0.0 <= p_fail <= 1.0:
-            raise ValueError(f"p_fail must lie in [0, 1], got {p_fail}")
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {eta}")
-        if p_fail == 0.0:
-            arrival = 1.0 if eta == 1.0 else 0.0
-        else:
-            arrival = eta ** (1.0 / p_fail)
-        object.__setattr__(self, "s", arrival * (1.0 - p_fail))
-        object.__setattr__(self, "f", arrival * p_fail)
-        object.__setattr__(self, "l", 1.0 - arrival)
+        for name, value in zip("sfl", _gate_outcomes(self.p_fail, self.eta)):
+            object.__setattr__(self, name, float(value[0]))
 
 
 class LogicalFusionResult(NamedTuple):
-    """Exact outcome probabilities of one logical fusion."""
+    """Outcome probabilities of one logical fusion: floats, or arrays over
+    a block of transmissions (``logical_fusion``)."""
 
     p_success: float
     p_fail_logical: float
@@ -223,21 +234,35 @@ def _transversal_counts(code: GraphCode, failure_bases: tuple | None) -> dict:
     return counts
 
 
-def _transversal_result(code: GraphCode, fm: FusionModel,
-                        failure_bases: tuple | None) -> LogicalFusionResult:
-    counts = _transversal_counts(code, failure_bases)
+@per_code
+def _transversal_columns(code: GraphCode, failure_bases: tuple | None) -> tuple:
+    """``monomial_sums`` columns and class ends of the transversal counts.
+
+    A term is an exponent triple of (s, f, l), (n_success, n_fail,
+    n_loss), per class in ``_CLASSES`` order; the counts of every
+    (n_fail_x, n_fail_z) split of one n_fail are added.  Under randomized
+    failure bases a term weighs 2^-n_fail, exact in a float.
+    """
     n = code.n
-    split = failure_bases is None
-    sums = {"success": [], "fail": [], "loss": []}
-    for (ns, nfx, nfz, klass), mult in counts.items():
-        nf = nfx + nfz
-        p = fm.s ** ns * fm.f ** nf * fm.l ** (n - ns - nf)
-        if split:
-            p *= 0.5 ** nf
-        sums[klass].append(mult * p)
-    return LogicalFusionResult(math.fsum(sums["success"]),
-                               math.fsum(sums["fail"]),
-                               math.fsum(sums["loss"]))
+    half = 1 if failure_bases is None else 0
+    merged = {klass: {} for klass in _CLASSES}
+    for (ns, nfx, nfz, klass), mult in _transversal_counts(
+            code, failure_bases).items():
+        key = (ns, nfx + nfz, n - ns - nfx - nfz)
+        merged[klass][key] = merged[klass].get(key, 0) + mult
+    coef, exps = columns(((key, Fraction(mult, 1 << half * key[1]))
+                          for klass in _CLASSES
+                          for key, mult in merged[klass].items()), 3)
+    ends = tuple(accumulate(len(merged[klass]) for klass in _CLASSES))
+    return coef, exps, ends
+
+
+def _transversal_result(code: GraphCode, p_fail: float, eta,
+                        failure_bases: tuple | None) -> np.ndarray:
+    """(success, fail, loss) per transmission of ``eta``, shape (points, 3)."""
+    coef, exps, ends = _transversal_columns(code, failure_bases)
+    return monomial_sums(coef, exps, np.array(_gate_outcomes(p_fail, eta)).T,
+                         ends)
 
 
 @per_code
@@ -247,16 +272,19 @@ def compile_failure_bases(code: GraphCode, fm: FusionModel) -> tuple[str, ...]:
     Coordinate ascent over {X, Z} per qubit, each candidate evaluated by
     full enumeration at the given fusion model; ties keep Z.
     """
+    def success(bases: list) -> float:
+        return _transversal_result(code, fm.p_fail, fm.eta, tuple(bases))[0, 0]
+
     bases = ["Z"] * code.n
+    best = success(bases)
     for _ in range(code.n + 1):
         changed = False
         for i in range(code.n):
-            best = _transversal_result(code, fm, tuple(bases)).p_success
             flipped = bases.copy()
             flipped[i] = "X" if bases[i] == "Z" else "Z"
-            trial = _transversal_result(code, fm, tuple(flipped)).p_success
+            trial = success(flipped)
             if trial > best + 1e-15:
-                bases = flipped
+                bases, best = flipped, trial
                 changed = True
         if not changed:
             break
@@ -271,9 +299,8 @@ def transversal_fusion(code: GraphCode, fm: FusionModel, *,
     probability 1/2 per shot; otherwise each qubit's failure basis is
     compiled by maximum likelihood (``compile_failure_bases``).
     """
-    if randomize_failures:
-        return _transversal_result(code, fm, None)
-    return _transversal_result(code, fm, compile_failure_bases(code, fm))
+    return logical_fusion(code, fm.p_fail, fm.eta, adaptive=False,
+                          randomize_failures=randomize_failures)
 
 
 # -- adaptive engine ---------------------------------------------------------------
@@ -338,19 +365,16 @@ class AdaptiveFusionAnalysis:
     ``Fraction(count, 2**b)``; with a fixed failure basis every weight
     is 1.
 
-    The terms are also kept in column form, so ``result`` evaluates them
-    as numpy gathers instead of a Python loop: one float64 coefficient
-    per term and the term's exponents of (s, f, l, eta, 1 - eta) as a
-    5 x T index into one table of powers.  The table is built per call
-    with Python's ``x ** k`` (C ``pow``), as the term-by-term product
-    did; numpy's float ``power`` is not the same function and differs in
-    the last bit on some inputs (``0.8783044878038287 ** 15``).  Each
-    term is multiplied in the same left-to-right order and each class
-    summed with ``math.fsum``, so every result is bit for bit that of
-    the term-by-term product.
+    The terms are also kept in column form for ``result``: one float64
+    coefficient per term, exact since every weight is an integer count
+    over a power of two, and the term's exponents of (s, f, l, eta,
+    1 - eta) as a 5 x T array, the success, fail and loss terms one after
+    another.  ``result`` evaluates them at a block of transmissions with
+    ``polynomials.monomial_sums``, each class within 1e-12 of the exact
+    sum of its terms.
     """
 
-    __slots__ = ("_terms", "_coef", "_index", "_width", "_ends")
+    __slots__ = ("_terms", "_coef", "_exps", "_ends")
 
     def __init__(self, code: GraphCode, randomize_failures: bool = False):
         n = code.n
@@ -473,28 +497,16 @@ class AdaptiveFusionAnalysis:
                          for key, count in tally.items()}
                  for klass, tally in counts.items()}
         self._terms = terms
-        # the column form result() evaluates: success, fail and loss terms
-        # one after another, the classes ending at _ends; float(mult) is
-        # exact, since every mult is an integer count over a power of two
-        self._coef = np.array([float(m) for klass in _CLASSES
-                               for m in terms[klass].values()])
-        keys = [k for klass in _CLASSES for k in terms[klass]]
-        # row i indexes the powers of base i within one flat table
-        self._width = max(map(max, keys), default=0) + 1
-        self._index = np.array([[self._width * i + k[i] for k in keys]
-                                for i in range(5)], dtype=np.intp)
-        self._ends = (len(terms["success"]),
-                      len(terms["success"]) + len(terms["fail"]))
+        self._coef, self._exps = columns(
+            (item for klass in _CLASSES for item in terms[klass].items()), 5)
+        self._ends = tuple(accumulate(len(terms[klass]) for klass in _CLASSES))
 
-    def result(self, fm: FusionModel) -> LogicalFusionResult:
-        eta = fm.eta
-        powers = np.array([x ** k for x in (fm.s, fm.f, fm.l, eta, 1.0 - eta)
-                           for k in range(self._width)])
-        s, f, l, d, e = powers[self._index]
-        parts = (self._coef * s * f * l * d * e).tolist()
-        i, j = self._ends
-        return LogicalFusionResult(math.fsum(parts[:i]), math.fsum(parts[i:j]),
-                                   math.fsum(parts[j:]))
+    def result(self, p_fail: float, eta) -> np.ndarray:
+        """(success, fail, loss) at each transmission of ``eta``, a float or
+        a 1-D array, for gates failing with ``p_fail``: shape (points, 3)."""
+        etas = block(eta)
+        bases = np.array(_gate_outcomes(p_fail, etas) + (etas, 1.0 - etas)).T
+        return monomial_sums(self._coef, self._exps, bases, self._ends)
 
 
 @per_code
@@ -503,8 +515,38 @@ def _adaptive_analysis(code: GraphCode,
     return AdaptiveFusionAnalysis(code, randomize)
 
 
+def logical_fusion(code: GraphCode, p_fail: float, eta, *,
+                   adaptive: bool = True,
+                   randomize_failures: bool = False) -> LogicalFusionResult:
+    """Outcome probabilities of one logical fusion of ``code`` with itself.
+
+    ``eta`` is one transmission or a 1-D array of them (a block of
+    points): the result's fields are floats or arrays to match, and a
+    point's value is the same either way.  ``adaptive`` picks the engine
+    (``adaptive_fusion`` or ``transversal_fusion``); with compiled
+    transversal failure bases, each point is compiled on its own and the
+    points sharing a compilation are evaluated as one block.
+    """
+    etas = block(eta)
+    if adaptive:
+        sums = _adaptive_analysis(code, randomize_failures).result(p_fail, etas)
+    elif randomize_failures:
+        sums = _transversal_result(code, p_fail, etas, None)
+    else:
+        compiled = [compile_failure_bases(code, FusionModel(p_fail, e))
+                    for e in etas.tolist()]
+        sums = np.empty((len(etas), 3))
+        for bases in dict.fromkeys(compiled):
+            pick = [i for i, b in enumerate(compiled) if b == bases]
+            sums[pick] = _transversal_result(code, p_fail, etas[pick], bases)
+    if np.ndim(eta) == 0:
+        return LogicalFusionResult(*sums[0].tolist())
+    return LogicalFusionResult(*sums.T)
+
+
 def adaptive_fusion(code: GraphCode, fm: FusionModel, *,
                     randomize_failures: bool = False) -> LogicalFusionResult:
     """Logical fusion via sequential output-qubit fusions plus per-code
     single-qubit decoding."""
-    return _adaptive_analysis(code, randomize_failures).result(fm)
+    return logical_fusion(code, fm.p_fail, fm.eta,
+                          randomize_failures=randomize_failures)

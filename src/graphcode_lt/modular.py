@@ -11,13 +11,17 @@ concatenation replaces each code qubit by an encoded block; the
 replaced qubits are virtual and only the deepest layer is physical.
 
 The recursion works on per-basis transmissions, a dict keyed by
-``pauli.BASES`` (X, Y, Z and A, the arbitrary basis): the argument
-``LossPolynomial.evaluate_heterogeneous`` takes.  For a physical qubit
-with a cascade block underneath, a Z demand succeeds directly or through
-the block's indirect Z, while X, Y and arbitrary-basis demands need the
-direct measurement and the block's logical X (or Y) simultaneously; the
-two variants are incompatible, so the better one is chosen in advance.
-In a concatenation every demand is served entirely by the block.
+``pauli.BASES`` (X, Y, Z and A, the arbitrary basis) of 1-D arrays, one
+entry per point of a block of physical transmissions: the argument
+``LossPolynomial.evaluate_heterogeneous`` takes.  A stack's ``eta`` may
+be such a block, so a whole grid of stacks folds through one
+``polynomials.monomial_sums`` call per unit polynomial and layer.  For a
+physical qubit with a cascade block underneath, a Z demand succeeds
+directly or through the block's indirect Z, while X, Y and
+arbitrary-basis demands need the direct measurement and the block's
+logical X (or Y) simultaneously; the two variants are incompatible, so
+the better one is chosen in advance.  In a concatenation every demand is
+served entirely by the block.
 """
 
 from __future__ import annotations
@@ -26,11 +30,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
+import numpy as np
+
 from .codes import GraphCode, per_code
 from .errordecode import depolarizing, logical_flip_rates
 from .losstree import load_or_build, success_polynomial
 from .pauli import BASES
-from .polynomials import LossPolynomial, _rise_point
+from .polynomials import LossPolynomial, _rise_point, block, unblock
 
 __all__ = [
     "LayerStack",
@@ -53,7 +59,9 @@ class LayerStack:
     ``layers[0]`` carries the logical qubit; each deeper entry is the
     unit hung below (cascade) or substituted into (concatenation) every
     code qubit of the layer above.  ``eta`` is the physical transmission
-    seen by whichever qubits are physical under the chosen mode.
+    seen by whichever qubits are physical under the chosen mode: a
+    float, or a 1-D array of them for one stack per point, evaluated
+    together.
     """
 
     layers: tuple
@@ -68,7 +76,8 @@ class LayerStack:
             raise TypeError("layers must be GraphCode instances")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 <= self.eta <= 1.0:
+        etas = block(self.eta)
+        if not ((etas >= 0.0) & (etas <= 1.0)).all():
             raise ValueError(f"eta={self.eta} outside [0, 1]")
 
     @property
@@ -106,21 +115,20 @@ def unit_F(code: GraphCode, basis: str) -> LossPolynomial:
     return success_polynomial(tree)
 
 
-def _apply(code: GraphCode, basis: str, r: dict) -> float:
+def _apply(code: GraphCode, basis: str, r: dict) -> np.ndarray:
     """Success probability of a logical ``basis`` measurement on one unit
-    whose code qubits see the per-basis transmissions ``r``.
+    whose code qubits see the per-basis transmissions ``r``, per point.
 
     The float sum of the polynomial's terms can leave [0, 1] only by
     round-off (1.0000000000000002 on a depth-3 concatenated cube at eta
     0.92), so it is clamped back into range.
     """
-    total = unit_F(code, basis).evaluate_heterogeneous(r)
-    return min(1.0, max(0.0, total))
+    return np.clip(unit_F(code, basis).evaluate_heterogeneous(r), 0.0, 1.0)
 
 
-def _step(code: GraphCode, r: dict, mode: str, eta: float) -> dict:
+def _step(code: GraphCode, r: dict, mode: str, eta: np.ndarray) -> dict:
     """Per-basis transmissions, keyed by ``BASES``, of a code qubit whose
-    block of ``code`` sees ``r``.
+    block of ``code`` sees ``r``, per point.
 
     In a concatenation the qubit is virtual and every demand is served by
     the block's logical measurement.  In a cascade the qubit is physical
@@ -131,35 +139,42 @@ def _step(code: GraphCode, r: dict, mode: str, eta: float) -> dict:
     """
     if mode == "concatenated":
         return {b: _apply(code, b, r) for b in BASES}
-    best = eta * max(_apply(code, "X", r), _apply(code, "Y", r))
+    best = eta * np.maximum(_apply(code, "X", r), _apply(code, "Y", r))
     fz = _apply(code, "Z", r)
     return {"X": best, "Y": best, "Z": eta + (1.0 - eta) * fz, "A": best}
 
 
+def _top(stack: LayerStack) -> dict:
+    """``top_transmission`` as 1-D arrays over the points of ``stack.eta``."""
+    eta = block(stack.eta)
+    r = dict.fromkeys(BASES, eta)
+    for code in reversed(stack.layers[1:]):
+        r = _step(code, r, stack.mode, eta)
+    return r
+
+
 def top_transmission(stack: LayerStack) -> dict:
     """Effective transmissions of the outermost unit's code qubits, keyed
-    by basis (``BASES``).
+    by basis (``BASES``): floats, or arrays when ``stack.eta`` is one.
 
     Folds the layers below the outermost unit bottom-up, starting from
     bare physical qubits.  Apply ``unit_F`` of ``stack.layers[0]`` to the
     result for the stack's logical measurement probabilities.
     """
-    r = dict.fromkeys(BASES, stack.eta)
-    for code in reversed(stack.layers[1:]):
-        r = _step(code, r, stack.mode, stack.eta)
-    return r
+    return {b: unblock(v, stack.eta) for b, v in _top(stack).items()}
 
 
 def logical_transmission(stack: LayerStack) -> dict:
     """Logical measurement success of the whole stack, keyed by basis
-    (``BASES``).
+    (``BASES``): floats, or arrays when ``stack.eta`` is one.
 
     The encoded qubit is the (virtual) input of the outermost unit, so
     the logical level applies that unit's polynomials with no direct
     measurement term in either mode.
     """
-    r = top_transmission(stack)
-    return {b: _apply(stack.layers[0], b, r) for b in BASES}
+    r = _top(stack)
+    return {b: unblock(_apply(stack.layers[0], b, r), stack.eta)
+            for b in BASES}
 
 
 # -- thresholds --------------------------------------------------------------------
@@ -231,22 +246,23 @@ def optimize_stack(library, max_depth: int, eta: float, basis: str = "A",
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
     vectors: dict = {}
+    point = block(eta)
 
     def below(layers: tuple) -> dict:
         """Transmissions feeding layers[0], memoized over shared suffixes."""
         if len(layers) == 1:
-            return dict.fromkeys(BASES, eta)
+            return dict.fromkeys(BASES, point)
         tail = layers[1:]
         r = vectors.get(tail)
         if r is None:
-            r = _step(tail[0], below(tail), mode, eta)
+            r = _step(tail[0], below(tail), mode, point)
             vectors[tail] = r
         return r
 
     results = []
     for depth in range(1, max_depth + 1):
         for combo in product(library, repeat=depth):
-            value = _apply(combo[0], basis, below(combo))
+            value = unblock(_apply(combo[0], basis, below(combo)), eta)
             stack = LayerStack(combo, mode, eta)
             results.append(StackResult(stack, 1.0 - value,
                                        stack.qubit_count))

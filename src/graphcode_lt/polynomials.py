@@ -1,4 +1,5 @@
-"""Exact success/loss polynomials with integer multiplicities.
+"""Exact success/loss polynomials with integer multiplicities, and the one
+kernel that evaluates every sum of monomials in the package.
 
 A term counts detected and lost measurement attempts per basis, so the
 same object evaluates both the homogeneous eta_bar(eta) curve and the
@@ -6,8 +7,22 @@ heterogeneous form needed when different bases see different effective
 transmissions.  The terms are read off a decoder tree path by path
 (``losstree.paths``) and counted into one dict; a polynomial is then
 only evaluated and expanded, never added to or multiplied by another.
-``LossPolynomial`` is a frozen dataclass of that dict and of the rows
-``evaluate`` reads, built with it; equality and hash read the dict.
+``LossPolynomial`` is a frozen dataclass of that dict and of the column
+forms its two evaluations read, built with it; equality and hash read
+the dict.
+
+Every float evaluation of a sum of monomials -- a loss polynomial, the
+adaptive and transversal fusion terms (``fusion``), the layer recursion
+of a stack (``modular``) -- is one call to ``monomial_sums``.  It takes a
+block of points at once: per point, a table of each base's powers made
+by repeated multiplication, one gather per base and a left-to-right sum
+per term class, all in numpy, in pieces of at most ``KERNEL_FLOATS``
+floats.  A
+scalar entry point is a one-point block, and a point's value is the same
+float alone and anywhere in any block.  The contract is accuracy, not
+one summation order: each value lies within 1e-12 of the exact
+(``Fraction``) sum of the same terms at the same float bases.
+
 Expansion to plain power-series coefficients is exact (integer
 arithmetic), which is what makes break-even points and leading
 subthreshold coefficients trustworthy.  ``break_even`` works on that
@@ -28,7 +43,78 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb, gcd
 
+import numpy as np
+
 from .pauli import BASES
+
+# The most floats one temporary of ``monomial_sums`` holds: 64 KB.
+KERNEL_FLOATS = 1 << 13
+
+
+def monomial_sums(coef: np.ndarray, exps: np.ndarray, bases: np.ndarray,
+                  ends: tuple) -> np.ndarray:
+    """Sums of monomials at each point of a block.
+
+    Term t is ``coef[t] * prod_i bases[p, i] ** exps[i, t]`` at point p;
+    the terms are split into classes at ``ends`` (increasing, the last
+    one the term count), and the result's column c is the sum of the
+    terms ``ends[c - 1]:ends[c]`` (from 0 for c = 0), shape (points,
+    classes).  An empty class sums to 0.0.
+
+    Each base's powers are made by repeated multiplication, so b^k
+    carries at most k roundings, and 0^0 = 1.  Each term is multiplied
+    in base order, and each class is summed left to right (an
+    accumulate, not numpy's ``sum``, whose order depends on the array's
+    shape) over fixed pieces of the term list, so a point's value does
+    not depend on the points beside it.  No temporary holds more than
+    ``KERNEL_FLOATS`` floats.
+    """
+    bases = np.asarray(bases, dtype=float)
+    count, (rows, terms) = len(bases), exps.shape
+    width = int(np.maximum.reduce(exps, axis=None, initial=0)) + 1
+    piece = min(max(terms, 1), KERNEL_FLOATS)
+    step = max(1, KERNEL_FLOATS // max(piece, rows * width))
+    starts = (0,) + tuple(ends[:-1])
+    out = np.zeros((count, len(ends)))
+    for lo in range(0, count, step):
+        block = bases[lo:lo + step].T
+        # row i * width + k of the table is base i to the power k, one
+        # column per point
+        table = np.empty((rows, width, block.shape[1]))
+        table[:, 0] = 1.0
+        block[:, None, :].repeat(width - 1, axis=1).cumprod(
+            axis=1, out=table[:, 1:])
+        table = table.reshape(rows * width, -1)
+        for first in range(0, terms, piece):
+            last = min(first + piece, terms)
+            values = coef[first:last, None] * table[exps[0, first:last]]
+            for i in range(1, rows):
+                values *= table[exps[i, first:last] + i * width]
+            for c, (a, b) in enumerate(zip(starts, ends)):
+                a, b = max(a, first) - first, min(b, last) - first
+                if a < b:
+                    out[lo:lo + step, c] += values[a:b].cumsum(axis=0)[-1]
+    return out
+
+
+def block(x) -> np.ndarray:
+    """``x``, a float or a 1-D sequence of floats, as a 1-D float array."""
+    return np.asarray(x, dtype=float).reshape(-1)
+
+
+def unblock(values: np.ndarray, x):
+    """``values``, computed at the points ``block(x)``: a Python float
+    when ``x`` is a scalar, else the array itself."""
+    return float(values[0]) if np.ndim(x) == 0 else values
+
+
+def columns(items, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``coef`` and ``exps`` of ``monomial_sums`` for ``items``, an
+    iterable of (exponent tuple of ``rows`` bases, coefficient) pairs."""
+    items = list(items)
+    coef = np.array([float(c) for _, c in items])
+    exps = np.array([k for k, _ in items], dtype=np.intp)
+    return coef, exps.reshape(len(items), rows).T
 
 
 @dataclass(frozen=True)
@@ -37,49 +123,61 @@ class LossPolynomial:
 
     ``terms`` maps ((aX, aY, aZ, aA), (bX, bY, bZ, bA)) to the integer
     multiplicity of that monomial; the exponents follow ``pauli.BASES``.
-    Terms of multiplicity zero are dropped.  ``rows`` holds one
-    (mult, sum(a), sum(b)) row per term, in the order of ``terms``, built
-    with the polynomial for ``evaluate``.  Equality and hash read
+    Terms of multiplicity zero are dropped.  Equality and hash read
     ``terms`` alone.
+
+    ``bernstein`` holds the integer count c_k of each eta^k (1-eta)^(d-k),
+    k = 0..d, at the polynomial's degree d: the homogeneous polynomial
+    is sum_k c_k eta^k (1-eta)^(d-k).  Those counts are fixed by the
+    polynomial, not by how its terms were grouped, so ``evaluate`` gives
+    two polynomials with one ``to_string`` the same floats.  Both column
+    forms ``monomial_sums`` reads are built with the polynomial.
     """
 
     terms: dict = field(default_factory=dict)
-    rows: tuple = field(init=False, repr=False, compare=False)
+    bernstein: tuple = field(init=False, repr=False, compare=False)
+    _homogeneous: tuple = field(init=False, repr=False, compare=False)
+    _heterogeneous: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = {key: mult for key, mult in self.terms.items() if mult}
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "rows", tuple(
-            (mult, sum(a), sum(b)) for (a, b), mult in terms.items()))
+        power = self.eta_coefficients()
+        d = max(power, default=0)
+        # eta^j = eta^j (eta + 1 - eta)^(d - j), spread over the counts
+        counts = tuple(sum(c * comb(d - j, k - j) for j, c in power.items()
+                           if j <= k) for k in range(d + 1))
+        object.__setattr__(self, "bernstein", counts)
+        object.__setattr__(self, "_homogeneous", columns(
+            (((k, d - k), c) for k, c in enumerate(counts)), 2))
+        object.__setattr__(self, "_heterogeneous", columns(
+            ((a + b, mult) for (a, b), mult in terms.items()), 2 * len(BASES)))
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, eta: float) -> float:
+    def evaluate(self, eta):
         """Homogeneous evaluation: every basis sees the same transmission.
 
-        Sums ``rows`` in their order with the same float operations as a
-        loop over ``terms``, so the value is that loop's bit for bit."""
-        total = 0.0
-        loss = 1.0 - eta
-        for mult, a, b in self.rows:
-            total += mult * eta ** a * loss ** b
-        return total
+        ``eta`` is a float or a 1-D array of them; the result is a float
+        or an array to match.  Reads the ``bernstein`` counts, so the
+        value is within 1e-12 of the exact one at that ``eta``."""
+        etas = block(eta)
+        coef, exps = self._homogeneous
+        bases = np.stack([etas, 1.0 - etas], axis=1)
+        return unblock(monomial_sums(coef, exps, bases, (len(coef),))[:, 0],
+                       eta)
 
-    def evaluate_heterogeneous(self, etas: dict) -> float:
+    def evaluate_heterogeneous(self, etas: dict):
         """Evaluation with per-basis transmissions, one for each of
         ``pauli.BASES``, e.g. {"X": .9, "Y": .9, "Z": 1., "A": .8}; a
-        missing basis raises KeyError."""
-        total = 0.0
-        for (a, b), mult in self.terms.items():
-            val = float(mult)
-            for i, m in enumerate(BASES):
-                em = etas[m]
-                if a[i]:
-                    val *= em ** a[i]
-                if b[i]:
-                    val *= (1.0 - em) ** b[i]
-            total += val
-        return total
+        missing basis raises KeyError.  The values are floats, or 1-D
+        arrays of one length (a block of points), and so is the result."""
+        per_basis = [block(etas[b]) for b in BASES]
+        present = np.stack(np.broadcast_arrays(*per_basis), axis=1)
+        coef, exps = self._heterogeneous
+        sums = monomial_sums(coef, exps, np.hstack([present, 1.0 - present]),
+                             (len(coef),))
+        return unblock(sums[:, 0], etas[BASES[0]])
 
     # -- exact expansion -------------------------------------------------------
 

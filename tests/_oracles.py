@@ -652,13 +652,26 @@ def tree_polynomial_reference(node, counted) -> dict:
 
 
 def evaluate_reference(poly, eta: float) -> float:
-    """``LossPolynomial.evaluate`` as a loop over the terms, summing each
-    term's exponents on every call."""
-    total = 0.0
-    loss = 1.0 - eta
+    """``LossPolynomial.evaluate`` as a loop over the Bernstein counts of
+    ``bernstein_reference``, in the arithmetic of ``monomial_terms_reference``."""
+    counts = bernstein_reference(poly)
+    d = len(counts) - 1
+    return monomial_terms_reference(
+        [((k, d - k), c) for k, c in enumerate(counts)], (eta, 1.0 - eta))
+
+
+def bernstein_reference(poly) -> list[int]:
+    """The count c_k of each eta^k (1-eta)^(d-k) in ``poly``, k = 0..d, at
+    its degree d: each term expanded into powers of eta, then each power
+    eta^j spread as eta^j (eta + 1 - eta)^(d - j)."""
+    power: dict = {}
     for (a, b), mult in poly.terms.items():
-        total += mult * eta ** sum(a) * loss ** sum(b)
-    return total
+        for j in range(sum(b) + 1):
+            k = sum(a) + j
+            power[k] = power.get(k, 0) + mult * math.comb(sum(b), j) * (-1) ** j
+    d = max((k for k, c in power.items() if c), default=0)
+    return [sum(power.get(j, 0) * math.comb(d - j, k - j) for j in range(k + 1))
+            for k in range(d + 1)]
 
 
 def monte_carlo_successes_reference(tree, eta: float, trials: int,
@@ -684,21 +697,41 @@ def monte_carlo_successes_reference(tree, eta: float, trials: int,
     return successes
 
 
-# -- adaptive fusion term by term -----------------------------------------------
+# -- the monomial kernel term by term -------------------------------------------
+
+
+def monomial_terms_reference(items, bases) -> float:
+    """The sum ``polynomials.monomial_sums`` gives for one class of fewer
+    than ``KERNEL_FLOATS`` terms, ``items`` a list of (exponents,
+    coefficient) at the float ``bases``, in plain Python floats: base^k
+    as k multiplications onto 1.0, each term multiplied in base order,
+    and the terms summed left to right, then added onto 0.0."""
+    top = max((max(exps) for exps, _ in items), default=0)
+    powers = []
+    for base in bases:
+        row = [1.0]
+        for _ in range(top):
+            row.append(row[-1] * base)
+        powers.append(row)
+    parts = []
+    for exps, coef in items:
+        value = float(coef)
+        for row, k in zip(powers, exps):
+            value *= row[k]
+        parts.append(value)
+    total = parts[0] if parts else 0.0
+    for value in parts[1:]:
+        total += value
+    return 0.0 + total
 
 
 def adaptive_result_reference(analysis, fm) -> tuple[float, float, float]:
-    """(success, fail, loss) of ``AdaptiveFusionAnalysis.result``, each
-    term's monomial multiplied out in Python floats and each class summed
-    with ``math.fsum``."""
-    values = {}
-    s, f, l, eta = fm.s, fm.f, fm.l, fm.eta
-    for klass, terms in analysis._terms.items():
-        parts = [float(mult) * s ** a * f ** b * l ** c
-                 * eta ** d * (1.0 - eta) ** e
-                 for (a, b, c, d, e), mult in terms.items()]
-        values[klass] = math.fsum(parts)
-    return values["success"], values["fail"], values["loss"]
+    """(success, fail, loss) of ``AdaptiveFusionAnalysis.result`` at
+    ``fm``, each class's terms summed by ``monomial_terms_reference``."""
+    bases = (fm.s, fm.f, fm.l, fm.eta, 1.0 - fm.eta)
+    return tuple(monomial_terms_reference(list(analysis._terms[klass].items()),
+                                          bases)
+                 for klass in ("success", "fail", "loss"))
 
 
 # -- transversal fusion by GF(2) span ------------------------------------------

@@ -211,6 +211,26 @@ def test_equal_codes_hash_alike_and_share_one_memo_entry():
     assert list(codes._MEMO).count(code) == 1
 
 
+def test_a_memo_hit_hashes_the_code_once(monkeypatch):
+    # a hit on the most recent entry is not moved, so it is not hashed a
+    # second time; an equal twin, as each CLI job builds, is no different
+    probe = codes.per_code(lambda code: object())
+    code = tree_code([2, 2])
+    first = probe(code)
+    calls = []
+    original = GraphCode.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GraphCode, "__hash__", counted)
+    for caller in (code, tree_code([2, 2])):
+        calls.clear()
+        assert probe(caller) is first
+        assert len(calls) == 1
+
+
 def test_memo_keeps_the_most_recent_codes():
     touched = [star_code(k) for k in range(2, 12)]
     for code in touched:

@@ -131,8 +131,9 @@ def test_monotone_in_eta():
 
 
 def test_evaluate_matches_term_loop_bit_for_bit():
-    # the cached per-term exponent sums change no float: every golden
-    # success polynomial, on a grid evaluated twice (first call builds)
+    # the numpy kernel gives the floats of a plain-Python loop over the
+    # Bernstein counts in its arithmetic: every golden success polynomial,
+    # on a grid evaluated twice
     grid = [k / 200 for k in range(201)]
     for code in golden_codes().values():
         trees = [build_pauli_tree(code, b) for b in "XYZ"]
@@ -145,8 +146,9 @@ def test_evaluate_matches_term_loop_bit_for_bit():
 
 
 def test_polynomial_terms_keep_reference_order():
-    # ``evaluate`` sums terms in dict order, so the order fixes its last
-    # bits: the terms must come in the bottom-up, detected-first order
+    # ``evaluate_heterogeneous`` sums terms in dict order, so the order
+    # fixes its last bits: the terms must come in the bottom-up,
+    # detected-first order
     for code in golden_codes().values():
         trees = [build_pauli_tree(code, b) for b in "XYZ"]
         trees.append(build_arbitrary_tree(code))
