@@ -54,13 +54,7 @@ from .errordecode import (
     fault_probability,
     logical_flip_rates,
 )
-from .fusion import (
-    AdaptiveFusionAnalysis,
-    FusionModel,
-    LogicalFusionResult,
-    adaptive_fusion,
-    transversal_fusion,
-)
+from .fusion import AdaptiveFusionAnalysis, LogicalFusionResult, logical_fusion
 from .modular import (
     LayerStack,
     StackResult,

@@ -30,13 +30,14 @@ integer path counts; a term's exact weight, 2^-b for b randomized gate
 failures, is applied once when the terms are assembled.  Both engines
 report (success, fail, loss) probabilities, each a sum of monomials in
 the gate outcomes evaluated by ``polynomials.monomial_sums`` within
-1e-12 of its exact value, at one transmission or at a block of them
-(``logical_fusion``).
+1e-12 of its exact value, at one transmission or at a block of them.
+``logical_fusion`` is the one entry point to both: it takes the gate's
+failure probability and transmission as two floats (or a block of
+transmissions) and picks the engine and failure mode by keyword.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -50,8 +51,7 @@ from .pauli import MeasurementPattern, iter_bits, spread
 from .polynomials import block, columns, monomial_sums
 
 __all__ = [
-    "FusionModel", "LogicalFusionResult", "logical_fusion",
-    "transversal_fusion", "adaptive_fusion", "compile_failure_bases",
+    "LogicalFusionResult", "logical_fusion", "compile_failure_bases",
     "AdaptiveFusionAnalysis",
 ]
 
@@ -61,7 +61,18 @@ TRANSVERSAL_LIMIT = 12
 def _gate_outcomes(p_fail: float, eta) -> tuple:
     """Arrays (s, f, l) of one physical gate's success, failure and loss
     probabilities at each transmission of ``eta`` (a float or a 1-D
-    array), as ``FusionModel`` defines them."""
+    array); they sum to one.
+
+    A gate with failure probability ``p_fail`` = 2^-m consumes 1/p_fail
+    photons per side, so the arrival factor is eta^(1/p_fail): s is the
+    arrival times 1 - p_fail, f (one parity survives) the arrival times
+    p_fail, and l (no outcome) the rest.
+
+    ``p_fail`` = 0 is admitted as the limit of a deterministic gate:
+    eta^(1/p_fail) tends to 0 for eta < 1 and is 1 at eta = 1.  The
+    network figures of merit (``apps``, and ``search`` objectives) need
+    a finite photon count per gate and refuse it.
+    """
     etas = block(eta)
     if not 0.0 <= p_fail <= 1.0:
         raise ValueError(f"p_fail must lie in [0, 1], got {p_fail}")
@@ -72,35 +83,6 @@ def _gate_outcomes(p_fail: float, eta) -> tuple:
     else:
         arrival = etas ** (1.0 / p_fail)
     return arrival * (1.0 - p_fail), arrival * p_fail, 1.0 - arrival
-
-
-@dataclass(frozen=True)
-class FusionModel:
-    """Outcome probabilities of one physical fusion gate.
-
-    A gate with failure probability ``p_fail`` = 2^-m consumes 1/p_fail
-    photons per side, so the arrival factor is eta^(1/p_fail).  The
-    derived outcome probabilities are s (success), f (failure, one
-    parity survives) and l (loss, no outcome); they sum to one.
-
-    ``p_fail`` = 0 is admitted as the limit of a deterministic gate:
-    eta^(1/p_fail) tends to 0 for eta < 1 and is 1 at eta = 1.  The
-    network figures of merit (``apps``, and ``search`` objectives) need
-    a finite photon count per gate and refuse it.
-
-    Equality and hash read ``(p_fail, eta)`` only, so equal models are
-    one key of the memoised ``compile_failure_bases``.
-    """
-
-    p_fail: float
-    eta: float
-    s: float = field(init=False, repr=False, compare=False)
-    f: float = field(init=False, repr=False, compare=False)
-    l: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name, value in zip("sfl", _gate_outcomes(self.p_fail, self.eta)):
-            object.__setattr__(self, name, float(value[0]))
 
 
 class LogicalFusionResult(NamedTuple):
@@ -192,7 +174,7 @@ def _transversal_counts(code: GraphCode, failure_bases: tuple | None) -> dict:
 
     Keys are (n_success, n_fail_x, n_fail_z, class); the per-assignment
     probability depends only on those counts, so one enumeration serves
-    every fusion model.  ``failure_bases=None`` enumerates both failure
+    every gate (p_fail, eta).  ``failure_bases=None`` enumerates both failure
     bases per qubit (the per-shot randomized mode), 4^n assignments;
     fixed bases give 3^n.
 
@@ -266,14 +248,16 @@ def _transversal_result(code: GraphCode, p_fail: float, eta,
 
 
 @per_code
-def compile_failure_bases(code: GraphCode, fm: FusionModel) -> tuple[str, ...]:
+def compile_failure_bases(code: GraphCode, p_fail: float,
+                          eta: float) -> tuple[str, ...]:
     """Per-qubit failure basis maximizing transversal fusion success.
 
     Coordinate ascent over {X, Z} per qubit, each candidate evaluated by
-    full enumeration at the given fusion model; ties keep Z.
+    full enumeration at the gate parameters ``p_fail`` and ``eta``, one
+    transmission; ties keep Z.  Equal floats are one memo key.
     """
     def success(bases: list) -> float:
-        return _transversal_result(code, fm.p_fail, fm.eta, tuple(bases))[0, 0]
+        return _transversal_result(code, p_fail, eta, tuple(bases))[0, 0]
 
     bases = ["Z"] * code.n
     best = success(bases)
@@ -289,18 +273,6 @@ def compile_failure_bases(code: GraphCode, fm: FusionModel) -> tuple[str, ...]:
         if not changed:
             break
     return tuple(bases)
-
-
-def transversal_fusion(code: GraphCode, fm: FusionModel, *,
-                       randomize_failures: bool = False) -> LogicalFusionResult:
-    """Logical fusion via physical fusions on every code qubit pair.
-
-    With ``randomize_failures`` each failed gate keeps XX or ZZ with
-    probability 1/2 per shot; otherwise each qubit's failure basis is
-    compiled by maximum likelihood (``compile_failure_bases``).
-    """
-    return logical_fusion(code, fm.p_fail, fm.eta, adaptive=False,
-                          randomize_failures=randomize_failures)
 
 
 # -- adaptive engine ---------------------------------------------------------------
@@ -341,7 +313,7 @@ class AdaptiveFusionAnalysis:
     independently completes a strategy toward it.  Exhausted attempts
     fall back to single-operator salvage.  Terminal states carry exact
     probability monomials in (s, f, l, eta), so one compilation serves
-    every fusion model.  Only those terms are kept: the logical cosets
+    every gate (p_fail, eta).  Only those terms are kept: the logical cosets
     and the per-side decoders are freed once compiled.
 
     The walk and the side decoders keep their live strategies and coset
@@ -520,12 +492,20 @@ def logical_fusion(code: GraphCode, p_fail: float, eta, *,
                    randomize_failures: bool = False) -> LogicalFusionResult:
     """Outcome probabilities of one logical fusion of ``code`` with itself.
 
-    ``eta`` is one transmission or a 1-D array of them (a block of
-    points): the result's fields are floats or arrays to match, and a
-    point's value is the same either way.  ``adaptive`` picks the engine
-    (``adaptive_fusion`` or ``transversal_fusion``); with compiled
-    transversal failure bases, each point is compiled on its own and the
-    points sharing a compilation are evaluated as one block.
+    Every physical gate fails with ``p_fail`` and arrives with
+    eta^(1/p_fail) (``_gate_outcomes``; ``p_fail`` = 0 is the
+    deterministic-gate limit, which the network figures refuse).  ``eta``
+    is one transmission or a 1-D array of them (a block of points): the
+    result's fields are floats or arrays to match, and a point's value is
+    the same either way.
+
+    ``adaptive`` picks the engine: sequential output-qubit fusions plus
+    per-code single-qubit decoding, or physical fusions on every code
+    qubit pair.  With ``randomize_failures`` each failed gate keeps XX or
+    ZZ with probability 1/2 per shot.  Otherwise the adaptive engine fails
+    in Z and the transversal engine compiles each qubit's failure basis by
+    maximum likelihood (``compile_failure_bases``), each point on its own;
+    the points sharing a compilation are evaluated as one block.
     """
     etas = block(eta)
     if adaptive:
@@ -533,7 +513,8 @@ def logical_fusion(code: GraphCode, p_fail: float, eta, *,
     elif randomize_failures:
         sums = _transversal_result(code, p_fail, etas, None)
     else:
-        compiled = [compile_failure_bases(code, FusionModel(p_fail, e))
+        _gate_outcomes(p_fail, etas)  # a bad gate is refused before compiling
+        compiled = [compile_failure_bases(code, p_fail, e)
                     for e in etas.tolist()]
         sums = np.empty((len(etas), 3))
         for bases in dict.fromkeys(compiled):
@@ -542,11 +523,3 @@ def logical_fusion(code: GraphCode, p_fail: float, eta, *,
     if np.ndim(eta) == 0:
         return LogicalFusionResult(*sums[0].tolist())
     return LogicalFusionResult(*sums.T)
-
-
-def adaptive_fusion(code: GraphCode, fm: FusionModel, *,
-                    randomize_failures: bool = False) -> LogicalFusionResult:
-    """Logical fusion via sequential output-qubit fusions plus per-code
-    single-qubit decoding."""
-    return logical_fusion(code, fm.p_fail, fm.eta,
-                          randomize_failures=randomize_failures)

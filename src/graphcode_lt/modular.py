@@ -245,25 +245,11 @@ def optimize_stack(library, max_depth: int, eta: float, basis: str = "A",
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
-    vectors: dict = {}
-    point = block(eta)
-
-    def below(layers: tuple) -> dict:
-        """Transmissions feeding layers[0], memoized over shared suffixes."""
-        if len(layers) == 1:
-            return dict.fromkeys(BASES, point)
-        tail = layers[1:]
-        r = vectors.get(tail)
-        if r is None:
-            r = _step(tail[0], below(tail), mode, point)
-            vectors[tail] = r
-        return r
-
     results = []
     for depth in range(1, max_depth + 1):
         for combo in product(library, repeat=depth):
-            value = unblock(_apply(combo[0], basis, below(combo)), eta)
             stack = LayerStack(combo, mode, eta)
+            value = unblock(_apply(combo[0], basis, _top(stack)), eta)
             results.append(StackResult(stack, 1.0 - value,
                                        stack.qubit_count))
     results.sort(key=lambda res: (res.logical_loss, res.qubit_count))

@@ -25,8 +25,8 @@ the pool is capped at the number of pending candidates and of CPUs, and
 a cap of one scores in-process.  Workers are sent the objective and the
 codes the candidate stream built (a code pickles as its progenitor and
 input vertex), and the parent writes each record's graph6.  Rankings are
-sorted by score with a total tie-break, so any permutation of the
-candidate stream yields the same result order.
+sorted by score, then by graph6 and input vertex, so any permutation of
+the candidate stream yields the same result order.
 """
 
 from __future__ import annotations
@@ -68,22 +68,18 @@ class Objective:
 
     ``eta`` fixes the operating transmission for decoder and fusion
     scores; the default sits near threshold at 30% loss.  ``p_fail``
-    feeds the fusion outcome model, ``adaptive`` picks the fusion
-    strategy, and ``tie_break`` optionally names a second kind whose
-    score refines the ranking before the structural tie-break.
+    feeds the fusion outcome model, and ``adaptive`` picks the fusion
+    strategy.
     """
 
     kind: str
     eta: float = 0.70
     p_fail: float = 0.5
     adaptive: bool = True
-    tie_break: str | None = None
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.tie_break is not None and self.tie_break not in OBJECTIVE_KINDS:
-            raise ValueError(f"unknown tie-break kind {self.tie_break!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         _validated_p_fail(self.p_fail)
@@ -93,22 +89,8 @@ class Objective:
         return asdict(self)
 
 
-def _score_kind(kind: str, code: GraphCode,
-                obj: Objective) -> tuple[float, str | None]:
-    if kind == "pauli_all_bases":
-        polys = {b: success_polynomial(build_pauli_tree(code, b)) for b in "XYZ"}
-        worst = min("XYZ", key=lambda b: polys[b].evaluate(obj.eta))
-        return polys[worst].evaluate(obj.eta), polys[worst].to_string()
-    if kind == "arbitrary":
-        poly = success_polynomial(build_arbitrary_tree(code))
-        return poly.evaluate(obj.eta), poly.to_string()
-    if kind == "fusion_success":
-        return rgs_link_probability(code, obj.eta, obj.p_fail, obj.adaptive), None
-    return fbqc_loss_threshold(code, obj.p_fail, obj.adaptive), None
-
-
-def evaluate_objective(obj: Objective, code: GraphCode) -> tuple[float, float, str | None]:
-    """(score, tie-break score, canonical polynomial or None) for one code.
+def evaluate_objective(obj: Objective, code: GraphCode) -> tuple[float, str | None]:
+    """(score, canonical polynomial or None) for one code.
 
     A code on more than ``EXHAUSTIVE_LIMIT`` qubits raises
     ``ResourceLimitError`` before any engine runs; the engines themselves
@@ -116,11 +98,16 @@ def evaluate_objective(obj: Objective, code: GraphCode) -> tuple[float, float, s
     refuses codes above ``fusion.TRANSVERSAL_LIMIT``.
     """
     check_exhaustive(code.n)
-    score, poly = _score_kind(obj.kind, code, obj)
-    second = 0.0
-    if obj.tie_break is not None:
-        second, _ = _score_kind(obj.tie_break, code, obj)
-    return score, second, poly
+    if obj.kind == "pauli_all_bases":
+        polys = {b: success_polynomial(build_pauli_tree(code, b)) for b in "XYZ"}
+        worst = min("XYZ", key=lambda b: polys[b].evaluate(obj.eta))
+        return polys[worst].evaluate(obj.eta), polys[worst].to_string()
+    if obj.kind == "arbitrary":
+        poly = success_polynomial(build_arbitrary_tree(code))
+        return poly.evaluate(obj.eta), poly.to_string()
+    if obj.kind == "fusion_success":
+        return rgs_link_probability(code, obj.eta, obj.p_fail, obj.adaptive), None
+    return fbqc_loss_threshold(code, obj.p_fail, obj.adaptive), None
 
 
 # -- candidate enumeration ---------------------------------------------------------
@@ -226,13 +213,14 @@ class ScoredCandidate(NamedTuple):
     graph6: str
     input_vertex: int
     score: float
-    tie_break: float
     polynomial: str | None
 
     def record(self, objective: Objective) -> dict:
+        # the always-0.0 tie_break column stays while the benchmark's
+        # output check (perfbench/check.py) reads it
         return {"graph6": self.graph6, "input": self.input_vertex,
                 "objective": objective.as_dict(), "score": self.score,
-                "tie_break": self.tie_break, "polynomial": self.polynomial}
+                "tie_break": 0.0, "polynomial": self.polynomial}
 
 
 class SearchResult(NamedTuple):
@@ -253,17 +241,17 @@ class SearchResult(NamedTuple):
 
 
 def _rank_key(c: ScoredCandidate):
-    return (-c.score, -c.tie_break, c.graph6, c.input_vertex)
+    return (-c.score, c.graph6, c.input_vertex)
 
 
 def _score(objective: Objective, code: GraphCode):
-    """(score, tie-break score, polynomial, error message or None)."""
+    """(score, polynomial, error message or None)."""
     try:
         return (*evaluate_objective(objective, code), None)
     except ResourceLimitError as exc:
-        return 0.0, 0.0, None, str(exc)
+        return 0.0, None, str(exc)
     except Exception as exc:
-        return 0.0, 0.0, None, repr(exc)
+        return 0.0, None, repr(exc)
     finally:
         # a search scores each code once, so its derived data is dead
         forget(code)
@@ -309,8 +297,7 @@ def _load_checkpoint(path: str | None, objective: Objective) -> tuple[dict, int]
                 or rec.get("version") != __version__):
             continue
         cached[(rec["graph6"], rec["input"])] = ScoredCandidate(
-            rec["graph6"], rec["input"], rec["score"],
-            rec.get("tie_break", 0.0), rec.get("polynomial"))
+            rec["graph6"], rec["input"], rec["score"], rec.get("polynomial"))
     return cached, sum(map(len, lines))
 
 
@@ -348,11 +335,11 @@ def optimize(objective: Objective, candidates, *, workers: int = 1,
     failures = []
     try:
         results = _run_pass(objective, list(pending.values()), workers)
-        for (g6, iv), (score, second, poly, err) in zip(pending, results):
+        for (g6, iv), (score, poly, err) in zip(pending, results):
             if err is not None:
                 failures.append((g6, iv, err))
                 continue
-            cand = ScoredCandidate(g6, iv, score, second, poly)
+            cand = ScoredCandidate(g6, iv, score, poly)
             scored.append(cand)
             if sink:
                 record = dict(cand.record(objective), version=__version__)

@@ -18,6 +18,7 @@ from graphcode_lt.errordecode import (
     _masked_targets,
     ml_logical_error,
 )
+from graphcode_lt.fusion import _gate_outcomes
 from graphcode_lt.graphs import Graph, canonical_form, local_complement
 from graphcode_lt.losstree import Leaf, grow, paths
 from graphcode_lt.opsets import ResourceLimitError, enumerate_nontrivial
@@ -707,12 +708,7 @@ def monomial_terms_reference(items, bases) -> float:
     as k multiplications onto 1.0, each term multiplied in base order,
     and the terms summed left to right, then added onto 0.0."""
     top = max((max(exps) for exps, _ in items), default=0)
-    powers = []
-    for base in bases:
-        row = [1.0]
-        for _ in range(top):
-            row.append(row[-1] * base)
-        powers.append(row)
+    powers = _power_rows(bases, top)
     parts = []
     for exps, coef in items:
         value = float(coef)
@@ -725,13 +721,51 @@ def monomial_terms_reference(items, bases) -> float:
     return 0.0 + total
 
 
-def adaptive_result_reference(analysis, fm) -> tuple[float, float, float]:
-    """(success, fail, loss) of ``AdaptiveFusionAnalysis.result`` at
-    ``fm``, each class's terms summed by ``monomial_terms_reference``."""
-    bases = (fm.s, fm.f, fm.l, fm.eta, 1.0 - fm.eta)
-    return tuple(monomial_terms_reference(list(analysis._terms[klass].items()),
-                                          bases)
-                 for klass in ("success", "fail", "loss"))
+def _power_rows(bases, top: int) -> list:
+    """base^0 .. base^top of each base, each power one multiplication
+    onto the one before, from 1.0."""
+    powers = []
+    for base in bases:
+        row = [1.0]
+        for _ in range(top):
+            row.append(row[-1] * base)
+        powers.append(row)
+    return powers
+
+
+def adaptive_float_terms(analysis) -> tuple:
+    """The terms of an ``AdaptiveFusionAnalysis`` for
+    ``adaptive_result_reference``, converted once: the largest exponent,
+    and per class, in (success, fail, loss) order, a list of (exponents,
+    float coefficient)."""
+    classes = tuple([(exps, float(coef)) for exps, coef in
+                     analysis._terms[klass].items()]
+                    for klass in ("success", "fail", "loss"))
+    top = max((max(exps) for items in classes for exps, _ in items),
+              default=0)
+    return top, classes
+
+
+def adaptive_result_reference(terms, p_fail: float,
+                              eta: float) -> tuple[float, float, float]:
+    """(success, fail, loss) of ``AdaptiveFusionAnalysis.result`` at one
+    gate, ``terms`` from ``adaptive_float_terms``: each class summed in
+    ``monomial_terms_reference``'s arithmetic, written out for the five
+    bases (s, f, l, eta, 1 - eta) over one set of power rows a point,
+    with s, f and l the gate's own (``fusion._gate_outcomes``)."""
+    top, classes = terms
+    s, f, l = (float(v[0]) for v in _gate_outcomes(p_fail, eta))
+    ps, pf, pl, pe, pm = _power_rows((s, f, l, eta, 1.0 - eta), top)
+    sums = []
+    for items in classes:
+        # adding the terms one by one onto 0.0 gives the float of summing
+        # them left to right and adding that onto 0.0: the two differ at
+        # most in the sign of a zero, which that last addition clears
+        total = 0.0
+        for (a, b, c, d, e), coef in items:
+            total += coef * ps[a] * pf[b] * pl[c] * pe[d] * pm[e]
+        sums.append(total)
+    return tuple(sums)
 
 
 # -- transversal fusion by GF(2) span ------------------------------------------

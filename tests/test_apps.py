@@ -23,7 +23,7 @@ from graphcode_lt.codes import (
     star_code,
     tree_code,
 )
-from graphcode_lt.fusion import FusionModel, adaptive_fusion, transversal_fusion
+from graphcode_lt.fusion import logical_fusion
 from graphcode_lt import apps
 from graphcode_lt.apps import (
     ERASURE_BUDGET,
@@ -92,11 +92,9 @@ def test_link_probability_vanishes_without_photons():
 def test_link_matches_raw_fusion():
     # [TRIVIAL: a link is one logical fusion of the code with itself]
     code = decorated_pentagon_code()
-    fm = FusionModel(0.25, 0.92)
-    assert rgs_link_probability(code, 0.92, 0.25, adaptive=True) == \
-        adaptive_fusion(code, fm).p_success
-    assert rgs_link_probability(code, 0.92, 0.25, adaptive=False) == \
-        transversal_fusion(code, fm).p_success
+    for adaptive in (True, False):
+        assert rgs_link_probability(code, 0.92, 0.25, adaptive=adaptive) == \
+            logical_fusion(code, 0.25, 0.92, adaptive=adaptive).p_success
 
 
 def test_end_to_end_composition(capsys):
@@ -175,8 +173,7 @@ def test_library_adaptive_thresholds(make, frozen):
 
 def test_erasure_identity_under_randomization():
     # [TRIVIAL: 50/50 randomization splits failures between the parities]
-    r = adaptive_fusion(pentagon_code(), FusionModel(0.5, 0.93),
-                        randomize_failures=True)
+    r = logical_fusion(pentagon_code(), 0.5, 0.93, randomize_failures=True)
     assert r.erasure_xx == pytest.approx(
         r.p_loss_logical + 0.5 * r.p_fail_logical, abs=1e-15)
 

@@ -39,7 +39,8 @@ from graphcode_lt.cli import (
 )
 from graphcode_lt.codes import GraphCode, pentagon_code, per_code, star_code
 from graphcode_lt.errordecode import CheckSet
-from graphcode_lt.fusion import FusionModel, LogicalFusionResult
+from graphcode_lt import fusion
+from graphcode_lt.fusion import LogicalFusionResult
 from graphcode_lt.graphs import Graph
 from graphcode_lt.losstree import (
     DecisionTree, Leaf, MeasureNode, load_or_build, success_polynomial)
@@ -519,7 +520,8 @@ def test_nothing_reaches_stdout_when_the_first_row_raises(fmt, capsys):
     with pytest.raises(ValueError):
         emit_rows(_HEADER, _raising_rows(0), _CONFIG, None, fmt)
     assert capsys.readouterr().out == ""
-    # FusionModel refuses p_fail = 2 when the first row is made
+    # the gate model (fusion._gate_outcomes) refuses p_fail = 2 when the
+    # first row is made
     rc = main(["fusion", "--graph", "pentagon", "--pfail", "2",
                "--eta-grid", "0.5,0.9", "--format", fmt])
     assert rc == EXIT_VALIDATION
@@ -703,10 +705,9 @@ def _records():
         (CheckSet((), ()), "checks"),
         (stack, "eta"),
         (StackResult(stack, 0.1, 4), "logical_loss"),
-        (FusionModel(0.5, 0.9), "s"),
         (LogicalFusionResult(0.5, 0.3, 0.2), "p_success"),
         (objective, "eta"),
-        (ScoredCandidate("A_", 0, 0.5, 0.0, None), "score"),
+        (ScoredCandidate("A_", 0, 0.5, None), "score"),
         (SearchResult(objective, (), ()), "ranked"),
         (PauliOperator.from_string("XZ"), "x"),
         (MeasurementPattern(2), "letters"),
@@ -840,3 +841,11 @@ def test_traced_names_and_exports_are_bound():
     assert LayerStack([pentagon_code()] * 3, "concatenated",
                       0.9).qubit_count == 64
     assert isinstance(unit_F(pentagon_code(), "A").terms, dict)
+
+
+def test_logical_fusion_is_the_package_export():
+    # the one way to fuse; the gate-parameter wrappers it replaced are gone
+    assert graphcode_lt.logical_fusion is fusion.logical_fusion
+    for name in ("FusionModel", "adaptive_fusion", "transversal_fusion"):
+        assert not hasattr(graphcode_lt, name)
+        assert not hasattr(fusion, name)

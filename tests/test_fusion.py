@@ -23,10 +23,9 @@ from graphcode_lt.codes import (
 )
 from graphcode_lt.fusion import (
     AdaptiveFusionAnalysis,
-    FusionModel,
-    adaptive_fusion,
     compile_failure_bases,
-    transversal_fusion,
+    logical_fusion,
+    _gate_outcomes,
     _interface_letters,
     _classify,
     _cosets,
@@ -40,6 +39,7 @@ from graphcode_lt.pauli import MeasurementPattern, PauliOperator, fits
 from _oracles import (
     _embed,
     _pair,
+    adaptive_float_terms,
     adaptive_result_reference,
     transversal_counts_reference,
 )
@@ -50,66 +50,83 @@ def result_sum(r) -> float:
     return r.p_success + r.p_fail_logical + r.p_loss_logical
 
 
+def transversal(code, p_fail, eta, randomize_failures=False):
+    return logical_fusion(code, p_fail, eta, adaptive=False,
+                          randomize_failures=randomize_failures)
+
+
+def gate(p_fail: float, eta: float):
+    """The bare gate's (s, f, l): the transversal fusion of a one-qubit
+    code, which is one physical fusion
+    (test_single_qubit_code_reduces_to_physical_fusion)."""
+    return transversal(star_code(1), p_fail, eta)
+
+
 # -- outcome model ----------------------------------------------------------------
 
 
 def test_fusion_model_outcomes_sum_to_one():
     for p_fail in (0.5, 0.25, 0.125):
         for eta in (0.0, 0.5, 0.9, 1.0):
-            fm = FusionModel(p_fail, eta)
-            assert fm.s + fm.f + fm.l == pytest.approx(1.0, abs=1e-15)
-            assert fm.s == pytest.approx(eta ** (1 / p_fail) * (1 - p_fail))
+            s, f, l = gate(p_fail, eta)
+            assert s + f + l == pytest.approx(1.0, abs=1e-15)
+            assert s == pytest.approx(eta ** (1 / p_fail) * (1 - p_fail))
 
 
 def test_fusion_model_zero_failure():
     """p_fail = 0 is the deterministic-gate limit: eta^(1/p_fail) goes to
-    0 below eta = 1 and is 1 at it.  The model keeps it in its domain
+    0 below eta = 1 and is 1 at it.  The gate keeps it in its domain
     (test_adaptive_perfect_gates relies on it), while the network figures
     of merit, which need a finite photon count per gate, refuse it."""
-    assert FusionModel(0.0, 1.0).s == 1.0
-    assert FusionModel(0.0, 0.9).l == 1.0
+    assert gate(0.0, 1.0).p_success == 1.0
+    assert gate(0.0, 0.9).p_loss_logical == 1.0
 
 
 def test_fusion_model_validation():
     with pytest.raises(ValueError):
-        FusionModel(-0.1, 0.9)
+        gate(-0.1, 0.9)
     with pytest.raises(ValueError):
-        FusionModel(0.5, 1.1)
+        gate(0.5, 1.1)
+    # a bad gate is refused before the failure bases are compiled, so
+    # before the transversal engine's size limit (13 qubits is past it)
+    with pytest.raises(ValueError):
+        transversal(star_code(13), 2.0, 0.9)
 
 
-def test_equal_fusion_models_are_one_memo_key():
-    # equality and hash read (p_fail, eta) alone, so a second equal model
-    # finds the compiled failure bases of the first
+def test_equal_gate_floats_are_one_memo_key():
+    # the memo keys on the code and the two floats, so equal (p_fail,
+    # eta), however made, find the failure bases compiled first, and so
+    # does each point of a compiled transversal fusion
     code = pentagon_code()
-    first = compile_failure_bases(code, FusionModel(0.5, 0.9))
+    first = compile_failure_bases(code, 0.5, 0.9)
     hits = compile_failure_bases.cache_info().hits
-    assert FusionModel(0.5, 0.9) == FusionModel(0.5, 0.9)
-    assert hash(FusionModel(0.5, 0.9)) == hash(FusionModel(0.5, 0.9))
-    assert compile_failure_bases(code, FusionModel(0.5, 0.9)) is first
-    assert compile_failure_bases.cache_info().hits == hits + 1
+    assert compile_failure_bases(code, 1 / 2, 9 / 10) is first
+    assert compile_failure_bases(code, 0.5, np.float64(0.9)) is first
+    transversal(code, 0.5, 0.9)
+    transversal(code, 0.5, np.array([0.9, 0.9]))
+    assert compile_failure_bases.cache_info().hits == hits + 5
 
 
 def test_boosted_levels_match_model():
     for m in (1, 2, 3):
-        fm = FusionModel(2.0 ** -m, 0.97)
-        assert fm.p_fail == 2.0 ** -m
         # a bare boosted fusion succeeds with (1 - 2^-m) eta^(2^m)
         want = (1.0 - 2.0 ** -m) * 0.97 ** (2 ** m)
-        assert fm.s == pytest.approx(want, abs=1e-15)
+        assert gate(2.0 ** -m, 0.97).p_success == pytest.approx(want,
+                                                                abs=1e-15)
 
 
 def test_boosted_baseline_values():
     # [PAPER: standard fusions succeed half the time]
-    assert FusionModel(2.0 ** -1, 1.0).s == pytest.approx(0.5)
+    assert gate(2.0 ** -1, 1.0).p_success == pytest.approx(0.5)
     # [TRIVIAL] 1 - 1/8
-    assert FusionModel(2.0 ** -3, 1.0).s == pytest.approx(0.875)
+    assert gate(2.0 ** -3, 1.0).p_success == pytest.approx(0.875)
     # [DERIVED: direct evaluation]
-    assert FusionModel(2.0 ** -2, 0.99).s == pytest.approx(0.75 * 0.99 ** 4,
-                                                           abs=1e-15)
+    assert gate(2.0 ** -2, 0.99).p_success == pytest.approx(
+        0.75 * 0.99 ** 4, abs=1e-15)
 
 
 def test_erasure_is_half_failure_plus_loss():
-    r = transversal_fusion(star_code(2), FusionModel(0.5, 0.9))
+    r = transversal(star_code(2), 0.5, 0.9)
     want = r.p_loss_logical + 0.5 * r.p_fail_logical
     assert r.erasure_xx == pytest.approx(want, abs=1e-15)
 
@@ -120,11 +137,11 @@ def test_erasure_is_half_failure_plus_loss():
 def test_single_qubit_code_reduces_to_physical_fusion():
     # [TRIVIAL] one fused pair: success iff the gate succeeds, the failure
     # parity matches one logical, loss erases both
-    fm = FusionModel(0.5, 0.9)
-    r = transversal_fusion(star_code(1), fm)
-    assert r.p_success == pytest.approx(fm.s, abs=1e-15)
-    assert r.p_fail_logical == pytest.approx(fm.f, abs=1e-15)
-    assert r.p_loss_logical == pytest.approx(fm.l, abs=1e-15)
+    s, f, l = (float(v[0]) for v in _gate_outcomes(0.5, 0.9))
+    r = transversal(star_code(1), 0.5, 0.9)
+    assert r.p_success == pytest.approx(s, abs=1e-15)
+    assert r.p_fail_logical == pytest.approx(f, abs=1e-15)
+    assert r.p_loss_logical == pytest.approx(l, abs=1e-15)
 
 
 def test_star_codes_at_unit_transmission():
@@ -132,26 +149,24 @@ def test_star_codes_at_unit_transmission():
     # Z-type product, so only the all-fail assignment misses ZZ]
     for n in (2, 3, 4, 5):
         code = star_code(n)
-        fm = FusionModel(0.5, 1.0)
-        r = transversal_fusion(code, fm)
+        r = transversal(code, 0.5, 1.0)
         assert r.p_success == pytest.approx(1.0 - 2.0 ** -n, abs=1e-12)
         assert r.p_fail_logical == pytest.approx(2.0 ** -n, abs=1e-12)
         assert r.p_loss_logical == pytest.approx(0.0, abs=1e-15)
-        assert compile_failure_bases(code, fm) == ("Z",) * n
+        assert compile_failure_bases(code, 0.5, 1.0) == ("Z",) * n
 
 
 def test_transversal_conservation_and_unit_loss():
     for code in (pentagon_code(), branched_chain_code(), cube_code()):
-        for fm in (FusionModel(0.5, 0.9), FusionModel(0.25, 0.8)):
-            r = transversal_fusion(code, fm)
+        for p_fail, eta in ((0.5, 0.9), (0.25, 0.8)):
+            r = transversal(code, p_fail, eta)
             assert result_sum(r) == pytest.approx(1.0, abs=1e-12)
-        r = transversal_fusion(code, FusionModel(0.5, 1.0))
+        r = transversal(code, 0.5, 1.0)
         assert r.p_loss_logical == pytest.approx(0.0, abs=1e-15)
 
 
 def test_transversal_randomized_conservation():
-    r = transversal_fusion(pentagon_code(), FusionModel(0.5, 0.9),
-                           randomize_failures=True)
+    r = transversal(pentagon_code(), 0.5, 0.9, randomize_failures=True)
     assert result_sum(r) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -159,8 +174,7 @@ def test_transversal_limit_and_bases_validation():
     # 13 qubits: past TRANSVERSAL_LIMIT, refused before any table is built
     for randomize in (False, True):
         with pytest.raises(ResourceLimitError, match="limit is n <= 12"):
-            transversal_fusion(star_code(13), FusionModel(0.5, 0.9),
-                               randomize_failures=randomize)
+            transversal(star_code(13), 0.5, 0.9, randomize_failures=randomize)
     with pytest.raises(ValueError, match="XX or ZZ"):
         _transversal_counts(pentagon_code(), ("X", "Y", "Z", "Z"))
 
@@ -233,7 +247,7 @@ def test_classify_rule():
 def test_adaptive_perfect_gates():
     # [TRIVIAL] eta=1 and p_fail=0: the first fusion succeeds and both
     # teleportations complete
-    r = adaptive_fusion(pentagon_code(), FusionModel(0.0, 1.0))
+    r = logical_fusion(pentagon_code(), 0.0, 1.0)
     assert r.p_success == pytest.approx(1.0, abs=1e-15)
 
 
@@ -242,12 +256,11 @@ def test_adaptive_two_qubit_closed_form():
     # bookkeeping in the module docstring tests]
     code = star_code(2)
     for p_fail, eta in ((0.5, 0.9), (0.25, 0.7), (0.5, 1.0)):
-        fm = FusionModel(p_fail, eta)
-        s, f, l = fm.s, fm.f, fm.l
+        s, f, l = gate(p_fail, eta)
         want_ps = s * eta ** 2 + f * s
         want_pf = s * (1 - eta ** 2) + f ** 2 + l * eta ** 2
         want_pl = f * l + l * (1 - eta ** 2)
-        r = adaptive_fusion(code, fm)
+        r = logical_fusion(code, p_fail, eta)
         assert r.p_success == pytest.approx(want_ps, abs=1e-12)
         assert r.p_fail_logical == pytest.approx(want_pf, abs=1e-12)
         assert r.p_loss_logical == pytest.approx(want_pl, abs=1e-12)
@@ -255,9 +268,9 @@ def test_adaptive_two_qubit_closed_form():
 
 def test_adaptive_single_qubit_equals_transversal():
     # [DERIVED: with one qubit the two protocols are the same gate]
-    for fm in (FusionModel(0.5, 0.9), FusionModel(0.25, 0.95)):
-        ra = adaptive_fusion(star_code(1), fm)
-        rt = transversal_fusion(star_code(1), fm)
+    for p_fail, eta in ((0.5, 0.9), (0.25, 0.95)):
+        ra = logical_fusion(star_code(1), p_fail, eta)
+        rt = transversal(star_code(1), p_fail, eta)
         assert ra.p_success == pytest.approx(rt.p_success, abs=1e-12)
         assert ra.p_fail_logical == pytest.approx(rt.p_fail_logical, abs=1e-12)
 
@@ -265,23 +278,21 @@ def test_adaptive_single_qubit_equals_transversal():
 def test_adaptive_sequential_attempts_at_unit_transmission():
     # [DERIVED: at eta=1 every output can be attempted in turn, so only
     # the all-fail fusion path misses the teleportation]
-    assert adaptive_fusion(star_code(3), FusionModel(0.5, 1.0)).p_success \
+    assert logical_fusion(star_code(3), 0.5, 1.0).p_success \
         == pytest.approx(1.0 - 0.5 ** 3, abs=1e-12)
-    assert adaptive_fusion(cube_code(), FusionModel(0.5, 1.0)).p_success \
+    assert logical_fusion(cube_code(), 0.5, 1.0).p_success \
         == pytest.approx(1.0 - 0.5 ** 7, abs=1e-12)
 
 
 def test_adaptive_conservation_and_unit_loss():
     codes = (star_code(3), pentagon_code(), decorated_pentagon_code())
     for code in codes:
-        for fm in (FusionModel(0.5, 0.9), FusionModel(0.25, 0.8),
-                   FusionModel(0.5, 1.0)):
-            r = adaptive_fusion(code, fm)
+        for p_fail, eta in ((0.5, 0.9), (0.25, 0.8), (0.5, 1.0)):
+            r = logical_fusion(code, p_fail, eta)
             assert result_sum(r) == pytest.approx(1.0, abs=1e-12)
-            if fm.eta == 1.0:
+            if eta == 1.0:
                 assert r.p_loss_logical == pytest.approx(0.0, abs=1e-15)
-        r = adaptive_fusion(code, FusionModel(0.5, 0.9),
-                            randomize_failures=True)
+        r = logical_fusion(code, 0.5, 0.9, randomize_failures=True)
         assert result_sum(r) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -305,20 +316,19 @@ def test_adaptive_matches_attempt_ceiling_on_decorated_pentagon():
                for o, need in zip(sts.output.tolist(), sts.needs)):
             hits += 1
     ceiling = hits / 2 ** len(outs)
-    got = adaptive_fusion(code, FusionModel(0.5, 1.0)).p_success
+    got = logical_fusion(code, 0.5, 1.0).p_success
     assert got == pytest.approx(ceiling, abs=1e-12)
     # the logged counterexample to "adaptive beats transversal": on this
     # graph the transversal harvest is worth more than two attempts
-    trans = transversal_fusion(code, FusionModel(0.5, 1.0)).p_success
+    trans = transversal(code, 0.5, 1.0).p_success
     assert trans > got
 
 
 def test_adaptive_beats_transversal_on_pentagon_grid():
     code = pentagon_code()
     for eta in (0.85, 0.9, 0.95, 1.0):
-        fm = FusionModel(0.5, eta)
-        ra = adaptive_fusion(code, fm)
-        rt = transversal_fusion(code, fm)
+        ra = logical_fusion(code, 0.5, eta)
+        rt = transversal(code, 0.5, eta)
         assert ra.p_success >= rt.p_success - 1e-12
 
 
@@ -328,15 +338,16 @@ def test_result_matches_term_loop_bit_for_bit(name):
     # loop of its arithmetic, over a dense eta grid and at the 0.0 ** 0
     # corners, each point evaluated alone
     code = golden_codes()[name]
-    models = [FusionModel(p_fail, i / 1000) for p_fail in (1.0, 0.5, 0.25, 2 ** -8)
+    models = [(p_fail, i / 1000) for p_fail in (1.0, 0.5, 0.25, 2 ** -8)
               for i in range(1001)]
-    models += [FusionModel(0.0, 0.0), FusionModel(0.0, 1.0)]
+    models += [(0.0, 0.0), (0.0, 1.0)]
     for randomize in (False, True):
         analysis = AdaptiveFusionAnalysis(code, randomize)
-        for fm in models:
-            got = tuple(analysis.result(fm.p_fail, fm.eta)[0].tolist())
-            want = adaptive_result_reference(analysis, fm)
-            assert got == want, (randomize, fm)
+        terms = adaptive_float_terms(analysis)
+        for p_fail, eta in models:
+            got = tuple(analysis.result(p_fail, eta)[0].tolist())
+            want = adaptive_result_reference(terms, p_fail, eta)
+            assert got == want, (randomize, p_fail, eta)
 
 
 def test_target_needs_match_operator_masks():

@@ -30,7 +30,6 @@ from graphcode_lt.codes import (
 from graphcode_lt.errordecode import ErrorAnalysis
 from graphcode_lt.fusion import (
     AdaptiveFusionAnalysis,
-    FusionModel,
     _transversal_counts,
     compile_failure_bases,
 )
@@ -111,7 +110,7 @@ def golden_digests() -> dict:
         for randomize in (False, True):
             out[f"{name}|fusion-{randomize}"] = _sha(
                 _terms_text(AdaptiveFusionAnalysis(code, randomize)))
-        compiled = compile_failure_bases(code, FusionModel(0.5, 0.9))
+        compiled = compile_failure_bases(code, 0.5, 0.9)
         out[f"{name}|failure-bases"] = "".join(compiled)
         for label, bases in (("randomized", None), ("all-Z", ("Z",) * code.n),
                              ("compiled", compiled)):

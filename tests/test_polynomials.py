@@ -27,12 +27,10 @@ from graphcode_lt.codes import (
 )
 from graphcode_lt.fusion import (
     AdaptiveFusionAnalysis,
-    FusionModel,
+    _gate_outcomes,
     _transversal_counts,
-    adaptive_fusion,
     compile_failure_bases,
     logical_fusion,
-    transversal_fusion,
 )
 from graphcode_lt.losstree import (
     build_arbitrary_tree,
@@ -103,12 +101,13 @@ def test_adaptive_fusion_within_1e_12_of_exact(name):
         analysis = AdaptiveFusionAnalysis(code, randomize)
         for p_fail in (0.5, 0.25):
             got = analysis.result(p_fail, np.array(DYADIC))
-            for row, eta in zip(got.tolist(), DYADIC):
-                fm = FusionModel(p_fail, eta)
-                bases = (fm.s, fm.f, fm.l, eta, 1.0 - eta)
+            gates = np.array(_gate_outcomes(p_fail, DYADIC)).T.tolist()
+            for row, eta, (s, f, l) in zip(got.tolist(), DYADIC, gates):
+                bases = (s, f, l, eta, 1.0 - eta)
                 for value, klass in zip(row, ("success", "fail", "loss")):
                     exact = _exact(analysis._terms[klass], bases)
-                    assert _close(value, exact), (name, randomize, fm, klass)
+                    assert _close(value, exact), (name, randomize, p_fail,
+                                                  eta, klass)
 
 
 @pytest.mark.parametrize("name", sorted(_library()))
@@ -117,16 +116,16 @@ def test_transversal_fusion_within_1e_12_of_exact(name):
     n = code.n
     for randomize in (False, True):
         for eta in DYADIC[::2] if n > 10 else DYADIC:
-            fm = FusionModel(0.5, eta)
-            bases = None if randomize else compile_failure_bases(code, fm)
+            bases = None if randomize else compile_failure_bases(code, 0.5, eta)
             sums = dict.fromkeys(("success", "fail", "loss"), Fraction(0))
-            s, f, l = (Fraction(v) for v in (fm.s, fm.f, fm.l))
+            s, f, l = (Fraction(float(v[0])) for v in _gate_outcomes(0.5, eta))
             for (ns, nfx, nfz, klass), mult in _transversal_counts(
                     code, bases).items():
                 nf = nfx + nfz
                 weight = Fraction(1, 2 ** nf) if randomize else 1
                 sums[klass] += mult * weight * s ** ns * f ** nf * l ** (n - ns - nf)
-            got = transversal_fusion(code, fm, randomize_failures=randomize)
+            got = logical_fusion(code, 0.5, eta, adaptive=False,
+                                 randomize_failures=randomize)
             for value, klass in zip(got, ("success", "fail", "loss")):
                 assert _close(value, sums[klass]), (name, randomize, eta, klass)
 
@@ -155,7 +154,7 @@ def test_equal_polynomials_score_equal_floats(kind):
     # the round-off of their term order, which then ranked them
     scores: dict = {}
     for code in enumerate_candidates(7):
-        score, _, poly = evaluate_objective(Objective(kind, eta=0.7), code)
+        score, poly = evaluate_objective(Objective(kind, eta=0.7), code)
         scores.setdefault(poly, set()).add(score)
     assert sum(len(s) > 1 for s in scores.values()) == 0
     assert any(len(s) == 1 for s in scores.values())
@@ -205,7 +204,7 @@ def test_compiled_transversal_points_match_alone():
     code = pentagon_code()
     grid = np.arange(33) / 32
     rows = np.asarray(logical_fusion(code, 0.5, grid, adaptive=False)).T
-    assert rows.tolist() == [list(transversal_fusion(code, FusionModel(0.5, e)))
+    assert rows.tolist() == [list(logical_fusion(code, 0.5, e, adaptive=False))
                              for e in grid.tolist()]
 
 
@@ -226,8 +225,8 @@ def test_empty_class_ranges_sum_to_zero():
     success, fail, _ = analysis._ends
     keep = np.r_[0:success, fail:len(analysis._coef)]
     ends = (success, success, len(keep))
-    models = [FusionModel(0.5, eta) for eta in DYADIC]
-    bases = [[m.s, m.f, m.l, m.eta, 1.0 - m.eta] for m in models]
+    bases = np.array(_gate_outcomes(0.5, DYADIC)
+                     + (np.array(DYADIC), 1.0 - np.array(DYADIC))).T
     got = monomial_sums(analysis._coef[keep], analysis._exps[:, keep], bases,
                         ends)
     full = analysis.result(0.5, DYADIC)
@@ -278,7 +277,7 @@ def test_grid_commands_match_one_point_calls(capsys):
         1.0 - poly.evaluate(r["eta"]) for r in rows]
     rows = _rows(capsys, ["fusion", "--graph", "pentagon", "--eta-grid", grid])
     assert [r["p_success"] for r in rows] == [
-        adaptive_fusion(code, FusionModel(0.5, r["eta"])).p_success for r in rows]
+        logical_fusion(code, 0.5, r["eta"]).p_success for r in rows]
     # the grid is dyadic, so 1 - ell gives each eta back exactly
     rows = _rows(capsys, ["rgs", "--graph", "pentagon", "--eta-grid", grid])
     assert [r["p_link"] for r in rows] == [

@@ -167,8 +167,6 @@ def test_objective_validation():
         Objective("arbitrary", eta=1.5)
     with pytest.raises(ValueError):
         Objective("arbitrary", p_fail=0.0)
-    with pytest.raises(ValueError):
-        Objective("arbitrary", tie_break="nope")
     obj = Objective("fusion_success", eta=0.9)
     with pytest.raises(AttributeError):
         obj.eta = 0.5
@@ -182,19 +180,19 @@ def test_objective_defaults_near_threshold():
 
 def test_pauli_objective_scores_worst_basis():
     code = star_code(4)
-    score, _, poly = evaluate_objective(Objective("pauli_all_bases", eta=0.9),
-                                        code)
+    score, poly = evaluate_objective(Objective("pauli_all_bases", eta=0.9),
+                                     code)
     # [DERIVED: star X is the weak basis, 1 - (1-eta)^n beats eta^n]
     assert score == pytest.approx(0.9 ** 4, abs=1e-12)
     assert poly is not None
 
 
 def test_fusion_objective_matches_engine():
-    from graphcode_lt.fusion import FusionModel, adaptive_fusion
+    from graphcode_lt.fusion import logical_fusion
     code = pentagon_code()
-    score, _, poly = evaluate_objective(
+    score, poly = evaluate_objective(
         Objective("fusion_success", eta=0.9, p_fail=0.5), code)
-    assert score == adaptive_fusion(code, FusionModel(0.5, 0.9)).p_success
+    assert score == logical_fusion(code, 0.5, 0.9).p_success
     assert poly is None
 
 
@@ -270,21 +268,6 @@ def test_ranking_invariant_under_permutation():
             [(c.graph6, c.input_vertex, c.score) for c in baseline]
 
 
-def test_tie_break_orders_equal_primaries():
-    # Two members of one LC class share the arbitrary-basis polynomial
-    # but not their Pauli trees, so the secondary metric must decide.
-    pentagon = pentagon_code()
-    twin = GraphCode(local_complement(pentagon.progenitor, 2), 0)
-    obj = Objective("arbitrary", eta=0.9, tie_break="pauli_all_bases")
-    res = optimize(obj, [pentagon, twin])
-    a, b = res.ranked
-    assert a.score == pytest.approx(b.score, abs=1e-12)
-    assert a.tie_break >= b.tie_break
-    res2 = optimize(obj, [twin, pentagon])
-    assert [(c.graph6, c.tie_break) for c in res2.ranked] == \
-        [(c.graph6, c.tie_break) for c in res.ranked]
-
-
 def test_oversized_code_refused_by_every_objective(monkeypatch):
     # past EXHAUSTIVE_LIMIT every objective refuses the code before any
     # engine runs, the fusion-network threshold included, and optimize
@@ -292,7 +275,9 @@ def test_oversized_code_refused_by_every_objective(monkeypatch):
     def refuse(*args):
         raise AssertionError("an engine ran past the search's limit")
 
-    monkeypatch.setattr(search, "_score_kind", refuse)
+    for engine in ("build_pauli_tree", "build_arbitrary_tree",
+                   "rgs_link_probability", "fbqc_loss_threshold"):
+        monkeypatch.setattr(search, engine, refuse)
     code = star_code(16)
     for kind in OBJECTIVE_KINDS:
         with pytest.raises(ResourceLimitError, match="limit is n <= 14"):
