@@ -25,9 +25,11 @@ toward the fused qubit, and when every attempt fails the codes fall back
 on single-qubit measurements to salvage one parity.  Each code's decoder
 is grown by the loss decoders' shared recursion (``losstree.grow``) and
 then folded with its twin; the fusion attempts themselves have three
-outcomes and keep their own walk.  The walk and the fold tally plain
-integer path counts; a term's exact weight, 2^-b for b randomized gate
-failures, is applied once when the terms are assembled.  Both engines
+outcomes and keep their own walk.  One walk per code compiles both gate
+models, failures in a fixed basis and randomized ones, since the first
+is the fz-only part of the second's walk.  The walk and the fold tally
+plain integer path counts; a term's exact weight, 2^-b for b randomized
+gate failures, is applied once when the terms are assembled.  Both engines
 report (success, fail, loss) probabilities, each a sum of monomials in
 the gate outcomes evaluated by ``polynomials.monomial_sums`` within
 1e-12 of its exact value, at one transmission or at a block of them.
@@ -47,7 +49,7 @@ import numpy as np
 from .codes import GraphCode, per_code
 from .losstree import Leaf, TargetSet, _rank, _strategies, _xz, grow, paths
 from .opsets import ResourceLimitError, stabilizer_group
-from .pauli import MeasurementPattern, iter_bits, spread
+from .pauli import BASES, MeasurementPattern, iter_bits, spread
 from .polynomials import block, columns, monomial_sums
 
 __all__ = [
@@ -278,35 +280,40 @@ def compile_failure_bases(code: GraphCode, p_fail: float,
 # -- adaptive engine ---------------------------------------------------------------
 
 
-# the letters a fused interface admits, by gate outcome
+# the letters a fused interface admits, by gate outcome: any Pauli letter
+# after a successful gate, and only the surviving parity's letter after a
+# failed one (the partner code must match there, which the fold checks by
+# intersecting letter vectors)
 _INTERFACE_LETTERS = {"s": "XYZ", "fx": "X", "fz": "Z"}
-
-
-def _interface_letters(interfaces: tuple, n: int) -> int:
-    """Packed letter mask (``MeasurementPattern.allowed``) of the letters
-    the fused interfaces make recoverable, to be joined to the pattern's
-    own: any Pauli letter after a successful gate, and only the surviving
-    parity's letter after a failed one (the partner code must match
-    there, which the caller checks by intersecting letter vectors).
-    """
-    letters = 0
-    for q, kind in interfaces:
-        letters |= spread(1 << q, n, _INTERFACE_LETTERS[kind])
-    return letters
 
 
 def _cosets(code: GraphCode) -> tuple[TargetSet, np.ndarray]:
     """The X and Z logical cosets as one set of single-operator targets,
     sorted by (weight, x, z) across both, and a mask of its X members."""
-    group = stabilizer_group(code)
-    x, z = _xz([logical * s for logical in (code.logical_x, code.logical_z)
-                for s in group])
+    gx, gz = _xz(stabilizer_group(code))
+    # logical * s has the masks logical.x ^ s.x and logical.z ^ s.z
+    logicals = (code.logical_x, code.logical_z)
+    x = np.concatenate([logical.x ^ gx for logical in logicals])
+    z = np.concatenate([logical.z ^ gz for logical in logicals])
     order = np.argsort(_rank(x, z, code.n))
-    return TargetSet(code.n, x[order], z[order]), order < len(group)
+    return TargetSet(code.n, x[order], z[order]), order < len(gx)
+
+
+def _columns(counts: dict, half: int) -> tuple:
+    """``monomial_sums`` columns of one model's integer path counts, the
+    success, fail and loss terms one after another, and the class ends.
+    A term with b failures weighs 2^-(half * b): each coefficient is the
+    count divided by that power of two, which is its ``Fraction`` term's
+    float exactly (a correctly rounded division of an exact dyadic)."""
+    coef, exps = columns(((key, count / (1 << half * key[1]))
+                          for klass in _CLASSES
+                          for key, count in counts[klass].items()), 5)
+    return coef, exps, tuple(accumulate(len(counts[klass]) for klass in _CLASSES))
 
 
 class AdaptiveFusionAnalysis:
-    """Compiled adaptive logical-fusion process for one code.
+    """Compiled adaptive logical-fusion process for one code, under both
+    gate models: failures in a fixed basis (Z), and randomized failures.
 
     Fusions are attempted on candidate output qubits while teleportation
     strategies survive; the first success pins the output and each side
@@ -316,8 +323,23 @@ class AdaptiveFusionAnalysis:
     every gate (p_fail, eta).  Only those terms are kept: the logical cosets
     and the per-side decoders are freed once compiled.
 
+    One walk compiles both models.  Under randomized failures each failed
+    gate keeps the XX or the ZZ parity, so the walk branches it into an
+    fx and an fz child; with a fixed basis every failure is fz.  The
+    fixed model's walk is therefore exactly the fz-only sub-walk of the
+    randomized one: the same nodes, the same side decoders and the same
+    term keys.  The walk carries a flag, set while no gate on its path
+    failed in X, and the fold tallies each term into the randomized
+    counts and, on flagged paths, into the fixed counts too.  A node's
+    children are walked in the order fx, fz, loss, so leaving out every
+    fx subtree leaves the fixed walk's own order: each model's term keys
+    are first inserted in the order its own walk would insert them.  That
+    order is the order of the columns ``result`` sums, so it is kept, and
+    each model's ``_terms`` and floats are those of walking it alone.
+
     The walk and the side decoders keep their live strategies and coset
-    members as index arrays into two per-code ``TargetSet``s, the
+    members as index sequences (``TargetSet.narrow``'s short lists and
+    long arrays) into two per-code ``TargetSet``s, the
     strategies (``losstree._strategies``) and the X and Z logical cosets
     (``_cosets``), and narrow, count and rank them with its kernels.
     Each side decoder's leaf carries the coset members that fit its final
@@ -327,15 +349,17 @@ class AdaptiveFusionAnalysis:
     gives each leaf's detected and lost attempt counts.  A
     leaf's interface letter vectors are packed ints, each member's packed
     letter mask on the interface qubits; one vector is one int, so the
-    sets intersect exactly as the letter vectors do.
+    sets intersect exactly as the letter vectors do.  The walk carries
+    the interface letters and the interface qubits' letter mask down to
+    its children rather than rebuilding them at each node.
 
     The walk and the fold count paths as integers per outcome class and
     term (fusion successes, failures and losses, then single-qubit
-    detections and losses).  Under ``randomize_failures`` each failed
-    gate keeps either parity with probability 1/2, so a term with b
-    failures weighs exactly 2^-b, applied once per term as
-    ``Fraction(count, 2**b)``; with a fixed failure basis every weight
-    is 1.
+    detections and losses).  Under randomized failures each failed gate
+    keeps either parity with probability 1/2, so a term with b failures
+    weighs exactly 2^-b, applied once per term as ``Fraction(count,
+    2**b)``; with a fixed failure basis every weight is 1.
+    ``_terms[randomize_failures]`` holds one model's terms by class.
 
     The terms are also kept in column form for ``result``: one float64
     coefficient per term, exact since every weight is an integer count
@@ -346,38 +370,42 @@ class AdaptiveFusionAnalysis:
     sum of its terms.
     """
 
-    __slots__ = ("_terms", "_coef", "_exps", "_ends")
+    __slots__ = ("_terms", "_columns")
 
-    def __init__(self, code: GraphCode, randomize_failures: bool = False):
+    def __init__(self, code: GraphCode):
         n = code.n
         strategies = _strategies(code)
         cosets, is_x = _cosets(code)
-        every = np.arange(len(cosets))
         needs, is_x = cosets.needs, is_x.tolist()
+        # a qubit mask times this sets every letter on those qubits
+        # (``pauli.spread``), as an unmeasured qubit admits
+        wildcard = spread(1, n, BASES)
         # the strategy operators ranked as if each output qubit were removed
         ranks = [_rank(strategies.x, strategies.z, n, ~(1 << q)) for q in range(n)]
-        # integer path counts per class; each term's weight is applied once,
-        # when the walk is done
-        counts = {klass: {} for klass in _CLASSES}
+        # integer path counts per class of the fixed and the randomized
+        # model; each term's weight is applied once, when the walk is done
+        fixed, randomized = ({klass: {} for klass in _CLASSES} for _ in range(2))
 
-        def side(pattern: MeasurementPattern, interfaces: tuple,
-                 output: int | None, pairs: np.ndarray) -> dict:
+        def side(pattern: MeasurementPattern, letters: int, face: int,
+                 output: int | None, pairs, members) -> dict:
             """Leaf groups of one code's decoder: {(lambda_x, lambda_z):
             {(detected, lost): count}} over single-qubit attempt outcomes.
 
-            The decoder completes a strategy toward ``output`` while one
-            survives, then falls back to any X or Z logical.  Members may
-            route through failed interfaces: the partner code shares the
+            ``letters`` are the letters the fused interfaces admit, and
+            ``face`` every letter on the interface qubits.  The decoder
+            completes a strategy toward ``output`` while one survives,
+            then falls back to any X or Z logical.  Members may route
+            through failed interfaces: the partner code shares the
             surviving parity there, and the final letter-vector
             intersection decides whether the routes actually match.
             Members are ranked as if the output qubit were removed.
 
             ``pairs`` (strategy indices) must hold every strategy toward
-            ``output`` that fits the decoder's starting masks (extra ones
-            are narrowed away).
+            ``output`` that fits the decoder's starting masks, and
+            ``members`` (coset indices) every coset member that does
+            (extra ones are narrowed away).
             """
             rank = None if output is None else ranks[output]
-            letters = _interface_letters(interfaces, n)
 
             def step(pat: MeasurementPattern, state):
                 """A move, or a ``Leaf`` whose targets are the coset
@@ -385,106 +413,132 @@ class AdaptiveFusionAnalysis:
                 shrink below the root, so a member dropped on the path
                 fails them too, and narrowing ``salvage`` finds them all."""
                 alive, salvage = state
-                allowed = pat.allowed(True) | letters
-                done = pat.allowed(False) | letters
+                done = pat.letters | letters
+                allowed = done | pat.unmeasured * wildcard
                 alive = strategies.narrow(alive, allowed)
-                if alive.size:
-                    if strategies.narrow(alive, done).size:
+                if len(alive):
+                    if strategies.first_fit(alive, done) is not None:
                         return Leaf("success", pat, cosets.narrow(salvage, done))
                     # each strategy's operators, in order; attempt ranks
                     # a repeated operator as its first occurrence
-                    q, b = strategies.attempt(strategies.pair[alive].ravel(),
-                                              pat, rank)
-                    return q, b, (alive, salvage), (alive, salvage)
+                    q, b = strategies.attempt(strategies.operators(alive), pat,
+                                              rank)
+                    state = alive, salvage
+                    return q, b, state, state
                 salvage = cosets.narrow(salvage, allowed)
                 members = cosets.narrow(salvage, done)
-                move = None if members.size else cosets.attempt(salvage, pat)
+                move = None if len(members) else cosets.attempt(salvage, pat)
                 if move is None:
-                    return Leaf("success" if members.size else "failure", pat,
+                    return Leaf("success" if len(members) else "failure", pat,
                                 members)
-                return move + ((alive, salvage), (alive, salvage))
+                state = alive, salvage
+                return move + (state, state)
 
-            # each member keeps its packed letters on the interface qubits
-            face = spread(sum(1 << q for q, _ in interfaces), n, "XYZ")
             groups: dict = {}
-            start = cosets.narrow(every, pattern.allowed(True) | letters)
-            for leaf, (a, b) in paths(grow(pattern, (pairs, start), step)):
+            for leaf, (a, b) in paths(grow(pattern, (pairs, members), step)):
                 lx, lz = set(), set()
-                for t in leaf.targets.tolist():
+                for t in leaf.targets:
                     (lx if is_x[t] else lz).add(needs[t] & face)
                 de = (sum(a), sum(b))
                 poly = groups.setdefault((frozenset(lx), frozenset(lz)), {})
                 poly[de] = poly.get(de, 0) + 1
             return groups
 
-        def fold(groups: dict, fusions: tuple[int, int, int]):
+        def fold(groups: dict, fusions: tuple[int, int, int], in_fixed: bool):
             """Two independent copies of one side, classified by
             intersecting interface letter vectors: a parity is recovered
             when both sides realize a common vector.  Path counts are
-            summed as integers per class and term."""
-            for (lx1, lz1), poly1 in groups.items():
-                for (lx2, lz2), poly2 in groups.items():
-                    tally = counts[_classify(bool(lx1 & lx2), bool(lz1 & lz2))]
-                    for (d1, e1), c1 in poly1.items():
-                        for (d2, e2), c2 in poly2.items():
-                            key = fusions + (d1 + d2, e1 + e2)
+            summed as integers per class and (detected, lost) pair, in the
+            order the pairs first occur, then added, each under the
+            fusion counts ``fusions``, to the randomized counts and, when
+            ``in_fixed``, to the fixed ones."""
+            sums: dict = {}
+            sides = [(lx, lz, list(poly.items()))
+                     for (lx, lz), poly in groups.items()]
+            for lx1, lz1, poly1 in sides:
+                for lx2, lz2, poly2 in sides:
+                    klass = _classify(not lx1.isdisjoint(lx2),
+                                      not lz1.isdisjoint(lz2))
+                    tally = sums.setdefault(klass, {})
+                    for (d1, e1), c1 in poly1:
+                        for (d2, e2), c2 in poly2:
+                            key = d1 + d2, e1 + e2
                             tally[key] = tally.get(key, 0) + c1 * c2
+            for counts in (randomized, fixed) if in_fixed else (randomized,):
+                for klass, tally in sums.items():
+                    into = counts[klass]
+                    for key, count in tally.items():
+                        key = fusions + key
+                        into[key] = into.get(key, 0) + count
 
-        def walk(pattern: MeasurementPattern, interfaces: tuple, candidates,
-                 a: int, b: int, c: int):
+        def walk(pattern: MeasurementPattern, letters: int, face: int,
+                 candidates, members, a: int, b: int, c: int,
+                 in_fixed: bool):
             """Attempt fusions while strategies survive.  ``candidates``
             are the parent node's survivors: along a walk the allowed
             letters only shrink (a fused qubit leaves the A letters and
             keeps at most its parity's letter; a lost one keeps none), so
             narrowing them gives the same list, in the same order, as
-            narrowing every strategy."""
+            narrowing every strategy; ``members``, the coset members the
+            parent's masks admit, narrow the same way and start each side
+            decoder's salvage.  ``letters`` and ``face`` are the fused
+            interfaces' letters and their qubits' letter mask, as ``side``
+            takes them.  ``in_fixed`` is set while no gate on the path
+            failed in X."""
             # a candidate output must still be unmeasured, so only
             # unmeasured qubits admit the A letter here
             settled = ((1 << n) - 1) ^ pattern.unmeasured
-            allowed = ((pattern.allowed(True) | _interface_letters(interfaces, n))
-                       & ~spread(settled, n, "A"))
+            allowed = (pattern.allowed(True) | letters) & ~spread(settled, n, "A")
             candidates = strategies.narrow(candidates, allowed)
-            if not candidates.size:
-                fold(side(pattern, interfaces, None, candidates), (a, b, c))
+            members = cosets.narrow(members, allowed)
+            if not len(candidates):
+                fold(side(pattern, letters, face, None, candidates, members),
+                     (a, b, c), in_fixed)
                 return
             q = strategies.busiest_output(candidates)
-            fused = pattern.measure(q, "A")
+            bit, fused = 1 << q, pattern.measure(q, "A")
+            fused_face = face | spread(bit, n, "XYZ")
             # a strategy toward q that fits the side decoder's masks fits
             # the walk's too, since q is its only A letter
-            fold(side(fused, interfaces + ((q, "s"),), q,
-                      candidates[strategies.output[candidates] == q]),
-                 (a + 1, b, c))
-            for kind in ("fx", "fz") if randomize_failures else ("fz",):
-                walk(fused, interfaces + ((q, kind),), candidates, a, b + 1, c)
-            walk(pattern.lose(q), interfaces, candidates, a, b, c + 1)
+            fold(side(fused, letters | spread(bit, n, _INTERFACE_LETTERS["s"]),
+                      fused_face, q, strategies.toward(candidates, q), members),
+                 (a + 1, b, c), in_fixed)
+            for kind in ("fx", "fz"):
+                walk(fused, letters | spread(bit, n, _INTERFACE_LETTERS[kind]),
+                     fused_face, candidates, members, a, b + 1, c,
+                     in_fixed and kind == "fz")
+            walk(pattern.lose(q), letters, face, candidates, members, a, b,
+                 c + 1, in_fixed)
 
-        walk(MeasurementPattern(n), (), np.arange(len(strategies)), 0, 0, 0)
+        walk(MeasurementPattern(n), 0, 0, np.arange(len(strategies)),
+             np.arange(len(cosets)), 0, 0, 0, True)
         # walk refers to itself, so the compile state it reaches would
         # otherwise wait for the cycle collector
         del walk
         # a randomized failure keeps either parity with probability 1/2, so
         # a term with b failures weighs 2^-b; a fixed basis weighs 1
-        half = 1 if randomize_failures else 0
-        terms = {klass: {key: Fraction(count, 1 << half * key[1])
-                         for key, count in tally.items()}
-                 for klass, tally in counts.items()}
-        self._terms = terms
-        self._coef, self._exps = columns(
-            (item for klass in _CLASSES for item in terms[klass].items()), 5)
-        self._ends = tuple(accumulate(len(terms[klass]) for klass in _CLASSES))
+        self._terms = (
+            {klass: {key: Fraction(count) for key, count in tally.items()}
+             for klass, tally in fixed.items()},
+            {klass: {key: Fraction(count, 1 << key[1])
+                     for key, count in tally.items()}
+             for klass, tally in randomized.items()})
+        self._columns = (_columns(fixed, 0), _columns(randomized, 1))
 
-    def result(self, p_fail: float, eta) -> np.ndarray:
+    def result(self, p_fail: float, eta,
+               randomize_failures: bool = False) -> np.ndarray:
         """(success, fail, loss) at each transmission of ``eta``, a float or
-        a 1-D array, for gates failing with ``p_fail``: shape (points, 3)."""
+        a 1-D array, for gates failing with ``p_fail`` in a fixed basis or,
+        with ``randomize_failures``, in either: shape (points, 3)."""
+        coef, exps, ends = self._columns[randomize_failures]
         etas = block(eta)
         bases = np.array(_gate_outcomes(p_fail, etas) + (etas, 1.0 - etas)).T
-        return monomial_sums(self._coef, self._exps, bases, self._ends)
+        return monomial_sums(coef, exps, bases, ends)
 
 
 @per_code
-def _adaptive_analysis(code: GraphCode,
-                       randomize: bool) -> AdaptiveFusionAnalysis:
-    return AdaptiveFusionAnalysis(code, randomize)
+def _adaptive_analysis(code: GraphCode) -> AdaptiveFusionAnalysis:
+    return AdaptiveFusionAnalysis(code)
 
 
 def logical_fusion(code: GraphCode, p_fail: float, eta, *,
@@ -509,7 +563,8 @@ def logical_fusion(code: GraphCode, p_fail: float, eta, *,
     """
     etas = block(eta)
     if adaptive:
-        sums = _adaptive_analysis(code, randomize_failures).result(p_fail, etas)
+        sums = _adaptive_analysis(code).result(p_fail, etas,
+                                             randomize_failures)
     elif randomize_failures:
         sums = _transversal_result(code, p_fail, etas, None)
     else:

@@ -15,13 +15,15 @@ the checks it chose (re-chosen only after a loss).  Both kinds of loss
 target are held per code as one ``TargetSet`` of numpy arrays: operator
 indices, output qubits and each target's joint packed letter mask (laid
 out by ``pauli.packed`` and ``pauli.spread``), which ``pauli.fits`` would
-match against a pattern.  A decoder's state is an index array into it,
-and ``narrow``, ``busiest_output`` and ``attempt`` are numpy passes over
-that array; a ``Target`` of ``PauliOperator``s is built only for a
-leaf.  One walk, ``paths``, reads every built tree back: it yields each terminal node with the detected and lost attempt
-counts on its path, which are the exponents of its monomial in the
-success polynomial and in the error decoder's per-leaf sums, and the
-attempt totals of each fusion side decoder's leaf.
+match against a pattern.  A decoder's state is an index list into it
+while short and an index array once long, and ``narrow``,
+``first_fit``, ``busiest_output`` and ``attempt`` are Python loops over
+a list and numpy passes over an array; a ``Target`` of
+``PauliOperator``s is built only for a leaf.  One walk, ``paths``, reads
+every built tree back: it yields each terminal node with the detected
+and lost attempt counts on its path, which are the exponents of its
+monomial in the success polynomial and in the error decoder's per-leaf
+sums, and the attempt totals of each fusion side decoder's leaf.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .codes import GraphCode, per_code
 from .opsets import enumerate_nontrivial
 from .pauli import BASES, MeasurementPattern, packed, spread
-from .polynomials import LossPolynomial
+from .polynomials import KERNEL_FLOATS, LossPolynomial
 
 __all__ = [
     "DecisionTree", "Leaf", "MeasureNode", "Target", "TargetSet", "grow",
@@ -114,8 +116,9 @@ def _rank(x: np.ndarray, z: np.ndarray, n: int, keep: int = -1) -> np.ndarray:
     return weight << 2 * n | x << n | z
 
 
-# Below this many indices ``narrow`` and ``attempt`` test them one at a
-# time in Python (see there); at or above it, in one numpy pass.
+# Below this many indices ``narrow``, ``first_fit`` and ``attempt`` test
+# them one at a time in Python (see there); at or above it, in one numpy
+# pass.
 SMALL = 32
 
 
@@ -132,9 +135,12 @@ class TargetSet:
     n <= 16.  The output qubit counts as an A letter only, since it must
     be measured in the rotated basis.
 
-    A decoder's state is an index array into the targets, and its
-    kernels are numpy passes over it.  ``len`` is the number of targets;
-    indexing builds one as a ``Target``.
+    A decoder's state is an index sequence into the targets: a list of
+    ints below ``SMALL`` targets, tested one at a time in Python, and an
+    intp array at or above it, tested in numpy passes.  ``narrow`` hands
+    back whichever its result's length calls for, so a state shrinking
+    below ``SMALL`` leaves numpy for good.  ``len`` is the number of
+    targets; indexing builds one as a ``Target``.
     """
 
     __slots__ = ("n", "ops", "x", "z", "support", "supports", "pair", "output",
@@ -162,33 +168,73 @@ class TargetSet:
         (i, j), o = self.pair[t].tolist(), int(self.output[t])
         return Target(self.ops[i], None if j == i else self.ops[j], None if o < 0 else o)
 
-    def narrow(self, idx: np.ndarray, allowed: int) -> np.ndarray:
+    def narrow(self, idx, allowed: int):
         """The targets in ``idx`` every letter of which the packed
-        ``allowed`` mask admits (``pauli.fits``), in their given order.
+        ``allowed`` mask admits (``pauli.fits``), in their given order: a
+        list of ints when fewer than ``SMALL`` are left, else an intp
+        array.  ``idx`` is either.
 
         Fewer than ``SMALL`` targets are tested one at a time in Python on
         ``needs``, the masks as Python ints, since numpy's fixed cost per
-        call dominates there.  Timed on one call (Python 3.11, numpy 2.4,
-        2-core VM): 0.85 us against numpy's 2.1 us at 4 targets, 1.5
-        against 2.1 at 16, 2.5 against 2.2 at 32; the two meet near 28.
-        The decoders' lists are short on small codes (a median of 4 over
-        the 7-vertex search) and run to thousands on 12-14 qubits."""
+        call dominates there; the list they leave stays a list, so a
+        small decoder state makes no numpy round trip.  Timed on one call
+        from a list against one numpy pass over an array (Python 3.11,
+        numpy 2.4, 2-core VM): 1.0 us against 3.5 at 4 targets, 2.6
+        against 4.2 at 16, 3.6 against 3.9 at 32.  The decoders' lists
+        are short on small codes (a median of 4 over the 7-vertex search)
+        and run to thousands on 12-14 qubits."""
         if len(idx) < SMALL:
             deny, needs = ~allowed, self.needs
-            return np.array([t for t in idx.tolist() if not needs[t] & deny], np.intp)
+            if isinstance(idx, np.ndarray):
+                idx = idx.tolist()
+            return [t for t in idx if not needs[t] & deny]
+        idx = np.asarray(idx, dtype=np.intp)
         deny = np.uint64(~allowed & ((1 << 4 * self.n) - 1))
-        return idx[(self.need[idx] & deny) == 0]
+        kept = idx[(self.need[idx] & deny) == 0]
+        return kept.tolist() if len(kept) < SMALL else kept
 
-    def busiest_output(self, idx: np.ndarray) -> int:
+    def first_fit(self, idx, allowed: int) -> int | None:
+        """The first target in ``idx`` that ``narrow`` would keep, or None:
+        a short list is tested one target at a time and stops at the
+        first fit."""
+        if len(idx) < SMALL:
+            deny, needs = ~allowed, self.needs
+            for t in idx:
+                if not needs[t] & deny:
+                    return int(t)
+            return None
+        idx = np.asarray(idx, dtype=np.intp)
+        deny = np.uint64(~allowed & ((1 << 4 * self.n) - 1))
+        hit = np.flatnonzero((self.need[idx] & deny) == 0)
+        return int(idx[hit[0]]) if hit.size else None
+
+    def toward(self, idx, q: int):
+        """The targets in ``idx`` whose output qubit is ``q``, in their
+        given order: a list for a list, else an intp array."""
+        if isinstance(idx, list):
+            # a memoryview reads single entries as Python ints
+            output = memoryview(self.output)
+            return [t for t in idx if output[t] == q]
+        return idx[self.output[idx] == q]
+
+    def operators(self, idx):
+        """Each target's operator indices in ``idx``, (first, second) in
+        turn: a list for a list, else an intp array."""
+        if isinstance(idx, list):
+            pair = memoryview(self.pair)
+            return [pair[t, k] for t in idx for k in (0, 1)]
+        return self.pair[idx].ravel()
+
+    def busiest_output(self, idx) -> int:
         """The output qubit shared by the most targets in ``idx``; ties go
         to the lowest (``argmax`` takes the first maximum)."""
         return int(np.bincount(self.output[idx]).argmax())
 
-    def attempt(self, members: np.ndarray, pattern: MeasurementPattern,
+    def attempt(self, members, pattern: MeasurementPattern,
                 rank: np.ndarray | None = None):
         """The attempt rule: the lowest-ranked operator among ``members``
-        (operator indices) with unmeasured support, then its lowest
-        unmeasured qubit, in that operator's letter.
+        (operator indices, a list or an array) with unmeasured support,
+        then its lowest unmeasured qubit, in that operator's letter.
 
         ``rank`` is one int64 key per operator (``_rank``); ``argmin``
         keeps the first of equal keys, so members may repeat without
@@ -204,18 +250,21 @@ class TargetSet:
         free = pattern.unmeasured
         if len(members) < SMALL:
             supports = self.supports
-            live = [i for i in members.tolist() if supports[i] & free]
+            if isinstance(members, np.ndarray):
+                members = members.tolist()
+            live = [i for i in members if supports[i] & free]
             if not live:
                 return None
-            i = min(live) if rank is None else min(live, key=rank.__getitem__)
+            i = min(live) if rank is None else min(live, key=rank.item)
         else:
+            members = np.asarray(members, dtype=np.intp)
             live = members[(self.support[members] & free) != 0]
             if not live.size:
                 return None
             i = int(live.min() if rank is None else live[rank[live].argmin()])
         low = self.supports[i] & free
         q = (low & -low).bit_length() - 1
-        return q, "IXZY"[int(self.x[i]) >> q & 1 | (int(self.z[i]) >> q & 1) << 1]
+        return q, "IXZY"[self.x.item(i) >> q & 1 | (self.z.item(i) >> q & 1) << 1]
 
 
 def grow(pattern: MeasurementPattern, state, step):
@@ -265,19 +314,19 @@ def _tree_step(pattern: MeasurementPattern, state):
     have output -1, so their decoder never picks one."""
     ts, alive, current = state
     alive = ts.narrow(alive, pattern.allowed(True))
-    if not alive.size:
+    if not len(alive):
         return Leaf("failure", pattern)
-    done = ts.narrow(alive, pattern.allowed(False))
-    if done.size:
-        first, second, output = ts[done[0]]
+    done = ts.first_fit(alive, pattern.allowed(False))
+    if done is not None:
+        first, second, output = ts[done]
         ops = (first,) if second is None else (first, second)
         return Leaf("success", pattern, targets=ops, output=output)
-    mine = alive[ts.output[alive] == current]
-    if not mine.size:
+    mine = ts.toward(alive, current)
+    if not len(mine):
         # pick (or re-pick) the output and try the rotated measurement
         o = ts.busiest_output(alive)
         return o, "A", (ts, alive, o), (ts, alive, -1)
-    q, b = ts.attempt(ts.pair[mine].ravel(), pattern)
+    q, b = ts.attempt(ts.operators(mine), pattern)
     return q, b, (ts, alive, current), (ts, alive, current)
 
 
@@ -309,27 +358,61 @@ def _strategies(code: GraphCode) -> TargetSet:
 
     Such a pair always anticommutes: equal letters commute, and two
     different non-identity letters anticommute on the one qubit, so no
-    commutation test is needed.  For operator i, one numpy pass over the
-    (x, z) arrays of operators i+1, i+2, ... forms d = (x_i & z_j) ^
-    (z_i & x_j), whose bit q is set exactly where the two letters on q
-    are different and both non-identity (they anticommute there).  It
-    keeps the j with one bit in d (``d != 0 and d & (d - 1) == 0``) in
-    increasing order, so pairs come out in the (i, j) order of the double
-    loop over the operator set.  They are returned as index arrays into
-    the sorted ``AllLogical`` operators, with no object per pair.
+    commutation test is needed.  For operators i and j, d = (x_i & z_j)
+    ^ (z_i & x_j) has bit q set exactly where the two letters on q are
+    different and both non-identity (they anticommute there), and the
+    pair is kept when d has one bit (``d != 0 and d & (d - 1) == 0``).
+    ``_anticommuting_pairs`` tests the pairs in one blocked numpy pass
+    over the upper triangle, rows by all later columns, and reads each
+    block in row-major order, so the pairs come out in the (i, j) order
+    of the double loop over the operator set.  They are returned as index
+    arrays into the sorted ``AllLogical`` operators, with no object per
+    pair.
     """
     ops = enumerate_nontrivial(code, "AllLogical")
     x, z = _xz(ops)
-    seconds, bits = [], []
-    for i in range(len(ops)):
-        d = (x[i] & z[i + 1:]) ^ (z[i] & x[i + 1:])
-        hit = np.flatnonzero((d != 0) & (d & (d - 1) == 0))
-        seconds.append(hit + (i + 1))
-        bits.append(d[hit])
-    first = np.repeat(np.arange(len(ops)), [len(j) for j in seconds])
+    return TargetSet(code.n, x, z, _anticommuting_pairs(x, z), ops)
+
+
+def _anticommuting_pairs(x: np.ndarray, z: np.ndarray) -> tuple:
+    """(first, second, output) index arrays of the pairs i < j of the
+    operators ``(x, z)`` that differ on exactly one shared qubit, the
+    output, in the (i, j) order of the double loop over the operators.
+
+    Rows i of the upper triangle are taken in blocks, each block against
+    the columns j > i of its first row; entries of its later rows with
+    j <= i are masked out.  ``np.nonzero`` reads each block in row-major
+    order, the loop's order.  A block takes as many rows as
+    ``KERNEL_FLOATS`` entries allow, and a row longer than that is cut
+    into pieces of ``KERNEL_FLOATS`` columns, read in increasing j, so no
+    temporary holds more than ``KERNEL_FLOATS`` entries.
+    """
+    count = len(x)
+    firsts, seconds, bits = [], [], []
+    lo = 0
+    while lo < count - 1:
+        width = count - lo - 1
+        rows = min(max(1, KERNEL_FLOATS // width), width)
+        hi = lo + rows
+        # with one row, the pieces of columns come out in increasing j
+        span = max(1, KERNEL_FLOATS // rows)
+        xi, zi = x[lo:hi, None], z[lo:hi, None]
+        for start in range(lo + 1, count, span):
+            stop = min(start + span, count)
+            d = (xi & z[None, start:stop]) ^ (zi & x[None, start:stop])
+            keep = (d & (d - 1) == 0) & (d != 0)
+            # entry (r, c) is the pair (lo + r, start + c): keep j > i
+            keep &= np.arange(start, stop)[None, :] > np.arange(lo, hi)[:, None]
+            r, c = np.nonzero(keep)
+            firsts.append(r + lo)
+            seconds.append(c + start)
+            bits.append(d[r, c])
+        lo = hi
+    if not firsts:
+        return (np.zeros(0, np.int64),) * 3
     # each bit is a power of two 2^q, which frexp writes as 0.5 * 2^(q+1)
     output = np.frexp(np.concatenate(bits))[1].astype(np.int64) - 1
-    return TargetSet(code.n, x, z, (first, np.concatenate(seconds), output), ops)
+    return np.concatenate(firsts), np.concatenate(seconds), output
 
 
 @per_code

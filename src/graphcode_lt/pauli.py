@@ -168,15 +168,17 @@ class MeasurementPattern(namedtuple("MeasurementPattern",
         return bit
 
     def measure(self, qubit: int, basis: str) -> "MeasurementPattern":
-        if basis not in BASES:
+        k = _INDEX.get(basis)
+        if k is None:
             raise ValueError(f"unknown basis: {basis!r}")
         bit = self._unmeasured_bit(qubit)
-        return MeasurementPattern(self.n, self.letters | spread(bit, self.n, basis),
-                                  self.unmeasured ^ bit)
+        # every field is given, so __new__ and its default are skipped
+        return tuple.__new__(MeasurementPattern, (
+            self.n, self.letters | bit << k * self.n, self.unmeasured ^ bit))
 
     def lose(self, qubit: int) -> "MeasurementPattern":
-        return MeasurementPattern(self.n, self.letters,
-                                  self.unmeasured ^ self._unmeasured_bit(qubit))
+        return tuple.__new__(MeasurementPattern, (
+            self.n, self.letters, self.unmeasured ^ self._unmeasured_bit(qubit)))
 
     def status(self, qubit: int) -> str:
         """The basis letter a qubit was measured in, "lost" or "unmeasured"."""
@@ -220,11 +222,17 @@ def packed(x, z, n: int):
 def spread(qubits, n: int, letters):
     """The packed letter mask with each of ``letters`` (letters of
     ``BASES``) set on every qubit of the mask ``qubits``: a Python int,
-    or a numpy uint64 array of masks when 4n <= 64."""
-    mask = 0
+    or a numpy uint64 array of masks when 4n <= 64.
+
+    The mask's copies, one per letter k at shift k*n, never overlap, as
+    ``qubits`` < 2^n, so their union is one multiplication by the sum of
+    the shifts: ``spread(qubits, n, letters) == qubits * spread(1, n,
+    letters)``, and a caller that spreads many masks over one n and one
+    set of letters may keep that sum."""
+    weight = 0
     for letter in letters:
-        mask |= qubits << _INDEX[letter] * n
-    return mask
+        weight |= 1 << _INDEX[letter] * n
+    return qubits * weight
 
 
 def fits(need: int, allowed: int) -> bool:

@@ -40,7 +40,7 @@ one float bisection, ``bisect``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb, gcd
 
 import numpy as np
@@ -113,7 +113,8 @@ def columns(items, rows: int) -> tuple[np.ndarray, np.ndarray]:
     iterable of (exponent tuple of ``rows`` bases, coefficient) pairs."""
     items = list(items)
     coef = np.array([float(c) for _, c in items])
-    exps = np.array([k for k, _ in items], dtype=np.intp)
+    exps = np.fromiter(chain.from_iterable(k for k, _ in items), np.intp,
+                       rows * len(items))
     return coef, exps.reshape(len(items), rows).T
 
 

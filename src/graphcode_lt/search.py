@@ -35,7 +35,6 @@ import functools
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -263,6 +262,9 @@ def _run_pass(objective: Objective, codes: list, workers: int):
     workers = min(workers, len(codes), os.cpu_count() or 1)
     score = functools.partial(_score, objective)
     if workers > 1:
+        # imported here: the pool's modules (multiprocessing, socket) cost
+        # import time and memory that a one-process run never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(score, codes, chunksize=1)
     else:

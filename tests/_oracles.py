@@ -8,6 +8,7 @@ independent computation.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,11 +19,24 @@ from graphcode_lt.errordecode import (
     _masked_targets,
     ml_logical_error,
 )
-from graphcode_lt.fusion import _gate_outcomes
+from graphcode_lt.fusion import (
+    _CLASSES,
+    _INTERFACE_LETTERS,
+    _classify,
+    _cosets,
+    _gate_outcomes,
+)
 from graphcode_lt.graphs import Graph, canonical_form, local_complement
-from graphcode_lt.losstree import Leaf, grow, paths
+from graphcode_lt.losstree import Leaf, _rank, _strategies, grow, paths
 from graphcode_lt.opsets import ResourceLimitError, enumerate_nontrivial
-from graphcode_lt.pauli import PauliOperator, PauliSpan, fits, iter_bits
+from graphcode_lt.pauli import (
+    MeasurementPattern,
+    PauliOperator,
+    PauliSpan,
+    fits,
+    iter_bits,
+    spread,
+)
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -733,13 +747,13 @@ def _power_rows(bases, top: int) -> list:
     return powers
 
 
-def adaptive_float_terms(analysis) -> tuple:
-    """The terms of an ``AdaptiveFusionAnalysis`` for
-    ``adaptive_result_reference``, converted once: the largest exponent,
-    and per class, in (success, fail, loss) order, a list of (exponents,
-    float coefficient)."""
+def adaptive_float_terms(terms: dict) -> tuple:
+    """The terms of one gate model of an ``AdaptiveFusionAnalysis``
+    (``_terms[randomize_failures]``) for ``adaptive_result_reference``,
+    converted once: the largest exponent, and per class, in (success,
+    fail, loss) order, a list of (exponents, float coefficient)."""
     classes = tuple([(exps, float(coef)) for exps, coef in
-                     analysis._terms[klass].items()]
+                     terms[klass].items()]
                     for klass in ("success", "fail", "loss"))
     top = max((max(exps) for items in classes for exps, _ in items),
               default=0)
@@ -766,6 +780,105 @@ def adaptive_result_reference(terms, p_fail: float,
             total += coef * ps[a] * pf[b] * pl[c] * pe[d] * pm[e]
         sums.append(total)
     return tuple(sums)
+
+
+# -- adaptive fusion, one gate model a walk ---------------------------------------
+
+
+def interface_letters(interfaces: tuple, n: int) -> int:
+    """Packed letter mask of the letters the fused ``interfaces``, (qubit,
+    gate outcome) pairs, make recoverable: any Pauli letter after a
+    successful gate ("s"), and only the surviving parity's letter after a
+    failed one ("fx" or "fz")."""
+    letters = 0
+    for q, kind in interfaces:
+        letters |= spread(1 << q, n, _INTERFACE_LETTERS[kind])
+    return letters
+
+
+def adaptive_terms_reference(code, randomize: bool) -> dict:
+    """The ``_terms`` of one gate model of ``AdaptiveFusionAnalysis``,
+    compiled by a walk of that model alone: the fixed model walks only
+    fz failures, the randomized one fx and then fz.  Each side decoder
+    rebuilds its interface letters from the interface list, narrows every
+    list it tests and tallies its fold term by term, as the engine did
+    before one walk compiled both models."""
+    n = code.n
+    strategies = _strategies(code)
+    cosets, is_x = _cosets(code)
+    every = np.arange(len(cosets))
+    needs, is_x = cosets.needs, is_x.tolist()
+    ranks = [_rank(strategies.x, strategies.z, n, ~(1 << q)) for q in range(n)]
+    counts = {klass: {} for klass in _CLASSES}
+
+    def side(pattern, interfaces, output, pairs) -> dict:
+        rank = None if output is None else ranks[output]
+        letters = interface_letters(interfaces, n)
+
+        def step(pat, state):
+            alive, salvage = state
+            allowed = pat.allowed(True) | letters
+            done = pat.allowed(False) | letters
+            alive = np.array(strategies.narrow(alive, allowed), dtype=np.intp)
+            if alive.size:
+                if len(strategies.narrow(alive, done)):
+                    return Leaf("success", pat, cosets.narrow(salvage, done))
+                q, b = strategies.attempt(strategies.pair[alive].ravel(),
+                                          pat, rank)
+                return q, b, (alive, salvage), (alive, salvage)
+            salvage = cosets.narrow(salvage, allowed)
+            members = cosets.narrow(salvage, done)
+            move = (None if len(members)
+                    else cosets.attempt(np.array(salvage, dtype=np.intp), pat))
+            if move is None:
+                return Leaf("success" if len(members) else "failure", pat,
+                            members)
+            return move + ((alive, salvage), (alive, salvage))
+
+        face = spread(sum(1 << q for q, _ in interfaces), n, "XYZ")
+        groups: dict = {}
+        start = cosets.narrow(every, pattern.allowed(True) | letters)
+        for leaf, (a, b) in paths(grow(pattern, (pairs, start), step)):
+            lx, lz = set(), set()
+            for t in np.array(leaf.targets, dtype=np.intp).tolist():
+                (lx if is_x[t] else lz).add(needs[t] & face)
+            de = (sum(a), sum(b))
+            poly = groups.setdefault((frozenset(lx), frozenset(lz)), {})
+            poly[de] = poly.get(de, 0) + 1
+        return groups
+
+    def fold(groups, fusions):
+        for (lx1, lz1), poly1 in groups.items():
+            for (lx2, lz2), poly2 in groups.items():
+                tally = counts[_classify(bool(lx1 & lx2), bool(lz1 & lz2))]
+                for (d1, e1), c1 in poly1.items():
+                    for (d2, e2), c2 in poly2.items():
+                        key = fusions + (d1 + d2, e1 + e2)
+                        tally[key] = tally.get(key, 0) + c1 * c2
+
+    def walk(pattern, interfaces, candidates, a, b, c):
+        settled = ((1 << n) - 1) ^ pattern.unmeasured
+        allowed = ((pattern.allowed(True) | interface_letters(interfaces, n))
+                   & ~spread(settled, n, "A"))
+        candidates = np.array(strategies.narrow(candidates, allowed),
+                              dtype=np.intp)
+        if not candidates.size:
+            fold(side(pattern, interfaces, None, candidates), (a, b, c))
+            return
+        q = strategies.busiest_output(candidates)
+        fused = pattern.measure(q, "A")
+        fold(side(fused, interfaces + ((q, "s"),), q,
+                  candidates[strategies.output[candidates] == q]),
+             (a + 1, b, c))
+        for kind in ("fx", "fz") if randomize else ("fz",):
+            walk(fused, interfaces + ((q, kind),), candidates, a, b + 1, c)
+        walk(pattern.lose(q), interfaces, candidates, a, b, c + 1)
+
+    walk(MeasurementPattern(n), (), np.arange(len(strategies)), 0, 0, 0)
+    half = 1 if randomize else 0
+    return {klass: {key: Fraction(count, 1 << half * key[1])
+                    for key, count in tally.items()}
+            for klass, tally in counts.items()}
 
 
 # -- transversal fusion by GF(2) span ------------------------------------------

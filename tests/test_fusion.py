@@ -13,11 +13,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+from graphcode_lt import cli, fusion
 from graphcode_lt.codes import (
     branched_chain_code,
     cube_code,
     decorated_pentagon_code,
+    forget,
     pentagon_code,
+    shor_22_code,
     star_code,
     tree_code,
 )
@@ -26,7 +29,6 @@ from graphcode_lt.fusion import (
     compile_failure_bases,
     logical_fusion,
     _gate_outcomes,
-    _interface_letters,
     _classify,
     _cosets,
     _recovery_table,
@@ -35,12 +37,15 @@ from graphcode_lt.fusion import (
 from graphcode_lt.losstree import SMALL, _strategies
 from graphcode_lt.opsets import ResourceLimitError, stabilizer_group
 from graphcode_lt.pauli import MeasurementPattern, PauliOperator, fits
+from graphcode_lt.search import enumerate_candidates
 
 from _oracles import (
     _embed,
     _pair,
     adaptive_float_terms,
     adaptive_result_reference,
+    adaptive_terms_reference,
+    interface_letters,
     transversal_counts_reference,
 )
 from test_golden import _codes as golden_codes
@@ -311,7 +316,7 @@ def test_adaptive_matches_attempt_ceiling_on_decorated_pentagon():
         for o, b in assign.items():
             pat = pat.measure(o, "A")
             ifs.append((o, "s" if b == "s" else "fz"))
-        masks = pat.allowed(True) | _interface_letters(tuple(ifs), code.n)
+        masks = pat.allowed(True) | interface_letters(tuple(ifs), code.n)
         if any(assign[o] == "s" and fits(need, masks)
                for o, need in zip(sts.output.tolist(), sts.needs)):
             hits += 1
@@ -341,13 +346,53 @@ def test_result_matches_term_loop_bit_for_bit(name):
     models = [(p_fail, i / 1000) for p_fail in (1.0, 0.5, 0.25, 2 ** -8)
               for i in range(1001)]
     models += [(0.0, 0.0), (0.0, 1.0)]
+    analysis = AdaptiveFusionAnalysis(code)
     for randomize in (False, True):
-        analysis = AdaptiveFusionAnalysis(code, randomize)
-        terms = adaptive_float_terms(analysis)
+        terms = adaptive_float_terms(analysis._terms[randomize])
         for p_fail, eta in models:
-            got = tuple(analysis.result(p_fail, eta)[0].tolist())
+            got = tuple(analysis.result(p_fail, eta, randomize)[0].tolist())
             want = adaptive_result_reference(terms, p_fail, eta)
             assert got == want, (randomize, p_fail, eta)
+
+
+def test_one_walk_keeps_each_models_terms_and_order():
+    # the one walk compiles both gate models; each model's terms, and the
+    # order their keys were first tallied in (the order result sums its
+    # columns in), equal a walk of that model alone, on the compile-cold
+    # benchmark's seven codes and on every rooted 7-vertex class
+    codes = [pentagon_code(), decorated_pentagon_code(), branched_chain_code(),
+             shor_22_code(), cube_code(), tree_code([3, 2]), tree_code([2, 2, 1])]
+    codes += list(enumerate_candidates(7))
+    assert len(codes) == 7 + 63
+    for code in codes:
+        analysis = AdaptiveFusionAnalysis(code)
+        for randomize in (False, True):
+            got = analysis._terms[randomize]
+            want = adaptive_terms_reference(code, randomize)
+            assert list(got) == list(want)
+            for klass in want:
+                assert list(got[klass].items()) == list(want[klass].items()), \
+                    (code, randomize, klass)
+
+
+def test_fusion_then_fbqc_walks_a_code_once(monkeypatch, capsys):
+    # the fixed-basis fusion and the randomized fbqc threshold read one
+    # compile of the code
+    walks = []
+    compile_code = AdaptiveFusionAnalysis.__init__
+
+    def counted(self, code):
+        walks.append(code)
+        compile_code(self, code)
+
+    monkeypatch.setattr(AdaptiveFusionAnalysis, "__init__", counted)
+    forget(cube_code())
+    assert cli.main(["fusion", "--graph", "cube", "--eta", "0.9"]) == 0
+    assert cli.main(["fbqc", "--graph", "cube", "--pfail", "0.5"]) == 0
+    assert walks == [cube_code()]
+    assert fusion._adaptive_analysis(cube_code()) is not None
+    assert walks == [cube_code()]
+    capsys.readouterr()
 
 
 def test_target_needs_match_operator_masks():
@@ -379,7 +424,7 @@ def _walk_allowed(pattern, interfaces) -> int:
     """The adaptive walk's masks: the interfaces' letters, and A letters
     on unmeasured qubits only."""
     n = pattern.n
-    letters = pattern.allowed(True) | _interface_letters(interfaces, n)
+    letters = pattern.allowed(True) | interface_letters(interfaces, n)
     letters &= (1 << 3 * n) - 1
     return letters | pattern.unmeasured << 3 * n
 
@@ -404,8 +449,8 @@ def test_walk_narrowing_matches_full_refilter():
                 allowed = _walk_allowed(pattern, interfaces)
                 sizes.add(len(cands))
                 cands = sts.narrow(cands, allowed)
-                assert cands.tolist() == refilter(allowed)
-                if not cands.size:
+                assert list(cands) == refilter(allowed)
+                if not len(cands):
                     break
                 q = rng.choice(sorted(set(sts.output[cands].tolist())))
                 move = rng.choice(("s", "fx", "fz", "lose"))
@@ -416,9 +461,8 @@ def test_walk_narrowing_matches_full_refilter():
                 interfaces += ((q, move),)
                 if move == "s":
                     side = (pattern.allowed(True)
-                            | _interface_letters(interfaces, code.n))
+                            | interface_letters(interfaces, code.n))
                     toward = every[sts.output == q]
-                    assert (sts.narrow(cands[sts.output[cands] == q],
-                                       side).tolist()
-                            == sts.narrow(toward, side).tolist())
+                    assert (list(sts.narrow(sts.toward(cands, q), side))
+                            == list(sts.narrow(toward, side)))
     assert min(sizes) < SMALL <= max(sizes)

@@ -78,9 +78,9 @@ def _strategies_text(code: GraphCode) -> str:
                  for t in _strategies(code)])
 
 
-def _terms_text(analysis: AdaptiveFusionAnalysis) -> str:
-    return repr({klass: sorted((k, str(v)) for k, v in terms.items())
-                 for klass, terms in sorted(analysis._terms.items())})
+def _terms_text(terms: dict) -> str:
+    return repr({klass: sorted((k, str(v)) for k, v in by_key.items())
+                 for klass, by_key in sorted(terms.items())})
 
 
 def _entries_text(analysis: ErrorAnalysis) -> str:
@@ -107,9 +107,10 @@ def golden_digests() -> dict:
                 success_polynomial(tree).to_string())
             out[f"{name}|{kind}|errors"] = _sha(
                 _entries_text(ErrorAnalysis(code, tree)))
+        analysis = AdaptiveFusionAnalysis(code)
         for randomize in (False, True):
             out[f"{name}|fusion-{randomize}"] = _sha(
-                _terms_text(AdaptiveFusionAnalysis(code, randomize)))
+                _terms_text(analysis._terms[randomize]))
         compiled = compile_failure_bases(code, 0.5, 0.9)
         out[f"{name}|failure-bases"] = "".join(compiled)
         for label, bases in (("randomized", None), ("all-Z", ("Z",) * code.n),

@@ -368,18 +368,59 @@ def test_strategies_match_commutation_reference():
         assert not any(a.commutes(b) for a, b, _ in want)
 
 
+def test_blocked_pairing_crosses_block_edges(monkeypatch):
+    # a budget of a few rows a block, and one below a single row (cut
+    # into pieces of columns), must still find every pair in (i, j) order
+    for code in (cube_code(), tree_code([3, 2])):
+        want = strategies_reference(code)
+        count = len(enumerate_nontrivial(code, "AllLogical"))
+        for budget in (3 * count, 40):
+            monkeypatch.setattr(losstree, "KERNEL_FLOATS", budget)
+            got = _strategies.__wrapped__(code)
+            assert triples(got) == want, (code, budget)
+
+
+def test_pairing_memory_does_not_grow_with_operators_squared():
+    # tree[3,3] has 1,752 operators: a pass over all pairs at once would
+    # hold 24.5 MB a temporary; blocks hold KERNEL_FLOATS entries, so the
+    # peak is a few of them plus the pairs found (kept in pieces, then
+    # joined)
+    code = tree_code([3, 3])
+    x, z = losstree._xz(enumerate_nontrivial(code, "AllLogical"))
+    assert len(x) ** 2 > 40 * losstree.KERNEL_FLOATS
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs = losstree._anticommuting_pairs(x, z)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    found = sum(a.nbytes for a in pairs)
+    assert len(pairs[0]) == 82944
+    assert peak <= 8 * 8 * losstree.KERNEL_FLOATS + 2 * found
+
+
 def random_allowed(rng: random.Random, n: int) -> int:
     # each letter of each qubit admitted with probability 3/4
     return rng.getrandbits(4 * n) | rng.getrandbits(4 * n)
 
 
 def check_narrow(ts, idx, allowed) -> int:
-    """Check ``narrow`` against ``fits`` one target at a time; returns
-    how many targets it dropped."""
-    got = ts.narrow(np.array(idx, dtype=np.intp), allowed)
-    assert got.dtype == np.intp
-    assert got.tolist() == [t for t in idx if fits(ts.needs[t], allowed)]
-    return len(idx) - len(got)
+    """Check ``narrow`` and ``first_fit`` against ``fits`` one target at a
+    time, given ``idx`` as an array and as a list; returns how many
+    targets ``narrow`` dropped."""
+    want = [t for t in idx if fits(ts.needs[t], allowed)]
+    for given in (np.array(idx, dtype=np.intp), list(idx)):
+        got = ts.narrow(given, allowed)
+        # a state below SMALL targets is a list, at or above it an array
+        if len(want) < SMALL:
+            assert type(got) is list
+        else:
+            assert got.dtype == np.intp
+        assert list(got) == want
+        first = ts.first_fit(given, allowed)
+        assert first == (want[0] if want else None)
+    return len(idx) - len(want)
 
 
 def test_narrow_keeps_fitting_targets_in_order():

@@ -97,15 +97,15 @@ def test_loss_polynomials_within_1e_12_of_exact(name):
 @pytest.mark.parametrize("name", sorted(_library()))
 def test_adaptive_fusion_within_1e_12_of_exact(name):
     code = _library()[name]
+    analysis = AdaptiveFusionAnalysis(code)
     for randomize in (False, True):
-        analysis = AdaptiveFusionAnalysis(code, randomize)
         for p_fail in (0.5, 0.25):
-            got = analysis.result(p_fail, np.array(DYADIC))
+            got = analysis.result(p_fail, np.array(DYADIC), randomize)
             gates = np.array(_gate_outcomes(p_fail, DYADIC)).T.tolist()
             for row, eta, (s, f, l) in zip(got.tolist(), DYADIC, gates):
                 bases = (s, f, l, eta, 1.0 - eta)
                 for value, klass in zip(row, ("success", "fail", "loss")):
-                    exact = _exact(analysis._terms[klass], bases)
+                    exact = _exact(analysis._terms[randomize][klass], bases)
                     assert _close(value, exact), (name, randomize, p_fail,
                                                   eta, klass)
 
@@ -221,14 +221,13 @@ def test_grids_of_zero_one_and_past_a_block_of_points():
 def test_empty_class_ranges_sum_to_zero():
     # np.add.reduceat would return the next term for an empty range; an
     # analysis without its fail terms must still give 0.0 there
-    analysis = AdaptiveFusionAnalysis(cube_code(), False)
-    success, fail, _ = analysis._ends
-    keep = np.r_[0:success, fail:len(analysis._coef)]
+    analysis = AdaptiveFusionAnalysis(cube_code())
+    coef, exps, (success, fail, _) = analysis._columns[False]
+    keep = np.r_[0:success, fail:len(coef)]
     ends = (success, success, len(keep))
     bases = np.array(_gate_outcomes(0.5, DYADIC)
                      + (np.array(DYADIC), 1.0 - np.array(DYADIC))).T
-    got = monomial_sums(analysis._coef[keep], analysis._exps[:, keep], bases,
-                        ends)
+    got = monomial_sums(coef[keep], exps[:, keep], bases, ends)
     full = analysis.result(0.5, DYADIC)
     etas = DYADIC
     assert got[:, 1].tolist() == [0.0] * len(etas)

@@ -8,6 +8,7 @@ upper-bound any committed decoder, so a winner matching the lattice
 maximum cannot be dominated.
 """
 
+import concurrent.futures
 import hashlib
 import json
 import logging
@@ -428,7 +429,8 @@ def test_process_pool_capped_at_tasks_and_cpus(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    # search imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cands = list(enumerate_candidates(5))[:3]
     obj = Objective("pauli_all_bases", eta=0.9)
     want = [(c.graph6, c.score) for c in optimize(obj, cands).ranked]
