@@ -9,26 +9,32 @@ checks through ``Graph._trusted``.
 
 Canonical labeling pins a prefix of distinguished vertices (the code
 input) and orders the rest to minimize the column string: position p
-contributes the bits linking it to positions 0..p-1.  The search keeps
-each unplaced vertex's column against the placed prefix, branches only
-on the vertices whose column is least, tries one vertex per twin class
-(vertices an automorphism fixing the prefix swaps) and cuts prefixes past
-the best string so far.  Each pruned branch can only tie or lose, so the
-result is the lexicographic minimum over every order.  The search also
-reports where it placed each vertex.
+contributes the bits linking it to positions 0..p-1.  One numpy kernel,
+``canonical_block``, labels a block of graphs on one vertex count, given
+as an int array of neighbour rows.  It walks the positions level by
+level and keeps, per graph, only the partial orders whose column string
+so far is the least, each extended by its unplaced vertices of least
+column and by one vertex per twin class (vertices an automorphism fixing
+the placed ones swaps).  Every dropped order can only tie or lose, so the
+result is the lexicographic minimum over every order, with a placement
+that gives it.  ``canonical_form``, ``canonical_key`` and ``_canonical``
+are one-graph blocks.
 
-Orbit closure skips local complementations whose canonical form is
-already known.  Complementation at v leaves N(v) unchanged, so it is an
-involution, and it commutes with relabeling.  If LC_v(h) canonicalises
-to cf by placing v at position p, then LC_p(cf) is that relabeling of h.
-The relabeling fixes the pinned prefix, so it has h's canonical form: the
-move at p on cf walks back to a member already found.  Skipping it
-changes neither the members nor the order they are found in.
+Orbit closure, ``close_orbits``, runs breadth first over a block of seed
+forms at once: each layer makes all its local complementations in one
+vectorised xor and canonicalises them in one kernel call per chunk.  One
+compact key per form, kept sorted, tells new forms from found ones, and a
+union-find forest over the seeds merges two seeds' orbits when a move
+from one reaches a form found from the other.  ``lc_orbit`` is the
+one-seed case; the class enumeration in ``search`` closes all of a
+level's orbits together.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+
+import numpy as np
 
 from .pauli import PauliOperator, iter_bits
 
@@ -202,116 +208,247 @@ def local_complement(g: Graph, v: int) -> Graph:
 
 # -- canonical labeling ----------------------------------------------------
 
-def _earlier_twins(nbr: tuple[int, ...], n_fixed: int) -> list[int]:
-    """Per vertex, the mask of lower unpinned vertices that are its twins.
+# The most int64 entries one temporary of the block kernel holds: 64 KB,
+# as polynomials.KERNEL_FLOATS bounds the evaluation kernel.
+BLOCK_ENTRIES = 1 << 13
 
-    Unpinned u and v are twins when N(u) - {v} = N(v) - {u}: swapping
-    them is an automorphism that moves no other vertex.
+# The column of a placed vertex: above every column, which has at most 62
+# bits, and unchanged when a position bit is or-ed in.
+_PLACED = np.iinfo(np.int64).max
+
+
+def canonical_block(rows, n_fixed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical forms of a block of graphs on one vertex count.
+
+    ``rows`` holds one graph's neighbour masks per row, shape (graphs, n),
+    n <= 63.  The first ``n_fixed`` vertices keep their positions (all of
+    them when ``n_fixed >= n``).  Placing a vertex at position p >=
+    n_fixed contributes its column: the integer with bit i set when it is
+    adjacent to the vertex at position i < p.  A canonical form has the
+    least column string over all (n - n_fixed)! orders.  Returns
+    ``(forms, place)``: the forms' neighbour masks, and ``place[b, p]``,
+    the vertex of graph b put at position p.
+
+    The graphs go through in chunks, each walked position by position.
+    Per graph, every partial order whose column string so far is the
+    least is kept:
+
+    - each kept order carries each unplaced vertex's column against its
+      placed prefix, and placing a vertex at p sets bit p in its unplaced
+      neighbours;
+    - an order extends only by its unplaced vertices of least column,
+      and only the orders whose least column is the graph's least go on:
+      any other choice loses at position p whatever follows;
+    - of unplaced twins, vertices with N(u) - {v} = N(v) - {u}, only the
+      lowest is placed: swapping two is an automorphism fixing every
+      placed vertex, so both give the same strings.
+
+    Every order dropped can only tie or lose, so the orders left after
+    the last position all give the least string, and ``place`` is the
+    first.  A chunk has ``BLOCK_ENTRIES // n**2`` graphs, so its
+    per-graph temporaries hold at most ``BLOCK_ENTRIES`` entries; its
+    per-order ones hold n entries per order kept, one per way a graph's
+    prefix ties the least.
     """
-    twins = [0] * len(nbr)
-    for v in range(n_fixed, len(nbr)):
-        for u in range(n_fixed, v):
-            if not (nbr[u] ^ nbr[v]) & ~((1 << u) | (1 << v)):
-                twins[v] |= 1 << u
-    return twins
+    rows = np.asarray(rows)
+    count, n = rows.shape
+    if n_fixed < 0:
+        raise ValueError(f"n_fixed must be >= 0, got {n_fixed}")
+    if n > 63:
+        raise ValueError(f"canonical labeling takes at most 63 vertices, got {n}")
+    rows = rows.astype(np.int64, copy=False)
+    forms = np.empty_like(rows)
+    place = np.empty_like(rows)
+    step = max(1, BLOCK_ENTRIES // max(1, n * n))
+    for lo in range(0, count, step):
+        forms[lo:lo + step], place[lo:lo + step] = _canonical_chunk(
+            rows[lo:lo + step], min(n_fixed, n))
+    return forms, place
+
+
+def _canonical_chunk(rows: np.ndarray, fixed: int) -> tuple[np.ndarray, np.ndarray]:
+    count, n = rows.shape
+    vertices = np.arange(n)
+    bit = np.left_shift(1, vertices, dtype=np.int64)
+    adjacent = rows[:, :, None] >> vertices & 1              # [graph, v, u]
+    # earlier[graph, v]: the mask of unpinned u < v twinned with v
+    lower = (vertices[:, None] < vertices) & (vertices[:, None] >= fixed)
+    twins = ((rows[:, :, None] ^ rows[:, None, :])
+             & ~(bit[:, None] | bit) == 0) & lower           # [graph, u, v]
+    earlier = (twins * bit[:, None]).sum(axis=1)
+
+    # one row per kept order: its graph, unplaced vertices, the unplaced
+    # vertices' columns and the vertices placed so far, grouped by graph;
+    # placing v or-s row v of ``placed`` into its order's columns
+    graphs = np.arange(count)
+    graph = graphs
+    free = np.full(count, (1 << n) - 1 ^ (1 << fixed) - 1, dtype=np.int64)
+    col = rows & (1 << fixed) - 1
+    col[:, :fixed] = _PLACED
+    placed = np.diag(np.full(n, _PLACED))
+    place = vertices[None].repeat(count, axis=0)
+    for p in range(fixed, n):
+        low = col.min(axis=1)
+        # every graph keeps an order, so its first is where it sorts in
+        least = np.minimum.reduceat(low, np.searchsorted(graph, graphs))
+        pick = ((col == low[:, None]) & (low == least[graph])[:, None]
+                & (earlier[graph] & free[:, None] == 0))
+        order, v = np.nonzero(pick)
+        graph = graph[order]
+        free = free[order] ^ bit[v]
+        col = col[order] | adjacent[graph, v] << p | placed[v]
+        place = place[order]
+        place[:, p] = v
+    place = place[np.searchsorted(graph, graphs)]
+    moved = adjacent[graphs[:, None, None], place[:, :, None], place[:, None, :]]
+    return (moved << vertices).sum(axis=2), place
 
 
 def _canonical(g: Graph, n_fixed: int) -> tuple[Graph, list[int]]:
-    """The canonical form of ``g`` and the placement that gives it.
-
-    The first ``n_fixed`` vertices keep their positions.  Placing a vertex
-    at position p >= n_fixed contributes its column: the integer with bit
-    i set when it is adjacent to the vertex at position i < p.  The
-    canonical form has the least column string over all (n - n_fixed)!
-    orders, and ``position[v]`` is v's index in it, so
-    ``g.relabeled(position)`` is the form.  A depth-first search finds it
-    without visiting every order:
-
-    - Each unplaced vertex carries its column against the placed prefix,
-      and placing a vertex at p sets bit p in its unplaced neighbours.
-    - A node branches only on the unplaced vertices whose column is the
-      least: any other choice loses at position p whatever follows.
-    - Twins (``_earlier_twins``) share a column while both are unplaced.
-      Swapping them is an automorphism fixing every placed vertex, so
-      their subtrees give the same strings and only the lowest unplaced
-      vertex of each twin class is tried.
-    - A prefix past the best string found so far is cut off.
-
-    Every pruned subtree holds only strings at or above one that is kept,
-    so the minimum is exactly that of the full enumeration.
-    """
-    n, nbr = g.n, g.nbr
-    if n - n_fixed < 2:
-        return g, list(range(n))
-    adjacent = [[u for u in range(n) if row >> u & 1] for row in nbr]
-    earlier_twins = _earlier_twins(nbr, n_fixed)
-    cols: list[int] = []
-    order: list[int] = []
-    best_cols: list[int] = []
-    best_order: list[int] = []
-
-    def rec(pos: int, free: list[int], mask: int, col: list[int],
-            tied: bool):
-        # ``free`` lists the two or more unplaced vertices, ``mask`` holds
-        # them as bits; ``tied``: the placed columns equal the best's prefix
-        nonlocal best_cols, best_order
-        low = min([col[v] for v in free])
-        if tied:
-            ref = best_cols[pos - n_fixed]
-            if low > ref:
-                return
-            tied = low == ref
-        cols.append(low)
-        bit = 1 << pos
-        last = len(free) == 2
-        for v in free:
-            if col[v] != low or earlier_twins[v] & mask:
-                continue
-            rest = free.copy()
-            rest.remove(v)
-            if last:
-                # the one vertex left goes at pos + 1: a leaf
-                u = rest[0]
-                tail = col[u] | (bit if nbr[v] >> u & 1 else 0)
-                if not tied or tail < best_cols[-1]:
-                    best_cols = cols + [tail]
-                    best_order = order + [v, u]
-            else:
-                child = col[:]
-                for u in adjacent[v]:
-                    child[u] |= bit
-                order.append(v)
-                rec(pos + 1, rest, mask ^ (1 << v), child, tied)
-                order.pop()
-            # the first child always reaches a leaf that ties or beats
-            # the best, so this prefix is now the best string's prefix
-            tied = True
-        cols.pop()
-
-    prefix = (1 << n_fixed) - 1
-    rec(n_fixed, list(range(n_fixed, n)), ((1 << n) - 1) ^ prefix,
-        [row & prefix for row in nbr], False)
-    position = list(range(n))
-    for p, v in enumerate(best_order, n_fixed):
-        position[v] = p
-    rows = [0] * n
-    for v, adj in enumerate(adjacent):
-        row = 0
-        for u in adj:
-            row |= 1 << position[u]
-        rows[position[v]] = row
-    return Graph._trusted(n, tuple(rows)), position
+    """The canonical form of ``g`` and where it puts each vertex:
+    ``position[v]`` is v's index in the form, so ``g.relabeled(position)``
+    is the form.  A one-graph block of ``canonical_block``."""
+    forms, place = canonical_block([g.nbr], n_fixed)
+    return Graph._trusted(g.n, tuple(forms[0].tolist())), np.argsort(place[0]).tolist()
 
 
 def canonical_form(g: Graph, n_fixed: int = 0) -> Graph:
     """The canonically relabeled graph (first ``n_fixed`` vertices pinned):
-    the relabeling with the least column string (``_canonical``)."""
+    the relabeling with the least column string (``canonical_block``)."""
     return _canonical(g, n_fixed)[0]
 
 
 def canonical_key(g: Graph, n_fixed: int = 0) -> tuple:
     """Hashable canonical invariant under permutations preserving the pinned prefix."""
     return tuple(_canonical(g, n_fixed)[0])
+
+
+# -- LC orbits ----------------------------------------------------------------
+
+def _keys(forms: np.ndarray) -> np.ndarray:
+    """One key per form, equal exactly when the forms are: its column
+    string, column p in p bits, packed into as few int64 words as hold
+    it.  One word (an int64 array) holds 11 vertices; past that the words
+    are viewed as one void value per form, which sorts and compares too."""
+    count, n = forms.shape
+    words = [np.zeros(count, np.int64)]
+    shift = 0
+    for p in range(1, n):
+        if shift + p > 63:
+            words.append(np.zeros(count, np.int64))
+            shift = 0
+        words[-1] |= (forms[:, p] & (1 << p) - 1) << shift
+        shift += p
+    if len(words) == 1:
+        return words[0]
+    return np.stack(words, axis=1).view(np.dtype((np.void, 8 * len(words))))[:, 0]
+
+
+def _lc_moves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Local complementation of each graph of ``rows`` at each vertex of
+    degree two or more (at the others it is the identity), graph by graph
+    in vertex order: (the source row of each move, the moved graphs)."""
+    source, v = np.nonzero(rows & rows - 1)
+    centre = rows[source, v][:, None]
+    vertices = np.arange(rows.shape[1])
+    inside = centre & ~np.left_shift(1, vertices, dtype=np.int64)
+    return source, rows[source] ^ (centre >> vertices & 1) * inside
+
+
+def _first_equal(keys: np.ndarray) -> np.ndarray:
+    """For each key, the least index whose key equals it."""
+    if not len(keys):
+        return np.arange(0)
+    by_key = np.argsort(keys)
+    head = np.ones(len(keys), bool)
+    head[1:] = keys[by_key[1:]] != keys[by_key[:-1]]
+    least = np.minimum.reduceat(by_key, np.flatnonzero(head))
+    first = np.empty_like(by_key)
+    first[by_key] = least[np.cumsum(head) - 1]
+    return first
+
+
+def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the sets of ``a[i]`` and ``b[i]`` in the flat union-find
+    forest ``parent`` (every entry its root): each root is hooked under
+    a lesser root it meets, then the forest is flattened again."""
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            return
+        # a root met twice takes one of its hooks now, the rest next round
+        parent[np.maximum(ra, rb)[apart]] = np.minimum(ra, rb)[apart]
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                break
+            parent[:] = up
+
+
+def close_orbits(forms: np.ndarray, n_fixed: int, cap: int):
+    """The LC orbits of a block of canonical forms, closed together.
+
+    The distinct ``forms`` are the seeds.  The closure is breadth first:
+    each layer makes every move of its members at once (``_lc_moves``),
+    canonicalises them as one block per chunk, and keeps the forms not
+    found before as the next layer, in the order of the moves that first
+    reach them.  From one seed this is the order in which a closure that
+    expands one member at a time, in vertex order, finds them.  Every
+    member is labelled with the seed whose closure found it first; a
+    move that reaches a form found from another seed merges the two
+    seeds' orbits in a union-find forest over seeds, so each class is one
+    tree.  One sorted key per form (``_keys``) answers "found before?".
+
+    Returns ``(members, labels, roots, truncated)``: the members' rows in
+    the order found, each member's seed label, each seed's root, and
+    whether the closure stopped once some orbit had ``cap`` members, after
+    the layer that reached it.
+    """
+    keys = _keys(forms)
+    seeds = np.flatnonzero(_first_equal(keys) == np.arange(len(keys)))
+    count, n = len(seeds), forms.shape[1]
+    frontier, label = forms[seeds], np.arange(count)
+    by_key = np.argsort(keys[seeds])
+    known, known_label = keys[seeds][by_key], by_key
+    parent, sizes = label.copy(), np.ones(count)
+    layers, labels = [frontier], [label]
+    step = max(1, BLOCK_ENTRIES // max(1, n * n))
+    while True:
+        if np.bincount(parent, weights=sizes).max() >= cap:
+            truncated = True
+            break
+        if not len(frontier):
+            truncated = False
+            break
+        linked, linked_to, fresh = [], [], []
+        for lo in range(0, len(frontier), step):
+            source, moved = _lc_moves(frontier[lo:lo + step])
+            found = canonical_block(moved, n_fixed)[0]
+            found_keys = _keys(found)
+            found_label = label[lo + source]
+            at = np.searchsorted(known, found_keys).clip(max=len(known) - 1)
+            old = known[at] == found_keys
+            linked.append(found_label[old])
+            linked_to.append(known_label[at[old]])
+            fresh.append((found[~old], found_keys[~old], found_label[~old]))
+        found, found_keys, found_label = map(np.concatenate, zip(*fresh))
+        # each new form goes to the first move that reached it, and the
+        # seeds of every later move reaching it are merged with its seed
+        first = _first_equal(found_keys)
+        linked.append(found_label)
+        linked_to.append(found_label[first])
+        _union(parent, np.concatenate(linked), np.concatenate(linked_to))
+        new = np.flatnonzero(first == np.arange(len(first)))
+        frontier, label = found[new], found_label[new]
+        layers.append(frontier)
+        labels.append(label)
+        sizes += np.bincount(label, minlength=count)
+        known = np.concatenate([known, found_keys[new]])
+        known_label = np.concatenate([known_label, label])
+        by_key = np.argsort(known)
+        known, known_label = known[by_key], known_label[by_key]
+    return np.concatenate(layers), np.concatenate(labels), parent, truncated
 
 
 def lc_orbit(g: Graph, cap: int = 10 ** 6, n_fixed: int = 1) -> tuple[set[Graph], bool]:
@@ -324,41 +461,10 @@ def lc_orbit(g: Graph, cap: int = 10 ** 6, n_fixed: int = 1) -> tuple[set[Graph]
     truncated_flag); enumeration stops once ``cap`` members are collected,
     the start member included, so ``cap`` = k keeps the first min(k, |orbit|)
     members in that order and flags truncation exactly when k <= |orbit|.
-
-    Moves whose result is already known are skipped, so each skipped
-    result is in the closure already and the members and the order they
-    are found in are those of a closure that tries every move:
-
-    - complementing at a vertex of degree at most one is the identity;
-    - an unpinned vertex with a lower twin (``_earlier_twins``) is mapped
-      onto that twin by an automorphism fixing the pinned prefix, so both
-      complementations have the same canonical form;
-    - complementation at v is an involution that leaves N(v) as it is.
-      When LC_v(h) canonicalises to cf by the placement ``position``
-      (``_canonical``), LC at position[v] takes cf back to the
-      relabeling of h by ``position``, which fixes the pinned prefix, so
-      to h's canonical form.  ``back`` maps each member to the mask of
-      its moves found to lead back to a known member.
+    This is ``close_orbits`` from one seed.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    start = _canonical(g, n_fixed)[0]
-    if cap == 1:
-        return {start}, True
-    order = [start]
-    back = {start: 0}
-    for h in order:
-        skip = back[h]
-        twins = _earlier_twins(h.nbr, n_fixed)
-        for v, row in enumerate(h.nbr):
-            if not row & (row - 1) or twins[v] or skip >> v & 1:
-                continue
-            cf, position = _canonical(local_complement(h, v), n_fixed)
-            if cf in back:
-                back[cf] |= 1 << position[v]
-                continue
-            back[cf] = 1 << position[v]
-            order.append(cf)
-            if len(order) >= cap:
-                return set(order), True
-    return set(order), False
+    members, _, _, truncated = close_orbits(
+        canonical_block([g.nbr], n_fixed)[0], n_fixed, cap)
+    return {Graph._trusted(g.n, tuple(row)) for row in members[:cap].tolist()}, truncated

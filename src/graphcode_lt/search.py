@@ -10,10 +10,11 @@ every connected graph on two or more vertices has a vertex other than
 the input whose removal leaves it connected, and local complementations
 at the remaining vertices commute with that removal.  Attaching a new
 vertex to every nonempty subset of every (n-1)-vertex representative
-therefore reaches every n-vertex class.  An extension whose canonical
-key is a member of an orbit already closed at its level is skipped, so
-each distinct orbit is closed exactly once; its minimum member key is
-the representative.
+therefore reaches every n-vertex class.  Each level canonicalises all
+its extensions as one block and closes all their orbits together
+(``graphs.close_orbits``): seeds whose closures reach a common form are
+one class, and a class's least member, by neighbour rows, is its
+representative.
 
 Objectives score a candidate through the decoder, fusion and
 fusion-network engines as a pure function of the code, each engine at
@@ -38,9 +39,11 @@ import os
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import __version__
 from .codes import GraphCode, InvalidCodeError, forget
-from .graphs import Graph, canonical_key, lc_orbit
+from .graphs import Graph, canonical_block, close_orbits
 from .losstree import build_arbitrary_tree, build_pauli_tree, success_polynomial
 from .apps import _validated_p_fail, fbqc_loss_threshold, rgs_link_probability
 from .opsets import ResourceLimitError, check_exhaustive
@@ -56,6 +59,10 @@ __all__ = [
     "read_candidates",
     "unrooted_representatives",
 ]
+
+# The most members one LC orbit may have before the class enumeration
+# stops with ResourceLimitError.
+ORBIT_CAP = 10 ** 6
 
 OBJECTIVE_KINDS = ("pauli_all_bases", "arbitrary", "fusion_success",
                    "fbqc_threshold")
@@ -116,29 +123,32 @@ def _representatives(n: int, n_fixed: int) -> list[Graph]:
     """One representative per LC class of connected n-vertex graphs, where
     relabelings must fix the first ``n_fixed`` vertices.  Each is its
     orbit's least member, graphs ordering as their (n, nbr) tuples; the
-    list is sorted by nbr.  A canonical key is its form's (n, nbr) tuple,
-    so it equals, and hashes as, that member of ``seen``."""
+    list is sorted by nbr.  An orbit of ``ORBIT_CAP`` members or more
+    raises ``ResourceLimitError``."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     if n == 1:
         return [Graph(1, (0,))]
-    reps = [Graph(2, (2, 1))]
+    reps = np.array([[2, 1]], dtype=np.int64)
     for level in range(3, n + 1):
-        seen: set[Graph] = set()
-        found: list[Graph] = []
-        for g in reps:
-            for mask in range(1, 1 << g.n):
-                cand = g.add_vertex(mask)
-                if canonical_key(cand, n_fixed=n_fixed) in seen:
-                    continue
-                members, truncated = lc_orbit(cand, n_fixed=n_fixed)
-                if truncated:
-                    raise ResourceLimitError(
-                        f"orbit closure exceeded cap at n={level}")
-                seen.update(members)
-                found.append(min(members))
-        reps = sorted(found, key=lambda h: h.nbr)
-    return reps
+        # every representative with a new vertex on every nonempty subset
+        masks = np.arange(1, 1 << level - 1)
+        grown = np.empty((len(reps), len(masks), level), np.int64)
+        grown[:, :, -1] = masks
+        grown[:, :, :-1] = reps[:, None] | (
+            masks[:, None] >> np.arange(level - 1) & 1) << level - 1
+        forms = canonical_block(grown.reshape(-1, level), n_fixed)[0]
+        members, labels, roots, truncated = close_orbits(forms, n_fixed, ORBIT_CAP)
+        if truncated:
+            raise ResourceLimitError(f"orbit closure exceeded cap at n={level}")
+        # each class's least member: its first row sorted by class, then nbr
+        classes = roots[labels]
+        order = np.lexsort((*members.T[::-1], classes))
+        least = np.ones(len(order), bool)
+        least[1:] = classes[order[1:]] != classes[order[:-1]]
+        reps = members[order[least]]
+        reps = reps[np.lexsort(reps.T[::-1])]
+    return [Graph._trusted(n, row) for row in map(tuple, reps.tolist())]
 
 
 def unrooted_representatives(n: int) -> list[Graph]:

@@ -16,6 +16,7 @@ import subprocess
 import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 from networkx.readwrite.graph6 import n_to_data
 
@@ -25,6 +26,7 @@ from graphcode_lt.graphs import (
     Graph,
     _canonical,
     _graph6_size,
+    canonical_block,
     canonical_form,
     canonical_key,
     graph_state_generators,
@@ -279,6 +281,80 @@ def test_canonical_placement_relabels_to_form():
             assert g.relabeled(position) == cf == canonical_form(g, n_fixed)
 
 
+def _position(place: list[int]) -> list[int]:
+    position = [0] * len(place)
+    for p, v in enumerate(place):
+        position[v] = p
+    return position
+
+
+def _columns(nbr, n_fixed: int) -> list[int]:
+    return [row & (1 << p) - 1 for p, row in enumerate(nbr)][n_fixed:]
+
+
+def test_block_is_lexicographic_minimum_on_every_small_graph():
+    # [DERIVED: the least column string over every order of the free
+    # vertices, on every connected labeled graph of up to 6 vertices]
+    # The oracle runs once per class of relabelings that fix the prefix,
+    # and every graph of the class must reach its form.
+    for n in range(1, 7):
+        graphs = list(_all_connected_graphs(n))
+        rows = np.array([g.nbr for g in graphs], dtype=np.int64)
+        for n_fixed in range(3):
+            forms, place = canonical_block(rows, n_fixed)
+            want: dict[Graph, Graph] = {}
+            for g, form, order in zip(graphs, forms.tolist(), place.tolist()):
+                if g not in want:
+                    lexmin = lexmin_canonical_form(g, n_fixed)
+                    for perm in itertools.permutations(range(n_fixed, n)):
+                        want[g.relabeled([*range(min(n_fixed, n)), *perm])] = lexmin
+                assert Graph(n, tuple(form)) == want[g]
+                assert g.relabeled(_position(order)).nbr == tuple(form)
+
+
+def test_block_form_is_invariant_on_larger_graphs():
+    # 9 to 11 vertices, past the exhaustive oracle: relabelings that fix
+    # the prefix reach one form, each by its own placement, and the form's
+    # column string is at or below every input's own
+    rng = random.Random(36)
+    for n in (9, 10, 11):
+        for n_fixed in range(3):
+            graphs = [random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+                      for _ in range(6)] + [cycle_graph(n), star_graph(n)]
+            block = [g.relabeled([*range(n_fixed),
+                                  *rng.sample(range(n_fixed, n), n - n_fixed)])
+                     for g in graphs for _ in range(4)]
+            forms, place = canonical_block(
+                np.array([g.nbr for g in block], dtype=np.int64), n_fixed)
+            for i, (g, form, order) in enumerate(
+                    zip(block, forms.tolist(), place.tolist())):
+                assert form == forms[i - i % 4].tolist()
+                assert g.relabeled(_position(order)).nbr == tuple(form)
+                assert _columns(form, n_fixed) <= _columns(g.nbr, n_fixed)
+
+
+def test_negative_n_fixed_is_refused():
+    g = path_graph(4)
+    for call in (canonical_form, canonical_key,
+                 lambda g, k: lc_orbit(g, n_fixed=k)):
+        with pytest.raises(ValueError, match="n_fixed"):
+            call(g, -1)
+
+
+def test_n_fixed_past_the_vertex_count_pins_every_vertex():
+    g = path_graph(4).relabeled([2, 0, 3, 1])
+    # the labeled closure: local complementations, no relabeling
+    labeled = [g]
+    for h in labeled:
+        for v in range(h.n):
+            if local_complement(h, v) not in labeled:
+                labeled.append(local_complement(h, v))
+    for n_fixed in (4, 5):
+        assert canonical_form(g, n_fixed) == g
+        assert _canonical(g, n_fixed)[1] == [0, 1, 2, 3]
+        assert lc_orbit(g, n_fixed=n_fixed) == (set(labeled), False)
+
+
 # -- LC orbits ----------------------------------------------------------------
 
 
@@ -312,6 +388,16 @@ def test_orbit_cap_keeps_breadth_first_order():
                 assert members == set(order[:cap])
                 assert truncated == (cap <= len(order))
 
+
+
+def test_orbit_past_one_key_word_matches_naive_closure():
+    # past 11 vertices a form's key takes two int64 words
+    double_star = Graph.from_edges(12, [(0, 1)] + [(i % 2, i) for i in range(2, 12)])
+    for g in (star_graph(12), star_graph(13), double_star):
+        for n_fixed in range(3):
+            members, truncated = lc_orbit(g, n_fixed=n_fixed)
+            assert not truncated
+            assert members == _naive_orbit(g, n_fixed)
 
 
 def _all_connected_graphs(n: int):

@@ -75,6 +75,27 @@ def test_seven_vertex_class_counts():
         "3b7465d767a6ed4e6729821e63477767b0ee21e462ae16f9bfc88ecc47ab84ca"
 
 
+def test_eight_vertex_rooted_classes():
+    # [DERIVED: the 284 rooted 8-vertex classes; the digest was recorded
+    # from the recursive canonical search this enumeration replaced]
+    cands = list(enumerate_candidates(8))
+    assert len(cands) == 284
+    text = "\n".join(c.progenitor.to_graph6() for c in cands)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "7cec395dd2df0c300aa440c63f4b6459edc36bf27409e12cc163aab32868b798"
+
+
+def test_orbit_cap_stops_the_enumeration(monkeypatch):
+    # the largest rooted 6-vertex orbit has 66 members and the largest
+    # 5-vertex one 22: an orbit of ORBIT_CAP members or more is refused
+    monkeypatch.setattr(search, "ORBIT_CAP", 66)
+    with pytest.raises(ResourceLimitError,
+                       match="orbit closure exceeded cap at n=6"):
+        list(enumerate_candidates(6))
+    monkeypatch.setattr(search, "ORBIT_CAP", 67)
+    assert len(list(enumerate_candidates(6))) == 17
+
+
 def test_candidates_match_two_pass_reference():
     # [DERIVED: one rooted orbit closed per root of every unrooted class]
     # Search output breaks ties by graph6, so the representatives and
