@@ -16,16 +16,17 @@ class is enumerated.  A start:stop:step grid (--eta-grid, --lambda-grid,
 --pfail) of more than 10^6 points exits 4 before any point is made, and
 so does a concat --depth past 1000 layers.
 
-Rows stream: sweep, fusion, rgs and concat read their grid in blocks of
-up to 1024 points, evaluate each block at once, and write its rows
+Rows stream: the six grid commands, sweep --eta-grid, sweep
+--lambda-grid, fusion, rgs, concat and fbqc, read their grid in blocks
+of up to 1024 points, compute a block's rows together, and write them
 before reading the next, so memory does not grow with the row count, and
-nothing reaches stdout before the first row exists: a run that fails on
-its first evaluation prints nothing, and one that fails later exits
-non-zero after the rows made so far.  An
---out file and its sidecar are written under temporary names beside it
-and moved into place when complete, so a failed or killed run leaves no
-truncated artifact; an --out that cannot be written exits 3 before
-anything is computed.
+nothing reaches stdout before the first row exists: a run that fails in
+its first block prints nothing, and one that fails later exits non-zero
+after the rows of the blocks already finished, none of the failing
+block's.  An --out file and its sidecar are written under temporary
+names beside it and moved into place when complete, so a failed or
+killed run leaves no truncated artifact; an --out that cannot be
+written exits 3 before anything is computed.
 
 GRAPHCODE_LT_CACHE names a directory for the checkpoints of search runs,
 from which an interrupted search resumes.  Unset, nothing is written;
@@ -74,7 +75,7 @@ from .losstree import (
     total_polynomial,
 )
 from .errordecode import depolarizing, logical_flip_rates
-from .modular import LayerStack, logical_transmission
+from .modular import LayerStack, logical_transmission, unit_F
 from .fusion import logical_fusion
 from .apps import fbqc_loss_threshold, rgs_link_probability
 from .search import (
@@ -85,6 +86,7 @@ from .search import (
     read_candidates,
 )
 from .opsets import ResourceLimitError, check_exhaustive
+from .pauli import BASES
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -100,9 +102,9 @@ CACHE_ENV = "GRAPHCODE_LT_CACHE"
 # memory.
 GRID_LIMIT = 10 ** 6
 
-# The most grid points evaluated together: sweep, fusion, rgs and concat
-# read their grid in blocks of this many, each evaluated by one kernel
-# call per polynomial, while the rows still stream one by one.
+# The most grid points evaluated together: every grid command reads its
+# grid in blocks of this many (``_emit_grid``), while the rows still
+# stream one by one.
 BLOCK = 1024
 
 # The deepest concat stack.  Its qubit count is the unit's to the power
@@ -363,77 +365,78 @@ def cmd_tree(args, config) -> int:
     return EXIT_OK
 
 
-def _unit_grid(text: str, name: str, hi: float = 1.0):
-    """The points of grid ``text``, each checked to lie in [0, hi] before
-    any is used: a comma list entry by entry, a range at its two ends
-    (its points never decrease)."""
-    points = parse_grid(text, name)
+def _unit_grid(grid: str | None, name: str, hi: float = 1.0, point=None):
+    """The points of ``--<name>-grid`` ``grid``, each checked to lie in
+    [0, hi] before any is used: a comma list entry by entry, a range at
+    its two ends (its points never decrease).  With no grid, the one
+    point ``--<name>`` ``point``."""
+    if grid is None:
+        if point is None:
+            raise CliError(EXIT_VALIDATION, f"need --{name} or --{name}-grid")
+        return [check_unit(point, f"--{name}", hi=hi)]
+    points = parse_grid(grid, f"--{name}-grid")
     ends = points if isinstance(points, list) else (points[0], points[-1])
     for v in ends:
-        check_unit(v, f"{name} entry", hi=hi)
+        check_unit(v, f"--{name}-grid entry", hi=hi)
     return points
 
 
-def _blocks(points):
-    """The points of a grid, read in lists of at most ``BLOCK``."""
-    points = iter(points)
-    while chunk := list(itertools.islice(points, BLOCK)):
-        yield chunk
+def _emit_grid(args, config, header: list[str], points, columns) -> int:
+    """Write one row per point of grid ``points`` under ``header``.
 
+    The grid is read in float arrays of up to ``BLOCK`` points, and
+    ``columns(block)`` gives a block's columns in ``header`` order, each
+    an array or a sequence of one value per point.  It is called only
+    once the output is open, so an unwritable --out exits before any
+    engine runs, and its rows are written before the next block is read.
+    """
+    def rows():
+        grid = iter(points)
+        while block := list(itertools.islice(grid, BLOCK)):
+            yield from zip(*(np.asarray(column).tolist()
+                             for column in columns(np.array(block))))
 
-def _eta_list(args):
-    if args.eta_grid is not None:
-        return _unit_grid(args.eta_grid, "--eta-grid")
-    if args.eta is not None:
-        return [check_unit(args.eta, "--eta")]
-    raise CliError(EXIT_VALIDATION, "need --eta or --eta-grid")
+    emit_rows(header, rows(), config, args.out, args.format or "csv")
+    return EXIT_OK
 
 
 def cmd_sweep(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
-    if args.eta_grid is None and args.lambda_grid is None:
+    if args.eta_grid is not None:
+        def losses(etas):
+            return [etas, *(1.0 - unit_F(code, b).evaluate(etas) for b in BASES)]
+
+        return _emit_grid(args, config, ["eta", "loss_x", "loss_y", "loss_z",
+                                         "loss_arbitrary"],
+                          _unit_grid(args.eta_grid, "eta"), losses)
+    if args.lambda_grid is None:
         raise CliError(EXIT_VALIDATION,
                        "sweep needs --eta-grid (loss) or --lambda-grid (error)")
-    if args.eta_grid is not None:
-        etas = _eta_list(args)
 
-        def rows():
-            polys = [success_polynomial(load_or_build(code, k))
-                     for k in ("X", "Y", "Z", "arbitrary")]
-            for chunk in _blocks(etas):
-                losses = [(1.0 - poly.evaluate(np.array(chunk))).tolist()
-                          for poly in polys]
-                yield from map(list, zip(chunk, *losses))
+    def flips(lams):
+        return [lams, *zip(*(logical_flip_rates(code, depolarizing(lam))
+                             for lam in lams.tolist()))]
 
-        emit_rows(["eta", "loss_x", "loss_y", "loss_z", "loss_arbitrary"],
-                  rows(), config, args.out, args.format or "csv")
-        return EXIT_OK
-    lams = _unit_grid(args.lambda_grid, "--lambda-grid", hi=1.0 / 3.0)
-    rows = ([lam, *logical_flip_rates(code, depolarizing(lam))] for lam in lams)
-    emit_rows(["lambda", "flip_x", "flip_y", "flip_z"], rows, config,
-              args.out, args.format or "csv")
-    return EXIT_OK
+    return _emit_grid(args, config, ["lambda", "flip_x", "flip_y", "flip_z"],
+                      _unit_grid(args.lambda_grid, "lambda", hi=1.0 / 3.0),
+                      flips)
 
 
 def cmd_fusion(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
-    etas = _eta_list(args)
 
-    def rows():
-        for chunk in _blocks(etas):
-            r = logical_fusion(code, args.pfail, np.array(chunk),
-                               adaptive=args.mode != "transversal")
-            erasure = r.erasure_xx.tolist()
-            # both parities are erased alike, so erasure_zz repeats erasure_xx
-            yield from map(list, zip(chunk, r.p_success.tolist(),
-                                     r.p_fail_logical.tolist(),
-                                     r.p_loss_logical.tolist(),
-                                     erasure, erasure))
+    def outcomes(etas):
+        r = logical_fusion(code, args.pfail, etas,
+                           adaptive=args.mode != "transversal")
+        # both parities are erased alike, so erasure_zz repeats erasure_xx
+        erasure = r.erasure_xx
+        return [etas, r.p_success, r.p_fail_logical, r.p_loss_logical,
+                erasure, erasure]
 
-    emit_rows(["eta", "p_success", "p_fail_logical", "p_loss_logical",
-               "erasure_xx", "erasure_zz"], rows(), config, args.out,
-              args.format or "csv")
-    return EXIT_OK
+    return _emit_grid(args, config, ["eta", "p_success", "p_fail_logical",
+                                     "p_loss_logical", "erasure_xx", "erasure_zz"],
+                      _unit_grid(args.eta_grid, "eta", point=args.eta),
+                      outcomes)
 
 
 def cmd_concat(args, config) -> int:
@@ -443,47 +446,40 @@ def cmd_concat(args, config) -> int:
     if args.depth > DEPTH_LIMIT:
         raise ResourceLimitError(
             f"--depth {args.depth} is past the limit of {DEPTH_LIMIT} layers")
-    etas = _eta_list(args)
 
-    def rows():
-        for chunk in _blocks(etas):
-            stack = LayerStack([code] * args.depth, args.mode, np.array(chunk))
-            r = logical_transmission(stack)
-            yield from ([eta, x, y, z, a, stack.qubit_count]
-                        for eta, x, y, z, a in zip(
-                            chunk, *(r[b].tolist() for b in "XYZA")))
+    def transmissions(etas):
+        stack = LayerStack([code] * args.depth, args.mode, etas)
+        r = logical_transmission(stack)
+        return [etas, *(r[b] for b in BASES), [stack.qubit_count] * len(etas)]
 
-    emit_rows(["eta", "x", "y", "z", "arbitrary", "qubits"], rows(), config,
-              args.out, args.format or "csv")
-    return EXIT_OK
+    return _emit_grid(args, config, ["eta", "x", "y", "z", "arbitrary", "qubits"],
+                      _unit_grid(args.eta_grid, "eta", point=args.eta),
+                      transmissions)
 
 
 def cmd_rgs(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
-    stations = args.depth
-    if stations < 1:
-        raise CliError(EXIT_VALIDATION, f"--depth must be >= 1, got {stations}")
-    etas = _eta_list(args)
+    if args.depth < 1:
+        raise CliError(EXIT_VALIDATION, f"--depth must be >= 1, got {args.depth}")
 
-    def rows():
-        for chunk in _blocks(etas):
-            links = rgs_link_probability(code, np.array(chunk), args.pfail,
-                                         args.mode != "transversal")
-            yield from ([1.0 - eta, p_link, p_link ** stations]
-                        for eta, p_link in zip(chunk, links.tolist()))
+    def links(etas):
+        p_link = rgs_link_probability(code, etas, args.pfail,
+                                      args.mode != "transversal").tolist()
+        return [1.0 - etas, p_link, [p ** args.depth for p in p_link]]
 
-    emit_rows(["ell", "p_link", "p_end_to_end"], rows(), config, args.out,
-              args.format or "csv")
-    return EXIT_OK
+    return _emit_grid(args, config, ["ell", "p_link", "p_end_to_end"],
+                      _unit_grid(args.eta_grid, "eta", point=args.eta), links)
 
 
 def cmd_fbqc(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
-    rows = ([pf, fbqc_loss_threshold(code, pf, args.mode != "transversal")]
-            for pf in parse_grid(str(args.pfail), "--pfail"))
-    emit_rows(["p_fail", "loss_threshold"], rows, config, args.out,
-              args.format or "csv")
-    return EXIT_OK
+
+    def thresholds(pfails):
+        return [pfails, [fbqc_loss_threshold(code, pf, args.mode != "transversal")
+                         for pf in pfails.tolist()]]
+
+    return _emit_grid(args, config, ["p_fail", "loss_threshold"],
+                      parse_grid(str(args.pfail), "--pfail"), thresholds)
 
 
 def cmd_search(args, config) -> int:

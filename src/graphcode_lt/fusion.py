@@ -224,21 +224,17 @@ def _transversal_columns(code: GraphCode, failure_bases: tuple | None) -> tuple:
 
     A term is an exponent triple of (s, f, l), (n_success, n_fail,
     n_loss), per class in ``_CLASSES`` order; the counts of every
-    (n_fail_x, n_fail_z) split of one n_fail are added.  Under randomized
-    failure bases a term weighs 2^-n_fail, exact in a float.
+    (n_fail_x, n_fail_z) split of one n_fail are added, then weighed as
+    the adaptive engine's (``_columns``): 2^-n_fail under randomized
+    failure bases, 1 under fixed ones.
     """
     n = code.n
-    half = 1 if failure_bases is None else 0
     merged = {klass: {} for klass in _CLASSES}
     for (ns, nfx, nfz, klass), mult in _transversal_counts(
             code, failure_bases).items():
         key = (ns, nfx + nfz, n - ns - nfx - nfz)
         merged[klass][key] = merged[klass].get(key, 0) + mult
-    coef, exps = columns(((key, Fraction(mult, 1 << half * key[1]))
-                          for klass in _CLASSES
-                          for key, mult in merged[klass].items()), 3)
-    ends = tuple(accumulate(len(merged[klass]) for klass in _CLASSES))
-    return coef, exps, ends
+    return _columns(merged, 1 if failure_bases is None else 0, 3)
 
 
 def _transversal_result(code: GraphCode, p_fail: float, eta,
@@ -299,15 +295,16 @@ def _cosets(code: GraphCode) -> tuple[TargetSet, np.ndarray]:
     return TargetSet(code.n, x[order], z[order]), order < len(gx)
 
 
-def _columns(counts: dict, half: int) -> tuple:
-    """``monomial_sums`` columns of one model's integer path counts, the
+def _columns(counts: dict, half: int, rows: int) -> tuple:
+    """``monomial_sums`` columns of integer term counts by class, the
     success, fail and loss terms one after another, and the class ends.
+    A term's key is its exponents of ``rows`` bases, failures second.
     A term with b failures weighs 2^-(half * b): each coefficient is the
     count divided by that power of two, which is its ``Fraction`` term's
     float exactly (a correctly rounded division of an exact dyadic)."""
     coef, exps = columns(((key, count / (1 << half * key[1]))
                           for klass in _CLASSES
-                          for key, count in counts[klass].items()), 5)
+                          for key, count in counts[klass].items()), rows)
     return coef, exps, tuple(accumulate(len(counts[klass]) for klass in _CLASSES))
 
 
@@ -523,7 +520,7 @@ class AdaptiveFusionAnalysis:
             {klass: {key: Fraction(count, 1 << key[1])
                      for key, count in tally.items()}
              for klass, tally in randomized.items()})
-        self._columns = (_columns(fixed, 0), _columns(randomized, 1))
+        self._columns = (_columns(fixed, 0, 5), _columns(randomized, 1, 5))
 
     def result(self, p_fail: float, eta,
                randomize_failures: bool = False) -> np.ndarray:

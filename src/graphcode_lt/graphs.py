@@ -37,6 +37,7 @@ from collections import namedtuple
 import numpy as np
 
 from .pauli import PauliOperator, iter_bits
+from .polynomials import KERNEL_FLOATS
 
 
 def _graph6_size(n: int) -> list[int]:
@@ -169,16 +170,6 @@ class Graph(namedtuple("Graph", "n nbr")):
             nbr[perm[v]] = row
         return Graph._trusted(self.n, tuple(nbr))
 
-    def add_vertex(self, neighborhood: int) -> "Graph":
-        """New graph with vertex n attached to the given neighbor mask."""
-        if neighborhood < 0 or neighborhood >> self.n:
-            raise ValueError("neighborhood has vertices out of range")
-        bit = 1 << self.n
-        nbr = [row | (bit if (neighborhood >> v) & 1 else 0)
-               for v, row in enumerate(self.nbr)]
-        nbr.append(neighborhood)
-        return Graph._trusted(self.n + 1, tuple(nbr))
-
     def __repr__(self) -> str:
         return f"Graph({self.n}, edges={self.edges()})"
 
@@ -207,10 +198,6 @@ def local_complement(g: Graph, v: int) -> Graph:
 
 
 # -- canonical labeling ----------------------------------------------------
-
-# The most int64 entries one temporary of the block kernel holds: 64 KB,
-# as polynomials.KERNEL_FLOATS bounds the evaluation kernel.
-BLOCK_ENTRIES = 1 << 13
 
 # The column of a placed vertex: above every column, which has at most 62
 # bits, and unchanged when a position bit is or-ed in.
@@ -245,8 +232,8 @@ def canonical_block(rows, n_fixed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
     Every order dropped can only tie or lose, so the orders left after
     the last position all give the least string, and ``place`` is the
-    first.  A chunk has ``BLOCK_ENTRIES // n**2`` graphs, so its
-    per-graph temporaries hold at most ``BLOCK_ENTRIES`` entries; its
+    first.  A chunk has ``KERNEL_FLOATS // n**2`` graphs, so its
+    per-graph temporaries hold at most ``KERNEL_FLOATS`` entries; its
     per-order ones hold n entries per order kept, one per way a graph's
     prefix ties the least.
     """
@@ -259,7 +246,7 @@ def canonical_block(rows, n_fixed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     rows = rows.astype(np.int64, copy=False)
     forms = np.empty_like(rows)
     place = np.empty_like(rows)
-    step = max(1, BLOCK_ENTRIES // max(1, n * n))
+    step = max(1, KERNEL_FLOATS // max(1, n * n))
     for lo in range(0, count, step):
         forms[lo:lo + step], place[lo:lo + step] = _canonical_chunk(
             rows[lo:lo + step], min(n_fixed, n))
@@ -324,6 +311,11 @@ def canonical_key(g: Graph, n_fixed: int = 0) -> tuple:
 
 
 # -- LC orbits ----------------------------------------------------------------
+
+# The most members an LC orbit closure collects by default; the class
+# enumeration in ``search`` refuses an orbit this large.
+ORBIT_CAP = 10 ** 6
+
 
 def _keys(forms: np.ndarray) -> np.ndarray:
     """One key per form, equal exactly when the forms are: its column
@@ -413,7 +405,7 @@ def close_orbits(forms: np.ndarray, n_fixed: int, cap: int):
     known, known_label = keys[seeds][by_key], by_key
     parent, sizes = label.copy(), np.ones(count)
     layers, labels = [frontier], [label]
-    step = max(1, BLOCK_ENTRIES // max(1, n * n))
+    step = max(1, KERNEL_FLOATS // max(1, n * n))
     while True:
         if np.bincount(parent, weights=sizes).max() >= cap:
             truncated = True
@@ -451,7 +443,7 @@ def close_orbits(forms: np.ndarray, n_fixed: int, cap: int):
     return np.concatenate(layers), np.concatenate(labels), parent, truncated
 
 
-def lc_orbit(g: Graph, cap: int = 10 ** 6, n_fixed: int = 1) -> tuple[set[Graph], bool]:
+def lc_orbit(g: Graph, cap: int = ORBIT_CAP, n_fixed: int = 1) -> tuple[set[Graph], bool]:
     """Closure of ``g`` under local complementation at every vertex.
 
     Members are deduplicated by canonical labeling with the first

@@ -47,7 +47,9 @@ import numpy as np
 
 from .pauli import BASES
 
-# The most floats one temporary of ``monomial_sums`` holds: 64 KB.
+# The most 8-byte entries one temporary of a numpy kernel holds, 64 KB:
+# ``monomial_sums``, the strategy pairing in ``losstree`` and the
+# canonical-labelling and orbit kernels in ``graphs`` all read it.
 KERNEL_FLOATS = 1 << 13
 
 

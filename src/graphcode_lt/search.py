@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .codes import GraphCode, InvalidCodeError, forget
-from .graphs import Graph, canonical_block, close_orbits
+from .graphs import ORBIT_CAP, Graph, canonical_block, close_orbits
 from .losstree import build_arbitrary_tree, build_pauli_tree, success_polynomial
 from .apps import _validated_p_fail, fbqc_loss_threshold, rgs_link_probability
 from .opsets import ResourceLimitError, check_exhaustive
@@ -59,10 +59,6 @@ __all__ = [
     "read_candidates",
     "unrooted_representatives",
 ]
-
-# The most members one LC orbit may have before the class enumeration
-# stops with ResourceLimitError.
-ORBIT_CAP = 10 ** 6
 
 OBJECTIVE_KINDS = ("pauli_all_bases", "arbitrary", "fusion_success",
                    "fbqc_threshold")

@@ -544,13 +544,22 @@ def test_a_failed_run_leaves_no_out_file(good, tmp_path):
     ["analyze", "--graph", "pentagon", "--format", "json"],
     ["tree", "--graph", "pentagon"],
     ["search", "arbitrary", "--graph", "n:4"],
-], ids=["analyze", "tree", "search"])
+    ["sweep", "--graph", "pentagon", "--eta-grid", "0:1:0.5"],
+    ["sweep", "--graph", "pentagon", "--lambda-grid", "0.01"],
+    ["fusion", "--graph", "pentagon", "--eta", "0.9"],
+    ["rgs", "--graph", "pentagon", "--eta", "0.9"],
+    ["concat", "--graph", "pentagon", "--eta", "0.9"],
+    ["fbqc", "--graph", "pentagon"],
+], ids=["analyze", "tree", "search", "sweep-eta", "sweep-lambda", "fusion",
+        "rgs", "concat", "fbqc"])
 def test_unwritable_out_exits_3_before_any_engine_runs(argv, monkeypatch,
                                                       capsys, tmp_path):
     def engine(*args, **kwargs):
         raise AssertionError("an engine ran before --out was opened")
 
-    for name in ("load_or_build", "optimize"):
+    for name in ("load_or_build", "optimize", "unit_F", "logical_flip_rates",
+                 "logical_fusion", "rgs_link_probability",
+                 "logical_transmission", "fbqc_loss_threshold"):
         monkeypatch.setattr(cli, name, engine)
     out = tmp_path / "missing" / "x.json"
     assert main(argv + ["--out", str(out)]) == EXIT_VALIDATION
@@ -841,6 +850,38 @@ def test_traced_names_and_exports_are_bound():
     assert LayerStack([pentagon_code()] * 3, "concatenated",
                       0.9).qubit_count == 64
     assert isinstance(unit_F(pentagon_code(), "A").terms, dict)
+
+
+def test_tracer_wraps_a_grid_job_and_restores_the_originals(capsys):
+    layertrace = _load_layertrace()
+    targets = [target for table in (layertrace.SPANS, layertrace.COUNTED)
+               for pairs in table.values() for target in pairs]
+
+    def bound(mod_name, attr):
+        module = importlib.import_module(f"graphcode_lt.{mod_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            return vars(getattr(module, cls_name))[meth]
+        return getattr(module, attr)
+
+    originals = [bound(*target) for target in targets]
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        # every traced name resolved: it is bound to a wrapper of itself
+        for target, original in zip(targets, originals):
+            assert getattr(bound(*target), "__wrapped__", None) is original, target
+        assert cli.main(["fusion", "--graph", "pentagon", "--eta-grid",
+                         "0:1:0.5", "--format", "json"]) == EXIT_OK
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics("timed")
+    assert metrics["cli.jobs"] == 1
+    assert metrics["fusion.result_calls"] == 1  # the grid is one block
+    assert all(bound(*target) is original
+               for target, original in zip(targets, originals))
+    rows = json.loads(capsys.readouterr().out)["result"]
+    assert [row["eta"] for row in rows] == [0.0, 0.5, 1.0]
 
 
 def test_logical_fusion_is_the_package_export():

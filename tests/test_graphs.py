@@ -158,11 +158,6 @@ def test_induced_and_relabeled():
     assert sorted(rg.edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
-def test_add_vertex():
-    g = path_graph(3).add_vertex(0b101)
-    assert g.has_edge(3, 0) and g.has_edge(3, 2) and not g.has_edge(3, 1)
-
-
 # -- local complementation ---------------------------------------------------
 
 
