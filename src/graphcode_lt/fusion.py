@@ -26,21 +26,21 @@ on single-qubit measurements to salvage one parity.  Each code's decoder
 is grown by the loss decoders' shared recursion (``losstree.grow``) and
 then folded with its twin; the fusion attempts themselves have three
 outcomes and keep their own walk.  One walk per code compiles both gate
-models, failures in a fixed basis and randomized ones, since the first
-is the fz-only part of the second's walk.  The walk and the fold tally
-plain integer path counts; a term's exact weight, 2^-b for b randomized
-gate failures, is applied once when the terms are assembled.  Both engines
-report (success, fail, loss) probabilities, each a sum of monomials in
-the gate outcomes evaluated by ``polynomials.monomial_sums`` within
-1e-12 of its exact value, at one transmission or at a block of them.
-``logical_fusion`` is the one entry point to both: it takes the gate's
-failure probability and transmission as two floats (or a block of
+models, failures in a fixed basis and randomized ones, into one tally of
+plain integer path counts that keeps X and Z failures apart: the fixed
+(Z) model is the tally's part with no X failure, and the randomized model
+adds the two (``_model``).  A term's exact weight, 2^-b for b randomized
+gate failures, is applied once when the columns are assembled.  Both
+engines report (success, fail, loss) probabilities, each a sum of
+monomials in the gate outcomes evaluated by ``polynomials.monomial_sums``
+within 1e-12 of its exact value, at one transmission or at a block of
+them.  ``logical_fusion`` is the one entry point to both: it takes the
+gate's failure probability and transmission as two floats (or a block of
 transmissions) and picks the engine and failure mode by keyword.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -224,17 +224,16 @@ def _transversal_columns(code: GraphCode, failure_bases: tuple | None) -> tuple:
 
     A term is an exponent triple of (s, f, l), (n_success, n_fail,
     n_loss), per class in ``_CLASSES`` order; the counts of every
-    (n_fail_x, n_fail_z) split of one n_fail are added, then weighed as
-    the adaptive engine's (``_columns``): 2^-n_fail under randomized
-    failure bases, 1 under fixed ones.
+    (n_fail_x, n_fail_z) split of one n_fail are added (``_model``), then
+    weighed as the adaptive engine's (``_columns``): 2^-n_fail under
+    randomized failure bases, 1 under fixed ones.
     """
     n = code.n
-    merged = {klass: {} for klass in _CLASSES}
+    split = {klass: {} for klass in _CLASSES}
     for (ns, nfx, nfz, klass), mult in _transversal_counts(
             code, failure_bases).items():
-        key = (ns, nfx + nfz, n - ns - nfx - nfz)
-        merged[klass][key] = merged[klass].get(key, 0) + mult
-    return _columns(merged, 1 if failure_bases is None else 0, 3)
+        split[klass][ns, nfx, nfz, n - ns - nfx - nfz] = mult
+    return _columns(_model(split, True), 1 if failure_bases is None else 0, 3)
 
 
 def _transversal_result(code: GraphCode, p_fail: float, eta,
@@ -295,13 +294,31 @@ def _cosets(code: GraphCode) -> tuple[TargetSet, np.ndarray]:
     return TargetSet(code.n, x[order], z[order]), order < len(gx)
 
 
+def _model(split: dict, x_failures: bool) -> dict:
+    """One gate model's integer term counts by class, from counts whose
+    keys split the failures, (successes, X failures, Z failures, ...):
+    each key becomes (successes, failures, ...).  With ``x_failures`` the
+    two failure counts are added, as under randomized failure bases;
+    without, only the terms with no X failure are kept, as under failures
+    in a fixed Z basis.  A merged key takes the place of the first split
+    key that merges into it, so each class keeps the order of ``split``."""
+    merged = {}
+    for klass in _CLASSES:
+        into = merged[klass] = {}
+        for (a, bx, bz, *rest), count in split[klass].items():
+            if x_failures or not bx:
+                key = (a, bx + bz, *rest)
+                into[key] = into.get(key, 0) + count
+    return merged
+
+
 def _columns(counts: dict, half: int, rows: int) -> tuple:
     """``monomial_sums`` columns of integer term counts by class, the
     success, fail and loss terms one after another, and the class ends.
     A term's key is its exponents of ``rows`` bases, failures second.
     A term with b failures weighs 2^-(half * b): each coefficient is the
-    count divided by that power of two, which is its ``Fraction`` term's
-    float exactly (a correctly rounded division of an exact dyadic)."""
+    count divided by that power of two, the correctly rounded float of
+    the exact term."""
     coef, exps = columns(((key, count / (1 << half * key[1]))
                           for klass in _CLASSES
                           for key, count in counts[klass].items()), rows)
@@ -320,19 +337,20 @@ class AdaptiveFusionAnalysis:
     every gate (p_fail, eta).  Only those terms are kept: the logical cosets
     and the per-side decoders are freed once compiled.
 
-    One walk compiles both models.  Under randomized failures each failed
-    gate keeps the XX or the ZZ parity, so the walk branches it into an
-    fx and an fz child; with a fixed basis every failure is fz.  The
-    fixed model's walk is therefore exactly the fz-only sub-walk of the
-    randomized one: the same nodes, the same side decoders and the same
-    term keys.  The walk carries a flag, set while no gate on its path
-    failed in X, and the fold tallies each term into the randomized
-    counts and, on flagged paths, into the fixed counts too.  A node's
-    children are walked in the order fx, fz, loss, so leaving out every
-    fx subtree leaves the fixed walk's own order: each model's term keys
-    are first inserted in the order its own walk would insert them.  That
-    order is the order of the columns ``result`` sums, so it is kept, and
-    each model's ``_terms`` and floats are those of walking it alone.
+    One walk compiles both models into one tally, ``_tally``: integer path
+    counts per outcome class, keyed (fusion successes, X failures, Z
+    failures, fusion losses, single-qubit detections, single-qubit
+    losses).  Under randomized failures each failed gate keeps the XX or
+    the ZZ parity, so the walk branches it into an fx and an fz child;
+    with a fixed basis every failure is fz.  The fixed model's walk is
+    therefore exactly the fz-only sub-walk of the randomized one: the
+    same nodes, the same side decoders and the same terms, the tally's
+    keys with no X failure.  A node's children are walked in the order
+    fx, fz, loss, so leaving out every fx subtree leaves the fixed walk's
+    own order, and each model's term keys, read off the tally by
+    ``_model``, come out in the order its own walk would insert them.
+    That order is the order of the columns ``result`` sums, so it is
+    kept, and each model's floats are those of walking it alone.
 
     The walk and the side decoders keep their live strategies and coset
     members as index sequences (``TargetSet.narrow``'s short lists and
@@ -350,24 +368,19 @@ class AdaptiveFusionAnalysis:
     the interface letters and the interface qubits' letter mask down to
     its children rather than rebuilding them at each node.
 
-    The walk and the fold count paths as integers per outcome class and
-    term (fusion successes, failures and losses, then single-qubit
-    detections and losses).  Under randomized failures each failed gate
-    keeps either parity with probability 1/2, so a term with b failures
-    weighs exactly 2^-b, applied once per term as ``Fraction(count,
-    2**b)``; with a fixed failure basis every weight is 1.
-    ``_terms[randomize_failures]`` holds one model's terms by class.
-
-    The terms are also kept in column form for ``result``: one float64
-    coefficient per term, exact since every weight is an integer count
-    over a power of two, and the term's exponents of (s, f, l, eta,
-    1 - eta) as a 5 x T array, the success, fail and loss terms one after
-    another.  ``result`` evaluates them at a block of transmissions with
+    Under randomized failures each failed gate keeps either parity with
+    probability 1/2, so a term with b failures weighs exactly 2^-b; with
+    a fixed failure basis every weight is 1.  Each model's terms are kept
+    in column form for ``result`` (``_columns``): one float64 coefficient
+    per term, exact since every weight is an integer count over a power
+    of two, and the term's exponents of (s, f, l, eta, 1 - eta) as a
+    5 x T array, the success, fail and loss terms one after another.
+    ``result`` evaluates them at a block of transmissions with
     ``polynomials.monomial_sums``, each class within 1e-12 of the exact
     sum of its terms.
     """
 
-    __slots__ = ("_terms", "_columns")
+    __slots__ = ("_tally", "_columns")
 
     def __init__(self, code: GraphCode):
         n = code.n
@@ -379,9 +392,7 @@ class AdaptiveFusionAnalysis:
         wildcard = spread(1, n, BASES)
         # the strategy operators ranked as if each output qubit were removed
         ranks = [_rank(strategies.x, strategies.z, n, ~(1 << q)) for q in range(n)]
-        # integer path counts per class of the fixed and the randomized
-        # model; each term's weight is applied once, when the walk is done
-        fixed, randomized = ({klass: {} for klass in _CLASSES} for _ in range(2))
+        tally = {klass: {} for klass in _CLASSES}
 
         def side(pattern: MeasurementPattern, letters: int, face: int,
                  output: int | None, pairs, members) -> dict:
@@ -441,36 +452,33 @@ class AdaptiveFusionAnalysis:
                 poly[de] = poly.get(de, 0) + 1
             return groups
 
-        def fold(groups: dict, fusions: tuple[int, int, int], in_fixed: bool):
+        def fold(groups: dict, fusions: tuple[int, int, int, int]):
             """Two independent copies of one side, classified by
             intersecting interface letter vectors: a parity is recovered
             when both sides realize a common vector.  Path counts are
-            summed as integers per class and (detected, lost) pair, in the
-            order the pairs first occur, then added, each under the
-            fusion counts ``fusions``, to the randomized counts and, when
-            ``in_fixed``, to the fixed ones."""
-            sums: dict = {}
+            added to the tally as integers per class under the fusion
+            counts ``fusions`` and the summed (detected, lost) pair.  The
+            copies are alike, so the pair of groups (j, i) adds what
+            (i, j) adds: each unordered pair is taken once, its products
+            doubled when i != j.  Every key is first reached at a pair
+            with i <= j, so the keys keep the order of taking every
+            ordered pair."""
             sides = [(lx, lz, list(poly.items()))
                      for (lx, lz), poly in groups.items()]
-            for lx1, lz1, poly1 in sides:
-                for lx2, lz2, poly2 in sides:
-                    klass = _classify(not lx1.isdisjoint(lx2),
-                                      not lz1.isdisjoint(lz2))
-                    tally = sums.setdefault(klass, {})
+            for i, (lx1, lz1, poly1) in enumerate(sides):
+                for j in range(i, len(sides)):
+                    lx2, lz2, poly2 = sides[j]
+                    into = tally[_classify(not lx1.isdisjoint(lx2),
+                                           not lz1.isdisjoint(lz2))]
+                    times = 1 if i == j else 2
                     for (d1, e1), c1 in poly1:
+                        c1 *= times
                         for (d2, e2), c2 in poly2:
-                            key = d1 + d2, e1 + e2
-                            tally[key] = tally.get(key, 0) + c1 * c2
-            for counts in (randomized, fixed) if in_fixed else (randomized,):
-                for klass, tally in sums.items():
-                    into = counts[klass]
-                    for key, count in tally.items():
-                        key = fusions + key
-                        into[key] = into.get(key, 0) + count
+                            key = fusions + (d1 + d2, e1 + e2)
+                            into[key] = into.get(key, 0) + c1 * c2
 
         def walk(pattern: MeasurementPattern, letters: int, face: int,
-                 candidates, members, a: int, b: int, c: int,
-                 in_fixed: bool):
+                 candidates, members, a: int, bx: int, bz: int, c: int):
             """Attempt fusions while strategies survive.  ``candidates``
             are the parent node's survivors: along a walk the allowed
             letters only shrink (a fused qubit leaves the A letters and
@@ -480,8 +488,8 @@ class AdaptiveFusionAnalysis:
             parent's masks admit, narrow the same way and start each side
             decoder's salvage.  ``letters`` and ``face`` are the fused
             interfaces' letters and their qubits' letter mask, as ``side``
-            takes them.  ``in_fixed`` is set while no gate on the path
-            failed in X."""
+            takes them.  The path so far had ``a`` fusion successes,
+            ``bx`` and ``bz`` failures in X and Z, and ``c`` losses."""
             # a candidate output must still be unmeasured, so only
             # unmeasured qubits admit the A letter here
             settled = ((1 << n) - 1) ^ pattern.unmeasured
@@ -490,7 +498,7 @@ class AdaptiveFusionAnalysis:
             members = cosets.narrow(members, allowed)
             if not len(candidates):
                 fold(side(pattern, letters, face, None, candidates, members),
-                     (a, b, c), in_fixed)
+                     (a, bx, bz, c))
                 return
             q = strategies.busiest_output(candidates)
             bit, fused = 1 << q, pattern.measure(q, "A")
@@ -499,28 +507,23 @@ class AdaptiveFusionAnalysis:
             # the walk's too, since q is its only A letter
             fold(side(fused, letters | spread(bit, n, _INTERFACE_LETTERS["s"]),
                       fused_face, q, strategies.toward(candidates, q), members),
-                 (a + 1, b, c), in_fixed)
-            for kind in ("fx", "fz"):
+                 (a + 1, bx, bz, c))
+            for kind, x, z in (("fx", 1, 0), ("fz", 0, 1)):
                 walk(fused, letters | spread(bit, n, _INTERFACE_LETTERS[kind]),
-                     fused_face, candidates, members, a, b + 1, c,
-                     in_fixed and kind == "fz")
-            walk(pattern.lose(q), letters, face, candidates, members, a, b,
-                 c + 1, in_fixed)
+                     fused_face, candidates, members, a, bx + x, bz + z, c)
+            walk(pattern.lose(q), letters, face, candidates, members, a, bx,
+                 bz, c + 1)
 
         walk(MeasurementPattern(n), 0, 0, np.arange(len(strategies)),
-             np.arange(len(cosets)), 0, 0, 0, True)
+             np.arange(len(cosets)), 0, 0, 0, 0)
         # walk refers to itself, so the compile state it reaches would
         # otherwise wait for the cycle collector
         del walk
+        self._tally = tally
         # a randomized failure keeps either parity with probability 1/2, so
         # a term with b failures weighs 2^-b; a fixed basis weighs 1
-        self._terms = (
-            {klass: {key: Fraction(count) for key, count in tally.items()}
-             for klass, tally in fixed.items()},
-            {klass: {key: Fraction(count, 1 << key[1])
-                     for key, count in tally.items()}
-             for klass, tally in randomized.items()})
-        self._columns = (_columns(fixed, 0, 5), _columns(randomized, 1, 5))
+        self._columns = (_columns(_model(tally, False), 0, 5),
+                         _columns(_model(tally, True), 1, 5))
 
     def result(self, p_fail: float, eta,
                randomize_failures: bool = False) -> np.ndarray:

@@ -129,24 +129,8 @@ class Graph(namedtuple("Graph", "n nbr")):
                     out.append((v, u))
         return out
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.nbr[u] >> v) & 1)
-
     def neighbors(self, v: int) -> list[int]:
         return list(iter_bits(self.nbr[v]))
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self.nbr[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen == (1 << self.n) - 1
 
     def induced(self, vertices: list[int]) -> "Graph":
         """Induced subgraph, relabeled to 0..len(vertices)-1 in list order."""

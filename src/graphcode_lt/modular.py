@@ -45,14 +45,13 @@ __all__ = [
     "logical_transmission",
     "optimize_stack",
     "stack_flip_rates",
-    "top_transmission",
     "unit_F",
 ]
 
 MODES = ("cascaded", "concatenated")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LayerStack:
     """An ordered choice of unit codes, outermost first, plus the noise.
 
@@ -60,13 +59,14 @@ class LayerStack:
     unit hung below (cascade) or substituted into (concatenation) every
     code qubit of the layer above.  ``eta`` is the physical transmission
     seen by whichever qubits are physical under the chosen mode: a
-    float, or a 1-D array of them for one stack per point, evaluated
-    together.
+    float, or a 1-D sequence of them for one stack per point, evaluated
+    together and kept as a tuple of floats, so that stacks compare and
+    hash by value.
     """
 
     layers: tuple
     mode: str
-    eta: float
+    eta: float | tuple
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -79,6 +79,8 @@ class LayerStack:
         etas = block(self.eta)
         if not ((etas >= 0.0) & (etas <= 1.0)).all():
             raise ValueError(f"eta={self.eta} outside [0, 1]")
+        if np.ndim(self.eta):
+            object.__setattr__(self, "eta", tuple(etas.tolist()))
 
     @property
     def qubit_count(self) -> int:
@@ -145,23 +147,18 @@ def _step(code: GraphCode, r: dict, mode: str, eta: np.ndarray) -> dict:
 
 
 def _top(stack: LayerStack) -> dict:
-    """``top_transmission`` as 1-D arrays over the points of ``stack.eta``."""
+    """Effective transmissions of the outermost unit's code qubits, keyed
+    by basis (``BASES``), as 1-D arrays over the points of ``stack.eta``.
+
+    Folds the layers below the outermost unit bottom-up, starting from
+    bare physical qubits; ``unit_F`` of ``stack.layers[0]`` applied to the
+    result gives the stack's logical measurement probabilities.
+    """
     eta = block(stack.eta)
     r = dict.fromkeys(BASES, eta)
     for code in reversed(stack.layers[1:]):
         r = _step(code, r, stack.mode, eta)
     return r
-
-
-def top_transmission(stack: LayerStack) -> dict:
-    """Effective transmissions of the outermost unit's code qubits, keyed
-    by basis (``BASES``): floats, or arrays when ``stack.eta`` is one.
-
-    Folds the layers below the outermost unit bottom-up, starting from
-    bare physical qubits.  Apply ``unit_F`` of ``stack.layers[0]`` to the
-    result for the stack's logical measurement probabilities.
-    """
-    return {b: unblock(v, stack.eta) for b, v in _top(stack).items()}
 
 
 def logical_transmission(stack: LayerStack) -> dict:

@@ -65,17 +65,6 @@ class PauliOperator(namedtuple("PauliOperator", "n x z phase")):
                 phase += 1
         return cls(len(letters), x, z, phase + _STR_PHASE[sign])
 
-    @classmethod
-    def from_string(cls, text: str) -> "PauliOperator":
-        """Parse the text form ``[+|-][i]<letters>``, e.g. ``"-iXYZ"``."""
-        sign = "+"
-        body = text
-        for cand in ("+i", "-i", "+", "-"):
-            if text.startswith(cand):
-                sign, body = cand, text[len(cand):]
-                break
-        return cls.from_letters(body, sign)
-
     # -- algebra --------------------------------------------------------
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
@@ -193,20 +182,6 @@ class MeasurementPattern(namedtuple("MeasurementPattern",
         marks = {"unmeasured": ".", "lost": "_"}
         return "".join(marks.get(st, st) for st in map(self.status, range(self.n)))
 
-    @classmethod
-    def from_chars(cls, chars: str) -> "MeasurementPattern":
-        """The pattern ``chars`` writes; any other letter raises ValueError."""
-        n = len(chars)
-        letters = unmeasured = 0
-        for q, ch in enumerate(chars):
-            if ch == ".":
-                unmeasured |= 1 << q
-            elif ch in BASES:
-                letters |= spread(1 << q, n, ch)
-            elif ch != "_":
-                raise ValueError(f"unknown status letter: {ch!r}")
-        return cls(n, letters, unmeasured)
-
     def __repr__(self) -> str:
         return f"MeasurementPattern({self.chars()!r})"
 
@@ -269,7 +244,8 @@ class PauliSpan:
     """Incremental GF(2) span of Pauli operators, phases ignored.
 
     Each operator maps to the 2n-bit vector x | z << n; rows are kept in
-    echelon form so membership tests and insertions are linear scans.
+    echelon form so an insertion, which reports whether the operator was
+    independent of the span, is a linear scan.
     """
 
     __slots__ = ("n", "rows")
@@ -300,12 +276,6 @@ class PauliSpan:
         if op.n != self.n:
             raise DimensionError(f"lengths differ: {op.n} vs {self.n}")
         return self._add_vec(op.x | op.z << self.n)
-
-    def contains(self, op: PauliOperator) -> bool:
-        """Membership up to phase."""
-        if op.n != self.n:
-            raise DimensionError(f"lengths differ: {op.n} vs {self.n}")
-        return self._reduce(op.x | op.z << self.n) == 0
 
     def copy(self) -> "PauliSpan":
         dup = PauliSpan(self.n)

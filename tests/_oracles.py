@@ -25,11 +25,13 @@ from graphcode_lt.fusion import (
     _classify,
     _cosets,
     _gate_outcomes,
+    _model,
 )
 from graphcode_lt.graphs import Graph, canonical_form, local_complement
 from graphcode_lt.losstree import Leaf, _rank, _strategies, grow, paths
 from graphcode_lt.opsets import ResourceLimitError, enumerate_nontrivial
 from graphcode_lt.pauli import (
+    BASES,
     MeasurementPattern,
     PauliOperator,
     PauliSpan,
@@ -59,6 +61,43 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def is_connected(g: Graph) -> bool:
+    """Whether ``g``, with at least one vertex, is connected."""
+    return _mask_connected(g.nbr)
+
+
+# -- Pauli and pattern text forms ---------------------------------------------
+
+
+def pauli_from_string(text: str) -> PauliOperator:
+    """Parse the text form ``[+|-][i]<letters>``, e.g. ``"-iXYZ"``."""
+    for sign in ("+i", "-i", "+", "-"):
+        if text.startswith(sign):
+            return PauliOperator.from_letters(text[len(sign):], sign)
+    return PauliOperator.from_letters(text)
+
+
+def pattern_from_chars(chars: str) -> MeasurementPattern:
+    """The pattern ``chars`` writes (``MeasurementPattern.chars``); any
+    other letter raises ValueError."""
+    n = len(chars)
+    letters = unmeasured = 0
+    for q, ch in enumerate(chars):
+        if ch == ".":
+            unmeasured |= 1 << q
+        elif ch in BASES:
+            letters |= spread(1 << q, n, ch)
+        elif ch != "_":
+            raise ValueError(f"unknown status letter: {ch!r}")
+    return MeasurementPattern(n, letters, unmeasured)
+
+
+def span_contains(span: PauliSpan, op: PauliOperator) -> bool:
+    """Membership of ``op`` in ``span`` up to phase: adding it to a copy
+    of the span adds no row."""
+    return not span.copy().add(op)
 
 
 def symplectic_rank(ops) -> int:
@@ -372,7 +411,7 @@ def lexmin_canonical_form(g: Graph, n_fixed: int = 0) -> Graph:
     best = None
     for order in permutations(range(n_fixed, g.n)):
         place = list(range(n_fixed)) + list(order)
-        cols = [sum(1 << i for i in range(p) if g.has_edge(place[i], place[p]))
+        cols = [sum(1 << i for i in range(p) if g.nbr[place[i]] >> place[p] & 1)
                 for p in range(n_fixed, g.n)]
         if best is None or cols < best[0]:
             best = (cols, place)
@@ -747,9 +786,19 @@ def _power_rows(bases, top: int) -> list:
     return powers
 
 
+def adaptive_terms(analysis, randomize: bool) -> dict:
+    """The exact terms of one gate model of an ``AdaptiveFusionAnalysis``
+    by class, read off its one tally (``fusion._model``): each count over
+    2^b for b randomized failures, as a ``Fraction``, in column order."""
+    half = 1 if randomize else 0
+    return {klass: {key: Fraction(count, 1 << half * key[1])
+                    for key, count in terms.items()}
+            for klass, terms in _model(analysis._tally, randomize).items()}
+
+
 def adaptive_float_terms(terms: dict) -> tuple:
     """The terms of one gate model of an ``AdaptiveFusionAnalysis``
-    (``_terms[randomize_failures]``) for ``adaptive_result_reference``,
+    (``adaptive_terms``) for ``adaptive_result_reference``,
     converted once: the largest exponent, and per class, in (success,
     fail, loss) order, a list of (exponents, float coefficient)."""
     classes = tuple([(exps, float(coef)) for exps, coef in
@@ -797,8 +846,8 @@ def interface_letters(interfaces: tuple, n: int) -> int:
 
 
 def adaptive_terms_reference(code, randomize: bool) -> dict:
-    """The ``_terms`` of one gate model of ``AdaptiveFusionAnalysis``,
-    compiled by a walk of that model alone: the fixed model walks only
+    """The ``adaptive_terms`` of one gate model of
+    ``AdaptiveFusionAnalysis``, compiled by a walk of that model alone: the fixed model walks only
     fz failures, the randomized one fx and then fz.  Each side decoder
     rebuilds its interface letters from the interface list, narrows every
     list it tests and tallies its fold term by term, as the engine did
@@ -926,7 +975,7 @@ def transversal_counts_reference(code, failure_bases) -> dict:
 
     def rec(i: int, span: PauliSpan, ns: int, nfx: int, nfz: int):
         if i == n:
-            xx_in, zz_in = span.contains(xx), span.contains(zz)
+            xx_in, zz_in = span_contains(span, xx), span_contains(span, zz)
             klass = ("success" if xx_in and zz_in
                      else "fail" if xx_in or zz_in else "loss")
             key = (ns, nfx, nfz, klass)
@@ -970,7 +1019,7 @@ def exhaustive_checks(leaf: Leaf, surviving_stabilizers, rates,
             cand = group[i]
             if not all(qubitwise_commuting(cand, c) for c in chosen):
                 continue
-            if span.contains(cand):
+            if span_contains(span, cand):
                 continue
             visited += 1
             if visited > cap:

@@ -11,6 +11,7 @@ single-leaf X measurements on both sides ((1 - (1-eta)^2)^2).
 
 import json
 
+import numpy as np
 import pytest
 
 from graphcode_lt.cli import EXIT_OK, EXIT_VALIDATION, main
@@ -24,6 +25,7 @@ from graphcode_lt.codes import (
     tree_code,
 )
 from graphcode_lt.fusion import logical_fusion
+from graphcode_lt.search import enumerate_candidates
 from graphcode_lt import apps
 from graphcode_lt.apps import (
     ERASURE_BUDGET,
@@ -176,6 +178,24 @@ def test_erasure_identity_under_randomization():
     r = logical_fusion(pentagon_code(), 0.5, 0.93, randomize_failures=True)
     assert r.erasure_xx == pytest.approx(
         r.p_loss_logical + 0.5 * r.p_fail_logical, abs=1e-15)
+
+
+def test_randomized_erasure_does_not_decrease_in_loss():
+    # fbqc_loss_threshold bisects on the claim that the randomized
+    # adaptive erasure_xx is monotone in loss: on a 1,025-point dyadic
+    # loss grid (1 - ell is exact) it never falls by more than 1e-12, at
+    # two gate failure rates, on the compile-cold benchmark's seven codes
+    # and on every rooted 7-vertex class
+    codes = [pentagon_code(), decorated_pentagon_code(), branched_chain_code(),
+             shor_22_code(), cube_code(), tree_code([3, 2]), tree_code([2, 2, 1])]
+    codes += list(enumerate_candidates(7))
+    assert len(codes) == 7 + 63
+    ell = np.arange(1025) / 1024
+    for code in codes:
+        for p_fail in (0.5, 0.25):
+            erasure = logical_fusion(code, p_fail, 1.0 - ell,
+                                     randomize_failures=True).erasure_xx
+            assert (np.diff(erasure) >= -1e-12).all(), (code, p_fail)
 
 
 def test_threshold_monotone_in_budget(monkeypatch):

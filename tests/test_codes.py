@@ -17,6 +17,7 @@ from _oracles import (
     code_graph,
     dense,
     graph_state_vector,
+    is_connected,
     project_qubit,
     symplectic_rank,
 )
@@ -43,7 +44,7 @@ def random_connected_progenitor(rng: random.Random, n_vertices: int) -> Graph:
         edges = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)
                  if rng.random() < 0.5]
         g = Graph.from_edges(n_vertices, edges)
-        if g.is_connected():
+        if is_connected(g):
             return g
 
 

@@ -15,6 +15,7 @@ from _oracles import (
     check_extension_reference,
     exhaustive_checks,
     greedy_checks_reference,
+    pattern_from_chars,
     qubitwise_commuting,
 )
 from graphcode_lt import errordecode
@@ -49,7 +50,7 @@ from graphcode_lt.losstree import (
     success_polynomial,
 )
 from graphcode_lt.opsets import ResourceLimitError, stabilizer_group
-from graphcode_lt.pauli import MeasurementPattern, PauliOperator, PauliSpan, iter_bits
+from graphcode_lt.pauli import PauliOperator, PauliSpan, iter_bits
 from graphcode_lt.polynomials import LossPolynomial, break_even
 from graphcode_lt.search import enumerate_candidates
 from test_golden import _codes as golden_codes
@@ -105,7 +106,7 @@ def reference_ml(leaf: Leaf, checks: CheckSet, rates: tuple) -> float:
 def _output_leaf_error(rates: tuple) -> float:
     """The ML error of an arbitrary-basis leaf with nothing to decode but
     its output qubit: 1 - (1 - rA), rA the arbitrary-basis flip rate."""
-    leaf = Leaf("success", MeasurementPattern.from_chars("A"), output=0)
+    leaf = Leaf("success", pattern_from_chars("A"), output=0)
     return ml_logical_error(leaf, CheckSet((), ()), rates)
 
 
@@ -130,7 +131,7 @@ def test_error_model_validation():
         with pytest.raises(ValueError):
             _output_leaf_error(rates)
     # a failed leaf feeds back a flip rate of exactly one
-    pattern = MeasurementPattern.from_chars("XX")
+    pattern = pattern_from_chars("XX")
     target = PauliOperator.from_letters("XX")
     leaf = Leaf("success", pattern, targets=(target,))
     assert ml_logical_error(leaf, CheckSet((target,), ()), (1.0, 0.0, 1.0)) == 0.0
@@ -139,7 +140,7 @@ def test_error_model_validation():
 def test_error_model_from_rates():
     # per-basis rates set directly: a Y measurement flips at rY (the
     # decoder returns 1 - (1 - rY), one rounding away)
-    pattern = MeasurementPattern.from_chars("Y")
+    pattern = pattern_from_chars("Y")
     target = PauliOperator.from_letters("Y")
     leaf = Leaf("success", pattern, targets=(target,))
     err = ml_logical_error(leaf, CheckSet((target,), ()), (0.1, 0.2, 0.3))
@@ -220,7 +221,7 @@ def test_greedy_checks_match_group_scan():
     for _ in range(200):
         code = rng.choice(codes)
         group = stabilizer_group(code)
-        pattern = MeasurementPattern.from_chars("".join(
+        pattern = pattern_from_chars("".join(
             rng.choice("..XYZA_") for _ in range(code.n)))
         targets = tuple(code.logical(rng.choice("XYZ")) * rng.choice(group)
                         for _ in range(rng.randint(1, 2)))
@@ -242,7 +243,7 @@ def test_parity_channel_closed_form():
     # [TRIVIAL: with no checks the decoder keeps the majority parity, so the
     # error is the odd-flip probability (1 - (1-2r)^w) / 2]
     for w in range(1, 6):
-        pattern = MeasurementPattern.from_chars("Z" * w)
+        pattern = pattern_from_chars("Z" * w)
         target = PauliOperator.from_letters("Z" * w)
         leaf = Leaf("success", pattern, targets=(target,))
         for lam in (0.0, 0.01, 0.05, 0.2):
@@ -334,7 +335,7 @@ def test_cube_ml_quadratic_at_low_lambda():
 
 def test_ml_enumeration_limit():
     n = 21
-    pattern = MeasurementPattern.from_chars("Z" * n)
+    pattern = pattern_from_chars("Z" * n)
     target = PauliOperator.from_letters("Z" * n)
     leaf = Leaf("success", pattern, targets=(target,))
     with pytest.raises(ResourceLimitError):

@@ -44,6 +44,7 @@ from _oracles import (
     _pair,
     adaptive_float_terms,
     adaptive_result_reference,
+    adaptive_terms,
     adaptive_terms_reference,
     interface_letters,
     transversal_counts_reference,
@@ -348,7 +349,7 @@ def test_result_matches_term_loop_bit_for_bit(name):
     models += [(0.0, 0.0), (0.0, 1.0)]
     analysis = AdaptiveFusionAnalysis(code)
     for randomize in (False, True):
-        terms = adaptive_float_terms(analysis._terms[randomize])
+        terms = adaptive_float_terms(adaptive_terms(analysis, randomize))
         for p_fail, eta in models:
             got = tuple(analysis.result(p_fail, eta, randomize)[0].tolist())
             want = adaptive_result_reference(terms, p_fail, eta)
@@ -367,7 +368,7 @@ def test_one_walk_keeps_each_models_terms_and_order():
     for code in codes:
         analysis = AdaptiveFusionAnalysis(code)
         for randomize in (False, True):
-            got = analysis._terms[randomize]
+            got = adaptive_terms(analysis, randomize)
             want = adaptive_terms_reference(code, randomize)
             assert list(got) == list(want)
             for klass in want:

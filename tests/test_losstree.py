@@ -52,6 +52,7 @@ from graphcode_lt.polynomials import LossPolynomial, _rise_point, break_even
 
 from _oracles import (
     evaluate_reference,
+    is_connected,
     monte_carlo_successes_reference,
     optimal_success,
     path_graph,
@@ -66,7 +67,7 @@ def random_code(rng: random.Random, n_vertices: int) -> GraphCode:
         edges = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)
                  if rng.random() < 0.5]
         g = Graph.from_edges(n_vertices, edges)
-        if g.is_connected():
+        if is_connected(g):
             return GraphCode(g, 0)
 
 

@@ -11,8 +11,10 @@ the choice; both sides of that line are pinned here.
 from __future__ import annotations
 
 import math
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from _oracles import (
@@ -46,8 +48,8 @@ from graphcode_lt.modular import (
     logical_transmission,
     optimize_stack,
     stack_flip_rates,
-    top_transmission,
     unit_F,
+    _top,
 )
 from graphcode_lt.polynomials import BASES, break_even
 from graphcode_lt.search import enumerate_candidates
@@ -55,6 +57,12 @@ from graphcode_lt.search import enumerate_candidates
 
 def logical(layers, mode, eta) -> dict:
     return logical_transmission(LayerStack(layers, mode, eta))
+
+
+def top(stack: LayerStack) -> dict:
+    """The outermost unit's code-qubit transmissions of a one-point stack,
+    as floats keyed by basis."""
+    return {b: v.item() for b, v in _top(stack).items()}
 
 
 # -- value containers ---------------------------------------------------------------
@@ -76,14 +84,23 @@ def test_layer_stack_validation():
     assert stack.layers == (pent, pent)
 
 
-def test_layer_stack_equality_is_identity():
-    # a stack is not a value key: two stacks of the same layers are distinct
-    pent = pentagon_code()
-    stack = LayerStack([pent, pent], "cascaded", 0.9)
-    twin = LayerStack([pent, pent], "cascaded", 0.9)
-    assert stack == stack
-    assert stack != twin
-    assert len({stack, twin}) == 2
+def test_layer_stack_compares_by_value():
+    # stacks of the same layers, mode and eta are equal and hash alike,
+    # a block eta as its tuple of floats, and a pickled stack equals its
+    # original
+    pent, cube = pentagon_code(), cube_code()
+    for eta in (0.9, [0.25, 0.5], np.array([0.25, 0.5])):
+        stack = LayerStack([pent, cube], "cascaded", eta)
+        twin = LayerStack((pent, cube), "cascaded", eta)
+        assert stack == twin and hash(stack) == hash(twin)
+        assert len({stack, twin}) == 1
+        assert pickle.loads(pickle.dumps(stack)) == stack
+    block = LayerStack([pent], "cascaded", np.array([0.25, 0.5]))
+    assert block.eta == (0.25, 0.5) and type(block.eta[0]) is float
+    assert block == LayerStack([pent], "cascaded", (0.25, 0.5))
+    assert block != LayerStack([pent], "cascaded", (0.25, 0.75))
+    assert block != LayerStack([pent], "concatenated", (0.25, 0.5))
+    assert block != LayerStack([cube], "cascaded", (0.25, 0.5))
 
 
 def test_qubit_counts_per_mode():
@@ -156,7 +173,7 @@ def test_single_layer_stack_is_bare():
     # [TRIVIAL: empty recursion] one layer means bare physical code qubits
     for mode in MODES:
         stack = LayerStack([pentagon_code()], mode, 0.83)
-        assert top_transmission(stack) == dict.fromkeys(BASES, 0.83)
+        assert top(stack) == dict.fromkeys(BASES, 0.83)
     got = logical(([pentagon_code()]), "cascaded", 0.8)
     assert got["Z"] == pytest.approx(2 * 0.8 ** 2 - 0.8 ** 4, abs=1e-12)
     assert got["A"] == pytest.approx(4 * 0.8 ** 3 - 3 * 0.8 ** 4, abs=1e-12)
@@ -260,7 +277,7 @@ def test_cascade_choices_attain_the_block_maximum():
         for eta in (0.6, 0.8, 0.95):
             r = dict.fromkeys(BASES, eta)
             fx, fy = (unit_F(unit, b).evaluate_heterogeneous(r) for b in "XY")
-            got = top_transmission(LayerStack([unit, unit], "cascaded", eta))
+            got = top(LayerStack([unit, unit], "cascaded", eta))
             assert got["X"] == got["Y"] == got["A"] == eta * max(fx, fy)
 
 
@@ -347,7 +364,7 @@ def test_concat_two_layer_composition_identity():
     pent = pentagon_code()
     eta = 0.85
     inner = {b: unit_F(pent, b).evaluate(eta) for b in ("X", "Y", "Z", "A")}
-    got = top_transmission(LayerStack([pent, pent], "concatenated", eta))
+    got = top(LayerStack([pent, pent], "concatenated", eta))
     assert got == pytest.approx(inner, abs=1e-12)
     outer = logical([pent, pent], "concatenated", eta)
     for basis in ("X", "Y", "Z", "A"):
@@ -361,8 +378,8 @@ def test_cascade_z_route_dominates_concat_z():
     # whose cascade routes also need the host qubit itself]
     for eta in (0.4, 0.6, 0.8, 0.9):
         for unit in (pentagon_code(), tree_code([3])):
-            casc = top_transmission(LayerStack([unit, unit], "cascaded", eta))
-            conc = top_transmission(LayerStack([unit, unit], "concatenated", eta))
+            casc = top(LayerStack([unit, unit], "cascaded", eta))
+            conc = top(LayerStack([unit, unit], "concatenated", eta))
             assert casc["Z"] >= conc["Z"] - 1e-12
             assert casc["Z"] >= eta - 1e-12
 

@@ -17,8 +17,10 @@ from _oracles import (
     code_graph,
     dense,
     graph_state_vector,
+    is_connected,
     nontrivial_reference,
     path_graph,
+    pattern_from_chars,
 )
 from graphcode_lt import opsets
 from graphcode_lt.codes import GraphCode, forget, pentagon_code, star_code, tree_code
@@ -48,7 +50,7 @@ def random_code(rng: random.Random, n_vertices: int) -> GraphCode:
         edges = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)
                  if rng.random() < 0.5]
         g = Graph.from_edges(n_vertices, edges)
-        if g.is_connected():
+        if is_connected(g):
             return GraphCode(g, 0)
 
 
@@ -187,7 +189,7 @@ def test_enumeration_deterministic_order():
 def test_filter_star_logical_z_modes():
     code = star_code(3)
     ops = enumerate_nontrivial(code, "LogicalZ")
-    m = MeasurementPattern.from_chars("_X.")
+    m = pattern_from_chars("_X.")
     prospective = filter_compatible(ops, m, completed=False)
     assert sorted(op.to_string() for op in prospective) == ["+IIX", "+IXI"]
     completed = filter_compatible(ops, m, completed=True)
@@ -196,7 +198,7 @@ def test_filter_star_logical_z_modes():
 
 def test_filter_all_lost_keeps_identity_only():
     code = pentagon_code()
-    m = MeasurementPattern.from_chars("____")
+    m = pattern_from_chars("____")
     stab = filter_compatible(stabilizer_group(code), m)
     assert [op.weight for op in stab] == [0]
     logical = filter_compatible(enumerate_nontrivial(code, "AllLogical"), m)
@@ -208,7 +210,7 @@ def test_filter_group_closure_exhaustive():
     for code in [pentagon_code(), star_code(4)]:
         full = stabilizer_group(code)
         for assignment in itertools.product("XYZ_", repeat=code.n):
-            m = MeasurementPattern.from_chars("".join(assignment))
+            m = pattern_from_chars("".join(assignment))
             kept = filter_compatible(full, m)
             assert any(op.weight == 0 for op in kept)
             for a in kept:
@@ -223,7 +225,7 @@ def test_filter_monotone_under_loss():
     ops = enumerate_nontrivial(code, "AllLogical")
     for _ in range(40):
         chars = "".join(rng.choice("XYZ._") for _ in range(code.n))
-        m = MeasurementPattern.from_chars(chars)
+        m = pattern_from_chars(chars)
         base = set(filter_compatible(ops, m, completed=False))
         unmeasured = [q for q in range(code.n) if chars[q] == "."]
         if not unmeasured:
@@ -239,7 +241,7 @@ def test_filtered_logicals_identity_on_lost():
     ops = enumerate_nontrivial(code, "AllLogical")
     for _ in range(40):
         chars = "".join(rng.choice("XYZ._") for _ in range(code.n))
-        m = MeasurementPattern.from_chars(chars)
+        m = pattern_from_chars(chars)
         for op in filter_compatible(ops, m, completed=False):
             assert all(m.status(q) != "lost" for q in iter_bits(op.support))
 
@@ -257,7 +259,7 @@ def test_spc_on_pentagon_teleport_pattern():
     leaf = decode(tree, (1 << code.n) - 1)
     assert leaf.success
     chars = leaf.pattern.chars().replace("A", ".")
-    released = MeasurementPattern.from_chars(chars)
+    released = pattern_from_chars(chars)
     survivors = filter_compatible(enumerate_nontrivial(code, "AllLogical"),
                                   released, completed=False)
     assert any(not a.commutes(b)

@@ -42,6 +42,8 @@ from graphcode_lt.pauli import BASES
 from graphcode_lt.polynomials import KERNEL_FLOATS, LossPolynomial, monomial_sums
 from graphcode_lt.search import Objective, enumerate_candidates, evaluate_objective
 
+from _oracles import adaptive_terms
+
 # 20 dyadic transmissions, both ends included: 1 - eta is exact for each
 DYADIC = [k / 16 for k in range(17)] + [1 / 32, 3 / 64, 63 / 64]
 TOL = 1e-12
@@ -99,13 +101,14 @@ def test_adaptive_fusion_within_1e_12_of_exact(name):
     code = _library()[name]
     analysis = AdaptiveFusionAnalysis(code)
     for randomize in (False, True):
+        terms = adaptive_terms(analysis, randomize)
         for p_fail in (0.5, 0.25):
             got = analysis.result(p_fail, np.array(DYADIC), randomize)
             gates = np.array(_gate_outcomes(p_fail, DYADIC)).T.tolist()
             for row, eta, (s, f, l) in zip(got.tolist(), DYADIC, gates):
                 bases = (s, f, l, eta, 1.0 - eta)
                 for value, klass in zip(row, ("success", "fail", "loss")):
-                    exact = _exact(analysis._terms[randomize][klass], bases)
+                    exact = _exact(terms[klass], bases)
                     assert _close(value, exact), (name, randomize, p_fail,
                                                   eta, klass)
 
