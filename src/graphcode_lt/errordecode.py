@@ -11,10 +11,12 @@ The loss tree and each leaf's check extension are read with the same
 walk as the success polynomial, ``losstree.paths``, whose attempt key
 gives every extended leaf its probability, eta^sum(a) (1-eta)^sum(b).
 Each decoded leaf gets an exact syndrome table over all outcome-flip
-strings (``SyndromeTable``: built from the checks, evaluated per error
-model); summing leaves, with decoder failure counted as a fault, gives
-the combined fault probability, ``fault_probability``, the engine for
-any transmission.
+strings (``SyndromeTable``), built once with the extension: syndrome and
+target parities are linear in the flips, so the table doubles the flip
+strings one qubit at a time.  ``fault_probability``, the engine for any
+transmission, evaluates each table at one error model, counts a decoder
+failure as a fault (1.0), and sums the leaves over a block of
+transmissions in one ``polynomials.monomial_sums`` call.
 
 An error model is the triple (rX, rY, rZ) of the rates at which outcomes
 measured in X, Y and Z flip; an arbitrary-basis outcome flips at half
@@ -55,7 +57,7 @@ from .pauli import (
     iter_bits,
     spread,
 )
-from .polynomials import bisect
+from .polynomials import bisect, block, columns, monomial_sums, unblock
 
 ML_ENUMERATION_LIMIT = 20
 
@@ -129,23 +131,18 @@ def _greedy_checks(code: GraphCode, pattern: MeasurementPattern,
     return tuple(chosen)
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    v = values.copy()
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return v & 1
-
-
 class SyndromeTable:
-    """What ``ml_logical_error`` reads of a leaf and its checks, none of
-    it rates: the letter each relevant qubit is measured in (lowest qubit
-    first), the (syndrome, target parity) bin of every outcome-flip
-    string on those qubits, the number of target parities and whether an
-    arbitrary-basis output qubit is folded in.  ``error(rates)`` evaluates
-    it at one error model."""
+    """What ML decoding reads of a leaf and its checks, none of it rates:
+    the letter each relevant qubit is measured in (lowest qubit first),
+    the (syndrome, target parity) bin of every outcome-flip string on
+    those qubits, the number of target parities and whether an
+    arbitrary-basis output qubit is folded in.  ``ErrorAnalysis`` builds
+    one per decoded leaf, once, with the extension, and
+    ``error(rates)`` evaluates it at one error model.
+
+    Flip string i flips qubit ``qubits[k]`` when bit k of i is set.  Its
+    bin holds one parity bit per operator, the checks' bits above the
+    targets', the first operator of each in the highest bit."""
 
     __slots__ = ("letters", "bins", "n_t", "size", "output")
 
@@ -160,26 +157,18 @@ class SyndromeTable:
             raise ResourceLimitError(
                 f"{len(qubits)} qubits exceed the {ML_ENUMERATION_LIMIT}-qubit "
                 "flip-string enumeration limit")
-        pos = {q: i for i, q in enumerate(qubits)}
         self.letters = [next(op.letter_at(q) for op in ops
                              if op.letter_at(q) != "I") for q in qubits]
-
-        flips = np.arange(1 << len(qubits), dtype=np.uint32)
-
-        def local_mask(op: PauliOperator) -> np.uint32:
-            m = 0
-            for q in iter_bits(op.support):
-                m |= 1 << pos[q]
-            return np.uint32(m)
-
-        index = np.zeros(len(flips), dtype=np.uint32)
-        for op in checks.checks:
-            index = (index << np.uint32(1)) | _parity(flips & local_mask(op))
-        t_index = np.zeros(len(flips), dtype=np.uint32)
-        for op in targets:
-            t_index = (t_index << np.uint32(1)) | _parity(flips & local_mask(op))
+        # parities are linear in the flips, so each qubit doubles the
+        # strings: the new half is the old one xor the qubit's column
+        order = tuple(checks.checks) + tuple(targets)
+        bins = np.zeros(1, dtype=np.uint32)
+        for q in qubits:
+            column = sum(1 << i for i, op in enumerate(reversed(order))
+                         if op.support >> q & 1)
+            bins = np.concatenate([bins, bins ^ np.uint32(column)])
+        self.bins = bins
         self.n_t = 1 << len(targets)
-        self.bins = index * np.uint32(self.n_t) + t_index
         self.size = (1 << len(checks.checks)) * self.n_t
         self.output = leaf.output is not None
 
@@ -249,23 +238,26 @@ def _check_step(code: GraphCode, targets: tuple, pattern: MeasurementPattern,
 
 
 class ErrorAnalysis:
-    """A loss tree extended with adaptive check measurements.
+    """A loss tree extended with adaptive check measurements, and the
+    syndrome table of each of its decoded leaves.
 
     Past each success leaf the greedy check set is attempted qubit by
     qubit.  It is kept while its qubits are detected, and a lost check
     qubit triggers a fresh greedy choice on the updated pattern, so the
     loss-free path of an extension measures the first choice.  Extension
-    happens once; evaluation at any (eta, flip rates) is a sum over
-    extended leaves.
+    and the tables are built once; evaluation at any (eta, flip rates)
+    is one ``monomial_sums`` call over the extended leaves.
 
     ``entries`` holds one ``(key, leaf, checks, pattern)`` per extended
     leaf: the attempt key of its path (``losstree.paths``) through the
     loss tree and the extension, the loss-tree success leaf, the
     ``CheckSet`` measured there and the final pattern.  A decoder
-    failure is ``(key, None, None, None)``.
+    failure is ``(key, None, None, None)``.  ``tables`` holds each
+    entry's ``SyndromeTable``, None for a failure, and ``exps`` the
+    entries' (sum a, sum b) exponents in ``polynomials.columns`` form.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "tables", "exps")
 
     def __init__(self, code: GraphCode, tree: DecisionTree):
         entries = []
@@ -279,18 +271,24 @@ class ErrorAnalysis:
                 entries.append((ext_key, leaf, CheckSet(targets, end.targets),
                                 end.pattern))
         self.entries = entries
+        self.tables = [None if leaf is None else SyndromeTable(leaf, checks)
+                       for _, leaf, checks, _ in entries]
+        _, self.exps = columns((((sum(a), sum(b)), 1)
+                                for (a, b), *_ in entries), 2)
 
-    def fault_probability(self, eta: float,
-                          rates: tuple[float, float, float]) -> float:
-        total = 0.0
-        loss = 1.0 - eta
-        for (a, b), leaf, checks, _ in self.entries:
-            p = eta ** sum(a) * loss ** sum(b)
-            if p:
-                # failure to measure the logical counts as a fault
-                total += p * (1.0 if leaf is None
-                              else ml_logical_error(leaf, checks, rates))
-        return total
+    def fault_probability(self, eta, rates: tuple[float, float, float]):
+        """Sum over extended leaves of eta^sum(a) (1-eta)^sum(b) times the
+        leaf's ML error at ``rates``, or 1.0 for a decoder failure.
+        ``eta`` is a float or a 1-D array of them in [0, 1], and the
+        result a float or an array to match."""
+        etas = block(eta)
+        if not ((etas >= 0.0) & (etas <= 1.0)).all():
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        coef = np.array([1.0 if table is None else table.error(rates)
+                         for table in self.tables])
+        bases = np.stack([etas, 1.0 - etas], axis=1)
+        return unblock(monomial_sums(coef, self.exps, bases,
+                                     (len(coef),))[:, 0], eta)
 
 
 @per_code
@@ -298,13 +296,15 @@ def _error_analysis(code: GraphCode, kind: str) -> ErrorAnalysis:
     return ErrorAnalysis(code, load_or_build(code, kind))
 
 
-def fault_probability(code: GraphCode, kind: str, eta: float,
-                      rates: tuple[float, float, float]) -> float:
+def fault_probability(code: GraphCode, kind: str, eta,
+                      rates: tuple[float, float, float]):
     """P(logical fault): decoder failure, or a wrongly decoded outcome.
 
     ``kind`` names the loss tree, as in ``load_or_build``: "arbitrary" or
-    one of "X", "Y", "Z"; ``rates`` are the (rX, rY, rZ) outcome-flip
-    rates, ``depolarizing(lam)`` for depolarizing noise.
+    one of "X", "Y", "Z"; ``eta`` is a transmission in [0, 1] or a 1-D
+    array of them, and the result a float or an array to match;
+    ``rates`` are the (rX, rY, rZ) outcome-flip rates,
+    ``depolarizing(lam)`` for depolarizing noise.
     """
     return _error_analysis(code, kind).fault_probability(eta, rates)
 
@@ -337,13 +337,13 @@ def logical_flip_rates(code: GraphCode,
 
     Each rate equals ``fault_probability(code, basis, 1.0, rates)``, float
     for float, without building the ``ErrorAnalysis``.  At eta = 1 every
-    extended leaf whose path loses a qubit has probability exactly 0.0,
-    which that sum skips, and the loss-free leaf has 1.0, so the sum is
-    0.0 + 1.0 * (that leaf's ML error, or 1.0 for a decoder failure).
-    Only that leaf is decoded: it is read from the memoised Pauli tree
-    with every qubit detected, its checks are the first greedy choice
-    there, and its syndrome table is kept per code and basis, so a rate
-    vector costs one evaluation per basis.  ``fault_probability``
+    extended leaf whose path loses a qubit has a term of exactly 0.0 (a
+    power of 1 - eta = 0), and the loss-free leaf's term is its ML error
+    (or 1.0 for a decoder failure) times powers of 1.0, so the sum is
+    that error exactly.  Only that leaf is decoded: it is read from the
+    memoised Pauli tree with every qubit detected, its checks are the
+    first greedy choice there, and its syndrome table is kept per code
+    and basis, so a rate vector costs one evaluation per basis.  ``fault_probability``
     remains the engine for eta < 1.
     """
     out = []

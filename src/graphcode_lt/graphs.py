@@ -17,8 +17,8 @@ so far is the least, each extended by its unplaced vertices of least
 column and by one vertex per twin class (vertices an automorphism fixing
 the placed ones swaps).  Every dropped order can only tie or lose, so the
 result is the lexicographic minimum over every order, with a placement
-that gives it.  ``canonical_form``, ``canonical_key`` and ``_canonical``
-are one-graph blocks.
+that gives it.  ``canonical_form`` and ``canonical_key`` are one-graph
+blocks.
 
 Orbit closure, ``close_orbits``, runs breadth first over a block of seed
 forms at once: each layer makes all its local complementations in one
@@ -275,23 +275,17 @@ def _canonical_chunk(rows: np.ndarray, fixed: int) -> tuple[np.ndarray, np.ndarr
     return (moved << vertices).sum(axis=2), place
 
 
-def _canonical(g: Graph, n_fixed: int) -> tuple[Graph, list[int]]:
-    """The canonical form of ``g`` and where it puts each vertex:
-    ``position[v]`` is v's index in the form, so ``g.relabeled(position)``
-    is the form.  A one-graph block of ``canonical_block``."""
-    forms, place = canonical_block([g.nbr], n_fixed)
-    return Graph._trusted(g.n, tuple(forms[0].tolist())), np.argsort(place[0]).tolist()
-
-
 def canonical_form(g: Graph, n_fixed: int = 0) -> Graph:
     """The canonically relabeled graph (first ``n_fixed`` vertices pinned):
-    the relabeling with the least column string (``canonical_block``)."""
-    return _canonical(g, n_fixed)[0]
+    the relabeling with the least column string, a one-graph block of
+    ``canonical_block``."""
+    forms, _ = canonical_block([g.nbr], n_fixed)
+    return Graph._trusted(g.n, tuple(forms[0].tolist()))
 
 
 def canonical_key(g: Graph, n_fixed: int = 0) -> tuple:
     """Hashable canonical invariant under permutations preserving the pinned prefix."""
-    return tuple(_canonical(g, n_fixed)[0])
+    return tuple(canonical_form(g, n_fixed))
 
 
 # -- LC orbits ----------------------------------------------------------------

@@ -38,7 +38,7 @@ def check_exhaustive(n: int) -> None:
 @per_code
 def stabilizer_group(code: GraphCode) -> tuple[PauliOperator, ...]:
     """All 2^(n-1) stabilizer elements, exact phases included."""
-    members = [PauliOperator.identity(code.n)]
+    members = [PauliOperator(code.n)]
     for gen in code.stabilizer_generators:
         members += [s * gen for s in members]
     return tuple(members)

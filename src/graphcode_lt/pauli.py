@@ -50,10 +50,6 @@ class PauliOperator(namedtuple("PauliOperator", "n x z phase")):
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int) -> "PauliOperator":
-        return cls(n)
-
-    @classmethod
     def from_letters(cls, letters: str, sign: str = "+") -> "PauliOperator":
         """Build from a letter string such as ``"XIZY"`` (qubit 0 first)."""
         x = z = phase = 0

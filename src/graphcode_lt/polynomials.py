@@ -13,13 +13,14 @@ the dict.
 
 Every float evaluation of a sum of monomials -- a loss polynomial, the
 adaptive and transversal fusion terms (``fusion``), the layer recursion
-of a stack (``modular``) -- is one call to ``monomial_sums``.  It takes a
-block of points at once: per point, a table of each base's powers made
-by repeated multiplication, one gather per base and a left-to-right sum
-per term class, all in numpy, in pieces of at most ``KERNEL_FLOATS``
-floats.  A
-scalar entry point is a one-point block, and a point's value is the same
-float alone and anywhere in any block.  The contract is accuracy, not
+of a stack (``modular``), the fault probability summed over the leaves
+of an error analysis (``errordecode``) -- is one call to
+``monomial_sums``.  It takes a block of points at once: per point, a
+table of each base's powers made by repeated multiplication, one gather
+per base and a left-to-right sum per term class, all in numpy, in pieces
+of at most ``KERNEL_FLOATS`` floats.  A scalar entry point is a
+one-point block, and a point's value is the same float alone and
+anywhere in any block.  The contract is accuracy, not
 one summation order: each value lies within 1e-12 of the exact
 (``Fraction``) sum of the same terms at the same float bases.
 
@@ -49,7 +50,11 @@ from .pauli import BASES
 
 # The most 8-byte entries one temporary of a numpy kernel holds, 64 KB:
 # ``monomial_sums``, the strategy pairing in ``losstree`` and the
-# canonical-labelling and orbit kernels in ``graphs`` all read it.
+# canonical-labelling and orbit kernels in ``graphs`` all read it.  It is
+# not the only budget: ``opsets.CHUNK_BYTES`` (1 MB), ``fusion._LOW_QUBITS``
+# and ``losstree.MC_CHUNK`` each set their own on purpose; at 14 qubits
+# this one would cut ``opsets._nontrivial`` to one operator a chunk,
+# against 16.
 KERNEL_FLOATS = 1 << 13
 
 

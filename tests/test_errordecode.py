@@ -24,6 +24,7 @@ from graphcode_lt.codes import (
     cube_code,
     decorated_pentagon_code,
     pentagon_code,
+    shor_22_code,
     star_code,
     tree_code,
 )
@@ -369,6 +370,49 @@ def test_fault_lambda_zero_reduces_to_loss_only():
         for eta in (0.5, 0.7, 0.85, 0.95):
             assert fault_probability(code, kind, eta, rates) == pytest.approx(
                 1.0 - poly.evaluate(eta), abs=1e-12)
+
+
+def test_syndrome_tables_built_once_with_the_extension(monkeypatch):
+    # one table per success entry, all built with the extension; the fault
+    # sum only evaluates them
+    code = tree_code([2, 2, 1])
+    tree = build_arbitrary_tree(code)
+    built = [0]
+    table = errordecode.SyndromeTable
+
+    def counting(*args):
+        built[0] += 1
+        return table(*args)
+
+    monkeypatch.setattr(errordecode, "SyndromeTable", counting)
+    analysis = ErrorAnalysis(code, tree)
+    success = sum(leaf is not None for _, leaf, _, _ in analysis.entries)
+    assert success > 0 and built[0] == success
+    for eta, lam in ((0.9, 0.01), (0.5, 0.05), (1.0, 0.001)):
+        analysis.fault_probability(eta, depolarizing(lam))
+    assert built[0] == success
+
+
+def test_fault_block_equals_points():
+    # a block of transmissions is one kernel call, and each of its values is
+    # the one-point call's float
+    codes = [pentagon_code(), decorated_pentagon_code(), branched_chain_code(),
+             shor_22_code(), cube_code(), tree_code([3, 2]), tree_code([2, 2, 1])]
+    etas = [k / 16 for k in range(17)]
+    for code in codes:
+        for kind in ("X", "Y", "Z", "arbitrary"):
+            for rates in (depolarizing(0.01), (0.01, 0.03, 0.2)):
+                got = fault_probability(code, kind, etas, rates)
+                assert got.tolist() == [fault_probability(code, kind, eta, rates)
+                                        for eta in etas]
+
+
+def test_fault_refuses_eta_outside_unit_interval():
+    cube = cube_code()
+    rates = depolarizing(0.01)
+    for eta in (1.5, -0.2, float("nan"), [0.5, 1.5], [0.2, float("nan")]):
+        with pytest.raises(ValueError, match="eta"):
+            fault_probability(cube, "X", eta, rates)
 
 
 def test_extension_conserves_probability():

@@ -61,7 +61,7 @@ def test_group_size_and_closure():
     for code in [pentagon_code(), star_code(4)]:
         group = stabilizer_group(code)
         assert len(group) == 1 << (code.n - 1)
-        assert PauliOperator.identity(code.n) in group
+        assert PauliOperator(code.n) in group
         keys = {(s.x, s.z) for s in group}
         assert len(keys) == len(group)
         rng = random.Random(2)

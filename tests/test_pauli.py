@@ -71,8 +71,8 @@ def test_known_products():
     assert (x * z).to_string() == "-iY"
     assert (z * x).to_string() == "+iY"
     assert (x * y).to_string() == "+iZ"
-    assert x * x == PauliOperator.identity(1)
-    assert (y * y) == PauliOperator.identity(1)
+    assert x * x == PauliOperator(1)
+    assert (y * y) == PauliOperator(1)
 
 
 def test_path_graph_generator_product():
@@ -292,7 +292,7 @@ def _brute_span(ops):
     n = ops[0].n
     members = {(0, 0)}
     for bits in range(1, 1 << len(ops)):
-        acc = PauliOperator.identity(n)
+        acc = PauliOperator(n)
         for i in iter_bits(bits):
             acc = acc * ops[i]
         members.add((acc.x, acc.z))
@@ -320,7 +320,7 @@ def test_symplectic_rank_examples():
     ops = [pauli_from_string(s) for s in ["XX", "ZZ", "YY"]]
     assert symplectic_rank(ops) == 2  # XX * ZZ = YY up to phase
     assert symplectic_rank([]) == 0
-    assert symplectic_rank([PauliOperator.identity(3)]) == 0
+    assert symplectic_rank([PauliOperator(3)]) == 0
 
 
 def test_iter_bits():
