@@ -69,6 +69,7 @@ from .codes import (
 from .graphs import Graph
 from .polynomials import break_even
 from .losstree import (
+    MAX_TRIALS,
     load_or_build,
     monte_carlo_decode,
     success_polynomial,
@@ -286,10 +287,21 @@ def _write(out: str | None, config: dict):
                 os.remove(path)
 
 
-# One JSON row at the depth and indent of ``json.dumps(payload,
-# sort_keys=True, indent=1)`` once its braces are re-indented; with no
-# indent set, the encoder is the C one.
+# Any JSON value at the depth and indent of ``json.dumps(payload,
+# sort_keys=True, indent=1)``; with no indent set, the encoder is the C
+# one.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
+
+
+def _json_value(v) -> str:
+    """``v`` as the C JSON encoder writes it: a finite float by
+    ``float.__repr__`` and an int (not a bool) by ``int.__repr__``, as
+    that encoder does, and any other value through it."""
+    if type(v) is float and v - v == 0.0:  # NaN and +-inf give NaN
+        return float.__repr__(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    return _ROW_ENCODER.encode(v)
 
 
 def emit_rows(header: list[str], rows, config: dict, out: str | None,
@@ -300,7 +312,8 @@ def emit_rows(header: list[str], rows, config: dict, out: str | None,
     with the row count, and nothing is written before the first row
     exists.  The JSON text is that of ``json.dumps(payload,
     sort_keys=True, indent=1)``: its head and tail come from the payload
-    with no rows.
+    with no rows, and each row fills one ``%`` template of the sorted
+    header's keys with its values' ``_json_value`` texts.
     """
     if fmt == "csv":
         head = (f"# {TOOL} {__version__} config={config_hash(config)}\n"
@@ -316,10 +329,13 @@ def emit_rows(header: list[str], rows, config: dict, out: str | None,
         head += '"result": ['
         tail = "]" + tail + "\n"
         sep, close = ",", "\n "
+        order = sorted(range(len(header)), key=header.__getitem__)
+        template = "\n  {\n   " + ",\n   ".join(
+            _ROW_ENCODER.encode(header[i]).replace("%", "%%") + ": %s"
+            for i in order) + "\n  }"
 
         def line(row):
-            text = _ROW_ENCODER.encode(dict(zip(header, row)))
-            return "\n  {\n   " + text[1:-1] + "\n  }"
+            return template % tuple([_json_value(row[i]) for i in order])
     with _write(out, config) as sink:
         first = True
         for row in rows:
@@ -414,8 +430,8 @@ def cmd_sweep(args, config) -> int:
                        "sweep needs --eta-grid (loss) or --lambda-grid (error)")
 
     def flips(lams):
-        return [lams, *zip(*(logical_flip_rates(code, depolarizing(lam))
-                             for lam in lams.tolist()))]
+        rates = np.stack(depolarizing(lams), axis=1)
+        return [lams, *logical_flip_rates(code, rates).T]
 
     return _emit_grid(args, config, ["lambda", "flip_x", "flip_y", "flip_z"],
                       _unit_grid(args.lambda_grid, "lambda", hi=1.0 / 3.0),
@@ -461,6 +477,10 @@ def cmd_rgs(args, config) -> int:
     code = resolve_code(args.graph, args.input_vertex)
     if args.depth < 1:
         raise CliError(EXIT_VALIDATION, f"--depth must be >= 1, got {args.depth}")
+    # p_end_to_end raises p_link to a float power of the depth
+    if args.depth > sys.float_info.max:
+        raise CliError(EXIT_VALIDATION, "--depth is past the float range "
+                       f"(at most {sys.float_info.max:g})")
 
     def links(etas):
         p_link = rgs_link_probability(code, etas, args.pfail,
@@ -531,6 +551,9 @@ def cmd_mc_check(args, config) -> int:
     eta = check_unit(args.eta if args.eta is not None else 0.9, "--eta")
     if args.trials < 1:
         raise CliError(EXIT_VALIDATION, f"--trials must be >= 1, got {args.trials}")
+    # the tally is one int64 multinomial draw
+    if args.trials > MAX_TRIALS:
+        raise CliError(EXIT_VALIDATION, f"--trials must be at most {MAX_TRIALS}")
     tree = load_or_build(code, _TREE_KINDS[args.basis])
     conserved = total_polynomial(tree).eta_coefficients() == {0: 1}
     exact = success_polynomial(tree).evaluate(eta)

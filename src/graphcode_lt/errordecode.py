@@ -57,19 +57,28 @@ from .pauli import (
     iter_bits,
     spread,
 )
-from .polynomials import bisect, block, columns, monomial_sums, unblock
+from .polynomials import (
+    KERNEL_FLOATS,
+    bisect,
+    block,
+    columns,
+    monomial_sums,
+    unblock,
+)
 
 ML_ENUMERATION_LIMIT = 20
 
 
-def depolarizing(lam: float) -> tuple[float, float, float]:
+def depolarizing(lam):
     """The (rX, rY, rZ) outcome-flip rates of i.i.d. depolarizing noise.
 
     A rate-lambda depolarizing channel flips a Pauli measurement outcome
     with probability 2*lambda: two of its three errors anticommute with
-    the measured basis.
+    the measured basis.  ``lam`` is a float, or a 1-D array of them whose
+    triple of arrays ``np.stack(..., axis=1)`` makes a rate block.
     """
-    if not 0.0 <= 3.0 * lam <= 1.0:
+    lam3 = 3.0 * np.asarray(lam)
+    if not ((lam3 >= 0.0) & (lam3 <= 1.0)).all():
         raise ValueError("lambda must satisfy 0 <= 3*lambda <= 1")
     return (2 * lam,) * 3
 
@@ -172,25 +181,51 @@ class SyndromeTable:
         self.size = (1 << len(checks.checks)) * self.n_t
         self.output = leaf.output is not None
 
-    def error(self, rates: tuple[float, float, float]) -> float:
+    def error(self, rates):
         """The residual logical error at flip rates ``rates`` = (rX, rY,
         rZ), each in [0, 1] (exactly one is what a failed leaf feeds
         back); an arbitrary-basis outcome flips at half their sum, capped
-        at one."""
-        if not all(0.0 <= r <= 1.0 for r in rates):
+        at one.
+
+        ``rates`` is one triple, giving a float, or a (points, 3) block of
+        them, giving an array of one error per point.  A block is binned
+        by one ``np.bincount`` over the bins offset by point * ``size``,
+        which adds each bin's flip strings in index order, so a point's
+        error is the same float alone and in any block.  Points go
+        through in chunks whose temporaries hold at most
+        ``KERNEL_FLOATS`` floats, with at least one point a chunk.
+        """
+        points = np.asarray(rates, dtype=float).reshape(-1, 3)
+        # factors[c, p] = (1 - r, r) of rate c ("XYZ") at point p; both
+        # are >= 0 iff r lies in [0, 1], and NaN fails the test
+        factors = np.empty((3, len(points), 2, 1))
+        factors[:, :, 0, 0] = 1.0 - points.T
+        factors[:, :, 1, 0] = points.T
+        if not factors.min(initial=0.0) >= 0.0:
             raise ValueError("flip rates must lie in [0, 1]")
-        rate = dict(zip("XYZ", rates))
-        probs = np.ones(1)
-        for letter in self.letters:
-            r = rate[letter]
-            probs = np.concatenate([probs * (1.0 - r), probs * r])
-        table = np.bincount(self.bins, weights=probs, minlength=self.size)
-        table = table.reshape(-1, self.n_t)
-        err = float(1.0 - table.max(axis=1).sum())
+        step = max(1, KERNEL_FLOATS // max(len(self.bins), self.size))
+        err = np.empty(len(points))
+        for lo in range(0, len(points), step):
+            count = min(step, len(points) - lo)
+            # the flip strings doubled one qubit at a time: the old half
+            # keeps the qubit, the new half flips it
+            probs = np.ones((count, 1, 1))
+            for letter in self.letters:
+                factor = factors["XYZ".index(letter), lo:lo + count]
+                probs = (probs * factor).reshape(count, 1, -1)
+            probs = probs.reshape(count, -1)
+            offsets = np.arange(0, count * self.size, self.size)[:, None]
+            table = np.bincount((self.bins + offsets).ravel(),
+                                weights=probs.ravel(),
+                                minlength=count * self.size)
+            table = table.reshape(count, -1, self.n_t)
+            err[lo:lo + count] = 1.0 - table.max(axis=2).sum(axis=1)
         if self.output:
-            rx, ry, rz = rates
-            err = 1.0 - (1.0 - min(1.0, 0.5 * (rx + ry + rz))) * (1.0 - err)
-        return min(1.0, max(0.0, err))
+            rx, ry, rz = points.T
+            arbitrary = np.minimum(1.0, 0.5 * (rx + ry + rz))
+            err = 1.0 - (1.0 - arbitrary) * (1.0 - err)
+        err = np.minimum(1.0, np.maximum(0.0, err))
+        return float(err[0]) if np.ndim(rates) == 1 else err
 
 
 def ml_logical_error(leaf: Leaf, checks: CheckSet,
@@ -326,14 +361,15 @@ def _loss_free_table(code: GraphCode, basis: str) -> SyndromeTable | None:
         targets, _greedy_checks(code, leaf.pattern, targets)))
 
 
-def logical_flip_rates(code: GraphCode,
-                       rates: tuple[float, float, float]
-                       ) -> tuple[float, float, float]:
+def logical_flip_rates(code: GraphCode, rates):
     """Per-basis logical flip rates at unit transmission.
 
     Physical qubits measured in X/Y/Z flip with the given per-basis rates;
     the result is the flip rate of each decoded logical Pauli basis, the
     quantity a concatenation layer feeds into the one above it.
+    ``rates`` is one (rX, rY, rZ) triple, giving a triple of floats, or a
+    (points, 3) block of them, giving a (points, 3) array; a point's
+    rates are the same floats alone and in any block.
 
     Each rate equals ``fault_probability(code, basis, 1.0, rates)``, float
     for float, without building the ``ErrorAnalysis``.  At eta = 1 every
@@ -343,14 +379,16 @@ def logical_flip_rates(code: GraphCode,
     that error exactly.  Only that leaf is decoded: it is read from the
     memoised Pauli tree with every qubit detected, its checks are the
     first greedy choice there, and its syndrome table is kept per code
-    and basis, so a rate vector costs one evaluation per basis.  ``fault_probability``
-    remains the engine for eta < 1.
+    and basis, so a block of rate vectors costs one table evaluation per
+    basis.  ``fault_probability`` remains the engine for eta < 1.
     """
-    out = []
-    for basis in "XYZ":
+    points = np.asarray(rates, dtype=float).reshape(-1, 3)
+    out = np.ones((len(points), 3))
+    for i, basis in enumerate("XYZ"):
         table = _loss_free_table(code, basis)
-        out.append(1.0 if table is None else table.error(rates))
-    return tuple(out)
+        if table is not None:
+            out[:, i] = table.error(points)
+    return tuple(out[0].tolist()) if np.ndim(rates) == 1 else out
 
 
 def error_threshold(code: GraphCode) -> float:

@@ -468,10 +468,23 @@ def decode(tree: DecisionTree, detected_mask: int) -> Leaf:
     return node
 
 
-# Trials sampled per numpy pass of ``monte_carlo_decode``: the masks, one
-# qubit's uniform draws and their comparison take 17 bytes a trial, so a
-# pass peaks near 1.1 MB whatever the trial count.
-MC_CHUNK = 1 << 16
+# The most trials ``monte_carlo_decode`` draws: numpy's multinomial
+# counts in int64.
+MAX_TRIALS = (1 << 63) - 1
+
+
+def _loss_tally(n: int, eta: float, trials: int, seed: int) -> np.ndarray:
+    """How many of ``trials`` i.i.d. samples of per-qubit loss fall on
+    each loss configuration c of ``n`` qubits (bit q set: qubit q
+    detected), drawn in one ``multinomial`` call of the generator seeded
+    with ``seed``.  Configuration c has probability p_c = eta^|c|
+    (1-eta)^(n-|c|), made by doubling the configurations one qubit at a
+    time, qubit 0 first; a tally of that distribution is the tally of
+    sampling the trials qubit by qubit."""
+    p = np.ones(1)
+    for _ in range(n):
+        p = np.concatenate([p * (1.0 - eta), p * eta])
+    return np.random.default_rng(seed).multinomial(trials, p)
 
 
 def monte_carlo_decode(tree: DecisionTree, eta: float, trials: int,
@@ -479,25 +492,16 @@ def monte_carlo_decode(tree: DecisionTree, eta: float, trials: int,
     """Sample i.i.d. per-qubit loss; the fraction of trials the decoder
     succeeds on.
 
-    Each trial is one loss configuration of the tree's code (bit q set:
-    qubit q detected), so the trials are tallied per configuration, at
-    most 2^n of them (n <= ``EXHAUSTIVE_LIMIT``), and each configuration
-    that occurs is decoded once.  Trials are drawn ``MC_CHUNK`` (65,536)
-    at a time, each chunk qubit by qubit, so sampling peaks near 1.1 MB
-    whatever the trial count; a run of at most ``MC_CHUNK`` trials is a
-    single chunk.
+    Each trial is one loss configuration of the tree's code, so the
+    trials are drawn straight as a tally over the 2^n configurations (n
+    <= ``EXHAUSTIVE_LIMIT``), one multinomial draw (``_loss_tally``), and
+    each configuration that occurs is decoded once.  Time and memory grow
+    with 2^n, not with the trial count, which may be up to
+    ``MAX_TRIALS``.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    n = tree.code.n
-    rng = np.random.default_rng(seed)
-    tally = np.zeros(1 << n, dtype=np.int64)
-    for start in range(0, trials, MC_CHUNK):
-        size = min(MC_CHUNK, trials - start)
-        masks = np.zeros(size, dtype=np.int64)
-        for q in range(n):
-            masks |= np.where(rng.random(size) < eta, 1 << q, 0)
-        tally += np.bincount(masks, minlength=len(tally))
+    if not 0 < trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    tally = _loss_tally(tree.code.n, eta, trials, seed)
     successes = sum(count for mask, count in enumerate(tally.tolist())
                     if count and decode(tree, mask).success)
     return successes / trials

@@ -49,12 +49,13 @@ import numpy as np
 from .pauli import BASES
 
 # The most 8-byte entries one temporary of a numpy kernel holds, 64 KB:
-# ``monomial_sums``, the strategy pairing in ``losstree`` and the
-# canonical-labelling and orbit kernels in ``graphs`` all read it.  It is
-# not the only budget: ``opsets.CHUNK_BYTES`` (1 MB), ``fusion._LOW_QUBITS``
-# and ``losstree.MC_CHUNK`` each set their own on purpose; at 14 qubits
-# this one would cut ``opsets._nontrivial`` to one operator a chunk,
-# against 16.
+# ``monomial_sums``, the strategy pairing in ``losstree``, the blocks of
+# flip rates ``errordecode.SyndromeTable.error`` evaluates (at least one
+# point a block) and the canonical-labelling and orbit kernels in
+# ``graphs`` all read it.  It is not the only budget:
+# ``opsets.CHUNK_BYTES`` (1 MB) and ``fusion._LOW_QUBITS`` set their own
+# on purpose; at 14 qubits this one would cut ``opsets._nontrivial`` to
+# one operator a chunk, against 16.
 KERNEL_FLOATS = 1 << 13
 
 

@@ -731,23 +731,26 @@ def bernstein_reference(poly) -> list[int]:
 def monte_carlo_successes_reference(tree, eta: float, trials: int,
                                     seed: int) -> int:
     """The success count of ``monte_carlo_decode``, from the same samples
-    counted leaf by leaf: a leaf is a cylinder set over its attempted
-    qubits, so a sampled mask reaches it iff every attempted qubit's fate
-    matches the leaf's pattern."""
-    rng = np.random.default_rng(seed)
-    masks = np.zeros(trials, dtype=np.uint64)
-    for q in range(tree.code.n):
-        bit = np.uint64(1 << q)
-        masks |= np.where(rng.random(trials) < eta, bit, np.uint64(0))
+    counted leaf by leaf: the per-configuration tally is drawn by the
+    same generator call, with each configuration's probability the
+    product, qubit 0 first, of eta per detected qubit and 1 - eta per
+    lost one.  A leaf is a cylinder set over its attempted qubits, so a
+    configuration reaches it iff every attempted qubit's fate matches the
+    leaf's pattern."""
+    n = tree.code.n
+    probs = [math.prod(eta if c >> q & 1 else 1.0 - eta for q in range(n))
+             for c in range(1 << n)]
+    tally = np.random.default_rng(seed).multinomial(trials, probs)
+    masks = np.arange(1 << n)
     successes = 0
     for leaf, _ in paths(tree.root):
         if not leaf.success:
             continue
         p = leaf.pattern
-        attempted = np.uint64(((1 << p.n) - 1) & ~p.unmeasured)
-        detected = np.uint64(sum(1 << q for q in range(p.n)
-                                 if p.status(q) not in ("lost", "unmeasured")))
-        successes += int(np.count_nonzero((masks & attempted) == detected))
+        attempted = ((1 << p.n) - 1) & ~p.unmeasured
+        detected = sum(1 << q for q in range(p.n)
+                       if p.status(q) not in ("lost", "unmeasured"))
+        successes += int(tally[(masks & attempted) == detected].sum())
     return successes
 
 

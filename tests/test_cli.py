@@ -2,10 +2,12 @@
 and the names the benchmark's layer tracer wraps."""
 
 import ast
+import contextlib
 import copy
 import glob
 import importlib
 import importlib.util
+import io
 import json
 import os
 import pickle
@@ -16,6 +18,7 @@ import tracemalloc
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphcode_lt
 from _oracles import (
@@ -440,6 +443,19 @@ def test_rgs_emits_link_and_chain_columns(tmp_path):
     assert p_end == pytest.approx(p_link ** 3, abs=1e-12)
 
 
+def test_rgs_depth_past_the_float_range_exits_3_before_any_row(capsys):
+    # p_end_to_end raises p_link to the depth as a float power
+    argv = ["rgs", "--graph", "pentagon", "--eta", "0.9", "--depth"]
+    assert main(argv + ["1" + "0" * 400]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("graphcode-lt: error: --depth ")
+    assert captured.err.count("\n") == 1
+    assert main(argv + ["1" + "0" * 300, "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"][0][
+        "p_end_to_end"] == 0.0
+
+
 def test_fbqc_accepts_pfail_list(tmp_path):
     out = tmp_path / "fbqc.csv"
     rc = main(["fbqc", "--graph", "shor22", "--pfail", "0.5,0.25",
@@ -491,6 +507,36 @@ def test_json_rows_match_the_indented_dump(rows, capsys, tmp_path):
     out = tmp_path / "rows.json"
     emit_rows(_HEADER, iter(rows), _CONFIG, str(out), "json")
     assert out.read_text(encoding="ascii") == want
+
+
+_JSON_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 2.0 ** 53 + 1, 0.1 + 0.2]),
+    st.integers(),
+    st.integers(-2 ** 200, 2 ** 200),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"quoted"', "back\\slash", "\u00e9ta \u2264 1 \U0001f600",
+                     "50 %s %%"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(max_size=6), min_size=1, max_size=6, unique=True),
+       st.data())
+def test_json_row_template_matches_the_dump(header, data):
+    # the template's text of floats, ints, bools, NaN, +-inf and strings
+    # is the C encoder's, headers with '%' or quotes included
+    rows = data.draw(st.lists(st.lists(_JSON_VALUES, min_size=len(header),
+                                       max_size=len(header)), max_size=4))
+    payload = {"tool": "graphcode-lt", "version": graphcode_lt.__version__,
+               "config_hash": config_hash(_CONFIG), "config": _CONFIG,
+               "result": [dict(zip(header, row)) for row in rows]}
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        emit_rows(header, iter(rows), _CONFIG, None, "json")
+    assert sink.getvalue() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("rows", [_ROWS, []], ids=["rows", "empty"])
@@ -692,7 +738,8 @@ def test_mc_check_fails_an_estimate_far_from_exact(monkeypatch, capsys):
 
 
 def test_mc_check_above_one_chunk_is_deterministic_per_seed(capsys):
-    # 70,000 trials span two 65,536-trial chunks
+    # the tally of 70,000 trials is one multinomial draw of the seeded
+    # generator
     argv = ["mc-check", "--graph", "cube", "--basis", "X", "--eta", "0.8",
             "--trials", "70000", "--seed", "3"]
     assert main(argv) == EXIT_OK
@@ -700,6 +747,18 @@ def test_mc_check_above_one_chunk_is_deterministic_per_seed(capsys):
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == first
     assert first.startswith("PASS")
+
+
+def test_mc_check_trials_past_int64_exit_3(capsys):
+    # the tally is one int64 multinomial draw: 2^63 - 1 trials run, in
+    # milliseconds, and one more is refused before any tree is built
+    argv = ["mc-check", "--graph", "pentagon", "--basis", "X", "--trials"]
+    assert main(argv + [str(2 ** 63 - 1)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("PASS exact=0.963900 mc=0.963900")
+    assert main(argv + [str(2 ** 63)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must be at most" in captured.err
 
 
 def test_version_flag_exits_cleanly():

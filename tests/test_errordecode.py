@@ -9,6 +9,7 @@ import random
 from collections import defaultdict
 from itertools import product
 
+import numpy as np
 import pytest
 
 from _oracles import (
@@ -52,7 +53,7 @@ from graphcode_lt.losstree import (
 )
 from graphcode_lt.opsets import ResourceLimitError, stabilizer_group
 from graphcode_lt.pauli import PauliOperator, PauliSpan, iter_bits
-from graphcode_lt.polynomials import LossPolynomial, break_even
+from graphcode_lt.polynomials import KERNEL_FLOATS, LossPolynomial, break_even
 from graphcode_lt.search import enumerate_candidates
 from test_golden import _codes as golden_codes
 from test_golden import _random_code
@@ -513,6 +514,27 @@ def test_flip_rates_equal_fault_probability_at_unit_transmission():
         for r in vectors:
             want = tuple(fault_probability(code, b, 1.0, r) for b in "XYZ")
             assert logical_flip_rates(code, r) == want
+
+
+def test_block_flip_rates_equal_the_per_point_call():
+    # a block is binned by one bincount over bins offset per point, which
+    # keeps each bin's index order, so every point's rates are the floats
+    # of its one-point call; 1,200 points span at least three
+    # KERNEL_FLOATS chunks of every table here
+    rng = np.random.default_rng(38)
+    lams = np.array([0.0, *np.linspace(0.001, 0.1, 100), 1.0 / 3.0])
+    rates = np.vstack([np.stack(depolarizing(lams), axis=1),
+                       rng.uniform(0.0, 1.0, (1200 - len(lams), 3))])
+    for code in golden_codes().values():
+        block = logical_flip_rates(code, rates)
+        assert block.shape == (1200, 3)
+        for r, row in zip(rates.tolist(), block.tolist()):
+            assert logical_flip_rates(code, tuple(r)) == tuple(row)
+        for basis in "XYZ":
+            table = errordecode._loss_free_table(code, basis)
+            if table is not None:
+                assert len(rates) > 2 * KERNEL_FLOATS // max(
+                    len(table.bins), table.size)
 
 
 def test_lambda_sweep_builds_no_error_analysis(capsys):

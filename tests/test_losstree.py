@@ -629,8 +629,9 @@ def test_monte_carlo_extremes_and_determinism():
 
 
 def test_monte_carlo_memory_is_bounded_by_the_chunk():
-    # 2^22 trials drawn at once peak near 70 MB (17 bytes a trial); in
-    # chunks of 2^16 the sampling peaks near 1.1 MB
+    # 2^22 trials drawn one uniform per qubit at once peak near 70 MB (17
+    # bytes a trial); tallied per loss configuration in one multinomial
+    # draw they take 2^n entries, whatever the trial count
     code = pentagon_code()
     tree = build_pauli_tree(code, "Z")
     trials = 1 << 22
@@ -643,6 +644,20 @@ def test_monte_carlo_memory_is_bounded_by_the_chunk():
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
     assert abs(mc - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+
+def test_loss_tally_per_qubit_counts_within_four_sigma():
+    # each qubit is detected in a binomial(trials, eta) count of the
+    # trials: the configurations with its bit set
+    n, trials = 10, 10 ** 6
+    masks = np.arange(1 << n)
+    for eta, seed in ((0.7, 0), (0.95, 1), (0.1, 2)):
+        tally = losstree._loss_tally(n, eta, trials, seed)
+        assert tally.sum() == trials
+        sigma = math.sqrt(trials * eta * (1 - eta))
+        for q in range(n):
+            detected = int(tally[(masks >> q) & 1 == 1].sum())
+            assert abs(detected - eta * trials) <= 4 * sigma
 
 
 def test_monte_carlo_counts_match_cylinder_sets():
