@@ -386,7 +386,7 @@ class AdaptiveFusionAnalysis:
         n = code.n
         strategies = _strategies(code)
         cosets, is_x = _cosets(code)
-        needs, is_x = cosets.needs, is_x.tolist()
+        need, is_x = cosets.need_view, is_x.tolist()
         # a qubit mask times this sets every letter on those qubits
         # (``pauli.spread``), as an unmeasured qubit admits
         wildcard = spread(1, n, BASES)
@@ -446,7 +446,7 @@ class AdaptiveFusionAnalysis:
             for leaf, (a, b) in paths(grow(pattern, (pairs, members), step)):
                 lx, lz = set(), set()
                 for t in leaf.targets:
-                    (lx if is_x[t] else lz).add(needs[t] & face)
+                    (lx if is_x[t] else lz).add(need[t] & face)
                 de = (sum(a), sum(b))
                 poly = groups.setdefault((frozenset(lx), frozenset(lz)), {})
                 poly[de] = poly.get(de, 0) + 1
@@ -514,8 +514,9 @@ class AdaptiveFusionAnalysis:
             walk(pattern.lose(q), letters, face, candidates, members, a, bx,
                  bz, c + 1)
 
-        walk(MeasurementPattern(n), 0, 0, np.arange(len(strategies)),
-             np.arange(len(cosets)), 0, 0, 0, 0)
+        walk(MeasurementPattern(n), 0, 0,
+             np.arange(len(strategies), dtype=np.int32),
+             np.arange(len(cosets), dtype=np.int32), 0, 0, 0, 0)
         # walk refers to itself, so the compile state it reaches would
         # otherwise wait for the cycle collector
         del walk

@@ -21,8 +21,10 @@ that gives it.  ``canonical_form`` and ``canonical_key`` are one-graph
 blocks.
 
 Orbit closure, ``close_orbits``, runs breadth first over a block of seed
-forms at once: each layer makes all its local complementations in one
-vectorised xor and canonicalises them in one kernel call per chunk.  One
+forms at once: each layer makes its local complementations in one
+vectorised xor, skipping those that can only land on a form already
+found (the move back to a member's parent, and a move at a vertex with
+a lower twin), and canonicalises them in one kernel call per chunk.  One
 compact key per form, kept sorted, tells new forms from found ones, and a
 union-find forest over the seeds merges two seeds' orbits when a move
 from one reaches a form found from the other.  ``lc_orbit`` is the
@@ -237,16 +239,23 @@ def canonical_block(rows, n_fixed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return forms, place
 
 
+def _lower_twins(rows: np.ndarray, fixed: int) -> np.ndarray:
+    """``earlier[graph, v]``: the mask of the unpinned u < v twinned with
+    v, N(u) - {v} = N(v) - {u}, in each graph of ``rows``."""
+    vertices = np.arange(rows.shape[1])
+    bit = np.left_shift(1, vertices, dtype=np.int64)
+    lower = (vertices[:, None] < vertices) & (vertices[:, None] >= fixed)
+    twins = ((rows[:, :, None] ^ rows[:, None, :])
+             & ~(bit[:, None] | bit) == 0) & lower           # [graph, u, v]
+    return (twins * bit[:, None]).sum(axis=1)
+
+
 def _canonical_chunk(rows: np.ndarray, fixed: int) -> tuple[np.ndarray, np.ndarray]:
     count, n = rows.shape
     vertices = np.arange(n)
     bit = np.left_shift(1, vertices, dtype=np.int64)
     adjacent = rows[:, :, None] >> vertices & 1              # [graph, v, u]
-    # earlier[graph, v]: the mask of unpinned u < v twinned with v
-    lower = (vertices[:, None] < vertices) & (vertices[:, None] >= fixed)
-    twins = ((rows[:, :, None] ^ rows[:, None, :])
-             & ~(bit[:, None] | bit) == 0) & lower           # [graph, u, v]
-    earlier = (twins * bit[:, None]).sum(axis=1)
+    earlier = _lower_twins(rows, fixed)
 
     # one row per kept order: its graph, unplaced vertices, the unplaced
     # vertices' columns and the vertices placed so far, grouped by graph;
@@ -314,15 +323,17 @@ def _keys(forms: np.ndarray) -> np.ndarray:
     return np.stack(words, axis=1).view(np.dtype((np.void, 8 * len(words))))[:, 0]
 
 
-def _lc_moves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lc_moves(rows: np.ndarray, skip: np.ndarray) -> tuple:
     """Local complementation of each graph of ``rows`` at each vertex of
-    degree two or more (at the others it is the identity), graph by graph
-    in vertex order: (the source row of each move, the moved graphs)."""
-    source, v = np.nonzero(rows & rows - 1)
-    centre = rows[source, v][:, None]
+    degree two or more (at the others it is the identity) that is not in
+    its ``skip`` mask, graph by graph in vertex order: (the source row of
+    each move, its vertex, the moved graphs)."""
     vertices = np.arange(rows.shape[1])
+    source, v = np.nonzero((rows & rows - 1 != 0)
+                           & (skip[:, None] >> vertices & 1 == 0))
+    centre = rows[source, v][:, None]
     inside = centre & ~np.left_shift(1, vertices, dtype=np.int64)
-    return source, rows[source] ^ (centre >> vertices & 1) * inside
+    return source, v, rows[source] ^ (centre >> vertices & 1) * inside
 
 
 def _first_equal(keys: np.ndarray) -> np.ndarray:
@@ -360,7 +371,7 @@ def close_orbits(forms: np.ndarray, n_fixed: int, cap: int):
     """The LC orbits of a block of canonical forms, closed together.
 
     The distinct ``forms`` are the seeds.  The closure is breadth first:
-    each layer makes every move of its members at once (``_lc_moves``),
+    each layer makes the moves of its members at once (``_lc_moves``),
     canonicalises them as one block per chunk, and keeps the forms not
     found before as the next layer, in the order of the moves that first
     reach them.  From one seed this is the order in which a closure that
@@ -370,6 +381,20 @@ def close_orbits(forms: np.ndarray, n_fixed: int, cap: int):
     seeds' orbits in a union-find forest over seeds, so each class is one
     tree.  One sorted key per form (``_keys``) answers "found before?".
 
+    Two kinds of move are not made, since each can only land on a form
+    already found, from the same member's seed:
+
+    - the move back to a member's parent: local complementation is an
+      involution, so repeating the parent's move, at the position where
+      ``canonical_block``'s ``place`` put its vertex, gives the parent;
+    - a move at a vertex with a lower unpinned twin (N(u) - {v} = N(v) -
+      {u}, u < v): swapping the two is an automorphism fixing the pinned
+      vertices, so both moves give the same form, and u's comes first.
+
+    No skipped move is the first to reach a form, and the seeds it would
+    merge are merged already, so the members, labels and roots are those
+    of making every move.
+
     Returns ``(members, labels, roots, truncated)``: the members' rows in
     the order found, each member's seed label, each seed's root, and
     whether the closure stopped once some orbit had ``cap`` members, after
@@ -378,7 +403,10 @@ def close_orbits(forms: np.ndarray, n_fixed: int, cap: int):
     keys = _keys(forms)
     seeds = np.flatnonzero(_first_equal(keys) == np.arange(len(keys)))
     count, n = len(seeds), forms.shape[1]
+    bit = np.left_shift(1, np.arange(n), dtype=np.int64)
+    # each member's move back to its parent as a vertex mask, 0 for a seed
     frontier, label = forms[seeds], np.arange(count)
+    back = np.zeros(count, np.int64)
     by_key = np.argsort(keys[seeds])
     known, known_label = keys[seeds][by_key], by_key
     parent, sizes = label.copy(), np.ones(count)
@@ -393,16 +421,22 @@ def close_orbits(forms: np.ndarray, n_fixed: int, cap: int):
             break
         linked, linked_to, fresh = [], [], []
         for lo in range(0, len(frontier), step):
-            source, moved = _lc_moves(frontier[lo:lo + step])
-            found = canonical_block(moved, n_fixed)[0]
+            chunk = frontier[lo:lo + step]
+            twinned = _lower_twins(chunk, min(n_fixed, n)) != 0
+            skip = back[lo:lo + step] | (twinned * bit).sum(axis=1)
+            source, v, moved = _lc_moves(chunk, skip)
+            found, place = canonical_block(moved, n_fixed)
+            # where vertex v lands, the move back to the source is made
+            home = (place == v[:, None]).argmax(axis=1)
             found_keys = _keys(found)
             found_label = label[lo + source]
             at = np.searchsorted(known, found_keys).clip(max=len(known) - 1)
             old = known[at] == found_keys
             linked.append(found_label[old])
             linked_to.append(known_label[at[old]])
-            fresh.append((found[~old], found_keys[~old], found_label[~old]))
-        found, found_keys, found_label = map(np.concatenate, zip(*fresh))
+            fresh.append((found[~old], found_keys[~old], found_label[~old],
+                          home[~old]))
+        found, found_keys, found_label, home = map(np.concatenate, zip(*fresh))
         # each new form goes to the first move that reached it, and the
         # seeds of every later move reaching it are merged with its seed
         first = _first_equal(found_keys)
@@ -410,7 +444,7 @@ def close_orbits(forms: np.ndarray, n_fixed: int, cap: int):
         linked_to.append(found_label[first])
         _union(parent, np.concatenate(linked), np.concatenate(linked_to))
         new = np.flatnonzero(first == np.arange(len(first)))
-        frontier, label = found[new], found_label[new]
+        frontier, label, back = found[new], found_label[new], bit[home[new]]
         layers.append(frontier)
         labels.append(label)
         sizes += np.bincount(label, minlength=count)

@@ -122,44 +122,62 @@ def _rank(x: np.ndarray, z: np.ndarray, n: int, keep: int = -1) -> np.ndarray:
 SMALL = 32
 
 
+def _indices(idx) -> np.ndarray:
+    """An index sequence as an array: an array as it is, a list as intp."""
+    return idx if isinstance(idx, np.ndarray) else np.array(idx, dtype=np.intp)
+
+
 class TargetSet:
     """What a decoder must read out, as per-code arrays.
 
     A target is one logical operator (Pauli mode), or an anticommuting
     pair teleported onto an output qubit (arbitrary mode).  The operators
     are the int64 arrays ``x`` and ``z``, sorted by (weight, x, z), and
-    ``ops`` as ``PauliOperator``s where leaves need them.  Target t reads
-    operators ``pair[t] = (first, second)`` (the same index twice for a
-    single operator) onto ``output[t]`` (-1: none).  ``need[t]`` is its joint
-    packed letter mask (``pauli.packed``) as a uint64: 4n bits, so
-    n <= 16.  The output qubit counts as an A letter only, since it must
-    be measured in the rotated basis.
+    ``ops`` as ``PauliOperator``s where leaves need them.  The targets
+    are three arrays and no object each, 17 bytes a target:
+
+    - ``pair``, int32 of shape (targets, 2): target t reads operators
+      ``pair[t] = (first, second)``, the same index twice for a single
+      operator;
+    - ``output``, int8: the qubit it teleports onto, -1 for none;
+    - ``need``, uint64: its joint packed letter mask (``pauli.packed``),
+      4n bits, so n <= 16.  The output qubit counts as an A letter only,
+      since it must be measured in the rotated basis.
 
     A decoder's state is an index sequence into the targets: a list of
     ints below ``SMALL`` targets, tested one at a time in Python, and an
-    intp array at or above it, tested in numpy passes.  ``narrow`` hands
-    back whichever its result's length calls for, so a state shrinking
-    below ``SMALL`` leaves numpy for good.  ``len`` is the number of
-    targets; indexing builds one as a ``Target``.
+    index array at or above it (int32 from the root), tested in numpy
+    passes of at most ``KERNEL_FLOATS`` targets.  ``narrow`` hands back
+    whichever its result's length calls for, so a state shrinking below
+    ``SMALL`` leaves numpy for good.  ``len`` is the number of targets;
+    indexing builds one as a ``Target``.
     """
 
     __slots__ = ("n", "ops", "x", "z", "support", "supports", "pair", "output",
-                 "need", "needs")
+                 "need", "need_view")
 
     def __init__(self, n: int, x: np.ndarray, z: np.ndarray,
                  pairs: tuple | None = None, ops: tuple = ()):
+        """``pairs`` is ``(pair, output)`` as ``_anticommuting_pairs``
+        makes them; without it every operator is a target of its own."""
         self.n, self.ops, self.x, self.z, self.support = n, ops, x, z, x | z
         self.supports = self.support.tolist()
-        single = np.arange(len(x))
-        first, second, self.output = pairs or (single, single, np.full(len(x), -1))
-        self.pair = np.stack((first, second), axis=1)
+        if pairs is None:
+            single = np.arange(len(x), dtype=np.int32)
+            pairs = np.stack((single, single), axis=1), np.full(len(x), -1, np.int8)
+        self.pair, self.output = pairs
         masks = packed(x.astype(np.uint64), z.astype(np.uint64), n)
-        need = masks[first] | masks[second]
-        # the output qubit's bit, or 0 for a target with no output
-        bit = ((self.output >= 0).astype(np.uint64)
-               << self.output.clip(0).astype(np.uint64))
-        need = need & ~spread(bit, n, "XYZ") | spread(bit, n, "A")
-        self.need, self.needs = need, need.tolist()
+        self.need = np.empty(len(self.output), np.uint64)
+        for lo in range(0, len(self.need), KERNEL_FLOATS):
+            pair = self.pair[lo:lo + KERNEL_FLOATS]
+            output = self.output[lo:lo + KERNEL_FLOATS]
+            # the output qubit's bit, or 0 for a target with no output
+            bit = ((output >= 0).astype(np.uint64)
+                   << output.clip(0).astype(np.uint64))
+            need = masks[pair[:, 0]] | masks[pair[:, 1]]
+            self.need[lo:lo + KERNEL_FLOATS] = (need & ~spread(bit, n, "XYZ")
+                                                | spread(bit, n, "A"))
+        self.need_view = memoryview(self.need)
 
     def __len__(self) -> int:
         return len(self.need)
@@ -168,49 +186,66 @@ class TargetSet:
         (i, j), o = self.pair[t].tolist(), int(self.output[t])
         return Target(self.ops[i], None if j == i else self.ops[j], None if o < 0 else o)
 
+    def _deny(self, allowed: int) -> np.uint64:
+        """The letters of the ``n`` qubits that ``allowed`` does not admit."""
+        return np.uint64(~allowed & ((1 << 4 * self.n) - 1))
+
     def narrow(self, idx, allowed: int):
         """The targets in ``idx`` every letter of which the packed
         ``allowed`` mask admits (``pauli.fits``), in their given order: a
-        list of ints when fewer than ``SMALL`` are left, else an intp
-        array.  ``idx`` is either.
+        list of ints when fewer than ``SMALL`` are left, else an index
+        array of ``idx``'s dtype (``idx`` itself when every target fits).
+        ``idx`` is either.
 
-        Fewer than ``SMALL`` targets are tested one at a time in Python on
-        ``needs``, the masks as Python ints, since numpy's fixed cost per
-        call dominates there; the list they leave stays a list, so a
-        small decoder state makes no numpy round trip.  Timed on one call
-        from a list against one numpy pass over an array (Python 3.11,
-        numpy 2.4, 2-core VM): 1.0 us against 3.5 at 4 targets, 2.6
-        against 4.2 at 16, 3.6 against 3.9 at 32.  The decoders' lists
-        are short on small codes (a median of 4 over the 7-vertex search)
-        and run to thousands on 12-14 qubits."""
+        Fewer than ``SMALL`` targets are tested one at a time in Python,
+        each mask read as a Python int through ``need_view``, a zero-copy
+        ``memoryview`` of ``need``, since numpy's fixed cost per call
+        dominates there; the list they leave stays a list, so a small
+        decoder state makes no numpy round trip.  Timed on one call from
+        a list against one numpy pass over an array (Python 3.11, numpy
+        2.4, 2-core VM): 0.8 us against 3.8 at 4 targets, 1.9 against
+        3.9 at 16, 3.4 against 4.0 at 32.  The decoders' lists are short
+        on small codes (a median of 4 over the 7-vertex search) and run
+        to millions on 14 qubits, which are tested ``KERNEL_FLOATS``
+        targets at a time, so no temporary grows with the state."""
         if len(idx) < SMALL:
-            deny, needs = ~allowed, self.needs
+            deny, need = ~allowed, self.need_view
             if isinstance(idx, np.ndarray):
                 idx = idx.tolist()
-            return [t for t in idx if not needs[t] & deny]
-        idx = np.asarray(idx, dtype=np.intp)
-        deny = np.uint64(~allowed & ((1 << 4 * self.n) - 1))
-        kept = idx[(self.need[idx] & deny) == 0]
+            return [t for t in idx if not need[t] & deny]
+        idx, deny, kept = _indices(idx), self._deny(allowed), []
+        for lo in range(0, len(idx), KERNEL_FLOATS):
+            piece = idx[lo:lo + KERNEL_FLOATS]
+            fit = piece[(self.need[piece] & deny) == 0]
+            # a piece kept whole stays a view of ``idx``
+            kept.append(piece if len(fit) == len(piece) else fit)
+        if sum(map(len, kept)) == len(idx):
+            return idx
+        kept = kept[0] if len(kept) == 1 else np.concatenate(kept)
         return kept.tolist() if len(kept) < SMALL else kept
 
     def first_fit(self, idx, allowed: int) -> int | None:
         """The first target in ``idx`` that ``narrow`` would keep, or None:
-        a short list is tested one target at a time and stops at the
-        first fit."""
+        a short list is tested one target at a time, a long state a
+        ``KERNEL_FLOATS`` piece at a time, and either stops at the first
+        fit."""
         if len(idx) < SMALL:
-            deny, needs = ~allowed, self.needs
+            deny, need = ~allowed, self.need_view
             for t in idx:
-                if not needs[t] & deny:
+                if not need[t] & deny:
                     return int(t)
             return None
-        idx = np.asarray(idx, dtype=np.intp)
-        deny = np.uint64(~allowed & ((1 << 4 * self.n) - 1))
-        hit = np.flatnonzero((self.need[idx] & deny) == 0)
-        return int(idx[hit[0]]) if hit.size else None
+        idx, deny = _indices(idx), self._deny(allowed)
+        for lo in range(0, len(idx), KERNEL_FLOATS):
+            piece = idx[lo:lo + KERNEL_FLOATS]
+            hit = np.flatnonzero((self.need[piece] & deny) == 0)
+            if hit.size:
+                return int(piece[hit[0]])
+        return None
 
     def toward(self, idx, q: int):
         """The targets in ``idx`` whose output qubit is ``q``, in their
-        given order: a list for a list, else an intp array."""
+        given order: a list for a list, else an array of its dtype."""
         if isinstance(idx, list):
             # a memoryview reads single entries as Python ints
             output = memoryview(self.output)
@@ -219,7 +254,7 @@ class TargetSet:
 
     def operators(self, idx):
         """Each target's operator indices in ``idx``, (first, second) in
-        turn: a list for a list, else an intp array."""
+        turn: a list for a list, else an int32 array."""
         if isinstance(idx, list):
             pair = memoryview(self.pair)
             return [pair[t, k] for t in idx for k in (0, 1)]
@@ -227,8 +262,13 @@ class TargetSet:
 
     def busiest_output(self, idx) -> int:
         """The output qubit shared by the most targets in ``idx``; ties go
-        to the lowest (``argmax`` takes the first maximum)."""
-        return int(np.bincount(self.output[idx]).argmax())
+        to the lowest (``argmax`` takes the first maximum).  Counted a
+        ``KERNEL_FLOATS`` piece at a time, since ``bincount`` widens its
+        input to intp."""
+        counts = sum(np.bincount(self.output[idx[lo:lo + KERNEL_FLOATS]],
+                                 minlength=self.n)
+                     for lo in range(0, len(idx), KERNEL_FLOATS))
+        return int(counts.argmax())
 
     def attempt(self, members, pattern: MeasurementPattern,
                 rank: np.ndarray | None = None):
@@ -257,7 +297,7 @@ class TargetSet:
                 return None
             i = min(live) if rank is None else min(live, key=rank.item)
         else:
-            members = np.asarray(members, dtype=np.intp)
+            members = _indices(members)
             live = members[(self.support[members] & free) != 0]
             if not live.size:
                 return None
@@ -332,8 +372,8 @@ def _tree_step(pattern: MeasurementPattern, state):
 
 def _tree(code: GraphCode, kind: str, ts: TargetSet) -> DecisionTree:
     """Grow a loss decoder over the targets ``ts``, all alive at first."""
-    root = grow(MeasurementPattern(code.n), (ts, np.arange(len(ts)), -1),
-                _tree_step)
+    root = grow(MeasurementPattern(code.n),
+                (ts, np.arange(len(ts), dtype=np.int32), -1), _tree_step)
     return DecisionTree(code, kind, root)
 
 
@@ -375,9 +415,10 @@ def _strategies(code: GraphCode) -> TargetSet:
 
 
 def _anticommuting_pairs(x: np.ndarray, z: np.ndarray) -> tuple:
-    """(first, second, output) index arrays of the pairs i < j of the
-    operators ``(x, z)`` that differ on exactly one shared qubit, the
-    output, in the (i, j) order of the double loop over the operators.
+    """``(pair, output)`` of the pairs i < j of the operators ``(x, z)``
+    that differ on exactly one shared qubit, the output, in the (i, j)
+    order of the double loop over the operators: ``TargetSet``'s int32
+    (pairs, 2) index array and int8 output qubits.
 
     Rows i of the upper triangle are taken in blocks, each block against
     the columns j > i of its first row; entries of its later rows with
@@ -385,10 +426,12 @@ def _anticommuting_pairs(x: np.ndarray, z: np.ndarray) -> tuple:
     order, the loop's order.  A block takes as many rows as
     ``KERNEL_FLOATS`` entries allow, and a row longer than that is cut
     into pieces of ``KERNEL_FLOATS`` columns, read in increasing j, so no
-    temporary holds more than ``KERNEL_FLOATS`` entries.
+    temporary holds more than ``KERNEL_FLOATS`` entries.  Each piece's
+    pairs go straight into the two compact arrays, 9 bytes a pair, whose
+    room doubles when they fill.
     """
     count = len(x)
-    firsts, seconds, bits = [], [], []
+    pair, output, found = np.empty((0, 2), np.int32), np.empty(0, np.int8), 0
     lo = 0
     while lo < count - 1:
         width = count - lo - 1
@@ -404,15 +447,25 @@ def _anticommuting_pairs(x: np.ndarray, z: np.ndarray) -> tuple:
             # entry (r, c) is the pair (lo + r, start + c): keep j > i
             keep &= np.arange(start, stop)[None, :] > np.arange(lo, hi)[:, None]
             r, c = np.nonzero(keep)
-            firsts.append(r + lo)
-            seconds.append(c + start)
-            bits.append(d[r, c])
+            end = found + len(r)
+            if end > len(output):
+                # twice the room: the copies add up to fewer than the
+                # pairs, and the pages past ``found`` stay untouched
+                pair, output = (_grown(a, found, 2 * end) for a in (pair, output))
+            pair[found:end, 0], pair[found:end, 1] = r + lo, c + start
+            # each bit is a power of two 2^q, which frexp writes as
+            # 0.5 * 2^(q+1)
+            output[found:end] = np.frexp(d[r, c])[1] - 1
+            found = end
         lo = hi
-    if not firsts:
-        return (np.zeros(0, np.int64),) * 3
-    # each bit is a power of two 2^q, which frexp writes as 0.5 * 2^(q+1)
-    output = np.frexp(np.concatenate(bits))[1].astype(np.int64) - 1
-    return np.concatenate(firsts), np.concatenate(seconds), output
+    return pair[:found], output[:found]
+
+
+def _grown(a: np.ndarray, used: int, room: int) -> np.ndarray:
+    """An array of ``room`` rows that starts with ``a``'s first ``used``."""
+    grown = np.empty((room,) + a.shape[1:], a.dtype)
+    grown[:used] = a[:used]
+    return grown
 
 
 @per_code

@@ -445,6 +445,55 @@ def _naive_orbit(g: Graph, n_fixed: int) -> set[Graph]:
     return set(breadth_first_orbit(g, n_fixed))
 
 
+def close_orbits_reference(forms: np.ndarray, n_fixed: int, cap: int):
+    """``graphs.close_orbits`` by a closure that makes every move, one
+    at a time: each member of a layer, in order, complements at every
+    vertex in increasing order, and a form not found before joins the
+    next layer with the member's seed label.  A form found before merges
+    the two seeds' orbits; each seed's root is the least seed its orbit
+    meets."""
+    n = forms.shape[1]
+    found, layer = {}, []
+    for row in map(tuple, forms.tolist()):
+        if row not in found:
+            found[row] = len(layer)
+            layer.append(row)
+    members, labels = list(layer), list(range(len(layer)))
+    parent = list(range(len(layer)))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    while True:
+        sizes = {}
+        for label in labels:
+            sizes[root(label)] = sizes.get(root(label), 0) + 1
+        if max(sizes.values()) >= cap:
+            truncated = True
+            break
+        if not layer:
+            truncated = False
+            break
+        fresh = []
+        for row in layer:
+            label = found[row]
+            for v in range(n):
+                form = canonical_form(local_complement(Graph(n, row), v), n_fixed).nbr
+                if form in found:
+                    a, b = root(label), root(found[form])
+                    parent[max(a, b)] = min(a, b)
+                else:
+                    found[form] = label
+                    fresh.append(form)
+                    members.append(form)
+                    labels.append(label)
+        layer = fresh
+    roots = [root(a) for a in range(len(parent))]
+    return np.array(members), np.array(labels), np.array(roots), truncated
+
+
 # -- rooted classes by orbit closure ---------------------------------------------
 # The two-pass definition of the candidate list: close one rooted orbit
 # for every root of every unrooted class, and keep each orbit's minimum
@@ -859,7 +908,7 @@ def adaptive_terms_reference(code, randomize: bool) -> dict:
     strategies = _strategies(code)
     cosets, is_x = _cosets(code)
     every = np.arange(len(cosets))
-    needs, is_x = cosets.needs, is_x.tolist()
+    needs, is_x = cosets.need.tolist(), is_x.tolist()
     ranks = [_rank(strategies.x, strategies.z, n, ~(1 << q)) for q in range(n)]
     counts = {klass: {} for klass in _CLASSES}
 

@@ -23,20 +23,24 @@ from networkx.readwrite.graph6 import n_to_data
 import graphcode_lt
 from graphcode_lt.cli import main
 from graphcode_lt.graphs import (
+    ORBIT_CAP,
     Graph,
     _graph6_size,
     canonical_block,
     canonical_form,
     canonical_key,
+    close_orbits,
     graph_state_generators,
     lc_orbit,
     local_complement,
     star_graph,
 )
+from graphcode_lt.search import _representatives
 
 from _oracles import (
     _naive_orbit,
     breadth_first_orbit,
+    close_orbits_reference,
     complete_graph,
     cycle_graph,
     is_connected,
@@ -385,6 +389,43 @@ def test_orbit_cap_keeps_breadth_first_order():
                 assert members == set(order[:cap])
                 assert truncated == (cap <= len(order))
 
+
+
+def test_skipped_moves_keep_members_labels_and_roots():
+    # close_orbits skips the move back to a member's parent and moves at
+    # a vertex with a lower unpinned twin; a closure that makes every move
+    # finds the same members in the same order, with the same seed labels
+    # and roots, on seed blocks whose orbits meet (a seed and its moves),
+    # repeat (a seed twice) and stop at a cap
+    rng = random.Random(39)
+    for _ in range(12):
+        n = rng.randint(3, 7)
+        base = [random_graph(rng, n) for _ in range(rng.randint(1, 3))]
+        moved = [local_complement(g, rng.randrange(n)) for g in base]
+        rows = [g.nbr for g in base + moved + base[:1]]
+        rng.shuffle(rows)
+        for n_fixed in range(3):
+            forms = canonical_block(rows, n_fixed)[0]
+            for cap in (ORBIT_CAP, rng.randint(2, 12)):
+                got = close_orbits(forms, n_fixed, cap)
+                want = close_orbits_reference(forms, n_fixed, cap)
+                for a, b in zip(got[:3], want[:3]):
+                    assert np.array_equal(a, b)
+                assert got[3] == want[3]
+
+
+def test_rooted_seven_canonicalises_fewer_moves(monkeypatch):
+    # the rows close_orbits sends to canonical_block over the rooted
+    # 7-vertex enumeration: 29,834 when every move is made
+    rows = []
+
+    def counting(block, n_fixed=0):
+        rows.append(len(block))
+        return canonical_block(block, n_fixed)
+
+    monkeypatch.setattr(graphcode_lt.graphs, "canonical_block", counting)
+    assert len(_representatives(7, 1)) == 63
+    assert sum(rows) == 22611
 
 
 def test_orbit_past_one_key_word_matches_naive_closure():

@@ -365,7 +365,7 @@ def test_strategies_match_commutation_reference():
         assert triples(got) == want
         assert [tuple(t) for t in got] == want
         assert got.ops == enumerate_nontrivial(code, "AllLogical")
-        assert got.needs == [need_reference(*t) for t in want]
+        assert got.need.tolist() == [need_reference(*t) for t in want]
         assert not any(a.commutes(b) for a, b, _ in want)
 
 
@@ -384,8 +384,8 @@ def test_blocked_pairing_crosses_block_edges(monkeypatch):
 def test_pairing_memory_does_not_grow_with_operators_squared():
     # tree[3,3] has 1,752 operators: a pass over all pairs at once would
     # hold 24.5 MB a temporary; blocks hold KERNEL_FLOATS entries, so the
-    # peak is a few of them plus the pairs found (kept in pieces, then
-    # joined)
+    # peak is a few of them plus the pairs found (in arrays whose room
+    # doubles as they fill)
     code = tree_code([3, 3])
     x, z = losstree._xz(enumerate_nontrivial(code, "AllLogical"))
     assert len(x) ** 2 > 40 * losstree.KERNEL_FLOATS
@@ -401,6 +401,69 @@ def test_pairing_memory_does_not_grow_with_operators_squared():
     assert peak <= 8 * 8 * losstree.KERNEL_FLOATS + 2 * found
 
 
+def test_targets_take_seventeen_bytes_and_no_object_each():
+    # int32 operator pairs, an int8 output and the uint64 mask; building
+    # the set keeps the mask and per-operator lists, nothing per target
+    code = tree_code([3, 2])
+    ops = enumerate_nontrivial(code, "AllLogical")
+    x, z = losstree._xz(ops)
+    pairs = losstree._anticommuting_pairs(x, z)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ts = TargetSet(code.n, x, z, pairs, ops)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ts) > 20 * len(ops)
+    singles = TargetSet(code.n, x, z)
+    for targets in (ts, singles):
+        assert targets.pair.dtype == np.int32
+        assert targets.pair.shape == (len(targets), 2)
+        assert targets.output.dtype == np.int8
+        assert targets.need.dtype == np.uint64
+        stored = targets.pair.nbytes + targets.output.nbytes + targets.need.nbytes
+        assert stored <= 17 * len(targets)
+        assert targets.need_view.obj is targets.need
+    assert (singles.output == -1).all()
+    assert kept <= ts.need.nbytes + 200 * len(ops)
+
+
+def test_blocked_targets_match_one_block(monkeypatch):
+    # pairing, masks, narrow and first_fit in pieces of a few targets give
+    # what one block gives, across the pieces' edges, for list, intp and
+    # int32 states; an array state that fits whole comes back as itself
+    rng = random.Random(39)
+    code = cube_code()
+    ops = enumerate_nontrivial(code, "AllLogical")
+    x, z = losstree._xz(ops)
+    monkeypatch.setattr(losstree, "KERNEL_FLOATS", 1 << 30)
+    whole = TargetSet(code.n, x, z, losstree._anticommuting_pairs(x, z), ops)
+    states = [list(range(len(whole)))]
+    states += [sorted(rng.sample(range(len(whole)), size))
+               for size in (SMALL, SMALL + 1, 3 * SMALL, 200)]
+    letters = [random_allowed(rng, code.n) for _ in range(30)]
+    letters.append((1 << 4 * code.n) - 1)
+    want = {(k, a): (list(whole.narrow(idx, a)), whole.first_fit(idx, a))
+            for k, idx in enumerate(states) for a in letters}
+    for budget in (1, 5, SMALL, 97):
+        monkeypatch.setattr(losstree, "KERNEL_FLOATS", budget)
+        ts = TargetSet(code.n, x, z, losstree._anticommuting_pairs(x, z), ops)
+        for name in ("pair", "output", "need"):
+            got, one = getattr(ts, name), getattr(whole, name)
+            assert got.dtype == one.dtype and np.array_equal(got, one), name
+        for (k, a), (kept, first) in want.items():
+            for given in (states[k], np.array(states[k], np.intp),
+                          np.array(states[k], np.int32)):
+                got = ts.narrow(given, a)
+                assert list(got) == kept
+                if len(kept) >= SMALL:
+                    assert got.dtype == np.asarray(given).dtype
+                    if len(kept) == len(given) and type(given) is not list:
+                        assert got is given
+                assert ts.first_fit(given, a) == first
+
+
 def random_allowed(rng: random.Random, n: int) -> int:
     # each letter of each qubit admitted with probability 3/4
     return rng.getrandbits(4 * n) | rng.getrandbits(4 * n)
@@ -410,7 +473,8 @@ def check_narrow(ts, idx, allowed) -> int:
     """Check ``narrow`` and ``first_fit`` against ``fits`` one target at a
     time, given ``idx`` as an array and as a list; returns how many
     targets ``narrow`` dropped."""
-    want = [t for t in idx if fits(ts.needs[t], allowed)]
+    need = ts.need.tolist()
+    want = [t for t in idx if fits(need[t], allowed)]
     for given in (np.array(idx, dtype=np.intp), list(idx)):
         got = ts.narrow(given, allowed)
         # a state below SMALL targets is a list, at or above it an array
@@ -430,7 +494,7 @@ def test_narrow_keeps_fitting_targets_in_order():
     code = cube_code()
     ops = enumerate_nontrivial(code, "LogicalZ")
     singles = TargetSet(code.n, *losstree._xz(ops), ops=ops)
-    assert singles.needs == [op.masks for op in ops]
+    assert singles.need.tolist() == [op.masks for op in ops]
     for ts in (_strategies(code), singles):
         assert len(ts) > SMALL
         for size in (0, 1, SMALL - 1, SMALL, len(ts)):
