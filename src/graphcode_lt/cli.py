@@ -231,10 +231,10 @@ def parse_grid(text: str, name: str):
     return values
 
 
-def check_unit(value: float, name: str, lo: float = 0.0, hi: float = 1.0):
-    if not lo <= value <= hi:
+def check_unit(value: float, name: str, hi: float = 1.0):
+    if not 0.0 <= value <= hi:
         raise CliError(EXIT_VALIDATION,
-                       f"{name} must lie in [{lo}, {hi}], got {value}")
+                       f"{name} must lie in [0.0, {hi}], got {value}")
     return value
 
 

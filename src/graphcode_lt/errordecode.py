@@ -74,9 +74,11 @@ def depolarizing(lam):
 
     A rate-lambda depolarizing channel flips a Pauli measurement outcome
     with probability 2*lambda: two of its three errors anticommute with
-    the measured basis.  ``lam`` is a float, or a 1-D array of them whose
-    triple of arrays ``np.stack(..., axis=1)`` makes a rate block.
+    the measured basis.  ``lam`` is a float, or a 1-D array of them (a
+    list or tuple is read as one) whose triple of arrays
+    ``np.stack(..., axis=1)`` makes a rate block.
     """
+    lam = lam if np.ndim(lam) == 0 else np.asarray(lam)
     lam3 = 3.0 * np.asarray(lam)
     if not ((lam3 >= 0.0) & (lam3 <= 1.0)).all():
         raise ValueError("lambda must satisfy 0 <= 3*lambda <= 1")
@@ -120,7 +122,7 @@ def _greedy_checks(code: GraphCode, pattern: MeasurementPattern,
     # play no part
     n = pattern.n
     pauli = spread((1 << n) - 1, n, "XYZ")
-    deny = ~pattern.allowed(True) & pauli
+    deny = ~pattern.allowed() & pauli
     keep = np.flatnonzero((masks & np.uint64(deny)) == 0)
     kept = supports[keep]
     overlap = np.zeros(len(keep), dtype=np.int64)

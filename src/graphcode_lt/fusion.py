@@ -425,12 +425,9 @@ class AdaptiveFusionAnalysis:
                 allowed = done | pat.unmeasured * wildcard
                 alive = strategies.narrow(alive, allowed)
                 if len(alive):
-                    if strategies.first_fit(alive, done) is not None:
+                    if len(strategies.narrow(alive, done)):
                         return Leaf("success", pat, cosets.narrow(salvage, done))
-                    # each strategy's operators, in order; attempt ranks
-                    # a repeated operator as its first occurrence
-                    q, b = strategies.attempt(strategies.operators(alive), pat,
-                                              rank)
+                    q, b = strategies.attempt(alive, pat, rank)
                     state = alive, salvage
                     return q, b, state, state
                 salvage = cosets.narrow(salvage, allowed)
@@ -493,7 +490,7 @@ class AdaptiveFusionAnalysis:
             # a candidate output must still be unmeasured, so only
             # unmeasured qubits admit the A letter here
             settled = ((1 << n) - 1) ^ pattern.unmeasured
-            allowed = (pattern.allowed(True) | letters) & ~spread(settled, n, "A")
+            allowed = (pattern.allowed() | letters) & ~spread(settled, n, "A")
             candidates = strategies.narrow(candidates, allowed)
             members = cosets.narrow(members, allowed)
             if not len(candidates):

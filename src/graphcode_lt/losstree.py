@@ -16,14 +16,15 @@ target are held per code as one ``TargetSet`` of numpy arrays: operator
 indices, output qubits and each target's joint packed letter mask (laid
 out by ``pauli.packed`` and ``pauli.spread``), which ``pauli.fits`` would
 match against a pattern.  A decoder's state is an index list into it
-while short and an index array once long, and ``narrow``,
-``first_fit``, ``busiest_output`` and ``attempt`` are Python loops over
-a list and numpy passes over an array; a ``Target`` of
-``PauliOperator``s is built only for a leaf.  One walk, ``paths``, reads
-every built tree back: it yields each terminal node with the detected
-and lost attempt counts on its path, which are the exponents of its
-monomial in the success polynomial and in the error decoder's per-leaf
-sums, and the attempt totals of each fusion side decoder's leaf.
+while short and an index array once long, and its four queries,
+``narrow``, ``toward``, ``busiest_output`` and ``attempt``, are Python
+loops over a list and numpy passes of bounded pieces over an array
+(``_kept``); a target's ``PauliOperator``s are read only for a leaf.
+One walk, ``paths``, reads every built tree back: it yields each
+terminal node with the detected and lost attempt counts on its path,
+which are the exponents of its monomial in the success polynomial and
+in the error decoder's per-leaf sums, and the attempt totals of each
+fusion side decoder's leaf.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .pauli import BASES, MeasurementPattern, packed, spread
 from .polynomials import KERNEL_FLOATS, LossPolynomial
 
 __all__ = [
-    "DecisionTree", "Leaf", "MeasureNode", "Target", "TargetSet", "grow",
+    "DecisionTree", "Leaf", "MeasureNode", "TargetSet", "grow",
     "paths", "build_pauli_tree", "build_arbitrary_tree", "success_polynomial",
     "total_polynomial", "monte_carlo_decode", "decode", "load_or_build",
 ]
@@ -102,11 +103,6 @@ class DecisionTree(namedtuple("DecisionTree", "code kind root")):
 # -- the shared recursion -------------------------------------------------------
 
 
-# one target as operators; ``second`` and ``output`` are None for a single
-# logical operator (Pauli mode)
-Target = namedtuple("Target", "first second output")
-
-
 def _rank(x: np.ndarray, z: np.ndarray, n: int, keep: int = -1) -> np.ndarray:
     """One int64 key per operator that orders them as (weight, x, z) does,
     every term restricted to the qubits in ``keep``; needs n <= 16."""
@@ -116,15 +112,30 @@ def _rank(x: np.ndarray, z: np.ndarray, n: int, keep: int = -1) -> np.ndarray:
     return weight << 2 * n | x << n | z
 
 
-# Below this many indices ``narrow``, ``first_fit`` and ``attempt`` test
-# them one at a time in Python (see there); at or above it, in one numpy
-# pass.
+# A decoder state of fewer targets than this is a list of ints, tested one
+# at a time in Python; a longer one is an index array, tested in numpy
+# passes.  ``_kept`` alone reads it.
 SMALL = 32
 
 
-def _indices(idx) -> np.ndarray:
-    """An index sequence as an array: an array as it is, a list as intp."""
-    return idx if isinstance(idx, np.ndarray) else np.array(idx, dtype=np.intp)
+def _kept(idx: np.ndarray, keep):
+    """The entries of the index array ``idx`` that ``keep`` marks, in
+    order.  ``keep(piece)`` is a boolean mask over one piece of
+    ``KERNEL_FLOATS`` entries, so no temporary grows with ``idx``.
+    Returns a list of ints when fewer than ``SMALL`` are kept, else
+    ``idx`` itself when every entry is, else an array of its dtype."""
+    kept = []
+    for lo in range(0, len(idx), KERNEL_FLOATS):
+        piece = idx[lo:lo + KERNEL_FLOATS]
+        fit = piece[keep(piece)]
+        # a piece kept whole stays a view of ``idx``
+        kept.append(piece if len(fit) == len(piece) else fit)
+    count = sum(map(len, kept))
+    if count < SMALL:
+        return [t for piece in kept for t in piece.tolist()]
+    if count == len(idx):
+        return idx
+    return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
 
 class TargetSet:
@@ -146,11 +157,15 @@ class TargetSet:
 
     A decoder's state is an index sequence into the targets: a list of
     ints below ``SMALL`` targets, tested one at a time in Python, and an
-    index array at or above it (int32 from the root), tested in numpy
-    passes of at most ``KERNEL_FLOATS`` targets.  ``narrow`` hands back
-    whichever its result's length calls for, so a state shrinking below
-    ``SMALL`` leaves numpy for good.  ``len`` is the number of targets;
-    indexing builds one as a ``Target``.
+    index array at or above it (int32 from the root), tested
+    ``KERNEL_FLOATS`` targets at a time (``_kept``).  Four queries read a
+    state: ``narrow``, ``toward``, ``busiest_output`` and ``attempt``.
+    The two filters hand back a list once fewer than ``SMALL`` targets are
+    left, so a shrinking state leaves numpy for good, and a short root
+    array, as on the pentagon, takes one numpy pass first.  ``len`` is
+    the number of targets; ``ts[t]`` is target t as (its one or two
+    operators as a tuple of ``PauliOperator``s, its output qubit or
+    None), the fields of a success ``Leaf``.
     """
 
     __slots__ = ("n", "ops", "x", "z", "support", "supports", "pair", "output",
@@ -182,83 +197,38 @@ class TargetSet:
     def __len__(self) -> int:
         return len(self.need)
 
-    def __getitem__(self, t) -> Target:
+    def __getitem__(self, t) -> tuple:
         (i, j), o = self.pair[t].tolist(), int(self.output[t])
-        return Target(self.ops[i], None if j == i else self.ops[j], None if o < 0 else o)
-
-    def _deny(self, allowed: int) -> np.uint64:
-        """The letters of the ``n`` qubits that ``allowed`` does not admit."""
-        return np.uint64(~allowed & ((1 << 4 * self.n) - 1))
+        ops = (self.ops[i],) if j == i else (self.ops[i], self.ops[j])
+        return ops, None if o < 0 else o
 
     def narrow(self, idx, allowed: int):
         """The targets in ``idx`` every letter of which the packed
-        ``allowed`` mask admits (``pauli.fits``), in their given order: a
-        list of ints when fewer than ``SMALL`` are left, else an index
-        array of ``idx``'s dtype (``idx`` itself when every target fits).
-        ``idx`` is either.
+        ``allowed`` mask admits (``pauli.fits``), in their given order.
 
-        Fewer than ``SMALL`` targets are tested one at a time in Python,
-        each mask read as a Python int through ``need_view``, a zero-copy
-        ``memoryview`` of ``need``, since numpy's fixed cost per call
-        dominates there; the list they leave stays a list, so a small
-        decoder state makes no numpy round trip.  Timed on one call from
-        a list against one numpy pass over an array (Python 3.11, numpy
-        2.4, 2-core VM): 0.8 us against 3.8 at 4 targets, 1.9 against
-        3.9 at 16, 3.4 against 4.0 at 32.  The decoders' lists are short
-        on small codes (a median of 4 over the 7-vertex search) and run
-        to millions on 14 qubits, which are tested ``KERNEL_FLOATS``
-        targets at a time, so no temporary grows with the state."""
-        if len(idx) < SMALL:
+        A list is tested one target at a time in Python, each mask read
+        as a Python int through ``need_view``, a zero-copy ``memoryview``
+        of ``need``, since numpy's fixed cost per call dominates there.
+        Timed on one call from a list against one numpy pass over an
+        array (Python 3.11, numpy 2.4, 2-core VM): 0.8 us against 3.8 at
+        4 targets, 1.9 against 3.9 at 16, 3.4 against 4.0 at 32.  The
+        decoders' lists are short on small codes (a median of 4 over the
+        7-vertex search); their arrays run to millions on 14 qubits."""
+        if isinstance(idx, list):
             deny, need = ~allowed, self.need_view
-            if isinstance(idx, np.ndarray):
-                idx = idx.tolist()
             return [t for t in idx if not need[t] & deny]
-        idx, deny, kept = _indices(idx), self._deny(allowed), []
-        for lo in range(0, len(idx), KERNEL_FLOATS):
-            piece = idx[lo:lo + KERNEL_FLOATS]
-            fit = piece[(self.need[piece] & deny) == 0]
-            # a piece kept whole stays a view of ``idx``
-            kept.append(piece if len(fit) == len(piece) else fit)
-        if sum(map(len, kept)) == len(idx):
-            return idx
-        kept = kept[0] if len(kept) == 1 else np.concatenate(kept)
-        return kept.tolist() if len(kept) < SMALL else kept
-
-    def first_fit(self, idx, allowed: int) -> int | None:
-        """The first target in ``idx`` that ``narrow`` would keep, or None:
-        a short list is tested one target at a time, a long state a
-        ``KERNEL_FLOATS`` piece at a time, and either stops at the first
-        fit."""
-        if len(idx) < SMALL:
-            deny, need = ~allowed, self.need_view
-            for t in idx:
-                if not need[t] & deny:
-                    return int(t)
-            return None
-        idx, deny = _indices(idx), self._deny(allowed)
-        for lo in range(0, len(idx), KERNEL_FLOATS):
-            piece = idx[lo:lo + KERNEL_FLOATS]
-            hit = np.flatnonzero((self.need[piece] & deny) == 0)
-            if hit.size:
-                return int(piece[hit[0]])
-        return None
+        # the letters of the n qubits that ``allowed`` does not admit
+        deny = np.uint64(~allowed & ((1 << 4 * self.n) - 1))
+        return _kept(idx, lambda piece: (self.need[piece] & deny) == 0)
 
     def toward(self, idx, q: int):
         """The targets in ``idx`` whose output qubit is ``q``, in their
-        given order: a list for a list, else an array of its dtype."""
+        given order."""
         if isinstance(idx, list):
             # a memoryview reads single entries as Python ints
             output = memoryview(self.output)
             return [t for t in idx if output[t] == q]
-        return idx[self.output[idx] == q]
-
-    def operators(self, idx):
-        """Each target's operator indices in ``idx``, (first, second) in
-        turn: a list for a list, else an int32 array."""
-        if isinstance(idx, list):
-            pair = memoryview(self.pair)
-            return [pair[t, k] for t in idx for k in (0, 1)]
-        return self.pair[idx].ravel()
+        return _kept(idx, lambda piece: self.output[piece] == q)
 
     def busiest_output(self, idx) -> int:
         """The output qubit shared by the most targets in ``idx``; ties go
@@ -270,38 +240,49 @@ class TargetSet:
                      for lo in range(0, len(idx), KERNEL_FLOATS))
         return int(counts.argmax())
 
-    def attempt(self, members, pattern: MeasurementPattern,
+    def attempt(self, targets, pattern: MeasurementPattern,
                 rank: np.ndarray | None = None):
-        """The attempt rule: the lowest-ranked operator among ``members``
-        (operator indices, a list or an array) with unmeasured support,
-        then its lowest unmeasured qubit, in that operator's letter.
+        """The attempt rule: the lowest-ranked operator of the ``targets``
+        with unmeasured support, then its lowest unmeasured qubit, in that
+        operator's letter.  Returns None when no operator has unmeasured
+        support.
 
-        ``rank`` is one int64 key per operator (``_rank``); ``argmin``
-        keeps the first of equal keys, so members may repeat without
-        changing the result.  Without it the index is the rank, since
-        the operators are sorted by (weight, x, z).  Returns None when no
-        member has unmeasured support.
+        Each target's operators are read from ``pair``, first then
+        second.  ``rank`` is one int64 key per operator (``_rank``), and
+        of equal keys the one read first wins, so an operator read twice
+        (a single-operator target's) ranks once.  Without it the index is
+        the rank, since the operators are sorted by (weight, x, z).
 
-        Fewer than ``SMALL`` members are tested one at a time in Python on
+        A list is tested one operator at a time in Python on
         ``supports``, as in ``narrow``: on the 7-vertex search's side
-        decoders (a median of 2 members) that takes about 3 us per call
-        against numpy's 6.5.
+        decoders (a median of 2 targets) that takes about 3 us per call
+        against numpy's 6.5.  An array is read half a piece of targets at
+        a time, whose ``KERNEL_FLOATS`` operators ``_kept`` tests for
+        unmeasured support; the least key of each piece, then the least
+        over the pieces, the earlier piece kept on ties, is the operator
+        one ``argmin`` over all of them would take.
         """
         free = pattern.unmeasured
-        if len(members) < SMALL:
-            supports = self.supports
-            if isinstance(members, np.ndarray):
-                members = members.tolist()
-            live = [i for i in members if supports[i] & free]
+        if isinstance(targets, list):
+            pair, supports = memoryview(self.pair), self.supports
+            live = [i for t in targets for i in (pair[t, 0], pair[t, 1])
+                    if supports[i] & free]
             if not live:
                 return None
             i = min(live) if rank is None else min(live, key=rank.item)
         else:
-            members = _indices(members)
-            live = members[(self.support[members] & free) != 0]
-            if not live.size:
+            i = best = None
+            half = (KERNEL_FLOATS + 1) // 2
+            for lo in range(0, len(targets), half):
+                live = _kept(self.pair[targets[lo:lo + half]].ravel(),
+                             lambda o: (self.support[o] & free) != 0)
+                if len(live):
+                    j = int(live[np.argmin(live if rank is None else rank[live])])
+                    key = j if rank is None else rank[j]
+                    if best is None or key < best:
+                        best, i = key, j
+            if i is None:
                 return None
-            i = int(live.min() if rank is None else live[rank[live].argmin()])
         low = self.supports[i] & free
         q = (low & -low).bit_length() - 1
         return q, "IXZY"[self.x.item(i) >> q & 1 | (self.z.item(i) >> q & 1) << 1]
@@ -353,20 +334,18 @@ def _tree_step(pattern: MeasurementPattern, state):
     alive ones, the output qubit being completed or -1); Pauli targets
     have output -1, so their decoder never picks one."""
     ts, alive, current = state
-    alive = ts.narrow(alive, pattern.allowed(True))
+    alive = ts.narrow(alive, pattern.allowed())
     if not len(alive):
         return Leaf("failure", pattern)
-    done = ts.first_fit(alive, pattern.allowed(False))
-    if done is not None:
-        first, second, output = ts[done]
-        ops = (first,) if second is None else (first, second)
-        return Leaf("success", pattern, targets=ops, output=output)
+    done = ts.narrow(alive, pattern.letters)
+    if len(done):
+        return Leaf("success", pattern, *ts[done[0]])
     mine = ts.toward(alive, current)
     if not len(mine):
         # pick (or re-pick) the output and try the rotated measurement
         o = ts.busiest_output(alive)
         return o, "A", (ts, alive, o), (ts, alive, -1)
-    q, b = ts.attempt(ts.operators(mine), pattern)
+    q, b = ts.attempt(mine, pattern)
     return q, b, (ts, alive, current), (ts, alive, current)
 
 

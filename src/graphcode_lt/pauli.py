@@ -138,13 +138,12 @@ class MeasurementPattern(namedtuple("MeasurementPattern",
         return tuple.__new__(cls, (n, letters,
                                    (1 << n) - 1 if unmeasured is None else unmeasured))
 
-    def allowed(self, prospective: bool) -> int:
-        """Packed mask of the letters recoverable per qubit: a measured
-        qubit admits the letter of its basis, a lost one admits none, and
-        an unmeasured one admits every letter when ``prospective``."""
-        if prospective:
-            return self.letters | spread(self.unmeasured, self.n, BASES)
-        return self.letters
+    def allowed(self) -> int:
+        """Packed mask of the letters still recoverable per qubit: a
+        measured qubit admits the letter of its basis, a lost one admits
+        none, and an unmeasured one admits every letter.  The letters
+        already recovered are the field ``letters``."""
+        return self.letters | spread(self.unmeasured, self.n, BASES)
 
     def _unmeasured_bit(self, qubit: int) -> int:
         bit = 1 << qubit
@@ -225,7 +224,7 @@ def commutes_qubitwise(op: PauliOperator, m: MeasurementPattern,
     """
     if op.n != m.n:
         raise DimensionError(f"lengths differ: {op.n} vs {m.n}")
-    return fits(op.masks, m.allowed(not completed))
+    return fits(op.masks, m.letters if completed else m.allowed())
 
 
 def iter_bits(mask: int):

@@ -692,7 +692,7 @@ def greedy_checks_reference(pattern, targets, group) -> tuple:
     target_support = 0
     for t in targets:
         target_support |= t.support
-    allowed = pattern.allowed(True)
+    allowed = pattern.allowed()
     cands = [s for s in group if s.weight and fits(s.masks, allowed)]
     cands.sort(key=lambda s: (-(s.support & target_support).bit_count(),
                               s.weight, s.x, s.z))
@@ -918,14 +918,13 @@ def adaptive_terms_reference(code, randomize: bool) -> dict:
 
         def step(pat, state):
             alive, salvage = state
-            allowed = pat.allowed(True) | letters
-            done = pat.allowed(False) | letters
+            allowed = pat.allowed() | letters
+            done = pat.letters | letters
             alive = np.array(strategies.narrow(alive, allowed), dtype=np.intp)
             if alive.size:
                 if len(strategies.narrow(alive, done)):
                     return Leaf("success", pat, cosets.narrow(salvage, done))
-                q, b = strategies.attempt(strategies.pair[alive].ravel(),
-                                          pat, rank)
+                q, b = strategies.attempt(alive, pat, rank)
                 return q, b, (alive, salvage), (alive, salvage)
             salvage = cosets.narrow(salvage, allowed)
             members = cosets.narrow(salvage, done)
@@ -938,7 +937,7 @@ def adaptive_terms_reference(code, randomize: bool) -> dict:
 
         face = spread(sum(1 << q for q, _ in interfaces), n, "XYZ")
         groups: dict = {}
-        start = cosets.narrow(every, pattern.allowed(True) | letters)
+        start = cosets.narrow(every, pattern.allowed() | letters)
         for leaf, (a, b) in paths(grow(pattern, (pairs, start), step)):
             lx, lz = set(), set()
             for t in np.array(leaf.targets, dtype=np.intp).tolist():
@@ -959,7 +958,7 @@ def adaptive_terms_reference(code, randomize: bool) -> dict:
 
     def walk(pattern, interfaces, candidates, a, b, c):
         settled = ((1 << n) - 1) ^ pattern.unmeasured
-        allowed = ((pattern.allowed(True) | interface_letters(interfaces, n))
+        allowed = ((pattern.allowed() | interface_letters(interfaces, n))
                    & ~spread(settled, n, "A"))
         candidates = np.array(strategies.narrow(candidates, allowed),
                               dtype=np.intp)
@@ -1057,7 +1056,7 @@ def exhaustive_checks(leaf: Leaf, surviving_stabilizers, rates,
     Exponential; guarded by ``cap`` on visited subsets.
     """
     targets = _masked_targets(leaf)
-    allowed = leaf.pattern.allowed(True)
+    allowed = leaf.pattern.allowed()
     group = [s for s in surviving_stabilizers
              if s.weight and fits(s.masks, allowed)]
     group.sort(key=lambda s: (s.weight, s.x, s.z))

@@ -123,6 +123,22 @@ def test_error_model_rates():
         assert _output_leaf_error(depolarizing(lam)) == 1.0 - (1.0 - 3 * lam)
 
 
+def test_error_model_reads_a_list_as_an_array():
+    # a float gives three Python floats; a list or tuple gives the rate
+    # block of the 1-D array it is checked as, each entry doubled, not
+    # the sequence repeated
+    rates = depolarizing(0.01)
+    assert rates == (0.02, 0.02, 0.02)
+    assert all(type(r) is float for r in rates)
+    for given in ([0.01, 0.02], (0.01, 0.02), np.array([0.01, 0.02])):
+        rates = depolarizing(given)
+        assert len(rates) == 3
+        for r in rates:
+            assert isinstance(r, np.ndarray) and r.tolist() == [0.02, 0.04]
+    with pytest.raises(ValueError):
+        depolarizing([0.01, 0.34])
+
+
 def test_error_model_validation():
     with pytest.raises(ValueError):
         depolarizing(-0.001)
@@ -563,8 +579,8 @@ def clairvoyant_break_even(code) -> float:
     """Upper bound over the strategy class: a decoder that knows every
     qubit's fate in advance succeeds iff some strategy's full qubit set
     is delivered.  Independent of the decision-tree recursion."""
-    masks = sorted({s.first.support | s.second.support | (1 << s.output)
-                    for s in _strategies(code)})
+    masks = sorted({first.support | second.support | (1 << output)
+                    for (first, second), output in _strategies(code)})
     n = code.n
     terms: dict = {}
     for detected in range(1 << n):

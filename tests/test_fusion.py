@@ -317,7 +317,7 @@ def test_adaptive_matches_attempt_ceiling_on_decorated_pentagon():
         for o, b in assign.items():
             pat = pat.measure(o, "A")
             ifs.append((o, "s" if b == "s" else "fz"))
-        masks = pat.allowed(True) | interface_letters(tuple(ifs), code.n)
+        masks = pat.allowed() | interface_letters(tuple(ifs), code.n)
         if any(assign[o] == "s" and fits(need, masks)
                for o, need in zip(sts.output.tolist(), sts.need.tolist())):
             hits += 1
@@ -403,7 +403,7 @@ def test_target_needs_match_operator_masks():
         n = code.n
         strategies = _strategies(code)
         want = []
-        for first, second, output in strategies:
+        for (first, second), output in strategies:
             # the output qubit is an A letter only
             need = first.masks | second.masks
             for k in range(3):
@@ -425,7 +425,7 @@ def _walk_allowed(pattern, interfaces) -> int:
     """The adaptive walk's masks: the interfaces' letters, and A letters
     on unmeasured qubits only."""
     n = pattern.n
-    letters = pattern.allowed(True) | interface_letters(interfaces, n)
+    letters = pattern.allowed() | interface_letters(interfaces, n)
     letters &= (1 << 3 * n) - 1
     return letters | pattern.unmeasured << 3 * n
 
@@ -462,7 +462,7 @@ def test_walk_narrowing_matches_full_refilter():
                 pattern = pattern.measure(q, "A")
                 interfaces += ((q, move),)
                 if move == "s":
-                    side = (pattern.allowed(True)
+                    side = (pattern.allowed()
                             | interface_letters(interfaces, code.n))
                     toward = every[sts.output == q]
                     assert (list(sts.narrow(sts.toward(cands, q), side))

@@ -76,8 +76,8 @@ def _sha(text: str) -> str:
 
 
 def _strategies_text(code: GraphCode) -> str:
-    return repr([(t.first.to_string(), t.second.to_string(), t.output)
-                 for t in _strategies(code)])
+    return repr([(first.to_string(), second.to_string(), output)
+                 for (first, second), output in _strategies(code)])
 
 
 def _terms_text(terms: dict) -> str:

@@ -363,7 +363,7 @@ def test_strategies_match_commutation_reference():
         want = strategies_reference(code)
         assert len(got) == len(want)
         assert triples(got) == want
-        assert [tuple(t) for t in got] == want
+        assert [(*ops, output) for ops, output in got] == want
         assert got.ops == enumerate_nontrivial(code, "AllLogical")
         assert got.need.tolist() == [need_reference(*t) for t in want]
         assert not any(a.commutes(b) for a, b, _ in want)
@@ -430,38 +430,56 @@ def test_targets_take_seventeen_bytes_and_no_object_each():
 
 
 def test_blocked_targets_match_one_block(monkeypatch):
-    # pairing, masks, narrow and first_fit in pieces of a few targets give
-    # what one block gives, across the pieces' edges, for list, intp and
-    # int32 states; an array state that fits whole comes back as itself
+    # pairing, masks, narrow, toward and attempt in pieces of a few
+    # targets give what one block gives, across the pieces' edges, for
+    # intp and int32 states and for short lists
     rng = random.Random(39)
     code = cube_code()
+    n = code.n
     ops = enumerate_nontrivial(code, "AllLogical")
     x, z = losstree._xz(ops)
     monkeypatch.setattr(losstree, "KERNEL_FLOATS", 1 << 30)
-    whole = TargetSet(code.n, x, z, losstree._anticommuting_pairs(x, z), ops)
+    whole = TargetSet(n, x, z, losstree._anticommuting_pairs(x, z), ops)
     states = [list(range(len(whole)))]
     states += [sorted(rng.sample(range(len(whole)), size))
-               for size in (SMALL, SMALL + 1, 3 * SMALL, 200)]
-    letters = [random_allowed(rng, code.n) for _ in range(30)]
-    letters.append((1 << 4 * code.n) - 1)
-    want = {(k, a): (list(whole.narrow(idx, a)), whole.first_fit(idx, a))
-            for k, idx in enumerate(states) for a in letters}
+               for size in (1, SMALL - 1, SMALL, SMALL + 1, 3 * SMALL, 200)]
+    letters = [random_allowed(rng, n) for _ in range(12)]
+    letters.append((1 << 4 * n) - 1)
+    patterns = [MeasurementPattern(n)]
+    patterns += [random_pattern(rng, n) for _ in range(6)]
+    q = rng.randrange(n)
+    ranks = (None, losstree._rank(x, z, n, ~(1 << q)))
+
+    def answers(ts, given):
+        """Every query's answer on ``given``, each filter's result
+        checked by ``check_kept``."""
+        kept = [check_kept(ts.narrow(given, a), given) for a in letters]
+        kept += [check_kept(ts.toward(given, o), given) for o in range(-1, n)]
+        return kept, [ts.attempt(given, p, r) for p in patterns for r in ranks]
+
+    want = [answers(whole, np.array(state, np.intp)) for state in states]
     for budget in (1, 5, SMALL, 97):
         monkeypatch.setattr(losstree, "KERNEL_FLOATS", budget)
-        ts = TargetSet(code.n, x, z, losstree._anticommuting_pairs(x, z), ops)
+        ts = TargetSet(n, x, z, losstree._anticommuting_pairs(x, z), ops)
         for name in ("pair", "output", "need"):
             got, one = getattr(ts, name), getattr(whole, name)
             assert got.dtype == one.dtype and np.array_equal(got, one), name
-        for (k, a), (kept, first) in want.items():
-            for given in (states[k], np.array(states[k], np.intp),
-                          np.array(states[k], np.int32)):
-                got = ts.narrow(given, a)
-                assert list(got) == kept
-                if len(kept) >= SMALL:
-                    assert got.dtype == np.asarray(given).dtype
-                    if len(kept) == len(given) and type(given) is not list:
-                        assert got is given
-                assert ts.first_fit(given, a) == first
+        for state, answer in zip(states, want):
+            given = [np.array(state, np.intp), np.array(state, np.int32)]
+            for g in given + ([state] if len(state) < SMALL else []):
+                assert answers(ts, g) == answer, (budget, len(state))
+
+
+def check_kept(got, given) -> list:
+    """A filter's result as a list, once checked for its type: a list of
+    ints below ``SMALL`` targets, else an array of ``given``'s dtype, and
+    ``given`` itself when the filter dropped none of it."""
+    if len(got) < SMALL:
+        assert type(got) is list and all(type(t) is int for t in got)
+    else:
+        assert got.dtype == given.dtype
+        assert (got is given) == (len(got) == len(given))
+    return list(got)
 
 
 def random_allowed(rng: random.Random, n: int) -> int:
@@ -469,22 +487,24 @@ def random_allowed(rng: random.Random, n: int) -> int:
     return rng.getrandbits(4 * n) | rng.getrandbits(4 * n)
 
 
+def random_pattern(rng: random.Random, n: int) -> MeasurementPattern:
+    # some qubits measured in a Pauli basis, some lost
+    pattern = MeasurementPattern(n)
+    for q in rng.sample(range(n), rng.randint(0, n)):
+        pattern = (pattern.lose(q) if rng.random() < 0.3
+                   else pattern.measure(q, rng.choice("XYZ")))
+    return pattern
+
+
 def check_narrow(ts, idx, allowed) -> int:
-    """Check ``narrow`` and ``first_fit`` against ``fits`` one target at a
-    time, given ``idx`` as an array and as a list; returns how many
+    """Check ``narrow`` against ``fits`` one target at a time, given
+    ``idx`` as an array and, when short, as a list; returns how many
     targets ``narrow`` dropped."""
     need = ts.need.tolist()
     want = [t for t in idx if fits(need[t], allowed)]
-    for given in (np.array(idx, dtype=np.intp), list(idx)):
-        got = ts.narrow(given, allowed)
-        # a state below SMALL targets is a list, at or above it an array
-        if len(want) < SMALL:
-            assert type(got) is list
-        else:
-            assert got.dtype == np.intp
-        assert list(got) == want
-        first = ts.first_fit(given, allowed)
-        assert first == (want[0] if want else None)
+    given = np.array(idx, dtype=np.intp)
+    for g in [given] + ([list(idx)] if len(idx) < SMALL else []):
+        assert check_kept(ts.narrow(g, allowed), given) == want
     return len(idx) - len(want)
 
 
@@ -532,31 +552,38 @@ def test_busiest_output_ties_go_to_lowest():
         assert ts.busiest_output(np.concatenate((ia, ib[:1]))) == a
 
 
-def test_attempt_with_keep_takes_first_of_equal_ranks():
+def test_attempt_with_keep_takes_first_of_equal_ranks(monkeypatch):
     # two operators that differ only on qubit 0 rank equal once qubit 0 is
     # removed: the first one listed is attempted, as min() picks it
-    # (sorted by (weight, x, z), as a TargetSet's operators are)
+    # (sorted by (weight, x, z), as a TargetSet's operators are), also
+    # when a budget of one target a piece puts them in different pieces
     ops = tuple(PauliOperator.from_letters(t) for t in ("ZZI", "XZI", "IXX"))
     assert list(ops) == sorted(ops, key=lambda o: (o.weight, o.x, o.z))
     ts = TargetSet(3, *losstree._xz(ops), ops=ops)
     pattern = MeasurementPattern(3)
     rank = losstree._rank(ts.x, ts.z, 3, ~1)
     assert rank[0] == rank[1] < rank[2]
-    assert ts.attempt(np.array([0, 1, 2]), pattern, rank) == (0, "Z")
-    assert ts.attempt(np.array([1, 0, 2]), pattern, rank) == (0, "X")
-    assert ts.attempt(np.array([2, 1, 0, 1]), pattern, rank) == (0, "X")
-    # without a rank the index is the rank; measured support is skipped
-    assert ts.attempt(np.array([2, 1, 0]), pattern) == (0, "Z")
     first = pattern.measure(0, "X")
-    assert ts.attempt(np.array([2, 1, 0]), first) == (1, "Z")
-    assert ts.attempt(np.array([0]), first.measure(1, "Z")) is None
+    for budget in (1, 2, 1 << 13):
+        monkeypatch.setattr(losstree, "KERNEL_FLOATS", budget)
+        for kind in (np.array, list):
+            assert ts.attempt(kind([0, 1, 2]), pattern, rank) == (0, "Z")
+            assert ts.attempt(kind([1, 0, 2]), pattern, rank) == (0, "X")
+            assert ts.attempt(kind([2, 1, 0, 1]), pattern, rank) == (0, "X")
+            # without a rank the index is the rank; measured support is
+            # skipped
+            assert ts.attempt(kind([2, 1, 0]), pattern) == (0, "Z")
+            assert ts.attempt(kind([2, 1, 0]), first) == (1, "Z")
+            assert ts.attempt(kind([0]), first.measure(1, "Z")) is None
 
 
-def attempt_reference(ts, members, pattern, keep):
-    """The attempt rule on ``ts.ops``: the least (weight, x, z) key on the
-    qubits in ``keep`` among members with unmeasured support, the first
-    listed of equal keys, then its lowest unmeasured qubit."""
+def attempt_reference(ts, targets, pattern, keep):
+    """The attempt rule on ``ts.ops``: among the targets' operators, read
+    (first, second) from ``pair``, with unmeasured support, the least
+    (weight, x, z) key on the qubits in ``keep``, the first read of equal
+    keys, then its lowest unmeasured qubit."""
     free = pattern.unmeasured
+    members = [i for t in targets for i in ts.pair[t].tolist()]
     live = [i for i in members if (ts.ops[i].x | ts.ops[i].z) & free]
     if not live:
         return None
@@ -571,24 +598,74 @@ def attempt_reference(ts, members, pattern, keep):
 
 
 def test_attempt_matches_reference_on_both_sides_of_the_cut():
+    # on strategy pairs and on single operators (the coset side decoder's
+    # targets), repeated targets included
     rng = random.Random(11)
     code = cube_code()
-    ts = _strategies(code)
     n = code.n
-    for size in (0, 1, SMALL - 1, SMALL, 3 * SMALL):
-        for _ in range(60):
-            # a strategy list's operators, repeats included
-            members = [int(i) for t in rng.choices(range(len(ts)), k=size // 2)
-                       for i in ts.pair[t]] + rng.sample(range(len(ts.ops)), size % 2)
-            pattern = MeasurementPattern(n)
-            for q in rng.sample(range(n), rng.randint(0, n)):
-                pattern = (pattern.lose(q) if rng.random() < 0.3
-                           else pattern.measure(q, rng.choice("XYZ")))
-            q = rng.randrange(n)
-            for rank, keep in ((None, -1),
-                               (losstree._rank(ts.x, ts.z, n, ~(1 << q)), ~(1 << q))):
-                got = ts.attempt(np.array(members, dtype=np.intp), pattern, rank)
-                assert got == attempt_reference(ts, members, pattern, keep)
+    ops = enumerate_nontrivial(code, "LogicalX")
+    singles = TargetSet(n, *losstree._xz(ops), ops=ops)
+    for ts in (_strategies(code), singles):
+        for size in (0, 1, SMALL - 1, SMALL, 3 * SMALL):
+            for _ in range(40):
+                targets = rng.choices(range(len(ts)), k=size)
+                pattern = random_pattern(rng, n)
+                q = rng.randrange(n)
+                given = [np.array(targets, dtype=np.intp)]
+                given += [targets] if size < SMALL else []
+                for rank, keep in ((None, -1),
+                                   (losstree._rank(ts.x, ts.z, n, ~(1 << q)),
+                                    ~(1 << q))):
+                    want = attempt_reference(ts, targets, pattern, keep)
+                    for g in given:
+                        assert ts.attempt(g, pattern, rank) == want
+
+
+def test_long_state_queries_hold_no_state_sized_temporary():
+    # about 2^20 random targets over a few hundred random operators on 8
+    # qubits: each query reads the state a KERNEL_FLOATS piece at a time,
+    # so its peak less the result it returns stays within a few pieces'
+    # temporaries, where one pass over the state would hold megabytes
+    rng = np.random.default_rng(42)
+    n, count, size = 8, 400, 1 << 20
+    x = rng.integers(0, 1 << n, count, dtype=np.int64)
+    z = rng.integers(0, 1 << n, count, dtype=np.int64)
+    x[(x | z) == 0] = 1
+    pair = rng.integers(0, count, (size, 2), dtype=np.int32)
+    # qubit 0 is the output of about one target in a thousand
+    output = rng.integers(1, n, size, dtype=np.int8)
+    output[rng.random(size) < 1e-3] = 0
+    ts = TargetSet(n, x, z, (pair, output))
+    alive = np.arange(size, dtype=np.int32)
+    pattern = MeasurementPattern(n)
+    rank = losstree._rank(x, z, n, ~1)
+    bound = 4 * losstree.KERNEL_FLOATS * 8
+    # narrow keeps every target: pieces kept whole stay views of the state
+    calls = ((lambda: ts.toward(alive, 0)), (lambda: ts.attempt(alive, pattern)),
+             (lambda: ts.attempt(alive, pattern, rank)),
+             (lambda: ts.narrow(alive, pattern.allowed())))
+    for call in calls:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        fresh = isinstance(result, np.ndarray) and result is not alive
+        held = result.nbytes if fresh else 0
+        assert peak - held < bound, (peak, held)
+    mine = ts.toward(alive, 0)
+    assert 0 < len(mine) < size // 100
+    assert list(mine) == np.flatnonzero(output == 0).tolist()
+    # every operator has unmeasured support at the root, so the rule takes
+    # the least operator, or the first read of the least rank
+    flat = pair.ravel()
+    for i, r in ((int(flat.min()), None),
+                 (int(flat[np.argmin(rank[flat])]), rank)):
+        op = PauliOperator(n, int(x[i]), int(z[i]))
+        q = (op.support & -op.support).bit_length() - 1
+        assert ts.attempt(alive, pattern, r) == (q, op.letter_at(q))
 
 
 def test_decode_walk():
