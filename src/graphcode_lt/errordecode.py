@@ -416,4 +416,5 @@ def error_threshold(code: GraphCode) -> float:
 
     if converges(hi):
         return hi
-    return bisect(converges, 0.0, hi, 1e-4)[0]
+    return bisect(lambda lams: [converges(lam) for lam in lams], 0.0, hi,
+                  1e-4)[0]

@@ -23,18 +23,19 @@ The adaptive engine attempts fusions on candidate output qubits one at a
 time; after the first success each code runs a teleportation decoder
 toward the fused qubit, and when every attempt fails the codes fall back
 on single-qubit measurements to salvage one parity.  Each code's decoder
-is grown by the loss decoders' shared recursion (``losstree.grow``) and
-then folded with its twin; the fusion attempts themselves have three
-outcomes and keep their own walk.  One walk per code compiles both gate
-models, failures in a fixed basis and randomized ones, into one tally of
-plain integer path counts that keeps X and Z failures apart: the fixed
-(Z) model is the tally's part with no X failure, and the randomized model
-adds the two (``_model``).  A term's exact weight, 2^-b for b randomized
-gate failures, is applied once when the columns are assembled.  Both
-engines report (success, fail, loss) probabilities, each a sum of
-monomials in the gate outcomes evaluated by ``polynomials.monomial_sums``
-within 1e-12 of its exact value, at one transmission or at a block of
-them.  ``logical_fusion`` is the one entry point to both: it takes the
+takes the loss decoders' steps (``losstree.leaves`` runs them without
+building a tree) and is then folded with its twin; the fusion attempts
+themselves have three outcomes and keep their own walk.  One walk per
+code compiles both gate models, failures in a fixed basis and
+randomized ones, into one tally of plain integer path counts that
+keeps X and Z failures apart: the fixed (Z) model is the tally's part
+with no X failure, and the randomized model adds the two (``_model``).
+A term's exact weight, 2^-b for b randomized gate failures, is applied
+once when a model's columns are assembled, the first time it is
+evaluated.  Both engines report (success, fail, loss) probabilities,
+each a sum of monomials in the gate outcomes evaluated by
+``polynomials.monomial_sums`` within 1e-12 of its exact value, at one
+transmission or at a block of them.  ``logical_fusion`` is the one entry point to both: it takes the
 gate's failure probability and transmission as two floats (or a block of
 transmissions) and picks the engine and failure mode by keyword.
 """
@@ -47,9 +48,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import GraphCode, per_code
-from .losstree import Leaf, TargetSet, _rank, _strategies, _xz, grow, paths
+from .losstree import LOST, Leaf, TargetSet, _rank, _strategies, _xz, leaves
 from .opsets import ResourceLimitError, stabilizer_group
-from .pauli import BASES, MeasurementPattern, iter_bits, spread
+from .pauli import BASES, MeasurementPattern, iter_bits, packed, spread
 from .polynomials import block, columns, monomial_sums
 
 __all__ = [
@@ -353,98 +354,103 @@ class AdaptiveFusionAnalysis:
     kept, and each model's floats are those of walking it alone.
 
     The walk and the side decoders keep their live strategies and coset
-    members as index sequences (``TargetSet.narrow``'s short lists and
-    long arrays) into two per-code ``TargetSet``s, the
-    strategies (``losstree._strategies``) and the X and Z logical cosets
-    (``_cosets``), and narrow, count and rank them with its kernels.
-    Each side decoder's leaf carries the coset members that fit its final
-    masks, as the decoder's last step narrowed them; the masks only shrink
-    below the root, so no member dropped on the way could fit there.  The
-    side decoder's tree is read back with ``losstree.paths``, whose key
-    gives each leaf's detected and lost attempt counts.  A
-    leaf's interface letter vectors are packed ints, each member's packed
-    letter mask on the interface qubits; one vector is one int, so the
-    sets intersect exactly as the letter vectors do.  The walk carries
-    the interface letters and the interface qubits' letter mask down to
-    its children rather than rebuilding them at each node.
+    members as bitset states (``losstree.TargetSet``) of two per-code
+    target sets, the strategies (``losstree._strategies``), one group per
+    output qubit, and the X and Z logical cosets (``_cosets``), one
+    group.  Each move narrows them with one AND a group: a fused qubit
+    admits its surviving parity's letter (and is no longer an output), a
+    lost one none, and a side decoder's attempt its measured letter.  So
+    the walk hands its states down, a success starts its side decoder
+    from the strategy group toward the fused qubit and the walk's coset
+    members, and a side decoder's leaf carries the members its pattern
+    reads out (``TargetSet.finished``), as a bitset.  The side decoder's
+    leaves come from ``losstree.leaves``, each with the numbers of
+    detected and lost attempts on its path.  A leaf's interface letter
+    vectors are packed ints, each member's packed letter mask on the
+    interface qubits; one vector is one int, so the sets intersect
+    exactly as the letter vectors do.
 
     Under randomized failures each failed gate keeps either parity with
     probability 1/2, so a term with b failures weighs exactly 2^-b; with
-    a fixed failure basis every weight is 1.  Each model's terms are kept
-    in column form for ``result`` (``_columns``): one float64 coefficient
-    per term, exact since every weight is an integer count over a power
-    of two, and the term's exponents of (s, f, l, eta, 1 - eta) as a
-    5 x T array, the success, fail and loss terms one after another.
-    ``result`` evaluates them at a block of transmissions with
-    ``polynomials.monomial_sums``, each class within 1e-12 of the exact
-    sum of its terms.
+    a fixed failure basis every weight is 1.  A model's terms are put in
+    column form (``_columns``) the first time ``result`` asks for that
+    model: one float64 coefficient per term, exact since every weight is
+    an integer count over a power of two, and the term's exponents of (s,
+    f, l, eta, 1 - eta) as a 5 x T array, the success, fail and loss
+    terms one after another.  ``result`` evaluates them at a block of
+    transmissions with ``polynomials.monomial_sums``, each class within
+    1e-12 of the exact sum of its terms.
     """
 
-    __slots__ = ("_tally", "_columns")
+    __slots__ = ("_tally", "_built")
 
     def __init__(self, code: GraphCode):
         n = code.n
         strategies = _strategies(code)
         cosets, is_x = _cosets(code)
-        need, is_x = cosets.need_view, is_x.tolist()
-        # a qubit mask times this sets every letter on those qubits
-        # (``pauli.spread``), as an unmeasured qubit admits
-        wildcard = spread(1, n, BASES)
+        # each coset member's packed letter mask, read on the interfaces
+        masks = packed(cosets.x.astype(np.uint64), cosets.z.astype(np.uint64),
+                       n).tolist()
+        is_x = is_x.tolist()
+        # the coset members' tables (their one group), and where a lost
+        # qubit's table starts in them
+        admits, lost = cosets.admits[0], LOST * n
         # the strategy operators ranked as if each output qubit were removed
         ranks = [_rank(strategies.x, strategies.z, n, ~(1 << q)) for q in range(n)]
         tally = {klass: {} for klass in _CLASSES}
 
-        def side(pattern: MeasurementPattern, letters: int, face: int,
-                 output: int | None, pairs, members) -> dict:
+        def side(pattern: MeasurementPattern, face: int, output: int | None,
+                 pairs: int, members: int) -> dict:
             """Leaf groups of one code's decoder: {(lambda_x, lambda_z):
             {(detected, lost): count}} over single-qubit attempt outcomes.
 
-            ``letters`` are the letters the fused interfaces admit, and
-            ``face`` every letter on the interface qubits.  The decoder
-            completes a strategy toward ``output`` while one survives,
-            then falls back to any X or Z logical.  Members may route
-            through failed interfaces: the partner code shares the
+            ``face`` is every letter on the fused interface qubits.  The
+            decoder completes a strategy toward ``output`` while one
+            survives, then falls back to any X or Z logical.  Members may
+            route through failed interfaces: the partner code shares the
             surviving parity there, and the final letter-vector
             intersection decides whether the routes actually match.
             Members are ranked as if the output qubit were removed.
 
-            ``pairs`` (strategy indices) must hold every strategy toward
-            ``output`` that fits the decoder's starting masks, and
-            ``members`` (coset indices) every coset member that does
-            (extra ones are narrowed away).
+            ``pairs`` (a bitset of strategy group ``output``, 0 for none)
+            and ``members`` (of the coset members) are the ones that fit
+            ``pattern`` and the interfaces' letters; each move narrows
+            them with one AND each.
             """
+            g = None if output is None else strategies.toward(output)
             rank = None if output is None else ranks[output]
+            tables = None if output is None else strategies.admits[g]
 
             def step(pat: MeasurementPattern, state):
-                """A move, or a ``Leaf`` whose targets are the coset
-                members that fit the leaf's final masks.  The masks only
-                shrink below the root, so a member dropped on the path
-                fails them too, and narrowing ``salvage`` finds them all."""
+                """A move, or a ``Leaf`` whose targets are the bitset of
+                the coset members the leaf's pattern reads out."""
                 alive, salvage = state
-                done = pat.letters | letters
-                allowed = done | pat.unmeasured * wildcard
-                alive = strategies.narrow(alive, allowed)
-                if len(alive):
-                    if len(strategies.narrow(alive, done)):
-                        return Leaf("success", pat, cosets.narrow(salvage, done))
-                    q, b = strategies.attempt(alive, pat, rank)
-                    state = alive, salvage
-                    return q, b, state, state
-                salvage = cosets.narrow(salvage, allowed)
-                members = cosets.narrow(salvage, done)
-                move = None if len(members) else cosets.attempt(salvage, pat)
-                if move is None:
-                    return Leaf("success" if len(members) else "failure", pat,
-                                members)
-                state = alive, salvage
-                return move + (state, state)
+                free = pat.unmeasured
+                if alive:
+                    if strategies.finished(g, alive, free):
+                        return Leaf("success", pat,
+                                    cosets.finished(0, salvage, free))
+                    q, k = strategies.attempt(g, alive, free, rank)
+                else:
+                    done = cosets.finished(0, salvage, free)
+                    move = None if done else cosets.attempt(0, salvage, free)
+                    if move is None:
+                        return Leaf("success" if done else "failure", pat, done)
+                    q, k = move
+                p, gone = q + k * n, q + lost
+                return (q, BASES[k],
+                        (alive and alive & tables[p], salvage & admits[p]),
+                        (alive and alive & tables[gone], salvage & admits[gone]))
 
             groups: dict = {}
-            for leaf, (a, b) in paths(grow(pattern, (pairs, members), step)):
+            for leaf, de in leaves(pattern, (pairs, members), step):
                 lx, lz = set(), set()
-                for t in leaf.targets:
-                    (lx if is_x[t] else lz).add(need[t] & face)
-                de = (sum(a), sum(b))
+                bits = leaf.targets
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    t = low.bit_length() - 1
+                    (lx if is_x[t] else lz).add(masks[t] & face)
                 poly = groups.setdefault((frozenset(lx), frozenset(lz)), {})
                 poly[de] = poly.get(de, 0) + 1
             return groups
@@ -474,61 +480,61 @@ class AdaptiveFusionAnalysis:
                             key = fusions + (d1 + d2, e1 + e2)
                             into[key] = into.get(key, 0) + c1 * c2
 
-        def walk(pattern: MeasurementPattern, letters: int, face: int,
-                 candidates, members, a: int, bx: int, bz: int, c: int):
+        def walk(pattern: MeasurementPattern, face: int, candidates: list,
+                 members: int, a: int, bx: int, bz: int, c: int):
             """Attempt fusions while strategies survive.  ``candidates``
-            are the parent node's survivors: along a walk the allowed
-            letters only shrink (a fused qubit leaves the A letters and
-            keeps at most its parity's letter; a lost one keeps none), so
-            narrowing them gives the same list, in the same order, as
-            narrowing every strategy; ``members``, the coset members the
-            parent's masks admit, narrow the same way and start each side
-            decoder's salvage.  ``letters`` and ``face`` are the fused
-            interfaces' letters and their qubits' letter mask, as ``side``
-            takes them.  The path so far had ``a`` fusion successes,
-            ``bx`` and ``bz`` failures in X and Z, and ``c`` losses."""
-            # a candidate output must still be unmeasured, so only
-            # unmeasured qubits admit the A letter here
-            settled = ((1 << n) - 1) ^ pattern.unmeasured
-            allowed = (pattern.allowed() | letters) & ~spread(settled, n, "A")
-            candidates = strategies.narrow(candidates, allowed)
-            members = cosets.narrow(members, allowed)
-            if not len(candidates):
-                fold(side(pattern, letters, face, None, candidates, members),
-                     (a, bx, bz, c))
+            (a strategy state) and ``members`` (a coset bitset) hold the
+            targets that fit every fused and lost qubit: a fused qubit
+            admits its surviving parity's letter, and is no longer an
+            output, a lost one admits none, so each child narrows its
+            parent's with one AND a group.  They start each side decoder.
+            ``face`` is every letter on the fused interface qubits.  The
+            path so far had ``a`` fusion successes, ``bx`` and ``bz``
+            failures in X and Z, and ``c`` losses."""
+            if not any(candidates):
+                fold(side(pattern, face, None, 0, members), (a, bx, bz, c))
                 return
             q = strategies.busiest_output(candidates)
-            bit, fused = 1 << q, pattern.measure(q, "A")
-            fused_face = face | spread(bit, n, "XYZ")
-            # a strategy toward q that fits the side decoder's masks fits
-            # the walk's too, since q is its only A letter
-            fold(side(fused, letters | spread(bit, n, _INTERFACE_LETTERS["s"]),
-                      fused_face, q, strategies.toward(candidates, q), members),
-                 (a + 1, bx, bz, c))
+            fused = pattern.measure(q, "A")
+            fused_face = face | spread(1 << q, n, "XYZ")
+            # after a successful gate the interface admits every letter,
+            # and the strategies toward q fit the side decoder's masks,
+            # since q is their only A letter
+            fold(side(fused, fused_face, q, candidates[strategies.toward(q)],
+                      members), (a + 1, bx, bz, c))
             for kind, x, z in (("fx", 1, 0), ("fz", 0, 1)):
-                walk(fused, letters | spread(bit, n, _INTERFACE_LETTERS[kind]),
-                     fused_face, candidates, members, a, bx + x, bz + z, c)
-            walk(pattern.lose(q), letters, face, candidates, members, a, bx,
-                 bz, c + 1)
+                k = BASES.index(_INTERFACE_LETTERS[kind])
+                walk(fused, fused_face, strategies.narrow(candidates, q, k),
+                     members & admits[q + k * n], a, bx + x, bz + z, c)
+            walk(pattern.lose(q), face, strategies.narrow(candidates, q, LOST),
+                 members & admits[q + lost], a, bx, bz, c + 1)
 
-        walk(MeasurementPattern(n), 0, 0,
-             np.arange(len(strategies), dtype=np.int32),
-             np.arange(len(cosets), dtype=np.int32), 0, 0, 0, 0)
+        walk(MeasurementPattern(n), 0, strategies.full(), cosets.full()[0],
+             0, 0, 0, 0)
         # walk refers to itself, so the compile state it reaches would
         # otherwise wait for the cycle collector
         del walk
         self._tally = tally
-        # a randomized failure keeps either parity with probability 1/2, so
-        # a term with b failures weighs 2^-b; a fixed basis weighs 1
-        self._columns = (_columns(_model(tally, False), 0, 5),
-                         _columns(_model(tally, True), 1, 5))
+        self._built = [None, None]
+
+    def _model_columns(self, randomize_failures: bool) -> tuple:
+        """One gate model's ``monomial_sums`` columns (``_columns``),
+        built the first time they are asked for: a randomized failure
+        keeps either parity with probability 1/2, so a term with b
+        failures weighs 2^-b; a fixed basis weighs 1."""
+        built = self._built[randomize_failures]
+        if built is None:
+            built = self._built[randomize_failures] = _columns(
+                _model(self._tally, randomize_failures),
+                int(randomize_failures), 5)
+        return built
 
     def result(self, p_fail: float, eta,
                randomize_failures: bool = False) -> np.ndarray:
         """(success, fail, loss) at each transmission of ``eta``, a float or
         a 1-D array, for gates failing with ``p_fail`` in a fixed basis or,
         with ``randomize_failures``, in either: shape (points, 3)."""
-        coef, exps, ends = self._columns[randomize_failures]
+        coef, exps, ends = self._model_columns(randomize_failures)
         etas = block(eta)
         bases = np.array(_gate_outcomes(p_fail, etas) + (etas, 1.0 - etas)).T
         return monomial_sums(coef, exps, bases, ends)

@@ -8,28 +8,34 @@ completing an anticommuting operator pair.  Trees are built once, then
 evaluated exactly (success polynomial), sampled (Monte Carlo), decoded
 per loss mask, or extended with checks by the error decoder.
 
-Every adaptive decoder in the package is one recursion, ``grow``, driven
-by a per-decoder ``step``: both trees here, the per-side decoder of
-adaptive fusion and the error decoder's check extension, whose state is
-the checks it chose (re-chosen only after a loss).  Both kinds of loss
-target are held per code as one ``TargetSet`` of numpy arrays: operator
-indices, output qubits and each target's joint packed letter mask (laid
-out by ``pauli.packed`` and ``pauli.spread``), which ``pauli.fits`` would
-match against a pattern.  A decoder's state is an index list into it
-while short and an index array once long, and its four queries,
-``narrow``, ``toward``, ``busiest_output`` and ``attempt``, are Python
-loops over a list and numpy passes of bounded pieces over an array
-(``_kept``); a target's ``PauliOperator``s are read only for a leaf.
+Every adaptive decoder in the package is a per-decoder ``step`` driven
+by one recursion: ``grow`` builds both trees here and the error
+decoder's check extension, whose state is the checks it chose
+(re-chosen only after a loss), and ``leaves`` takes the per-side
+decoder of adaptive fusion through the same steps without building its
+tree, which is read once.  Both kinds of loss
+target are held per code as one ``TargetSet``: operator index pairs
+grouped by output qubit, and per group one Python-int bitset per qubit
+and letter of the targets that admit that letter there (the letters
+laid out as ``pauli.packed`` lays them, which ``pauli.fits`` matches).
+A decoder's state is one bitset per group of the targets still alive.
+A measured or lost qubit narrows it with one AND a group, so a state
+always holds the targets that fit the pattern, and its other queries,
+``finished``, ``toward``, ``busiest_output`` and ``attempt``, read set
+bits; a target's ``PauliOperator``s are read only for a leaf.
 One walk, ``paths``, reads every built tree back: it yields each
 terminal node with the detected and lost attempt counts on its path,
 which are the exponents of its monomial in the success polynomial and
-in the error decoder's per-leaf sums, and the attempt totals of each
-fusion side decoder's leaf.
+in the error decoder's per-leaf sums; ``leaves`` yields a fusion side
+decoder's leaves with their detected and lost totals, all its fold
+reads.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from heapq import merge
 from collections import namedtuple
 
 import numpy as np
@@ -40,7 +46,7 @@ from .pauli import BASES, MeasurementPattern, packed, spread
 from .polynomials import KERNEL_FLOATS, LossPolynomial
 
 __all__ = [
-    "DecisionTree", "Leaf", "MeasureNode", "TargetSet", "grow",
+    "DecisionTree", "Leaf", "MeasureNode", "TargetSet", "grow", "leaves",
     "paths", "build_pauli_tree", "build_arbitrary_tree", "success_polynomial",
     "total_polynomial", "monte_carlo_decode", "decode", "load_or_build",
 ]
@@ -112,180 +118,347 @@ def _rank(x: np.ndarray, z: np.ndarray, n: int, keep: int = -1) -> np.ndarray:
     return weight << 2 * n | x << n | z
 
 
-# A decoder state of fewer targets than this is a list of ints, tested one
-# at a time in Python; a longer one is an index array, tested in numpy
-# passes.  ``_kept`` alone reads it.
-SMALL = 32
+# The letter index of a lost qubit in a ``TargetSet``'s tables, after the
+# four letters of ``BASES``: a lost qubit admits the identity alone.
+LOST = len(BASES)
 
+# ``TargetSet.attempt`` reads a state of at most ``SHORT`` targets one
+# target at a time in Python, and a longer one in numpy pieces; it peels
+# a short state's bits off in Python while they span at most ``WIDE``
+# targets.
+SHORT, WIDE = 64, 1024
 
-def _kept(idx: np.ndarray, keep):
-    """The entries of the index array ``idx`` that ``keep`` marks, in
-    order.  ``keep(piece)`` is a boolean mask over one piece of
-    ``KERNEL_FLOATS`` entries, so no temporary grows with ``idx``.
-    Returns a list of ints when fewer than ``SMALL`` are kept, else
-    ``idx`` itself when every entry is, else an array of its dtype."""
-    kept = []
-    for lo in range(0, len(idx), KERNEL_FLOATS):
-        piece = idx[lo:lo + KERNEL_FLOATS]
-        fit = piece[keep(piece)]
-        # a piece kept whole stays a view of ``idx``
-        kept.append(piece if len(fit) == len(piece) else fit)
-    count = sum(map(len, kept))
-    if count < SMALL:
-        return [t for piece in kept for t in piece.tolist()]
-    if count == len(idx):
-        return idx
-    return kept[0] if len(kept) == 1 else np.concatenate(kept)
+# an operator's letter on one qubit, indexed by its x bit | z bit << 1, as
+# the index of that letter in ``BASES`` (the identity has none)
+_LETTER = (None, 0, 2, 1)
 
 
 class TargetSet:
-    """What a decoder must read out, as per-code arrays.
+    """What a decoder must read out: per-code arrays of targets, grouped
+    by output qubit, and one bitset per group, qubit and letter.
 
     A target is one logical operator (Pauli mode), or an anticommuting
     pair teleported onto an output qubit (arbitrary mode).  The operators
     are the int64 arrays ``x`` and ``z``, sorted by (weight, x, z), and
-    ``ops`` as ``PauliOperator``s where leaves need them.  The targets
-    are three arrays and no object each, 17 bytes a target:
+    ``ops`` as ``PauliOperator``s where leaves need them.  Target t reads
+    the operators ``pair[t] = (first, second)``, an int32 row, the same
+    index twice for a single operator; ``columns`` are the two columns as
+    memoryviews.  The targets come in groups, each an index range
+    ``starts[g]:starts[g + 1]``: a pair set has one group per output
+    qubit, group q toward qubit q (``outputs[g]``), its pairs in the
+    order ``_anticommuting_pairs`` found them; a set of single operators
+    is one group with output -1, in operator order.
 
-    - ``pair``, int32 of shape (targets, 2): target t reads operators
-      ``pair[t] = (first, second)``, the same index twice for a single
-      operator;
-    - ``output``, int8: the qubit it teleports onto, -1 for none;
-    - ``need``, uint64: its joint packed letter mask (``pauli.packed``),
-      4n bits, so n <= 16.  The output qubit counts as an A letter only,
-      since it must be measured in the rotated basis.
+    A decoder's state is one Python int per group, a bitset whose bit i
+    is the group's target ``starts[g] + i``.  ``admits[g]`` holds the
+    group's tables, 5n bitsets: entry q + k*n holds the targets that admit
+    letter k of ``BASES`` on qubit q, reading that letter there or none,
+    and entry q + ``LOST``*n those that read no letter on q.  A target's
+    output qubit is read in the A letter only, since it must be measured
+    in the rotated basis, and no operator reads A elsewhere, so a qubit's
+    A table is the whole group on its output and its ``LOST`` table on
+    any other qubit, the same int object.  A target thus costs its 8-byte
+    pair and 4n bits, and a qubit measured in letter k, or lost, narrows
+    a state with one AND a group (``narrow``).
 
-    A decoder's state is an index sequence into the targets: a list of
-    ints below ``SMALL`` targets, tested one at a time in Python, and an
-    index array at or above it (int32 from the root), tested
-    ``KERNEL_FLOATS`` targets at a time (``_kept``).  Four queries read a
-    state: ``narrow``, ``toward``, ``busiest_output`` and ``attempt``.
-    The two filters hand back a list once fewer than ``SMALL`` targets are
-    left, so a shrinking state leaves numpy for good, and a short root
-    array, as on the pentagon, takes one numpy pass first.  ``len`` is
-    the number of targets; ``ts[t]`` is target t as (its one or two
-    operators as a tuple of ``PauliOperator``s, its output qubit or
-    None), the fields of a success ``Leaf``.
+    Four more queries read a state: ``finished`` ANDs out the targets that
+    read a letter on an unmeasured qubit, ``toward`` names one group,
+    ``busiest_output`` compares bit counts and ``attempt`` reads the set
+    bits.  ``len`` is the number of targets; ``ts[t]`` is target t as (its
+    one or two operators as a tuple of ``PauliOperator``s, its output
+    qubit or None), the fields of a success ``Leaf``, and iterating gives
+    every target so in the order its operators were paired.
     """
 
-    __slots__ = ("n", "ops", "x", "z", "support", "supports", "pair", "output",
-                 "need", "need_view")
+    __slots__ = ("n", "ops", "x", "z", "support", "supports", "pair", "columns",
+                 "outputs", "starts", "admits")
 
     def __init__(self, n: int, x: np.ndarray, z: np.ndarray,
                  pairs: tuple | None = None, ops: tuple = ()):
-        """``pairs`` is ``(pair, output)`` as ``_anticommuting_pairs``
-        makes them; without it every operator is a target of its own."""
+        """``pairs`` is ``(pair, starts)``, pairs grouped by output as
+        ``_grouped`` makes them; without it every operator is a target of
+        its own."""
         self.n, self.ops, self.x, self.z, self.support = n, ops, x, z, x | z
         self.supports = self.support.tolist()
         if pairs is None:
             single = np.arange(len(x), dtype=np.int32)
-            pairs = np.stack((single, single), axis=1), np.full(len(x), -1, np.int8)
-        self.pair, self.output = pairs
-        masks = packed(x.astype(np.uint64), z.astype(np.uint64), n)
-        self.need = np.empty(len(self.output), np.uint64)
-        for lo in range(0, len(self.need), KERNEL_FLOATS):
-            pair = self.pair[lo:lo + KERNEL_FLOATS]
-            output = self.output[lo:lo + KERNEL_FLOATS]
-            # the output qubit's bit, or 0 for a target with no output
-            bit = ((output >= 0).astype(np.uint64)
-                   << output.clip(0).astype(np.uint64))
-            need = masks[pair[:, 0]] | masks[pair[:, 1]]
-            self.need[lo:lo + KERNEL_FLOATS] = (need & ~spread(bit, n, "XYZ")
-                                                | spread(bit, n, "A"))
-        self.need_view = memoryview(self.need)
+            self.pair = np.stack((single, single), axis=1)
+            self.outputs, self.starts = (-1,), (0, len(x))
+        else:
+            self.pair, self.starts = pairs
+            self.outputs = tuple(range(n))
+        self.columns = memoryview(self.pair[:, 0]), memoryview(self.pair[:, 1])
+        self.admits = self._tables(packed(x.astype(np.uint64),
+                                          z.astype(np.uint64), n))
+
+    def _tables(self, masks: np.ndarray) -> list:
+        """Every group's 5n bitsets, ``admits``, from the operators' packed
+        letter masks ``masks``.
+
+        A group is cut into pieces every ``KERNEL_FLOATS`` targets from
+        its start, and consecutive pieces of small groups share one numpy
+        pass, which makes each target's admitted letters one word
+        (``_letters``) and the words 4n rows of bits (``_bit_rows``), one
+        int a row; a piece's tables are the bits of its targets.  A group
+        of several pieces joins their tables as bytes, whole for every
+        piece but the last, once its last piece is in."""
+        n, starts = self.n, self.starts
+        step = max(8, KERNEL_FLOATS & ~7)
+        pieces = [(g, a, min(a + step, hi))
+                  for g, (lo, hi) in enumerate(zip(starts, starts[1:]))
+                  for a in range(lo, hi, step)]
+        admits = [self._group_tables(g, [[0] * 4 * n], step)
+                  for g in range(len(self.outputs))]
+        parts, first = [], 0
+        while first < len(pieces):
+            lo, last = pieces[first][1], first + 1
+            while last < len(pieces) and pieces[last][2] - lo <= step:
+                last += 1
+            hi = pieces[last - 1][2]
+            words = np.zeros((hi - lo + 7) // 8 * 8, np.uint64)
+            words[:hi - lo] = self._letters(masks, lo, hi)
+            width, rows = len(words) // 8, _bit_rows(words)[:4 * n].tobytes()
+            columns = [int.from_bytes(rows[c * width:(c + 1) * width], "little")
+                       for c in range(4 * n)]
+            for g, a, b in pieces[first:last]:
+                keep = (1 << b - a) - 1
+                parts.append([column >> a - lo & keep for column in columns])
+                if b == starts[g + 1]:
+                    admits[g], parts = self._group_tables(g, parts, step), []
+            first = last
+        return admits
+
+    def _letters(self, masks: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """One uint64 word per target ``lo:hi``: bit q + k*n set when it
+        admits letter k of X, Y, Z on qubit q (reads that letter or none
+        there), and bit q + 3n when it reads no letter on q."""
+        n, pair = self.n, self.pair[lo:hi]
+        need = masks[pair[:, 0]] | masks[pair[:, 1]]
+        idle = ~(need | need >> n | need >> 2 * n) & np.uint64((1 << n) - 1)
+        return need | idle * np.uint64(spread(1, n, BASES))
+
+    def _group_tables(self, g: int, parts: list, step: int) -> list:
+        """Group ``g``'s ``admits`` from the 4n tables of each of its
+        pieces, in order, every piece but the last ``step`` targets: the
+        3n Pauli letters, then the targets that read no letter."""
+        n, tables = self.n, parts[-1]
+        if len(parts) > 1:
+            shift = step * (len(parts) - 1)
+            tables = [int.from_bytes(b"".join(piece[c].to_bytes(step // 8, "little")
+                                              for piece in parts[:-1]), "little")
+                      | last << shift for c, last in enumerate(parts[-1])]
+        paulis, idle = tables[:3 * n], tables[3 * n:]
+        o = self.outputs[g]
+        if o >= 0:
+            # the output qubit admits the A letter alone
+            for k in range(3):
+                paulis[o + k * n] = 0
+        whole = (1 << self.starts[g + 1] - self.starts[g]) - 1
+        return paulis + [whole if q == o else idle[q] for q in range(n)] + idle
 
     def __len__(self) -> int:
-        return len(self.need)
+        return self.starts[-1]
 
     def __getitem__(self, t) -> tuple:
-        (i, j), o = self.pair[t].tolist(), int(self.output[t])
+        if not 0 <= t < len(self):
+            raise IndexError(t)
+        i, j = self.pair[t].tolist()
+        o = self.outputs[bisect_right(self.starts, t) - 1]
         ops = (self.ops[i],) if j == i else (self.ops[i], self.ops[j])
         return ops, None if o < 0 else o
 
-    def narrow(self, idx, allowed: int):
-        """The targets in ``idx`` every letter of which the packed
-        ``allowed`` mask admits (``pauli.fits``), in their given order.
+    def __iter__(self):
+        """Every target as ``ts[t]`` gives it, in the order of its operator
+        indices (first, second): the order ``_anticommuting_pairs``
+        found the pairs in, which each group keeps, so the groups are
+        merged on it."""
+        pair = memoryview(self.pair)
+        groups = (range(a, b) for a, b in zip(self.starts, self.starts[1:]))
+        for t in merge(*groups, key=lambda t: (pair[t, 0], pair[t, 1])):
+            yield self[t]
 
-        A list is tested one target at a time in Python, each mask read
-        as a Python int through ``need_view``, a zero-copy ``memoryview``
-        of ``need``, since numpy's fixed cost per call dominates there.
-        Timed on one call from a list against one numpy pass over an
-        array (Python 3.11, numpy 2.4, 2-core VM): 0.8 us against 3.8 at
-        4 targets, 1.9 against 3.9 at 16, 3.4 against 4.0 at 32.  The
-        decoders' lists are short on small codes (a median of 4 over the
-        7-vertex search); their arrays run to millions on 14 qubits."""
-        if isinstance(idx, list):
-            deny, need = ~allowed, self.need_view
-            return [t for t in idx if not need[t] & deny]
-        # the letters of the n qubits that ``allowed`` does not admit
-        deny = np.uint64(~allowed & ((1 << 4 * self.n) - 1))
-        return _kept(idx, lambda piece: (self.need[piece] & deny) == 0)
+    def full(self) -> list:
+        """The state of every target."""
+        return [(1 << b - a) - 1 for a, b in zip(self.starts, self.starts[1:])]
 
-    def toward(self, idx, q: int):
-        """The targets in ``idx`` whose output qubit is ``q``, in their
-        given order."""
-        if isinstance(idx, list):
-            # a memoryview reads single entries as Python ints
-            output = memoryview(self.output)
-            return [t for t in idx if output[t] == q]
-        return _kept(idx, lambda piece: self.output[piece] == q)
+    def narrow(self, state: list, q: int, k: int) -> list:
+        """The targets of ``state`` that admit letter ``k`` (an index of
+        ``BASES``, or ``LOST``) on qubit ``q``: one AND a group."""
+        p = q + k * self.n
+        return [bits & admits[p] for bits, admits in zip(state, self.admits)]
 
-    def busiest_output(self, idx) -> int:
-        """The output qubit shared by the most targets in ``idx``; ties go
-        to the lowest (``argmax`` takes the first maximum).  Counted a
-        ``KERNEL_FLOATS`` piece at a time, since ``bincount`` widens its
-        input to intp."""
-        counts = sum(np.bincount(self.output[idx[lo:lo + KERNEL_FLOATS]],
-                                 minlength=self.n)
-                     for lo in range(0, len(idx), KERNEL_FLOATS))
-        return int(counts.argmax())
+    def finished(self, g: int, bits: int, free: int) -> int:
+        """The targets of group ``g``'s ``bits`` that read no letter on the
+        qubits of the mask ``free``, the unmeasured ones: once a state is
+        narrowed by every measured and lost qubit, those are the targets
+        fully read out (``pauli.fits`` on the measured letters)."""
+        admits, lost = self.admits[g], LOST * self.n
+        while free and bits:
+            low = free & -free
+            bits &= admits[lost + low.bit_length() - 1]
+            free ^= low
+        return bits
 
-    def attempt(self, targets, pattern: MeasurementPattern,
+    def toward(self, q: int) -> int | None:
+        """The group whose targets teleport onto qubit ``q``: group q of a
+        pair set, and for -1 a single-operator set's one group; None when
+        there is none."""
+        return self.outputs.index(q) if q in self.outputs else None
+
+    def busiest_output(self, state: list) -> int:
+        """The output qubit shared by the most targets in ``state``; ties
+        go to the lowest, as ``index`` takes the first maximum."""
+        counts = [bits.bit_count() for bits in state]
+        return self.outputs[counts.index(max(counts))]
+
+    def attempt(self, g: int, bits: int, free: int,
                 rank: np.ndarray | None = None):
-        """The attempt rule: the lowest-ranked operator of the ``targets``
-        with unmeasured support, then its lowest unmeasured qubit, in that
-        operator's letter.  Returns None when no operator has unmeasured
-        support.
+        """The attempt rule on group ``g``'s ``bits``: the lowest-ranked
+        operator of the targets with support on the unmeasured qubits
+        ``free``, then its lowest such qubit, as (qubit, letter index of
+        ``BASES``).  None when no operator has unmeasured support.
 
         Each target's operators are read from ``pair``, first then
-        second.  ``rank`` is one int64 key per operator (``_rank``), and
-        of equal keys the one read first wins, so an operator read twice
-        (a single-operator target's) ranks once.  Without it the index is
-        the rank, since the operators are sorted by (weight, x, z).
+        second, in target order.  ``rank`` is one int64 key per operator
+        (``_rank``), and of equal keys the one read first wins, so an
+        operator read twice (a single-operator target's) ranks once.
+        Without it the index is the rank, since the operators are sorted
+        by (weight, x, z); a single-operator set's targets are then its
+        operators, so the rule takes the lowest target not ``finished``.
 
-        A list is tested one operator at a time in Python on
-        ``supports``, as in ``narrow``: on the 7-vertex search's side
-        decoders (a median of 2 targets) that takes about 3 us per call
-        against numpy's 6.5.  An array is read half a piece of targets at
-        a time, whose ``KERNEL_FLOATS`` operators ``_kept`` tests for
-        unmeasured support; the least key of each piece, then the least
-        over the pieces, the earlier piece kept on ties, is the operator
-        one ``argmin`` over all of them would take.
+        Otherwise a state of at most ``SHORT`` targets is read one target
+        at a time in Python, each set bit peeled off (``_words``), and a
+        longer one a piece of targets at a time (``_pieces``), whose
+        operators one numpy pass tests for unmeasured support; the least
+        key of each piece, then the least over the pieces, the earlier
+        piece kept on ties, is the operator one ``argmin`` over all of
+        them would take.  A target costs about 0.3 us in Python and a
+        piece about 40 us in numpy, mostly fixed (2-core VM, Python 3.11,
+        numpy 2.4); the fusion side decoders' long states on 14 qubits
+        are sparse, a few hundred targets spread over a group of 100,000.
         """
-        free = pattern.unmeasured
-        if isinstance(targets, list):
-            pair, supports = memoryview(self.pair), self.supports
-            live = [i for t in targets for i in (pair[t, 0], pair[t, 1])
-                    if supports[i] & free]
-            if not live:
-                return None
-            i = min(live) if rank is None else min(live, key=rank.item)
+        start, i = self.starts[g], None
+        if rank is None and self.outputs[g] < 0:
+            live = bits ^ self.finished(g, bits, free)
+            if live:
+                i = start + (live & -live).bit_length() - 1
+        elif bits.bit_count() <= SHORT:
+            (first, second), supports = self.columns, self.supports
+            # memoryviews read single entries as Python ints
+            keys = range(len(supports)) if rank is None else memoryview(rank)
+            best = None
+            for base, word in self._words(g, bits):
+                while word:
+                    low = word & -word
+                    word ^= low
+                    t = base + low.bit_length() - 1
+                    j, k = first[t], second[t]
+                    if supports[j] & free and (i is None or keys[j] < best):
+                        i, best = j, keys[j]
+                    if supports[k] & free and (i is None or keys[k] < best):
+                        i, best = k, keys[k]
         else:
-            i = best = None
-            half = (KERNEL_FLOATS + 1) // 2
-            for lo in range(0, len(targets), half):
-                live = _kept(self.pair[targets[lo:lo + half]].ravel(),
-                             lambda o: (self.support[o] & free) != 0)
+            best = None
+            for targets in self._pieces(g, bits):
+                ops = self.pair[targets].ravel()
+                live = ops[(self.support[ops] & free) != 0]
                 if len(live):
                     j = int(live[np.argmin(live if rank is None else rank[live])])
                     key = j if rank is None else rank[j]
-                    if best is None or key < best:
-                        best, i = key, j
-            if i is None:
-                return None
+                    if i is None or key < best:
+                        i, best = j, key
+        if i is None:
+            return None
         low = self.supports[i] & free
         q = (low & -low).bit_length() - 1
-        return q, "IXZY"[self.x.item(i) >> q & 1 | (self.z.item(i) >> q & 1) << 1]
+        return q, _LETTER[self.x.item(i) >> q & 1 | (self.z.item(i) >> q & 1) << 1]
+
+    def _words(self, g: int, bits: int):
+        """Group ``g``'s ``bits`` as (target of bit 0, bitset) pairs whose
+        bits peel off cheaply in Python: the state itself while it spans
+        at most ``WIDE`` targets, so that an int operation is on a few
+        machine words, and past that its nonzero 64-bit words, which one
+        numpy pass finds."""
+        start = self.starts[g]
+        if bits.bit_length() <= WIDE:
+            return [(start, bits)]
+        words = _uint64s(bits)
+        nonzero = np.flatnonzero(words)
+        return zip((nonzero * 64 + start).tolist(), words[nonzero].tolist())
+
+    def _pieces(self, g: int, bits: int):
+        """The targets of group ``g``'s ``bits`` in increasing order, as
+        index arrays of at most ``KERNEL_FLOATS`` // 4 targets, whose
+        operator pairs make half a ``KERNEL_FLOATS`` piece, so the few
+        temporaries ``attempt`` makes of one stay within a few pieces.
+
+        The bitset is read as 64-bit words, and only its nonzero words,
+        found ``KERNEL_FLOATS`` words at a time, are unpacked, a run of
+        ``KERNEL_FLOATS`` // 128 at a time (one bit a byte), so a sparse
+        state costs one pass over its words and work in its set bits."""
+        words, start = _uint64s(bits), self.starts[g]
+        run, size = max(1, KERNEL_FLOATS // 128), max(1, KERNEL_FLOATS // 4)
+        for lo in range(0, len(words), KERNEL_FLOATS):
+            nonzero = np.flatnonzero(words[lo:lo + KERNEL_FLOATS]) + lo
+            for at in range(0, len(nonzero), run):
+                where = nonzero[at:at + run]
+                found = np.flatnonzero(np.unpackbits(words[where].view(np.uint8),
+                                                     bitorder="little"))
+                targets = where[found >> 6]
+                targets *= 64
+                targets += (found & 63) + start
+                for first in range(0, len(targets), size):
+                    yield targets[first:first + size]
+
+
+def _bit_rows(words: np.ndarray) -> np.ndarray:
+    """The bits of uint64 ``words`` (a multiple of 8 of them) as 64 rows
+    of bytes: row c holds bit c of every word, eight words a byte, the
+    first in bit 0, as ``np.packbits(..., bitorder="little")`` packs.
+
+    Eight words make an 8 x 8 matrix of bytes, which is transposed so
+    that each byte position gathers one byte of every word into one
+    word, and each of those, an 8 x 8 matrix of bits, is transposed in
+    three rounds of swapping blocks (Hacker's Delight, 7-3): bit 8r + s
+    of word j moves to bit 8s + r."""
+    x = np.ascontiguousarray(
+        words.astype("<u8").view(np.uint8).reshape(-1, 8, 8).transpose(0, 2, 1)
+    ).view("<u8")
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0)):
+        swap = (x ^ x >> np.uint64(shift)) & np.uint64(mask)
+        x ^= swap ^ swap << np.uint64(shift)
+    return x.view(np.uint8).reshape(-1, 64).T
+
+
+def _uint64s(bits: int) -> np.ndarray:
+    """The bitset ``bits`` as little-endian 64-bit words, bit i of the
+    set at bit i % 64 of word i // 64."""
+    return np.frombuffer(bits.to_bytes((bits.bit_length() + 63) // 64 * 8,
+                                       "little"), "<u8")
+
+
+def _grouped(pair: np.ndarray, output: np.ndarray, n: int) -> tuple:
+    """``pair`` sorted by ``output`` (0 to n - 1), each output's pairs in
+    their given order, and the group starts: n + 1 indices, group q the
+    range ``starts[q]:starts[q + 1]``.  A counting sort a piece of
+    ``KERNEL_FLOATS`` pairs at a time, each piece's pairs placed after
+    the earlier pieces' of their output."""
+    spans = range(0, len(output), KERNEL_FLOATS)
+    counts = [np.bincount(output[lo:lo + KERNEL_FLOATS], minlength=n)
+              for lo in spans]
+    starts = np.concatenate(([0], np.cumsum(sum(counts, np.zeros(n, np.int64)))))
+    grouped, after = np.empty_like(pair), starts[:-1].copy()
+    for lo, count in zip(spans, counts):
+        out = output[lo:lo + KERNEL_FLOATS]
+        order = np.argsort(out, kind="stable")
+        # the sorted piece's entry r, the (r - first)-th of its output's,
+        # goes after the earlier pieces' pairs of that output
+        shift = after - (np.cumsum(count) - count)
+        grouped[shift[out[order]] + np.arange(len(out))] = \
+            pair[lo:lo + KERNEL_FLOATS][order]
+        after += count
+    return grouped, tuple(starts.tolist())
 
 
 def grow(pattern: MeasurementPattern, state, step):
@@ -326,33 +499,62 @@ def paths(node, key=((0, 0, 0, 0), (0, 0, 0, 0))):
         stack.append((node.on_detect, (a[:i] + (a[i] + 1,) + a[i + 1:], b)))
 
 
+def leaves(pattern: MeasurementPattern, state, step):
+    """Each ``Leaf`` the steps of ``grow(pattern, state, step)`` reach,
+    with the numbers of detected and lost attempts on its path, in the
+    order ``paths`` reads that tree, but without building it: for a
+    decoder read once that needs only those totals, as a fusion side
+    decoder does."""
+    stack = [(pattern, state, 0, 0)]
+    while stack:
+        pattern, state, detected, lost = stack.pop()
+        move = step(pattern, state)
+        if isinstance(move, Leaf):
+            yield move, (detected, lost)
+            continue
+        q, basis, detect_state, lost_state = move
+        stack.append((pattern.lose(q), lost_state, detected, lost + 1))
+        stack.append((pattern.measure(q, basis), detect_state, detected + 1,
+                      lost))
+
+
 # -- the two loss decoders -----------------------------------------------------
 
 
 def _tree_step(pattern: MeasurementPattern, state):
     """One node of either loss decoder.  ``state`` is (the targets, the
-    alive ones, the output qubit being completed or -1); Pauli targets
-    have output -1, so their decoder never picks one."""
+    alive ones, narrowed by every measured and lost qubit, the output
+    qubit being completed or -1); Pauli targets have output -1, so their
+    decoder never picks one.
+
+    Only the targets toward the current output can be fully read out:
+    one toward another output needs that qubit in the A letter, and an
+    output is measured in A only when it becomes the current one, which
+    it stays while any target toward it is alive.  So the decoder picks
+    an output when none of those is alive, and otherwise finishes or
+    attempts within that group."""
     ts, alive, current = state
-    alive = ts.narrow(alive, pattern.allowed())
-    if not len(alive):
+    if not any(alive):
         return Leaf("failure", pattern)
-    done = ts.narrow(alive, pattern.letters)
-    if len(done):
-        return Leaf("success", pattern, *ts[done[0]])
-    mine = ts.toward(alive, current)
-    if not len(mine):
+    g = ts.toward(current)
+    mine = 0 if g is None else alive[g]
+    if not mine:
         # pick (or re-pick) the output and try the rotated measurement
         o = ts.busiest_output(alive)
-        return o, "A", (ts, alive, o), (ts, alive, -1)
-    q, b = ts.attempt(mine, pattern)
-    return q, b, (ts, alive, current), (ts, alive, current)
+        return (o, "A", (ts, ts.narrow(alive, o, BASES.index("A")), o),
+                (ts, ts.narrow(alive, o, LOST), -1))
+    done = ts.finished(g, mine, pattern.unmeasured)
+    if done:
+        return Leaf("success", pattern,
+                    *ts[ts.starts[g] + (done & -done).bit_length() - 1])
+    q, k = ts.attempt(g, mine, pattern.unmeasured)
+    return (q, BASES[k], (ts, ts.narrow(alive, q, k), current),
+            (ts, ts.narrow(alive, q, LOST), current))
 
 
 def _tree(code: GraphCode, kind: str, ts: TargetSet) -> DecisionTree:
     """Grow a loss decoder over the targets ``ts``, all alive at first."""
-    root = grow(MeasurementPattern(code.n),
-                (ts, np.arange(len(ts), dtype=np.int32), -1), _tree_step)
+    root = grow(MeasurementPattern(code.n), (ts, ts.full(), -1), _tree_step)
     return DecisionTree(code, kind, root)
 
 
@@ -384,13 +586,16 @@ def _strategies(code: GraphCode) -> TargetSet:
     ``_anticommuting_pairs`` tests the pairs in one blocked numpy pass
     over the upper triangle, rows by all later columns, and reads each
     block in row-major order, so the pairs come out in the (i, j) order
-    of the double loop over the operator set.  They are returned as index
-    arrays into the sorted ``AllLogical`` operators, with no object per
-    pair.
+    of the double loop over the operator set.  They are grouped by output
+    (``_grouped``), each output's in that order, as index arrays into the
+    sorted ``AllLogical`` operators, with no object per pair.
     """
     ops = enumerate_nontrivial(code, "AllLogical")
     x, z = _xz(ops)
-    return TargetSet(code.n, x, z, _anticommuting_pairs(x, z), ops)
+    # the pairs in finding order are dropped once grouped, before the
+    # tables are built
+    return TargetSet(code.n, x, z, _grouped(*_anticommuting_pairs(x, z), code.n),
+                     ops)
 
 
 def _anticommuting_pairs(x: np.ndarray, z: np.ndarray) -> tuple:
@@ -401,8 +606,10 @@ def _anticommuting_pairs(x: np.ndarray, z: np.ndarray) -> tuple:
 
     Rows i of the upper triangle are taken in blocks, each block against
     the columns j > i of its first row; entries of its later rows with
-    j <= i are masked out.  ``np.nonzero`` reads each block in row-major
-    order, the loop's order.  A block takes as many rows as
+    j <= i are masked out, in the pieces of columns that reach them.  One
+    ``frexp`` of d finds the one-bit entries (mantissa 0.5) and their bit
+    (the exponent less one).  ``np.nonzero`` reads each block in
+    row-major order, the loop's order.  A block takes as many rows as
     ``KERNEL_FLOATS`` entries allow, and a row longer than that is cut
     into pieces of ``KERNEL_FLOATS`` columns, read in increasing j, so no
     temporary holds more than ``KERNEL_FLOATS`` entries.  Each piece's
@@ -422,9 +629,13 @@ def _anticommuting_pairs(x: np.ndarray, z: np.ndarray) -> tuple:
         for start in range(lo + 1, count, span):
             stop = min(start + span, count)
             d = (xi & z[None, start:stop]) ^ (zi & x[None, start:stop])
-            keep = (d & (d - 1) == 0) & (d != 0)
-            # entry (r, c) is the pair (lo + r, start + c): keep j > i
-            keep &= np.arange(start, stop)[None, :] > np.arange(lo, hi)[:, None]
+            # frexp writes a power of two 2^q as 0.5 * 2^(q+1), and 0 as
+            # 0 * 2^0, so one bit is a mantissa of 0.5
+            mantissa, exponent = np.frexp(d)
+            keep = mantissa == 0.5
+            if start < hi:
+                # entry (r, c) is the pair (lo + r, start + c): keep j > i
+                keep &= np.arange(start, stop)[None, :] > np.arange(lo, hi)[:, None]
             r, c = np.nonzero(keep)
             end = found + len(r)
             if end > len(output):
@@ -432,9 +643,7 @@ def _anticommuting_pairs(x: np.ndarray, z: np.ndarray) -> tuple:
                 # pairs, and the pages past ``found`` stay untouched
                 pair, output = (_grown(a, found, 2 * end) for a in (pair, output))
             pair[found:end, 0], pair[found:end, 1] = r + lo, c + start
-            # each bit is a power of two 2^q, which frexp writes as
-            # 0.5 * 2^(q+1)
-            output[found:end] = np.frexp(d[r, c])[1] - 1
+            output[found:end] = exponent[r, c] - 1
             found = end
         lo = hi
     return pair[:found], output[:found]

@@ -401,17 +401,37 @@ def _rise_point(poly: LossPolynomial) -> float | None:
     return 0.0 if root is None else root
 
 
-def bisect(inside, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def bisect(inside, lo: float, hi: float, tol: float,
+           depth: int = 1) -> tuple[float, float]:
     """Halve [lo, hi] until it is at most ``tol`` wide.
 
     ``inside`` is a predicate that holds up to a threshold and fails past
-    it: a midpoint where it holds becomes ``lo``, any other ``hi``.
-    Returns the final (lo, hi).
+    it, asked of a list of points at once and answering with one bool
+    each: a midpoint where it holds becomes ``lo``, any other ``hi``.
+    Each call asks for the midpoints of the next ``depth`` halvings, every
+    one the path may reach (up to 2^depth - 1), and the path then takes
+    ``depth`` halvings.  A midpoint is the float 0.5 * (lo + hi) of the
+    interval it halves, as one halving at a time makes it, so every
+    decision, and the result, is the same at any depth.  Returns the
+    final (lo, hi).
     """
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
+        mids, level = [], [(lo, hi)]
+        for _ in range(depth):
+            halves = []
+            for a, b in level:
+                if b - a > tol:
+                    mid = 0.5 * (a + b)
+                    mids.append(mid)
+                    halves += [(a, mid), (mid, b)]
+            level = halves
+        verdict = dict(zip(mids, inside(mids)))
+        for _ in range(depth):
+            if not hi - lo > tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if verdict[mid]:
+                lo = mid
+            else:
+                hi = mid
     return lo, hi

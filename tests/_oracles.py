@@ -23,12 +23,11 @@ from graphcode_lt.fusion import (
     _CLASSES,
     _INTERFACE_LETTERS,
     _classify,
-    _cosets,
     _gate_outcomes,
     _model,
 )
 from graphcode_lt.graphs import Graph, canonical_form, local_complement
-from graphcode_lt.losstree import Leaf, _rank, _strategies, grow, paths
+from graphcode_lt.losstree import Leaf, grow, paths
 from graphcode_lt.opsets import ResourceLimitError, enumerate_nontrivial
 from graphcode_lt.pauli import (
     BASES,
@@ -37,6 +36,7 @@ from graphcode_lt.pauli import (
     PauliSpan,
     fits,
     iter_bits,
+    packed,
     spread,
 )
 
@@ -897,51 +897,102 @@ def interface_letters(interfaces: tuple, n: int) -> int:
     return letters
 
 
+def target_need(ops, output) -> int:
+    """A target's joint packed letter mask (``pauli.packed``), from its
+    one or two operators: an output qubit, when it has one, is read in
+    the A letter only."""
+    n = ops[0].n
+    need = 0
+    for op in ops:
+        need |= packed(op.x, op.z, n)
+    if output is None:
+        return need
+    bit = 1 << output
+    return need & ~spread(bit, n, "XYZ") | spread(bit, n, "A")
+
+
+def attempt_reference(ops, free: int, keep: int = -1):
+    """The attempt rule on the operators ``ops``, as listed: of those with
+    support on the unmeasured qubits ``free``, the least (weight, x, z)
+    key on the qubits of ``keep``, the first listed of equal keys, then
+    its lowest unmeasured qubit, as (qubit, letter).  None when no
+    operator has unmeasured support."""
+    def key(op):
+        x, z = op.x & keep, op.z & keep
+        return (x | z).bit_count(), x, z
+
+    live = [op for op in ops if op.support & free]
+    if not live:
+        return None
+    op = min(live, key=key)
+    low = op.support & free
+    q = (low & -low).bit_length() - 1
+    return q, op.letter_at(q)
+
+
+def coset_members_reference(code) -> list[tuple[PauliOperator, bool]]:
+    """The X and Z logical coset members, each with True for an X
+    member, sorted by (weight, x, z) across both cosets."""
+    n, cosets = packed_cosets(code)
+    members = [(PauliOperator(n, v >> n, v & ((1 << n) - 1)), basis == "X")
+               for basis in "XZ" for v in cosets[basis].tolist()]
+    return sorted(members, key=lambda m: (m[0].weight, m[0].x, m[0].z))
+
+
 def adaptive_terms_reference(code, randomize: bool) -> dict:
     """The ``adaptive_terms`` of one gate model of
-    ``AdaptiveFusionAnalysis``, compiled by a walk of that model alone: the fixed model walks only
-    fz failures, the randomized one fx and then fz.  Each side decoder
-    rebuilds its interface letters from the interface list, narrows every
-    list it tests and tallies its fold term by term, as the engine did
-    before one walk compiled both models."""
+    ``AdaptiveFusionAnalysis``, compiled by a walk of that model alone:
+    the fixed model walks only fz failures, the randomized one fx and then
+    fz.  Strategies come from ``strategies_reference`` and coset members
+    from ``packed_cosets``, each with its packed letter mask
+    (``target_need``); every list is narrowed with ``pauli.fits`` one
+    target at a time, the next attempt follows ``attempt_reference``, and
+    each side decoder rebuilds its interface letters from the interface
+    list and tallies its fold term by term, as the engine did before one
+    walk compiled both models."""
     n = code.n
-    strategies = _strategies(code)
-    cosets, is_x = _cosets(code)
-    every = np.arange(len(cosets))
-    needs, is_x = cosets.need.tolist(), is_x.tolist()
-    ranks = [_rank(strategies.x, strategies.z, n, ~(1 << q)) for q in range(n)]
+    strategies = strategies_reference(code)
+    needs = [target_need((a, b), o) for a, b, o in strategies]
+    members = coset_members_reference(code)
+    member_needs = [target_need((op,), None) for op, _ in members]
     counts = {klass: {} for klass in _CLASSES}
 
+    def fitting(targets, need, allowed):
+        return [t for t in targets if fits(need[t], allowed)]
+
     def side(pattern, interfaces, output, pairs) -> dict:
-        rank = None if output is None else ranks[output]
+        keep = -1 if output is None else ~(1 << output)
         letters = interface_letters(interfaces, n)
 
         def step(pat, state):
             alive, salvage = state
             allowed = pat.allowed() | letters
             done = pat.letters | letters
-            alive = np.array(strategies.narrow(alive, allowed), dtype=np.intp)
-            if alive.size:
-                if len(strategies.narrow(alive, done)):
-                    return Leaf("success", pat, cosets.narrow(salvage, done))
-                q, b = strategies.attempt(alive, pat, rank)
-                return q, b, (alive, salvage), (alive, salvage)
-            salvage = cosets.narrow(salvage, allowed)
-            members = cosets.narrow(salvage, done)
-            move = (None if len(members)
-                    else cosets.attempt(np.array(salvage, dtype=np.intp), pat))
+            alive = fitting(alive, needs, allowed)
+            if alive:
+                if fitting(alive, needs, done):
+                    return Leaf("success", pat,
+                                fitting(salvage, member_needs, done))
+                ops = [op for t in alive for op in strategies[t][:2]]
+                move = attempt_reference(ops, pat.unmeasured, keep)
+                return move + ((alive, salvage), (alive, salvage))
+            salvage = fitting(salvage, member_needs, allowed)
+            done_members = fitting(salvage, member_needs, done)
+            move = (None if done_members else attempt_reference(
+                [members[m][0] for m in salvage], pat.unmeasured))
             if move is None:
-                return Leaf("success" if len(members) else "failure", pat,
-                            members)
+                return Leaf("success" if done_members else "failure", pat,
+                            done_members)
             return move + ((alive, salvage), (alive, salvage))
 
         face = spread(sum(1 << q for q, _ in interfaces), n, "XYZ")
         groups: dict = {}
-        start = cosets.narrow(every, pattern.allowed() | letters)
+        start = fitting(range(len(members)), member_needs,
+                        pattern.allowed() | letters)
         for leaf, (a, b) in paths(grow(pattern, (pairs, start), step)):
             lx, lz = set(), set()
-            for t in np.array(leaf.targets, dtype=np.intp).tolist():
-                (lx if is_x[t] else lz).add(needs[t] & face)
+            for m in leaf.targets:
+                (lx if members[m][1] else lz).add(member_needs[m] & face)
             de = (sum(a), sum(b))
             poly = groups.setdefault((frozenset(lx), frozenset(lz)), {})
             poly[de] = poly.get(de, 0) + 1
@@ -960,21 +1011,22 @@ def adaptive_terms_reference(code, randomize: bool) -> dict:
         settled = ((1 << n) - 1) ^ pattern.unmeasured
         allowed = ((pattern.allowed() | interface_letters(interfaces, n))
                    & ~spread(settled, n, "A"))
-        candidates = np.array(strategies.narrow(candidates, allowed),
-                              dtype=np.intp)
-        if not candidates.size:
-            fold(side(pattern, interfaces, None, candidates), (a, b, c))
+        candidates = fitting(candidates, needs, allowed)
+        if not candidates:
+            fold(side(pattern, interfaces, None, []), (a, b, c))
             return
-        q = strategies.busiest_output(candidates)
+        # the output most candidates share, the lowest of a tie
+        outputs = [strategies[t][2] for t in candidates]
+        q = min(set(outputs), key=lambda o: (-outputs.count(o), o))
         fused = pattern.measure(q, "A")
         fold(side(fused, interfaces + ((q, "s"),), q,
-                  candidates[strategies.output[candidates] == q]),
+                  [t for t in candidates if strategies[t][2] == q]),
              (a + 1, b, c))
         for kind in ("fx", "fz") if randomize else ("fz",):
             walk(fused, interfaces + ((q, kind),), candidates, a, b + 1, c)
         walk(pattern.lose(q), interfaces, candidates, a, b, c + 1)
 
-    walk(MeasurementPattern(n), (), np.arange(len(strategies)), 0, 0, 0)
+    walk(MeasurementPattern(n), (), list(range(len(strategies))), 0, 0, 0)
     half = 1 if randomize else 0
     return {klass: {key: Fraction(count, 1 << half * key[1])
                     for key, count in tally.items()}

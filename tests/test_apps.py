@@ -26,7 +26,7 @@ from graphcode_lt.codes import (
 )
 from graphcode_lt.fusion import logical_fusion
 from graphcode_lt.search import enumerate_candidates
-from graphcode_lt import apps
+from graphcode_lt import apps, polynomials
 from graphcode_lt.apps import (
     ERASURE_BUDGET,
     fbqc_loss_threshold,
@@ -211,3 +211,66 @@ def test_threshold_monotone_in_budget(monkeypatch):
 def test_star_code_has_no_threshold():
     # A bare star cannot protect both parities at once.
     assert fbqc_loss_threshold(star_code(4), p_fail=0.5, adaptive=True) == 0.0
+
+
+def sequential_threshold(code, p_fail: float, adaptive: bool = True) -> float:
+    """``fbqc_loss_threshold`` one midpoint at a time: bisection to 1e-4
+    on one-point ``logical_fusion`` calls."""
+    def inside(ell: float) -> bool:
+        result = logical_fusion(code, p_fail, 1.0 - ell, adaptive=adaptive,
+                                randomize_failures=True)
+        erasure = result.p_loss_logical + 0.5 * result.p_fail_logical
+        return erasure < ERASURE_BUDGET
+
+    if not inside(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_blocked_bisection_takes_the_sequential_path(monkeypatch):
+    # the midpoints of four halvings go out as one block of up to 15
+    # transmissions; every decision, and so the threshold, is the one a
+    # halving at a time takes, in a fifth of the calls or fewer
+    codes = [pentagon_code(), cube_code(), tree_code([2, 2, 1]), star_code(4)]
+    codes += list(enumerate_candidates(6))[::3]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[2]))
+        return logical_fusion(*args, **kwargs)
+
+    for code in codes:
+        for p_fail, adaptive in ((0.5, True), (0.25, True), (0.5, False)):
+            want = sequential_threshold(code, p_fail, adaptive)
+            calls.clear()
+            monkeypatch.setattr(apps, "logical_fusion", counted)
+            got = fbqc_loss_threshold(code, p_fail, adaptive)
+            monkeypatch.undo()
+            assert got == want, (code, p_fail, adaptive)
+            # the zero-loss check, then at most four blocks
+            assert calls[0] == 1 and len(calls) <= 5 and max(calls) <= 15
+
+
+def test_bisect_depth_keeps_every_decision():
+    # any depth asks for the midpoints the path may reach and takes the
+    # same halvings, on thresholds at, between and near the grid points
+    for threshold in (0.0, 0.3, 1 / 3, 0.5, 0.70710678, 0.99995, 1.0):
+        for lo, hi, tol in ((0.0, 1.0, 1e-4), (0.0, 1 / 3, 1e-4),
+                            (0.2, 0.9, 1e-6)):
+            def inside(points):
+                asked.append(len(points))
+                return [p <= threshold for p in points]
+
+            results = []
+            for depth in (1, 2, 4, 7):
+                asked = []
+                results.append(polynomials.bisect(inside, lo, hi, tol, depth))
+                assert max(asked) <= 2 ** depth - 1
+            assert len(set(results)) == 1, (threshold, lo, hi, tol)

@@ -34,9 +34,9 @@ from graphcode_lt.fusion import (
     _recovery_table,
     _transversal_counts,
 )
-from graphcode_lt.losstree import SMALL, _strategies
+from graphcode_lt.losstree import LOST, _strategies
 from graphcode_lt.opsets import ResourceLimitError, stabilizer_group
-from graphcode_lt.pauli import MeasurementPattern, PauliOperator, fits
+from graphcode_lt.pauli import BASES, MeasurementPattern, fits, spread
 from graphcode_lt.search import enumerate_candidates
 
 from _oracles import (
@@ -46,7 +46,9 @@ from _oracles import (
     adaptive_result_reference,
     adaptive_terms,
     adaptive_terms_reference,
+    coset_members_reference,
     interface_letters,
+    target_need,
     transversal_counts_reference,
 )
 from test_golden import _codes as golden_codes
@@ -307,8 +309,9 @@ def test_adaptive_matches_attempt_ceiling_on_decorated_pentagon():
     # graph supports exactly two useful fusion attempts, so the adaptive
     # engine meets the bound and the transversal engine can exceed it]
     code = decorated_pentagon_code()
-    sts = _strategies(code)
-    outs = sorted(set(sts.output.tolist()))
+    sts = [(target_need(ops, output), output)
+           for ops, output in _strategies(code)]
+    outs = sorted({output for _, output in sts})
     hits = 0
     for bits in product("sf", repeat=len(outs)):
         assign = dict(zip(outs, bits))
@@ -318,8 +321,7 @@ def test_adaptive_matches_attempt_ceiling_on_decorated_pentagon():
             pat = pat.measure(o, "A")
             ifs.append((o, "s" if b == "s" else "fz"))
         masks = pat.allowed() | interface_letters(tuple(ifs), code.n)
-        if any(assign[o] == "s" and fits(need, masks)
-               for o, need in zip(sts.output.tolist(), sts.need.tolist())):
+        if any(assign[o] == "s" and fits(need, masks) for need, o in sts):
             hits += 1
     ceiling = hits / 2 ** len(outs)
     got = logical_fusion(code, 0.5, 1.0).p_success
@@ -376,6 +378,22 @@ def test_one_walk_keeps_each_models_terms_and_order():
                     (code, randomize, klass)
 
 
+def test_columns_are_built_for_the_model_asked():
+    # the compile keeps the tally alone; result builds a gate model's
+    # columns the first time it is asked for that model, and a search
+    # that reads only the randomized one never builds the fixed one
+    analysis = AdaptiveFusionAnalysis(cube_code())
+    assert analysis._built == [None, None]
+    first = analysis.result(0.5, 0.9, randomize_failures=True)
+    assert analysis._built[0] is None and analysis._built[1] is not None
+    built = analysis._built[1]
+    again = analysis.result(0.5, 0.9, randomize_failures=True)
+    assert analysis._built[1] is built
+    assert first.tolist() == again.tolist()
+    analysis.result(0.5, 0.9)
+    assert analysis._built[0] is not None
+
+
 def test_fusion_then_fbqc_walks_a_code_once(monkeypatch, capsys):
     # the fixed-basis fusion and the randomized fbqc threshold read one
     # compile of the code
@@ -398,27 +416,44 @@ def test_fusion_then_fbqc_walks_a_code_once(monkeypatch, capsys):
 
 def test_target_needs_match_operator_masks():
     # on 7, 9 and 10 qubits, where a letter placed at q + 3k instead of
-    # q + k*n lands on another qubit's bit
+    # q + k*n lands on another qubit's bit: a strategy table holds the
+    # pairs whose joint letters admit its letter there, the output qubit
+    # an A letter only, and a coset table the members whose own letters
+    # do; the cosets are the X and Z logicals times the stabilizers,
+    # sorted by (weight, x, z), with the X members marked
     for code in (cube_code(), tree_code([3, 2]), tree_code([2, 2, 1])):
         n = code.n
         strategies = _strategies(code)
-        want = []
-        for (first, second), output in strategies:
+        for t in range(len(strategies)):
+            (first, second), output = strategies[t]
             # the output qubit is an A letter only
             need = first.masks | second.masks
             for k in range(3):
                 need &= ~(1 << output + k * n)
-            want.append(need | 1 << output + 3 * n)
-        assert strategies.need.tolist() == want
+            check_target(strategies, t, need | 1 << output + 3 * n)
         cosets, is_x = _cosets(code)
-        ops = [PauliOperator(n, x, z)
-               for x, z in zip(cosets.x.tolist(), cosets.z.tolist())]
-        assert cosets.need.tolist() == [op.masks for op in ops]
+        want = coset_members_reference(code)
+        assert len(cosets) == len(want)
+        for t, (op, x_member) in enumerate(want):
+            assert (cosets.x[t], cosets.z[t], is_x[t]) == (op.x, op.z, x_member)
+            check_target(cosets, t, op.masks)
         group = stabilizer_group(code)
         for logical, x_member in ((code.logical_x, True), (code.logical_z, False)):
-            got = [need for need, m in zip(cosets.need.tolist(), is_x.tolist())
-                   if m == x_member]
+            got = [op.masks for op, m in want if m == x_member]
             assert sorted(got) == sorted((logical * s).masks for s in group)
+
+
+def check_target(ts, t: int, need: int) -> None:
+    """Target ``t`` of ``ts`` sits in each table exactly when ``pauli.fits``
+    admits ``need`` once that table's qubit reads its letter, or is lost."""
+    n = ts.n
+    g = next(g for g in range(len(ts.outputs)) if t < ts.starts[g + 1])
+    bit = 1 << t - ts.starts[g]
+    for q in range(n):
+        others = ((1 << 4 * n) - 1) & ~spread(1 << q, n, BASES)
+        for k in range(LOST + 1):
+            allowed = others | (spread(1 << q, n, BASES[k]) if k < LOST else 0)
+            assert bool(ts.admits[g][q + k * n] & bit) == fits(need, allowed)
 
 
 def _walk_allowed(pattern, interfaces) -> int:
@@ -432,39 +467,45 @@ def _walk_allowed(pattern, interfaces) -> int:
 
 def test_walk_narrowing_matches_full_refilter():
     # along random fuse (s, fx, fz) and lose paths, narrowing the parent's
-    # candidates gives what testing every strategy with pauli.fits gives,
-    # and a fused qubit's side decoder starts from the same strategies
-    # either way; the paths cross the size cut from above to below
+    # candidates by each move gives what testing every strategy with
+    # pauli.fits gives, and a fused qubit's side decoder starts from the
+    # group of strategies toward it, which is every strategy toward it
+    # that fits the side decoder's masks
     rng = random.Random(11)
-    sizes = set()
+    emptied = 0
     for code in (decorated_pentagon_code(), cube_code()):
         sts = _strategies(code)
-        every = np.arange(len(sts))
-        need = sts.need.tolist()
+        need = [target_need(*sts[t]) for t in range(len(sts))]
 
-        def refilter(allowed):
-            return [t for t in range(len(sts)) if fits(need[t], allowed)]
+        def members(state):
+            return [sts.starts[g] + i for g, bits in enumerate(state)
+                    for i in range(bits.bit_length()) if bits >> i & 1]
 
         for _ in range(30):
-            pattern, interfaces, cands = MeasurementPattern(code.n), (), every
+            pattern, interfaces, cands = MeasurementPattern(code.n), (), sts.full()
             while True:
                 allowed = _walk_allowed(pattern, interfaces)
-                sizes.add(len(cands))
-                cands = sts.narrow(cands, allowed)
-                assert list(cands) == refilter(allowed)
-                if not len(cands):
+                assert members(cands) == [t for t in range(len(sts))
+                                          if fits(need[t], allowed)]
+                if not any(cands):
+                    emptied += 1
                     break
-                q = rng.choice(sorted(set(sts.output[cands].tolist())))
+                q = rng.choice([g for g, bits in enumerate(cands) if bits])
                 move = rng.choice(("s", "fx", "fz", "lose"))
                 if move == "lose":
                     pattern = pattern.lose(q)
+                    cands = sts.narrow(cands, q, LOST)
                     continue
                 pattern = pattern.measure(q, "A")
                 interfaces += ((q, move),)
                 if move == "s":
                     side = (pattern.allowed()
                             | interface_letters(interfaces, code.n))
-                    toward = every[sts.output == q]
-                    assert (list(sts.narrow(sts.toward(cands, q), side))
-                            == list(sts.narrow(toward, side)))
-    assert min(sizes) < SMALL <= max(sizes)
+                    toward = [0] * code.n
+                    toward[q] = cands[sts.toward(q)]
+                    assert members(toward) == [
+                        t for t in range(len(sts))
+                        if sts[t][1] == q and fits(need[t], side)]
+                    break
+                cands = sts.narrow(cands, q, BASES.index(move[1].upper()))
+    assert emptied > 0

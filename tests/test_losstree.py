@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -28,7 +29,8 @@ from graphcode_lt.codes import (
 )
 from graphcode_lt.graphs import Graph, star_graph
 from graphcode_lt.losstree import (
-    SMALL,
+    LOST,
+    SHORT,
     Leaf,
     TargetSet,
     build_arbitrary_tree,
@@ -43,20 +45,24 @@ from graphcode_lt.losstree import (
 from graphcode_lt.graphs import lc_orbit
 from graphcode_lt.opsets import enumerate_nontrivial
 from graphcode_lt.pauli import (
+    BASES,
     MeasurementPattern,
     PauliOperator,
     commutes_qubitwise,
     fits,
+    spread,
 )
 from graphcode_lt.polynomials import LossPolynomial, _rise_point, break_even
 
 from _oracles import (
+    attempt_reference,
     evaluate_reference,
     is_connected,
     monte_carlo_successes_reference,
     optimal_success,
     path_graph,
     strategies_reference,
+    target_need,
     tree_polynomial_reference,
 )
 from test_golden import _codes as golden_codes
@@ -337,22 +343,68 @@ def test_paths_never_repeat_qubits_and_leaves_certify():
 
 
 def triples(ts) -> list[tuple]:
-    """(first, second, output) of every target, rebuilt from the index
-    arrays and the operator tuple."""
-    return [(ts.ops[i], ts.ops[j], o) for i, j, o in
-            zip(*ts.pair.T.tolist(), ts.output.tolist())]
+    """(first, second, output) of every target, in iteration order."""
+    return [(*ops, output) for ops, output in ts]
 
 
-def need_reference(first, second, output) -> int:
-    """A target's joint letter mask, from the operators' own masks."""
-    need = first.masks | second.masks
-    n, bit = first.n, 1 << output
-    return need & ~(bit | bit << n | bit << 2 * n) | bit << 3 * n
+def group_of(ts, t: int) -> int:
+    """The group holding target ``t``."""
+    return next(g for g in range(len(ts.outputs)) if t < ts.starts[g + 1])
+
+
+def members(ts, state) -> list:
+    """The targets of ``state``, one bitset per group, as indices, in
+    index order."""
+    return [ts.starts[g] + i for g, bits in enumerate(state)
+            for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def state_of(ts, targets) -> list:
+    """The state, one bitset per group, of the targets ``targets``."""
+    state = [0] * len(ts.outputs)
+    for t in targets:
+        g = group_of(ts, t)
+        state[g] |= 1 << t - ts.starts[g]
+    return state
+
+
+def needs(ts) -> list:
+    """Each target's joint letter mask, from its operators' own masks."""
+    return [target_need(*ts[t]) for t in range(len(ts))]
+
+
+def move_allowed(n: int, q: int, k: int) -> int:
+    """The packed letters left admitted once qubit ``q`` is measured in
+    letter ``k`` of ``BASES``, or lost (``LOST``): every letter elsewhere,
+    and on q letter k alone, or none."""
+    allowed = ((1 << 4 * n) - 1) & ~spread(1 << q, n, BASES)
+    return allowed | (spread(1 << q, n, BASES[k]) if k < LOST else 0)
+
+
+def check_tables(ts, targets=None) -> None:
+    """Each table of ``ts`` holds exactly the targets that ``pauli.fits``
+    admits once its qubit reads its letter (or is lost), checked one
+    target at a time over ``targets`` (default: all of them), and no bit
+    past its group."""
+    n = ts.n
+    for t in range(len(ts)) if targets is None else targets:
+        g = group_of(ts, t)
+        need, bit = target_need(*ts[t]), 1 << t - ts.starts[g]
+        for q in range(n):
+            for k in range(LOST + 1):
+                admitted = bool(ts.admits[g][q + k * n] & bit)
+                assert admitted == fits(need, move_allowed(n, q, k)), (t, q, k)
+    for g, tables in enumerate(ts.admits):
+        assert len(tables) == (LOST + 1) * n
+        whole = (1 << ts.starts[g + 1] - ts.starts[g]) - 1
+        assert all(table & whole == table >= 0 for table in tables)
 
 
 def test_strategies_match_commutation_reference():
     # differing on exactly one shared qubit implies anticommuting, so
-    # dropping the commutation test keeps every pair, in order
+    # dropping the commutation test keeps every pair, in order; the set
+    # groups them by output, each group in that order, and its tables
+    # match pauli.fits on each target's letters
     library = [pentagon_code(), star_code(3), branched_chain_code(),
                shor_22_code(), decorated_pentagon_code(), cube_code(),
                tree_code([3, 2]), tree_code([2, 2, 1])]
@@ -363,9 +415,12 @@ def test_strategies_match_commutation_reference():
         want = strategies_reference(code)
         assert len(got) == len(want)
         assert triples(got) == want
-        assert [(*ops, output) for ops, output in got] == want
         assert got.ops == enumerate_nontrivial(code, "AllLogical")
-        assert got.need.tolist() == [need_reference(*t) for t in want]
+        assert got.outputs == tuple(range(code.n))
+        assert [got[t] for t in range(len(got))] == [
+            ((a, b), o) for o in range(code.n) for a, b, out in want
+            if out == o]
+        check_tables(got)
         assert not any(a.commutes(b) for a, b, _ in want)
 
 
@@ -401,90 +456,91 @@ def test_pairing_memory_does_not_grow_with_operators_squared():
     assert peak <= 8 * 8 * losstree.KERNEL_FLOATS + 2 * found
 
 
-def test_targets_take_seventeen_bytes_and_no_object_each():
-    # int32 operator pairs, an int8 output and the uint64 mask; building
-    # the set keeps the mask and per-operator lists, nothing per target
+def test_targets_take_a_pair_and_4n_bits_and_no_object_each():
+    # an int32 operator pair a target, and per group 4n bitsets of one
+    # bit a target (the A and LOST tables share their int objects);
+    # building the set keeps those and per-operator lists, nothing per
+    # target
     code = tree_code([3, 2])
+    n = code.n
     ops = enumerate_nontrivial(code, "AllLogical")
     x, z = losstree._xz(ops)
-    pairs = losstree._anticommuting_pairs(x, z)
+    pairs = losstree._grouped(*losstree._anticommuting_pairs(x, z), n)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ts = TargetSet(code.n, x, z, pairs, ops)
+        ts = TargetSet(n, x, z, pairs, ops)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(ts) > 20 * len(ops)
-    singles = TargetSet(code.n, x, z)
+    singles = TargetSet(n, x, z)
+    assert singles.outputs == (-1,) and singles.starts == (0, len(ops))
     for targets in (ts, singles):
         assert targets.pair.dtype == np.int32
         assert targets.pair.shape == (len(targets), 2)
-        assert targets.output.dtype == np.int8
-        assert targets.need.dtype == np.uint64
-        stored = targets.pair.nbytes + targets.output.nbytes + targets.need.nbytes
-        assert stored <= 17 * len(targets)
-        assert targets.need_view.obj is targets.need
-    assert (singles.output == -1).all()
-    assert kept <= ts.need.nbytes + 200 * len(ops)
+        tables = {id(t): t for group in targets.admits for t in group}
+        stored = sum(map(sys.getsizeof, tables.values()))
+        assert stored <= 4 * n * len(targets) // 8 + 64 * len(tables)
+        for g, group in enumerate(targets.admits):
+            whole = (1 << targets.starts[g + 1] - targets.starts[g]) - 1
+            for q in range(n):
+                idle = group[q + LOST * n]
+                assert group[q + 3 * n] is idle or group[q + 3 * n] == whole
+    assert kept <= ts.pair.nbytes + stored + 200 * len(ops)
+
+
+def random_state(rng: random.Random, ts, size: int) -> list:
+    """A state of ``size`` targets drawn from every group."""
+    return state_of(ts, rng.sample(range(len(ts)), min(size, len(ts))))
 
 
 def test_blocked_targets_match_one_block(monkeypatch):
-    # pairing, masks, narrow, toward and attempt in pieces of a few
-    # targets give what one block gives, across the pieces' edges, for
-    # intp and int32 states and for short lists
+    # grouping, tables, narrow, finished and attempt in pieces of a few
+    # targets give what one block gives, across the pieces' edges, and
+    # attempt reads a state alike one target at a time and in numpy
+    # pieces
     rng = random.Random(39)
     code = cube_code()
     n = code.n
     ops = enumerate_nontrivial(code, "AllLogical")
     x, z = losstree._xz(ops)
+
+    def build():
+        pairs = losstree._grouped(*losstree._anticommuting_pairs(x, z), n)
+        return TargetSet(n, x, z, pairs, ops)
+
     monkeypatch.setattr(losstree, "KERNEL_FLOATS", 1 << 30)
-    whole = TargetSet(n, x, z, losstree._anticommuting_pairs(x, z), ops)
-    states = [list(range(len(whole)))]
-    states += [sorted(rng.sample(range(len(whole)), size))
-               for size in (1, SMALL - 1, SMALL, SMALL + 1, 3 * SMALL, 200)]
-    letters = [random_allowed(rng, n) for _ in range(12)]
-    letters.append((1 << 4 * n) - 1)
-    patterns = [MeasurementPattern(n)]
-    patterns += [random_pattern(rng, n) for _ in range(6)]
+    whole = build()
+    states = [whole.full()]
+    states += [random_state(rng, whole, size)
+               for size in (1, 7, SHORT, 3 * SHORT, 700)]
+    frees = [(1 << n) - 1] + [random_pattern(rng, n).unmeasured
+                              for _ in range(6)]
     q = rng.randrange(n)
     ranks = (None, losstree._rank(x, z, n, ~(1 << q)))
 
-    def answers(ts, given):
-        """Every query's answer on ``given``, each filter's result
-        checked by ``check_kept``."""
-        kept = [check_kept(ts.narrow(given, a), given) for a in letters]
-        kept += [check_kept(ts.toward(given, o), given) for o in range(-1, n)]
-        return kept, [ts.attempt(given, p, r) for p in patterns for r in ranks]
+    def answers(ts, state):
+        """Every query's answer on ``state``."""
+        narrowed = [ts.narrow(state, q, k) for q in range(n)
+                    for k in range(LOST + 1)]
+        groups = list(enumerate(state))
+        done = [ts.finished(g, bits, f) for g, bits in groups for f in frees]
+        moves = [ts.attempt(g, bits, f, r) for g, bits in groups
+                 for f in frees for r in ranks]
+        return narrowed, done, moves, ts.busiest_output(state)
 
-    want = [answers(whole, np.array(state, np.intp)) for state in states]
-    for budget in (1, 5, SMALL, 97):
+    want = [answers(whole, state) for state in states]
+    for budget in (1, 5, 8, 97):
         monkeypatch.setattr(losstree, "KERNEL_FLOATS", budget)
-        ts = TargetSet(n, x, z, losstree._anticommuting_pairs(x, z), ops)
-        for name in ("pair", "output", "need"):
-            got, one = getattr(ts, name), getattr(whole, name)
-            assert got.dtype == one.dtype and np.array_equal(got, one), name
-        for state, answer in zip(states, want):
-            given = [np.array(state, np.intp), np.array(state, np.int32)]
-            for g in given + ([state] if len(state) < SMALL else []):
-                assert answers(ts, g) == answer, (budget, len(state))
-
-
-def check_kept(got, given) -> list:
-    """A filter's result as a list, once checked for its type: a list of
-    ints below ``SMALL`` targets, else an array of ``given``'s dtype, and
-    ``given`` itself when the filter dropped none of it."""
-    if len(got) < SMALL:
-        assert type(got) is list and all(type(t) is int for t in got)
-    else:
-        assert got.dtype == given.dtype
-        assert (got is given) == (len(got) == len(given))
-    return list(got)
-
-
-def random_allowed(rng: random.Random, n: int) -> int:
-    # each letter of each qubit admitted with probability 3/4
-    return rng.getrandbits(4 * n) | rng.getrandbits(4 * n)
+        ts = build()
+        assert ts.pair.dtype == whole.pair.dtype
+        assert np.array_equal(ts.pair, whole.pair)
+        assert ts.starts == whole.starts and ts.admits == whole.admits
+        for short in (0, SHORT):
+            monkeypatch.setattr(losstree, "SHORT", short)
+            for state, answer in zip(states, want):
+                assert answers(ts, state) == answer, (budget, short)
 
 
 def random_pattern(rng: random.Random, n: int) -> MeasurementPattern:
@@ -496,136 +552,144 @@ def random_pattern(rng: random.Random, n: int) -> MeasurementPattern:
     return pattern
 
 
-def check_narrow(ts, idx, allowed) -> int:
-    """Check ``narrow`` against ``fits`` one target at a time, given
-    ``idx`` as an array and, when short, as a list; returns how many
-    targets ``narrow`` dropped."""
-    need = ts.need.tolist()
-    want = [t for t in idx if fits(need[t], allowed)]
-    given = np.array(idx, dtype=np.intp)
-    for g in [given] + ([list(idx)] if len(idx) < SMALL else []):
-        assert check_kept(ts.narrow(g, allowed), given) == want
-    return len(idx) - len(want)
-
-
 def test_narrow_keeps_fitting_targets_in_order():
-    # both sides of the size cut, on pairs and on single operators
+    # one move at a time, and along random paths of moves from the root,
+    # a state holds exactly the targets pauli.fits admits, and finished
+    # those whose letters all sit on measured qubits, on pairs and on
+    # single operators
     rng = random.Random(3)
     code = cube_code()
+    n = code.n
     ops = enumerate_nontrivial(code, "LogicalZ")
-    singles = TargetSet(code.n, *losstree._xz(ops), ops=ops)
-    assert singles.need.tolist() == [op.masks for op in ops]
+    singles = TargetSet(n, *losstree._xz(ops), ops=ops)
     for ts in (_strategies(code), singles):
-        assert len(ts) > SMALL
-        for size in (0, 1, SMALL - 1, SMALL, len(ts)):
+        need = needs(ts)
+        for size in (0, 1, 31, 32, len(ts)):
             for _ in range(40):
-                idx = rng.sample(range(len(ts)), size)
-                check_narrow(ts, idx, random_allowed(rng, code.n))
+                state = random_state(rng, ts, size)
+                q, k = rng.randrange(n), rng.randrange(LOST + 1)
+                allowed = move_allowed(n, q, k)
+                assert members(ts, ts.narrow(state, q, k)) == [
+                    t for t in members(ts, state) if fits(need[t], allowed)]
+        for _ in range(30):
+            pattern, state = MeasurementPattern(n), ts.full()
+            for q in rng.sample(range(n), rng.randint(1, n)):
+                k = rng.choice((0, 1, 2, 3, LOST))
+                pattern = (pattern.lose(q) if k == LOST
+                           else pattern.measure(q, BASES[k]))
+                state = ts.narrow(state, q, k)
+                alive = members(ts, state)
+                assert alive == [t for t in range(len(ts))
+                                 if fits(need[t], pattern.allowed())]
+                done = [ts.finished(g, bits, pattern.unmeasured)
+                        for g, bits in enumerate(state)]
+                assert members(ts, done) == [
+                    t for t in alive if fits(need[t], pattern.letters)]
 
 
 def test_narrow_on_fourteen_qubits_denies_top_letters():
-    # tree[2,3,1] has 14 qubits, so its A letters reach bit 55; deny only
-    # A letters of the highest qubits, where a clipped or signed mask
-    # would go wrong
+    # tree[2,3,1] has 14 qubits, so its A letters reach bit 55: measure or
+    # lose the highest qubits, whose A letters a clipped or signed mask
+    # would get wrong, and check a sample of each group's targets against
+    # pauli.fits
     code = tree_code([2, 3, 1])
     ts = _strategies(code)
     n = code.n
-    assert n == 14 and int(ts.need.max()) >> 4 * n == 0
-    assert int(ts.need.max()).bit_length() > 3 * n
+    assert n == 14
     rng = random.Random(5)
-    full = (1 << 4 * n) - 1
-    every = list(range(len(ts)))
-    for top in (1, 2, 4):
-        allowed = full & ~(((1 << top) - 1) << 4 * n - top)
-        assert check_narrow(ts, every, allowed) > 0
-        check_narrow(ts, rng.sample(every, SMALL - 1), allowed)
-    check_narrow(ts, every, random_allowed(rng, n))
+    sample = [t for a, b in zip(ts.starts, ts.starts[1:])
+              for t in rng.sample(range(a, b), min(40, b - a))]
+    check_tables(ts, sample)
+    full = ts.full()
+    for q in (13, 12, 10):
+        for k in (0, 2, LOST):
+            state = ts.narrow(full, q, k)
+            allowed = move_allowed(n, q, k)
+            assert sum(map(int.bit_count, state)) < len(ts)
+            # every target toward q needs its A letter there
+            assert state[q] == 0
+            for t in sample:
+                g = group_of(ts, t)
+                kept = bool(state[g] >> t - ts.starts[g] & 1)
+                assert kept == fits(target_need(*ts[t]), allowed), (q, k, t)
 
 
 def test_busiest_output_ties_go_to_lowest():
     ts = _strategies(cube_code())
-    out = ts.output
     for a, b in ((0, 1), (1, 0), (2, 5)):
-        ia, ib = np.flatnonzero(out == a)[:2], np.flatnonzero(out == b)[:2]
-        # two targets each: a tie, whichever order they come in
-        assert ts.busiest_output(np.concatenate((ib, ia))) == min(a, b)
-        assert ts.busiest_output(np.concatenate((ia, ib[:1]))) == a
+        state = [0] * ts.n
+        # two targets each: a tie, whichever group holds them
+        state[a], state[b] = 0b11, 0b101
+        assert ts.busiest_output(state) == min(a, b)
+        state[b] = 0b100
+        assert ts.busiest_output(state) == a
 
 
 def test_attempt_with_keep_takes_first_of_equal_ranks(monkeypatch):
     # two operators that differ only on qubit 0 rank equal once qubit 0 is
-    # removed: the first one listed is attempted, as min() picks it
-    # (sorted by (weight, x, z), as a TargetSet's operators are), also
-    # when a budget of one target a piece puts them in different pieces
+    # removed: the first one read (the lower target) is attempted, as
+    # min() picks it (sorted by (weight, x, z), as a TargetSet's
+    # operators are), also when a budget of one target a piece puts them
+    # in different pieces and when the state is read in numpy pieces
     ops = tuple(PauliOperator.from_letters(t) for t in ("ZZI", "XZI", "IXX"))
     assert list(ops) == sorted(ops, key=lambda o: (o.weight, o.x, o.z))
     ts = TargetSet(3, *losstree._xz(ops), ops=ops)
-    pattern = MeasurementPattern(3)
+    free = MeasurementPattern(3).unmeasured
     rank = losstree._rank(ts.x, ts.z, 3, ~1)
     assert rank[0] == rank[1] < rank[2]
-    first = pattern.measure(0, "X")
+    x, z = BASES.index("X"), BASES.index("Z")
     for budget in (1, 2, 1 << 13):
         monkeypatch.setattr(losstree, "KERNEL_FLOATS", budget)
-        for kind in (np.array, list):
-            assert ts.attempt(kind([0, 1, 2]), pattern, rank) == (0, "Z")
-            assert ts.attempt(kind([1, 0, 2]), pattern, rank) == (0, "X")
-            assert ts.attempt(kind([2, 1, 0, 1]), pattern, rank) == (0, "X")
+        for short in (0, SHORT):
+            monkeypatch.setattr(losstree, "SHORT", short)
+            assert ts.attempt(0, 0b111, free, rank) == (0, z)
+            assert ts.attempt(0, 0b110, free, rank) == (0, x)
+            assert ts.attempt(0, 0b100, free, rank) == (1, x)
             # without a rank the index is the rank; measured support is
             # skipped
-            assert ts.attempt(kind([2, 1, 0]), pattern) == (0, "Z")
-            assert ts.attempt(kind([2, 1, 0]), first) == (1, "Z")
-            assert ts.attempt(kind([0]), first.measure(1, "Z")) is None
+            assert ts.attempt(0, 0b111, free) == (0, z)
+            assert ts.attempt(0, 0b111, free & ~1) == (1, z)
+            assert ts.attempt(0, 0b001, 0b100) is None
+            assert ts.attempt(0, 0b001, 0b100, rank) is None
+            assert ts.attempt(0, 0, free, rank) is None
 
 
-def attempt_reference(ts, targets, pattern, keep):
-    """The attempt rule on ``ts.ops``: among the targets' operators, read
-    (first, second) from ``pair``, with unmeasured support, the least
-    (weight, x, z) key on the qubits in ``keep``, the first read of equal
-    keys, then its lowest unmeasured qubit."""
-    free = pattern.unmeasured
-    members = [i for t in targets for i in ts.pair[t].tolist()]
-    live = [i for i in members if (ts.ops[i].x | ts.ops[i].z) & free]
-    if not live:
-        return None
-
-    def key(i):
-        x, z = ts.ops[i].x & keep, ts.ops[i].z & keep
-        return (x | z).bit_count(), x, z
-    op = ts.ops[min(live, key=key)]
-    low = (op.x | op.z) & free
-    q = (low & -low).bit_length() - 1
-    return q, op.letter_at(q)
-
-
-def test_attempt_matches_reference_on_both_sides_of_the_cut():
-    # on strategy pairs and on single operators (the coset side decoder's
-    # targets), repeated targets included
+def test_attempt_matches_reference_on_both_sides_of_the_cut(monkeypatch):
+    # on each group of strategy pairs and on single operators (the coset
+    # side decoder's targets), read one target at a time and in numpy
+    # pieces
     rng = random.Random(11)
     code = cube_code()
     n = code.n
     ops = enumerate_nontrivial(code, "LogicalX")
     singles = TargetSet(n, *losstree._xz(ops), ops=ops)
     for ts in (_strategies(code), singles):
-        for size in (0, 1, SMALL - 1, SMALL, 3 * SMALL):
+        for size in (0, 1, SHORT, SHORT + 1, 3 * SHORT):
             for _ in range(40):
-                targets = rng.choices(range(len(ts)), k=size)
-                pattern = random_pattern(rng, n)
+                g = rng.randrange(len(ts.outputs))
+                lo, hi = ts.starts[g], ts.starts[g + 1]
+                targets = sorted(rng.sample(range(lo, hi), min(size, hi - lo)))
+                bits = sum(1 << t - lo for t in targets)
+                free = random_pattern(rng, n).unmeasured
                 q = rng.randrange(n)
-                given = [np.array(targets, dtype=np.intp)]
-                given += [targets] if size < SMALL else []
+                listed = [op for t in targets for op in ts[t][0]]
                 for rank, keep in ((None, -1),
                                    (losstree._rank(ts.x, ts.z, n, ~(1 << q)),
                                     ~(1 << q))):
-                    want = attempt_reference(ts, targets, pattern, keep)
-                    for g in given:
-                        assert ts.attempt(g, pattern, rank) == want
+                    want = attempt_reference(listed, free, keep)
+                    if want is not None:
+                        want = want[0], BASES.index(want[1])
+                    for short in (0, SHORT):
+                        monkeypatch.setattr(losstree, "SHORT", short)
+                        assert ts.attempt(g, bits, free, rank) == want
 
 
 def test_long_state_queries_hold_no_state_sized_temporary():
     # about 2^20 random targets over a few hundred random operators on 8
-    # qubits: each query reads the state a KERNEL_FLOATS piece at a time,
-    # so its peak less the result it returns stays within a few pieces'
-    # temporaries, where one pass over the state would hold megabytes
+    # qubits, one bit each in a state: each query reads a group's bitset
+    # a KERNEL_FLOATS piece at a time, so its peak less the result it
+    # returns stays within a few pieces' temporaries, where an index
+    # array of the group would hold megabytes
     rng = np.random.default_rng(42)
     n, count, size = 8, 400, 1 << 20
     x = rng.integers(0, 1 << n, count, dtype=np.int64)
@@ -635,15 +699,15 @@ def test_long_state_queries_hold_no_state_sized_temporary():
     # qubit 0 is the output of about one target in a thousand
     output = rng.integers(1, n, size, dtype=np.int8)
     output[rng.random(size) < 1e-3] = 0
-    ts = TargetSet(n, x, z, (pair, output))
-    alive = np.arange(size, dtype=np.int32)
-    pattern = MeasurementPattern(n)
+    ts = TargetSet(n, x, z, losstree._grouped(pair, output, n))
+    state, free, g = ts.full(), (1 << n) - 1, 1
     rank = losstree._rank(x, z, n, ~1)
     bound = 4 * losstree.KERNEL_FLOATS * 8
-    # narrow keeps every target: pieces kept whole stay views of the state
-    calls = ((lambda: ts.toward(alive, 0)), (lambda: ts.attempt(alive, pattern)),
-             (lambda: ts.attempt(alive, pattern, rank)),
-             (lambda: ts.narrow(alive, pattern.allowed())))
+    calls = ((lambda: ts.narrow(state, 3, 0)),
+             (lambda: ts.finished(g, state[g], free)),
+             (lambda: ts.attempt(g, state[g], free)),
+             (lambda: ts.attempt(g, state[g], free, rank)),
+             (lambda: ts.busiest_output(state)))
     for call in calls:
         tracemalloc.start()
         try:
@@ -652,20 +716,22 @@ def test_long_state_queries_hold_no_state_sized_temporary():
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        fresh = isinstance(result, np.ndarray) and result is not alive
-        held = result.nbytes if fresh else 0
+        held = sum(map(sys.getsizeof, result if isinstance(result, list)
+                       else [result]))
         assert peak - held < bound, (peak, held)
-    mine = ts.toward(alive, 0)
+    # group 0 holds the targets toward qubit 0, in their given order
+    mine = ts.pair[ts.starts[0]:ts.starts[1]]
     assert 0 < len(mine) < size // 100
-    assert list(mine) == np.flatnonzero(output == 0).tolist()
+    assert mine.tolist() == pair[output == 0].tolist()
     # every operator has unmeasured support at the root, so the rule takes
-    # the least operator, or the first read of the least rank
-    flat = pair.ravel()
+    # the group's least operator, or the first read of the least rank
+    flat = ts.pair[ts.starts[g]:ts.starts[g + 1]].ravel()
     for i, r in ((int(flat.min()), None),
                  (int(flat[np.argmin(rank[flat])]), rank)):
         op = PauliOperator(n, int(x[i]), int(z[i]))
         q = (op.support & -op.support).bit_length() - 1
-        assert ts.attempt(alive, pattern, r) == (q, op.letter_at(q))
+        assert ts.attempt(g, state[g], free, r) == (
+            q, BASES.index(op.letter_at(q)))
 
 
 def test_decode_walk():

@@ -225,7 +225,7 @@ def test_empty_class_ranges_sum_to_zero():
     # np.add.reduceat would return the next term for an empty range; an
     # analysis without its fail terms must still give 0.0 there
     analysis = AdaptiveFusionAnalysis(cube_code())
-    coef, exps, (success, fail, _) = analysis._columns[False]
+    coef, exps, (success, fail, _) = analysis._model_columns(False)
     keep = np.r_[0:success, fail:len(coef)]
     ends = (success, success, len(keep))
     bases = np.array(_gate_outcomes(0.5, DYADIC)
