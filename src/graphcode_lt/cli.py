@@ -45,6 +45,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -180,20 +181,13 @@ def resolve_code(graph: str, input_vertex: int) -> GraphCode:
 
 class _Range:
     """The points of a start:stop:step grid, each made as it is read: the
-    k-th is round(start + k * step, 12).  A slice makes its points in one
-    list; iteration reads them by index and ends at the ``IndexError`` of
-    the index range."""
+    k-th is round(start + k * step, 12).  Iteration reads them by index
+    and ends at the ``IndexError`` of the index range."""
 
     def __init__(self, start: float, step: float, count: int):
         self.start, self.step, self.ks = start, step, range(count)
 
-    def __len__(self) -> int:
-        return len(self.ks)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            start, step = self.start, self.step
-            return [round(start + k * step, 12) for k in self.ks[i]]
+    def __getitem__(self, i: int) -> float:
         return round(self.start + self.ks[i] * self.step, 12)
 
 
@@ -406,18 +400,17 @@ def _unit_grid(grid: str | None, name: str, hi: float = 1.0, point=None):
 def _emit_grid(args, config, header: list[str], points, columns) -> int:
     """Write one row per point of grid ``points`` under ``header``.
 
-    The grid, a list or a ``_Range``, is read in float arrays of up to
-    ``BLOCK`` points, one slice each, and ``columns(block)`` gives a
-    block's columns in ``header`` order, each an array or a sequence of
-    one value per point.  It is called only
+    The grid is read in float arrays of up to ``BLOCK`` points, and
+    ``columns(block)`` gives a block's columns in ``header`` order, each
+    an array or a sequence of one value per point.  It is called only
     once the output is open, so an unwritable --out exits before any
     engine runs, and its rows are written before the next block is read.
     """
     def rows():
-        for lo in range(0, len(points), BLOCK):
-            block = np.array(points[lo:lo + BLOCK])
+        grid = iter(points)
+        while block := list(itertools.islice(grid, BLOCK)):
             yield from zip(*(np.asarray(column).tolist()
-                             for column in columns(block)))
+                             for column in columns(np.array(block))))
 
     emit_rows(header, rows(), config, args.out, args.format or "csv")
     return EXIT_OK

@@ -23,20 +23,20 @@ The adaptive engine attempts fusions on candidate output qubits one at a
 time; after the first success each code runs a teleportation decoder
 toward the fused qubit, and when every attempt fails the codes fall back
 on single-qubit measurements to salvage one parity.  Each code's decoder
-takes the loss decoders' steps (``losstree.leaves`` runs them without
-building a tree) and is then folded with its twin; the fusion attempts
-themselves have three outcomes and keep their own walk.  One walk per
-code compiles both gate models, failures in a fixed basis and
-randomized ones, into one tally of plain integer path counts that
-keeps X and Z failures apart: the fixed (Z) model is the tally's part
-with no X failure, and the randomized model adds the two (``_model``).
-A term's exact weight, 2^-b for b randomized gate failures, is applied
-once when a model's columns are assembled, the first time it is
-evaluated.  Both engines report (success, fail, loss) probabilities,
-each a sum of monomials in the gate outcomes evaluated by
-``polynomials.monomial_sums`` within 1e-12 of its exact value, at one
-transmission or at a block of them.  ``logical_fusion`` is the one entry point to both: it takes the
-gate's failure probability and transmission as two floats (or a block of
+is grown by the loss decoders' shared recursion (``losstree.grow``) and
+then folded with its twin; the fusion attempts themselves have three
+outcomes and keep their own walk.  One walk per code compiles both gate
+models, failures in a fixed basis and randomized ones, into one tally of
+plain integer path counts that keeps X and Z failures apart: the fixed
+(Z) model is the tally's part with no X failure, and the randomized
+model adds the two (``_model``).  A term's exact weight, 2^-b for b
+randomized gate failures, is applied once when a model's columns are
+assembled, the first time it is evaluated.  Both engines report
+(success, fail, loss) probabilities, each a sum of monomials in the gate
+outcomes evaluated by ``polynomials.monomial_sums`` within 1e-12 of its
+exact value, at one transmission or at a block of them.
+``logical_fusion`` is the one entry point to both: it takes the gate's
+failure probability and transmission as two floats (or a block of
 transmissions) and picks the engine and failure mode by keyword.
 """
 
@@ -48,7 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import GraphCode, per_code
-from .losstree import LOST, Leaf, TargetSet, _rank, _strategies, _xz, leaves
+from .losstree import (LOST, Leaf, TargetSet, _rank, _strategies, _xz, grow,
+                       paths)
 from .opsets import ResourceLimitError, stabilizer_group
 from .pauli import BASES, MeasurementPattern, iter_bits, packed, spread
 from .polynomials import block, columns, monomial_sums
@@ -364,8 +365,8 @@ class AdaptiveFusionAnalysis:
     from the strategy group toward the fused qubit and the walk's coset
     members, and a side decoder's leaf carries the members its pattern
     reads out (``TargetSet.finished``), as a bitset.  The side decoder's
-    leaves come from ``losstree.leaves``, each with the numbers of
-    detected and lost attempts on its path.  A leaf's interface letter
+    tree is read back with ``losstree.paths``, whose key gives each
+    leaf's detected and lost attempt counts.  A leaf's interface letter
     vectors are packed ints, each member's packed letter mask on the
     interface qubits; one vector is one int, so the sets intersect
     exactly as the letter vectors do.
@@ -443,7 +444,8 @@ class AdaptiveFusionAnalysis:
                         (alive and alive & tables[gone], salvage & admits[gone]))
 
             groups: dict = {}
-            for leaf, de in leaves(pattern, (pairs, members), step):
+            for leaf, (a, b) in paths(grow(pattern, (pairs, members), step)):
+                de = (sum(a), sum(b))
                 lx, lz = set(), set()
                 bits = leaf.targets
                 while bits:

@@ -8,12 +8,10 @@ completing an anticommuting operator pair.  Trees are built once, then
 evaluated exactly (success polynomial), sampled (Monte Carlo), decoded
 per loss mask, or extended with checks by the error decoder.
 
-Every adaptive decoder in the package is a per-decoder ``step`` driven
-by one recursion: ``grow`` builds both trees here and the error
-decoder's check extension, whose state is the checks it chose
-(re-chosen only after a loss), and ``leaves`` takes the per-side
-decoder of adaptive fusion through the same steps without building its
-tree, which is read once.  Both kinds of loss
+Every adaptive decoder in the package is one recursion, ``grow``, driven
+by a per-decoder ``step``: both trees here, the per-side decoder of
+adaptive fusion and the error decoder's check extension, whose state is
+the checks it chose (re-chosen only after a loss).  Both kinds of loss
 target are held per code as one ``TargetSet``: operator index pairs
 grouped by output qubit, and per group one Python-int bitset per qubit
 and letter of the targets that admit that letter there (the letters
@@ -26,9 +24,8 @@ bits; a target's ``PauliOperator``s are read only for a leaf.
 One walk, ``paths``, reads every built tree back: it yields each
 terminal node with the detected and lost attempt counts on its path,
 which are the exponents of its monomial in the success polynomial and
-in the error decoder's per-leaf sums; ``leaves`` yields a fusion side
-decoder's leaves with their detected and lost totals, all its fold
-reads.
+in the error decoder's per-leaf sums, and the attempt totals of each
+fusion side decoder's leaf.
 """
 
 from __future__ import annotations
@@ -46,8 +43,8 @@ from .pauli import BASES, MeasurementPattern, packed, spread
 from .polynomials import KERNEL_FLOATS, LossPolynomial
 
 __all__ = [
-    "DecisionTree", "Leaf", "MeasureNode", "TargetSet", "grow", "leaves",
-    "paths", "build_pauli_tree", "build_arbitrary_tree", "success_polynomial",
+    "DecisionTree", "Leaf", "MeasureNode", "TargetSet", "grow", "paths",
+    "build_pauli_tree", "build_arbitrary_tree", "success_polynomial",
     "total_polynomial", "monte_carlo_decode", "decode", "load_or_build",
 ]
 
@@ -122,11 +119,9 @@ def _rank(x: np.ndarray, z: np.ndarray, n: int, keep: int = -1) -> np.ndarray:
 # four letters of ``BASES``: a lost qubit admits the identity alone.
 LOST = len(BASES)
 
-# ``TargetSet.attempt`` reads a state of at most ``SHORT`` targets one
-# target at a time in Python, and a longer one in numpy pieces; it peels
-# a short state's bits off in Python while they span at most ``WIDE``
-# targets.
-SHORT, WIDE = 64, 1024
+# ``TargetSet.attempt`` reads a state whose bits span at most ``SHORT``
+# targets one target at a time in Python, and a wider one in numpy pieces.
+SHORT = 1024
 
 # an operator's letter on one qubit, indexed by its x bit | z bit << 1, as
 # the index of that letter in ``BASES`` (the identity has none)
@@ -215,11 +210,8 @@ class TargetSet:
             while last < len(pieces) and pieces[last][2] - lo <= step:
                 last += 1
             hi = pieces[last - 1][2]
-            words = np.zeros((hi - lo + 7) // 8 * 8, np.uint64)
-            words[:hi - lo] = self._letters(masks, lo, hi)
-            width, rows = len(words) // 8, _bit_rows(words)[:4 * n].tobytes()
-            columns = [int.from_bytes(rows[c * width:(c + 1) * width], "little")
-                       for c in range(4 * n)]
+            columns = [int.from_bytes(row.tobytes(), "little")
+                       for row in _bit_rows(self._letters(masks, lo, hi), 4 * n)]
             for g, a, b in pieces[first:last]:
                 keep = (1 << b - a) - 1
                 parts.append([column >> a - lo & keep for column in columns])
@@ -326,37 +318,37 @@ class TargetSet:
         by (weight, x, z); a single-operator set's targets are then its
         operators, so the rule takes the lowest target not ``finished``.
 
-        Otherwise a state of at most ``SHORT`` targets is read one target
-        at a time in Python, each set bit peeled off (``_words``), and a
-        longer one a piece of targets at a time (``_pieces``), whose
-        operators one numpy pass tests for unmeasured support; the least
-        key of each piece, then the least over the pieces, the earlier
-        piece kept on ties, is the operator one ``argmin`` over all of
-        them would take.  A target costs about 0.3 us in Python and a
-        piece about 40 us in numpy, mostly fixed (2-core VM, Python 3.11,
-        numpy 2.4); the fusion side decoders' long states on 14 qubits
-        are sparse, a few hundred targets spread over a group of 100,000.
+        Otherwise a state whose bits span at most ``SHORT`` targets is
+        read one target at a time in Python, each set bit peeled off the
+        int, and a wider one a piece of targets at a time (``_pieces``),
+        whose operators one numpy pass tests for unmeasured support; the
+        least key of each piece, then the least over the pieces, the
+        earlier piece kept on ties, is the operator one ``argmin`` over
+        all of them would take.  An int operation costs in the words the
+        state spans, so a wide state is not peeled in Python even when
+        few of its bits are set: the fusion side decoders' states on 14
+        qubits are often a few dozen targets spread over a group of
+        100,000, which ``_pieces`` reads in one pass over their words.
         """
         start, i = self.starts[g], None
         if rank is None and self.outputs[g] < 0:
             live = bits ^ self.finished(g, bits, free)
             if live:
                 i = start + (live & -live).bit_length() - 1
-        elif bits.bit_count() <= SHORT:
+        elif bits.bit_length() <= SHORT:
             (first, second), supports = self.columns, self.supports
             # memoryviews read single entries as Python ints
             keys = range(len(supports)) if rank is None else memoryview(rank)
             best = None
-            for base, word in self._words(g, bits):
-                while word:
-                    low = word & -word
-                    word ^= low
-                    t = base + low.bit_length() - 1
-                    j, k = first[t], second[t]
-                    if supports[j] & free and (i is None or keys[j] < best):
-                        i, best = j, keys[j]
-                    if supports[k] & free and (i is None or keys[k] < best):
-                        i, best = k, keys[k]
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                t = start + low.bit_length() - 1
+                j, k = first[t], second[t]
+                if supports[j] & free and (i is None or keys[j] < best):
+                    i, best = j, keys[j]
+                if supports[k] & free and (i is None or keys[k] < best):
+                    i, best = k, keys[k]
         else:
             best = None
             for targets in self._pieces(g, bits):
@@ -372,19 +364,6 @@ class TargetSet:
         low = self.supports[i] & free
         q = (low & -low).bit_length() - 1
         return q, _LETTER[self.x.item(i) >> q & 1 | (self.z.item(i) >> q & 1) << 1]
-
-    def _words(self, g: int, bits: int):
-        """Group ``g``'s ``bits`` as (target of bit 0, bitset) pairs whose
-        bits peel off cheaply in Python: the state itself while it spans
-        at most ``WIDE`` targets, so that an int operation is on a few
-        machine words, and past that its nonzero 64-bit words, which one
-        numpy pass finds."""
-        start = self.starts[g]
-        if bits.bit_length() <= WIDE:
-            return [(start, bits)]
-        words = _uint64s(bits)
-        nonzero = np.flatnonzero(words)
-        return zip((nonzero * 64 + start).tolist(), words[nonzero].tolist())
 
     def _pieces(self, g: int, bits: int):
         """The targets of group ``g``'s ``bits`` in increasing order, as
@@ -411,24 +390,14 @@ class TargetSet:
                     yield targets[first:first + size]
 
 
-def _bit_rows(words: np.ndarray) -> np.ndarray:
-    """The bits of uint64 ``words`` (a multiple of 8 of them) as 64 rows
+def _bit_rows(words: np.ndarray, count: int) -> np.ndarray:
+    """Bits 0 to ``count`` - 1 of the uint64 ``words`` as ``count`` rows
     of bytes: row c holds bit c of every word, eight words a byte, the
-    first in bit 0, as ``np.packbits(..., bitorder="little")`` packs.
-
-    Eight words make an 8 x 8 matrix of bytes, which is transposed so
-    that each byte position gathers one byte of every word into one
-    word, and each of those, an 8 x 8 matrix of bits, is transposed in
-    three rounds of swapping blocks (Hacker's Delight, 7-3): bit 8r + s
-    of word j moves to bit 8s + r."""
-    x = np.ascontiguousarray(
-        words.astype("<u8").view(np.uint8).reshape(-1, 8, 8).transpose(0, 2, 1)
-    ).view("<u8")
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
-                        (28, 0x00000000F0F0F0F0)):
-        swap = (x ^ x >> np.uint64(shift)) & np.uint64(mask)
-        x ^= swap ^ swap << np.uint64(shift)
-    return x.view(np.uint8).reshape(-1, 64).T
+    first in bit 0, so a row's bytes read little-endian are the bitset
+    of the words that have bit c."""
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8),
+                         bitorder="little").reshape(-1, 64)
+    return np.packbits(bits.T[:count].copy(), axis=1, bitorder="little")
 
 
 def _uint64s(bits: int) -> np.ndarray:
@@ -497,25 +466,6 @@ def paths(node, key=((0, 0, 0, 0), (0, 0, 0, 0))):
         i = BASES.index(node.basis)
         stack.append((node.on_loss, (a, b[:i] + (b[i] + 1,) + b[i + 1:])))
         stack.append((node.on_detect, (a[:i] + (a[i] + 1,) + a[i + 1:], b)))
-
-
-def leaves(pattern: MeasurementPattern, state, step):
-    """Each ``Leaf`` the steps of ``grow(pattern, state, step)`` reach,
-    with the numbers of detected and lost attempts on its path, in the
-    order ``paths`` reads that tree, but without building it: for a
-    decoder read once that needs only those totals, as a fusion side
-    decoder does."""
-    stack = [(pattern, state, 0, 0)]
-    while stack:
-        pattern, state, detected, lost = stack.pop()
-        move = step(pattern, state)
-        if isinstance(move, Leaf):
-            yield move, (detected, lost)
-            continue
-        q, basis, detect_state, lost_state = move
-        stack.append((pattern.lose(q), lost_state, detected, lost + 1))
-        stack.append((pattern.measure(q, basis), detect_state, detected + 1,
-                      lost))
 
 
 # -- the two loss decoders -----------------------------------------------------

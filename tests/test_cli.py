@@ -29,7 +29,6 @@ from _oracles import (
 
 from graphcode_lt import cli
 from graphcode_lt.cli import (
-    BLOCK,
     EXIT_CHECK,
     EXIT_OK,
     EXIT_PARSE,
@@ -183,11 +182,6 @@ def test_range_points_equal_the_stepped_list():
         want = grid_points_reference(start, stop, step)
         assert list(points) == want, (start, stop, step)
         assert (points[0], points[-1]) == (want[0], want[-1])
-        # a block is made as one slice, point for point the same
-        assert len(points) == len(want)
-        cut = rng.randrange(len(want) + 1)
-        assert points[:cut] == want[:cut] and points[cut:] == want[cut:]
-        assert points[cut:cut + BLOCK] == want[cut:cut + BLOCK]
 
 
 def test_consuming_a_range_takes_constant_memory():

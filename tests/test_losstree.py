@@ -50,6 +50,7 @@ from graphcode_lt.pauli import (
     PauliOperator,
     commutes_qubitwise,
     fits,
+    packed,
     spread,
 )
 from graphcode_lt.polynomials import LossPolynomial, _rise_point, break_even
@@ -381,13 +382,12 @@ def move_allowed(n: int, q: int, k: int) -> int:
     return allowed | (spread(1 << q, n, BASES[k]) if k < LOST else 0)
 
 
-def check_tables(ts, targets=None) -> None:
+def check_tables(ts) -> None:
     """Each table of ``ts`` holds exactly the targets that ``pauli.fits``
     admits once its qubit reads its letter (or is lost), checked one
-    target at a time over ``targets`` (default: all of them), and no bit
-    past its group."""
+    target at a time, and no bit past its group."""
     n = ts.n
-    for t in range(len(ts)) if targets is None else targets:
+    for t in range(len(ts)):
         g = group_of(ts, t)
         need, bit = target_need(*ts[t]), 1 << t - ts.starts[g]
         for q in range(n):
@@ -514,7 +514,7 @@ def test_blocked_targets_match_one_block(monkeypatch):
     whole = build()
     states = [whole.full()]
     states += [random_state(rng, whole, size)
-               for size in (1, 7, SHORT, 3 * SHORT, 700)]
+               for size in (1, 7, 64, 192, 700)]
     frees = [(1 << n) - 1] + [random_pattern(rng, n).unmeasured
                               for _ in range(6)]
     q = rng.randrange(n)
@@ -588,18 +588,27 @@ def test_narrow_keeps_fitting_targets_in_order():
 
 
 def test_narrow_on_fourteen_qubits_denies_top_letters():
-    # tree[2,3,1] has 14 qubits, so its A letters reach bit 55: measure or
-    # lose the highest qubits, whose A letters a clipped or signed mask
-    # would get wrong, and check a sample of each group's targets against
+    # tree[2,3,1] has 14 qubits, so its A letters reach bit 55, and each
+    # of its groups spans several KERNEL_FLOATS pieces joined into one
+    # table: measure or lose the highest qubits, whose A letters a clipped
+    # or signed mask would get wrong, and check every target against
     # pauli.fits
     code = tree_code([2, 3, 1])
     ts = _strategies(code)
     n = code.n
     assert n == 14
-    rng = random.Random(5)
-    sample = [t for a, b in zip(ts.starts, ts.starts[1:])
-              for t in rng.sample(range(a, b), min(40, b - a))]
-    check_tables(ts, sample)
+    assert min(b - a for a, b in zip(ts.starts, ts.starts[1:])) > \
+        3 * losstree.KERNEL_FLOATS
+    # target_need of every target, each operator's mask made once
+    masks = [packed(op.x, op.z, n) for op in ts.ops]
+    need = []
+    for g, (lo, hi) in enumerate(zip(ts.starts, ts.starts[1:])):
+        bit = 1 << ts.outputs[g]
+        drop, read = ~spread(bit, n, "XYZ"), spread(bit, n, "A")
+        need += [(masks[i] | masks[j]) & drop | read
+                 for i, j in ts.pair[lo:hi].tolist()]
+    for t in random.Random(5).sample(range(len(ts)), 200):
+        assert need[t] == target_need(*ts[t])
     full = ts.full()
     for q in (13, 12, 10):
         for k in (0, 2, LOST):
@@ -608,10 +617,12 @@ def test_narrow_on_fourteen_qubits_denies_top_letters():
             assert sum(map(int.bit_count, state)) < len(ts)
             # every target toward q needs its A letter there
             assert state[q] == 0
-            for t in sample:
-                g = group_of(ts, t)
-                kept = bool(state[g] >> t - ts.starts[g] & 1)
-                assert kept == fits(target_need(*ts[t]), allowed), (q, k, t)
+            for g, (lo, hi) in enumerate(zip(ts.starts, ts.starts[1:])):
+                # the group's bits, lowest first
+                kept = bin(state[g])[:1:-1].ljust(hi - lo, "0")
+                want = "".join("01"[fits(need[t], allowed)]
+                               for t in range(lo, hi))
+                assert kept == want, (q, k, g)
 
 
 def test_busiest_output_ties_go_to_lowest():
@@ -664,7 +675,7 @@ def test_attempt_matches_reference_on_both_sides_of_the_cut(monkeypatch):
     ops = enumerate_nontrivial(code, "LogicalX")
     singles = TargetSet(n, *losstree._xz(ops), ops=ops)
     for ts in (_strategies(code), singles):
-        for size in (0, 1, SHORT, SHORT + 1, 3 * SHORT):
+        for size in (0, 1, 7, 64, 400):
             for _ in range(40):
                 g = rng.randrange(len(ts.outputs))
                 lo, hi = ts.starts[g], ts.starts[g + 1]
