@@ -144,18 +144,6 @@ class Graph(namedtuple("Graph", "n nbr")):
                     nbr[pos[v]] |= 1 << pos[u]
         return Graph(len(vertices), tuple(nbr))
 
-    def relabeled(self, perm: list[int]) -> "Graph":
-        """Apply ``perm`` where perm[old] = new position."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm is not a permutation of the vertices")
-        nbr = [0] * self.n
-        for v in range(self.n):
-            row = 0
-            for u in iter_bits(self.nbr[v]):
-                row |= 1 << perm[u]
-            nbr[perm[v]] = row
-        return Graph._trusted(self.n, tuple(nbr))
-
     def __repr__(self) -> str:
         return f"Graph({self.n}, edges={self.edges()})"
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from heapq import merge
 from collections import namedtuple
 
 import numpy as np
@@ -159,10 +158,10 @@ class TargetSet:
     Four more queries read a state: ``finished`` ANDs out the targets that
     read a letter on an unmeasured qubit, ``toward`` names one group,
     ``busiest_output`` compares bit counts and ``attempt`` reads the set
-    bits.  ``len`` is the number of targets; ``ts[t]`` is target t as (its
-    one or two operators as a tuple of ``PauliOperator``s, its output
-    qubit or None), the fields of a success ``Leaf``, and iterating gives
-    every target so in the order its operators were paired.
+    bits.  ``len`` is the number of targets, and ``ts[t]`` is target t as
+    (its one or two operators as a tuple of ``PauliOperator``s, its output
+    qubit or None), the fields of a success ``Leaf``.  The tables are
+    built one group at a time (``_tables``).
     """
 
     __slots__ = ("n", "ops", "x", "z", "support", "supports", "pair", "columns",
@@ -190,34 +189,29 @@ class TargetSet:
         """Every group's 5n bitsets, ``admits``, from the operators' packed
         letter masks ``masks``.
 
-        A group is cut into pieces every ``KERNEL_FLOATS`` targets from
-        its start, and consecutive pieces of small groups share one numpy
-        pass, which makes each target's admitted letters one word
-        (``_letters``) and the words 4n rows of bits (``_bit_rows``), one
-        int a row; a piece's tables are the bits of its targets.  A group
-        of several pieces joins their tables as bytes, whole for every
-        piece but the last, once its last piece is in."""
-        n, starts = self.n, self.starts
-        step = max(8, KERNEL_FLOATS & ~7)
-        pieces = [(g, a, min(a + step, hi))
-                  for g, (lo, hi) in enumerate(zip(starts, starts[1:]))
-                  for a in range(lo, hi, step)]
-        admits = [self._group_tables(g, [[0] * 4 * n], step)
-                  for g in range(len(self.outputs))]
-        parts, first = [], 0
-        while first < len(pieces):
-            lo, last = pieces[first][1], first + 1
-            while last < len(pieces) and pieces[last][2] - lo <= step:
-                last += 1
-            hi = pieces[last - 1][2]
-            columns = [int.from_bytes(row.tobytes(), "little")
-                       for row in _bit_rows(self._letters(masks, lo, hi), 4 * n)]
-            for g, a, b in pieces[first:last]:
-                keep = (1 << b - a) - 1
-                parts.append([column >> a - lo & keep for column in columns])
-                if b == starts[g + 1]:
-                    admits[g], parts = self._group_tables(g, parts, step), []
-            first = last
+        Each group is built on its own, read in pieces from its own start
+        of ``KERNEL_FLOATS`` targets (rounded down to whole bytes, at least
+        8): ``_letters`` makes each target's admitted letters one word and
+        ``_bit_rows`` a piece's words 4n rows of bytes, which fill the
+        piece's bytes of the group's 4n byte rows, eight targets a byte.
+        Each row, read little-endian, is one table: the 3n Pauli letters,
+        then the targets that read no letter.  On the output qubit the
+        Pauli tables are then emptied and the A table is the whole group,
+        as the class docstring says."""
+        n, step = self.n, max(8, KERNEL_FLOATS & ~7)
+        admits = []
+        for o, lo, hi in zip(self.outputs, self.starts, self.starts[1:]):
+            rows = np.empty((4 * n, (hi - lo + 7) // 8), np.uint8)
+            for a in range(lo, hi, step):
+                rows[:, (a - lo) // 8:(a - lo + step) // 8] = \
+                    _bit_rows(self._letters(masks, a, min(a + step, hi)), 4 * n)
+            tables = [int.from_bytes(row.tobytes(), "little") for row in rows]
+            # the output qubit admits the A letter alone
+            paulis = [0 if p % n == o else table
+                      for p, table in enumerate(tables[:3 * n])]
+            idle, whole = tables[3 * n:], (1 << hi - lo) - 1
+            admits.append(paulis + [whole if q == o else idle[q] for q in range(n)]
+                          + idle)
         return admits
 
     def _letters(self, masks: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -229,25 +223,6 @@ class TargetSet:
         idle = ~(need | need >> n | need >> 2 * n) & np.uint64((1 << n) - 1)
         return need | idle * np.uint64(spread(1, n, BASES))
 
-    def _group_tables(self, g: int, parts: list, step: int) -> list:
-        """Group ``g``'s ``admits`` from the 4n tables of each of its
-        pieces, in order, every piece but the last ``step`` targets: the
-        3n Pauli letters, then the targets that read no letter."""
-        n, tables = self.n, parts[-1]
-        if len(parts) > 1:
-            shift = step * (len(parts) - 1)
-            tables = [int.from_bytes(b"".join(piece[c].to_bytes(step // 8, "little")
-                                              for piece in parts[:-1]), "little")
-                      | last << shift for c, last in enumerate(parts[-1])]
-        paulis, idle = tables[:3 * n], tables[3 * n:]
-        o = self.outputs[g]
-        if o >= 0:
-            # the output qubit admits the A letter alone
-            for k in range(3):
-                paulis[o + k * n] = 0
-        whole = (1 << self.starts[g + 1] - self.starts[g]) - 1
-        return paulis + [whole if q == o else idle[q] for q in range(n)] + idle
-
     def __len__(self) -> int:
         return self.starts[-1]
 
@@ -258,16 +233,6 @@ class TargetSet:
         o = self.outputs[bisect_right(self.starts, t) - 1]
         ops = (self.ops[i],) if j == i else (self.ops[i], self.ops[j])
         return ops, None if o < 0 else o
-
-    def __iter__(self):
-        """Every target as ``ts[t]`` gives it, in the order of its operator
-        indices (first, second): the order ``_anticommuting_pairs``
-        found the pairs in, which each group keeps, so the groups are
-        merged on it."""
-        pair = memoryview(self.pair)
-        groups = (range(a, b) for a, b in zip(self.starts, self.starts[1:]))
-        for t in merge(*groups, key=lambda t: (pair[t, 0], pair[t, 1])):
-            yield self[t]
 
     def full(self) -> list:
         """The state of every target."""
@@ -410,24 +375,19 @@ def _uint64s(bits: int) -> np.ndarray:
 def _grouped(pair: np.ndarray, output: np.ndarray, n: int) -> tuple:
     """``pair`` sorted by ``output`` (0 to n - 1), each output's pairs in
     their given order, and the group starts: n + 1 indices, group q the
-    range ``starts[q]:starts[q + 1]``.  A counting sort a piece of
-    ``KERNEL_FLOATS`` pairs at a time, each piece's pairs placed after
-    the earlier pieces' of their output."""
-    spans = range(0, len(output), KERNEL_FLOATS)
-    counts = [np.bincount(output[lo:lo + KERNEL_FLOATS], minlength=n)
-              for lo in spans]
-    starts = np.concatenate(([0], np.cumsum(sum(counts, np.zeros(n, np.int64)))))
-    grouped, after = np.empty_like(pair), starts[:-1].copy()
-    for lo, count in zip(spans, counts):
-        out = output[lo:lo + KERNEL_FLOATS]
-        order = np.argsort(out, kind="stable")
-        # the sorted piece's entry r, the (r - first)-th of its output's,
-        # goes after the earlier pieces' pairs of that output
-        shift = after - (np.cumsum(count) - count)
-        grouped[shift[out[order]] + np.arange(len(out))] = \
-            pair[lo:lo + KERNEL_FLOATS][order]
-        after += count
-    return grouped, tuple(starts.tolist())
+    range ``starts[q]:starts[q + 1]``.  Each output's pairs are copied
+    into place a piece of ``KERNEL_FLOATS`` pairs at a time, so ``output``
+    is read once per output qubit."""
+    grouped, starts = np.empty_like(pair), [0]
+    for q in range(n):
+        at = starts[-1]
+        for lo in range(0, len(output), KERNEL_FLOATS):
+            mine = np.compress(output[lo:lo + KERNEL_FLOATS] == q,
+                               pair[lo:lo + KERNEL_FLOATS], axis=0)
+            grouped[at:at + len(mine)] = mine
+            at += len(mine)
+        starts.append(at)
+    return grouped, tuple(starts)
 
 
 def grow(pattern: MeasurementPattern, state, step):
@@ -538,7 +498,8 @@ def _strategies(code: GraphCode) -> TargetSet:
     block in row-major order, so the pairs come out in the (i, j) order
     of the double loop over the operator set.  They are grouped by output
     (``_grouped``), each output's in that order, as index arrays into the
-    sorted ``AllLogical`` operators, with no object per pair.
+    sorted ``AllLogical`` operators, with no object per pair, and each
+    group's tables are built from its own pairs (``TargetSet._tables``).
     """
     ops = enumerate_nontrivial(code, "AllLogical")
     x, z = _xz(ops)

@@ -26,7 +26,6 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
 
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
-_STR_PHASE = {v: k for k, v in _PHASE_STR.items()}
 
 
 class DimensionError(ValueError):
@@ -46,20 +45,6 @@ class PauliOperator(namedtuple("PauliOperator", "n x z phase")):
     def __new__(cls, n: int, x: int = 0, z: int = 0, phase: int = 0):
         mask = (1 << n) - 1
         return tuple.__new__(cls, (n, x & mask, z & mask, phase & 3))
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_letters(cls, letters: str, sign: str = "+") -> "PauliOperator":
-        """Build from a letter string such as ``"XIZY"`` (qubit 0 first)."""
-        x = z = phase = 0
-        for i, ch in enumerate(letters):
-            xb, zb = _LETTER_BITS[ch]
-            x |= xb << i
-            z |= zb << i
-            if ch == "Y":
-                phase += 1
-        return cls(len(letters), x, z, phase + _STR_PHASE[sign])
 
     # -- algebra --------------------------------------------------------
 
@@ -271,9 +256,3 @@ class PauliSpan:
         if op.n != self.n:
             raise DimensionError(f"lengths differ: {op.n} vs {self.n}")
         return self._add_vec(op.x | op.z << self.n)
-
-    def copy(self) -> "PauliSpan":
-        dup = PauliSpan(self.n)
-        dup.rows = list(self.rows)
-        return dup
-

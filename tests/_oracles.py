@@ -34,6 +34,7 @@ from graphcode_lt.pauli import (
     MeasurementPattern,
     PauliOperator,
     PauliSpan,
+    _LETTER_BITS,
     fits,
     iter_bits,
     packed,
@@ -68,15 +69,43 @@ def is_connected(g: Graph) -> bool:
     return _mask_connected(g.nbr)
 
 
+def relabeled(g: Graph, perm: list[int]) -> Graph:
+    """``g`` with ``perm`` applied, where perm[old] = new position."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm is not a permutation of the vertices")
+    nbr = [0] * g.n
+    for v in range(g.n):
+        row = 0
+        for u in iter_bits(g.nbr[v]):
+            row |= 1 << perm[u]
+        nbr[perm[v]] = row
+    return Graph._trusted(g.n, tuple(nbr))
+
+
 # -- Pauli and pattern text forms ---------------------------------------------
+
+
+_STR_PHASE = {"+": 0, "+i": 1, "-": 2, "-i": 3}
+
+
+def pauli_from_letters(letters: str, sign: str = "+") -> PauliOperator:
+    """Build from a letter string such as ``"XIZY"`` (qubit 0 first)."""
+    x = z = phase = 0
+    for i, ch in enumerate(letters):
+        xb, zb = _LETTER_BITS[ch]
+        x |= xb << i
+        z |= zb << i
+        if ch == "Y":
+            phase += 1
+    return PauliOperator(len(letters), x, z, phase + _STR_PHASE[sign])
 
 
 def pauli_from_string(text: str) -> PauliOperator:
     """Parse the text form ``[+|-][i]<letters>``, e.g. ``"-iXYZ"``."""
     for sign in ("+i", "-i", "+", "-"):
         if text.startswith(sign):
-            return PauliOperator.from_letters(text[len(sign):], sign)
-    return PauliOperator.from_letters(text)
+            return pauli_from_letters(text[len(sign):], sign)
+    return pauli_from_letters(text)
 
 
 def pattern_from_chars(chars: str) -> MeasurementPattern:
@@ -94,10 +123,17 @@ def pattern_from_chars(chars: str) -> MeasurementPattern:
     return MeasurementPattern(n, letters, unmeasured)
 
 
+def span_copy(span: PauliSpan) -> PauliSpan:
+    """A copy of ``span``: adding to it leaves ``span`` as it was."""
+    dup = PauliSpan(span.n)
+    dup.rows = list(span.rows)
+    return dup
+
+
 def span_contains(span: PauliSpan, op: PauliOperator) -> bool:
     """Membership of ``op`` in ``span`` up to phase: adding it to a copy
     of the span adds no row."""
-    return not span.copy().add(op)
+    return not span_copy(span).add(op)
 
 
 def symplectic_rank(ops) -> int:
@@ -512,7 +548,7 @@ def orbit_key(g: Graph, n_fixed: int = 1, cap: int = 10 ** 6) -> tuple:
 def _root_at_zero(g: Graph, r: int) -> Graph:
     perm = list(range(g.n))
     perm[0], perm[r] = perm[r], perm[0]
-    return g.relabeled(perm)
+    return relabeled(g, perm)
 
 
 def rooted_representatives_reference(n: int) -> list[Graph]:
@@ -897,6 +933,13 @@ def interface_letters(interfaces: tuple, n: int) -> int:
     return letters
 
 
+def targets_in_pair_order(ts) -> list:
+    """Every target of the ``TargetSet`` ``ts`` as ``ts[t]`` gives it, in
+    the order of its operator indices (first, second): for a pair set the
+    order the operators were paired in, which each output group keeps."""
+    return [ts[t] for t in np.lexsort(ts.pair.T[::-1]).tolist()]
+
+
 def target_need(ops, output) -> int:
     """A target's joint packed letter mask (``pauli.packed``), from its
     one or two operators: an output qubit, when it has one, is read in
@@ -1085,13 +1128,13 @@ def transversal_counts_reference(code, failure_bases) -> dict:
             counts[key] = counts.get(key, 0) + 1
             return
         rec(i + 1, span, ns, nfx, nfz)  # loss: nothing obtained
-        sp = span.copy()
+        sp = span_copy(span)
         sp.add(_pair("X", i, n))
         sp.add(_pair("Z", i, n))
         rec(i + 1, sp, ns + 1, nfx, nfz)
         letters = "XZ" if failure_bases is None else failure_bases[i]
         for letter in letters:
-            sp = span.copy()
+            sp = span_copy(span)
             sp.add(_pair(letter, i, n))
             rec(i + 1, sp, ns, nfx + (letter == "X"), nfz + (letter == "Z"))
 
@@ -1127,7 +1170,7 @@ def exhaustive_checks(leaf: Leaf, surviving_stabilizers, rates,
             visited += 1
             if visited > cap:
                 raise ResourceLimitError("exhaustive check search exceeded cap")
-            sub = span.copy()
+            sub = span_copy(span)
             sub.add(cand)
             chosen.append(cand)
             err = ml_logical_error(leaf, CheckSet(targets, tuple(chosen)), rates)

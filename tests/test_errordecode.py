@@ -17,7 +17,9 @@ from _oracles import (
     exhaustive_checks,
     greedy_checks_reference,
     pattern_from_chars,
+    pauli_from_letters,
     qubitwise_commuting,
+    targets_in_pair_order,
 )
 from graphcode_lt import errordecode
 from graphcode_lt.codes import (
@@ -52,7 +54,7 @@ from graphcode_lt.losstree import (
     success_polynomial,
 )
 from graphcode_lt.opsets import ResourceLimitError, stabilizer_group
-from graphcode_lt.pauli import PauliOperator, PauliSpan, iter_bits
+from graphcode_lt.pauli import PauliSpan, iter_bits
 from graphcode_lt.polynomials import KERNEL_FLOATS, LossPolynomial, break_even
 from graphcode_lt.search import enumerate_candidates
 from test_golden import _codes as golden_codes
@@ -150,7 +152,7 @@ def test_error_model_validation():
             _output_leaf_error(rates)
     # a failed leaf feeds back a flip rate of exactly one
     pattern = pattern_from_chars("XX")
-    target = PauliOperator.from_letters("XX")
+    target = pauli_from_letters("XX")
     leaf = Leaf("success", pattern, targets=(target,))
     assert ml_logical_error(leaf, CheckSet((target,), ()), (1.0, 0.0, 1.0)) == 0.0
 
@@ -159,7 +161,7 @@ def test_error_model_from_rates():
     # per-basis rates set directly: a Y measurement flips at rY (the
     # decoder returns 1 - (1 - rY), one rounding away)
     pattern = pattern_from_chars("Y")
-    target = PauliOperator.from_letters("Y")
+    target = pauli_from_letters("Y")
     leaf = Leaf("success", pattern, targets=(target,))
     err = ml_logical_error(leaf, CheckSet((target,), ()), (0.1, 0.2, 0.3))
     assert err == pytest.approx(0.2, abs=1e-15)
@@ -169,10 +171,10 @@ def test_error_model_from_rates():
 
 
 def test_qubitwise_commuting():
-    a = PauliOperator.from_letters("XZI")
-    assert qubitwise_commuting(a, PauliOperator.from_letters("XIZ"))
-    assert qubitwise_commuting(a, PauliOperator.from_letters("III"))
-    assert not qubitwise_commuting(a, PauliOperator.from_letters("ZZI"))
+    a = pauli_from_letters("XZI")
+    assert qubitwise_commuting(a, pauli_from_letters("XIZ"))
+    assert qubitwise_commuting(a, pauli_from_letters("III"))
+    assert not qubitwise_commuting(a, pauli_from_letters("ZZI"))
 
 
 # -- check selection ---------------------------------------------------------------
@@ -262,7 +264,7 @@ def test_parity_channel_closed_form():
     # error is the odd-flip probability (1 - (1-2r)^w) / 2]
     for w in range(1, 6):
         pattern = pattern_from_chars("Z" * w)
-        target = PauliOperator.from_letters("Z" * w)
+        target = pauli_from_letters("Z" * w)
         leaf = Leaf("success", pattern, targets=(target,))
         for lam in (0.0, 0.01, 0.05, 0.2):
             rates = depolarizing(lam)
@@ -354,7 +356,7 @@ def test_cube_ml_quadratic_at_low_lambda():
 def test_ml_enumeration_limit():
     n = 21
     pattern = pattern_from_chars("Z" * n)
-    target = PauliOperator.from_letters("Z" * n)
+    target = pauli_from_letters("Z" * n)
     leaf = Leaf("success", pattern, targets=(target,))
     with pytest.raises(ResourceLimitError):
         ml_logical_error(leaf, CheckSet((target,), ()), depolarizing(0.01))
@@ -579,8 +581,9 @@ def clairvoyant_break_even(code) -> float:
     """Upper bound over the strategy class: a decoder that knows every
     qubit's fate in advance succeeds iff some strategy's full qubit set
     is delivered.  Independent of the decision-tree recursion."""
+    targets = targets_in_pair_order(_strategies(code))
     masks = sorted({first.support | second.support | (1 << output)
-                    for (first, second), output in _strategies(code)})
+                    for (first, second), output in targets})
     n = code.n
     terms: dict = {}
     for detected in range(1 << n):

@@ -41,7 +41,7 @@ from graphcode_lt.losstree import (
     success_polynomial,
 )
 
-from _oracles import adaptive_terms, is_connected
+from _oracles import adaptive_terms, is_connected, targets_in_pair_order
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden.json")
 
@@ -76,8 +76,9 @@ def _sha(text: str) -> str:
 
 
 def _strategies_text(code: GraphCode) -> str:
+    targets = targets_in_pair_order(_strategies(code))
     return repr([(first.to_string(), second.to_string(), output)
-                 for (first, second), output in _strategies(code)])
+                 for (first, second), output in targets])
 
 
 def _terms_text(terms: dict) -> str:

@@ -62,8 +62,10 @@ from _oracles import (
     monte_carlo_successes_reference,
     optimal_success,
     path_graph,
+    pauli_from_letters,
     strategies_reference,
     target_need,
+    targets_in_pair_order,
     tree_polynomial_reference,
 )
 from test_golden import _codes as golden_codes
@@ -344,8 +346,8 @@ def test_paths_never_repeat_qubits_and_leaves_certify():
 
 
 def triples(ts) -> list[tuple]:
-    """(first, second, output) of every target, in iteration order."""
-    return [(*ops, output) for ops, output in ts]
+    """(first, second, output) of every target, in pair order."""
+    return [(*ops, output) for ops, output in targets_in_pair_order(ts)]
 
 
 def group_of(ts, t: int) -> int:
@@ -505,13 +507,24 @@ def test_blocked_targets_match_one_block(monkeypatch):
     n = code.n
     ops = enumerate_nontrivial(code, "AllLogical")
     x, z = losstree._xz(ops)
+    # a hand-made set of the first few pairs toward each output: none
+    # toward qubit 0, one toward qubit 1, and groups that end mid-byte,
+    # three of them longer than a piece of 8 targets
+    pair, output = losstree._anticommuting_pairs(x, z)
+    sizes = (0, 1, 13, 3, 21, 9, 30)
+    assert len(sizes) == n
+    keep = np.sort(np.concatenate([np.flatnonzero(output == q)[:size]
+                                   for q, size in enumerate(sizes)]))
+    few = pair[keep], output[keep]
 
-    def build():
-        pairs = losstree._grouped(*losstree._anticommuting_pairs(x, z), n)
-        return TargetSet(n, x, z, pairs, ops)
+    def build(pairs):
+        return TargetSet(n, x, z, losstree._grouped(*pairs, n), ops)
 
     monkeypatch.setattr(losstree, "KERNEL_FLOATS", 1 << 30)
-    whole = build()
+    whole = build(losstree._anticommuting_pairs(x, z))
+    whole_few = build(few)
+    assert whole_few.starts == (0, 0, 1, 14, 17, 38, 47, 77)
+    check_tables(whole_few)
     states = [whole.full()]
     states += [random_state(rng, whole, size)
                for size in (1, 7, 64, 192, 700)]
@@ -531,12 +544,18 @@ def test_blocked_targets_match_one_block(monkeypatch):
         return narrowed, done, moves, ts.busiest_output(state)
 
     want = [answers(whole, state) for state in states]
-    for budget in (1, 5, 8, 97):
+    # pieces of 8 targets (budgets 1 to 8), 16 and 96 from each group's
+    # start: a piece edge falls inside every group of more than 8 targets
+    for budget in (1, 5, 8, 16, 97):
         monkeypatch.setattr(losstree, "KERNEL_FLOATS", budget)
-        ts = build()
-        assert ts.pair.dtype == whole.pair.dtype
-        assert np.array_equal(ts.pair, whole.pair)
-        assert ts.starts == whole.starts and ts.admits == whole.admits
+        ts = build(losstree._anticommuting_pairs(x, z))
+        ts_few = build(few)
+        check_tables(ts_few)
+        for got, one_block in ((ts, whole), (ts_few, whole_few)):
+            assert got.pair.dtype == one_block.pair.dtype
+            assert np.array_equal(got.pair, one_block.pair)
+            assert got.starts == one_block.starts
+            assert got.admits == one_block.admits
         for short in (0, SHORT):
             monkeypatch.setattr(losstree, "SHORT", short)
             for state, answer in zip(states, want):
@@ -590,9 +609,9 @@ def test_narrow_keeps_fitting_targets_in_order():
 def test_narrow_on_fourteen_qubits_denies_top_letters():
     # tree[2,3,1] has 14 qubits, so its A letters reach bit 55, and each
     # of its groups spans several KERNEL_FLOATS pieces joined into one
-    # table: measure or lose the highest qubits, whose A letters a clipped
-    # or signed mask would get wrong, and check every target against
-    # pauli.fits
+    # table: every table of every group holds the targets pauli.fits
+    # admits; then measure or lose the highest qubits, whose A letters a
+    # clipped or signed mask would get wrong, and check every target
     code = tree_code([2, 3, 1])
     ts = _strategies(code)
     n = code.n
@@ -600,13 +619,21 @@ def test_narrow_on_fourteen_qubits_denies_top_letters():
     assert min(b - a for a, b in zip(ts.starts, ts.starts[1:])) > \
         3 * losstree.KERNEL_FLOATS
     # target_need of every target, each operator's mask made once
-    masks = [packed(op.x, op.z, n) for op in ts.ops]
-    need = []
+    masks = packed(ts.x.astype(np.uint64), ts.z.astype(np.uint64), n)
+    groups = []
     for g, (lo, hi) in enumerate(zip(ts.starts, ts.starts[1:])):
         bit = 1 << ts.outputs[g]
-        drop, read = ~spread(bit, n, "XYZ"), spread(bit, n, "A")
-        need += [(masks[i] | masks[j]) & drop | read
-                 for i, j in ts.pair[lo:hi].tolist()]
+        drop = np.uint64(~spread(bit, n, "XYZ") & (1 << 4 * n) - 1)
+        first, second = ts.pair[lo:hi].T
+        need = (masks[first] | masks[second]) & drop | np.uint64(spread(bit, n, "A"))
+        for q in range(n):
+            for k in range(LOST + 1):
+                fit = need & ~np.uint64(move_allowed(n, q, k)) == 0
+                want = np.packbits(fit, bitorder="little").tobytes()
+                assert ts.admits[g][q + k * n] == int.from_bytes(want, "little"), \
+                    (g, q, k)
+        groups.append(need)
+    need = np.concatenate(groups).tolist()
     for t in random.Random(5).sample(range(len(ts)), 200):
         assert need[t] == target_need(*ts[t])
     full = ts.full()
@@ -642,7 +669,7 @@ def test_attempt_with_keep_takes_first_of_equal_ranks(monkeypatch):
     # min() picks it (sorted by (weight, x, z), as a TargetSet's
     # operators are), also when a budget of one target a piece puts them
     # in different pieces and when the state is read in numpy pieces
-    ops = tuple(PauliOperator.from_letters(t) for t in ("ZZI", "XZI", "IXX"))
+    ops = tuple(pauli_from_letters(t) for t in ("ZZI", "XZI", "IXX"))
     assert list(ops) == sorted(ops, key=lambda o: (o.weight, o.x, o.z))
     ts = TargetSet(3, *losstree._xz(ops), ops=ops)
     free = MeasurementPattern(3).unmeasured

@@ -29,6 +29,7 @@ from graphcode_lt.pauli import (
 from _oracles import (
     dense,
     pattern_from_chars,
+    pauli_from_letters,
     pauli_from_string,
     span_contains,
     symplectic_rank,
@@ -189,7 +190,7 @@ def test_qubitwise_commutation_definition():
                 assert got == want, (letters, statuses, completed)
                 if "A" in letters:
                     continue
-                op = PauliOperator.from_letters("".join(letters))
+                op = pauli_from_letters("".join(letters))
                 assert op.masks == need
                 got = commutes_qubitwise(op, pattern, completed)
                 assert got == want, (letters, statuses, completed)
